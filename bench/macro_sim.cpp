@@ -264,11 +264,6 @@ CaseResult run_case(const SweepPoint& pt, int threads, const char* dump_dir,
 void write_json(std::FILE* f, const std::vector<CaseResult>& results) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"schema\": \"sharqfec-macro-sim-v1\",\n");
-  std::fprintf(f, "  \"backend\": \"%s\",\n",
-               sim::EventQueue::default_backend() ==
-                       sim::EventQueue::Backend::kHeap
-                   ? "heap"
-                   : "calendar");
   std::fprintf(f, "  \"peak_rss_bytes\": %lld,\n", peak_rss_bytes());
   std::fprintf(f, "  \"cases\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {

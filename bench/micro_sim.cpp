@@ -11,11 +11,8 @@ namespace {
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const int n = state.range(0);
-  const auto backend = state.range(1) == 0
-                           ? sharq::sim::EventQueue::Backend::kCalendar
-                           : sharq::sim::EventQueue::Backend::kHeap;
   for (auto _ : state) {
-    sharq::sim::Simulator simu(1, backend);
+    sharq::sim::Simulator simu(1);
     for (int i = 0; i < n; ++i) {
       simu.after(static_cast<double>((i * 7919) % 1000),
                  [] { benchmark::DoNotOptimize(0); }, "bench.tick");
@@ -24,25 +21,13 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-// Second arg: 0 = calendar queue, 1 = binary heap (the two backends keep
-// byte-identical event order; this measures the throughput difference).
-BENCHMARK(BM_EventQueueScheduleRun)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1});
+BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(100000)->Arg(1000000);
 
 // Steady-state "hold" pattern (the protocol's shape: a bounded pending
-// set with every pop scheduling a successor) — the case calendar queues
-// are O(1) at and heaps pay log(n) for.
+// set with every pop scheduling a successor).
 void BM_EventQueueSteadyState(benchmark::State& state) {
   const int pending = state.range(0);
-  const auto backend = state.range(1) == 0
-                           ? sharq::sim::EventQueue::Backend::kCalendar
-                           : sharq::sim::EventQueue::Backend::kHeap;
-  sharq::sim::Simulator simu(1, backend);
+  sharq::sim::Simulator simu(1);
   int i = 0;
   for (int j = 0; j < pending; ++j) {
     simu.after(static_cast<double>((j * 7919) % 1000), [] {}, "bench.hold");
@@ -54,11 +39,7 @@ void BM_EventQueueSteadyState(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueSteadyState)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_EventQueueSteadyState)->Arg(1000)->Arg(100000);
 
 void BM_TimerRearm(benchmark::State& state) {
   sharq::sim::Simulator simu;

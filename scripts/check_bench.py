@@ -6,7 +6,7 @@ Usage: check_bench.py BENCH_sim.json [--min-receivers N] [--require-complete]
 
 Checks, in order:
   parse     the file is a single JSON object
-  schema    it carries schema/backend/peak_rss_bytes/cases with the right
+  schema    it carries schema/peak_rss_bytes/cases with the right
             types, schema is "sharqfec-macro-sim-v1", and every case has
             the full column set (see CASE_FIELDS); non-finite numbers
             (NaN/Infinity, which the JSON parser happily accepts) are
@@ -38,7 +38,6 @@ import math
 import sys
 
 SCHEMA = "sharqfec-macro-sim-v1"
-BACKENDS = ("calendar", "heap")
 
 # field -> (type(s), must_be_positive)
 CASE_FIELDS = {
@@ -95,8 +94,6 @@ def check(doc, min_receivers, require_complete, max_kb_per_receiver=None):
         return ["top level is not a JSON object"]
     if doc.get("schema") != SCHEMA:
         bad(f"schema is {doc.get('schema')!r}, expected {SCHEMA!r}")
-    if doc.get("backend") not in BACKENDS:
-        bad(f"backend is {doc.get('backend')!r}, expected one of {BACKENDS}")
     peak = doc.get("peak_rss_bytes")
     if not isinstance(peak, int) or peak < 0:
         bad(f"peak_rss_bytes is {peak!r}, expected a non-negative integer")
@@ -219,7 +216,7 @@ def main(argv):
         cases = doc["cases"]
         biggest = max(c["receivers"] for c in cases)
         print(f"check_bench: OK ({len(cases)} cases, "
-              f"largest {biggest} receivers, backend {doc['backend']})")
+              f"largest {biggest} receivers)")
     return 1 if errors else 0
 
 

@@ -52,7 +52,6 @@ def good_case(name="d2_f4_smoke", **overrides):
 def good_doc(*cases):
     return {
         "schema": check_bench.SCHEMA,
-        "backend": "calendar",
         "peak_rss_bytes": 1 << 30,
         "cases": list(cases) or [good_case()],
     }

@@ -100,9 +100,13 @@ void Network::set_metrics(stats::Metrics* metrics) {
 
 void Network::memory_census(stats::MemCensus& census) const {
   // Topology vectors are append-only after build, so live == retained.
+  // Each link's random stream sits inline in its Link but is reported
+  // under "rng_streams", with the agents' streams.
+  const std::uint64_t rngs = links_.size() * sizeof(sim::Rng);
+  census.add("rng_streams", rngs, rngs);
   std::uint64_t topo = nodes_.capacity() * sizeof(NodeRec) +
                        links_.capacity() * sizeof(Link) +
-                       channels_.capacity() * sizeof(Channel);
+                       channels_.capacity() * sizeof(Channel) - rngs;
   for (const NodeRec& n : nodes_) {
     topo += n.out_links.capacity() * sizeof(LinkId) +
             n.agents.capacity() * sizeof(Agent*);

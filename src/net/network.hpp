@@ -243,8 +243,9 @@ class Network {
   void set_metrics(stats::Metrics* metrics);
 
   /// Contribute the network's retained bytes to the profiler's memory
-  /// census: topology vectors under "net_topology", per-lane routing and
-  /// forwarding caches (plus packet scratch) under "net_caches".
+  /// census: topology vectors under "net_topology", the links' random
+  /// streams under "rng_streams", per-lane routing and forwarding caches
+  /// (plus packet scratch) under "net_caches".
   void memory_census(stats::MemCensus& census) const;
 
   /// Attach the recovery-lifecycle journal: drops of recovery traffic

@@ -1,6 +1,5 @@
 #include "sharqfec/agent.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "fec/cpu_features.hpp"
@@ -15,6 +14,7 @@ Agent::Agent(net::Network& net, Hierarchy& hier,
              std::shared_ptr<const Config> cfg, net::NodeId node,
              bool is_source, rm::DeliveryLog* log)
     : is_source_(is_source) {
+  recent_uids_.fill(~std::uint64_t{0});
   net.attach(node, this);
   hier.join(node);
   stats::Metrics* metrics = cfg->metrics;
@@ -38,55 +38,17 @@ Agent::Agent(net::Network& net, Hierarchy& hier,
     m_corrupt_rejects_ = &metrics->counter("sharqfec.corrupt_rejects", by_node);
     m_duplicate_rejects_ =
         &metrics->counter("sharqfec.duplicate_rejects", by_node);
-    if (budget_->limits().any_enabled()) {
-      m_dedup_shed_ = &metrics->counter("sharqfec.dedup_shed", by_node);
-    }
   }
 }
 
 bool Agent::first_sighting(std::uint64_t uid) {
-  if (!seen_uids_.insert(uid).second) return false;
-  seen_order_.push_back(uid);
-  budget_->add_state(kDedupEntryBytes);
-  const std::size_t cap = budget_->limits().dedup_entries;
-  if (cap == 0) {
-    if (seen_order_.size() > dedup_high_water_) {
-      dedup_high_water_ = seen_order_.size();
-    }
-    return true;
-  }
-  // Under state pressure the window target halves: the oldest entries are
-  // the least likely to ever match again (link-level duplicates arrive
-  // within a reorder window, not minutes later), so they are the cheapest
-  // state to shed. Evictions past normal rotation count as sheds.
-  const std::size_t target =
-      budget_->over_state() ? std::max<std::size_t>(cap / 2, 1) : cap;
-  std::size_t shed = 0;
-  while (seen_order_.size() > target) {
-    if (seen_order_.size() <= cap) ++shed;
-    seen_uids_.erase(seen_order_.front());
-    seen_order_.pop_front();
-    budget_->sub_state(kDedupEntryBytes);
-  }
-  if (shed > 0) {
-    dedup_shed_ += shed;
-    if (m_dedup_shed_) m_dedup_shed_->inc(shed);
-    budget_->note_shed("dedup");
-    // Journal only the bulk shrink (the transition into pressure); the
-    // steady one-per-insert trickle while pressure lasts would emit one
-    // line per packet.
-    if (journal_ && shed > 1) {
-      journal_->emit("shed.dedup", network().simulator_for(node()).now(), node(),
-                     /*group=*/-1, /*cause=*/0,
-                     {{"evicted", std::uint64_t{shed}},
-                      {"target", std::uint64_t{target}}});
-    }
-  }
-  // High water is measured after shedding, so `dedup_high_water() <=
-  // dedup_entries` is an exact invariant the chaos campaign can assert.
-  if (seen_order_.size() > dedup_high_water_) {
-    dedup_high_water_ = seen_order_.size();
-  }
+  // A branch-free scan of the whole ring: 1 KiB of contiguous compares,
+  // cheaper than hashing into (and evicting from) a node-based set.
+  bool seen = false;
+  for (std::uint64_t u : recent_uids_) seen |= u == uid;
+  if (seen) return false;
+  recent_uids_[ring_next_] = uid;
+  ring_next_ = (ring_next_ + 1) % kDedupRingSlots;
   return true;
 }
 

@@ -1,9 +1,8 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_set>
 
 #include "net/network.hpp"
 #include "rm/delivery_log.hpp"
@@ -70,19 +69,24 @@ class Agent final : public net::Agent {
   /// the session manager and transfer engine.
   BudgetTracker& budget() { return *budget_; }
   const BudgetTracker& budget() const { return *budget_; }
-  /// Current / high-water dedup-window occupancy (exhaustion invariant:
-  /// high water never exceeds ResourceBudget::dedup_entries).
-  std::size_t dedup_entries() const { return seen_order_.size(); }
-  std::size_t dedup_high_water() const { return dedup_high_water_; }
-  /// Entries aged out beyond normal window rotation (state pressure).
-  std::uint64_t dedup_shed() const { return dedup_shed_; }
+
+  /// Slots in the uid dedup ring. A conditioner's copies of one packet
+  /// share one delivery time and stay adjacent in every downstream FIFO
+  /// link queue, so a node meets a duplicate within a few fresh uids of
+  /// its original; 128 slots cover that with a wide margin at 1 KiB per
+  /// agent. A copy that still outlives the ring is a no-op in the group
+  /// decoder (tests/test_budget.cpp, DedupRing).
+  static constexpr std::size_t kDedupRingSlots = 128;
 
   /// Contribute this endpoint's retained bytes to the profiler's memory
-  /// census: the uid dedup window under "dedup_windows" (live vs high
-  /// water), then the session manager's and transfer engine's categories.
+  /// census: the uid dedup ring under "dedup_windows", the rest of this
+  /// object and its budget tracker under "agent_objects", then the session
+  /// manager's and transfer engine's categories.
   void memory_census(stats::MemCensus& census) const {
-    census.add("dedup_windows", seen_order_.size() * kDedupEntryBytes,
-               dedup_high_water_ * kDedupEntryBytes);
+    census.add("dedup_windows", sizeof(recent_uids_), sizeof(recent_uids_));
+    const std::size_t self =
+        sizeof(Agent) - sizeof(recent_uids_) + sizeof(BudgetTracker);
+    census.add("agent_objects", self, self);
     session_->memory_census(census);
     transfer_->memory_census(census);
   }
@@ -93,29 +97,23 @@ class Agent final : public net::Agent {
   static const char* fec_kernel_name();
 
  private:
-  /// True exactly once per uid within the sliding window; duplicated
-  /// deliveries (conditioner copies) return false. Bounded by
-  /// ResourceBudget::dedup_entries (and shrunk under state pressure) so a
-  /// soak run cannot grow it without limit.
+  /// False when `uid` is among the last kDedupRingSlots uids this agent
+  /// accepted (a duplicated delivery); otherwise records it and returns
+  /// true.
   bool first_sighting(std::uint64_t uid);
-
-  /// Accounted bytes per dedup entry (set node + order deque, with
-  /// container overhead) for the state-bytes ledger.
-  static constexpr std::size_t kDedupEntryBytes = 48;
 
   bool is_source_;
   std::unique_ptr<BudgetTracker> budget_;
   std::unique_ptr<SessionManager> session_;
   std::unique_ptr<TransferEngine> transfer_;
-  std::unordered_set<std::uint64_t> seen_uids_;
-  std::deque<std::uint64_t> seen_order_;
-  std::size_t dedup_high_water_ = 0;
-  std::uint64_t dedup_shed_ = 0;
+  /// FIFO ring of recently accepted uids; ~0 marks an empty slot (the
+  /// network numbers uids from 1 and never reaches it).
+  std::array<std::uint64_t, kDedupRingSlots> recent_uids_;
+  std::size_t ring_next_ = 0;  ///< slot the next accepted uid overwrites
   std::uint64_t corrupt_rejects_ = 0;
   std::uint64_t duplicate_rejects_ = 0;
   stats::Counter* m_corrupt_rejects_ = nullptr;
   stats::Counter* m_duplicate_rejects_ = nullptr;
-  stats::Counter* m_dedup_shed_ = nullptr;
   stats::Journal* journal_ = nullptr;  ///< cfg.journal, cached
 };
 

@@ -25,15 +25,10 @@ namespace sharq::sfq {
 /// A zero limit disables that dimension; the defaults reproduce the
 /// pre-budget behaviour exactly, so existing traces stay byte-identical.
 struct ResourceBudget {
-  /// Soft target for accounted protocol state bytes (dedup window, RTT
-  /// tables, bridge tables). Exceeding it puts the node under state
-  /// pressure: the dedup window shrinks to half its cap and peer tables
-  /// stop growing (oldest entries are replaced). 0 = unlimited.
+  /// Soft target for accounted protocol state bytes (RTT tables, bridge
+  /// tables). Exceeding it puts the node under state pressure: peer
+  /// tables stop growing (oldest entries are replaced). 0 = unlimited.
   std::size_t state_bytes = 0;
-  /// Hard cap on the packet-dedup sliding window (entries). The window
-  /// already rotates FIFO; the cap bounds it. 0 = unlimited (the
-  /// pre-budget constant was 8192, kept as the default cap).
-  std::size_t dedup_entries = 8192;
   /// Hard cap on session peers tracked per zone level (RTT table plus
   /// bridge table, independently). At capacity the oldest entry by
   /// (last-heard time, node id) is aged out. 0 = unlimited.
@@ -91,9 +86,9 @@ class BudgetTracker {
   sim::Time min_repair_spacing() const { return min_spacing_; }
 
   // --- pressure ---------------------------------------------------------------
-  /// Record one shed decision for `resource` ("dedup", "peers", "repair",
-  /// "scope"). Emits `budget.tripped` (journal) and counts
-  /// `sharqfec.budget_trips` on the transition into pressure only.
+  /// Record one shed decision for `resource` ("peers", "repair"). Emits
+  /// `budget.tripped` (journal) and counts `sharqfec.budget_trips` on the
+  /// transition into pressure only.
   void note_shed(const char* resource);
   /// True within `pressure_window` of the last shed.
   bool under_pressure() const;

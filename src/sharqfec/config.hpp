@@ -100,8 +100,7 @@ struct Config {
 
   // --- resource budget (docs/ROBUSTNESS.md) ----------------------------------
   /// Per-node deterministic resource budget. The defaults keep every
-  /// dimension disabled (except the dedup-window cap, which matches the
-  /// pre-budget constant), so default-configured runs behave — and trace —
+  /// dimension disabled, so default-configured runs behave — and trace —
   /// exactly as before. Overload campaigns enable finite limits and the
   /// graceful-degradation policies behind them.
   ResourceBudget budget;

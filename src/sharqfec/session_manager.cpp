@@ -109,6 +109,13 @@ void SessionManager::memory_census(stats::MemCensus& census) const {
   census.add("peer_tables", tables, tables);
   const sim::PoolStats& ps = session_pool_.stats();
   census.add("session_pools", ps.bytes_live, ps.bytes_capacity);
+  census.add("rng_streams", sizeof(rng_), sizeof(rng_));
+  // The object itself and its per-level state (three Timers each); the
+  // tables inside the levels are counted above.
+  const std::uint64_t self = sizeof(SessionManager) - sizeof(rng_) +
+                             levels_.capacity() * sizeof(Level) +
+                             chain_.capacity() * sizeof(net::ZoneId);
+  census.add("agent_objects", self, self);
 }
 
 stats::EventId SessionManager::jnl(const char* ev, stats::EventId cause,

@@ -117,7 +117,9 @@ class SessionManager {
 
   /// Contribute this manager's retained bytes to the profiler's memory
   /// census: RTT/bridge tables under "peer_tables" (the budget ledger's
-  /// per-entry constants), session-message pool under "session_pools".
+  /// per-entry constants), session-message pool under "session_pools",
+  /// its random stream under "rng_streams", the object and its per-level
+  /// state under "agent_objects".
   void memory_census(stats::MemCensus& census) const;
 
  private:

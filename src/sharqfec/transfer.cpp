@@ -192,6 +192,11 @@ void TransferEngine::memory_census(stats::MemCensus& census) const {
     pool_peak += ps->bytes_capacity;
   }
   census.add("transfer_pools", pool_live, pool_peak);
+  census.add("rng_streams", sizeof(rng_), sizeof(rng_));
+  const std::uint64_t self =
+      sizeof(TransferEngine) - sizeof(rng_) +
+      (zlc_pred_.capacity() + cov_pred_.capacity()) * sizeof(double);
+  census.add("agent_objects", self, self);
 
   // Per-group state. groups_ never erases and the level arenas only
   // append, so live == retained here. The map-node overhead constant

@@ -109,7 +109,9 @@ class TransferEngine {
 
   /// Contribute this engine's retained bytes to the profiler's memory
   /// census: message/shard pools under "transfer_pools", per-group state
-  /// (decoders, encoders, level arenas, payload) under "transfer_groups".
+  /// (decoders, encoders, level arenas, payload) under "transfer_groups",
+  /// its random stream under "rng_streams", the object itself under
+  /// "agent_objects".
   void memory_census(stats::MemCensus& census) const;
 
  private:

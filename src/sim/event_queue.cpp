@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -12,26 +11,11 @@ namespace sharq::sim {
 
 namespace {
 constexpr const char* kUntagged = "untagged";
-constexpr std::size_t kMinBuckets = 16;  // power of two
-// Calendar span in "years" before an event is parked in the overflow
-// heap; also keeps bucket numbers (time / width) well inside uint64.
-constexpr double kOverflowYears = 1024.0;
+// Stale keys tolerated beyond the live count before schedule() compacts.
+// Keeps small queues from compacting on every re-arm; the heap stays
+// within 2 x live + kCompactSlack keys.
+constexpr std::size_t kCompactSlack = 64;
 }  // namespace
-
-EventQueue::Backend EventQueue::default_backend() {
-  const char* env = std::getenv("SHARQFEC_EVENT_QUEUE");
-  if (env != nullptr && std::strcmp(env, "heap") == 0) return Backend::kHeap;
-  return Backend::kCalendar;
-}
-
-EventQueue::EventQueue(Backend backend) : backend_(backend) {
-  if (backend_ == Backend::kCalendar) {
-    nbuckets_ = kMinBuckets;
-    buckets_.assign(nbuckets_, {});
-    width_ = 1.0;
-    overflow_limit_ = static_cast<double>(nbuckets_) * kOverflowYears * width_;
-  }
-}
 
 void EventQueue::set_metrics(stats::Metrics* metrics, int shard) {
   metrics_ = metrics;
@@ -60,24 +44,12 @@ EventQueue::TagCounters& EventQueue::counters_for(const char* tag) {
 }
 
 std::size_t EventQueue::memory_bytes() const {
-  std::size_t total = slots_.capacity() * sizeof(Slot) +
-                      free_slots_.capacity() * sizeof(std::uint32_t);
-  // priority_queue exposes size(), not capacity; size is the retained
-  // lower bound and the census is approximate by design.
-  total += heap_.size() * sizeof(Key);
-  total += overflow_.size() * sizeof(Key);
-  total += buckets_.capacity() * sizeof(std::vector<Key>);
-  for (const auto& b : buckets_) total += b.capacity() * sizeof(Key);
-  return total;
+  return slots_.capacity() * sizeof(Slot) +
+         free_slots_.capacity() * sizeof(std::uint32_t) +
+         heap_.capacity() * sizeof(Key);
 }
 
 EventId EventQueue::schedule(Time at, Callback fn, const char* tag) {
-  // A staged key may no longer be the minimum once this event is in;
-  // return it to the backend and let the next pop re-derive the min.
-  if (staged_) {
-    backend_push(*staged_);
-    staged_.reset();
-  }
   std::uint32_t slot;
   if (free_slots_.empty()) {
     slots_.emplace_back();
@@ -90,16 +62,14 @@ EventId EventQueue::schedule(Time at, Callback fn, const char* tag) {
   s.fn = std::move(fn);
   s.tag = tag;
   s.live = true;
-  const std::uint64_t seq = next_seq_++;
-  backend_push(Key{at, seq, slot, s.gen});
+  heap_.push_back(Key{at, next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   if (metrics_) {
     counters_for(tag).scheduled->inc();
     high_water_->set_max(static_cast<double>(live_));
   }
-  if (backend_ == Backend::kCalendar && stored_ > 2 * nbuckets_) {
-    cal_rebuild(nbuckets_ * 2);
-  }
+  if (heap_.size() - live_ > live_ + kCompactSlack) compact();
   return EventId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
 }
 
@@ -110,8 +80,8 @@ bool EventQueue::cancel(EventId id) {
   Slot& s = slots_[slot];
   if (!s.live || s.gen != gen) return false;
   if (metrics_) counters_for(s.tag).cancelled->inc();
-  // The ordering key stays behind (in a backend or staged_) and is
-  // skipped as stale when it surfaces — the generation has moved on.
+  // The key stays in the heap and is skipped as stale when it surfaces
+  // (or purged by the next compaction) — the generation has moved on.
   free_slot(slot);
   --live_;
   return true;
@@ -131,43 +101,36 @@ void EventQueue::free_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-bool EventQueue::take_min(Key* out) {
-  if (staged_) {
-    const Key k = *staged_;
-    staged_.reset();
-    if (!stale(k)) {
-      *out = k;
-      return true;
-    }
+void EventQueue::drop_stale_top() {
+  while (!heap_.empty() && stale(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
   }
-  Key k;
-  while (backend_raw_pop(&k)) {
-    if (stale(k)) continue;
-    *out = k;
-    return true;
-  }
-  return false;
+}
+
+void EventQueue::compact() {
+  // Which keys survive depends only on cancellations, and pop order only
+  // on the (at, seq) total order, so compacting never changes history.
+  std::erase_if(heap_, [this](const Key& k) { return stale(k); });
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 Time EventQueue::next_time() {
-  Key k;
-  if (!take_min(&k)) return kTimeInfinity;
-  staged_ = k;
-  return k.at;
+  drop_stale_top();
+  return heap_.empty() ? kTimeInfinity : heap_.front().at;
 }
 
 EventQueue::Fired EventQueue::pop() {
-  Key k;
-  if (!take_min(&k)) return Fired{kTimeInfinity, nullptr};
+  drop_stale_top();
+  if (heap_.empty()) return Fired{kTimeInfinity, nullptr};
+  const Key k = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
   Slot& s = slots_[k.slot];
   Fired fired{k.at, std::move(s.fn)};
   if (metrics_) counters_for(s.tag).fired->inc();
   free_slot(k.slot);
   --live_;
-  if (backend_ == Backend::kCalendar && nbuckets_ > kMinBuckets &&
-      stored_ < nbuckets_ / 2) {
-    cal_rebuild(nbuckets_ / 2);
-  }
   return fired;
 }
 
@@ -186,11 +149,7 @@ void EventQueue::clear() {
     free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
   live_ = 0;
-  staged_.reset();
-  heap_ = {};
-  for (auto& b : buckets_) b.clear();
-  overflow_ = {};
-  stored_ = 0;
+  heap_.clear();
 }
 
 void EventQueue::test_set_slot_generation(std::uint32_t slot,
@@ -199,142 +158,6 @@ void EventQueue::test_set_slot_generation(std::uint32_t slot,
     std::abort();  // the hook only touches existing, free slots
   }
   slots_[slot].gen = gen;
-}
-
-void EventQueue::backend_push(const Key& k) {
-  if (backend_ == Backend::kHeap) {
-    heap_.push(k);
-  } else {
-    cal_push(k);
-  }
-}
-
-bool EventQueue::backend_raw_pop(Key* out) {
-  if (backend_ == Backend::kHeap) {
-    if (heap_.empty()) return false;
-    *out = heap_.top();
-    heap_.pop();
-    return true;
-  }
-  return cal_raw_pop(out);
-}
-
-void EventQueue::cal_push(const Key& k) {
-  if (k.at >= overflow_limit_) {
-    overflow_.push(k);
-    ++stored_;
-    return;
-  }
-  const std::uint64_t eb = static_cast<std::uint64_t>(k.at / width_);
-  if (stored_ == 0 || eb < bucket_b_) {
-    // Empty calendar: jump the cursor straight to the event. Event before
-    // the cursor window (can't happen from monotone pops, but rebuilds
-    // and rewinds keep the invariant explicit): rewind.
-    bucket_b_ = eb;
-  }
-  auto& b = buckets_[eb & (nbuckets_ - 1)];
-  b.push_back(k);
-  std::push_heap(b.begin(), b.end(), Later{});
-  ++stored_;
-}
-
-bool EventQueue::cal_raw_pop(Key* out) {
-  if (stored_ == 0) return false;
-  const std::size_t mask = nbuckets_ - 1;
-  // Fast path: scan at most one full "year" of windows from the cursor.
-  // The invariant (no stored bucket key has a bucket number below the
-  // cursor) means the first bucket whose head lies in its current window
-  // holds the global bucket minimum. The window test reuses the insert
-  // mapping (time / width) so float rounding cannot disagree with it.
-  for (std::size_t i = 0; i < nbuckets_; ++i) {
-    auto& b = buckets_[bucket_b_ & mask];
-    if (!b.empty() &&
-        static_cast<std::uint64_t>(b.front().at / width_) == bucket_b_) {
-      if (!overflow_.empty() && Later{}(b.front(), overflow_.top())) {
-        *out = overflow_.top();
-        overflow_.pop();
-      } else {
-        *out = b.front();
-        std::pop_heap(b.begin(), b.end(), Later{});
-        b.pop_back();
-      }
-      --stored_;
-      return true;
-    }
-    ++bucket_b_;
-  }
-  // Slow path (sparse far-apart events): direct search over bucket heads
-  // and the overflow top, then jump the cursor to the minimum.
-  const Key* best = nullptr;
-  std::size_t best_i = 0;
-  for (std::size_t i = 0; i < nbuckets_; ++i) {
-    const auto& b = buckets_[i];
-    if (!b.empty() && (best == nullptr || Later{}(*best, b.front()))) {
-      best = &b.front();
-      best_i = i;
-    }
-  }
-  if (!overflow_.empty() &&
-      (best == nullptr || Later{}(*best, overflow_.top()))) {
-    *out = overflow_.top();
-    overflow_.pop();
-    --stored_;
-    if (out->at < overflow_limit_) {
-      bucket_b_ = static_cast<std::uint64_t>(out->at / width_);
-    }
-    return true;
-  }
-  if (best == nullptr) return false;  // unreachable while stored_ > 0
-  auto& b = buckets_[best_i];
-  *out = b.front();
-  std::pop_heap(b.begin(), b.end(), Later{});
-  b.pop_back();
-  --stored_;
-  bucket_b_ = static_cast<std::uint64_t>(out->at / width_);
-  return true;
-}
-
-void EventQueue::cal_rebuild(std::size_t nbuckets) {
-  // Collect live keys (purging stale ones — this is where lazily
-  // cancelled events are finally reclaimed) and re-estimate the bucket
-  // width from the actual event spread: ~2x the mean gap, so a year of
-  // buckets covers the populated span with a few events per bucket.
-  std::vector<Key> keep;
-  keep.reserve(stored_);
-  for (auto& b : buckets_) {
-    for (const Key& k : b) {
-      if (!stale(k)) keep.push_back(k);
-    }
-    b.clear();
-  }
-  while (!overflow_.empty()) {
-    if (!stale(overflow_.top())) keep.push_back(overflow_.top());
-    overflow_.pop();
-  }
-  nbuckets_ = nbuckets;
-  buckets_.assign(nbuckets_, {});
-  Time lo = kTimeInfinity;
-  Time hi = 0.0;
-  for (const Key& k : keep) {
-    lo = std::min(lo, k.at);
-    hi = std::max(hi, k.at);
-  }
-  if (keep.size() >= 2 && hi > lo) {
-    width_ = 2.0 * (hi - lo) / static_cast<double>(keep.size());
-  } else {
-    width_ = 1.0;
-  }
-  // Keep bucket numbers (time / width) far from uint64 range even for
-  // large absolute times with tight event spacing.
-  width_ = std::max(width_, hi / 1e15);
-  bucket_b_ = (lo < kTimeInfinity)
-                  ? static_cast<std::uint64_t>(lo / width_)
-                  : 0;
-  overflow_limit_ = (static_cast<double>(bucket_b_) +
-                     static_cast<double>(nbuckets_) * kOverflowYears) *
-                    width_;
-  stored_ = 0;
-  for (const Key& k : keep) cal_push(k);
 }
 
 }  // namespace sharq::sim

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
-#include <queue>
 #include <string_view>
 #include <vector>
 
@@ -30,41 +28,23 @@ struct EventId {
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
-/// Time-ordered queue of callbacks with O(1) (lazy) cancellation and two
-/// interchangeable ordering backends:
+/// Time-ordered queue of callbacks with O(1) (lazy) cancellation: a binary
+/// min-heap of `(time, seq)` keys over a slab of callback slots.
 ///
-///  - **calendar** (default): a calendar queue (Brown 1988) — buckets of
-///    width `width_` indexed by `time / width`, each bucket a small
-///    min-heap on `(time, seq)`. Near-uniform event flows (link
-///    serialize/propagate at 10⁵–10⁶ receivers) dequeue in O(1)
-///    amortized instead of the binary heap's O(log n). Far-future events
-///    live in an overflow heap; the bucket array resizes and re-estimates
-///    its width when occupancy drifts.
-///  - **heap**: the classic binary heap, kept as the determinism
-///    cross-check (tests run both and require byte-identical traces).
+/// Ordering is strictly `(time, seq)`: ties in time fire in scheduling
+/// order, which is what keeps same-seed runs byte-identical
+/// (docs/ARCHITECTURE.md, "Event core").
 ///
-/// Both backends order strictly by `(time, seq)`: ties in time fire in
-/// scheduling order, which is what keeps same-seed runs byte-identical
-/// regardless of backend (docs/ARCHITECTURE.md, docs/PERFORMANCE.md).
-///
-/// Storage is a slab: callbacks live in recycled slots, ordering
-/// structures hold 24-byte keys, and the callback type itself
-/// (sim::Callback) stores captures inline — so scheduling an event
-/// performs no heap allocation in steady state.
+/// Storage is a slab: callbacks live in recycled slots, the heap holds
+/// 24-byte keys, and the callback type itself (sim::Callback) stores
+/// captures inline — so scheduling an event performs no heap allocation
+/// in steady state. A cancelled event's key stays in the heap until it
+/// surfaces or a compaction purges it; compaction runs once stale keys
+/// outnumber live events, so a Timer re-armed forever keeps the heap
+/// within twice its live size.
 class EventQueue {
  public:
   using Callback = sim::Callback;
-
-  enum class Backend { kCalendar, kHeap };
-
-  /// Backend chosen by the SHARQFEC_EVENT_QUEUE environment variable
-  /// ("calendar" or "heap"); calendar when unset.
-  static Backend default_backend();
-
-  explicit EventQueue(Backend backend = default_backend());
-
-  /// Backend this queue was constructed with.
-  Backend backend() const { return backend_; }
 
   /// Schedule `fn` to run at absolute time `at`. Returns a handle that can
   /// be passed to cancel(). `tag` names the event's purpose for the
@@ -81,6 +61,9 @@ class EventQueue {
 
   /// Number of live events still pending.
   std::size_t size() const { return live_; }
+
+  /// Keys held by the heap, live and stale (cancelled but not yet purged).
+  std::size_t stored_keys() const { return heap_.size(); }
 
   /// Time of the earliest live event; kTimeInfinity when empty.
   Time next_time();
@@ -112,13 +95,13 @@ class EventQueue {
   /// shard 0 — overriding the unlabeled registration from setup).
   void set_metrics(stats::Metrics* metrics, int shard = -1);
 
-  /// Bytes retained by the queue's own containers (slot slab, heap /
-  /// calendar keys, free list) — capacity, since vectors never shrink.
-  /// Feeds the "event_queue" category of the profiler's memory census.
+  /// Bytes retained by the queue's own containers (slot slab, heap keys,
+  /// free list) — capacity, since vectors never shrink. Feeds the
+  /// "event_queue" category of the profiler's memory census.
   std::size_t memory_bytes() const;
 
  private:
-  /// Ordering key held by the backends; the callback stays in its slot.
+  /// Ordering key held by the heap; the callback stays in its slot.
   /// A key is stale once its slot's generation has moved on (the event
   /// fired or was cancelled); stale keys are skipped on pop.
   struct Key {
@@ -156,41 +139,21 @@ class EventQueue {
   }
   void free_slot(std::uint32_t slot);
 
-  /// Remove and return the earliest live key (staged or from the
-  /// backend), skipping stale ones. False when nothing live remains.
-  bool take_min(Key* out);
+  /// Pop stale keys off the heap top; afterwards the top (if any) is the
+  /// earliest live event.
+  void drop_stale_top();
 
-  void backend_push(const Key& k);
-  bool backend_raw_pop(Key* out);
-
-  // Calendar backend internals (see class comment for the design).
-  void cal_push(const Key& k);
-  bool cal_raw_pop(Key* out);
-  void cal_rebuild(std::size_t nbuckets);
+  /// Purge every stale key and re-heapify.
+  void compact();
 
   TagCounters& counters_for(const char* tag);
-
-  Backend backend_;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 1;
-  /// Key removed from the backend by next_time() but not yet consumed by
-  /// pop(); re-inserted if a schedule() could outdate it.
-  std::optional<Key> staged_;
-
-  // heap backend
-  std::priority_queue<Key, std::vector<Key>, Later> heap_;
-
-  // calendar backend
-  std::vector<std::vector<Key>> buckets_;  // each a min-heap on (at, seq)
-  std::priority_queue<Key, std::vector<Key>, Later> overflow_;
-  std::size_t nbuckets_ = 0;
-  double width_ = 1.0;
-  std::uint64_t bucket_b_ = 0;      // cursor: current global bucket number
-  double overflow_limit_ = 0.0;     // times >= this go to overflow_
-  std::size_t stored_ = 0;          // keys in buckets_ + overflow_ (incl. stale)
+  /// Min-heap on (at, seq) via std::push_heap/pop_heap with Later.
+  std::vector<Key> heap_;
 
   stats::Metrics* metrics_ = nullptr;
   stats::Gauge* high_water_ = nullptr;

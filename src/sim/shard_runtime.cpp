@@ -34,8 +34,7 @@ ShardRuntime::ShardRuntime(Simulator& shard0, int nshards, Time lookahead,
   assert(nshards == 1 || lookahead > 0.0);
   sims_.push_back(&shard0);
   for (int s = 1; s < nshards; ++s) {
-    owned_.push_back(std::make_unique<Simulator>(shard_seed(seed, s),
-                                                 shard0.backend()));
+    owned_.push_back(std::make_unique<Simulator>(shard_seed(seed, s)));
     sims_.push_back(owned_.back().get());
   }
   mail_.resize(static_cast<std::size_t>(nshards));

@@ -22,13 +22,7 @@ namespace sharq::sim {
 /// ```
 class Simulator {
  public:
-  /// `backend` selects the event-queue implementation (calendar by
-  /// default, binary heap as the determinism cross-check; overridable via
-  /// SHARQFEC_EVENT_QUEUE=heap|calendar). Both produce byte-identical
-  /// same-seed runs — see docs/PERFORMANCE.md.
-  explicit Simulator(std::uint64_t seed = 1,
-                     EventQueue::Backend backend = EventQueue::default_backend())
-      : queue_(backend), rng_(seed) {}
+  explicit Simulator(std::uint64_t seed = 1) : rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -78,16 +72,13 @@ class Simulator {
   /// Root random stream for this run.
   Rng& rng() { return rng_; }
 
-  /// Event-queue backend this run was constructed with.
-  EventQueue::Backend backend() const { return queue_.backend(); }
-
   /// Attach a metrics registry to the event queue (per-tag event counters
   /// and the queue high-water mark). Pass nullptr to detach.
   void set_metrics(stats::Metrics* metrics, int shard = -1) {
     queue_.set_metrics(metrics, shard);
   }
 
-  /// Bytes retained by the event queue (slots, heap/calendar storage) —
+  /// Bytes retained by the event queue (slots, heap keys) —
   /// the profiler census's "event_queue" category.
   std::size_t queue_memory_bytes() const { return queue_.memory_bytes(); }
 

@@ -135,7 +135,7 @@ struct PlanResult {
   std::uint64_t events = 0;
   std::uint64_t nacks = 0, repairs = 0, preemptive = 0;
   bool budget_ok = true;  // vacuous when no budget dimension is enabled
-  std::uint64_t dedup_shed = 0, peers_shed = 0, bridge_skips = 0;
+  std::uint64_t peers_shed = 0, bridge_skips = 0;
   std::uint64_t repairs_deferred = 0, repairs_coalesced = 0, scope_sheds = 0;
   std::string metrics_json;  // per-plan registry totals, deterministic
 
@@ -200,7 +200,6 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
     // while leaving enough headroom that transfers still complete once
     // pressure lifts (docs/ROBUSTNESS.md rationale).
     cfg.budget.state_bytes = 64 * 1024;
-    cfg.budget.dedup_entries = 2048;
     cfg.budget.peers_per_level = 4;
     cfg.budget.repair_queue_depth = 8;
     cfg.budget.repair_rate_per_s = 150.0;
@@ -319,7 +318,7 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   // Budget invariants: every budgeted dimension's high water stayed at or
   // under its cap, and the repair pacer kept its minimum spacing. The
   // state ledger is a soft target with one-allocation overshoot before
-  // the next dedup insert sheds, hence the small slack.
+  // the next peer update sheds, hence the small slack.
   const sfq::ResourceBudget& bud = cfg.budget;
   constexpr std::size_t kStateSlack = 4096;
   auto tally = [&](const sfq::Agent& a) {
@@ -335,15 +334,11 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
         std::max(r.max_tracked_groups, a.transfer().tracked_group_count());
     r.max_tracked_peers =
         std::max(r.max_tracked_peers, a.session().tracked_peer_count());
-    r.dedup_shed += a.dedup_shed();
     r.peers_shed += a.session().peers_shed();
     r.bridge_skips += a.session().bridge_skips();
     r.repairs_deferred += a.transfer().repairs_deferred();
     r.repairs_coalesced += a.transfer().repairs_coalesced();
     r.scope_sheds += a.transfer().scope_sheds();
-    if (bud.dedup_entries > 0 && a.dedup_high_water() > bud.dedup_entries) {
-      r.budget_ok = false;
-    }
     if (bud.peers_per_level > 0 &&
         (a.session().peer_table_high_water() > bud.peers_per_level ||
          a.session().bridge_table_high_water() > bud.peers_per_level)) {
@@ -463,7 +458,7 @@ int main(int argc, char** argv) {
         "\"drops_queue_full\":%llu,"
         "\"events\":%llu,\"nacks\":%llu,\"repairs\":%llu,"
         "\"preemptive\":%llu,\"budget_ok\":%s,"
-        "\"dedup_shed\":%llu,\"peers_shed\":%llu,\"bridge_skips\":%llu,"
+        "\"peers_shed\":%llu,\"bridge_skips\":%llu,"
         "\"repairs_deferred\":%llu,\"repairs_coalesced\":%llu,"
         "\"scope_sheds\":%llu,\"ok\":%s,\"metrics\":%s}\n",
         i, static_cast<unsigned long long>(plan_seed),
@@ -485,7 +480,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.repairs),
         static_cast<unsigned long long>(r.preemptive),
         r.budget_ok ? "true" : "false",
-        static_cast<unsigned long long>(r.dedup_shed),
         static_cast<unsigned long long>(r.peers_shed),
         static_cast<unsigned long long>(r.bridge_skips),
         static_cast<unsigned long long>(r.repairs_deferred),
