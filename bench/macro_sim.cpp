@@ -29,6 +29,7 @@
 //   --dump-metrics DIR  write DIR/<case>.metrics.json per case (the
 //                     stable-ordered registry export; `cmp` two _tN dumps
 //                     to check the determinism contract)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -204,7 +205,15 @@ CaseResult run_case(const SweepPoint& pt, int threads, const char* dump_dir,
   res.events = rt ? rt->events_executed() : simu.events_executed();
   res.events_per_sec =
       res.wall_s > 0 ? static_cast<double>(res.events) / res.wall_s : 0.0;
-  res.queue_high_water = metrics.gauge("sim.queue_high_water").value();
+  // Sharded runs register one gauge per shard ({"shard", s}; shard 0's
+  // replaces the unlabeled one), so report the deepest shard queue.
+  res.queue_high_water = metrics.gauge_value("sim.queue_high_water", {});
+  for (int s = 0; rt && s < rt->nshards(); ++s) {
+    res.queue_high_water = std::max(
+        res.queue_high_water,
+        metrics.gauge_value("sim.queue_high_water",
+                            {{"shard", std::to_string(s)}}));
+  }
 #if defined(__GLIBC__)
   // Drop freed-but-retained allocator chunks so the delta measures live
   // protocol/simulator state, not transient churn high-water.

@@ -247,8 +247,8 @@ void BM_GroupRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     sharq::fec::GroupDecoder dec(codec);
     // Lose a quarter of the data; fill from parity.
-    for (int i = k / 4; i < k; ++i) dec.add(i, enc.shard(i));
-    for (int i = k; i < k + k / 4; ++i) dec.add(i, enc.shard(i));
+    for (int i = k / 4; i < k; ++i) dec.add(i, *enc.shard_shared(i));
+    for (int i = k; i < k + k / 4; ++i) dec.add(i, *enc.shard_shared(i));
     auto out = dec.reconstruct();
     benchmark::DoNotOptimize(out);
   }

@@ -17,6 +17,8 @@ Checks, in order:
   sanity    per case: receivers/nodes/events positive, wall_s positive,
             events_per_sec consistent with events/wall_s (10% slack),
             complete_receivers <= receivers, zone_levels = zone_depth + 1,
+            queue_high_water > 0 whenever events ran (a 0 means the
+            per-shard queue gauges were not read),
             threads/shards columns coherent. A point where *no* receiver
             completed is a hard error even without --require-complete: a
             killed or wedged benchmark run must never be committed as a
@@ -55,7 +57,7 @@ CASE_FIELDS = {
     "events": (int, True),
     "wall_s": ((int, float), True),
     "events_per_sec": ((int, float), True),
-    "queue_high_water": ((int, float), True),
+    "queue_high_water": ((int, float), False),  # see the sanity rule
     "rss_delta_bytes": (int, False),
     "bytes_per_receiver": ((int, float), False),
     "complete_receivers": (int, False),
@@ -141,6 +143,10 @@ def check(doc, min_receivers, require_complete, max_kb_per_receiver=None):
         if abs(implied - case["events_per_sec"]) > 0.1 * implied:
             bad(f"{where}: events_per_sec {case['events_per_sec']:.0f} "
                 f"inconsistent with events/wall_s {implied:.0f}")
+        if case["queue_high_water"] <= 0 < case["events"]:
+            bad(f"{where}: queue_high_water reads {case['queue_high_water']!r} "
+                f"after {case['events']} events — the queue gauge was not "
+                f"read (sharded runs keep one gauge per shard)")
         if case["complete_receivers"] > case["receivers"]:
             bad(f"{where}: complete_receivers {case['complete_receivers']} > "
                 f"receivers {case['receivers']}")

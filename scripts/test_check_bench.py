@@ -123,6 +123,13 @@ class CheckBenchTest(unittest.TestCase):
         doc = good_doc(good_case(threads=2, shards=1))
         self.assert_error(run(doc), "not a real partition")
 
+    def test_zero_queue_high_water_with_events_is_rejected(self):
+        # Regression: sharded macro_sim rows read the unlabeled queue gauge,
+        # which stays 0 once every shard registers its own.
+        doc = good_doc(good_case(name="d2_f4_smoke_t4", threads=4, shards=8,
+                                 queue_high_water=0))
+        self.assert_error(run(doc), "queue_high_water reads 0")
+
     def test_bool_is_not_an_int(self):
         doc = good_doc(good_case(receivers=True))
         self.assert_error(run(doc), "receivers")

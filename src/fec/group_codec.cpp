@@ -15,16 +15,6 @@ GroupEncoder::GroupEncoder(std::shared_ptr<const ReedSolomon> codec,
   for (const auto& d : data_) data_ptrs_.push_back(d.data());
 }
 
-std::vector<std::uint8_t> GroupEncoder::shard(int index) const {
-  if (index < 0 || index >= max_shards()) {
-    throw std::out_of_range("GroupEncoder::shard index");
-  }
-  if (index < k()) return data_[index];
-  std::vector<std::uint8_t> out(data_.front().size());
-  codec_->encode_parity_into(index, data_ptrs_.data(), out.size(), out.data());
-  return out;
-}
-
 std::shared_ptr<const std::vector<std::uint8_t>> GroupEncoder::shard_shared(
     int index) const {
   if (index < 0 || index >= max_shards()) {
@@ -38,18 +28,6 @@ std::shared_ptr<const std::vector<std::uint8_t>> GroupEncoder::shard_shared(
   codec_->encode_parity_into(index, data_ptrs_.data(), out->size(),
                              out->data());
   return out;
-}
-
-void GroupEncoder::shard_into(int index, std::vector<std::uint8_t>& out) const {
-  if (index < 0 || index >= max_shards()) {
-    throw std::out_of_range("GroupEncoder::shard index");
-  }
-  if (index < k()) {
-    out.assign(data_[index].begin(), data_[index].end());
-    return;
-  }
-  out.resize(data_.front().size());
-  codec_->encode_parity_into(index, data_ptrs_.data(), out.size(), out.data());
 }
 
 GroupDecoder::GroupDecoder(std::shared_ptr<const ReedSolomon> codec)

@@ -25,19 +25,12 @@ class GroupEncoder {
   int k() const { return codec_->k(); }
   int max_shards() const { return codec_->max_shards(); }
 
-  /// Shard `index`: data packet for index < k, parity otherwise.
-  std::vector<std::uint8_t> shard(int index) const;
-
-  /// Like shard(), but returns a ref-counted buffer ready to attach to a
-  /// message, generating parity directly into the final allocation (no
-  /// intermediate copy on the repair path).
+  /// Shard `index` (data packet for index < k, parity otherwise) as a
+  /// ref-counted buffer ready to attach to a message. Parity is generated
+  /// directly into that allocation (no intermediate copy on the repair
+  /// path).
   std::shared_ptr<const std::vector<std::uint8_t>> shard_shared(
       int index) const;
-
-  /// Produce shard `index` into a caller-supplied buffer (resized to the
-  /// shard length). Lets callers recycle buffers (e.g. sim::BufferPool)
-  /// instead of allocating per shard.
-  void shard_into(int index, std::vector<std::uint8_t>& out) const;
 
   /// Heap bytes retained by the cached data view (memory-census probe;
   /// std-only so fec stays free of stats dependencies).

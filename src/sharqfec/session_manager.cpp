@@ -107,8 +107,6 @@ void SessionManager::memory_census(stats::MemCensus& census) const {
               lv.bridge_rtt.size() * kBridgeEntryBytes;
   }
   census.add("peer_tables", tables, tables);
-  const sim::PoolStats& ps = session_pool_.stats();
-  census.add("session_pools", ps.bytes_live, ps.bytes_capacity);
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
   // The object itself and its per-level state (three Timers each); the
   // tables inside the levels are counted above.
@@ -380,7 +378,7 @@ void SessionManager::send_session_messages() {
 
 void SessionManager::send_session_for_level(int level) {
   Level& lv = levels_[level];
-  auto msg = session_pool_.make();
+  auto msg = std::make_shared<SessionMsg>();
   msg->sender = node_;
   msg->zone = lv.zone;
   msg->ts = simu_.now();

@@ -10,7 +10,6 @@
 #include "sharqfec/config.hpp"
 #include "sharqfec/hierarchy.hpp"
 #include "sharqfec/messages.hpp"
-#include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "stats/journal.hpp"
 #include "stats/metrics.hpp"
@@ -117,9 +116,8 @@ class SessionManager {
 
   /// Contribute this manager's retained bytes to the profiler's memory
   /// census: RTT/bridge tables under "peer_tables" (the budget ledger's
-  /// per-entry constants), session-message pool under "session_pools",
-  /// its random stream under "rng_streams", the object and its per-level
-  /// state under "agent_objects".
+  /// per-entry constants), its random stream under "rng_streams", the
+  /// object and its per-level state under "agent_objects".
   void memory_census(stats::MemCensus& census) const;
 
  private:
@@ -207,10 +205,6 @@ class SessionManager {
   std::vector<net::ZoneId> chain_;
   std::vector<Level> levels_;
   sim::Timer session_timer_;
-  /// Beacon bodies come from a freelist: at large memberships the periodic
-  /// session beacon dominates allocation volume, and every body is freed
-  /// as soon as the last hop delivers it — ideal pool churn.
-  sim::ObjectPool<SessionMsg> session_pool_;
   int session_rounds_ = 0;
   // Ordered: the prune walk erases by timeout, and erase order decides
   // nothing today — but keeping it deterministic is free at this size.

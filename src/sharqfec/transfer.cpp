@@ -182,16 +182,6 @@ void TransferEngine::stop() {
 }
 
 void TransferEngine::memory_census(stats::MemCensus& census) const {
-  // Message/shard pools: arena figures are exact (header-inclusive);
-  // the buffer pool walk counts retained vector capacities.
-  std::uint64_t pool_live = shard_pool_.live_bytes();
-  std::uint64_t pool_peak = shard_pool_.retained_bytes();
-  for (const sim::PoolStats* ps :
-       {&data_pool_.stats(), &repair_pool_.stats(), &nack_pool_.stats()}) {
-    pool_live += ps->bytes_live;
-    pool_peak += ps->bytes_capacity;
-  }
-  census.add("transfer_pools", pool_live, pool_peak);
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
   const std::uint64_t self =
       sizeof(TransferEngine) - sizeof(rng_) +
@@ -288,13 +278,9 @@ std::shared_ptr<const std::vector<std::uint8_t>> TransferEngine::shard_bytes(
       return nullptr;
     }
   }
-  // Parity is encoded straight into a pooled buffer the message will carry
-  // (one codec row-pass, no intermediate copy). The buffer returns to the
-  // freelist when the last in-flight packet copy releases it.
-  auto buf =
-      shard_pool_.acquire(static_cast<std::size_t>(cfg_->shard_size_bytes));
-  grp.encoder->shard_into(index, *buf);
-  return buf;
+  // Parity is encoded straight into the buffer the message will carry
+  // (one codec row-pass, no intermediate copy).
+  return grp.encoder->shard_shared(index);
 }
 
 void TransferEngine::source_send_next() {
@@ -317,7 +303,7 @@ void TransferEngine::source_send_next() {
     max_group_seen_ = std::max(max_group_seen_, grp.id);
     seen_any_ = true;
   }
-  auto msg = data_pool_.make();
+  auto msg = std::make_shared<DataMsg>();
   msg->group = grp.id;
   msg->index = send_index_;
   msg->k = cfg_->group_size;
@@ -725,7 +711,7 @@ void TransferEngine::fire_request(std::uint32_t g) {
   }
   const net::ZoneId zone = session_.chain()[level];
 
-  auto msg = nack_pool_.make();
+  auto msg = std::make_shared<NackMsg>();
   msg->group = g;
   msg->zone = zone;
   msg->llc = grp.llc;
@@ -1000,7 +986,7 @@ void TransferEngine::send_one_repair(Group& grp, int level, bool preemptive) {
   const int index = next_parity_index(grp, zone);
   grp.max_id_seen = std::max(grp.max_id_seen, index);
 
-  auto msg = repair_pool_.make();
+  auto msg = std::make_shared<RepairMsg>();
   msg->group = grp.id;
   msg->index = index;
   msg->k = cfg_->group_size;
@@ -1318,7 +1304,7 @@ void TransferEngine::send_storm_nack() {
   // session — the worst-case feedback implosion the budgets must absorb.
   const int level = static_cast<int>(chain.size()) - 1;
   const net::ZoneId zone = chain[level];
-  auto msg = nack_pool_.make();
+  auto msg = std::make_shared<NackMsg>();
   msg->group = g;
   msg->zone = zone;
   msg->llc = std::max(grp.llc, 1);

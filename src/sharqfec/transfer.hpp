@@ -13,7 +13,6 @@
 #include "sharqfec/hierarchy.hpp"
 #include "sharqfec/messages.hpp"
 #include "sharqfec/session_manager.hpp"
-#include "sim/pool.hpp"
 #include "sim/simulator.hpp"
 #include "stats/journal.hpp"
 #include "stats/metrics.hpp"
@@ -101,17 +100,11 @@ class TransferEngine {
   /// Largest pending-repair queue ever held at one (group, level)
   /// (exhaustion invariant: never exceeds repair_queue_depth when set).
   std::int32_t pending_high_water() const { return pending_high_water_; }
-  /// Message/buffer pool accounting for this engine (exhaustion probes).
-  sim::PoolStats data_pool_stats() const { return data_pool_.stats(); }
-  sim::PoolStats repair_pool_stats() const { return repair_pool_.stats(); }
-  sim::PoolStats nack_pool_stats() const { return nack_pool_.stats(); }
-  sim::PoolStats shard_pool_stats() const { return shard_pool_.stats(); }
 
   /// Contribute this engine's retained bytes to the profiler's memory
-  /// census: message/shard pools under "transfer_pools", per-group state
-  /// (decoders, encoders, level arenas, payload) under "transfer_groups",
-  /// its random stream under "rng_streams", the object itself under
-  /// "agent_objects".
+  /// census: per-group state (decoders, encoders, level arenas, payload)
+  /// under "transfer_groups", its random stream under "rng_streams", the
+  /// object itself under "agent_objects".
   void memory_census(stats::MemCensus& census) const;
 
  private:
@@ -277,13 +270,6 @@ class TransferEngine {
   std::vector<SliceLevel> slice_arena_;
   std::size_t chain_levels_ = 0;  ///< session chain length (arena stride)
   std::size_t slice_levels_ = 0;  ///< hierarchy depth (arena stride)
-  // Message/buffer pools: per-send bodies and shard payloads come from
-  // freelists instead of the global heap; packets in flight keep pooled
-  // nodes alive past the engine via the pools' shared cores (sim/pool.hpp).
-  sim::ObjectPool<DataMsg> data_pool_;
-  sim::ObjectPool<RepairMsg> repair_pool_;
-  sim::ObjectPool<NackMsg> nack_pool_;
-  sim::BufferPool shard_pool_;
   std::uint32_t max_group_seen_ = 0;
   bool seen_any_ = false;
   /// Groups below this id are outside our delivery contract (late join

@@ -37,7 +37,7 @@ class Callback {
   Callback(F&& f) {  // NOLINT(google-explicit-constructor)
     static_assert(sizeof(D) <= kCapacity,
                   "capture too large for sim::Callback inline storage; "
-                  "capture big state via a (pooled) shared_ptr instead");
+                  "capture big state via a shared_ptr instead");
     static_assert(alignof(D) <= alignof(std::max_align_t),
                   "over-aligned captures are not supported");
     static_assert(std::is_nothrow_move_constructible_v<D>,

@@ -74,10 +74,10 @@ inline constexpr int kProfCounterCount = static_cast<int>(ProfCounter::kCount);
 const char* prof_counter_name(ProfCounter c);
 
 /// Pull-based memory attribution: components report bytes per named
-/// category once, at export time (no hot-path accounting beyond the byte
-/// fields the pools already keep). `live` is bytes referenced right now;
-/// `peak` is the retained/high-water figure — what the resident set paid
-/// for, since pools and containers do not return memory mid-run.
+/// category once, at export time (no hot-path accounting). `live` is bytes
+/// referenced right now; `peak` is the retained/high-water figure — what
+/// the resident set paid for, since containers do not return memory
+/// mid-run.
 struct MemCensus {
   struct Entry {
     std::uint64_t live_bytes = 0;

@@ -290,7 +290,7 @@ TEST(GroupCodec, EncoderRoundTripThroughParityOnly) {
   GroupDecoder dec(codec);
   EXPECT_EQ(dec.deficit(), 5);
   for (int i = 5; i < 10; ++i) {
-    EXPECT_TRUE(dec.add(i, enc.shard(i)));
+    EXPECT_TRUE(dec.add(i, *enc.shard_shared(i)));
   }
   EXPECT_TRUE(dec.complete());
   EXPECT_EQ(dec.deficit(), 0);
@@ -304,8 +304,8 @@ TEST(GroupCodec, DuplicateAddRejected) {
   auto data = random_shards(4, 8, 37);
   GroupEncoder enc(codec, data);
   GroupDecoder dec(codec);
-  EXPECT_TRUE(dec.add(2, enc.shard(2)));
-  EXPECT_FALSE(dec.add(2, enc.shard(2)));
+  EXPECT_TRUE(dec.add(2, *enc.shard_shared(2)));
+  EXPECT_FALSE(dec.add(2, *enc.shard_shared(2)));
   EXPECT_EQ(dec.distinct(), 1);
   EXPECT_EQ(dec.distinct_data(), 1);
 }
@@ -323,13 +323,13 @@ TEST(GroupCodec, MixedDataAndParity) {
   auto data = random_shards(6, 32, 41);
   GroupEncoder enc(codec, data);
   GroupDecoder dec(codec);
-  dec.add(0, enc.shard(0));
-  dec.add(3, enc.shard(3));
-  dec.add(7, enc.shard(7));
-  dec.add(9, enc.shard(9));
-  dec.add(10, enc.shard(10));
+  dec.add(0, *enc.shard_shared(0));
+  dec.add(3, *enc.shard_shared(3));
+  dec.add(7, *enc.shard_shared(7));
+  dec.add(9, *enc.shard_shared(9));
+  dec.add(10, *enc.shard_shared(10));
   EXPECT_FALSE(dec.complete());
-  dec.add(11, enc.shard(11));
+  dec.add(11, *enc.shard_shared(11));
   ASSERT_TRUE(dec.complete());
   auto out = dec.reconstruct();
   ASSERT_TRUE(out.has_value());
