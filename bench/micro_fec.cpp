@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -227,13 +228,18 @@ void BM_RsDecodeAllParity(benchmark::State& state) {
   const int k = state.range(0);
   sharq::fec::ReedSolomon rs(k, k);
   auto data = make_shards(k, 1000);
-  std::vector<sharq::fec::ReedSolomon::Shard> shards;
-  for (int i = k; i < 2 * k; ++i) {
-    shards.push_back({i, rs.encode_parity(i, data)});
-  }
+  std::vector<std::vector<std::uint8_t>> parity;
+  std::vector<sharq::fec::ReedSolomon::ShardView> views;
+  for (int i = k; i < 2 * k; ++i) parity.push_back(rs.encode_parity(i, data));
+  for (int i = 0; i < k; ++i) views.push_back({k + i, parity[i].data()});
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(k) * 1000);
+  std::vector<std::uint8_t*> dst(k);
+  for (int d = 0; d < k; ++d) dst[d] = out.data() + d * 1000;
   for (auto _ : state) {
-    auto out = rs.decode(shards);
-    benchmark::DoNotOptimize(out);
+    const bool ok = rs.decode(views, 1000, dst.data());
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * 1000 * k);
 }
@@ -242,13 +248,18 @@ BENCHMARK(BM_RsDecodeAllParity)->Arg(4)->Arg(16)->Arg(32)->Arg(64);
 void BM_GroupRoundTrip(benchmark::State& state) {
   const int k = state.range(0);
   auto codec = std::make_shared<sharq::fec::ReedSolomon>(k, k);
-  auto data = make_shards(k, 1000);
-  sharq::fec::GroupEncoder enc(codec, data);
+  std::vector<sharq::fec::ShardBuffer> data;
+  for (auto& d : make_shards(k, 1000)) {
+    data.push_back(
+        std::make_shared<const std::vector<std::uint8_t>>(std::move(d)));
+  }
+  sharq::fec::GroupEncoder enc(codec, std::move(data));
   for (auto _ : state) {
     sharq::fec::GroupDecoder dec(codec);
-    // Lose a quarter of the data; fill from parity.
-    for (int i = k / 4; i < k; ++i) dec.add(i, *enc.shard_shared(i));
-    for (int i = k; i < k + k / 4; ++i) dec.add(i, *enc.shard_shared(i));
+    // Lose a quarter of the data; fill from parity. The decoder shares the
+    // encoder's buffers, as every receiver shares the sender's.
+    for (int i = k / 4; i < k; ++i) dec.add(i, enc.shard_shared(i));
+    for (int i = k; i < k + k / 4; ++i) dec.add(i, enc.shard_shared(i));
     auto out = dec.reconstruct();
     benchmark::DoNotOptimize(out);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "fec/gf256_simd.hpp"
 
@@ -61,52 +60,72 @@ void ReedSolomon::encode_parity_into(int index, const std::uint8_t* const* data,
   simd::mul_add_rows(out, data, gen_.row(index), k_, size);
 }
 
-std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::decode(
-    const std::vector<Shard>& shards) const {
+bool ReedSolomon::decode(const std::vector<ShardView>& shards,
+                         std::size_t size, std::uint8_t* const* out) const {
   // Pick the first k distinct, in-range shards (prefer data shards: they
   // come for free in a systematic code).
-  std::unordered_set<int> seen;
-  std::vector<const Shard*> picked;
+  std::vector<bool> seen(static_cast<std::size_t>(max_shards()), false);
+  std::vector<const ShardView*> picked;
   picked.reserve(k_);
-  std::size_t size = 0;
-  auto consider = [&](const Shard& s, bool data_only) {
+  auto consider = [&](const ShardView& s, bool data_only) {
     if (static_cast<int>(picked.size()) >= k_) return;
     if (s.index < 0 || s.index >= max_shards()) return;
     if (data_only != (s.index < k_)) return;
-    if (!seen.insert(s.index).second) return;
-    if (picked.empty()) {
-      size = s.bytes.size();
-    } else if (s.bytes.size() != size) {
-      throw std::invalid_argument("decode: shard sizes differ");
-    }
+    if (seen[s.index]) return;
+    seen[s.index] = true;
     picked.push_back(&s);
   };
-  for (const Shard& s : shards) consider(s, /*data_only=*/true);
-  for (const Shard& s : shards) consider(s, /*data_only=*/false);
-  if (static_cast<int>(picked.size()) < k_) return std::nullopt;
+  for (const ShardView& s : shards) consider(s, /*data_only=*/true);
+  for (const ShardView& s : shards) consider(s, /*data_only=*/false);
+  if (static_cast<int>(picked.size()) < k_) return false;
 
-  // Fast path: all k data shards present.
+  // Received originals are copied through; only the rest need the inverse.
   bool all_data = true;
-  for (const Shard* s : picked) all_data = all_data && s->index < k_;
-  std::vector<std::vector<std::uint8_t>> out(k_);
-  if (all_data) {
-    for (const Shard* s : picked) out[s->index] = s->bytes;
-    return out;
+  for (const ShardView* s : picked) {
+    if (s->index >= k_) {
+      all_data = false;
+    } else if (out[s->index] != nullptr) {
+      std::copy_n(s->bytes, size, out[s->index]);
+    }
   }
+  if (all_data) return true;
 
   // General path: invert the k x k sub-generator of the picked rows.
   std::vector<int> rows;
   rows.reserve(k_);
-  for (const Shard* s : picked) rows.push_back(s->index);
+  for (const ShardView* s : picked) rows.push_back(s->index);
   Matrix sub = gen_.select_rows(rows);
-  if (!sub.invert()) return std::nullopt;  // cannot happen for Vandermonde
+  if (!sub.invert()) return false;  // cannot happen for Vandermonde
 
   std::vector<const std::uint8_t*> srcs(k_);
-  for (int j = 0; j < k_; ++j) srcs[j] = picked[j]->bytes.data();
+  for (int j = 0; j < k_; ++j) srcs[j] = picked[j]->bytes;
   for (int d = 0; d < k_; ++d) {
-    out[d].assign(size, 0);
-    simd::mul_add_rows(out[d].data(), srcs.data(), sub.row(d), k_, size);
+    if (out[d] == nullptr || seen[d]) continue;
+    std::fill(out[d], out[d] + size, 0);
+    simd::mul_add_rows(out[d], srcs.data(), sub.row(d), k_, size);
   }
+  return true;
+}
+
+std::optional<std::vector<std::vector<std::uint8_t>>> ReedSolomon::decode(
+    const std::vector<Shard>& shards) const {
+  std::vector<ShardView> views;
+  views.reserve(shards.size());
+  std::size_t size = 0;
+  for (const Shard& s : shards) {
+    if (s.index < 0 || s.index >= max_shards()) continue;
+    if (views.empty()) {
+      size = s.bytes.size();
+    } else if (s.bytes.size() != size) {
+      throw std::invalid_argument("decode: shard sizes differ");
+    }
+    views.push_back(ShardView{s.index, s.bytes.data()});
+  }
+  std::vector<std::vector<std::uint8_t>> out(
+      k_, std::vector<std::uint8_t>(size));
+  std::vector<std::uint8_t*> dst(k_);
+  for (int d = 0; d < k_; ++d) dst[d] = out[d].data();
+  if (!decode(views, size, dst.data())) return std::nullopt;
   return out;
 }
 

@@ -47,9 +47,25 @@ class ReedSolomon {
     std::vector<std::uint8_t> bytes;
   };
 
-  /// Reconstruct the k data shards from any >= k distinct shards.
-  /// Returns std::nullopt when fewer than k distinct valid shards are
-  /// supplied. Duplicate indices are ignored.
+  /// One received shard by reference: its global index and its bytes,
+  /// owned by the caller.
+  struct ShardView {
+    int index = 0;
+    const std::uint8_t* bytes = nullptr;
+  };
+
+  /// Reconstruct the k data shards from any >= k distinct shards of `size`
+  /// bytes each, writing original d to `out[d]` (k pointers). A null
+  /// `out[d]` skips original d, so a caller that already holds some
+  /// originals decodes only the rest; `out[d] = base + d * size` fills one
+  /// contiguous k x size buffer. Returns false when fewer than k distinct
+  /// valid shards are supplied. Duplicate indices are ignored.
+  bool decode(const std::vector<ShardView>& shards, std::size_t size,
+              std::uint8_t* const* out) const;
+
+  /// Owning form of the view decode above: returns the k data shards, or
+  /// std::nullopt when fewer than k distinct valid shards are supplied.
+  /// Throws std::invalid_argument when in-range shards differ in size.
   std::optional<std::vector<std::vector<std::uint8_t>>> decode(
       const std::vector<Shard>& shards) const;
 

@@ -46,8 +46,8 @@ class Agent final : public net::Agent {
 
   /// Source API: stream groups starting at `start_at`.
   void send_stream(std::uint32_t group_count, sim::Time start_at,
-                   std::vector<std::uint8_t> payload = {}) {
-    transfer_->send_stream(group_count, start_at, std::move(payload));
+                   const std::vector<std::uint8_t>& payload = {}) {
+    transfer_->send_stream(group_count, start_at, payload);
   }
 
   void on_receive(const net::Packet& packet) override;

@@ -37,8 +37,8 @@ class Session {
 
   /// Emit `group_count` groups from the source at `start_at`.
   void send_stream(std::uint32_t group_count, sim::Time start_at,
-                   std::vector<std::uint8_t> payload = {}) {
-    source_agent().send_stream(group_count, start_at, std::move(payload));
+                   const std::vector<std::uint8_t>& payload = {}) {
+    source_agent().send_stream(group_count, start_at, payload);
   }
 
   Hierarchy& hierarchy() { return *hier_; }

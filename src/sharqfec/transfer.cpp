@@ -194,12 +194,23 @@ void TransferEngine::memory_census(stats::MemCensus& census) const {
   constexpr std::uint64_t kMapNodeOverhead = 48;
   std::uint64_t grp_bytes =
       chain_arena_.capacity() * sizeof(ChainLevel) +
-      slice_arena_.capacity() * sizeof(SliceLevel) + payload_.capacity();
+      slice_arena_.capacity() * sizeof(SliceLevel) +
+      source_shards_.capacity() * sizeof(fec::ShardBuffer);
+  // Shard buffers are shared, so each is counted where it was allocated:
+  // the source's data, the parity an encoder produced, and the originals a
+  // repairer decoded (its encoder's data buffers its decoder never held).
+  for (const auto& s : source_shards_) grp_bytes += fec::buffer_bytes(s);
   for (const auto& [id, grp] : groups_) {
     grp_bytes += sizeof(Group) + kMapNodeOverhead;
     grp_bytes += grp.decoder.memory_bytes();
-    if (grp.encoder) {
-      grp_bytes += sizeof(fec::GroupEncoder) + grp.encoder->memory_bytes();
+    if (!grp.encoder) continue;
+    const fec::GroupEncoder& enc = *grp.encoder;
+    grp_bytes += sizeof(fec::GroupEncoder) + enc.memory_bytes();
+    if (is_source_) continue;
+    for (int i = 0; i < enc.k(); ++i) {
+      if (enc.data()[i] != grp.decoder.held(i)) {
+        grp_bytes += fec::buffer_bytes(enc.data()[i]);
+      }
     }
   }
   census.add("transfer_groups", grp_bytes, grp_bytes);
@@ -230,56 +241,62 @@ std::vector<std::uint8_t> TransferEngine::reconstructed(std::uint32_t g) const {
     return {};
   }
   SHARQ_PROF_SCOPE(codec);
-  auto data = it->second.decoder.reconstruct();
-  if (!data) return {};
-  std::vector<std::uint8_t> out;
-  out.reserve(data->size() * cfg_->shard_size_bytes);
-  for (const auto& shard : *data) out.insert(out.end(), shard.begin(), shard.end());
-  return out;
+  return it->second.decoder.reconstruct();
+}
+
+const fec::GroupDecoder* TransferEngine::decoder(std::uint32_t g) const {
+  auto it = groups_.find(g);
+  return it == groups_.end() ? nullptr : &it->second.decoder;
 }
 
 // --- sender ------------------------------------------------------------------
 
 void TransferEngine::send_stream(std::uint32_t group_count, sim::Time start_at,
-                                 std::vector<std::uint8_t> payload) {
+                                 const std::vector<std::uint8_t>& payload) {
   assert(is_source_);
   send_total_groups_ = group_count;
   groups_total_ = group_count;
-  payload_ = std::move(payload);
+  source_shards_.clear();
   if (cfg_->real_payload) {
-    payload_.resize(static_cast<std::size_t>(group_count) * cfg_->group_size *
-                        cfg_->shard_size_bytes,
-                    0);
+    const auto size = static_cast<std::size_t>(cfg_->shard_size_bytes);
+    const std::size_t shards =
+        static_cast<std::size_t>(group_count) * cfg_->group_size;
+    source_shards_.reserve(shards);
+    for (std::size_t i = 0; i < shards; ++i) {
+      auto shard = std::make_shared<std::vector<std::uint8_t>>(size, 0);
+      const std::size_t at = i * size;
+      if (at < payload.size()) {
+        std::copy_n(payload.data() + at, std::min(size, payload.size() - at),
+                    shard->data());
+      }
+      source_shards_.push_back(std::move(shard));
+    }
   }
   // seen_any_ flips when the first packet actually leaves: advertising
   // progress before then would make receivers chase phantom losses.
   simu_.at(start_at, [this] { source_send_next(); }, "transfer.source_pace");
 }
 
-std::shared_ptr<const std::vector<std::uint8_t>> TransferEngine::shard_bytes(
-    Group& grp, int index) {
+fec::ShardBuffer TransferEngine::shard_bytes(Group& grp, int index) {
   if (!cfg_->real_payload) return nullptr;
   SHARQ_PROF_SCOPE(codec);
   if (!grp.encoder) {
+    std::vector<fec::ShardBuffer> data;
     if (is_source_ && grp.id < send_total_groups_) {
-      std::vector<std::vector<std::uint8_t>> data(cfg_->group_size);
-      const std::size_t base = static_cast<std::size_t>(grp.id) *
-                               cfg_->group_size * cfg_->shard_size_bytes;
-      for (int i = 0; i < cfg_->group_size; ++i) {
-        const auto* p = payload_.data() + base + i * cfg_->shard_size_bytes;
-        data[i].assign(p, p + cfg_->shard_size_bytes);
-      }
-      grp.encoder = std::make_unique<fec::GroupEncoder>(codec_, std::move(data));
+      const auto first = source_shards_.begin() +
+                         static_cast<std::ptrdiff_t>(grp.id) * cfg_->group_size;
+      data.assign(first, first + cfg_->group_size);
     } else if (grp.complete) {
-      auto data = grp.decoder.reconstruct();
-      if (!data) return nullptr;
-      grp.encoder = std::make_unique<fec::GroupEncoder>(codec_, std::move(*data));
+      // Shares the originals this member received; decodes only the rest.
+      data = grp.decoder.originals();
+      if (data.empty()) return nullptr;
     } else {
       return nullptr;
     }
+    grp.encoder = std::make_unique<fec::GroupEncoder>(codec_, std::move(data));
   }
-  // Parity is encoded straight into the buffer the message will carry
-  // (one codec row-pass, no intermediate copy).
+  // Data shards are the shared buffers themselves; parity is encoded once,
+  // straight into the buffer every message and decoder will share.
   return grp.encoder->shard_shared(index);
 }
 
@@ -562,13 +579,10 @@ void TransferEngine::finish_ldp(Group& grp, const char* via) {
   schedule_zlc_measurement(grp);
 }
 
-void TransferEngine::add_shard(
-    Group& grp, int index,
-    const std::shared_ptr<const std::vector<std::uint8_t>>& bytes) {
-  std::vector<std::uint8_t> copy;
-  if (cfg_->real_payload && bytes) copy = *bytes;
+void TransferEngine::add_shard(Group& grp, int index,
+                               const fec::ShardBuffer& bytes) {
   note_parity_seen(grp, index);
-  if (!grp.decoder.add(index, std::move(copy))) return;
+  if (!grp.decoder.add(index, bytes)) return;
   if (index >= cfg_->group_size) {
     // Parity actually received, attributed to the level that emitted it
     // (used to size incremental injection from below).

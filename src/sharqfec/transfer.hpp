@@ -41,9 +41,10 @@ class TransferEngine {
 
   /// Source API: stream `group_count` groups of k shards each, starting at
   /// `start_at`. With real_payload set, `payload` supplies the bytes
-  /// (padded to whole groups); otherwise sizes alone are simulated.
+  /// (zero-padded to whole groups), split here once into the shard buffers
+  /// that every holder shares; otherwise sizes alone are simulated.
   void send_stream(std::uint32_t group_count, sim::Time start_at,
-                   std::vector<std::uint8_t> payload = {});
+                   const std::vector<std::uint8_t>& payload = {});
 
   /// Offer a packet; returns true if it was a transfer message.
   bool handle(const net::Packet& packet);
@@ -73,6 +74,8 @@ class TransferEngine {
   /// Reconstructed application bytes for a completed group (real_payload
   /// mode only; empty otherwise).
   std::vector<std::uint8_t> reconstructed(std::uint32_t g) const;
+  /// Group `g`'s shard store, or null while the group is untracked.
+  const fec::GroupDecoder* decoder(std::uint32_t g) const;
   /// Called by the session manager's progress listener.
   void note_remote_progress(std::uint32_t remote_max_group);
   /// Application hook: invoked once per group, on completion.
@@ -102,9 +105,11 @@ class TransferEngine {
   std::int32_t pending_high_water() const { return pending_high_water_; }
 
   /// Contribute this engine's retained bytes to the profiler's memory
-  /// census: per-group state (decoders, encoders, level arenas, payload)
-  /// under "transfer_groups", its random stream under "rng_streams", the
-  /// object itself under "agent_objects".
+  /// census: per-group state (decoders, encoders, level arenas) and the
+  /// shard buffers this engine allocated under "transfer_groups", its
+  /// random stream under "rng_streams", the object itself under
+  /// "agent_objects". A shared shard buffer is counted once, by the engine
+  /// that allocated it; every other holder counts only its handle.
   void memory_census(stats::MemCensus& census) const;
 
  private:
@@ -205,8 +210,7 @@ class TransferEngine {
   void on_data(const DataMsg& msg, net::TrafficClass cls);
   void on_repair(const RepairMsg& msg);
   void on_nack(const NackMsg& msg);
-  void add_shard(Group& grp, int index,
-                 const std::shared_ptr<const std::vector<std::uint8_t>>& bytes);
+  void add_shard(Group& grp, int index, const fec::ShardBuffer& bytes);
   void note_initial_progress(Group& grp, int index);
   void raise_llc(Group& grp, int newly_missing, stats::EventId cause = 0);
   void finish_ldp(Group& grp, const char* via = "advance");
@@ -229,8 +233,7 @@ class TransferEngine {
   sim::Time inter_arrival_estimate() const;
   sim::Time dist_to_source() const;
   int deficit(const Group& grp) const;
-  std::shared_ptr<const std::vector<std::uint8_t>> shard_bytes(Group& grp,
-                                                               int index);
+  fec::ShardBuffer shard_bytes(Group& grp, int index);
   int slice_width() const;
   int slice_start(int global_level) const;
   void note_parity_seen(Group& grp, int index);
@@ -288,7 +291,9 @@ class TransferEngine {
   std::uint32_t send_group_ = 0;
   int send_index_ = 0;
   std::uint32_t send_total_groups_ = 0;
-  std::vector<std::uint8_t> payload_;
+  /// The source's payload, one buffer per data shard (group-major), built
+  /// once by send_stream and shared by encoders, messages and decoders.
+  std::vector<fec::ShardBuffer> source_shards_;
   double arrival_ewma_ = -1.0;
   sim::Time last_arrival_ = sim::kTimeNever;
 

@@ -240,6 +240,31 @@ TEST(ReedSolomon, DuplicatesIgnored) {
   EXPECT_EQ(*dec, data);
 }
 
+// The view form writes each requested original to its own pointer (here
+// one contiguous buffer) and leaves a null slot's original undecoded.
+TEST(ReedSolomon, ViewDecodeFillsRequestedOriginals) {
+  ReedSolomon rs(4, 4);
+  const std::size_t size = 33;
+  auto data = random_shards(4, size, 23);
+  const auto p5 = rs.encode_parity(5, data);
+  const auto p6 = rs.encode_parity(6, data);
+  const std::vector<ReedSolomon::ShardView> views{
+      {6, p6.data()}, {1, data[1].data()}, {5, p5.data()}, {3, data[3].data()}};
+
+  std::vector<std::uint8_t> flat(4 * size, 0xAA);
+  std::vector<std::uint8_t*> out{flat.data(), flat.data() + size,
+                                 flat.data() + 2 * size, nullptr};
+  ASSERT_TRUE(rs.decode(views, size, out.data()));
+  for (int d = 0; d < 3; ++d) {
+    EXPECT_TRUE(std::equal(data[d].begin(), data[d].end(),
+                           flat.begin() + d * size))
+        << "original " << d;
+  }
+  EXPECT_TRUE(std::all_of(flat.begin() + 3 * size, flat.end(),
+                          [](std::uint8_t b) { return b == 0xAA; }));
+  EXPECT_FALSE(rs.decode({views.begin(), views.begin() + 3}, size, out.data()));
+}
+
 struct RsParam {
   int k;
   int parity;
@@ -283,29 +308,42 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------- Group codec ---------------------------------------------------------
 
+std::vector<ShardBuffer> share(const std::vector<std::vector<std::uint8_t>>& data) {
+  std::vector<ShardBuffer> out;
+  for (const auto& d : data) {
+    out.push_back(std::make_shared<const std::vector<std::uint8_t>>(d));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> concat(
+    const std::vector<std::vector<std::uint8_t>>& data) {
+  std::vector<std::uint8_t> out;
+  for (const auto& d : data) out.insert(out.end(), d.begin(), d.end());
+  return out;
+}
+
 TEST(GroupCodec, EncoderRoundTripThroughParityOnly) {
   auto codec = std::make_shared<ReedSolomon>(5, 10);
   auto data = random_shards(5, 48, 31);
-  GroupEncoder enc(codec, data);
+  GroupEncoder enc(codec, share(data));
   GroupDecoder dec(codec);
   EXPECT_EQ(dec.deficit(), 5);
   for (int i = 5; i < 10; ++i) {
-    EXPECT_TRUE(dec.add(i, *enc.shard_shared(i)));
+    EXPECT_TRUE(dec.add(i, enc.shard_shared(i)));
   }
   EXPECT_TRUE(dec.complete());
   EXPECT_EQ(dec.deficit(), 0);
-  auto out = dec.reconstruct();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, data);
+  EXPECT_EQ(dec.reconstruct(), concat(data));
 }
 
 TEST(GroupCodec, DuplicateAddRejected) {
   auto codec = std::make_shared<ReedSolomon>(4, 4);
   auto data = random_shards(4, 8, 37);
-  GroupEncoder enc(codec, data);
+  GroupEncoder enc(codec, share(data));
   GroupDecoder dec(codec);
-  EXPECT_TRUE(dec.add(2, *enc.shard_shared(2)));
-  EXPECT_FALSE(dec.add(2, *enc.shard_shared(2)));
+  EXPECT_TRUE(dec.add(2, enc.shard_shared(2)));
+  EXPECT_FALSE(dec.add(2, enc.shard_shared(2)));
   EXPECT_EQ(dec.distinct(), 1);
   EXPECT_EQ(dec.distinct_data(), 1);
 }
@@ -313,33 +351,82 @@ TEST(GroupCodec, DuplicateAddRejected) {
 TEST(GroupCodec, OutOfRangeIndexRejected) {
   auto codec = std::make_shared<ReedSolomon>(4, 4);
   GroupDecoder dec(codec);
-  EXPECT_FALSE(dec.add(-1, {}));
-  EXPECT_FALSE(dec.add(8, {}));
+  EXPECT_FALSE(dec.add(-1, nullptr));
+  EXPECT_FALSE(dec.add(8, nullptr));
   EXPECT_FALSE(dec.has(100));
+  EXPECT_EQ(dec.held(100), nullptr);
 }
 
 TEST(GroupCodec, MixedDataAndParity) {
   auto codec = std::make_shared<ReedSolomon>(6, 6);
   auto data = random_shards(6, 32, 41);
-  GroupEncoder enc(codec, data);
+  GroupEncoder enc(codec, share(data));
   GroupDecoder dec(codec);
-  dec.add(0, *enc.shard_shared(0));
-  dec.add(3, *enc.shard_shared(3));
-  dec.add(7, *enc.shard_shared(7));
-  dec.add(9, *enc.shard_shared(9));
-  dec.add(10, *enc.shard_shared(10));
+  dec.add(0, enc.shard_shared(0));
+  dec.add(3, enc.shard_shared(3));
+  dec.add(7, enc.shard_shared(7));
+  dec.add(9, enc.shard_shared(9));
+  dec.add(10, enc.shard_shared(10));
   EXPECT_FALSE(dec.complete());
-  dec.add(11, *enc.shard_shared(11));
+  EXPECT_TRUE(dec.reconstruct().empty());
+  dec.add(11, enc.shard_shared(11));
   ASSERT_TRUE(dec.complete());
-  auto out = dec.reconstruct();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, data);
+  EXPECT_EQ(dec.reconstruct(), concat(data));
 }
 
 TEST(GroupCodec, EncoderValidatesShardCount) {
   auto codec = std::make_shared<ReedSolomon>(4, 4);
   auto data = random_shards(3, 8, 43);
-  EXPECT_THROW(GroupEncoder(codec, data), std::invalid_argument);
+  EXPECT_THROW(GroupEncoder(codec, share(data)), std::invalid_argument);
+}
+
+// Every holder shares one buffer: the encoder hands out its data buffers
+// and its parity (encoded once), and the decoder keeps what it was given.
+TEST(GroupCodec, HoldersShareOneBuffer) {
+  auto codec = std::make_shared<ReedSolomon>(4, 4);
+  const auto data = share(random_shards(4, 24, 47));
+  GroupEncoder enc(codec, data);
+  GroupDecoder dec(codec);
+  EXPECT_EQ(enc.shard_shared(1), data[1]);
+  EXPECT_EQ(enc.shard_shared(5), enc.shard_shared(5));
+  dec.add(1, enc.shard_shared(1));
+  dec.add(5, enc.shard_shared(5));
+  EXPECT_EQ(dec.held(1), data[1]);
+  EXPECT_EQ(dec.held(5), enc.shard_shared(5));
+  EXPECT_EQ(dec.held(0), nullptr);
+}
+
+// A repairer's encoder is built from the decoder's originals: the ones it
+// received are the very buffers it holds, only the missing ones are
+// decoded, and its parity matches the source's over the original data.
+TEST(GroupCodec, RepairerEncoderSharesReceivedOriginals) {
+  const int k = 6;
+  auto codec = std::make_shared<ReedSolomon>(k, 8);
+  const auto raw = random_shards(k, 40, 53);
+  GroupEncoder source(codec, share(raw));
+  GroupDecoder dec(codec);
+  for (int i : {0, 2, 5, 6, 9, 11}) dec.add(i, source.shard_shared(i));
+  ASSERT_TRUE(dec.complete());
+
+  const auto originals = dec.originals();
+  ASSERT_EQ(static_cast<int>(originals.size()), k);
+  for (int i = 0; i < k; ++i) {
+    EXPECT_EQ(*originals[i], raw[i]) << "original " << i;
+    if (dec.has(i)) {
+      EXPECT_EQ(originals[i], dec.held(i)) << "original " << i;
+    } else {
+      EXPECT_NE(originals[i], source.shard_shared(i)) << "original " << i;
+    }
+  }
+
+  GroupEncoder repairer(codec, originals);
+  std::vector<const std::uint8_t*> ptrs;
+  for (const auto& d : raw) ptrs.push_back(d.data());
+  for (int index = k; index < repairer.max_shards(); ++index) {
+    std::vector<std::uint8_t> want(raw.front().size());
+    codec->encode_parity_into(index, ptrs.data(), want.size(), want.data());
+    EXPECT_EQ(*repairer.shard_shared(index), want) << "parity " << index;
+  }
 }
 
 }  // namespace

@@ -187,7 +187,11 @@ TEST(SimdKernels, ShardSharedMatchesShard) {
   auto codec = std::make_shared<ReedSolomon>(k, parity);
   std::vector<std::vector<std::uint8_t>> data;
   for (int i = 0; i < k; ++i) data.push_back(random_bytes(rng, 257));
-  GroupEncoder enc(codec, data);
+  std::vector<sharq::fec::ShardBuffer> handles;
+  for (const auto& d : data) {
+    handles.push_back(std::make_shared<const std::vector<std::uint8_t>>(d));
+  }
+  GroupEncoder enc(codec, handles);
   std::vector<const std::uint8_t*> ptrs;
   for (const auto& d : data) ptrs.push_back(d.data());
   for (int index = 0; index < enc.max_shards(); ++index) {

@@ -11,6 +11,7 @@
 //     barriers (link flap, loss window, node kill/restart)
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -156,6 +157,68 @@ TEST(ShardIdentity, ShardedRunStillCompletesLikeSerial) {
 
   const RunOutput sharded = run_sharded(2, /*with_faults=*/false);
   EXPECT_TRUE(sharded.complete);
+}
+
+// Real payload across worker threads: shard buffers are shared, never
+// copied, so one buffer the source allocated is read by decoders and
+// re-encoders on every worker. Each receiver decodes in its completion
+// callback, on its own shard's worker; the bytes must equal the payload
+// and be identical at every worker count.
+struct PayloadRun {
+  std::vector<std::vector<std::uint8_t>> decoded;  // [receiver * groups + g]
+  std::uint64_t events = 0;
+};
+
+PayloadRun run_real_payload(int workers,
+                            const std::vector<std::uint8_t>& payload) {
+  sim::Simulator simu(4242);
+  net::Network net(simu);
+  topo::Figure10 t = topo::make_figure10(net);
+  net::ShardMap map = topo::make_zone_shard_map(net, stats::kMaxLanes);
+  sim::ShardRuntime rt(simu, map.nshards, map.lookahead, /*seed=*/4242,
+                       workers);
+  net.enable_sharding(rt, std::move(map));
+
+  sfq::Config cfg;
+  cfg.real_payload = true;
+  sfq::Session session(net, t.source, t.receivers, cfg);
+  session.start();
+  PayloadRun out;
+  out.decoded.resize(t.receivers.size() * kGroups);
+  for (std::size_t i = 0; i < t.receivers.size(); ++i) {
+    sfq::TransferEngine& rx = session.agent_for(t.receivers[i]).transfer();
+    rx.set_completion_callback([&out, &rx, i](std::uint32_t g) {
+      if (g < kGroups) out.decoded[i * kGroups + g] = rx.reconstructed(g);
+    });
+  }
+  session.send_stream(kGroups, 6.0, payload);
+  rt.run_until(30.0);
+  out.events = rt.events_executed();
+  return out;
+}
+
+TEST(ShardIdentity, RealPayloadBytesIdenticalAcrossWorkers) {
+  const sfq::Config cfg;
+  const std::size_t group_bytes =
+      static_cast<std::size_t>(cfg.group_size) * cfg.shard_size_bytes;
+  std::vector<std::uint8_t> payload(kGroups * group_bytes);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+  }
+  const PayloadRun one = run_real_payload(1, payload);
+  for (std::size_t slot = 0; slot < one.decoded.size(); ++slot) {
+    const std::size_t g = slot % kGroups;
+    const std::vector<std::uint8_t> want(
+        payload.begin() + g * group_bytes,
+        payload.begin() + (g + 1) * group_bytes);
+    ASSERT_EQ(one.decoded[slot], want)
+        << "receiver #" << slot / kGroups << " group " << g;
+  }
+  for (int workers : {2, 4}) {
+    const PayloadRun many = run_real_payload(workers, payload);
+    EXPECT_EQ(one.events, many.events) << "workers=" << workers;
+    EXPECT_TRUE(one.decoded == many.decoded) << "workers=" << workers;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "rm/delivery_log.hpp"
 #include "sharqfec/ewma.hpp"
 #include "sharqfec/protocol.hpp"
@@ -279,6 +281,89 @@ TEST(TransferUnit, RealPayloadSurvivesHeavyLoss) {
     }
     EXPECT_EQ(got, payload) << "receiver " << r;
   }
+}
+
+// A real-payload Figure-10 stream: every receiver's decoder must hold the
+// very buffers the source sent, not copies of them.
+TEST(TransferUnit, RealPayloadReceiversHoldTheSourcesBuffers) {
+  sim::Simulator simu{29};
+  net::Network net{simu};
+  topo::Figure10 t = topo::make_figure10(net);
+  Config cfg;
+  cfg.real_payload = true;
+  Session s(net, t.source, t.receivers, cfg);
+  s.start();
+  constexpr std::uint32_t kGroups = 4;
+  const std::size_t group_bytes =
+      static_cast<std::size_t>(cfg.group_size) * cfg.shard_size_bytes;
+  std::vector<std::uint8_t> payload(kGroups * group_bytes);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 13 + (i >> 8));
+  }
+  s.send_stream(kGroups, 6.0, payload);
+  simu.run_until(60.0);
+  ASSERT_TRUE(s.all_complete(kGroups));
+
+  const TransferEngine& source = s.source_agent().transfer();
+  int shared = 0;
+  for (net::NodeId r : t.receivers) {
+    const TransferEngine& rx = s.agent_for(r).transfer();
+    for (std::uint32_t g = 0; g < kGroups; ++g) {
+      const fec::GroupDecoder* dec = rx.decoder(g);
+      ASSERT_NE(dec, nullptr) << "receiver " << r << " group " << g;
+      for (int i = 0; i < cfg.group_size; ++i) {
+        if (!dec->has(i)) continue;
+        EXPECT_EQ(dec->held(i), source.decoder(g)->held(i))
+            << "receiver " << r << " group " << g << " shard " << i;
+        ++shared;
+      }
+      const auto bytes = rx.reconstructed(g);
+      EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
+                             payload.begin() + g * group_bytes) &&
+                  bytes.size() == group_bytes)
+          << "receiver " << r << " group " << g;
+    }
+  }
+  EXPECT_GT(shared, 0);
+}
+
+// The memory census counts a shard buffer once, at the engine that
+// allocated it. On a lossless Figure 10 nothing is repaired or decoded, so
+// the same history with and without payload bytes differs in
+// transfer_groups by the source's buffers alone: the payload once, not
+// once per holder.
+TEST(TransferUnit, RealPayloadCensusCountsPayloadOnce) {
+  constexpr std::uint32_t kGroups = 8;
+  Config cfg;
+  const std::size_t payload_bytes = static_cast<std::size_t>(kGroups) *
+                                    cfg.group_size * cfg.shard_size_bytes;
+  auto run = [&](bool real_payload, std::uint64_t& events) {
+    sim::Simulator simu{31};
+    net::Network net{simu};
+    topo::Figure10Options lossless;
+    lossless.backbone_loss.assign(lossless.backbone_loss.size(), 0.0);
+    lossless.mesh_child_loss = 0.0;
+    lossless.child_leaf_loss = 0.0;
+    topo::Figure10 t = topo::make_figure10(net, lossless);
+    Config c = cfg;
+    c.real_payload = real_payload;
+    Session s(net, t.source, t.receivers, c);
+    s.start();
+    s.send_stream(kGroups, 6.0, std::vector<std::uint8_t>(payload_bytes, 7));
+    simu.run_until(30.0);
+    EXPECT_TRUE(s.all_complete(kGroups));
+    events = simu.events_executed();
+    stats::MemCensus census;
+    s.memory_census(census);
+    return census.categories["transfer_groups"].live_bytes;
+  };
+  std::uint64_t events_real = 0, events_sized = 0;
+  const std::uint64_t real = run(true, events_real);
+  const std::uint64_t sized = run(false, events_sized);
+  ASSERT_EQ(events_real, events_sized) << "payload bytes changed history";
+  ASSERT_GT(real, sized);
+  EXPECT_GE(real - sized, payload_bytes);
+  EXPECT_LT(real - sized, 2 * payload_bytes);
 }
 
 TEST(TransferUnit, Figure10GroupSizeSweep) {
