@@ -11,7 +11,8 @@ const char* Agent::fec_kernel_name() {
 }
 
 Agent::Agent(net::Network& net, Hierarchy& hier,
-             std::shared_ptr<const Config> cfg, net::NodeId node,
+             std::shared_ptr<const Config> cfg,
+             std::shared_ptr<const fec::ReedSolomon> codec, net::NodeId node,
              bool is_source, rm::DeliveryLog* log)
     : is_source_(is_source) {
   recent_uids_.fill(~std::uint64_t{0});
@@ -24,9 +25,9 @@ Agent::Agent(net::Network& net, Hierarchy& hier,
                                             journal_);
   session_ = std::make_unique<SessionManager>(net, hier, cfg, node, is_source,
                                               budget_.get());
-  transfer_ = std::make_unique<TransferEngine>(net, hier, *session_,
-                                               std::move(cfg), node, is_source,
-                                               log, budget_.get());
+  transfer_ = std::make_unique<TransferEngine>(
+      net, hier, *session_, std::move(cfg), std::move(codec), node, is_source,
+      log, budget_.get());
   session_->set_progress_provider([this] {
     return std::make_pair(transfer_->max_group_seen(),
                           transfer_->seen_any_data());

@@ -19,18 +19,13 @@ namespace sharq::sfq {
 /// channel of the node's zone chain.
 class Agent final : public net::Agent {
  public:
-  /// Primary form: the Config is shared, not copied — every agent in a
-  /// session aliases one immutable instance, so per-agent cost stays flat
-  /// no matter how large static_zcrs (etc.) grows.
+  /// The Config and the Reed–Solomon codec are shared, not copied: every
+  /// agent in a session aliases one immutable instance of each, so
+  /// per-agent cost stays flat no matter how large static_zcrs (etc.) or
+  /// the codec's generator matrix grows.
   Agent(net::Network& net, Hierarchy& hier, std::shared_ptr<const Config> cfg,
-        net::NodeId node, bool is_source, rm::DeliveryLog* log = nullptr);
-
-  /// Convenience for standalone construction (tests, examples): snapshots
-  /// `cfg` into a private shared copy.
-  Agent(net::Network& net, Hierarchy& hier, const Config& cfg,
-        net::NodeId node, bool is_source, rm::DeliveryLog* log = nullptr)
-      : Agent(net, hier, std::make_shared<const Config>(cfg), node, is_source,
-              log) {}
+        std::shared_ptr<const fec::ReedSolomon> codec, net::NodeId node,
+        bool is_source, rm::DeliveryLog* log = nullptr);
 
   /// Begin session messaging and ZCR election.
   void start() { session_->start(); }

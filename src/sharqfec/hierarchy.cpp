@@ -4,6 +4,8 @@
 #include <cassert>
 #include <deque>
 
+#include "stats/profiler.hpp"
+
 namespace sharq::sfq {
 
 Hierarchy::Hierarchy(net::Network& net, bool scoping)
@@ -85,6 +87,29 @@ net::ZoneId Hierarchy::common_zone(net::NodeId a, net::NodeId b) const {
 bool Hierarchy::zone_contains(net::ZoneId z, net::NodeId n) const {
   if (!scoping_) return z == root_;
   return net_.zones().contains(z, n);
+}
+
+namespace {
+// A standard hash container: its bucket array plus one heap node (next
+// pointer and value) per entry.
+template <class C>
+std::uint64_t hash_table_bytes(const C& c) {
+  return c.bucket_count() * sizeof(void*) +
+         c.size() * stats::heap_block_bytes(sizeof(void*) +
+                                           sizeof(typename C::value_type));
+}
+}  // namespace
+
+std::uint64_t Hierarchy::memory_bytes() const {
+  std::uint64_t bytes = sizeof(Hierarchy) +
+                        order_.capacity() * sizeof(net::ZoneId) +
+                        hash_table_bytes(info_) + hash_table_bytes(by_channel_) +
+                        hash_table_bytes(chains_);
+  for (net::ZoneId z : order_) bytes += hash_table_bytes(info_.at(z).joined);
+  for (const auto& [n, c] : chains_) {  // sharq-lint: unordered-iter-ok (integer byte sums commute)
+    bytes += stats::heap_block_bytes(c.capacity() * sizeof(net::ZoneId));
+  }
+  return bytes;
 }
 
 void Hierarchy::join(net::NodeId n) {

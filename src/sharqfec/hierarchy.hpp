@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -61,6 +62,11 @@ class Hierarchy {
 
   /// All zone ids, root first (BFS order).
   const std::vector<net::ZoneId>& all_zones() const { return order_; }
+
+  /// Bytes this object retains: its zone, channel and per-zone membership
+  /// tables and the cached chains, each hash entry at its heap-node cost
+  /// (memory-census probe).
+  std::uint64_t memory_bytes() const;
 
  private:
   struct ZoneInfo {

@@ -7,12 +7,16 @@ namespace sharq::sfq {
 Session::Session(net::Network& net, net::NodeId source,
                  const std::vector<net::NodeId>& receivers, const Config& cfg,
                  rm::DeliveryLog* log)
-    : net_(net), cfg_(std::make_shared<const Config>(cfg)), log_(log) {
+    : net_(net),
+      cfg_(std::make_shared<const Config>(cfg)),
+      codec_(std::make_shared<const fec::ReedSolomon>(cfg_->group_size,
+                                                      cfg_->max_parity)),
+      log_(log) {
   hier_ = std::make_unique<Hierarchy>(net, cfg_->scoping);
-  agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, source,
+  agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, codec_, source,
                                             /*is_source=*/true, log));
   for (net::NodeId r : receivers) {
-    agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, r,
+    agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, codec_, r,
                                               /*is_source=*/false, log));
   }
 }
@@ -22,7 +26,7 @@ void Session::start() {
 }
 
 Agent& Session::add_receiver(net::NodeId node) {
-  agents_.push_back(std::make_unique<Agent>(net_, *hier_, cfg_, node,
+  agents_.push_back(std::make_unique<Agent>(net_, *hier_, cfg_, codec_, node,
                                             /*is_source=*/false, log_));
   agents_.back()->start();
   return *agents_.back();

@@ -57,17 +57,27 @@ class Session {
 
   /// Memory census over every agent, retired ones included (their state
   /// is retained until destruction, so the resident set still pays for
-  /// it). Drivers feed the result to Profiler::set_memory.
+  /// it), plus what the session holds once for all of them under
+  /// "session_shared": the channel hierarchy and the codec. Drivers feed
+  /// the result to Profiler::set_memory.
   void memory_census(stats::MemCensus& census) const {
+    const fec::Matrix& gen = codec_->generator();
+    const std::uint64_t shared =
+        hier_->memory_bytes() + sizeof(fec::ReedSolomon) +
+        static_cast<std::uint64_t>(gen.rows()) * gen.cols() *
+            sizeof(fec::Matrix::Elem);
+    census.add("session_shared", shared, shared);
     for (const auto& a : agents_) a->memory_census(census);
     for (const auto& a : retired_) a->memory_census(census);
   }
 
  private:
   net::Network& net_;
-  // One immutable Config aliased by every agent (see Agent's primary
-  // constructor) — per-receiver memory stays independent of Config size.
+  // One immutable Config and one Reed–Solomon codec aliased by every agent
+  // (see Agent's constructor): per-receiver memory stays independent of
+  // their size, and the codec's generator is built once per session.
   std::shared_ptr<const Config> cfg_;
+  std::shared_ptr<const fec::ReedSolomon> codec_;
   rm::DeliveryLog* log_;
   std::unique_ptr<Hierarchy> hier_;
   std::vector<std::unique_ptr<Agent>> agents_;  // [0] = source

@@ -108,10 +108,13 @@ void SessionManager::memory_census(stats::MemCensus& census) const {
   }
   census.add("peer_tables", tables, tables);
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
-  // The object itself and its per-level state (three Timers each); the
-  // tables inside the levels are counted above.
+  // The object itself and its per-level state, each Level's three
+  // heap-allocated Timers included. The tables inside the levels are
+  // counted above.
   const std::uint64_t self = sizeof(SessionManager) - sizeof(rng_) +
                              levels_.capacity() * sizeof(Level) +
+                             levels_.size() * 3 *
+                                 stats::heap_block_bytes(sizeof(sim::Timer)) +
                              chain_.capacity() * sizeof(net::ZoneId);
   census.add("agent_objects", self, self);
 }

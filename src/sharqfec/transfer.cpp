@@ -27,6 +27,7 @@ constexpr std::size_t kGroupStateBytes = 512;
 TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
                                SessionManager& session,
                                std::shared_ptr<const Config> cfg,
+                               std::shared_ptr<const fec::ReedSolomon> codec,
                                net::NodeId node, bool is_source,
                                rm::DeliveryLog* log, BudgetTracker* budget)
     : net_(net),
@@ -38,8 +39,7 @@ TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
       is_source_(is_source),
       log_(log),
       rng_(net.simulator_for(node).rng().fork()),
-      codec_(std::make_shared<fec::ReedSolomon>(cfg_->group_size,
-                                                cfg_->max_parity)) {
+      codec_(std::move(codec)) {
   zlc_pred_.assign(session_.chain().size(), 0.0);
   cov_pred_.assign(session_.chain().size(), 0.0);
   c1_adapt_ = cfg_->timers.c1;

@@ -33,10 +33,12 @@ class TransferEngine {
   /// when set, repair sends are paced to ResourceBudget::repair_rate_per_s,
   /// pending-repair queues clamp to repair_queue_depth, and due scope
   /// escalations de-escalate while the node is under pressure
-  /// (docs/ROBUSTNESS.md).
+  /// (docs/ROBUSTNESS.md). `codec` is the session's one Reed–Solomon
+  /// codec for (cfg.group_size, cfg.max_parity), shared by every agent.
   TransferEngine(net::Network& net, Hierarchy& hier, SessionManager& session,
-                 std::shared_ptr<const Config> cfg, net::NodeId node,
-                 bool is_source, rm::DeliveryLog* log,
+                 std::shared_ptr<const Config> cfg,
+                 std::shared_ptr<const fec::ReedSolomon> codec,
+                 net::NodeId node, bool is_source, rm::DeliveryLog* log,
                  BudgetTracker* budget = nullptr);
 
   /// Source API: stream `group_count` groups of k shards each, starting at
@@ -263,7 +265,7 @@ class TransferEngine {
   /// handle()): the cross-node cause of whatever the packet triggers.
   stats::EventId cause_in_ = 0;
   sim::Rng rng_;
-  std::shared_ptr<const fec::ReedSolomon> codec_;
+  std::shared_ptr<const fec::ReedSolomon> codec_;  ///< the session's, shared
 
   std::map<std::uint32_t, Group> groups_;
   // Packed per-level state for every tracked group (SoA arenas, one

@@ -29,6 +29,7 @@
 // back into simulation state, so enabling profiling cannot perturb event
 // order.
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -72,6 +73,13 @@ inline constexpr int kProfCounterCount = static_cast<int>(ProfCounter::kCount);
 
 /// Stable lowercase name of a counter ("events_dispatched", ...).
 const char* prof_counter_name(ProfCounter c);
+
+/// Resident bytes of one heap block holding `n` bytes, for census entries
+/// that count individually allocated objects: glibc malloc adds an 8-byte
+/// header and rounds to 16-byte granules, 32 bytes at least.
+inline std::uint64_t heap_block_bytes(std::uint64_t n) {
+  return std::max<std::uint64_t>(32, (n + 8 + 15) / 16 * 16);
+}
 
 /// Pull-based memory attribution: components report bytes per named
 /// category once, at export time (no hot-path accounting). `live` is bytes

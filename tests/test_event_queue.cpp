@@ -390,49 +390,6 @@ TEST(Timer, DestructorCancels) {
   EXPECT_FALSE(fired);
 }
 
-TEST(Rng, DeterministicWithSeed) {
-  Rng a(42), b(42);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(a.uniform(0, 1), b.uniform(0, 1));
-  }
-}
-
-TEST(Rng, UniformInRange) {
-  Rng r(7);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = r.uniform(2.0, 3.0);
-    EXPECT_GE(v, 2.0);
-    EXPECT_LT(v, 3.0);
-  }
-}
-
-TEST(Rng, BernoulliExtremes) {
-  Rng r(7);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(r.bernoulli(0.0));
-    EXPECT_TRUE(r.bernoulli(1.0));
-  }
-}
-
-TEST(Rng, BernoulliRateRoughlyCorrect) {
-  Rng r(7);
-  int hits = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) hits += r.bernoulli(0.3) ? 1 : 0;
-  EXPECT_NEAR(hits / static_cast<double>(n), 0.3, 0.01);
-}
-
-TEST(Rng, ForkDiverges) {
-  Rng a(42);
-  Rng b = a.fork();
-  // Parent and child streams should not be identical.
-  int same = 0;
-  for (int i = 0; i < 32; ++i) {
-    if (a.next_u64() == b.next_u64()) ++same;
-  }
-  EXPECT_LT(same, 32);
-}
-
 TEST_P(EventQueueTest, TagCountersKeyByContentsNotAddress) {
   stats::Metrics m;
   q.set_metrics(&m);
