@@ -298,7 +298,7 @@ void write_json(std::FILE* f, const std::vector<CaseResult>& results) {
     std::fprintf(f, "      \"bytes_per_receiver\": %.0f,\n",
                  r.bytes_per_receiver);
     // Per-subsystem retained bytes at end of run (the census's peak
-    // column). Optional in the schema: older baselines predate it.
+    // column); check_bench.py requires it.
     std::fprintf(f, "      \"mem_peak_bytes\": {");
     bool first_cat = true;
     for (const auto& [cat, e] : r.census.categories) {

@@ -8,7 +8,8 @@ Checks, in order:
   parse     the file is a single JSON object
   schema    it carries schema/peak_rss_bytes/cases with the right
             types, schema is "sharqfec-macro-sim-v1", and every case has
-            the full column set (see CASE_FIELDS); non-finite numbers
+            the full column set (see CASE_FIELDS) plus a non-empty
+            mem_peak_bytes census (category -> bytes); non-finite numbers
             (NaN/Infinity, which the JSON parser happily accepts) are
             rejected wherever they appear
   labels    case names are unique — a sweep that writes two rows under
@@ -63,16 +64,14 @@ CASE_FIELDS = {
     "complete_receivers": (int, False),
 }
 
-# Optional columns newer macro_sim builds add; older committed baselines
-# predate them. "mem_peak_bytes" is the profiler census: category name ->
-# retained bytes at end of run (docs/OBSERVABILITY.md, "Profiles").
-OPTIONAL_CASE_FIELDS = ("mem_peak_bytes",)
+# "mem_peak_bytes" is the profiler census: category name -> retained
+# bytes at end of run (docs/OBSERVABILITY.md, "Profiles"). Required: a
+# baseline must say where its bytes went, not only how many there were.
+CENSUS_FIELD = "mem_peak_bytes"
 
 
 def check_mem_peak(case, where, bad):
-    mem = case.get("mem_peak_bytes")
-    if mem is None:
-        return
+    mem = case.get(CENSUS_FIELD)
     if not isinstance(mem, dict) or not mem:
         bad(f"{where}: mem_peak_bytes is {mem!r}, expected a non-empty "
             f"object of category -> bytes")
@@ -126,7 +125,7 @@ def check(doc, min_receivers, require_complete, max_kb_per_receiver=None):
                 bad(f"{where}: {field} is {val!r}, expected a finite number")
             elif positive and val <= 0:
                 bad(f"{where}: {field} must be positive, got {val!r}")
-        extra = set(case) - set(CASE_FIELDS) - set(OPTIONAL_CASE_FIELDS)
+        extra = set(case) - set(CASE_FIELDS) - {CENSUS_FIELD}
         if extra:
             bad(f"{where}: unknown fields {sorted(extra)}")
         check_mem_peak(case, where, bad)

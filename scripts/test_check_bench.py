@@ -44,6 +44,7 @@ def good_case(name="d2_f4_smoke", **overrides):
         "rss_delta_bytes": 9000000,
         "bytes_per_receiver": 9000000 / 148,
         "complete_receivers": 148,
+        "mem_peak_bytes": {"agent_objects": 400000, "peer_tables": 300000},
     }
     case.update(overrides)
     return case
@@ -137,6 +138,18 @@ class CheckBenchTest(unittest.TestCase):
     def test_unknown_field_is_rejected(self):
         doc = good_doc(good_case(speedup=3.0))
         self.assert_error(run(doc), "unknown fields")
+
+    def test_missing_census_is_rejected(self):
+        case = good_case()
+        del case["mem_peak_bytes"]
+        self.assert_error(run(good_doc(case)), "mem_peak_bytes is None")
+
+    def test_malformed_census_is_rejected(self):
+        self.assert_error(run(good_doc(good_case(mem_peak_bytes={}))),
+                          "expected a non-empty object")
+        self.assert_error(
+            run(good_doc(good_case(mem_peak_bytes={"peer_tables": -1}))),
+            "expected a non-negative integer")
 
     def test_min_receivers_gate(self):
         self.assert_error(run(good_doc(), min_receivers=100000),

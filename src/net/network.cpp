@@ -104,42 +104,47 @@ void Network::memory_census(stats::MemCensus& census) const {
   // under "rng_streams", with the agents' streams.
   const std::uint64_t rngs = links_.size() * sizeof(sim::Rng);
   census.add("rng_streams", rngs, rngs);
-  std::uint64_t topo = nodes_.capacity() * sizeof(NodeRec) +
-                       links_.capacity() * sizeof(Link) +
-                       channels_.capacity() * sizeof(Channel) - rngs;
+  using stats::vector_block_bytes;
+  // vector<bool> counts capacity in bits.
+  auto bits_block_bytes = [](const std::vector<bool>& v) -> std::uint64_t {
+    return v.capacity() == 0 ? 0 : stats::heap_block_bytes(v.capacity() / 8);
+  };
+  std::uint64_t topo = vector_block_bytes(nodes_) + vector_block_bytes(links_) +
+                       vector_block_bytes(channels_) - rngs +
+                       zones_.memory_bytes();
   for (const NodeRec& n : nodes_) {
-    topo += n.out_links.capacity() * sizeof(LinkId) +
-            n.agents.capacity() * sizeof(Agent*);
+    topo += vector_block_bytes(n.out_links) + vector_block_bytes(n.agents);
   }
-  for (const Channel& c : channels_) {
-    // Hash-set node approximation: payload plus bucket/next pointers.
-    topo += c.subs.size() * (sizeof(NodeId) + 2 * sizeof(void*));
-  }
+  for (const Channel& c : channels_) topo += stats::hash_table_bytes(c.subs);
   census.add("net_topology", topo, topo);
 
   // Lazily built per-lane routing/forwarding caches; they only grow (no
   // eviction), so live == retained here too.
-  std::uint64_t caches = lanes_.capacity() * sizeof(LaneCtx);
+  std::uint64_t caches = vector_block_bytes(lanes_);
   for (const LaneCtx& lc : lanes_) {
-    caches += lc.routing.capacity() * sizeof(Routing);
+    caches += vector_block_bytes(lc.routing);
     for (const Routing& r : lc.routing) {
-      caches += r.dist.capacity() * sizeof(sim::Time) +
-                r.pred_link.capacity() * sizeof(LinkId) +
-                r.next_hop.capacity() * sizeof(NodeId) +
-                r.next_hop_known.capacity() / 8;
+      caches += vector_block_bytes(r.dist) + vector_block_bytes(r.pred_link) +
+                vector_block_bytes(r.next_hop) +
+                bits_block_bytes(r.next_hop_known);
     }
-    caches += lc.fwd_cache.size() *
-              (sizeof(FwdKey) + sizeof(FwdEntry) + 2 * sizeof(void*));
+    // Bucket array plus one node per entry: next pointer, key, entry and
+    // the cached hash code (FwdKeyHash is not noexcept, so it is cached).
+    const auto& fc = lc.fwd_cache;
+    if (fc.bucket_count() > 1) {
+      caches += stats::heap_block_bytes(fc.bucket_count() * sizeof(void*));
+    }
+    caches += fc.size() * stats::heap_block_bytes(2 * sizeof(void*) +
+                                                  sizeof(FwdKey) +
+                                                  sizeof(FwdEntry));
     // The census sums integers, so iteration order never shows.
-    for (const auto& [key, e] : lc.fwd_cache) {  // sharq-lint: unordered-iter-ok (integer byte sums commute)
-      caches += e.nodes.capacity() * sizeof(NodeId) +
-                e.out_begin.capacity() * sizeof(std::uint32_t) +
-                e.links.capacity() * sizeof(LinkId) +
-                e.deliver.capacity() / 8;
+    for (const auto& [key, e] : fc) {  // sharq-lint: unordered-iter-ok (integer byte sums commute)
+      caches += vector_block_bytes(e.nodes) + vector_block_bytes(e.out_begin) +
+                vector_block_bytes(e.links) + bits_block_bytes(e.deliver);
     }
-    caches += (lc.arrive_outs.capacity() + lc.send_outs.capacity()) *
-                  sizeof(LinkId) +
-              lc.arrive_agents.capacity() * sizeof(Agent*);
+    caches += vector_block_bytes(lc.arrive_outs) +
+              vector_block_bytes(lc.send_outs) +
+              vector_block_bytes(lc.arrive_agents);
   }
   census.add("net_caches", caches, caches);
 }

@@ -2,7 +2,20 @@
 
 #include <cassert>
 
+#include "stats/profiler.hpp"
+
 namespace sharq::net {
+
+std::uint64_t ZoneHierarchy::memory_bytes() const {
+  std::uint64_t bytes = stats::vector_block_bytes(zones_) +
+                        stats::hash_table_bytes(assignment_);
+  for (const Zone& z : zones_) {
+    bytes += stats::vector_block_bytes(z.children) +
+             stats::hash_table_bytes(z.members) +
+             stats::hash_table_bytes(z.direct);
+  }
+  return bytes;
+}
 
 ZoneId ZoneHierarchy::add_root() {
   assert(root_ == kNoZone && "root zone already exists");

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -72,6 +73,10 @@ class ZoneHierarchy {
 
   /// True when `ancestor` is `zone` itself or one of its ancestors.
   bool is_ancestor_or_self(ZoneId ancestor, ZoneId zone) const;
+
+  /// Heap bytes of the zone table and its membership sets (memory-census
+  /// probe).
+  std::uint64_t memory_bytes() const;
 
  private:
   struct Zone {

@@ -79,8 +79,9 @@ class Agent final : public net::Agent {
   /// manager's and transfer engine's categories.
   void memory_census(stats::MemCensus& census) const {
     census.add("dedup_windows", sizeof(recent_uids_), sizeof(recent_uids_));
-    const std::size_t self =
-        sizeof(Agent) - sizeof(recent_uids_) + sizeof(BudgetTracker);
+    const std::uint64_t self = stats::heap_block_bytes(sizeof(Agent)) -
+                               sizeof(recent_uids_) +
+                               stats::heap_block_bytes(sizeof(BudgetTracker));
     census.add("agent_objects", self, self);
     session_->memory_census(census);
     transfer_->memory_census(census);

@@ -89,25 +89,15 @@ bool Hierarchy::zone_contains(net::ZoneId z, net::NodeId n) const {
   return net_.zones().contains(z, n);
 }
 
-namespace {
-// A standard hash container: its bucket array plus one heap node (next
-// pointer and value) per entry.
-template <class C>
-std::uint64_t hash_table_bytes(const C& c) {
-  return c.bucket_count() * sizeof(void*) +
-         c.size() * stats::heap_block_bytes(sizeof(void*) +
-                                           sizeof(typename C::value_type));
-}
-}  // namespace
-
 std::uint64_t Hierarchy::memory_bytes() const {
-  std::uint64_t bytes = sizeof(Hierarchy) +
-                        order_.capacity() * sizeof(net::ZoneId) +
+  using stats::hash_table_bytes;
+  std::uint64_t bytes = stats::heap_block_bytes(sizeof(Hierarchy)) +
+                        stats::vector_block_bytes(order_) +
                         hash_table_bytes(info_) + hash_table_bytes(by_channel_) +
                         hash_table_bytes(chains_);
   for (net::ZoneId z : order_) bytes += hash_table_bytes(info_.at(z).joined);
   for (const auto& [n, c] : chains_) {  // sharq-lint: unordered-iter-ok (integer byte sums commute)
-    bytes += stats::heap_block_bytes(c.capacity() * sizeof(net::ZoneId));
+    bytes += stats::vector_block_bytes(c);
   }
   return bytes;
 }
@@ -118,8 +108,16 @@ void Hierarchy::join(net::NodeId n) {
     ZoneInfo& zi = info_.at(z);
     net_.subscribe(zi.repair, n);
     net_.subscribe(zi.session, n);
-    zi.joined.insert(n);
+    if (zi.joined.insert(n).second && z == chain(n).front()) {
+      ++zi.direct_joined;
+    }
   }
+}
+
+std::size_t Hierarchy::session_peer_bound(net::ZoneId z) const {
+  const std::size_t children =
+      scoping_ ? net_.zones().children(z).size() : 0;
+  return info_.at(z).direct_joined + children;
 }
 
 void Hierarchy::leave(net::NodeId n) {
@@ -128,7 +126,9 @@ void Hierarchy::leave(net::NodeId n) {
     ZoneInfo& zi = info_.at(z);
     net_.unsubscribe(zi.repair, n);
     net_.unsubscribe(zi.session, n);
-    zi.joined.erase(n);
+    if (zi.joined.erase(n) > 0 && z == chain(n).front()) {
+      --zi.direct_joined;
+    }
   }
 }
 

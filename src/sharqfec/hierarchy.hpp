@@ -60,6 +60,12 @@ class Hierarchy {
     return info_.at(z).joined;
   }
 
+  /// Members that speak on `z`'s session channel in steady state: the
+  /// joined members whose smallest zone is `z`, plus one ZCR per child
+  /// zone (paper §5's bounded per-zone state). Sizes the session
+  /// manager's per-level peer tables.
+  std::size_t session_peer_bound(net::ZoneId z) const;
+
   /// All zone ids, root first (BFS order).
   const std::vector<net::ZoneId>& all_zones() const { return order_; }
 
@@ -75,6 +81,8 @@ class Hierarchy {
     net::ChannelId repair = net::kNoChannel;
     net::ChannelId session = net::kNoChannel;
     std::unordered_set<net::NodeId> joined;
+    /// Joined members whose smallest zone this is.
+    std::size_t direct_joined = 0;
   };
 
   net::Network& net_;

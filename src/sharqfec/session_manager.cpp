@@ -15,8 +15,9 @@ namespace {
 constexpr double kDistEps = 1e-4;  // exact-tie margin for suppression
 
 // Accounted bytes per RTT-table / bridge-table entry for the budget's
-// state ledger (map node + payload, with container overhead). Approximate
-// by design: the ledger drives shedding decisions, not allocator truth.
+// state ledger (fixed units, sized when the tables were node-based maps).
+// Approximate by design: the ledger drives shedding decisions, not
+// allocator truth; the memory census counts the tables' real blocks.
 constexpr std::size_t kPeerEntryBytes = 96;
 constexpr std::size_t kBridgeEntryBytes = 64;
 
@@ -44,17 +45,9 @@ SessionManager::SessionManager(net::Network& net, Hierarchy& hier,
       session_timer_(net.simulator_for(node)),
       next_challenge_id_(static_cast<std::uint64_t>(node) << 32 | 1u),
       budget_(budget) {
-  levels_.resize(chain_.size());
   session_timer_.set_tag("session.beacon");
-  for (std::size_t l = 0; l < chain_.size(); ++l) {
-    levels_[l].zone = chain_[l];
-    levels_[l].challenge_timer = std::make_unique<sim::Timer>(simu_);
-    levels_[l].challenge_timer->set_tag("session.challenge");
-    levels_[l].watchdog = std::make_unique<sim::Timer>(simu_);
-    levels_[l].watchdog->set_tag("session.watchdog");
-    levels_[l].takeover_timer = std::make_unique<sim::Timer>(simu_);
-    levels_[l].takeover_timer->set_tag("session.takeover");
-  }
+  levels_.reserve(chain_.size());
+  for (net::ZoneId z : chain_) levels_.emplace_back(z, simu_);
   register_metrics();
   // The source is the static ZCR of the root zone (the paper's "top ZCR").
   if (is_source_) {
@@ -98,24 +91,23 @@ void SessionManager::register_metrics() {
 }
 
 void SessionManager::memory_census(stats::MemCensus& census) const {
-  // The per-entry constants are the budget ledger's (approximate by
-  // design); tables shrink on expiry, so live is also the best retained
-  // figure we can attribute without walking allocator internals.
+  // Each table is one heap block of `capacity` entries; vectors never
+  // shrink, so the block is both the live and the retained figure.
   std::uint64_t tables = 0;
   for (const Level& lv : levels_) {
-    tables += lv.peers.size() * kPeerEntryBytes +
-              lv.bridge_rtt.size() * kBridgeEntryBytes;
+    tables += stats::vector_block_bytes(lv.peers) +
+              stats::vector_block_bytes(lv.bridge_rtt);
   }
   census.add("peer_tables", tables, tables);
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
-  // The object itself and its per-level state, each Level's three
-  // heap-allocated Timers included. The tables inside the levels are
-  // counted above.
-  const std::uint64_t self = sizeof(SessionManager) - sizeof(rng_) +
-                             levels_.capacity() * sizeof(Level) +
-                             levels_.size() * 3 *
-                                 stats::heap_block_bytes(sizeof(sim::Timer)) +
-                             chain_.capacity() * sizeof(net::ZoneId);
+  // The object itself and its per-level state, election timers included
+  // (held inline). The tables inside the levels are counted above.
+  const std::uint64_t self =
+      stats::heap_block_bytes(sizeof(SessionManager)) - sizeof(rng_) +
+      stats::vector_block_bytes(levels_) + stats::vector_block_bytes(chain_) +
+      challenges_.size() *
+          stats::heap_block_bytes(stats::kTreeNodeHeader +
+                                  sizeof(decltype(challenges_)::value_type));
   census.add("agent_objects", self, self);
 }
 
@@ -142,9 +134,9 @@ void SessionManager::start() {
 void SessionManager::stop() {
   session_timer_.cancel();
   for (Level& lv : levels_) {
-    lv.challenge_timer->cancel();
-    lv.watchdog->cancel();
-    lv.takeover_timer->cancel();
+    lv.challenge_timer.cancel();
+    lv.watchdog.cancel();
+    lv.takeover_timer.cancel();
   }
 }
 
@@ -367,6 +359,17 @@ void SessionManager::reserve_peer_slot(int level) {
   }
 }
 
+std::size_t SessionManager::peer_table_size(int level) const {
+  // Sized once, on first use, when every member has joined. A member
+  // never hears itself, so its own zone holds one fewer peer. Tables only
+  // outgrow this while an election turns over or a dead ZCR awaits expiry.
+  std::size_t n = hier_.session_peer_bound(levels_[level].zone);
+  if (level == 0 && n > 0) --n;
+  const std::size_t cap = budget_ ? budget_->limits().peers_per_level : 0;
+  if (cap > 0) n = std::min(n, cap);
+  return std::max<std::size_t>(n, 1);
+}
+
 std::size_t SessionManager::tracked_peer_count() const {
   std::size_t n = 0;
   for (const Level& lv : levels_) n += lv.peers.size() + lv.bridge_rtt.size();
@@ -444,8 +447,9 @@ void SessionManager::handle_session(const SessionMsg& msg, int level) {
   // Clock bookkeeping + RTT measurement for channels we participate in.
   auto pit = lv.peers.find(msg.sender);
   if (pit == lv.peers.end()) {
+    if (lv.peers.capacity() == 0) lv.peers.reserve(peer_table_size(level));
     reserve_peer_slot(level);
-    pit = lv.peers.emplace(msg.sender, Peer{}).first;
+    pit = lv.peers.try_emplace(msg.sender, Peer{}).first;
     if (budget_) budget_->add_state(kPeerEntryBytes);
     if (lv.peers.size() > peers_high_water_) {
       peers_high_water_ = lv.peers.size();
@@ -488,7 +492,10 @@ void SessionManager::handle_session(const SessionMsg& msg, int level) {
           ++bridge_skips_;
           continue;
         }
-        slot = lv.bridge_rtt.emplace(e.peer, -1.0).first;
+        if (lv.bridge_rtt.capacity() == 0) {
+          lv.bridge_rtt.reserve(peer_table_size(level));
+        }
+        slot = lv.bridge_rtt.try_emplace(e.peer, -1.0).first;
         if (budget_) budget_->add_state(kBridgeEntryBytes);
         if (lv.bridge_rtt.size() > bridge_high_water_) {
           bridge_high_water_ = lv.bridge_rtt.size();
@@ -508,7 +515,7 @@ void SessionManager::schedule_challenge(int level) {
   if (level + 1 >= static_cast<int>(levels_.size())) return;  // root
   const sim::Time period =
       cfg_->zcr_challenge_period * rng_.uniform(0.8, 1.2);
-  lv.challenge_timer->arm(period, [this, level] {
+  lv.challenge_timer.arm(period, [this, level] {
     SHARQ_PROF_SCOPE(session);
     if (levels_[level].zcr == node_) {
       issue_challenge(level);
@@ -525,7 +532,7 @@ void SessionManager::schedule_watchdog(int level) {
   const sim::Time period =
       bootstrap ? cfg_->zcr_bootstrap_delay * rng_.uniform(1.0, 2.0)
                 : cfg_->zcr_watchdog_period * rng_.uniform(1.0, 1.5);
-  lv.watchdog->arm(period, [this, level] {
+  lv.watchdog.arm(period, [this, level] {
     SHARQ_PROF_SCOPE(session);
     Level& l = levels_[level];
     const bool parent_known =
@@ -653,12 +660,12 @@ void SessionManager::handle_response(const ZcrResponseMsg& msg) {
 void SessionManager::consider_takeover(int level, double my_dist) {
   Level& lv = levels_[level];
   if (!claim_beats(my_dist, node_, lv.zcr_parent_dist, lv.zcr)) return;
-  if (lv.takeover_timer->pending() && lv.candidate_dist <= my_dist) return;
+  if (lv.takeover_timer.pending() && lv.candidate_dist <= my_dist) return;
   lv.candidate_dist = my_dist;
   lv.takeover_cause = cause_in_;  // the response that revealed a better claim
   const sim::Time delay =
       cfg_->takeover_delay_factor * my_dist + rng_.uniform(0.0, 0.01);
-  lv.takeover_timer->arm(delay, [this, level] {
+  lv.takeover_timer.arm(delay, [this, level] {
     Level& l = levels_[level];
     if (l.zcr == node_) return;
     if (!claim_beats(l.candidate_dist, node_, l.zcr_parent_dist, l.zcr)) {
@@ -745,10 +752,10 @@ void SessionManager::handle_takeover(const ZcrTakeoverMsg& msg) {
                    lv.zcr)) {
     return;
   }
-  if (lv.takeover_timer->pending() &&
+  if (lv.takeover_timer.pending() &&
       !claim_beats(lv.candidate_dist, node_, msg.dist_to_parent,
                    msg.new_zcr)) {
-    lv.takeover_timer->cancel();
+    lv.takeover_timer.cancel();
   }
   adopt_zcr(l, msg.new_zcr, msg.dist_to_parent);
 }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "rm/flat_table.hpp"
 #include "sharqfec/config.hpp"
 #include "sharqfec/hierarchy.hpp"
 #include "sharqfec/messages.hpp"
@@ -115,9 +116,9 @@ class SessionManager {
   std::size_t bridge_table_high_water() const { return bridge_high_water_; }
 
   /// Contribute this manager's retained bytes to the profiler's memory
-  /// census: RTT/bridge tables under "peer_tables" (the budget ledger's
-  /// per-entry constants), its random stream under "rng_streams", the
-  /// object and its per-level state under "agent_objects".
+  /// census: RTT/bridge tables under "peer_tables" (each table's heap
+  /// block), its random stream under "rng_streams", the object and its
+  /// per-level state under "agent_objects".
   void memory_census(stats::MemCensus& census) const;
 
  private:
@@ -128,22 +129,28 @@ class SessionManager {
     bool clock_valid = false;
   };
   struct Level {
+    Level(net::ZoneId z, sim::Simulator& simu)
+        : zone(z), challenge_timer(simu), watchdog(simu), takeover_timer(simu) {
+      challenge_timer.set_tag("session.challenge");
+      watchdog.set_tag("session.watchdog");
+      takeover_timer.set_tag("session.takeover");
+    }
     net::ZoneId zone = net::kNoZone;
     // Ordered: iterated into session-message entries (wire order), peer
     // expiry, and max-RTT scans — hash order here would make beacon
     // contents and timer sequencing depend on the standard library.
-    std::map<net::NodeId, Peer> peers;
+    rm::FlatTable<net::NodeId, Peer> peers;
     net::NodeId zcr = net::kNoNode;
     double zcr_parent_dist = -1.0;  // dist(zcr(zone) -> zcr(parent))
     sim::Time zcr_last_heard = sim::kTimeNever;
     // rtt(bridge, peer) learned from the bridge ZCR's announcements on
     // this zone's channel; bridge = zcr(chain[l-1]) for l>0, zcr(chain[0])
     // for l==0.
-    std::map<net::NodeId, double> bridge_rtt;
+    rm::FlatTable<net::NodeId, double> bridge_rtt;
     // election plumbing
-    std::unique_ptr<sim::Timer> challenge_timer;
-    std::unique_ptr<sim::Timer> watchdog;
-    std::unique_ptr<sim::Timer> takeover_timer;
+    sim::Timer challenge_timer;
+    sim::Timer watchdog;
+    sim::Timer takeover_timer;
     double candidate_dist = -1.0;
     sim::Time last_reassert = sim::kTimeNever;
     /// Journal cause of a pending takeover: the zcr.response (or heard
@@ -168,6 +175,8 @@ class SessionManager {
   /// oldest entries by (heard_at, node id) while the table is at its
   /// budget cap (or at its current size under state pressure).
   void reserve_peer_slot(int level);
+  /// Entries reserved for `level`'s RTT and bridge tables.
+  std::size_t peer_table_size(int level) const;
   void schedule_challenge(int level);
   void schedule_watchdog(int level);
   void issue_challenge(int level);

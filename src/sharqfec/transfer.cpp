@@ -184,24 +184,24 @@ void TransferEngine::stop() {
 void TransferEngine::memory_census(stats::MemCensus& census) const {
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
   const std::uint64_t self =
-      sizeof(TransferEngine) - sizeof(rng_) +
-      (zlc_pred_.capacity() + cov_pred_.capacity()) * sizeof(double);
+      stats::heap_block_bytes(sizeof(TransferEngine)) - sizeof(rng_) +
+      stats::vector_block_bytes(zlc_pred_) +
+      stats::vector_block_bytes(cov_pred_);
   census.add("agent_objects", self, self);
 
   // Per-group state. groups_ never erases and the level arenas only
-  // append, so live == retained here. The map-node overhead constant
-  // covers the rb-tree bookkeeping around each Group.
-  constexpr std::uint64_t kMapNodeOverhead = 48;
-  std::uint64_t grp_bytes =
-      chain_arena_.capacity() * sizeof(ChainLevel) +
-      slice_arena_.capacity() * sizeof(SliceLevel) +
-      source_shards_.capacity() * sizeof(fec::ShardBuffer);
+  // append, so live == retained here. Each Group sits in its own map node.
+  constexpr std::uint64_t kGroupNode = stats::heap_block_bytes(
+      stats::kTreeNodeHeader + sizeof(decltype(groups_)::value_type));
+  std::uint64_t grp_bytes = stats::vector_block_bytes(chain_arena_) +
+                            stats::vector_block_bytes(slice_arena_) +
+                            stats::vector_block_bytes(source_shards_);
   // Shard buffers are shared, so each is counted where it was allocated:
   // the source's data, the parity an encoder produced, and the originals a
   // repairer decoded (its encoder's data buffers its decoder never held).
   for (const auto& s : source_shards_) grp_bytes += fec::buffer_bytes(s);
   for (const auto& [id, grp] : groups_) {
-    grp_bytes += sizeof(Group) + kMapNodeOverhead;
+    grp_bytes += kGroupNode;
     grp_bytes += grp.decoder.memory_bytes();
     if (!grp.encoder) continue;
     const fec::GroupEncoder& enc = *grp.encoder;

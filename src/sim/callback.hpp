@@ -18,13 +18,16 @@ namespace sharq::sim {
 /// time — captures that do not fit, so scheduling an event never touches
 /// the allocator (docs/PERFORMANCE.md).
 ///
-/// Capacity rationale: the largest hot-path closure is the link serialize
-/// lambda in net/network.cpp (a Packet by value plus this/link/epoch,
-/// ~72 bytes); 120 leaves headroom for protocol timers without bloating
-/// the event-slot slab.
+/// Capacity rationale: the largest closure anywhere is the link transmit
+/// lambda in net/network.cpp (a Packet by value plus this/link/epoch):
+/// it compiles at 72 bytes and fails at 64. Timers need no headroom of
+/// their own — sim::Timer::arm schedules the caller's callable straight
+/// into the event slot, so timer closures are held to the same bound as
+/// any other event. Each slot pays kCapacity + 16 bytes of callback, so
+/// a larger capacity grows every event slot in the slab.
 class Callback {
  public:
-  static constexpr std::size_t kCapacity = 120;
+  static constexpr std::size_t kCapacity = 72;
 
   Callback() = default;
   Callback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)

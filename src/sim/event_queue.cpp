@@ -73,12 +73,16 @@ EventId EventQueue::schedule(Time at, Callback fn, const char* tag) {
   return EventId{(static_cast<std::uint64_t>(s.gen) << 32) | slot};
 }
 
-bool EventQueue::cancel(EventId id) {
+bool EventQueue::pending(EventId id) const {
   const std::uint32_t slot = static_cast<std::uint32_t>(id.value & 0xFFFFFFFFu);
   const std::uint32_t gen = static_cast<std::uint32_t>(id.value >> 32);
-  if (slot >= slots_.size()) return false;
+  return slot < slots_.size() && slots_[slot].live && slots_[slot].gen == gen;
+}
+
+bool EventQueue::cancel(EventId id) {
+  if (!pending(id)) return false;
+  const std::uint32_t slot = static_cast<std::uint32_t>(id.value & 0xFFFFFFFFu);
   Slot& s = slots_[slot];
-  if (!s.live || s.gen != gen) return false;
   if (metrics_) counters_for(s.tag).cancelled->inc();
   // The key stays in the heap and is skipped as stale when it surfaces
   // (or purged by the next compaction) — the generation has moved on.

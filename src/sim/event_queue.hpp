@@ -56,6 +56,11 @@ class EventQueue {
   /// still pending (and is now guaranteed not to run).
   bool cancel(EventId id);
 
+  /// True while `id` names a scheduled event that has neither fired nor
+  /// been cancelled: a generation check on its slot, so stale and invalid
+  /// handles read false.
+  bool pending(EventId id) const;
+
   /// True if no live (non-cancelled) events remain.
   bool empty() const { return live_ == 0; }
 

@@ -53,31 +53,19 @@ void Simulator::run() {
 
 void Timer::arm(Time delay, Callback fn) {
   cancel();
-  pending_ = true;
   deadline_ = simu_->now() + std::max(delay, 0.0);
-  fn_ = std::move(fn);
-  id_ = simu_->after(delay, [this] { fire(); }, tag_);
-}
-
-void Timer::fire() {
-  pending_ = false;
-  deadline_ = kTimeNever;
-  // Move to a local first so the callback can rearm this very timer.
-  Callback fn = std::move(fn_);
-  fn();
+  id_ = simu_->after(delay, std::move(fn), tag_);
 }
 
 void Timer::arm_if_idle(Time delay, Callback fn) {
-  if (!pending_) arm(delay, std::move(fn));
+  if (!pending()) arm(delay, std::move(fn));
 }
 
 void Timer::cancel() {
-  if (pending_) {
-    simu_->cancel(id_);
-    pending_ = false;
-    deadline_ = kTimeNever;
-  }
-  fn_ = nullptr;  // release captured state promptly
+  // A stale handle (the event already fired) cancels nothing; a live one
+  // frees its slot, and with it the captured state, right away.
+  if (id_.valid()) simu_->cancel(id_);
+  id_ = EventId{};
 }
 
 }  // namespace sharq::sim

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
@@ -39,6 +40,10 @@ class Simulator {
 
   /// Cancel a pending event; harmless on stale/invalid handles.
   bool cancel(EventId id) { return queue_.cancel(id); }
+
+  /// True while the event `id` names is scheduled and has neither fired
+  /// nor been cancelled (nor discarded by stop()).
+  bool pending(EventId id) const { return queue_.pending(id); }
 
   /// Run until the queue drains or virtual time would pass `until`.
   /// Events scheduled exactly at `until` are executed.
@@ -95,6 +100,15 @@ class Simulator {
 /// timers). The class guarantees that after cancel()/restart the old
 /// callback can no longer fire, which removes a whole class of
 /// use-after-reschedule bugs.
+///
+/// The timer owns no callable: arm() schedules the caller's callback
+/// straight into the event queue's slab slot, and the timer keeps only the
+/// event's handle. pending() is a generation check on that handle, so a
+/// fired, cancelled or stop()-discarded event reads idle without the queue
+/// ever calling back into the timer. Because no event refers to the Timer
+/// object, a Timer can be moved while armed; the moved-from object is left
+/// idle and its destructor cancels nothing. A Timer that was ever armed
+/// reads its Simulator on destruction, so it must not outlive it.
 class Timer {
  public:
   explicit Timer(Simulator& simu) : simu_(&simu) {}
@@ -103,6 +117,23 @@ class Timer {
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
+  Timer(Timer&& other) noexcept
+      : simu_(other.simu_),
+        id_(std::exchange(other.id_, EventId{})),
+        deadline_(other.deadline_),
+        tag_(other.tag_) {}
+
+  Timer& operator=(Timer&& other) noexcept {
+    if (this != &other) {
+      cancel();
+      simu_ = other.simu_;
+      id_ = std::exchange(other.id_, EventId{});
+      deadline_ = other.deadline_;
+      tag_ = other.tag_;
+    }
+    return *this;
+  }
+
   /// (Re)arm the timer to fire `delay` seconds from now. Any previously
   /// armed firing is cancelled first.
   void arm(Time delay, Callback fn);
@@ -110,29 +141,23 @@ class Timer {
   /// Arm only if not already pending.
   void arm_if_idle(Time delay, Callback fn);
 
-  /// Cancel a pending firing, if any.
+  /// Cancel a pending firing, if any, releasing its captured state.
   void cancel();
 
-  /// True if a firing is scheduled and has not yet run.
-  bool pending() const { return pending_; }
+  /// True if a firing is scheduled and has not yet run. False inside the
+  /// timer's own callback: the event has left the queue by then.
+  bool pending() const { return simu_->pending(id_); }
 
   /// Absolute time of the pending firing (kTimeNever if idle).
-  Time deadline() const { return pending_ ? deadline_ : kTimeNever; }
+  Time deadline() const { return pending() ? deadline_ : kTimeNever; }
 
   /// Name this timer's firings for event metrics. Must be a string
   /// literal; applies to subsequent arm() calls.
   void set_tag(const char* tag) { tag_ = tag; }
 
  private:
-  void fire();
-
   Simulator* simu_;
   EventId id_{};
-  /// The armed callable lives here, not in the scheduled event: the event
-  /// captures only `this` (8 bytes), so timers with large captures never
-  /// outgrow the queue's inline Callback storage.
-  Callback fn_;
-  bool pending_ = false;
   Time deadline_ = kTimeNever;
   const char* tag_ = nullptr;
 };

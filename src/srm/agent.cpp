@@ -112,7 +112,8 @@ void Agent::on_receive(const net::Packet& packet) {
     handle_request(*req);
   } else if (const auto* sess = packet.as<SessionMsg>()) {
     // Record the peer's clock for our next session message.
-    PeerClock& clock = peer_clocks_[sess->sender];
+    PeerClock& clock =
+        peer_clocks_.try_emplace(sess->sender, PeerClock{}).first->second;
     clock.last_ts = sess->ts;
     clock.heard_at = simu_.now();
     clock.valid = true;
@@ -185,18 +186,14 @@ void Agent::note_gap_up_to(std::uint32_t new_max) {
 void Agent::start_request(std::uint32_t seq) {
   if (is_source_ || has(seq)) return;
   if (requests_.contains(seq)) return;
-  PendingRequest pr;
-  pr.timer = std::make_unique<sim::Timer>(simu_);
-  pr.detected_at = simu_.now();
-  pr.backoff = 0;
-  auto [it, inserted] = requests_.emplace(seq, std::move(pr));
-  (void)inserted;
+  auto it = requests_.try_emplace(seq, simu_).first;
+  it->second.detected_at = simu_.now();
   rm::TimerPolicy policy = cfg_.timers;
   policy.c1 = c1_;
   policy.c2 = c2_;
   const sim::Time delay =
       policy.request_delay(rng_, dist_to_source(), it->second.backoff);
-  it->second.timer->arm(delay, [this, seq] { fire_request(seq); });
+  it->second.timer.arm(delay, [this, seq] { fire_request(seq); });
 }
 
 void Agent::fire_request(std::uint32_t seq) {
@@ -216,7 +213,7 @@ void Agent::fire_request(std::uint32_t seq) {
   policy.c2 = c2_;
   const sim::Time delay =
       policy.request_delay(rng_, dist_to_source(), it->second.backoff);
-  it->second.timer->arm(delay, [this, seq] { fire_request(seq); });
+  it->second.timer.arm(delay, [this, seq] { fire_request(seq); });
 }
 
 void Agent::handle_request(const RequestMsg& req) {
@@ -227,17 +224,14 @@ void Agent::handle_request(const RequestMsg& req) {
     auto hd = holddown_until_.find(seq);
     if (hd != holddown_until_.end() && simu_.now() < hd->second) return;
     if (replies_.contains(seq)) return;
-    PendingReply rep;
-    rep.timer = std::make_unique<sim::Timer>(simu_);
-    rep.requester = req.requester;
-    auto [it, inserted] = replies_.emplace(seq, std::move(rep));
-    (void)inserted;
+    auto it = replies_.try_emplace(seq, simu_).first;
+    it->second.requester = req.requester;
     rm::TimerPolicy policy = cfg_.timers;
     policy.d1 = d1_;
     policy.d2 = d2_;
     const sim::Time delay =
         policy.reply_delay(rng_, distance_to(req.requester));
-    it->second.timer->arm(delay, [this, seq] {
+    it->second.timer.arm(delay, [this, seq] {
       auto jt = replies_.find(seq);
       if (jt == replies_.end()) return;
       auto msg = std::make_shared<RepairMsg>();
@@ -273,7 +267,7 @@ void Agent::handle_request(const RequestMsg& req) {
   policy.c2 = c2_;
   const sim::Time delay =
       policy.request_delay(rng_, dist_to_source(), pr.backoff);
-  pr.timer->arm(delay, [this, seq] { fire_request(seq); });
+  pr.timer.arm(delay, [this, seq] { fire_request(seq); });
 }
 
 void Agent::handle_repair_heard(std::uint32_t seq) {

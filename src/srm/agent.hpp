@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "net/network.hpp"
 #include "rm/delivery_log.hpp"
+#include "rm/flat_table.hpp"
 #include "rm/timers.hpp"
 #include "sim/simulator.hpp"
 #include "srm/messages.hpp"
@@ -70,14 +70,16 @@ class Agent final : public net::Agent {
 
  private:
   struct PendingRequest {
-    std::unique_ptr<sim::Timer> timer;
+    explicit PendingRequest(sim::Simulator& simu) : timer(simu) {}
+    sim::Timer timer;
     int backoff = 0;          // i in 2^i
     int dup_requests = 0;     // duplicates heard this recovery
     sim::Time detected_at = 0.0;
     bool requested_once = false;
   };
   struct PendingReply {
-    std::unique_ptr<sim::Timer> timer;
+    explicit PendingReply(sim::Simulator& simu) : timer(simu) {}
+    sim::Timer timer;
     net::NodeId requester = net::kNoNode;
   };
 
@@ -128,7 +130,7 @@ class Agent final : public net::Agent {
     bool valid = false;
   };
   // Ordered: iterated into session-message echo entries, i.e. wire order.
-  std::map<net::NodeId, PeerClock> peer_clocks_;
+  rm::FlatTable<net::NodeId, PeerClock> peer_clocks_;
   std::unordered_map<net::NodeId, sim::Time> dist_;  // lookups only
 
   // adaptive timer state (Floyd et al. '95 appendix, simplified: see

@@ -77,8 +77,33 @@ const char* prof_counter_name(ProfCounter c);
 /// Resident bytes of one heap block holding `n` bytes, for census entries
 /// that count individually allocated objects: glibc malloc adds an 8-byte
 /// header and rounds to 16-byte granules, 32 bytes at least.
-inline std::uint64_t heap_block_bytes(std::uint64_t n) {
+constexpr std::uint64_t heap_block_bytes(std::uint64_t n) {
   return std::max<std::uint64_t>(32, (n + 8 + 15) / 16 * 16);
+}
+
+/// Bookkeeping a std::map / std::set node carries ahead of its value: the
+/// colour word and three tree links (libstdc++'s _Rb_tree_node_base).
+inline constexpr std::uint64_t kTreeNodeHeader = 32;
+
+/// Resident bytes of a std::vector's storage: one block of `capacity`
+/// elements, none before the first allocation.
+template <class Vec>
+std::uint64_t vector_block_bytes(const Vec& v) {
+  return v.capacity() == 0
+             ? 0
+             : heap_block_bytes(v.capacity() * sizeof(typename Vec::value_type));
+}
+
+/// Resident bytes of a standard hash container with integer keys: its
+/// bucket array plus one block per entry (next pointer and value; integer
+/// hashes are not cached in the node).
+template <class Hash>
+std::uint64_t hash_table_bytes(const Hash& c) {
+  const std::uint64_t buckets =
+      c.bucket_count() > 1 ? heap_block_bytes(c.bucket_count() * sizeof(void*))
+                           : 0;
+  return buckets + c.size() * heap_block_bytes(sizeof(void*) +
+                                               sizeof(typename Hash::value_type));
 }
 
 /// Pull-based memory attribution: components report bytes per named

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -388,6 +391,106 @@ TEST(Timer, DestructorCancels) {
   }
   simu.run();
   EXPECT_FALSE(fired);
+}
+
+// The timer keeps only its event's handle, deadline and tag; the armed
+// callable lives in the event queue's slot.
+static_assert(sizeof(Timer) <= 32, "sim::Timer must stay closure-free");
+
+TEST(Timer, MovedArmedTimerFiresOnceAndSourceDoesNotCancel) {
+  Simulator simu;
+  int fired = 0;
+  std::vector<Timer> timers;
+  {
+    Timer t(simu);
+    t.arm(1.0, [&] { ++fired; });
+    timers.push_back(std::move(t));
+    EXPECT_FALSE(t.pending());  // NOLINT(bugprone-use-after-move)
+    EXPECT_TRUE(timers.back().pending());
+  }  // the moved-from timer's destructor runs here
+  // Regrowing the vector moves the armed timer again.
+  for (int i = 0; i < 8; ++i) timers.emplace_back(simu);
+  EXPECT_TRUE(timers.front().pending());
+  EXPECT_DOUBLE_EQ(timers.front().deadline(), 1.0);
+  simu.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(timers.front().pending());
+}
+
+TEST(Timer, MoveAssignCancelsTheTargetsOwnFiring) {
+  Simulator simu;
+  int which = 0;
+  Timer a(simu);
+  Timer b(simu);
+  a.arm(1.0, [&] { which += 1; });
+  b.arm(2.0, [&] { which += 10; });
+  b = std::move(a);
+  simu.run();
+  EXPECT_EQ(which, 1);
+  EXPECT_EQ(simu.events_executed(), 1u);
+}
+
+TEST(Timer, NotPendingInsideOwnCallbackAndRearmWorks) {
+  Simulator simu;
+  Timer t(simu);
+  std::vector<bool> pending_inside;
+  std::vector<Time> fired_at;
+  std::function<void()> body = [&] {
+    pending_inside.push_back(t.pending());
+    fired_at.push_back(simu.now());
+    if (fired_at.size() < 3) t.arm(1.0, [&] { body(); });
+    EXPECT_EQ(t.pending(), fired_at.size() < 3);
+  };
+  t.arm(1.0, [&] { body(); });
+  simu.run();
+  EXPECT_EQ(pending_inside, (std::vector<bool>{false, false, false}));
+  EXPECT_EQ(fired_at, (std::vector<Time>{1.0, 2.0, 3.0}));
+  EXPECT_FALSE(t.pending());
+  EXPECT_EQ(t.deadline(), kTimeNever);
+}
+
+TEST(Timer, DestroyedArmedTimerNeverFires) {
+  Simulator simu;
+  bool fired = false;
+  auto t = std::make_unique<Timer>(simu);
+  t->arm(2.0, [&] { fired = true; });
+  simu.after(1.0, [&] { t.reset(); });
+  simu.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(simu.events_executed(), 1u);
+}
+
+TEST(Timer, CancelReleasesCapturedState) {
+  Simulator simu;
+  Timer t(simu);
+  auto state = std::make_shared<int>(7);
+  t.arm(1.0, [state] { (void)state; });
+  EXPECT_EQ(state.use_count(), 2);
+  t.cancel();
+  EXPECT_EQ(state.use_count(), 1);
+  // Re-arming drops the previous firing's captures too.
+  t.arm(1.0, [state] { (void)state; });
+  t.arm(1.0, [] {});
+  EXPECT_EQ(state.use_count(), 1);
+}
+
+TEST(Timer, StopLeavesEveryTimerIdle) {
+  Simulator simu;
+  Timer a(simu);
+  Timer b(simu);
+  a.arm(1.0, [] {});
+  b.arm(5.0, [] {});
+  simu.after(0.5, [&] { simu.stop(); });
+  simu.run();
+  EXPECT_FALSE(a.pending());
+  EXPECT_FALSE(b.pending());
+  EXPECT_EQ(b.deadline(), kTimeNever);
+  // An idle timer accepts arm_if_idle again.
+  bool fired = false;
+  b.arm_if_idle(1.0, [&] { fired = true; });
+  EXPECT_TRUE(b.pending());
+  simu.run();
+  EXPECT_TRUE(fired);
 }
 
 TEST_P(EventQueueTest, TagCountersKeyByContentsNotAddress) {

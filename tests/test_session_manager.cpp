@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
 
+#include "rm/flat_table.hpp"
 #include "sharqfec/protocol.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "topo/figure10.hpp"
 #include "topo/shapes.hpp"
@@ -214,6 +219,80 @@ TEST(Session, ZcrFailureTriggersReelection) {
   // Node 2 (next closest) must take over, and node 3 must agree.
   EXPECT_EQ(s.agent_for(c.nodes[2]).session().zcr_of(child), c.nodes[2]);
   EXPECT_EQ(s.agent_for(c.nodes[3]).session().zcr_of(child), c.nodes[2]);
+}
+
+// The per-level peer and bridge tables are sorted vectors standing in for
+// std::map: beacon entries, expiry order and the oldest-first shed
+// tie-break all follow their iteration order. Drive both through the same
+// random inserts, finds, erases (by key and by iterator) and
+// erase-while-iterating sweeps, and require identical ordered contents.
+TEST(PeerTable, MatchesStdMapUnderRandomOps) {
+  sim::Rng rng(16);
+  rm::FlatTable<net::NodeId, double> flat;
+  std::map<net::NodeId, double> ref;
+  auto contents = [](const auto& table) {
+    std::vector<std::pair<net::NodeId, double>> out;
+    for (const auto& [k, v] : table) out.emplace_back(k, v);
+    return out;
+  };
+  for (int op = 0; op < 20000; ++op) {
+    const auto key = static_cast<net::NodeId>(rng.uniform_int(0, 63));
+    switch (rng.uniform_int(0, 5)) {
+      case 0:
+      case 1: {  // insert (no overwrite), then update through the entry
+        const double v = rng.unit();
+        auto [fit, finserted] = flat.try_emplace(key, v);
+        auto [rit, rinserted] = ref.try_emplace(key, v);
+        ASSERT_EQ(finserted, rinserted);
+        fit->second += 1.0;
+        rit->second += 1.0;
+        break;
+      }
+      case 2: {  // find
+        auto fit = flat.find(key);
+        auto rit = ref.find(key);
+        ASSERT_EQ(fit == flat.end(), rit == ref.end());
+        if (rit != ref.end()) {
+          ASSERT_EQ(fit->second, rit->second);
+        }
+        break;
+      }
+      case 3:  // erase by key
+        ASSERT_EQ(flat.erase(key), ref.erase(key));
+        break;
+      case 4: {  // erase by iterator
+        auto fit = flat.find(key);
+        auto rit = ref.find(key);
+        if (rit == ref.end()) break;
+        auto fnext = flat.erase(fit);
+        auto rnext = ref.erase(rit);
+        ASSERT_EQ(fnext == flat.end(), rnext == ref.end());
+        if (rnext != ref.end()) {
+          ASSERT_EQ(fnext->first, rnext->first);
+        }
+        break;
+      }
+      case 5: {  // sweep: erase every entry under a threshold, as expiry does
+        const double cut = 1.0 + rng.unit() * 0.3;
+        for (auto it = flat.begin(); it != flat.end();) {
+          it = it->second < cut ? flat.erase(it) : std::next(it);
+        }
+        for (auto it = ref.begin(); it != ref.end();) {
+          it = it->second < cut ? ref.erase(it) : std::next(it);
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(flat.size(), ref.size());
+    ASSERT_EQ(contents(flat), contents(ref)) << "after op " << op;
+  }
+  // Reserved capacity is kept: a table sized once never regrows.
+  rm::FlatTable<net::NodeId, double> sized;
+  sized.reserve(9);
+  const std::size_t cap = sized.capacity();
+  for (net::NodeId n = 9; n-- > 0;) sized.try_emplace(n, 0.0);
+  EXPECT_EQ(sized.capacity(), cap);
+  EXPECT_EQ(sized.begin()->first, 0);
 }
 
 }  // namespace
