@@ -8,7 +8,9 @@
 //      performance baseline tracked in CHANGES.md.
 //   2. The google-benchmark suite for RS parity generation, worst-case
 //      decode (all data shards erased), and the group round trip, sweeping
-//      group size k (DESIGN.md ablation #2).
+//      group size k (DESIGN.md ablation #2), plus "repairer first parity":
+//      the cost of a repairer's first repair shard, rebuilding its missing
+//      originals versus encoding from the shards it holds.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -266,10 +268,72 @@ void BM_GroupRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupRoundTrip)->Arg(8)->Arg(16)->Arg(32);
 
+// Repairer first parity: a complete repairer that lost `missing` of k = 16
+// originals (made up from parity) sends its first repair shard.
+//   "decode originals": rebuild each missing original into a new buffer,
+//       then encode from the k originals (S = I).
+//   "held shards": encode from the k shards the decoder holds, through
+//       (G_p * S^-1), inverting S once.
+void BM_RepairerFirstParity(benchmark::State& state, bool from_held,
+                            int missing) {
+  constexpr int k = 16;
+  constexpr std::size_t kSize = 1000;
+  auto codec = std::make_shared<sharq::fec::ReedSolomon>(k, k);
+  std::vector<sharq::fec::ShardBuffer> data;
+  for (auto& d : make_shards(k, kSize)) {
+    data.push_back(
+        std::make_shared<const std::vector<std::uint8_t>>(std::move(d)));
+  }
+  sharq::fec::GroupEncoder source(codec, std::move(data));
+  sharq::fec::GroupDecoder dec(codec);
+  for (int i = missing; i < k + missing; ++i) {
+    dec.add(i, source.shard_shared(i));
+  }
+  const int index = k + missing;  // a parity shard the repairer lacks
+  for (auto _ : state) {
+    if (from_held) {
+      sharq::fec::GroupEncoder enc(codec, dec.held_shards());
+      benchmark::DoNotOptimize(enc.shard_shared(index));
+      continue;
+    }
+    std::vector<sharq::fec::ReedSolomon::ShardView> views;
+    for (const auto& s : dec.held_shards()) {
+      views.push_back({s.index, s.bytes->data()});
+    }
+    std::vector<sharq::fec::ShardBuffer> originals(k);
+    std::vector<std::uint8_t*> dst(k, nullptr);
+    for (int d = 0; d < k; ++d) {
+      originals[d] = dec.held(d);
+      if (originals[d]) continue;
+      auto buf = std::make_shared<std::vector<std::uint8_t>>(kSize);
+      dst[d] = buf->data();
+      originals[d] = std::move(buf);
+    }
+    codec->decode(views, kSize, dst.data());
+    sharq::fec::GroupEncoder enc(codec, std::move(originals));
+    benchmark::DoNotOptimize(enc.shard_shared(index));
+  }
+  state.SetBytesProcessed(state.iterations() * kSize);
+}
+
+void register_repairer_first_parity() {
+  for (int missing = 1; missing <= 4; ++missing) {
+    for (bool from_held : {false, true}) {
+      const std::string name =
+          std::string("repairer first parity/") +
+          (from_held ? "held shards" : "decode originals") +
+          "/k:16/missing:" + std::to_string(missing);
+      benchmark::RegisterBenchmark(name.c_str(), BM_RepairerFirstParity,
+                                   from_held, missing);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   kernel_sweep_and_report();
+  register_repairer_first_parity();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -3,20 +3,57 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fec/gf256_simd.hpp"
+
 namespace sharq::fec {
+namespace {
+
+std::vector<IndexedShard> as_originals(std::vector<ShardBuffer> data) {
+  std::vector<IndexedShard> out;
+  out.reserve(data.size());
+  for (std::size_t d = 0; d < data.size(); ++d) {
+    out.push_back(IndexedShard{static_cast<int>(d), std::move(data[d])});
+  }
+  return out;
+}
+
+}  // namespace
 
 GroupEncoder::GroupEncoder(std::shared_ptr<const ReedSolomon> codec,
                            std::vector<ShardBuffer> data)
-    : codec_(std::move(codec)), data_(std::move(data)) {
-  if (static_cast<int>(data_.size()) != codec_->k()) {
-    throw std::invalid_argument("GroupEncoder: need exactly k data packets");
+    : GroupEncoder(std::move(codec), as_originals(std::move(data))) {}
+
+GroupEncoder::GroupEncoder(std::shared_ptr<const ReedSolomon> codec,
+                           std::vector<IndexedShard> basis)
+    : codec_(std::move(codec)), basis_(std::move(basis)) {
+  if (static_cast<int>(basis_.size()) != codec_->k()) {
+    throw std::invalid_argument("GroupEncoder: need exactly k shards");
   }
-  data_ptrs_.reserve(data_.size());
-  for (const auto& d : data_) {
-    if (!d || d->size() != data_.front()->size()) {
+  std::sort(basis_.begin(), basis_.end(),
+            [](const IndexedShard& a, const IndexedShard& b) {
+              return a.index < b.index;
+            });
+  basis_ptrs_.reserve(basis_.size());
+  for (std::size_t i = 0; i < basis_.size(); ++i) {
+    const IndexedShard& s = basis_[i];
+    if (s.index < 0 || s.index >= codec_->max_shards() ||
+        (i > 0 && s.index == basis_[i - 1].index)) {
+      throw std::invalid_argument("GroupEncoder: need k distinct shards");
+    }
+    if (!s.bytes || s.bytes->size() != basis_.front().bytes->size()) {
       throw std::invalid_argument("GroupEncoder: need equal-sized buffers");
     }
-    data_ptrs_.push_back(d->data());
+    basis_ptrs_.push_back(s.bytes->data());
+  }
+  // Sorted and distinct, so the basis is the k originals iff its last
+  // index is k-1; then S = I and the generator rows apply directly.
+  if (basis_.back().index < k()) return;
+  std::vector<int> rows;
+  rows.reserve(basis_.size());
+  for (const IndexedShard& s : basis_) rows.push_back(s.index);
+  from_basis_ = codec_->generator().select_rows(rows);
+  if (!from_basis_.invert()) {
+    throw std::invalid_argument("GroupEncoder: basis is not invertible");
   }
 }
 
@@ -24,84 +61,80 @@ ShardBuffer GroupEncoder::shard_shared(int index) {
   if (index < 0 || index >= max_shards()) {
     throw std::out_of_range("GroupEncoder::shard index");
   }
-  if (index < k()) return data_[index];
-  for (const auto& [i, buf] : parity_) {
-    if (i == index) return buf;
+  for (const auto* list : {&basis_, &encoded_}) {
+    for (const IndexedShard& s : *list) {
+      if (s.index == index) return s.bytes;
+    }
   }
-  auto out = std::make_shared<std::vector<std::uint8_t>>(data_.front()->size());
-  codec_->encode_parity_into(index, data_ptrs_.data(), out->size(),
-                             out->data());
-  parity_.emplace_back(index, out);
+  // Shard `index` is G_index * data = (G_index * S^-1) * basis.
+  const std::uint8_t* coeffs = codec_->generator().row(index);
+  std::vector<std::uint8_t> mixed;
+  if (from_basis_.rows() > 0) {
+    mixed.assign(static_cast<std::size_t>(k()), 0);
+    for (int i = 0; i < k(); ++i) {
+      simd::mul_add(mixed.data(), from_basis_.row(i), coeffs[i], mixed.size());
+    }
+    coeffs = mixed.data();
+  }
+  auto out = std::make_shared<std::vector<std::uint8_t>>(
+      basis_.front().bytes->size(), 0);
+  simd::mul_add_rows(out->data(), basis_ptrs_.data(), coeffs, k(),
+                     out->size());
+  encoded_.push_back(IndexedShard{index, out});
   return out;
 }
 
 GroupDecoder::GroupDecoder(std::shared_ptr<const ReedSolomon> codec)
-    : codec_(std::move(codec)), have_(codec_->max_shards(), false) {}
+    : codec_(std::move(codec)) {}
 
 bool GroupDecoder::add(int index, ShardBuffer bytes) {
-  if (index < 0 || index >= codec_->max_shards()) return false;
-  if (have_[index]) return false;
-  have_[index] = true;
+  if (index < 0 || index >= codec_->max_shards() || has(index)) return false;
+  seen_.set(static_cast<std::size_t>(index));
   ++distinct_;
-  if (index < codec_->k()) ++distinct_data_;
-  shards_.push_back(Entry{index, std::move(bytes)});
+  const bool original = index < k();
+  if (original) ++distinct_data_;
+  if (held_.empty()) held_.reserve(static_cast<std::size_t>(k()));
+  if (static_cast<int>(held_.size()) < k()) {
+    held_.push_back(IndexedShard{index, std::move(bytes)});
+    return true;
+  }
+  // Full. A parity shard arriving now is later than every parity held, so
+  // a decode would never pick it; an original displaces the latest parity
+  // (parity entries are only ever appended, so the last one is the latest).
+  // A full decoder holding no parity already has all k originals.
+  if (!original) return true;
+  for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
+    if (it->index >= k()) {
+      *it = IndexedShard{index, std::move(bytes)};
+      break;
+    }
+  }
   return true;
 }
 
-bool GroupDecoder::has(int index) const {
-  if (index < 0 || index >= static_cast<int>(have_.size())) return false;
-  return have_[index];
-}
-
 ShardBuffer GroupDecoder::held(int index) const {
-  if (!has(index)) return nullptr;
-  for (const Entry& e : shards_) {
-    if (e.index == index) return e.bytes;
+  for (const IndexedShard& s : held_) {
+    if (s.index == index) return s.bytes;
   }
   return nullptr;
 }
 
-std::size_t GroupDecoder::shard_size() const {
-  const ShardBuffer& first = shards_.front().bytes;
-  return first ? first->size() : 0;
-}
-
-bool GroupDecoder::decode_into(std::size_t size,
-                               std::uint8_t* const* out) const {
-  std::vector<ReedSolomon::ShardView> views;
-  views.reserve(shards_.size());
-  for (const Entry& e : shards_) {
-    if ((e.bytes ? e.bytes->size() : 0) != size) {
-      throw std::invalid_argument("GroupDecoder: shard sizes differ");
-    }
-    views.push_back({e.index, e.bytes ? e.bytes->data() : nullptr});
-  }
-  return codec_->decode(views, size, out);
-}
-
 std::vector<std::uint8_t> GroupDecoder::reconstruct() const {
   if (!complete()) return {};
-  const std::size_t size = shard_size();
+  const std::size_t size =
+      held_.front().bytes ? held_.front().bytes->size() : 0;
+  std::vector<ReedSolomon::ShardView> views;
+  views.reserve(held_.size());
+  for (const IndexedShard& s : held_) {
+    if ((s.bytes ? s.bytes->size() : 0) != size) {
+      throw std::invalid_argument("GroupDecoder: shard sizes differ");
+    }
+    views.push_back({s.index, s.bytes ? s.bytes->data() : nullptr});
+  }
   std::vector<std::uint8_t> out(static_cast<std::size_t>(k()) * size);
   std::vector<std::uint8_t*> dst(k());
   for (int d = 0; d < k(); ++d) dst[d] = out.data() + d * size;
-  if (!decode_into(size, dst.data())) return {};
-  return out;
-}
-
-std::vector<ShardBuffer> GroupDecoder::originals() const {
-  if (!complete()) return {};
-  const std::size_t size = shard_size();
-  std::vector<ShardBuffer> out(k());
-  std::vector<std::uint8_t*> dst(k(), nullptr);
-  for (int d = 0; d < k(); ++d) {
-    out[d] = held(d);
-    if (out[d]) continue;
-    auto buf = std::make_shared<std::vector<std::uint8_t>>(size);
-    dst[d] = buf->data();
-    out[d] = std::move(buf);
-  }
-  if (!decode_into(size, dst.data())) return {};
+  if (!codec_->decode(views, size, dst.data())) return {};
   return out;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -23,111 +24,130 @@ inline std::size_t buffer_bytes(const ShardBuffer& b) {
   return b ? b->capacity() + sizeof(*b) + kControlBlock : 0;
 }
 
+/// One shard of a group: its global index (0..k-1 originals, k.. parity)
+/// and its bytes.
+struct IndexedShard {
+  int index = 0;
+  ShardBuffer bytes;
+};
+
 /// Sender-side view of one FEC packet group.
 ///
-/// Wraps a ReedSolomon codec around the k application packets of a group
-/// and hands out shards on demand. SHARQFEC repairers generate parity
-/// lazily ("repair id" = shard index), so this object holds the k data
-/// buffers and produces parity shard `index` in O(k * size), once: the
-/// buffer is kept, so a repeated index is handed out again, not re-encoded.
+/// Built from any k distinct shards of a group (its *basis*) and hands out
+/// shards on demand. The code is MDS, so those k shards determine every
+/// other: with S the basis rows of the generator, shard p is
+/// (G_p * S^-1) * basis. The source's basis is its k originals (S = I, the
+/// systematic case); a repairer's is whatever k shards its decoder holds,
+/// so it never rebuilds a missing original to make parity. SHARQFEC
+/// repairers generate parity lazily ("repair id" = shard index): shard
+/// `index` costs O(k * size), once, because the buffer is kept and a
+/// repeated index is handed out again, not re-encoded.
 class GroupEncoder {
  public:
-  /// `data` must hold exactly codec->k() equal-sized, non-null buffers.
-  /// The encoder shares them; it never copies the bytes.
+  /// The systematic case: `data` holds exactly codec->k() equal-sized,
+  /// non-null buffers, original d at position d.
   GroupEncoder(std::shared_ptr<const ReedSolomon> codec,
                std::vector<ShardBuffer> data);
+
+  /// The general case: `basis` holds exactly codec->k() distinct, in-range
+  /// shards with equal-sized, non-null buffers. S is inverted here, once.
+  /// The encoder shares the buffers; it never copies the bytes.
+  GroupEncoder(std::shared_ptr<const ReedSolomon> codec,
+               std::vector<IndexedShard> basis);
 
   int k() const { return codec_->k(); }
   int max_shards() const { return codec_->max_shards(); }
 
-  /// Shard `index` ready to attach to a message: for index < k the data
-  /// buffer itself; otherwise the parity buffer, encoded on first request
-  /// directly into the allocation every later holder shares.
+  /// Shard `index` ready to attach to a message: a basis shard's buffer
+  /// itself; any other shard is encoded on first request directly into the
+  /// allocation every later holder shares.
   ShardBuffer shard_shared(int index);
 
-  /// Heap bytes of the encoder's handle arrays and of the parity buffers
-  /// it produced (memory-census probe; std-only so fec stays free of stats
-  /// dependencies). The data buffers are counted by whoever allocated
-  /// them: see data().
+  /// Heap bytes of the encoder's basis arrays, of S^-1 and of the buffers
+  /// it encoded (memory-census probe; std-only so fec stays free of stats
+  /// dependencies). The basis buffers are counted by whoever allocated
+  /// them.
   std::size_t memory_bytes() const {
-    std::size_t total = data_.capacity() * sizeof(data_[0]) +
-                        data_ptrs_.capacity() * sizeof(data_ptrs_[0]) +
-                        parity_.capacity() * sizeof(parity_[0]);
-    for (const auto& p : parity_) total += buffer_bytes(p.second);
+    std::size_t total = basis_.capacity() * sizeof(basis_[0]) +
+                        basis_ptrs_.capacity() * sizeof(basis_ptrs_[0]) +
+                        static_cast<std::size_t>(from_basis_.rows()) *
+                            static_cast<std::size_t>(from_basis_.cols()) +
+                        encoded_.capacity() * sizeof(encoded_[0]);
+    for (const auto& e : encoded_) total += buffer_bytes(e.bytes);
     return total;
   }
-  /// The k data buffers the encoder was built from.
-  const std::vector<ShardBuffer>& data() const { return data_; }
+  /// The k shards the encoder was built from, by index.
+  const std::vector<IndexedShard>& basis() const { return basis_; }
+  /// The shards this encoder encoded (and so allocated), in request order.
+  const std::vector<IndexedShard>& encoded() const { return encoded_; }
 
  private:
   std::shared_ptr<const ReedSolomon> codec_;
-  std::vector<ShardBuffer> data_;
-  std::vector<const std::uint8_t*> data_ptrs_;  // codec-ready view of data_
-  std::vector<std::pair<int, ShardBuffer>> parity_;  // issued, by index
+  std::vector<IndexedShard> basis_;                // sorted by index
+  std::vector<const std::uint8_t*> basis_ptrs_;    // codec-ready view
+  Matrix from_basis_;  // S^-1; empty when the basis is the k originals
+  std::vector<IndexedShard> encoded_;              // in request order
 };
 
 /// Receiver-side view of one FEC packet group.
 ///
 /// Accumulates shards (data or parity, in any order, duplicates ignored)
 /// and reports completion once any k distinct shards have arrived. It
-/// holds the received buffers themselves, never copies. Decoding is
-/// deferred until requested.
+/// records every index it has seen but holds at most k buffers (shared,
+/// never copied): every original, then the earliest-arriving parity. That
+/// is exactly the set ReedSolomon::decode would pick from everything
+/// received, so a later parity shard adds nothing a decode would use, and
+/// once k are held an arriving original displaces the latest-arriving
+/// parity. Decoding is deferred until requested.
 class GroupDecoder {
  public:
   explicit GroupDecoder(std::shared_ptr<const ReedSolomon> codec);
 
   int k() const { return codec_->k(); }
 
-  /// Add one received shard; the decoder shares `bytes` (null in a
+  /// Add one received shard; the decoder may share `bytes` (null in a
   /// size-only simulation). Returns true if it was new (not a duplicate).
   bool add(int index, ShardBuffer bytes);
 
-  /// True once any k distinct shards are held.
+  /// True once any k distinct shards have arrived.
   bool complete() const { return distinct_ >= codec_->k(); }
 
-  /// Number of distinct shards held.
+  /// Number of distinct shards received.
   int distinct() const { return distinct_; }
 
-  /// Number of distinct *data* shards held.
+  /// Number of distinct *data* shards received.
   int distinct_data() const { return distinct_data_; }
 
   /// Shards still required to complete the group (>= 0).
   int deficit() const { return std::max(0, codec_->k() - distinct_); }
 
-  /// True if shard `index` has been received.
-  bool has(int index) const;
+  /// True if shard `index` has been received (held or not).
+  bool has(int index) const {
+    return index >= 0 && index < codec_->max_shards() &&
+           seen_.test(static_cast<std::size_t>(index));
+  }
 
   /// The buffer held for shard `index`; null when it is not held.
   ShardBuffer held(int index) const;
+
+  /// The shards held, at most k, in no particular order: once complete(),
+  /// exactly k, a basis for a GroupEncoder.
+  const std::vector<IndexedShard>& held_shards() const { return held_; }
 
   /// The k original packets, concatenated into one k x size allocation;
   /// empty unless complete().
   std::vector<std::uint8_t> reconstruct() const;
 
-  /// The k original packets as shareable buffers: held originals are
-  /// returned as they are, and only the missing ones are decoded, each
-  /// into a new buffer. Empty unless complete().
-  std::vector<ShardBuffer> originals() const;
-
-  /// Heap bytes of the shard entries (memory-census probe). Handles only:
+  /// Heap bytes of the held handles (memory-census probe). Handles only:
   /// a buffer is counted by the engine that allocated it.
   std::size_t memory_bytes() const {
-    return shards_.capacity() * sizeof(shards_[0]) + have_.capacity() / 8;
+    return held_.capacity() * sizeof(held_[0]);
   }
 
  private:
-  struct Entry {
-    int index = 0;
-    ShardBuffer bytes;
-  };
-  /// Shared by reconstruct() and originals(): decode the held shards into
-  /// out[d] (k pointers, null = skip); false when they cannot decode.
-  bool decode_into(std::size_t size, std::uint8_t* const* out) const;
-  std::size_t shard_size() const;
-
   std::shared_ptr<const ReedSolomon> codec_;
-  std::vector<Entry> shards_;
-  std::vector<bool> have_;
+  std::vector<IndexedShard> held_;  // <= k, reserved once on first add
+  std::bitset<256> seen_;           // every index received (max_shards <= 255)
   int distinct_ = 0;
   int distinct_data_ = 0;
 };

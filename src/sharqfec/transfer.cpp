@@ -197,20 +197,14 @@ void TransferEngine::memory_census(stats::MemCensus& census) const {
                             stats::vector_block_bytes(slice_arena_) +
                             stats::vector_block_bytes(source_shards_);
   // Shard buffers are shared, so each is counted where it was allocated:
-  // the source's data, the parity an encoder produced, and the originals a
-  // repairer decoded (its encoder's data buffers its decoder never held).
+  // the source's data and the shards an encoder produced. A repairer's
+  // encoder is built from the shards its decoder holds, so it allocates
+  // nothing but the parity it sends.
   for (const auto& s : source_shards_) grp_bytes += fec::buffer_bytes(s);
   for (const auto& [id, grp] : groups_) {
-    grp_bytes += kGroupNode;
-    grp_bytes += grp.decoder.memory_bytes();
-    if (!grp.encoder) continue;
-    const fec::GroupEncoder& enc = *grp.encoder;
-    grp_bytes += sizeof(fec::GroupEncoder) + enc.memory_bytes();
-    if (is_source_) continue;
-    for (int i = 0; i < enc.k(); ++i) {
-      if (enc.data()[i] != grp.decoder.held(i)) {
-        grp_bytes += fec::buffer_bytes(enc.data()[i]);
-      }
+    grp_bytes += kGroupNode + grp.decoder.memory_bytes();
+    if (grp.encoder) {
+      grp_bytes += sizeof(fec::GroupEncoder) + grp.encoder->memory_bytes();
     }
   }
   census.add("transfer_groups", grp_bytes, grp_bytes);
@@ -249,6 +243,11 @@ const fec::GroupDecoder* TransferEngine::decoder(std::uint32_t g) const {
   return it == groups_.end() ? nullptr : &it->second.decoder;
 }
 
+const fec::GroupEncoder* TransferEngine::encoder(std::uint32_t g) const {
+  auto it = groups_.find(g);
+  return it == groups_.end() ? nullptr : it->second.encoder.get();
+}
+
 // --- sender ------------------------------------------------------------------
 
 void TransferEngine::send_stream(std::uint32_t group_count, sim::Time start_at,
@@ -281,19 +280,20 @@ fec::ShardBuffer TransferEngine::shard_bytes(Group& grp, int index) {
   if (!cfg_->real_payload) return nullptr;
   SHARQ_PROF_SCOPE(codec);
   if (!grp.encoder) {
-    std::vector<fec::ShardBuffer> data;
     if (is_source_ && grp.id < send_total_groups_) {
       const auto first = source_shards_.begin() +
                          static_cast<std::ptrdiff_t>(grp.id) * cfg_->group_size;
-      data.assign(first, first + cfg_->group_size);
+      grp.encoder = std::make_unique<fec::GroupEncoder>(
+          codec_,
+          std::vector<fec::ShardBuffer>(first, first + cfg_->group_size));
     } else if (grp.complete) {
-      // Shares the originals this member received; decodes only the rest.
-      data = grp.decoder.originals();
-      if (data.empty()) return nullptr;
+      // The k shards this member holds span the code: parity comes
+      // straight from them, and no missing original is rebuilt.
+      grp.encoder = std::make_unique<fec::GroupEncoder>(
+          codec_, grp.decoder.held_shards());
     } else {
       return nullptr;
     }
-    grp.encoder = std::make_unique<fec::GroupEncoder>(codec_, std::move(data));
   }
   // Data shards are the shared buffers themselves; parity is encoded once,
   // straight into the buffer every message and decoder will share.
@@ -758,14 +758,19 @@ void TransferEngine::fire_request(std::uint32_t g) {
   const bool escalation_due =
       grp.attempts_at_scope >= cfg_->attempts_per_scope &&
       level + 1 < static_cast<int>(session_.chain().size());
-  if (escalation_due && budget_ && budget_->under_pressure()) {
+  if (escalation_due && grp.backoff_i < cfg_->max_backoff_stage && budget_ &&
+      budget_->under_pressure()) {
     // Overload shed: widening the scope would recruit a strictly larger
     // repairer population while this node is already shedding load, so
     // step back toward the base scope instead. The request is never
     // dropped — recovery just stays local until pressure lifts. The shed
     // deliberately does not refresh the pressure clock: it is a response
     // to pressure, and refreshing would let scope sheds sustain the
-    // pressure they are meant to relieve.
+    // pressure they are meant to relieve. Each shed climbs the backoff
+    // ladder, and a request at the top of it escalates anyway: when a loss
+    // is shared by the whole zone nobody local can repair it, its futile
+    // local NACKs keep backing off the ZCR's own request, and pressure (the
+    // peer-table budget alone) can last the whole run.
     grp.attempts_at_scope = 0;
     if (grp.scope_level > 0) --grp.scope_level;
     grp.backoff_i = std::min(grp.backoff_i + 1, cfg_->max_backoff_stage);

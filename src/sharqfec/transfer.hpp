@@ -78,6 +78,9 @@ class TransferEngine {
   std::vector<std::uint8_t> reconstructed(std::uint32_t g) const;
   /// Group `g`'s shard store, or null while the group is untracked.
   const fec::GroupDecoder* decoder(std::uint32_t g) const;
+  /// Group `g`'s repair encoder, or null until this member first sends
+  /// one of its shards with real payload bytes.
+  const fec::GroupEncoder* encoder(std::uint32_t g) const;
   /// Called by the session manager's progress listener.
   void note_remote_progress(std::uint32_t remote_max_group);
   /// Application hook: invoked once per group, on completion.
@@ -111,7 +114,9 @@ class TransferEngine {
   /// shard buffers this engine allocated under "transfer_groups", its
   /// random stream under "rng_streams", the object itself under
   /// "agent_objects". A shared shard buffer is counted once, by the engine
-  /// that allocated it; every other holder counts only its handle.
+  /// that allocated it: the source's data and the parity an encoder
+  /// produced. A repairer encodes from the shards its decoder holds, so
+  /// it allocates no original; every other holder counts only its handle.
   void memory_census(stats::MemCensus& census) const;
 
  private:
@@ -174,7 +179,9 @@ class TransferEngine {
     stats::EventId last_repair_recv_ev = 0;
     stats::EventId complete_ev = 0;
     // Sender-side extras
-    std::unique_ptr<fec::GroupEncoder> encoder;  // real-payload repair source
+    /// Real-payload repair source: the source's k originals, or a
+    /// repairer's k held shards once the group is complete.
+    std::unique_ptr<fec::GroupEncoder> encoder;
     Group(std::shared_ptr<const fec::ReedSolomon> codec, sim::Simulator& simu)
         : decoder(std::move(codec)),
           ldp_timer(simu),

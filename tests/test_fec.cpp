@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <set>
 
 #include "fec/gf256.hpp"
 #include "fec/group_codec.hpp"
@@ -396,37 +397,131 @@ TEST(GroupCodec, HoldersShareOneBuffer) {
   EXPECT_EQ(dec.held(0), nullptr);
 }
 
-// A repairer's encoder is built from the decoder's originals: the ones it
-// received are the very buffers it holds, only the missing ones are
-// decoded, and its parity matches the source's over the original data.
+// A repairer's encoder is built from the shards its decoder holds: it
+// rebuilds no missing original (building it allocates no shard buffer),
+// its held shards are handed out as the very buffers it received, and its
+// parity matches the source's over the original data.
 TEST(GroupCodec, RepairerEncoderSharesReceivedOriginals) {
   const int k = 6;
+  const int size = 1024;
   auto codec = std::make_shared<ReedSolomon>(k, 8);
-  const auto raw = random_shards(k, 40, 53);
+  const auto raw = random_shards(k, size, 53);
   GroupEncoder source(codec, share(raw));
   GroupDecoder dec(codec);
   for (int i : {0, 2, 5, 6, 9, 11}) dec.add(i, source.shard_shared(i));
   ASSERT_TRUE(dec.complete());
 
-  const auto originals = dec.originals();
-  ASSERT_EQ(static_cast<int>(originals.size()), k);
+  GroupEncoder repairer(codec, dec.held_shards());
+  const std::size_t one_buffer = buffer_bytes(source.shard_shared(0));
+  EXPECT_LT(repairer.memory_bytes(), one_buffer)
+      << "building the repairer allocated a shard buffer";
   for (int i = 0; i < k; ++i) {
-    EXPECT_EQ(*originals[i], raw[i]) << "original " << i;
     if (dec.has(i)) {
-      EXPECT_EQ(originals[i], dec.held(i)) << "original " << i;
-    } else {
-      EXPECT_NE(originals[i], source.shard_shared(i)) << "original " << i;
+      EXPECT_EQ(repairer.shard_shared(i), dec.held(i));
     }
   }
+  EXPECT_LT(repairer.memory_bytes(), one_buffer)
+      << "handing out a held original allocated a buffer";
 
-  GroupEncoder repairer(codec, originals);
   std::vector<const std::uint8_t*> ptrs;
   for (const auto& d : raw) ptrs.push_back(d.data());
+  int encoded = 0;
   for (int index = k; index < repairer.max_shards(); ++index) {
-    std::vector<std::uint8_t> want(raw.front().size());
+    std::vector<std::uint8_t> want(size);
     codec->encode_parity_into(index, ptrs.data(), want.size(), want.data());
-    EXPECT_EQ(*repairer.shard_shared(index), want) << "parity " << index;
+    const auto got = repairer.shard_shared(index);
+    EXPECT_EQ(*got, want) << "parity " << index;
+    if (dec.has(index)) {
+      EXPECT_EQ(got, dec.held(index)) << "parity " << index;
+    } else {
+      ++encoded;
+    }
   }
+  // Exactly one new buffer per parity index it did not hold.
+  EXPECT_GE(repairer.memory_bytes(), encoded * one_buffer);
+  EXPECT_LT(repairer.memory_bytes(), (encoded + 1) * one_buffer);
+}
+
+// After any add order the decoder holds at most k handles, the held set is
+// exactly what ReedSolomon::decode picks from everything received (every
+// original, then the earliest parity), and has()/distinct() still see
+// every index, duplicates and out-of-range indices included.
+TEST(GroupCodec, DecoderHoldsExactlyDecodesPick) {
+  std::mt19937 rng(61);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int k = std::uniform_int_distribution<int>(1, 16)(rng);
+    const int parity = std::uniform_int_distribution<int>(0, 16)(rng);
+    const int n = k + parity;
+    auto codec = std::make_shared<ReedSolomon>(k, parity);
+    GroupDecoder dec(codec);
+    std::set<int> seen;
+    std::vector<int> arrivals;  // distinct, in arrival order
+    const int adds = std::uniform_int_distribution<int>(0, 2 * n + 2)(rng);
+    for (int a = 0; a < adds; ++a) {
+      const int index = std::uniform_int_distribution<int>(-1, n)(rng);
+      const bool fresh = index >= 0 && index < n && !seen.count(index);
+      EXPECT_EQ(dec.add(index, nullptr), fresh) << "index " << index;
+      if (fresh) {
+        seen.insert(index);
+        arrivals.push_back(index);
+      }
+      ASSERT_LE(static_cast<int>(dec.held_shards().size()), k);
+      ASSERT_EQ(dec.distinct(), static_cast<int>(seen.size()));
+      for (int i = -1; i <= n; ++i) {
+        ASSERT_EQ(dec.has(i), seen.count(i) == 1) << "index " << i;
+      }
+      // decode's pick: originals in arrival order, then parity, up to k.
+      std::set<int> pick;
+      for (bool originals : {true, false}) {
+        for (int i : arrivals) {
+          if ((i < k) == originals && static_cast<int>(pick.size()) < k) {
+            pick.insert(i);
+          }
+        }
+      }
+      std::set<int> held;
+      for (const IndexedShard& s : dec.held_shards()) held.insert(s.index);
+      ASSERT_EQ(held, pick) << "trial " << trial << " add " << a;
+      ASSERT_EQ(held.size(), dec.held_shards().size()) << "held twice";
+    }
+    if (dec.held_shards().capacity() > 0) {
+      EXPECT_EQ(static_cast<int>(dec.held_shards().capacity()), k);
+    }
+  }
+}
+
+// An encoder built from any k distinct shards (originals, parity or a mix)
+// hands out every shard of the group byte-equal to the source encoder's.
+TEST(GroupCodec, EncoderFromAnyBasisMatchesSource) {
+  std::mt19937 rng(67);
+  for (int k : {1, 4, 16}) {
+    const int parity = 16;
+    auto codec = std::make_shared<ReedSolomon>(k, parity);
+    const auto raw = random_shards(k, 96, 71 + k);
+    GroupEncoder source(codec, share(raw));
+    std::vector<int> all(k + parity);
+    std::iota(all.begin(), all.end(), 0);
+    for (int trial = 0; trial < 12; ++trial) {
+      std::shuffle(all.begin(), all.end(), rng);
+      std::vector<IndexedShard> basis;
+      for (int j = 0; j < k; ++j) {
+        basis.push_back(IndexedShard{all[j], source.shard_shared(all[j])});
+      }
+      GroupEncoder enc(codec, basis);
+      for (int index = 0; index < k + parity; ++index) {
+        EXPECT_EQ(*enc.shard_shared(index), *source.shard_shared(index))
+            << "k " << k << " trial " << trial << " index " << index;
+      }
+    }
+  }
+}
+
+TEST(GroupCodec, EncoderRejectsRepeatedBasisIndex) {
+  auto codec = std::make_shared<ReedSolomon>(2, 2);
+  const auto data = share(random_shards(2, 8, 73));
+  EXPECT_THROW(GroupEncoder(codec, std::vector<IndexedShard>{{1, data[1]},
+                                                             {1, data[1]}}),
+               std::invalid_argument);
 }
 
 }  // namespace

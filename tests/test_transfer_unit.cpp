@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "rm/delivery_log.hpp"
 #include "sharqfec/ewma.hpp"
@@ -364,6 +365,97 @@ TEST(TransferUnit, RealPayloadCensusCountsPayloadOnce) {
   ASSERT_GT(real, sized);
   EXPECT_GE(real - sized, payload_bytes);
   EXPECT_LT(real - sized, 2 * payload_bytes);
+}
+
+// A repairer builds its encoder from the shards its decoder holds, so the
+// census charges it for the parity it encoded and nothing else: on a
+// lossy Figure-10 stream, members that lost originals and then repaired
+// add no original-buffer bytes, and each parity buffer is counted once, by
+// the engine that encoded it.
+TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
+  constexpr std::uint32_t kGroups = 6;
+  Config cfg;
+  const std::size_t payload_bytes = static_cast<std::size_t>(kGroups) *
+                                    cfg.group_size * cfg.shard_size_bytes;
+  const std::uint64_t one_buffer = fec::buffer_bytes(
+      std::make_shared<const std::vector<std::uint8_t>>(cfg.shard_size_bytes));
+  struct Engines {
+    std::vector<std::uint64_t> census;  // transfer_groups, per engine
+    std::uint64_t events = 0;
+  };
+  // Every parity buffer any engine encoded; a uniqueness check, never
+  // iterated.
+  // sharq-lint: pointer-key-ok (membership only, order never observed)
+  std::set<const void*> encoded;
+  std::uint64_t encoded_bytes = 0, encoders = 0;
+  int lost_then_repaired = 0;
+  auto run = [&](bool real_payload) {
+    Engines out;
+    sim::Simulator simu{37};
+    net::Network net{simu};
+    topo::Figure10 t = topo::make_figure10(net);
+    Config c = cfg;
+    c.real_payload = real_payload;
+    Session s(net, t.source, t.receivers, c);
+    s.start();
+    std::vector<std::uint8_t> payload(payload_bytes);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 7 + (i >> 9));
+    }
+    s.send_stream(kGroups, 6.0, payload);
+    simu.run_until(60.0);
+    EXPECT_TRUE(s.all_complete(kGroups));
+    out.events = simu.events_executed();
+    std::vector<const TransferEngine*> engines{&s.source_agent().transfer()};
+    for (net::NodeId r : t.receivers) {
+      engines.push_back(&s.agent_for(r).transfer());
+    }
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+      const TransferEngine* e = engines[i];
+      stats::MemCensus census;
+      e->memory_census(census);
+      out.census.push_back(census.categories["transfer_groups"].live_bytes);
+      if (!real_payload) continue;
+      for (std::uint32_t g = 0; g < kGroups; ++g) {
+        const fec::GroupEncoder* enc = e->encoder(g);
+        if (!enc) continue;
+        ++encoders;
+        const fec::GroupDecoder* dec = e->decoder(g);
+        if (i > 0) {
+          if (dec->distinct_data() < cfg.group_size) ++lost_then_repaired;
+          // A repairer encodes from the very buffers its decoder holds.
+          for (const fec::IndexedShard& b : enc->basis()) {
+            EXPECT_EQ(b.bytes, dec->held(b.index))
+                << "engine " << i << " group " << g << " shard "
+                << b.index << " is not a held buffer";
+          }
+        }
+        for (const fec::IndexedShard& p : enc->encoded()) {
+          EXPECT_GE(p.index, cfg.group_size) << "an original was rebuilt";
+          EXPECT_TRUE(encoded.insert(p.bytes.get()).second)
+              << "parity buffer encoded twice";
+          encoded_bytes += fec::buffer_bytes(p.bytes);
+        }
+      }
+    }
+    return out;
+  };
+  const Engines real = run(true);
+  const Engines sized = run(false);
+  ASSERT_EQ(real.events, sized.events) << "payload bytes changed history";
+  ASSERT_GT(lost_then_repaired, 0) << "no repairer had lost an original";
+  ASSERT_FALSE(encoded.empty());
+  std::uint64_t extra = 0;
+  for (std::size_t i = 0; i < real.census.size(); ++i) {
+    ASSERT_GE(real.census[i], sized.census[i]) << "engine " << i;
+    extra += real.census[i] - sized.census[i];
+  }
+  // The payload once (at the source), every encoded parity buffer once, and
+  // per encoder only handles and the k x k inverse: less than one buffer.
+  const std::uint64_t source_buffers =
+      payload_bytes / cfg.shard_size_bytes * one_buffer;
+  EXPECT_GE(extra, source_buffers + encoded_bytes);
+  EXPECT_LT(extra, source_buffers + encoded_bytes + encoders * one_buffer);
 }
 
 TEST(TransferUnit, Figure10GroupSizeSweep) {
