@@ -257,7 +257,10 @@ void BM_GroupRoundTrip(benchmark::State& state) {
   }
   sharq::fec::GroupEncoder enc(codec, std::move(data));
   for (auto _ : state) {
-    sharq::fec::GroupDecoder dec(codec);
+    sharq::fec::DecoderState held;
+    std::vector<sharq::fec::ShardBuffer> bytes(k);
+    std::vector<std::uint8_t> index(k);
+    sharq::fec::GroupDecoder dec(*codec, held, bytes.data(), index.data());
     // Lose a quarter of the data; fill from parity. The decoder shares the
     // encoder's buffers, as every receiver shares the sender's.
     for (int i = k / 4; i < k; ++i) dec.add(i, enc.shard_shared(i));
@@ -285,7 +288,10 @@ void BM_RepairerFirstParity(benchmark::State& state, bool from_held,
         std::make_shared<const std::vector<std::uint8_t>>(std::move(d)));
   }
   sharq::fec::GroupEncoder source(codec, std::move(data));
-  sharq::fec::GroupDecoder dec(codec);
+  sharq::fec::DecoderState held;
+  std::vector<sharq::fec::ShardBuffer> bytes(k);
+  std::vector<std::uint8_t> index_of(k);
+  sharq::fec::GroupDecoder dec(*codec, held, bytes.data(), index_of.data());
   for (int i = missing; i < k + missing; ++i) {
     dec.add(i, source.shard_shared(i));
   }

@@ -84,18 +84,17 @@ ShardBuffer GroupEncoder::shard_shared(int index) {
   return out;
 }
 
-GroupDecoder::GroupDecoder(std::shared_ptr<const ReedSolomon> codec)
-    : codec_(std::move(codec)) {}
-
 bool GroupDecoder::add(int index, ShardBuffer bytes) {
   if (index < 0 || index >= codec_->max_shards() || has(index)) return false;
-  seen_.set(static_cast<std::size_t>(index));
-  ++distinct_;
+  DecoderState& st = *state_;
+  st.seen.set(static_cast<std::size_t>(index));
+  ++st.distinct;
   const bool original = index < k();
-  if (original) ++distinct_data_;
-  if (held_.empty()) held_.reserve(static_cast<std::size_t>(k()));
-  if (static_cast<int>(held_.size()) < k()) {
-    held_.push_back(IndexedShard{index, std::move(bytes)});
+  if (original) ++st.distinct_data;
+  if (st.held < k()) {
+    bytes_[st.held] = std::move(bytes);
+    index_[st.held] = static_cast<std::uint8_t>(index);
+    ++st.held;
     return true;
   }
   // Full. A parity shard arriving now is later than every parity held, so
@@ -103,9 +102,10 @@ bool GroupDecoder::add(int index, ShardBuffer bytes) {
   // (parity entries are only ever appended, so the last one is the latest).
   // A full decoder holding no parity already has all k originals.
   if (!original) return true;
-  for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
-    if (it->index >= k()) {
-      *it = IndexedShard{index, std::move(bytes)};
+  for (int i = st.held; i-- > 0;) {
+    if (index_[i] >= k()) {
+      bytes_[i] = std::move(bytes);
+      index_[i] = static_cast<std::uint8_t>(index);
       break;
     }
   }
@@ -113,23 +113,33 @@ bool GroupDecoder::add(int index, ShardBuffer bytes) {
 }
 
 ShardBuffer GroupDecoder::held(int index) const {
-  for (const IndexedShard& s : held_) {
-    if (s.index == index) return s.bytes;
+  for (int i = 0; i < state_->held; ++i) {
+    if (index_[i] == index) return bytes_[i];
   }
   return nullptr;
 }
 
+std::vector<IndexedShard> GroupDecoder::held_shards() const {
+  std::vector<IndexedShard> out;
+  out.reserve(state_->held);
+  for (int i = 0; i < state_->held; ++i) {
+    out.push_back(IndexedShard{index_[i], bytes_[i]});
+  }
+  return out;
+}
+
 std::vector<std::uint8_t> GroupDecoder::reconstruct() const {
   if (!complete()) return {};
-  const std::size_t size =
-      held_.front().bytes ? held_.front().bytes->size() : 0;
+  const int held = state_->held;
+  const std::size_t size = bytes_[0] ? bytes_[0]->size() : 0;
   std::vector<ReedSolomon::ShardView> views;
-  views.reserve(held_.size());
-  for (const IndexedShard& s : held_) {
-    if ((s.bytes ? s.bytes->size() : 0) != size) {
+  views.reserve(static_cast<std::size_t>(held));
+  for (int i = 0; i < held; ++i) {
+    const ShardBuffer& b = bytes_[i];
+    if ((b ? b->size() : 0) != size) {
       throw std::invalid_argument("GroupDecoder: shard sizes differ");
     }
-    views.push_back({s.index, s.bytes ? s.bytes->data() : nullptr});
+    views.push_back({index_[i], b ? b->data() : nullptr});
   }
   std::vector<std::uint8_t> out(static_cast<std::size_t>(k()) * size);
   std::vector<std::uint8_t*> dst(k());

@@ -4,6 +4,7 @@
 #include <bitset>
 #include <cstdint>
 #include <memory>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,12 @@ inline std::size_t buffer_bytes(const ShardBuffer& b) {
   constexpr std::size_t kControlBlock = 16;
   return b ? b->capacity() + sizeof(*b) + kControlBlock : 0;
 }
+
+/// Shard buffers a memory census has already counted, by address, so a
+/// buffer shared by many holders is counted once (membership only; never
+/// iterated, so its order cannot leak).
+// sharq-lint: pointer-key-ok (membership only, order never observed)
+using BufferSet = std::unordered_set<const void*>;
 
 /// One shard of a group: its global index (0..k-1 originals, k.. parity)
 /// and its bytes.
@@ -89,7 +96,20 @@ class GroupEncoder {
   std::vector<IndexedShard> encoded_;              // in request order
 };
 
-/// Receiver-side view of one FEC packet group.
+/// The fixed-size half of one group's decoder: which indices arrived and
+/// how many shard handles are held. The handles themselves sit in two
+/// caller-owned arrays of k entries each (see GroupDecoder), so an owner
+/// keeping many groups can pack them at stride k with no per-group heap
+/// allocation.
+struct DecoderState {
+  std::bitset<256> seen;           ///< every index received (max_shards <= 255)
+  std::uint8_t distinct = 0;       ///< distinct indices received
+  std::uint8_t distinct_data = 0;  ///< of those, originals
+  std::uint8_t held = 0;           ///< handle slots in use, <= k
+};
+
+/// Receiver-side view of one FEC packet group, over storage its owner keeps:
+/// a DecoderState and k handle and k index slots.
 ///
 /// Accumulates shards (data or parity, in any order, duplicates ignored)
 /// and reports completion once any k distinct shards have arrived. It
@@ -98,10 +118,15 @@ class GroupEncoder {
 /// is exactly the set ReedSolomon::decode would pick from everything
 /// received, so a later parity shard adds nothing a decode would use, and
 /// once k are held an arriving original displaces the latest-arriving
-/// parity. Decoding is deferred until requested.
+/// parity. Decoding is deferred until requested. A view is four pointers;
+/// build one where it is used.
 class GroupDecoder {
  public:
-  explicit GroupDecoder(std::shared_ptr<const ReedSolomon> codec);
+  /// `bytes` and `index` point at codec.k() slots each; the view never
+  /// reads or writes past them. The codec and the storage must outlive it.
+  GroupDecoder(const ReedSolomon& codec, DecoderState& state,
+               ShardBuffer* bytes, std::uint8_t* index)
+      : codec_(&codec), state_(&state), bytes_(bytes), index_(index) {}
 
   int k() const { return codec_->k(); }
 
@@ -110,46 +135,42 @@ class GroupDecoder {
   bool add(int index, ShardBuffer bytes);
 
   /// True once any k distinct shards have arrived.
-  bool complete() const { return distinct_ >= codec_->k(); }
+  bool complete() const { return state_->distinct >= codec_->k(); }
 
   /// Number of distinct shards received.
-  int distinct() const { return distinct_; }
+  int distinct() const { return state_->distinct; }
 
   /// Number of distinct *data* shards received.
-  int distinct_data() const { return distinct_data_; }
+  int distinct_data() const { return state_->distinct_data; }
 
   /// Shards still required to complete the group (>= 0).
-  int deficit() const { return std::max(0, codec_->k() - distinct_); }
+  int deficit() const { return std::max(0, codec_->k() - distinct()); }
 
   /// True if shard `index` has been received (held or not).
   bool has(int index) const {
     return index >= 0 && index < codec_->max_shards() &&
-           seen_.test(static_cast<std::size_t>(index));
+           state_->seen.test(static_cast<std::size_t>(index));
   }
 
   /// The buffer held for shard `index`; null when it is not held.
   ShardBuffer held(int index) const;
 
-  /// The shards held, at most k, in no particular order: once complete(),
-  /// exactly k, a basis for a GroupEncoder.
-  const std::vector<IndexedShard>& held_shards() const { return held_; }
+  /// Number of shards held, at most k.
+  int held_count() const { return state_->held; }
+
+  /// The shards held, in no particular order: once complete(), exactly k,
+  /// a basis for a GroupEncoder.
+  std::vector<IndexedShard> held_shards() const;
 
   /// The k original packets, concatenated into one k x size allocation;
   /// empty unless complete().
   std::vector<std::uint8_t> reconstruct() const;
 
-  /// Heap bytes of the held handles (memory-census probe). Handles only:
-  /// a buffer is counted by the engine that allocated it.
-  std::size_t memory_bytes() const {
-    return held_.capacity() * sizeof(held_[0]);
-  }
-
  private:
-  std::shared_ptr<const ReedSolomon> codec_;
-  std::vector<IndexedShard> held_;  // <= k, reserved once on first add
-  std::bitset<256> seen_;           // every index received (max_shards <= 255)
-  int distinct_ = 0;
-  int distinct_data_ = 0;
+  const ReedSolomon* codec_;
+  DecoderState* state_;
+  ShardBuffer* bytes_;    // k slots, [0, held) in use
+  std::uint8_t* index_;   // the shard index of each used slot
 };
 
 }  // namespace sharq::fec

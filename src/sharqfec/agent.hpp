@@ -76,15 +76,17 @@ class Agent final : public net::Agent {
   /// Contribute this endpoint's retained bytes to the profiler's memory
   /// census: the uid dedup ring under "dedup_windows", the rest of this
   /// object and its budget tracker under "agent_objects", then the session
-  /// manager's and transfer engine's categories.
-  void memory_census(stats::MemCensus& census) const {
+  /// manager's and transfer engine's categories. `counted` is passed on to
+  /// the transfer engine (see TransferEngine::memory_census).
+  void memory_census(stats::MemCensus& census,
+                     fec::BufferSet* counted = nullptr) const {
     census.add("dedup_windows", sizeof(recent_uids_), sizeof(recent_uids_));
     const std::uint64_t self = stats::heap_block_bytes(sizeof(Agent)) -
                                sizeof(recent_uids_) +
                                stats::heap_block_bytes(sizeof(BudgetTracker));
     census.add("agent_objects", self, self);
     session_->memory_census(census);
-    transfer_->memory_census(census);
+    transfer_->memory_census(census, counted);
   }
 
   /// Name of the GF(256) kernel every agent's FEC work dispatches to

@@ -58,7 +58,8 @@ class Session {
   /// Memory census over every agent, retired ones included (their state
   /// is retained until destruction, so the resident set still pays for
   /// it), plus what the session holds once for all of them under
-  /// "session_shared": the channel hierarchy and the codec. Drivers feed
+  /// "session_shared": the channel hierarchy and the codec. A shard buffer
+  /// shared across agents is counted once. Drivers feed
   /// the result to Profiler::set_memory.
   void memory_census(stats::MemCensus& census) const {
     const fec::Matrix& gen = codec_->generator();
@@ -67,8 +68,10 @@ class Session {
         static_cast<std::uint64_t>(gen.rows()) * gen.cols() *
             sizeof(fec::Matrix::Elem);
     census.add("session_shared", shared, shared);
-    for (const auto& a : agents_) a->memory_census(census);
-    for (const auto& a : retired_) a->memory_census(census);
+    // Parity buffers are shared across agents: count each once.
+    fec::BufferSet counted;
+    for (const auto& a : agents_) a->memory_census(census, &counted);
+    for (const auto& a : retired_) a->memory_census(census, &counted);
   }
 
  private:

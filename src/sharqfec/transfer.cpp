@@ -107,8 +107,8 @@ sim::Time TransferEngine::dist_to_source() const {
   return std::max(1e-3, session_.estimate_dist(source_node_));
 }
 
-int TransferEngine::deficit(const Group& grp) const {
-  return std::max(0, cfg_->group_size - grp.decoder.distinct());
+int TransferEngine::deficit(std::uint32_t g) const {
+  return std::max(0, cfg_->group_size - int{rec(g).dec.distinct});
 }
 
 int TransferEngine::slice_width() const {
@@ -119,51 +119,94 @@ int TransferEngine::slice_start(int global_level) const {
   return cfg_->group_size + global_level * slice_width();
 }
 
-void TransferEngine::note_parity_seen(Group& grp, int index) {
+void TransferEngine::note_parity_seen(std::uint32_t g, int index) {
   if (index < cfg_->group_size) return;
   const int level = std::min((index - cfg_->group_size) / slice_width(),
                              hier_.depth() - 1);
-  SliceLevel& sl = slice_lv(grp)[level];
+  SliceLevel& sl = slice_lv(g)[level];
   sl.next = std::max(sl.next, index + 1);
 }
 
-int TransferEngine::next_parity_index(Group& grp, net::ZoneId zone) {
+int TransferEngine::next_parity_index(std::uint32_t g, net::ZoneId zone) {
   const int level = hier_.level(zone);
   const int lo = slice_start(level);
   const int hi = std::min(lo + slice_width(), codec_->max_shards());
-  const int raw = std::max<int>(slice_lv(grp)[level].next, lo);
+  const int raw = std::max<int>(slice_lv(g)[level].next, lo);
   // Slice exhausted: cycle through the slice again rather than pinning the
   // last index. A receiver that missed the whole first pass (crash,
   // partition) needs *distinct* shards; resending one duplicate forever
   // livelocks the NACK/repair exchange (found by the chaos soak).
   const int span = hi - lo;
   const int idx = raw < hi ? raw : (span > 0 ? lo + (raw - lo) % span : hi - 1);
-  slice_lv(grp)[level].next = raw + 1;
+  slice_lv(g)[level].next = raw + 1;
   return idx;
 }
 
-TransferEngine::Group& TransferEngine::ensure_group(std::uint32_t g) {
-  auto it = groups_.find(g);
-  if (it != groups_.end()) return it->second;
-  auto [jt, inserted] = groups_.try_emplace(g, codec_, simu_);
-  (void)inserted;
-  Group& grp = jt->second;
-  grp.id = g;
-  grp.initial_shards = cfg_->group_size;  // lower bound until announced
+void TransferEngine::ensure_group(std::uint32_t g) {
+  if (tracked(g)) return;
   // Arena strides are fixed at first use (chain and hierarchy shapes are
-  // static once the session is up); each new group appends one stride.
+  // static once the session is up).
   if (chain_levels_ == 0) {
     chain_levels_ = session_.chain().size();
     slice_levels_ = static_cast<std::size_t>(std::max(1, hier_.depth()));
   }
-  grp.arena_slot = static_cast<std::uint32_t>(groups_.size() - 1);
-  chain_arena_.resize(chain_arena_.size() + chain_levels_);
-  slice_arena_.resize(slice_arena_.size() + slice_levels_);
+  if (g >= records_.size()) {
+    const std::size_t n = static_cast<std::size_t>(g) + 1;
+    const auto k = static_cast<std::size_t>(codec_->k());
+    records_.resize(n);
+    held_bytes_.resize(n * k);
+    held_index_.resize(n * k);
+    chain_arena_.resize(n * chain_levels_);
+    slice_arena_.resize(n * slice_levels_);
+  }
+  Record& r = rec(g);
+  r.tracked = true;
+  // Lower bound until announced.
+  r.initial_shards = static_cast<std::uint8_t>(cfg_->group_size);
+  ++tracked_count_;
+  live(g);  // incomplete, so live until it settles
   // Group state is accounted but never shed: dropping a tracked group
   // would break the delivery contract. It still counts against the state
   // budget so growth here pressures the sheddable structures.
   if (budget_) budget_->add_state(kGroupStateBytes);
-  return grp;
+}
+
+TransferEngine::Live& TransferEngine::live(std::uint32_t g) {
+  Record& r = rec(g);
+  if (r.slot == kNoSlot) {
+    if (free_slots_.empty()) {
+      r.slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.push_back(std::make_unique<Live>(simu_));
+    } else {
+      r.slot = free_slots_.back();
+      free_slots_.pop_back();
+    }
+  }
+  return *slots_[r.slot];
+}
+
+bool TransferEngine::any_pending(std::uint32_t g) const {
+  const ChainLevel* lv = chain_lv(g);
+  for (std::size_t l = 0; l < chain_levels_; ++l) {
+    if (lv[l].pending > 0) return true;
+  }
+  return false;
+}
+
+void TransferEngine::maybe_settle(std::uint32_t g) {
+  if (!tracked(g)) return;
+  Record& r = rec(g);
+  if (r.slot == kNoSlot || !r.complete) return;
+  if (is_source_ && g >= send_group_) return;  // still being sent
+  Live& l = *slots_[r.slot];
+  if (l.injections > 0 || l.ldp_timer.pending() ||
+      l.request_timer.pending() || l.reply_timer.pending() ||
+      l.measure_timer.pending() || any_pending(g)) {
+    return;
+  }
+  static_cast<LiveState&>(l) = LiveState{};  // drops the encoder
+  free_slots_.push_back(r.slot);
+  r.slot = kNoSlot;
 }
 
 bool TransferEngine::sane_group_id(std::uint32_t g) const {
@@ -173,15 +216,18 @@ bool TransferEngine::sane_group_id(std::uint32_t g) const {
 
 void TransferEngine::stop() {
   stopped_ = true;
-  for (auto& [g, grp] : groups_) {
-    grp.ldp_timer.cancel();
-    grp.request_timer.cancel();
-    grp.reply_timer.cancel();
-    grp.measure_timer.cancel();
+  for (std::uint32_t g = 0; g < records_.size(); ++g) {
+    Live* l = live_if(g);
+    if (!l) continue;
+    l->ldp_timer.cancel();
+    l->request_timer.cancel();
+    l->reply_timer.cancel();
+    l->measure_timer.cancel();
   }
 }
 
-void TransferEngine::memory_census(stats::MemCensus& census) const {
+void TransferEngine::memory_census(stats::MemCensus& census,
+                                   fec::BufferSet* counted) const {
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
   const std::uint64_t self =
       stats::heap_block_bytes(sizeof(TransferEngine)) - sizeof(rng_) +
@@ -189,36 +235,57 @@ void TransferEngine::memory_census(stats::MemCensus& census) const {
       stats::vector_block_bytes(cov_pred_);
   census.add("agent_objects", self, self);
 
-  // Per-group state. groups_ never erases and the level arenas only
-  // append, so live == retained here. Each Group sits in its own map node.
-  constexpr std::uint64_t kGroupNode = stats::heap_block_bytes(
-      stats::kTreeNodeHeader + sizeof(decltype(groups_)::value_type));
-  std::uint64_t grp_bytes = stats::vector_block_bytes(chain_arena_) +
-                            stats::vector_block_bytes(slice_arena_) +
-                            stats::vector_block_bytes(source_shards_);
-  // Shard buffers are shared, so each is counted where it was allocated:
-  // the source's data and the shards an encoder produced. A repairer's
-  // encoder is built from the shards its decoder holds, so it allocates
-  // nothing but the parity it sends.
+  // Per-group storage: records, held handles and level arenas only grow,
+  // so live == retained here; plus the live-state pool.
+  std::uint64_t grp_bytes =
+      stats::vector_block_bytes(records_) +
+      stats::vector_block_bytes(held_bytes_) +
+      stats::vector_block_bytes(held_index_) +
+      stats::vector_block_bytes(chain_arena_) +
+      stats::vector_block_bytes(slice_arena_) +
+      stats::vector_block_bytes(slots_) +
+      stats::vector_block_bytes(free_slots_) +
+      slots_.size() * stats::heap_block_bytes(sizeof(Live)) +
+      stats::vector_block_bytes(source_shards_);
+  // Shard buffers are shared, so each is counted once. Originals were all
+  // allocated by the source, which counts them; any other holder counts
+  // only its handle. Parity is counted by address, by the first engine in
+  // the census that holds it, whether in a decoder or an encoder: the
+  // engine that encoded it may since have dropped its encoder.
   for (const auto& s : source_shards_) grp_bytes += fec::buffer_bytes(s);
-  for (const auto& [id, grp] : groups_) {
-    grp_bytes += kGroupNode + grp.decoder.memory_bytes();
-    if (grp.encoder) {
-      grp_bytes += sizeof(fec::GroupEncoder) + grp.encoder->memory_bytes();
+  fec::BufferSet own;
+  if (counted == nullptr) counted = &own;
+  auto parity = [&](const fec::ShardBuffer& b) {
+    if (b && counted->insert(b.get()).second) grp_bytes += fec::buffer_bytes(b);
+  };
+  const auto k = static_cast<std::size_t>(codec_->k());
+  for (std::size_t i = 0; i < held_bytes_.size(); ++i) {
+    if (held_index_[i] >= k) parity(held_bytes_[i]);
+  }
+  for (const auto& slot : slots_) {
+    if (!slot->encoder) continue;
+    const fec::GroupEncoder& enc = *slot->encoder;
+    // memory_bytes() includes the buffers it encoded: parity, counted once
+    // below like any other.
+    std::uint64_t shared = 0;
+    for (const auto& s : enc.encoded()) shared += fec::buffer_bytes(s.bytes);
+    grp_bytes += sizeof(fec::GroupEncoder) + enc.memory_bytes() - shared;
+    for (const auto& s : enc.basis()) {
+      if (s.index >= codec_->k()) parity(s.bytes);
     }
+    for (const auto& s : enc.encoded()) parity(s.bytes);
   }
   census.add("transfer_groups", grp_bytes, grp_bytes);
 }
 
 std::uint32_t TransferEngine::groups_completed() const {
   std::uint32_t n = 0;
-  for (const auto& [g, grp] : groups_) n += grp.complete ? 1 : 0;
+  for (const Record& r : records_) n += r.tracked && r.complete ? 1 : 0;
   return n;
 }
 
 bool TransferEngine::group_complete(std::uint32_t g) const {
-  auto it = groups_.find(g);
-  return it != groups_.end() && it->second.complete;
+  return tracked(g) && rec(g).complete;
 }
 
 double TransferEngine::predicted_zlc(net::ZoneId z) const {
@@ -230,22 +297,22 @@ double TransferEngine::predicted_zlc(net::ZoneId z) const {
 }
 
 std::vector<std::uint8_t> TransferEngine::reconstructed(std::uint32_t g) const {
-  auto it = groups_.find(g);
-  if (it == groups_.end() || !it->second.complete || !cfg_->real_payload) {
-    return {};
-  }
+  if (!group_complete(g) || !cfg_->real_payload) return {};
   SHARQ_PROF_SCOPE(codec);
-  return it->second.decoder.reconstruct();
+  return decoder(g)->reconstruct();
 }
 
-const fec::GroupDecoder* TransferEngine::decoder(std::uint32_t g) const {
-  auto it = groups_.find(g);
-  return it == groups_.end() ? nullptr : &it->second.decoder;
+std::optional<const fec::GroupDecoder> TransferEngine::decoder(
+    std::uint32_t g) const {
+  if (!tracked(g)) return std::nullopt;
+  // Handed out const, so nothing can add through the view.
+  return const_cast<TransferEngine*>(this)->decoder_of(g);
 }
 
 const fec::GroupEncoder* TransferEngine::encoder(std::uint32_t g) const {
-  auto it = groups_.find(g);
-  return it == groups_.end() ? nullptr : it->second.encoder.get();
+  if (!tracked(g)) return nullptr;
+  const Live* l = live_if(g);
+  return l ? l->encoder.get() : nullptr;
 }
 
 // --- sender ------------------------------------------------------------------
@@ -276,34 +343,37 @@ void TransferEngine::send_stream(std::uint32_t group_count, sim::Time start_at,
   simu_.at(start_at, [this] { source_send_next(); }, "transfer.source_pace");
 }
 
-fec::ShardBuffer TransferEngine::shard_bytes(Group& grp, int index) {
+fec::ShardBuffer TransferEngine::shard_bytes(std::uint32_t g, int index) {
   if (!cfg_->real_payload) return nullptr;
   SHARQ_PROF_SCOPE(codec);
-  if (!grp.encoder) {
-    if (is_source_ && grp.id < send_total_groups_) {
+  Live& l = live(g);
+  if (!l.encoder) {
+    if (is_source_ && g < send_total_groups_) {
       const auto first = source_shards_.begin() +
-                         static_cast<std::ptrdiff_t>(grp.id) * cfg_->group_size;
-      grp.encoder = std::make_unique<fec::GroupEncoder>(
+                         static_cast<std::ptrdiff_t>(g) * cfg_->group_size;
+      l.encoder = std::make_unique<fec::GroupEncoder>(
           codec_,
           std::vector<fec::ShardBuffer>(first, first + cfg_->group_size));
-    } else if (grp.complete) {
+    } else if (rec(g).complete) {
       // The k shards this member holds span the code: parity comes
       // straight from them, and no missing original is rebuilt.
-      grp.encoder = std::make_unique<fec::GroupEncoder>(
-          codec_, grp.decoder.held_shards());
+      l.encoder = std::make_unique<fec::GroupEncoder>(
+          codec_, decoder_of(g).held_shards());
     } else {
       return nullptr;
     }
   }
   // Data shards are the shared buffers themselves; parity is encoded once,
   // straight into the buffer every message and decoder will share.
-  return grp.encoder->shard_shared(index);
+  return l.encoder->shard_shared(index);
 }
 
 void TransferEngine::source_send_next() {
   SHARQ_PROF_SCOPE(transfer);
   if (stopped_ || send_group_ >= send_total_groups_) return;
-  Group& grp = ensure_group(send_group_);
+  const std::uint32_t g = send_group_;
+  ensure_group(g);
+  Live& l = live(g);
   if (send_index_ == 0) {
     // Decide this group's proactive redundancy h from the EWMA-predicted
     // ZLC of the largest zone (zero when injection is disabled).
@@ -316,17 +386,17 @@ void TransferEngine::source_send_next() {
       // Initial parity lives in the root zone's slice of the parity space.
       h = std::clamp(h, 0, slice_width() - 1);
     }
-    grp.initial_shards = cfg_->group_size + h;
-    max_group_seen_ = std::max(max_group_seen_, grp.id);
+    rec(g).initial_shards = static_cast<std::uint8_t>(cfg_->group_size + h);
+    max_group_seen_ = std::max(max_group_seen_, g);
     seen_any_ = true;
   }
   auto msg = std::make_shared<DataMsg>();
-  msg->group = grp.id;
+  msg->group = g;
   msg->index = send_index_;
   msg->k = cfg_->group_size;
-  msg->initial_shards = grp.initial_shards;
+  msg->initial_shards = rec(g).initial_shards;
   msg->groups_total = groups_total_;
-  msg->bytes = shard_bytes(grp, send_index_);
+  msg->bytes = shard_bytes(g, send_index_);
   const bool is_parity = send_index_ >= cfg_->group_size;
   net_.send(node_, hier_.data_channel(),
             is_parity ? net::TrafficClass::kRepair : net::TrafficClass::kData,
@@ -337,29 +407,31 @@ void TransferEngine::source_send_next() {
     if (!m_preemptive_by_level_.empty()) m_preemptive_by_level_.back()->inc();
   }
   // The source trivially "has" every shard it emits.
-  add_shard(grp, send_index_, msg->bytes);
-  grp.last_initial_seen = send_index_;
-  grp.max_id_seen = std::max(grp.max_id_seen, send_index_);
+  add_shard(g, send_index_, msg->bytes);
+  Record& r = rec(g);
+  r.last_initial_seen = static_cast<std::int16_t>(send_index_);
+  r.max_id_seen = std::max<std::int16_t>(r.max_id_seen, r.last_initial_seen);
 
   ++send_index_;
-  if (send_index_ >= grp.initial_shards) {
+  if (send_index_ >= r.initial_shards) {
     // Group fully transmitted: the sender enters the repair phase for it
     // immediately (paper RP rule 1) and flushes any queued repairs.
-    grp.ldp_done = true;
-    if (!grp.reply_timer.pending()) {
-      const ChainLevel* lv = chain_lv(grp);
+    r.ldp_done = true;
+    if (!l.reply_timer.pending()) {
+      const ChainLevel* lv = chain_lv(g);
       int level = -1;
-      for (std::size_t l = chain_levels_; l-- > 0;) {
-        if (lv[l].pending > 0) level = static_cast<int>(l);
+      for (std::size_t lvl = chain_levels_; lvl-- > 0;) {
+        if (lv[lvl].pending > 0) level = static_cast<int>(lvl);
       }
       if (level >= 0) {
-        grp.reply_level = level;
-        fire_reply(grp.id);
+        l.reply_level = level;
+        fire_reply(g);
       }
     }
-    schedule_zlc_measurement(grp);
+    schedule_zlc_measurement(g);
     send_index_ = 0;
     ++send_group_;
+    maybe_settle(g);
   }
   simu_.after(packet_interval(), [this] { source_send_next(); },
               "transfer.source_pace");
@@ -385,7 +457,10 @@ bool TransferEngine::handle(const net::Packet& packet) {
       return true;
     }
     if (source_node_ == net::kNoNode) source_node_ = packet.origin;
-    if (!is_source_) on_data(*d, packet.cls);
+    if (!is_source_) {
+      on_data(*d, packet.cls);
+      maybe_settle(d->group);
+    }
     return true;
   }
   if (const auto* r = packet.as<RepairMsg>()) {
@@ -398,6 +473,7 @@ bool TransferEngine::handle(const net::Packet& packet) {
       return true;
     }
     on_repair(*r);
+    maybe_settle(r->group);
     return true;
   }
   if (const auto* n = packet.as<NackMsg>()) {
@@ -410,6 +486,7 @@ bool TransferEngine::handle(const net::Packet& packet) {
       return true;
     }
     on_nack(*n);
+    maybe_settle(n->group);
     return true;
   }
   return false;
@@ -425,6 +502,13 @@ void TransferEngine::fix_join_point(std::uint32_t first_heard_group,
   skip_before_ = at_group_start ? first_heard_group : first_heard_group + 1;
 }
 
+std::uint32_t TransferEngine::backfill_start() {
+  // Groups only ever finish their LDP, so the floor only rises.
+  ldp_floor_ = std::max(ldp_floor_, skip_before_);
+  while (tracked(ldp_floor_) && records_[ldp_floor_].ldp_done) ++ldp_floor_;
+  return ldp_floor_;
+}
+
 void TransferEngine::note_remote_progress(std::uint32_t remote_max_group) {
   if (stopped_ || is_source_) return;
   // Clamp rather than reject: a genuinely far-ahead stream still makes
@@ -438,29 +522,27 @@ void TransferEngine::note_remote_progress(std::uint32_t remote_max_group) {
     // everything up to the advertised max is missing.
     seen_any_ = true;
   }
-  for (std::uint32_t g = skip_before_; g <= remote_max_group; ++g) {
-    Group& grp = ensure_group(g);
-    if (grp.ldp_done || grp.ldp_timer.pending()) continue;
+  for (std::uint32_t g = backfill_start(); g <= remote_max_group; ++g) {
+    ensure_group(g);
+    // A group short of its LDP is incomplete, so live: no slot is taken.
+    if (rec(g).ldp_done || live(g).ldp_timer.pending()) continue;
     if (g < remote_max_group) {
       // Groups below the advertised max have certainly finished at the
       // source.
-      finish_ldp(grp);
-    } else if (grp.first_arrival == sim::kTimeNever) {
+      finish_ldp(g);
+    } else if (!rec(g).arrived) {
       // The advertised max group itself may still be in flight toward us
       // (the advertisement can race the tranche). Give it one tranche
       // duration plus slack; a live arrival re-arms this timer, a late
       // joiner's silence finalizes it and starts recovery.
       const sim::Time grace =
           std::max(0.5, 2.0 * cfg_->group_size * inter_arrival_estimate());
-      grp.ldp_timer.arm(grace, [this, g] {
-        auto it = groups_.find(g);
-        if (it != groups_.end() && !it->second.ldp_done) {
-          finish_ldp(it->second, "timer");
-        }
+      Live& lv = live(g);
+      lv.ldp_timer.arm(grace, [this, g] {
+        if (!rec(g).ldp_done) finish_ldp(g, "timer");
       });
-      if (journal_ && grp.ldp_armed_ev == 0) {
-        grp.ldp_armed_ev =
-            jnl("ldp.armed", grp.id, grp.root_ev, {{"eta", grace}});
+      if (journal_ && lv.ldp_armed_ev == 0) {
+        lv.ldp_armed_ev = jnl("ldp.armed", g, rec(g).root_ev, {{"eta", grace}});
       }
     }
   }
@@ -484,114 +566,122 @@ void TransferEngine::on_data(const DataMsg& msg, net::TrafficClass) {
   // Groups before this one that we never completed detection on have
   // finished their initial tranche at the source.
   if (msg.group > max_group_seen_ || !seen_any_) {
-    for (std::uint32_t g = skip_before_; g < msg.group; ++g) {
-      Group& prev = ensure_group(g);
-      if (!prev.ldp_done && !prev.ldp_timer.pending()) finish_ldp(prev);
+    for (std::uint32_t g = backfill_start(); g < msg.group; ++g) {
+      ensure_group(g);
+      if (!rec(g).ldp_done && !live(g).ldp_timer.pending()) finish_ldp(g);
     }
     max_group_seen_ = std::max(max_group_seen_, msg.group);
   }
   if (msg.groups_total > 0) groups_total_ = msg.groups_total;
 
-  Group& grp = ensure_group(msg.group);
-  grp.initial_shards = std::max(grp.initial_shards, msg.initial_shards);
-  if (grp.first_arrival == sim::kTimeNever) {
-    grp.first_arrival = simu_.now();
+  const std::uint32_t g = msg.group;
+  ensure_group(g);
+  Record& r = rec(g);
+  r.initial_shards = static_cast<std::uint8_t>(
+      std::max<int>(r.initial_shards, msg.initial_shards));
+  if (!r.arrived) {
+    r.arrived = true;
+    if (!r.complete) live(g).first_arrival = simu_.now();
     if (journal_) {
       // Span root: data sends are not journaled (volume), so the first
       // arrival starts this {node, group} recovery lifecycle from nothing.
-      grp.root_ev =
-          jnl("group.first_arrival", grp.id, 0, {{"index", msg.index}});
+      r.root_ev = jnl("group.first_arrival", g, 0, {{"index", msg.index}});
     }
   }
-  note_initial_progress(grp, msg.index);
-  add_shard(grp, msg.index, msg.bytes);
-  if (grp.complete || grp.ldp_done) return;
+  note_initial_progress(g, msg.index);
+  add_shard(g, msg.index, msg.bytes);
+  if (rec(g).complete || rec(g).ldp_done) return;
   // (Re)arm the LDP timer: expect the rest of the initial tranche at the
   // estimated inter-packet pace, with slack for jitter.
-  const int remaining = grp.initial_shards - 1 - grp.last_initial_seen;
+  const int remaining = rec(g).initial_shards - 1 - rec(g).last_initial_seen;
   const sim::Time eta =
       (static_cast<double>(std::max(remaining, 0)) * 1.5 + 2.0) *
       inter_arrival_estimate();
-  grp.ldp_timer.arm(eta, [this, g = grp.id] {
-    auto it = groups_.find(g);
-    if (it != groups_.end() && !it->second.ldp_done) {
-      finish_ldp(it->second, "timer");
-    }
+  Live& l = live(g);
+  l.ldp_timer.arm(eta, [this, g] {
+    if (!rec(g).ldp_done) finish_ldp(g, "timer");
   });
   // Journaled once per group (the timer re-arms on every packet; a line
   // per packet would drown the journal in the common no-loss case).
-  if (journal_ && grp.ldp_armed_ev == 0) {
-    grp.ldp_armed_ev = jnl("ldp.armed", grp.id, grp.root_ev, {{"eta", eta}});
+  if (journal_ && l.ldp_armed_ev == 0) {
+    l.ldp_armed_ev = jnl("ldp.armed", g, rec(g).root_ev, {{"eta", eta}});
   }
 }
 
-void TransferEngine::note_initial_progress(Group& grp, int index) {
+void TransferEngine::note_initial_progress(std::uint32_t g, int index) {
   // Initial-tranche shards arrive in index order over a FIFO tree; a jump
   // means the skipped shards were lost on our path.
-  if (index <= grp.last_initial_seen) return;
+  Record& r = rec(g);
+  if (index <= r.last_initial_seen) return;
+  const fec::GroupDecoder dec = decoder_of(g);
   int newly_missing_originals = 0;
-  for (int j = grp.last_initial_seen + 1; j < index; ++j) {
-    if (!grp.decoder.has(j) && j < cfg_->group_size) ++newly_missing_originals;
+  for (int j = r.last_initial_seen + 1; j < index; ++j) {
+    if (!dec.has(j) && j < cfg_->group_size) ++newly_missing_originals;
   }
-  grp.last_initial_seen = index;
-  grp.max_id_seen = std::max(grp.max_id_seen, index);
+  r.last_initial_seen = static_cast<std::int16_t>(index);
+  r.max_id_seen = std::max<std::int16_t>(r.max_id_seen, r.last_initial_seen);
   if (newly_missing_originals > 0) {
     // An index jump is observed on a data arrival, so the span root (the
     // group's first arrival) is the closest recorded trigger.
-    raise_llc(grp, newly_missing_originals, grp.root_ev);
+    raise_llc(g, newly_missing_originals, r.root_ev);
   }
 }
 
-void TransferEngine::raise_llc(Group& grp, int newly_missing,
+void TransferEngine::raise_llc(std::uint32_t g, int newly_missing,
                                stats::EventId cause) {
-  grp.llc += newly_missing;
+  Record& r = rec(g);
+  r.llc = static_cast<std::int16_t>(r.llc + newly_missing);
   if (journal_) {
-    grp.last_loss_ev =
-        jnl("loss.detected", grp.id, cause ? cause : grp.root_ev,
-            {{"llc", grp.llc}, {"newly_missing", newly_missing}});
+    r.last_loss_ev =
+        jnl("loss.detected", g, cause ? cause : r.root_ev,
+            {{"llc", r.llc}, {"newly_missing", newly_missing}});
   }
-  maybe_request(grp);
+  maybe_request(g);
 }
 
-void TransferEngine::finish_ldp(Group& grp, const char* via) {
-  if (grp.ldp_done) return;
-  grp.ldp_done = true;
-  grp.ldp_timer.cancel();
+void TransferEngine::finish_ldp(std::uint32_t g, const char* via) {
+  Record& r = rec(g);
+  if (r.ldp_done) return;
+  r.ldp_done = true;
+  Live& l = live(g);
+  l.ldp_timer.cancel();
   // Shards of the initial tranche we never saw are lost.
+  const fec::GroupDecoder dec = decoder_of(g);
   int missing_originals = 0;
-  for (int j = grp.last_initial_seen + 1; j < grp.initial_shards; ++j) {
-    if (!grp.decoder.has(j) && j < cfg_->group_size) ++missing_originals;
+  for (int j = r.last_initial_seen + 1; j < r.initial_shards; ++j) {
+    if (!dec.has(j) && j < cfg_->group_size) ++missing_originals;
   }
-  grp.last_initial_seen = grp.initial_shards - 1;
-  grp.max_id_seen = std::max(grp.max_id_seen, grp.initial_shards - 1);
+  r.last_initial_seen = static_cast<std::int16_t>(r.initial_shards - 1);
+  r.max_id_seen = std::max<std::int16_t>(r.max_id_seen, r.last_initial_seen);
   if (journal_) {
-    grp.ldp_fired_ev =
-        jnl("ldp.fired", grp.id,
-            grp.ldp_armed_ev ? grp.ldp_armed_ev : grp.root_ev,
+    l.ldp_fired_ev =
+        jnl("ldp.fired", g, l.ldp_armed_ev ? l.ldp_armed_ev : r.root_ev,
             {{"missing", missing_originals}, {"via", via}});
   }
   if (missing_originals > 0) {
-    raise_llc(grp, missing_originals, grp.ldp_fired_ev);
+    raise_llc(g, missing_originals, l.ldp_fired_ev);
   } else {
-    maybe_request(grp);
+    maybe_request(g);
   }
-  if (grp.complete) return;
-  schedule_zlc_measurement(grp);
+  if (rec(g).complete) return;
+  schedule_zlc_measurement(g);
 }
 
-void TransferEngine::add_shard(Group& grp, int index,
+void TransferEngine::add_shard(std::uint32_t g, int index,
                                const fec::ShardBuffer& bytes) {
-  note_parity_seen(grp, index);
-  if (!grp.decoder.add(index, bytes)) return;
+  note_parity_seen(g, index);
+  if (!decoder_of(g).add(index, bytes)) return;
   if (index >= cfg_->group_size) {
     // Parity actually received, attributed to the level that emitted it
     // (used to size incremental injection from below).
     const int gl = std::min((index - cfg_->group_size) / slice_width(),
                             hier_.depth() - 1);
-    ++slice_lv(grp)[gl].seen;
+    ++slice_lv(g)[gl].seen;
   }
-  grp.max_id_seen = std::max(grp.max_id_seen, index);
-  if (!grp.complete && grp.decoder.complete()) on_group_complete(grp);
+  Record& r = rec(g);
+  r.max_id_seen = std::max<std::int16_t>(r.max_id_seen,
+                                         static_cast<std::int16_t>(index));
+  if (!r.complete && decoder_of(g).complete()) on_group_complete(g);
 }
 
 // --- request side ---------------------------------------------------------------
@@ -613,10 +703,10 @@ int TransferEngine::base_scope_level() const {
   return base;
 }
 
-int TransferEngine::nack_level(const Group& grp) const {
+int TransferEngine::nack_level(std::uint32_t g) const {
   const auto& chain = session_.chain();
   const int base = base_scope_level();
-  int level = std::min<int>(base + grp.scope_level, chain.size() - 1);
+  int level = std::min<int>(base + live_if(g)->scope_level, chain.size() - 1);
   // Paper: if the source is a member of the target partition, use the
   // largest scope instead (its repairs serve everyone anyway).
   if (source_node_ != net::kNoNode &&
@@ -626,28 +716,28 @@ int TransferEngine::nack_level(const Group& grp) const {
   return level;
 }
 
-bool TransferEngine::covered_by_zlc(const Group& grp) const {
+bool TransferEngine::covered_by_zlc(std::uint32_t g) const {
   // A NACK at ANY scope containing us whose announced loss count reaches
   // ours means repairs covering our deficit are on their way (repairs at
   // larger scopes reach nested zones too).
-  const ChainLevel* lv = chain_lv(grp);
+  const ChainLevel* lv = chain_lv(g);
   int best = 0;
   for (std::size_t l = 0; l < chain_levels_; ++l) {
     best = std::max<int>(best, lv[l].zlc);
   }
-  return grp.llc <= best;
+  return rec(g).llc <= best;
 }
 
-void TransferEngine::maybe_request(Group& grp) {
-  if (is_source_ || grp.complete) return;
-  if (deficit(grp) <= 0) return;
+void TransferEngine::maybe_request(std::uint32_t g) {
+  if (is_source_ || rec(g).complete) return;
+  if (deficit(g) <= 0) return;
   // Whether covered by someone else's NACK or not, the request timer must
   // run: if covered, it acts as a stall probe; if not, it races to be the
   // zone's NACKer. Suppression proper happens at fire time.
-  if (!grp.request_timer.pending()) arm_request_timer(grp);
+  if (!live(g).request_timer.pending()) arm_request_timer(g);
 }
 
-void TransferEngine::arm_request_timer(Group& grp, stats::EventId cause) {
+void TransferEngine::arm_request_timer(std::uint32_t g, stats::EventId cause) {
   const double d = dist_to_source();
   rm::TimerPolicy policy = cfg_->timers;
   if (cfg_->adaptive_timers) {
@@ -655,14 +745,15 @@ void TransferEngine::arm_request_timer(Group& grp, stats::EventId cause) {
     policy.c2 = c2_adapt_;
   }
   rm::TimerPolicy::RequestDraw draw;
-  const sim::Time delay =
-      policy.request_delay(rng_, d, std::min(grp.backoff_i, cfg_->max_backoff_stage),
-                           journal_ ? &draw : nullptr);
-  grp.request_timer.arm(delay, [this, g = grp.id] { fire_request(g); });
+  Live& l = live(g);
+  const sim::Time delay = policy.request_delay(
+      rng_, d, std::min(l.backoff_i, cfg_->max_backoff_stage),
+      journal_ ? &draw : nullptr);
+  l.request_timer.arm(delay, [this, g] { fire_request(g); });
   if (journal_) {
     // The sampled suppression window rides along so a trace shows why
     // this receiver's NACK waited as long as it did.
-    jnl("request.armed", grp.id, cause ? cause : span_cause(grp),
+    jnl("request.armed", g, cause ? cause : span_cause(g),
         {{"delay", delay},
          {"hi", draw.hi},
          {"lo", draw.lo},
@@ -688,39 +779,39 @@ void TransferEngine::adapt_request_window(bool heard_duplicate) {
 void TransferEngine::fire_request(std::uint32_t g) {
   SHARQ_PROF_SCOPE(transfer);
   if (stopped_) return;
-  auto it = groups_.find(g);
-  if (it == groups_.end()) return;
-  Group& grp = it->second;
-  if (grp.complete || deficit(grp) <= 0) return;
-  if (!grp.ldp_done) {
+  Record& r = rec(g);
+  if (r.complete || deficit(g) <= 0) return;
+  Live& l = live(g);
+  if (!r.ldp_done) {
     // The initial tranche is still arriving: a NACK now would count
     // in-flight shards as losses and demand repairs nobody needs. Wait
     // out the rest of the loss-detection phase first.
-    const int remaining = grp.initial_shards - 1 - grp.last_initial_seen;
+    const int remaining = r.initial_shards - 1 - r.last_initial_seen;
     const sim::Time eta = (static_cast<double>(std::max(remaining, 1)) * 1.2 +
                            1.0) *
                           inter_arrival_estimate();
-    grp.request_timer.arm(eta, [this, g] { fire_request(g); });
+    l.request_timer.arm(eta, [this, g] { fire_request(g); });
     return;
   }
-  const int level = nack_level(grp);
+  const int level = nack_level(g);
   // Suppression re-check at fire time (paper LDP rule 6): somebody in
   // this zone already announced at least our loss count, so their repairs
   // cover us — unless recovery has stalled (no new shard since our last
   // probe), in which case the repairs were evidently lost and we NACK
   // anyway (paper RP rule: repairees detect lost repairs and re-request).
-  const bool covered = covered_by_zlc(grp);
-  const bool progressing = grp.decoder.distinct() != grp.last_fire_distinct;
-  grp.last_fire_distinct = grp.decoder.distinct();
+  const bool covered = covered_by_zlc(g);
+  const int distinct = r.dec.distinct;
+  const bool progressing = distinct != l.last_fire_distinct;
+  l.last_fire_distinct = distinct;
   if (covered && progressing) {
     if (m_nacks_suppressed_) m_nacks_suppressed_->inc();
     stats::EventId suppressed_ev = 0;
     if (journal_) {
-      suppressed_ev = jnl("nack.suppressed", grp.id, span_cause(grp),
-                          {{"level", level}, {"llc", grp.llc}});
+      suppressed_ev = jnl("nack.suppressed", g, span_cause(g),
+                          {{"level", level}, {"llc", r.llc}});
     }
-    grp.backoff_i = std::min(grp.backoff_i + 1, cfg_->max_backoff_stage);
-    arm_request_timer(grp, suppressed_ev);
+    l.backoff_i = std::min(l.backoff_i + 1, cfg_->max_backoff_stage);
+    arm_request_timer(g, suppressed_ev);
     return;
   }
   const net::ZoneId zone = session_.chain()[level];
@@ -728,9 +819,9 @@ void TransferEngine::fire_request(std::uint32_t g) {
   auto msg = std::make_shared<NackMsg>();
   msg->group = g;
   msg->zone = zone;
-  msg->llc = grp.llc;
-  msg->needed = deficit(grp);
-  msg->max_id_seen = grp.max_id_seen;
+  msg->llc = r.llc;
+  msg->needed = deficit(g);
+  msg->max_id_seen = r.max_id_seen;
   msg->sender = node_;
   msg->hints = session_.make_hints();
   ++nacks_sent_;
@@ -739,26 +830,26 @@ void TransferEngine::fire_request(std::uint32_t g) {
       net_.send(node_, hier_.repair_channel(zone), net::TrafficClass::kNack,
                 nack_size(msg->hints.size()), msg, /*lossless=*/true);
   if (journal_) {
-    grp.last_nack_ev = jnl("nack.sent", grp.id, span_cause(grp),
-                           {{"level", level},
-                            {"llc", grp.llc},
-                            {"needed", msg->needed},
-                            {"zone", zone}});
-    journal_->bind_uid(uid, grp.last_nack_ev);
+    l.last_nack_ev = jnl("nack.sent", g, span_cause(g),
+                         {{"level", level},
+                          {"llc", r.llc},
+                          {"needed", msg->needed},
+                          {"zone", zone}});
+    journal_->bind_uid(uid, l.last_nack_ev);
   }
-  ChainLevel& lv = chain_lv(grp)[level];
+  ChainLevel& lv = chain_lv(g)[level];
   lv.nacked = true;
-  lv.zlc = std::max<std::int32_t>(lv.zlc, grp.llc);
+  lv.zlc = std::max<std::int32_t>(lv.zlc, r.llc);
 
   // Escalate to the parent scope after the configured number of attempts;
   // a fresh scope starts with a fresh backoff stage (the paper resets i on
   // repair arrival; without a reset here, escalation to a scope that can
   // actually repair would inherit minutes of accumulated backoff).
-  ++grp.attempts_at_scope;
+  ++l.attempts_at_scope;
   const bool escalation_due =
-      grp.attempts_at_scope >= cfg_->attempts_per_scope &&
+      l.attempts_at_scope >= cfg_->attempts_per_scope &&
       level + 1 < static_cast<int>(session_.chain().size());
-  if (escalation_due && grp.backoff_i < cfg_->max_backoff_stage && budget_ &&
+  if (escalation_due && l.backoff_i < cfg_->max_backoff_stage && budget_ &&
       budget_->under_pressure()) {
     // Overload shed: widening the scope would recruit a strictly larger
     // repairer population while this node is already shedding load, so
@@ -771,27 +862,27 @@ void TransferEngine::fire_request(std::uint32_t g) {
     // is shared by the whole zone nobody local can repair it, its futile
     // local NACKs keep backing off the ZCR's own request, and pressure (the
     // peer-table budget alone) can last the whole run.
-    grp.attempts_at_scope = 0;
-    if (grp.scope_level > 0) --grp.scope_level;
-    grp.backoff_i = std::min(grp.backoff_i + 1, cfg_->max_backoff_stage);
+    l.attempts_at_scope = 0;
+    if (l.scope_level > 0) --l.scope_level;
+    l.backoff_i = std::min(l.backoff_i + 1, cfg_->max_backoff_stage);
     ++scope_sheds_;
     if (m_scope_sheds_) m_scope_sheds_->inc();
     if (journal_) {
-      jnl("shed.scope", grp.id, grp.last_nack_ev,
-          {{"scope_level", grp.scope_level}});
+      jnl("shed.scope", g, l.last_nack_ev,
+          {{"scope_level", l.scope_level}});
     }
   } else if (escalation_due) {
-    ++grp.scope_level;
-    grp.attempts_at_scope = 0;
-    grp.backoff_i = 1;
+    ++l.scope_level;
+    l.attempts_at_scope = 0;
+    l.backoff_i = 1;
     if (journal_) {
-      jnl("scope.escalated", grp.id, grp.last_nack_ev,
-          {{"scope_level", grp.scope_level}});
+      jnl("scope.escalated", g, l.last_nack_ev,
+          {{"scope_level", l.scope_level}});
     }
   } else {
-    grp.backoff_i = std::min(grp.backoff_i + 1, cfg_->max_backoff_stage);
+    l.backoff_i = std::min(l.backoff_i + 1, cfg_->max_backoff_stage);
   }
-  arm_request_timer(grp, grp.last_nack_ev);
+  arm_request_timer(g, l.last_nack_ev);
 }
 
 // --- NACK handling (suppression + repairer bookkeeping) ------------------------
@@ -800,9 +891,10 @@ void TransferEngine::on_nack(const NackMsg& msg) {
   if (join_point_fixed_ && msg.group < skip_before_ && !is_source_) {
     // Outside our contract — but we may still hold the shards from before
     // we narrowed it; otherwise ignore.
-    if (groups_.find(msg.group) == groups_.end()) return;
+    if (!tracked(msg.group)) return;
   }
-  Group& grp = ensure_group(msg.group);
+  const std::uint32_t g = msg.group;
+  ensure_group(g);
   const auto& chain = session_.chain();
   int level = -1;
   for (std::size_t l = 0; l < chain.size(); ++l) {
@@ -816,47 +908,50 @@ void TransferEngine::on_nack(const NackMsg& msg) {
   stats::EventId heard_ev = 0;
   if (journal_) {
     // Cross-node edge: cause is the sender's nack.sent, via the packet uid.
-    heard_ev = jnl("nack.heard", grp.id, cause_in_,
+    heard_ev = jnl("nack.heard", g, cause_in_,
                    {{"level", level},
                     {"llc", msg.llc},
                     {"needed", msg.needed},
                     {"sender", msg.sender}});
   }
 
-  // No group-creating call happens below, so the stride reference stays
-  // valid for the rest of the handler.
-  ChainLevel& lv = chain_lv(grp)[level];
+  // No group-creating call happens below, so the stride and record
+  // references stay valid for the rest of the handler.
+  Record& r = rec(g);
+  ChainLevel& lv = chain_lv(g)[level];
   const bool increased = msg.llc > lv.zlc;
   lv.zlc = std::max<std::int32_t>(lv.zlc, msg.llc);
 
   // The NACK's max-id may reveal shards we never saw (paper LDP rule 7).
-  if (msg.max_id_seen > grp.max_id_seen) {
+  if (msg.max_id_seen > r.max_id_seen) {
+    const fec::GroupDecoder dec = decoder_of(g);
     int missing_originals = 0;
-    for (int j = grp.max_id_seen + 1; j <= msg.max_id_seen; ++j) {
-      if (j < cfg_->group_size && !grp.decoder.has(j)) ++missing_originals;
+    for (int j = r.max_id_seen + 1; j <= msg.max_id_seen; ++j) {
+      if (j < cfg_->group_size && !dec.has(j)) ++missing_originals;
     }
-    if (grp.last_initial_seen < msg.max_id_seen &&
-        msg.max_id_seen < grp.initial_shards) {
-      grp.last_initial_seen = msg.max_id_seen;
+    if (r.last_initial_seen < msg.max_id_seen &&
+        msg.max_id_seen < r.initial_shards) {
+      r.last_initial_seen = static_cast<std::int16_t>(msg.max_id_seen);
     }
-    grp.max_id_seen = msg.max_id_seen;
+    r.max_id_seen = static_cast<std::int16_t>(msg.max_id_seen);
     if (missing_originals > 0 && !is_source_) {
-      raise_llc(grp, missing_originals, heard_ev);
+      raise_llc(g, missing_originals, heard_ev);
     }
   }
 
-  if (!is_source_ && !grp.complete) {
+  if (!is_source_ && !r.complete) {
     // Suppression (paper LDP rules 5/6): a NACK that covers our losses, or
     // one that does not raise the ZLC, backs our own request off.
-    if (grp.request_timer.pending() && (!increased || grp.llc <= lv.zlc)) {
+    Live& l = live(g);
+    if (l.request_timer.pending() && (!increased || r.llc <= lv.zlc)) {
       if (m_nacks_deduped_) m_nacks_deduped_->inc();
       stats::EventId dedup_ev = 0;
       if (journal_) {
-        dedup_ev = jnl("nack.deduped", grp.id, heard_ev,
-                       {{"level", level}, {"llc", grp.llc}});
+        dedup_ev = jnl("nack.deduped", g, heard_ev,
+                       {{"level", level}, {"llc", r.llc}});
       }
-      grp.backoff_i = std::min(grp.backoff_i + 1, cfg_->max_backoff_stage);
-      arm_request_timer(grp, dedup_ev);
+      l.backoff_i = std::min(l.backoff_i + 1, cfg_->max_backoff_stage);
+      arm_request_timer(g, dedup_ev);
       // A NACK that didn't raise the ZLC while ours announced the same
       // losses is a duplicate in the adaptive-timer sense.
       if (lv.nacked && !increased) adapt_request_window(true);
@@ -877,7 +972,7 @@ void TransferEngine::on_nack(const NackMsg& msg) {
     if (m_repairs_coalesced_) m_repairs_coalesced_->inc();
     budget_->note_shed("repair");
     if (journal_) {
-      jnl("shed.repair", grp.id, heard_ev,
+      jnl("shed.repair", g, heard_ev,
           {{"mode", "coalesce"},
            {"level", level},
            {"needed", msg.needed},
@@ -887,62 +982,66 @@ void TransferEngine::on_nack(const NackMsg& msg) {
   lv.pending = want;
   if (lv.pending > pending_high_water_) pending_high_water_ = lv.pending;
   if (m_pending_hw_) m_pending_hw_->set_max(static_cast<double>(lv.pending));
-  if (!eligible_repairer(grp)) return;
+  if (!eligible_repairer(g)) return;
   if (cfg_->sender_only && !is_source_) return;
-  if (grp.reply_timer.pending()) {
-    grp.reply_level = std::max(grp.reply_level, level);
+  Live& l = live(g);
+  if (l.reply_timer.pending()) {
+    l.reply_level = std::max(l.reply_level, level);
     return;
   }
-  grp.reply_level = level;
+  l.reply_level = level;
   if (is_source_ || session_.is_zcr(msg.zone)) {
     // Sender and responsible ZCRs answer immediately (paced).
     if (journal_) {
-      grp.repair_sched_ev = jnl("repair.scheduled", grp.id, heard_ev,
-                                {{"level", level}, {"via", "immediate"}});
+      l.repair_sched_ev = jnl("repair.scheduled", g, heard_ev,
+                              {{"level", level}, {"via", "immediate"}});
     }
-    fire_reply(grp.id);
+    fire_reply(g);
   } else {
     const double d =
         std::max(1e-3, session_.estimate_dist(msg.sender, msg.hints));
     if (journal_) {
-      grp.repair_sched_ev = jnl("repair.scheduled", grp.id, heard_ev,
-                                {{"level", level}, {"via", "deferred"}});
+      l.repair_sched_ev = jnl("repair.scheduled", g, heard_ev,
+                              {{"level", level}, {"via", "deferred"}});
     }
-    arm_reply_timer(grp, level, d * cfg_->fallback_reply_defer);
+    arm_reply_timer(g, level, d * cfg_->fallback_reply_defer);
   }
 }
 
-bool TransferEngine::eligible_repairer(const Group& grp) const {
-  if (is_source_) return grp.ldp_done || grp.complete;
-  return grp.complete;
+bool TransferEngine::eligible_repairer(std::uint32_t g) const {
+  const Record& r = rec(g);
+  if (is_source_) return r.ldp_done || r.complete;
+  return r.complete;
 }
 
-void TransferEngine::arm_reply_timer(Group& grp, int level,
+void TransferEngine::arm_reply_timer(std::uint32_t g, int level,
                                      double dist_to_requester) {
-  grp.reply_level = level;
+  Live& l = live(g);
+  l.reply_level = level;
   const sim::Time delay = cfg_->timers.reply_delay(rng_, dist_to_requester);
-  grp.reply_timer.arm(delay, [this, g = grp.id] { fire_reply(g); });
+  l.reply_timer.arm(delay, [this, g] {
+    fire_reply(g);
+    maybe_settle(g);
+  });
 }
 
 void TransferEngine::fire_reply(std::uint32_t g) {
   SHARQ_PROF_SCOPE(transfer);
   if (stopped_) return;
-  auto it = groups_.find(g);
-  if (it == groups_.end()) return;
-  Group& grp = it->second;
-  if (!eligible_repairer(grp)) return;
+  if (!eligible_repairer(g)) return;
   if (cfg_->sender_only && !is_source_) return;
-  int level = grp.reply_level;
+  Live& l = live(g);
+  int level = l.reply_level;
   if (level < 0) return;
-  if (chain_lv(grp)[level].pending <= 0) {
+  if (chain_lv(g)[level].pending <= 0) {
     // This zone is served; check smaller zones we may also owe.
-    const ChainLevel* lv = chain_lv(grp);
+    const ChainLevel* lv = chain_lv(g);
     level = -1;
-    for (std::size_t l = chain_levels_; l-- > 0;) {
-      if (lv[l].pending > 0) level = static_cast<int>(l);
+    for (std::size_t lvl = chain_levels_; lvl-- > 0;) {
+      if (lv[lvl].pending > 0) level = static_cast<int>(lvl);
     }
     if (level < 0) return;
-    grp.reply_level = level;
+    l.reply_level = level;
   }
   if (budget_ && !budget_->repair_due()) {
     // Rate budget: defer, never drop — re-arm for the pacer's next free
@@ -952,41 +1051,45 @@ void TransferEngine::fire_reply(std::uint32_t g) {
     if (m_repairs_deferred_) m_repairs_deferred_->inc();
     budget_->note_shed("repair");
     if (journal_) {
-      jnl("shed.repair", grp.id, grp.repair_sched_ev,
+      jnl("shed.repair", g, l.repair_sched_ev,
           {{"mode", "defer"},
            {"level", level},
            {"wait", budget_->repair_wait()}});
     }
-    grp.reply_timer.arm(budget_->repair_wait(), [this, g] { fire_reply(g); });
+    l.reply_timer.arm(budget_->repair_wait(), [this, g] {
+      fire_reply(g);
+      maybe_settle(g);
+    });
     return;
   }
-  send_one_repair(grp, level, /*preemptive=*/false);
+  send_one_repair(g, level, /*preemptive=*/false);
   // Re-fetch the stride: send_one_repair can complete the group, and the
   // completion callback may create groups (arena growth moves the data).
-  ChainLevel* lv = chain_lv(grp);
+  ChainLevel* lv = chain_lv(g);
   lv[level].pending = std::max<std::int32_t>(0, lv[level].pending - 1);
-  bool any_pending = false;
-  for (std::size_t l = 0; l < chain_levels_; ++l) {
-    any_pending = any_pending || lv[l].pending > 0;
-  }
-  if (any_pending) {
+  if (any_pending(g)) {
     if (is_source_ || session_.is_zcr(session_.chain()[level])) {
       // Dedicated repairers pace the rest of the burst at half the data
       // inter-packet interval (paper RP rule 1).
-      grp.reply_timer.arm(cfg_->repair_spacing_factor * packet_interval(),
-                           [this, g] { fire_reply(g); });
+      l.reply_timer.arm(cfg_->repair_spacing_factor * packet_interval(),
+                        [this, g] {
+                          fire_reply(g);
+                          maybe_settle(g);
+                        });
     } else {
       // Fallback repairers re-randomize a suppression-sized delay between
       // repairs so a dedicated repairer's burst (or another fallback's)
       // can drain the queue first.
-      arm_reply_timer(grp, grp.reply_level,
+      arm_reply_timer(g, l.reply_level,
                       cfg_->default_dist * cfg_->fallback_reply_defer);
     }
   }
 }
 
-void TransferEngine::send_one_repair(Group& grp, int level, bool preemptive) {
+void TransferEngine::send_one_repair(std::uint32_t g, int level,
+                                     bool preemptive) {
   if (stopped_) return;
+  Live& l = live(g);
   if (budget_ && preemptive && !budget_->repair_due()) {
     // Preemptive injection is speculative redundancy: when the rate
     // budget has no slot, skipping the shard is the graceful choice —
@@ -996,17 +1099,19 @@ void TransferEngine::send_one_repair(Group& grp, int level, bool preemptive) {
     if (m_repairs_deferred_) m_repairs_deferred_->inc();
     budget_->note_shed("repair");
     if (journal_) {
-      jnl("shed.repair", grp.id, grp.inject_ev,
+      jnl("shed.repair", g, l.inject_ev,
           {{"mode", "skip_preemptive"}, {"level", level}});
     }
     return;
   }
   const net::ZoneId zone = session_.chain()[level];
-  const int index = next_parity_index(grp, zone);
-  grp.max_id_seen = std::max(grp.max_id_seen, index);
+  const int index = next_parity_index(g, zone);
+  Record& r = rec(g);
+  r.max_id_seen = std::max<std::int16_t>(r.max_id_seen,
+                                         static_cast<std::int16_t>(index));
 
   auto msg = std::make_shared<RepairMsg>();
-  msg->group = grp.id;
+  msg->group = g;
   msg->index = index;
   msg->k = cfg_->group_size;
   msg->new_max_id = index;
@@ -1014,7 +1119,7 @@ void TransferEngine::send_one_repair(Group& grp, int level, bool preemptive) {
   msg->zone = zone;
   msg->preemptive = preemptive;
   msg->hints = session_.make_hints();
-  msg->bytes = shard_bytes(grp, index);
+  msg->bytes = shard_bytes(g, index);
   // Logical parity bytes: counted in both payload modes so the profile's
   // FEC figures survive the (fast) shard-count configuration.
   stats::Profiler::count(stats::ProfCounter::fec_bytes_encoded,
@@ -1031,9 +1136,9 @@ void TransferEngine::send_one_repair(Group& grp, int level, bool preemptive) {
   if (budget_) budget_->note_repair_sent();
   if (journal_) {
     const stats::EventId cause =
-        preemptive ? grp.inject_ev : grp.repair_sched_ev;
+        preemptive ? l.inject_ev : l.repair_sched_ev;
     const stats::EventId sent_ev =
-        jnl("repair.sent", grp.id, cause ? cause : span_cause(grp),
+        jnl("repair.sent", g, cause ? cause : span_cause(g),
             {{"index", index},
              {"level", level},
              {"mode", preemptive ? "preemptive" : "reactive"},
@@ -1041,7 +1146,7 @@ void TransferEngine::send_one_repair(Group& grp, int level, bool preemptive) {
     journal_->bind_uid(uid, sent_ev);
   }
   // Our own shard store should know the shard exists (dedup/coordination).
-  add_shard(grp, index, msg->bytes);
+  add_shard(g, index, msg->bytes);
 }
 
 // --- repair handling -----------------------------------------------------------
@@ -1049,7 +1154,8 @@ void TransferEngine::send_one_repair(Group& grp, int level, bool preemptive) {
 void TransferEngine::on_repair(const RepairMsg& msg) {
   seen_any_ = true;
   if (join_point_fixed_ && msg.group < skip_before_) return;
-  Group& grp = ensure_group(msg.group);
+  const std::uint32_t g = msg.group;
+  ensure_group(g);
   const auto& chain = session_.chain();
   int level = -1;
   for (std::size_t l = 0; l < chain.size(); ++l) {
@@ -1058,27 +1164,34 @@ void TransferEngine::on_repair(const RepairMsg& msg) {
       break;
     }
   }
-  grp.max_id_seen = std::max(grp.max_id_seen, msg.new_max_id);
-  note_parity_seen(grp, msg.new_max_id);
-  ++grp.repair_coverage;
-  const bool useful = !grp.decoder.has(msg.index);
+  Record& r = rec(g);
+  r.max_id_seen = std::max<std::int16_t>(
+      r.max_id_seen, static_cast<std::int16_t>(msg.new_max_id));
+  note_parity_seen(g, msg.new_max_id);
+  // A delivered group needs no live state here: its repair count and the
+  // anchor below are read only up to completion, and its timers are idle.
+  const bool was_complete = r.complete;
+  if (!was_complete) ++live(g).repair_coverage;
+  const bool useful = !decoder_of(g).has(msg.index);
   if (journal_) {
-    grp.last_repair_recv_ev =
-        jnl("repair.received", grp.id, cause_in_,
+    const stats::EventId ev =
+        jnl("repair.received", g, cause_in_,
             {{"index", msg.index},
              {"level", level},
              {"mode", msg.preemptive ? "preemptive" : "reactive"},
              {"useful", useful ? 1 : 0}});
+    if (!was_complete) live(g).last_repair_recv_ev = ev;
   }
-  add_shard(grp, msg.index, msg.bytes);
+  add_shard(g, msg.index, msg.bytes);
 
   // A repair resets the request backoff (paper LDP rule: "any time a
   // repair arrives, i is reset to 1") — but only a repair that added
   // information. Resetting on duplicates lets a stream of useless repairs
   // hold a starved receiver at its fastest NACK cadence, which sustains a
   // session-wide NACK/repair storm (found by the chaos soak).
-  if (useful && !grp.complete) {
-    grp.backoff_i = 1;
+  if (useful && !rec(g).complete) {
+    Live& l = live(g);
+    l.backoff_i = 1;
     // De-escalate to the scope that actually served us: that zone has a
     // live repairer with the shards, so wider NACKs are pure amplification
     // (a root-scope NACK recruits ~every complete receiver). Without this,
@@ -1088,16 +1201,16 @@ void TransferEngine::on_repair(const RepairMsg& msg) {
     // is how we escalated past them in the first place.
     const int serving =
         std::max(level - base_scope_level(), 0);
-    if (grp.scope_level > serving) {
-      grp.scope_level = serving;
-      grp.attempts_at_scope = 0;
+    if (l.scope_level > serving) {
+      l.scope_level = serving;
+      l.attempts_at_scope = 0;
       if (journal_) {
-        jnl("scope.deescalated", grp.id, grp.last_repair_recv_ev,
+        jnl("scope.deescalated", g, l.last_repair_recv_ev,
             {{"scope_level", serving}});
       }
     }
-    if (grp.request_timer.pending() && deficit(grp) > 0) {
-      arm_request_timer(grp, grp.last_repair_recv_ev);
+    if (l.request_timer.pending() && deficit(g) > 0) {
+      arm_request_timer(g, l.last_repair_recv_ev);
     }
   }
 
@@ -1105,32 +1218,32 @@ void TransferEngine::on_repair(const RepairMsg& msg) {
   // zone on our chain (paper LDP rule 9). Fetched after add_shard: the
   // completion callback it can trigger may grow the arena.
   if (level >= 0) {
-    ChainLevel* lv = chain_lv(grp);
+    ChainLevel* lv = chain_lv(g);
     for (int l = 0; l <= level; ++l) {
       lv[l].pending = std::max<std::int32_t>(0, lv[l].pending - 1);
     }
-    if (grp.reply_timer.pending()) {
-      bool any = false;
-      for (std::size_t l = 0; l < chain_levels_; ++l) {
-        any = any || lv[l].pending > 0;
-      }
-      if (!any) grp.reply_timer.cancel();
+    Live* l = live_if(g);
+    if (l && l->reply_timer.pending() && !any_pending(g)) {
+      l->reply_timer.cancel();
     }
   }
 }
 
 // --- completion, injection, ZLC measurement -------------------------------------
 
-void TransferEngine::on_group_complete(Group& grp) {
-  grp.complete = true;
-  grp.ldp_done = true;
-  grp.ldp_timer.cancel();
-  grp.request_timer.cancel();
+void TransferEngine::on_group_complete(std::uint32_t g) {
+  Record& r = rec(g);
+  r.complete = true;
+  r.ldp_done = true;
+  Live& l = live(g);
+  l.ldp_timer.cancel();
+  l.request_timer.cancel();
   // Originals never heard directly are what the decode rebuilt (logical
   // bytes, mode-independent — same rationale as fec_bytes_encoded).
+  const fec::GroupDecoder dec = decoder_of(g);
   int rebuilt = 0;
   for (int j = 0; j < cfg_->group_size; ++j) {
-    if (!grp.decoder.has(j)) ++rebuilt;
+    if (!dec.has(j)) ++rebuilt;
   }
   if (rebuilt > 0) {
     stats::Profiler::count(
@@ -1138,69 +1251,69 @@ void TransferEngine::on_group_complete(Group& grp) {
         static_cast<std::uint64_t>(rebuilt) *
             static_cast<std::uint64_t>(cfg_->shard_size_bytes));
   }
-  if (m_completion_ && grp.first_arrival != sim::kTimeNever) {
-    m_completion_->observe(simu_.now() - grp.first_arrival);
+  if (m_completion_ && l.first_arrival != sim::kTimeNever) {
+    m_completion_->observe(simu_.now() - l.first_arrival);
   }
   if (journal_) {
     // The parity decode is instantaneous in shard-count mode, so start and
     // complete land at the same t; they are separate events because real
     // decoders are not, and the analyzer's latency split wants the edge.
-    const stats::EventId cause = grp.last_repair_recv_ev
-                                     ? grp.last_repair_recv_ev
-                                     : span_cause(grp);
+    const stats::EventId cause = l.last_repair_recv_ev
+                                     ? l.last_repair_recv_ev
+                                     : span_cause(g);
     const stats::EventId start_ev =
-        jnl("decode.start", grp.id, cause,
-            {{"distinct", grp.decoder.distinct()}, {"llc", grp.llc}});
+        jnl("decode.start", g, cause,
+            {{"distinct", dec.distinct()}, {"llc", r.llc}});
     const stats::EventId done_ev =
-        jnl("decode.complete", grp.id, start_ev, {});
-    grp.complete_ev =
-        jnl("group.complete", grp.id, done_ev,
-            {{"elapsed", grp.first_arrival != sim::kTimeNever
-                             ? simu_.now() - grp.first_arrival
+        jnl("decode.complete", g, start_ev, {});
+    l.complete_ev =
+        jnl("group.complete", g, done_ev,
+            {{"elapsed", l.first_arrival != sim::kTimeNever
+                             ? simu_.now() - l.first_arrival
                              : 0.0},
-             {"repairs_heard", grp.repair_coverage}});
+             {"repairs_heard", l.repair_coverage}});
   }
   // Successful recovery without duplicate NACKs nudges the adaptive
   // request window back down.
-  if (grp.llc > 0) adapt_request_window(false);
-  if (log_) log_->record(node_, grp.id, simu_.now());
-  if (on_complete_) on_complete_(grp.id);
+  if (r.llc > 0) adapt_request_window(false);
+  if (log_) log_->record(node_, g, simu_.now());
+  if (on_complete_) on_complete_(g);
   // Becoming a repairer: serve any speculative queue (paper RP rules 2/3).
   // Stride fetched after the completion callback above (it may create
   // groups and grow the arena).
-  if (eligible_repairer(grp) && (!cfg_->sender_only || is_source_)) {
-    const ChainLevel* lv = chain_lv(grp);
+  if (eligible_repairer(g) && (!cfg_->sender_only || is_source_)) {
+    const ChainLevel* lv = chain_lv(g);
     int level = -1;
-    for (std::size_t l = chain_levels_; l-- > 0;) {
-      if (lv[l].pending > 0) level = static_cast<int>(l);
+    for (std::size_t lvl = chain_levels_; lvl-- > 0;) {
+      if (lv[lvl].pending > 0) level = static_cast<int>(lvl);
     }
-    if (level >= 0 && !grp.reply_timer.pending()) {
+    if (level >= 0 && !l.reply_timer.pending()) {
       const net::ZoneId zone = session_.chain()[level];
       if (journal_) {
-        grp.repair_sched_ev =
-            jnl("repair.scheduled", grp.id, grp.complete_ev,
+        l.repair_sched_ev =
+            jnl("repair.scheduled", g, l.complete_ev,
                 {{"level", level}, {"via", "completion"}});
       }
       if (is_source_ || session_.is_zcr(zone)) {
-        grp.reply_level = level;
-        fire_reply(grp.id);
+        l.reply_level = level;
+        fire_reply(g);
       } else {
-        arm_reply_timer(grp, level,
+        arm_reply_timer(g, level,
                         std::max(1e-3, cfg_->default_dist * 1.0));
       }
     }
   }
-  schedule_injection(grp);
-  schedule_zlc_measurement(grp);
+  schedule_injection(g);
+  schedule_zlc_measurement(g);
 }
 
-void TransferEngine::schedule_injection(Group& grp) {
+void TransferEngine::schedule_injection(std::uint32_t g) {
   if (!cfg_->injection) return;
   if (cfg_->sender_only && !is_source_) return;
   const auto& chain = session_.chain();
   // The source's root-level proactive FEC is the initial tranche; ZCRs of
   // smaller zones top up their zone to the predicted ZLC.
-  ChainLevel* lv = chain_lv(grp);
+  ChainLevel* lv = chain_lv(g);
   for (std::size_t l = 0; l + 1 < chain.size(); ++l) {
     if (!session_.is_zcr(chain[l]) || lv[l].injected) continue;
     lv[l].injected = true;
@@ -1214,31 +1327,35 @@ void TransferEngine::schedule_injection(Group& grp) {
     const int extra = std::clamp(want, 0, slice_width() - 1);
     if (extra <= 0) continue;
     const int level = static_cast<int>(l);
+    Live& lg = live(g);
     if (journal_) {
-      grp.inject_ev = jnl("inject.scheduled", grp.id, grp.complete_ev,
-                          {{"count", extra}, {"level", level}});
+      lg.inject_ev = jnl("inject.scheduled", g, lg.complete_ev,
+                         {{"count", extra}, {"level", level}});
     }
     // Paced burst of preemptive repairs into this zone (paper RP rule 2:
-    // the ZCR transmits without waiting for NACKs).
+    // the ZCR transmits without waiting for NACKs). The group stays live
+    // until the last one has gone.
+    lg.injections += extra;
     for (int i = 0; i < extra; ++i) {
       simu_.after(
           cfg_->repair_spacing_factor * packet_interval() * i,
-          [this, g = grp.id, level] {
-            auto it = groups_.find(g);
-            if (it == groups_.end()) return;
-            send_one_repair(it->second, level, /*preemptive=*/true);
+          [this, g, level] {
+            --live(g).injections;
+            send_one_repair(g, level, /*preemptive=*/true);
+            maybe_settle(g);
           },
           "transfer.inject");
     }
   }
 }
 
-void TransferEngine::schedule_zlc_measurement(Group& grp) {
-  if (grp.measured || grp.measure_timer.pending()) return;
+void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
+  Live& l = live(g);
+  if (rec(g).measured || l.measure_timer.pending()) return;
   const auto& chain = session_.chain();
   bool responsible = is_source_;
-  for (std::size_t l = 0; !responsible && l < chain.size(); ++l) {
-    responsible = session_.is_zcr(chain[l]);
+  for (std::size_t lvl = 0; !responsible && lvl < chain.size(); ++lvl) {
+    responsible = session_.is_zcr(chain[lvl]);
   }
   if (!responsible) return;
   double max_rtt = 0.0;
@@ -1260,37 +1377,35 @@ void TransferEngine::schedule_zlc_measurement(Group& grp) {
       2.0 * (cfg_->timers.c1 + cfg_->timers.c2) * std::max(d_src, 1e-3);
   const sim::Time wait =
       cfg_->zlc_measure_rtt_factor * std::max(max_rtt, nack_window);
-  grp.measure_timer.arm(wait, [this, g = grp.id] {
-    auto it = groups_.find(g);
-    if (it == groups_.end()) return;
-    Group& grp2 = it->second;
-    grp2.measured = true;
+  l.measure_timer.arm(wait, [this, g] {
+    rec(g).measured = true;
     const auto& ch = session_.chain();
-    const ChainLevel* lv = chain_lv(grp2);
-    const SliceLevel* sl = slice_lv(grp2);
-    for (std::size_t l = 0; l < ch.size(); ++l) {
+    const ChainLevel* lv = chain_lv(g);
+    const SliceLevel* sl = slice_lv(g);
+    for (std::size_t lvl = 0; lvl < ch.size(); ++lvl) {
       const bool mine =
-          (is_source_ && l + 1 == ch.size()) || session_.is_zcr(ch[l]);
+          (is_source_ && lvl + 1 == ch.size()) || session_.is_zcr(ch[lvl]);
       if (!mine) continue;
       // True ZLC if NACKs announced it; otherwise our own LLC stands in
       // (paper: "the EWMA filter will use the receiver's LLC in cases
       // where no NACKs are received").
-      const int measured = std::max<int>(lv[l].zlc, grp2.llc);
-      zlc_pred_[l] =
-          cfg_->ewma_old * zlc_pred_[l] + cfg_->ewma_new * measured;
-      if (!m_zlc_pred_.empty() && l < m_zlc_pred_.size()) {
-        m_zlc_pred_[l]->set(zlc_pred_[l]);
+      const int measured = std::max<int>(lv[lvl].zlc, rec(g).llc);
+      zlc_pred_[lvl] =
+          cfg_->ewma_old * zlc_pred_[lvl] + cfg_->ewma_new * measured;
+      if (!m_zlc_pred_.empty() && lvl < m_zlc_pred_.size()) {
+        m_zlc_pred_[lvl]->set(zlc_pred_[lvl]);
       }
       // Coverage from larger scopes observed for this group: parity whose
       // originating level is strictly above this zone's level.
-      const int my_glevel = hier_.level(ch[l]);
+      const int my_glevel = hier_.level(ch[lvl]);
       int from_above = 0;
       for (int gl = 0; gl < my_glevel && gl < hier_.depth(); ++gl) {
         from_above += sl[gl].seen;
       }
-      cov_pred_[l] =
-          cfg_->ewma_old * cov_pred_[l] + cfg_->ewma_new * from_above;
+      cov_pred_[lvl] =
+          cfg_->ewma_old * cov_pred_[lvl] + cfg_->ewma_new * from_above;
     }
+    maybe_settle(g);
   });
 }
 
@@ -1310,25 +1425,26 @@ void TransferEngine::send_storm_nack() {
   // Lowest incomplete tracked group, else the stream head: the storm must
   // reference a real group so repairers actually queue encodes for it.
   std::uint32_t g = max_group_seen_;
-  for (const auto& [id, grp2] : groups_) {
-    if (!grp2.complete) {
-      g = id;
+  for (std::uint32_t i = 0; i < records_.size(); ++i) {
+    if (records_[i].tracked && !records_[i].complete) {
+      g = i;
       break;
     }
   }
-  Group& grp = ensure_group(g);
+  ensure_group(g);
   const auto& chain = session_.chain();
   if (chain.empty()) return;
   // Root scope on purpose: a root NACK recruits every repairer in the
   // session — the worst-case feedback implosion the budgets must absorb.
   const int level = static_cast<int>(chain.size()) - 1;
   const net::ZoneId zone = chain[level];
+  const Record& r = rec(g);
   auto msg = std::make_shared<NackMsg>();
   msg->group = g;
   msg->zone = zone;
-  msg->llc = std::max(grp.llc, 1);
-  msg->needed = std::max(deficit(grp), 1);
-  msg->max_id_seen = grp.max_id_seen;
+  msg->llc = std::max<int>(r.llc, 1);
+  msg->needed = std::max(deficit(g), 1);
+  msg->max_id_seen = r.max_id_seen;
   msg->sender = node_;
   msg->hints = session_.make_hints();
   ++nacks_sent_;
@@ -1337,13 +1453,15 @@ void TransferEngine::send_storm_nack() {
       net_.send(node_, hier_.repair_channel(zone), net::TrafficClass::kNack,
                 nack_size(msg->hints.size()), msg, /*lossless=*/true);
   if (journal_) {
-    grp.last_nack_ev = jnl("nack.sent", g, span_cause(grp),
-                           {{"level", level},
-                            {"llc", msg->llc},
-                            {"needed", msg->needed},
-                            {"storm", 1},
-                            {"zone", zone}});
-    journal_->bind_uid(uid, grp.last_nack_ev);
+    const stats::EventId sent_ev = jnl("nack.sent", g, span_cause(g),
+                                       {{"level", level},
+                                        {"llc", msg->llc},
+                                        {"needed", msg->needed},
+                                        {"storm", 1},
+                                        {"zone", zone}});
+    // A delivered group's own NACK anchor is never read again.
+    if (!r.complete) live(g).last_nack_ev = sent_ev;
+    journal_->bind_uid(uid, sent_ev);
   }
 }
 

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -70,16 +70,26 @@ class TransferEngine {
   /// absurd group jumps, inconsistent counts). Hostile input must bump
   /// this counter, never distort protocol state.
   std::uint64_t malformed_rejects() const { return malformed_rejects_; }
-  /// Number of groups currently tracked (state-growth probe).
-  std::size_t tracked_group_count() const { return groups_.size(); }
+  /// Number of groups currently tracked (state-growth probe): every group
+  /// this engine ever took on, live or settled.
+  std::size_t tracked_group_count() const { return tracked_count_; }
+  /// Number of tracked groups holding live state (timers, backoff, journal
+  /// anchors, encoder) right now; the rest have settled into their record.
+  std::size_t live_group_count() const {
+    return slots_.size() - free_slots_.size();
+  }
+  /// Most groups ever live at once: the size of the live-state pool.
+  std::size_t live_group_high_water() const { return slots_.size(); }
   double predicted_zlc(net::ZoneId z) const;
   /// Reconstructed application bytes for a completed group (real_payload
   /// mode only; empty otherwise).
   std::vector<std::uint8_t> reconstructed(std::uint32_t g) const;
-  /// Group `g`'s shard store, or null while the group is untracked.
-  const fec::GroupDecoder* decoder(std::uint32_t g) const;
-  /// Group `g`'s repair encoder, or null until this member first sends
-  /// one of its shards with real payload bytes.
+  /// Read-only view of group `g`'s shard store, or nullopt while the group
+  /// is untracked.
+  std::optional<const fec::GroupDecoder> decoder(std::uint32_t g) const;
+  /// Group `g`'s repair encoder, or null unless the group is live and this
+  /// member has sent one of its shards with real payload bytes since it
+  /// last took a slot.
   const fec::GroupEncoder* encoder(std::uint32_t g) const;
   /// Called by the session manager's progress listener.
   void note_remote_progress(std::uint32_t remote_max_group);
@@ -110,14 +120,16 @@ class TransferEngine {
   std::int32_t pending_high_water() const { return pending_high_water_; }
 
   /// Contribute this engine's retained bytes to the profiler's memory
-  /// census: per-group state (decoders, encoders, level arenas) and the
-  /// shard buffers this engine allocated under "transfer_groups", its
-  /// random stream under "rng_streams", the object itself under
-  /// "agent_objects". A shared shard buffer is counted once, by the engine
-  /// that allocated it: the source's data and the parity an encoder
-  /// produced. A repairer encodes from the shards its decoder holds, so
-  /// it allocates no original; every other holder counts only its handle.
-  void memory_census(stats::MemCensus& census) const;
+  /// census: per-group state (records, held handles, level arenas, the
+  /// live-state pool and its encoders) and shard buffers under
+  /// "transfer_groups", its random stream under "rng_streams", the object
+  /// itself under "agent_objects". A shared shard buffer is counted once:
+  /// every original by the source, which allocated them all, and each
+  /// parity buffer by the first engine holding it whose census shares
+  /// `counted` (a session passes one set to every engine; without one, the
+  /// engine counts every parity buffer it holds).
+  void memory_census(stats::MemCensus& census,
+                     fec::BufferSet* counted = nullptr) const;
 
  private:
   /// Per chain-level state, indexed like the session manager's chain.
@@ -139,52 +151,72 @@ class TransferEngine {
     std::int32_t seen = 0;  ///< repair shards heard that originated here
   };
 
-  /// Per-group receiver/repairer state. Constructed in place inside
-  /// `groups_` (never moved): the four timers are direct members whose
-  /// armed callbacks capture only the engine and a group id.
-  struct Group {
-    std::uint32_t id = 0;
-    fec::GroupDecoder decoder;
-    int initial_shards = 0;      ///< k + h announced by the source
-    int last_initial_seen = -1;  ///< highest initial-tranche index received
-    int max_id_seen = -1;        ///< highest shard id seen or announced
-    int llc = 0;                 ///< local loss count (missing originals)
-    int repair_coverage = 0;     ///< repair shards seen for this group
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  /// What a tracked group keeps for as long as the engine lives: what
+  /// later data, repair and NACK handling can still ask of a delivered
+  /// group. One per group id in `records_` (dense, untracked ids in gaps);
+  /// the group's k held shard handles and indices sit at stride k in
+  /// `held_bytes_`/`held_index_`, its level state in the two arenas.
+  struct Record {
+    fec::DecoderState dec;
+    // Span anchors later events of a delivered group can still cite
+    // (journal only; both 0 when the journal is detached).
+    stats::EventId root_ev = 0;       ///< group.first_arrival (span root)
+    stats::EventId last_loss_ev = 0;  ///< latest loss.detected
+    std::uint32_t slot = kNoSlot;     ///< live state in slots_, if held
+    std::int16_t last_initial_seen = -1;  ///< highest initial-tranche index
+    std::int16_t max_id_seen = -1;    ///< highest shard id seen or announced
+    std::int16_t llc = 0;             ///< local loss count (missing originals)
+    std::uint8_t initial_shards = 0;  ///< k + h announced by the source
+    bool tracked = false;
     bool ldp_done = false;
     bool complete = false;
-    bool repairer_active = false;
-    sim::Time first_arrival = sim::kTimeNever;
-    /// Stride index into the engine's level arenas (chain_lv()/slice_lv()).
-    std::uint32_t arena_slot = 0;
-    int backoff_i = 1;                  ///< paper: i starts at 1
-    int scope_level = 0;                ///< current NACK escalation level
-    int attempts_at_scope = 0;
-    sim::Timer ldp_timer;
-    sim::Timer request_timer;
-    sim::Timer reply_timer;
-    sim::Timer measure_timer;
-    int reply_level = -1;               ///< level the reply timer serves
     bool measured = false;
-    int last_fire_distinct = -1;        ///< progress marker for stall NACKs
+    bool arrived = false;  ///< a data shard of the group has arrived
+  };
+
+  /// The resettable part of a group's live state: request backoff and
+  /// scope, journal anchors, the repair encoder.
+  struct LiveState {
+    sim::Time first_arrival = sim::kTimeNever;
+    /// Real-payload repair source: the source's k originals, or a
+    /// repairer's k held shards once the group is complete. Dropped when
+    /// the group settles and rebuilt on demand: the code is MDS, so any k
+    /// held shards give the same parity bytes.
+    std::unique_ptr<fec::GroupEncoder> encoder;
     // Flight-recorder causal anchors (all 0 when the journal is detached):
     // the most recent event of each kind, used as the `cause` of whatever
-    // it triggers next (docs/OBSERVABILITY.md).
-    stats::EventId root_ev = 0;          ///< group.first_arrival (span root)
+    // it triggers next (docs/OBSERVABILITY.md). Once a group has settled
+    // none of these is read before it is rewritten; the two anchors that
+    // can be (span root, latest loss) live in the Record.
     stats::EventId ldp_armed_ev = 0;
     stats::EventId ldp_fired_ev = 0;
-    stats::EventId last_loss_ev = 0;
-    stats::EventId last_nack_ev = 0;     ///< our own nack.sent
+    stats::EventId last_nack_ev = 0;  ///< our own nack.sent
     stats::EventId repair_sched_ev = 0;
     stats::EventId inject_ev = 0;
     stats::EventId last_repair_recv_ev = 0;
     stats::EventId complete_ev = 0;
-    // Sender-side extras
-    /// Real-payload repair source: the source's k originals, or a
-    /// repairer's k held shards once the group is complete.
-    std::unique_ptr<fec::GroupEncoder> encoder;
-    Group(std::shared_ptr<const fec::ReedSolomon> codec, sim::Simulator& simu)
-        : decoder(std::move(codec)),
-          ldp_timer(simu),
+    int repair_coverage = 0;      ///< repair shards seen before completion
+    int backoff_i = 1;            ///< paper: i starts at 1
+    int scope_level = 0;          ///< current NACK escalation level
+    int attempts_at_scope = 0;
+    int reply_level = -1;         ///< level the reply timer serves
+    int last_fire_distinct = -1;  ///< progress marker for stall NACKs
+    int injections = 0;           ///< preemptive repairs still scheduled
+  };
+
+  /// A group's state while it can still act on its own. Held in a reusable
+  /// slot from the group's creation until it settles: delivered (fully
+  /// sent, at the source), timers idle, no injection outstanding and no
+  /// repair pending at any level. A later data, repair or NACK that needs
+  /// it takes a slot again, with LiveState's defaults: every field but the
+  /// Record's is either dead once a group completes or rewritten before it
+  /// is read. Slots never move, so armed timers stay valid; their
+  /// callbacks capture only the engine and a group id.
+  struct Live : LiveState {
+    explicit Live(sim::Simulator& simu)
+        : ldp_timer(simu),
           request_timer(simu),
           reply_timer(simu),
           measure_timer(simu) {
@@ -193,60 +225,91 @@ class TransferEngine {
       reply_timer.set_tag("transfer.reply");
       measure_timer.set_tag("transfer.measure");
     }
+    sim::Timer ldp_timer;
+    sim::Timer request_timer;
+    sim::Timer reply_timer;
+    sim::Timer measure_timer;
   };
 
-  /// A group's per-chain-level stride in the packed arena. The pointer is
-  /// invalidated by ensure_group() (arena growth): re-fetch after any call
-  /// that may create a group — including user completion callbacks.
-  ChainLevel* chain_lv(const Group& grp) {
-    return chain_arena_.data() +
-           static_cast<std::size_t>(grp.arena_slot) * chain_levels_;
+  Record& rec(std::uint32_t g) { return records_[g]; }
+  const Record& rec(std::uint32_t g) const { return records_[g]; }
+  /// Group `g`'s live state, taking a slot first if it has settled.
+  Live& live(std::uint32_t g);
+  /// The live state if `g` holds a slot, else null (nothing is pending).
+  Live* live_if(std::uint32_t g) {
+    const std::uint32_t s = records_[g].slot;
+    return s == kNoSlot ? nullptr : slots_[s].get();
   }
-  const ChainLevel* chain_lv(const Group& grp) const {
-    return chain_arena_.data() +
-           static_cast<std::size_t>(grp.arena_slot) * chain_levels_;
+  const Live* live_if(std::uint32_t g) const {
+    const std::uint32_t s = records_[g].slot;
+    return s == kNoSlot ? nullptr : slots_[s].get();
+  }
+  /// Return `g`'s slot to the pool if the group has settled. Called at the
+  /// end of each entry point, never while a caller still uses the slot.
+  void maybe_settle(std::uint32_t g);
+  fec::GroupDecoder decoder_of(std::uint32_t g) {
+    const std::size_t at = static_cast<std::size_t>(g) * codec_->k();
+    return fec::GroupDecoder(*codec_, records_[g].dec,
+                             held_bytes_.data() + at, held_index_.data() + at);
+  }
+  bool tracked(std::uint32_t g) const {
+    return g < records_.size() && records_[g].tracked;
+  }
+  /// A group's per-chain-level stride in the packed arena. The pointer,
+  /// like any Record reference, is invalidated by ensure_group() (growth):
+  /// re-fetch after any call that may create a group — including user
+  /// completion callbacks.
+  ChainLevel* chain_lv(std::uint32_t g) {
+    return chain_arena_.data() + static_cast<std::size_t>(g) * chain_levels_;
+  }
+  const ChainLevel* chain_lv(std::uint32_t g) const {
+    return chain_arena_.data() + static_cast<std::size_t>(g) * chain_levels_;
   }
   /// Same for the per-global-level parity-slice stride.
-  SliceLevel* slice_lv(const Group& grp) {
-    return slice_arena_.data() +
-           static_cast<std::size_t>(grp.arena_slot) * slice_levels_;
+  SliceLevel* slice_lv(std::uint32_t g) {
+    return slice_arena_.data() + static_cast<std::size_t>(g) * slice_levels_;
   }
+  bool any_pending(std::uint32_t g) const;
 
-  Group& ensure_group(std::uint32_t g);
+  /// Track group `g` (creating its record and live slot) if it is not yet.
+  void ensure_group(std::uint32_t g);
   bool sane_group_id(std::uint32_t g) const;
   void fix_join_point(std::uint32_t first_heard_group, bool at_group_start);
+  /// First group the backfill loops need visit: ldp_floor_, raised past
+  /// every group that has finished its loss-detection phase.
+  std::uint32_t backfill_start();
   void source_send_next();
   void on_data(const DataMsg& msg, net::TrafficClass cls);
   void on_repair(const RepairMsg& msg);
   void on_nack(const NackMsg& msg);
-  void add_shard(Group& grp, int index, const fec::ShardBuffer& bytes);
-  void note_initial_progress(Group& grp, int index);
-  void raise_llc(Group& grp, int newly_missing, stats::EventId cause = 0);
-  void finish_ldp(Group& grp, const char* via = "advance");
-  void maybe_request(Group& grp);
-  void arm_request_timer(Group& grp, stats::EventId cause = 0);
+  void add_shard(std::uint32_t g, int index, const fec::ShardBuffer& bytes);
+  void note_initial_progress(std::uint32_t g, int index);
+  void raise_llc(std::uint32_t g, int newly_missing, stats::EventId cause = 0);
+  void finish_ldp(std::uint32_t g, const char* via = "advance");
+  void maybe_request(std::uint32_t g);
+  void arm_request_timer(std::uint32_t g, stats::EventId cause = 0);
   void adapt_request_window(bool heard_duplicate);
   void fire_request(std::uint32_t g);
-  void on_group_complete(Group& grp);
-  void arm_reply_timer(Group& grp, int level, double dist_to_requester);
+  void on_group_complete(std::uint32_t g);
+  void arm_reply_timer(std::uint32_t g, int level, double dist_to_requester);
   void fire_reply(std::uint32_t g);
   void send_storm_nack();
-  void send_one_repair(Group& grp, int level, bool preemptive);
-  void schedule_injection(Group& grp);
-  void schedule_zlc_measurement(Group& grp);
-  bool eligible_repairer(const Group& grp) const;
+  void send_one_repair(std::uint32_t g, int level, bool preemptive);
+  void schedule_injection(std::uint32_t g);
+  void schedule_zlc_measurement(std::uint32_t g);
+  bool eligible_repairer(std::uint32_t g) const;
   int base_scope_level() const;
-  int nack_level(const Group& grp) const;
-  bool covered_by_zlc(const Group& grp) const;
+  int nack_level(std::uint32_t g) const;
+  bool covered_by_zlc(std::uint32_t g) const;
   sim::Time packet_interval() const;
   sim::Time inter_arrival_estimate() const;
   sim::Time dist_to_source() const;
-  int deficit(const Group& grp) const;
-  fec::ShardBuffer shard_bytes(Group& grp, int index);
+  int deficit(std::uint32_t g) const;
+  fec::ShardBuffer shard_bytes(std::uint32_t g, int index);
   int slice_width() const;
   int slice_start(int global_level) const;
-  void note_parity_seen(Group& grp, int index);
-  int next_parity_index(Group& grp, net::ZoneId zone);
+  void note_parity_seen(std::uint32_t g, int index);
+  int next_parity_index(std::uint32_t g, net::ZoneId zone);
   /// Append one journal event for `group` (no-op returning 0 when
   /// detached). Call sites still guard with `if (journal_)` so a detached
   /// run never constructs the Attrs map.
@@ -254,8 +317,9 @@ class TransferEngine {
                      const stats::Attrs& attrs = {});
   /// Default cause for span-internal events: the latest loss, else the
   /// span root (0 when neither was journaled).
-  static stats::EventId span_cause(const Group& grp) {
-    return grp.last_loss_ev ? grp.last_loss_ev : grp.root_ev;
+  stats::EventId span_cause(std::uint32_t g) const {
+    const Record& r = records_[g];
+    return r.last_loss_ev ? r.last_loss_ev : r.root_ev;
   }
 
   net::Network& net_;
@@ -274,14 +338,26 @@ class TransferEngine {
   sim::Rng rng_;
   std::shared_ptr<const fec::ReedSolomon> codec_;  ///< the session's, shared
 
-  std::map<std::uint32_t, Group> groups_;
-  // Packed per-level state for every tracked group (SoA arenas, one
-  // fixed-size stride per group, appended by ensure_group and never
-  // freed — groups_ never erases). Strides are sized on first use.
+  // Per-group storage indexed by group id, grown by ensure_group and never
+  // shrunk (a delivered group can still be asked for its shards): the
+  // records, the held shard handles and indices at stride k, and the
+  // per-level arenas (SoA, one fixed-size stride per group, sized on
+  // first use).
+  std::vector<Record> records_;
+  std::vector<fec::ShardBuffer> held_bytes_;
+  std::vector<std::uint8_t> held_index_;
   std::vector<ChainLevel> chain_arena_;
   std::vector<SliceLevel> slice_arena_;
   std::size_t chain_levels_ = 0;  ///< session chain length (arena stride)
   std::size_t slice_levels_ = 0;  ///< hierarchy depth (arena stride)
+  std::size_t tracked_count_ = 0;
+  /// The live-state pool: grows only when every slot is held, so its size
+  /// is the high water of simultaneously live groups.
+  std::vector<std::unique_ptr<Live>> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  /// Every tracked group in [skip_before_, ldp_floor_) has finished its
+  /// loss-detection phase, so the backfill loops start here.
+  std::uint32_t ldp_floor_ = 0;
   std::uint32_t max_group_seen_ = 0;
   bool seen_any_ = false;
   /// Groups below this id are outside our delivery contract (late join

@@ -324,11 +324,26 @@ std::vector<std::uint8_t> concat(
   return out;
 }
 
+// One decoder's storage, laid out as an engine keeps it (state, then k
+// handle and k index slots); `dec` views it.
+struct DecoderStore {
+  explicit DecoderStore(const ReedSolomon& codec)
+      : bytes(codec.k()), index(codec.k()),
+        dec(codec, state, bytes.data(), index.data()) {}
+  DecoderStore(const DecoderStore&) = delete;
+  DecoderStore& operator=(const DecoderStore&) = delete;
+  DecoderState state;
+  std::vector<ShardBuffer> bytes;
+  std::vector<std::uint8_t> index;
+  GroupDecoder dec;
+};
+
 TEST(GroupCodec, EncoderRoundTripThroughParityOnly) {
   auto codec = std::make_shared<ReedSolomon>(5, 10);
   auto data = random_shards(5, 48, 31);
   GroupEncoder enc(codec, share(data));
-  GroupDecoder dec(codec);
+  DecoderStore store(*codec);
+  GroupDecoder& dec = store.dec;
   EXPECT_EQ(dec.deficit(), 5);
   for (int i = 5; i < 10; ++i) {
     EXPECT_TRUE(dec.add(i, enc.shard_shared(i)));
@@ -342,7 +357,8 @@ TEST(GroupCodec, DuplicateAddRejected) {
   auto codec = std::make_shared<ReedSolomon>(4, 4);
   auto data = random_shards(4, 8, 37);
   GroupEncoder enc(codec, share(data));
-  GroupDecoder dec(codec);
+  DecoderStore store(*codec);
+  GroupDecoder& dec = store.dec;
   EXPECT_TRUE(dec.add(2, enc.shard_shared(2)));
   EXPECT_FALSE(dec.add(2, enc.shard_shared(2)));
   EXPECT_EQ(dec.distinct(), 1);
@@ -351,7 +367,8 @@ TEST(GroupCodec, DuplicateAddRejected) {
 
 TEST(GroupCodec, OutOfRangeIndexRejected) {
   auto codec = std::make_shared<ReedSolomon>(4, 4);
-  GroupDecoder dec(codec);
+  DecoderStore store(*codec);
+  GroupDecoder& dec = store.dec;
   EXPECT_FALSE(dec.add(-1, nullptr));
   EXPECT_FALSE(dec.add(8, nullptr));
   EXPECT_FALSE(dec.has(100));
@@ -362,7 +379,8 @@ TEST(GroupCodec, MixedDataAndParity) {
   auto codec = std::make_shared<ReedSolomon>(6, 6);
   auto data = random_shards(6, 32, 41);
   GroupEncoder enc(codec, share(data));
-  GroupDecoder dec(codec);
+  DecoderStore store(*codec);
+  GroupDecoder& dec = store.dec;
   dec.add(0, enc.shard_shared(0));
   dec.add(3, enc.shard_shared(3));
   dec.add(7, enc.shard_shared(7));
@@ -387,7 +405,8 @@ TEST(GroupCodec, HoldersShareOneBuffer) {
   auto codec = std::make_shared<ReedSolomon>(4, 4);
   const auto data = share(random_shards(4, 24, 47));
   GroupEncoder enc(codec, data);
-  GroupDecoder dec(codec);
+  DecoderStore store(*codec);
+  GroupDecoder& dec = store.dec;
   EXPECT_EQ(enc.shard_shared(1), data[1]);
   EXPECT_EQ(enc.shard_shared(5), enc.shard_shared(5));
   dec.add(1, enc.shard_shared(1));
@@ -407,7 +426,8 @@ TEST(GroupCodec, RepairerEncoderSharesReceivedOriginals) {
   auto codec = std::make_shared<ReedSolomon>(k, 8);
   const auto raw = random_shards(k, size, 53);
   GroupEncoder source(codec, share(raw));
-  GroupDecoder dec(codec);
+  DecoderStore store(*codec);
+  GroupDecoder& dec = store.dec;
   for (int i : {0, 2, 5, 6, 9, 11}) dec.add(i, source.shard_shared(i));
   ASSERT_TRUE(dec.complete());
 
@@ -453,7 +473,8 @@ TEST(GroupCodec, DecoderHoldsExactlyDecodesPick) {
     const int parity = std::uniform_int_distribution<int>(0, 16)(rng);
     const int n = k + parity;
     auto codec = std::make_shared<ReedSolomon>(k, parity);
-    GroupDecoder dec(codec);
+    DecoderStore store(*codec);
+  GroupDecoder& dec = store.dec;
     std::set<int> seen;
     std::vector<int> arrivals;  // distinct, in arrival order
     const int adds = std::uniform_int_distribution<int>(0, 2 * n + 2)(rng);
@@ -465,7 +486,8 @@ TEST(GroupCodec, DecoderHoldsExactlyDecodesPick) {
         seen.insert(index);
         arrivals.push_back(index);
       }
-      ASSERT_LE(static_cast<int>(dec.held_shards().size()), k);
+      ASSERT_LE(dec.held_count(), k);
+      ASSERT_EQ(static_cast<int>(dec.held_shards().size()), dec.held_count());
       ASSERT_EQ(dec.distinct(), static_cast<int>(seen.size()));
       for (int i = -1; i <= n; ++i) {
         ASSERT_EQ(dec.has(i), seen.count(i) == 1) << "index " << i;
@@ -484,8 +506,10 @@ TEST(GroupCodec, DecoderHoldsExactlyDecodesPick) {
       ASSERT_EQ(held, pick) << "trial " << trial << " add " << a;
       ASSERT_EQ(held.size(), dec.held_shards().size()) << "held twice";
     }
-    if (dec.held_shards().capacity() > 0) {
-      EXPECT_EQ(static_cast<int>(dec.held_shards().capacity()), k);
+    // Never a write past the held slots in use: the rest stay empty.
+    for (int i = dec.held_count(); i < k; ++i) {
+      EXPECT_EQ(store.bytes[i], nullptr) << "slot " << i;
+      EXPECT_EQ(store.index[i], 0) << "slot " << i;
     }
   }
 }

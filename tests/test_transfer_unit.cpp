@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "rm/delivery_log.hpp"
@@ -310,8 +311,8 @@ TEST(TransferUnit, RealPayloadReceiversHoldTheSourcesBuffers) {
   for (net::NodeId r : t.receivers) {
     const TransferEngine& rx = s.agent_for(r).transfer();
     for (std::uint32_t g = 0; g < kGroups; ++g) {
-      const fec::GroupDecoder* dec = rx.decoder(g);
-      ASSERT_NE(dec, nullptr) << "receiver " << r << " group " << g;
+      const auto dec = rx.decoder(g);
+      ASSERT_TRUE(dec.has_value()) << "receiver " << r << " group " << g;
       for (int i = 0; i < cfg.group_size; ++i) {
         if (!dec->has(i)) continue;
         EXPECT_EQ(dec->held(i), source.decoder(g)->held(i))
@@ -370,8 +371,9 @@ TEST(TransferUnit, RealPayloadCensusCountsPayloadOnce) {
 // A repairer builds its encoder from the shards its decoder holds, so the
 // census charges it for the parity it encoded and nothing else: on a
 // lossy Figure-10 stream, members that lost originals and then repaired
-// add no original-buffer bytes, and each parity buffer is counted once, by
-// the engine that encoded it.
+// add no original-buffer bytes, and each parity buffer is counted once,
+// however many engines hold it. Encoders live only while their group does,
+// so they are inspected every 10 ms of the run.
 TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
   constexpr std::uint32_t kGroups = 6;
   Config cfg;
@@ -383,12 +385,13 @@ TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
     std::vector<std::uint64_t> census;  // transfer_groups, per engine
     std::uint64_t events = 0;
   };
-  // Every parity buffer any engine encoded; a uniqueness check, never
-  // iterated.
+  // Every parity buffer any engine encoded, with the engine that did and a
+  // handle that keeps the address from being reused; a uniqueness check,
+  // never iterated.
   // sharq-lint: pointer-key-ok (membership only, order never observed)
-  std::set<const void*> encoded;
-  std::uint64_t encoded_bytes = 0, encoders = 0;
-  int lost_then_repaired = 0;
+  std::map<const void*, std::pair<std::size_t, fec::ShardBuffer>> encoded;
+  std::set<std::pair<std::size_t, std::uint32_t>> lost_then_repaired;
+  std::uint64_t held_parity_bytes = 0, live_encoders = 0;
   auto run = [&](bool real_payload) {
     Engines out;
     sim::Simulator simu{37};
@@ -403,39 +406,66 @@ TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
       payload[i] = static_cast<std::uint8_t>(i * 7 + (i >> 9));
     }
     s.send_stream(kGroups, 6.0, payload);
-    simu.run_until(60.0);
-    EXPECT_TRUE(s.all_complete(kGroups));
-    out.events = simu.events_executed();
     std::vector<const TransferEngine*> engines{&s.source_agent().transfer()};
     for (net::NodeId r : t.receivers) {
       engines.push_back(&s.agent_for(r).transfer());
     }
-    for (std::size_t i = 0; i < engines.size(); ++i) {
-      const TransferEngine* e = engines[i];
-      stats::MemCensus census;
-      e->memory_census(census);
-      out.census.push_back(census.categories["transfer_groups"].live_bytes);
-      if (!real_payload) continue;
-      for (std::uint32_t g = 0; g < kGroups; ++g) {
-        const fec::GroupEncoder* enc = e->encoder(g);
-        if (!enc) continue;
-        ++encoders;
-        const fec::GroupDecoder* dec = e->decoder(g);
-        if (i > 0) {
-          if (dec->distinct_data() < cfg.group_size) ++lost_then_repaired;
-          // A repairer encodes from the very buffers its decoder holds.
-          for (const fec::IndexedShard& b : enc->basis()) {
-            EXPECT_EQ(b.bytes, dec->held(b.index))
-                << "engine " << i << " group " << g << " shard "
-                << b.index << " is not a held buffer";
+    auto inspect = [&] {
+      for (std::size_t i = 0; i < engines.size(); ++i) {
+        for (std::uint32_t g = 0; g < kGroups; ++g) {
+          const fec::GroupEncoder* enc = engines[i]->encoder(g);
+          if (!enc) continue;
+          const auto dec = engines[i]->decoder(g);
+          if (i > 0) {
+            if (dec->distinct_data() < cfg.group_size) {
+              lost_then_repaired.insert({i, g});
+            }
+            // A repairer encodes from the very buffers its decoder holds.
+            for (const fec::IndexedShard& b : enc->basis()) {
+              EXPECT_EQ(b.bytes, dec->held(b.index))
+                  << "engine " << i << " group " << g << " shard "
+                  << b.index << " is not a held buffer";
+            }
+          }
+          for (const fec::IndexedShard& p : enc->encoded()) {
+            EXPECT_GE(p.index, cfg.group_size) << "an original was rebuilt";
+            const auto [it, fresh] =
+                encoded.try_emplace(p.bytes.get(), i, p.bytes);
+            EXPECT_TRUE(fresh || it->second.first == i)
+                << "parity buffer encoded by two engines";
           }
         }
-        for (const fec::IndexedShard& p : enc->encoded()) {
-          EXPECT_GE(p.index, cfg.group_size) << "an original was rebuilt";
-          EXPECT_TRUE(encoded.insert(p.bytes.get()).second)
-              << "parity buffer encoded twice";
-          encoded_bytes += fec::buffer_bytes(p.bytes);
-        }
+      }
+    };
+    for (int step = 1; step <= 6000; ++step) {
+      simu.run_until(step * 0.01);
+      if (real_payload) inspect();
+    }
+    EXPECT_TRUE(s.all_complete(kGroups));
+    out.events = simu.events_executed();
+    fec::BufferSet counted;
+    for (const TransferEngine* e : engines) {
+      stats::MemCensus census;
+      e->memory_census(census, &counted);
+      out.census.push_back(census.categories["transfer_groups"].live_bytes);
+    }
+    if (!real_payload) return out;
+    // Every parity buffer still held anywhere, once: by a decoder, or by an
+    // encoder whose group is still live.
+    fec::BufferSet parity;
+    auto hold = [&](const fec::IndexedShard& p) {
+      if (p.index >= cfg.group_size && parity.insert(p.bytes.get()).second) {
+        held_parity_bytes += fec::buffer_bytes(p.bytes);
+      }
+    };
+    for (const TransferEngine* e : engines) {
+      for (std::uint32_t g = 0; g < kGroups; ++g) {
+        for (const fec::IndexedShard& p : e->decoder(g)->held_shards()) hold(p);
+        const fec::GroupEncoder* enc = e->encoder(g);
+        if (!enc) continue;
+        ++live_encoders;
+        for (const fec::IndexedShard& p : enc->basis()) hold(p);
+        for (const fec::IndexedShard& p : enc->encoded()) hold(p);
       }
     }
     return out;
@@ -443,19 +473,207 @@ TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
   const Engines real = run(true);
   const Engines sized = run(false);
   ASSERT_EQ(real.events, sized.events) << "payload bytes changed history";
-  ASSERT_GT(lost_then_repaired, 0) << "no repairer had lost an original";
+  ASSERT_FALSE(lost_then_repaired.empty())
+      << "no repairer had lost an original";
   ASSERT_FALSE(encoded.empty());
+  ASSERT_GT(held_parity_bytes, 0u);
   std::uint64_t extra = 0;
   for (std::size_t i = 0; i < real.census.size(); ++i) {
     ASSERT_GE(real.census[i], sized.census[i]) << "engine " << i;
     extra += real.census[i] - sized.census[i];
   }
-  // The payload once (at the source), every encoded parity buffer once, and
-  // per encoder only handles and the k x k inverse: less than one buffer.
+  // The payload once (at the source, with its array of handles), every
+  // parity buffer still held once, and per live encoder only handles and
+  // the k x k inverse: less than one buffer.
+  const std::uint64_t shards = payload_bytes / cfg.shard_size_bytes;
   const std::uint64_t source_buffers =
-      payload_bytes / cfg.shard_size_bytes * one_buffer;
-  EXPECT_GE(extra, source_buffers + encoded_bytes);
-  EXPECT_LT(extra, source_buffers + encoded_bytes + encoders * one_buffer);
+      shards * one_buffer +
+      stats::heap_block_bytes(shards * sizeof(fec::ShardBuffer));
+  EXPECT_GE(extra, source_buffers + held_parity_bytes);
+  EXPECT_LT(extra, source_buffers + held_parity_bytes +
+                       (live_encoders + 1) * one_buffer);
+}
+
+// A long real-payload stream on a small lossy topology: every group is
+// delivered byte-exact, delivered groups settle so the live-state pool
+// stops growing once the stream is in steady state, and what a receiver
+// keeps per tracked group is its record, k held handles and its level
+// strides.
+TEST(TransferUnit, LongStreamSettlesIntoFlatState) {
+  struct Soak {
+    std::size_t live_high_water = 0;  // largest pool of any receiver
+    std::uint64_t per_group = 0;      // census per tracked group, largest
+  };
+  auto run = [](std::uint32_t groups) {
+    TwoZone f(0.04, 0.04);
+    Config cfg;
+    cfg.real_payload = true;
+    Session s(f.net, f.source, {f.relay, f.a, f.b}, cfg);
+    s.start();
+    const std::size_t group_bytes =
+        static_cast<std::size_t>(cfg.group_size) * cfg.shard_size_bytes;
+    std::vector<std::uint8_t> payload(groups * group_bytes);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 31 + (i >> 10));
+    }
+    s.send_stream(groups, 6.0, payload);
+    // 17 packets a group at 10 ms each, then time to settle.
+    f.simu.run_until(6.0 + groups * 0.2 + 60.0);
+    EXPECT_TRUE(s.all_complete(groups)) << groups << " groups";
+    Soak out;
+    for (net::NodeId r : {f.relay, f.a, f.b}) {
+      const TransferEngine& rx = s.agent_for(r).transfer();
+      for (std::uint32_t g = 0; g < groups; ++g) {
+        const auto bytes = rx.reconstructed(g);
+        EXPECT_TRUE(bytes.size() == group_bytes &&
+                    std::equal(bytes.begin(), bytes.end(),
+                               payload.begin() + g * group_bytes))
+            << "receiver " << r << " group " << g;
+      }
+      EXPECT_EQ(rx.tracked_group_count(), groups);
+      EXPECT_EQ(rx.live_group_count(), 0u) << "receiver " << r;
+      out.live_high_water =
+          std::max(out.live_high_water, rx.live_group_high_water());
+      // Parity buffers are shared with other holders and sized by the
+      // shard, not by the state kept per group: leave them out. Counted
+      // alone, the engine counts each one it holds.
+      std::uint64_t parity = 0;
+      fec::BufferSet held;
+      for (std::uint32_t g = 0; g < groups; ++g) {
+        for (const fec::IndexedShard& p : rx.decoder(g)->held_shards()) {
+          if (p.index >= cfg.group_size && held.insert(p.bytes.get()).second) {
+            parity += fec::buffer_bytes(p.bytes);
+          }
+        }
+      }
+      stats::MemCensus census;
+      rx.memory_census(census);
+      const std::uint64_t kept =
+          census.categories["transfer_groups"].live_bytes - parity;
+      out.per_group = std::max<std::uint64_t>(out.per_group, kept / groups);
+    }
+    return out;
+  };
+  const Soak short_run = run(500);
+  const Soak long_run = run(2000);
+  EXPECT_GT(short_run.live_high_water, 0u);
+  EXPECT_LT(short_run.live_high_water, 500u / 50);
+  EXPECT_EQ(long_run.live_high_water, short_run.live_high_water);
+  // k = 16: a 72-B record, 16 x 17 B of held handles and indices and two
+  // 2-level strides (24 + 16 B) make 384 B; vector capacity rounding and
+  // the live-state pool add a few bytes per group.
+  EXPECT_LE(long_run.per_group, 400u);
+  EXPECT_LE(short_run.per_group, 400u);
+}
+
+// A NACK for a group that has settled takes a slot again: a ZCR and a
+// complete receiver that is not a ZCR both answer with the parity index the
+// group's slice cursor gives (one past the highest index of that slice the
+// member has seen) and with exactly the source's bytes for that index, from
+// an encoder rebuilt on the shards they hold; the group settles again once
+// idle.
+TEST(TransferUnit, SettledGroupAnswersNackFromHeldShards) {
+  sim::Simulator simu{41};
+  net::Network net{simu};
+  topo::Figure10 t = topo::make_figure10(net);
+  Config cfg;
+  cfg.real_payload = true;
+  Session s(net, t.source, t.receivers, cfg);
+  s.start();
+  constexpr std::uint32_t kGroups = 8;
+  const std::size_t group_bytes =
+      static_cast<std::size_t>(cfg.group_size) * cfg.shard_size_bytes;
+  std::vector<std::uint8_t> payload(kGroups * group_bytes);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 11 + (i >> 9));
+  }
+  s.send_stream(kGroups, 6.0, payload);
+  simu.run_until(90.0);
+  ASSERT_TRUE(s.all_complete(kGroups));
+
+  auto codec =
+      std::make_shared<fec::ReedSolomon>(cfg.group_size, cfg.max_parity);
+  const Hierarchy& hier = s.hierarchy();
+  const int width = std::max(1, cfg.max_parity / hier.depth());
+  std::uint64_t uid = 1ull << 60;  // far from any uid the network issued
+  int answered = 0;
+  for (bool want_zcr : {true, false}) {
+    // A receiver of the wanted kind, a zone it answers for and a group for
+    // which it has heard parity in that zone's slice, so the cursor is
+    // past the slice start: the group with the highest such index.
+    Agent* responder = nullptr;
+    net::ZoneId zone = net::kNoZone;
+    std::uint32_t g = 0;
+    int lo = 0, hi = 0, expected = 0;
+    for (net::NodeId r : t.receivers) {
+      Agent& a = s.agent_for(r);
+      const auto& chain = a.session().chain();
+      for (std::size_t l = 0; l + 1 < chain.size(); ++l) {
+        if (a.session().is_zcr(chain[l]) != want_zcr) continue;
+        const int slice_lo = cfg.group_size + hier.level(chain[l]) * width;
+        const int slice_hi = std::min(slice_lo + width, codec->max_shards());
+        for (std::uint32_t grp = 0; grp < kGroups; ++grp) {
+          const auto dec = a.transfer().decoder(grp);
+          for (int j = slice_lo; j < slice_hi; ++j) {
+            if (dec->has(j) && j + 1 > expected) {
+              responder = &a;
+              zone = chain[l];
+              g = grp;
+              lo = slice_lo;
+              hi = slice_hi;
+              expected = j + 1;
+            }
+          }
+        }
+      }
+      if (responder) break;
+    }
+    ASSERT_NE(responder, nullptr)
+        << (want_zcr ? "no ZCR" : "no plain receiver") << " heard parity";
+    ASSERT_GT(expected, lo);
+    ASSERT_LT(expected, hi) << "slice exhausted";
+    TransferEngine& e = responder->transfer();
+    ASSERT_EQ(e.live_group_count(), 0u) << "groups still live at the horizon";
+    ASSERT_EQ(e.encoder(g), nullptr);
+
+    auto nack = std::make_shared<NackMsg>();
+    nack->group = g;
+    nack->zone = zone;
+    nack->llc = 2;
+    nack->needed = 2;
+    nack->sender = t.source;
+    net::Packet p;
+    p.uid = uid++;
+    p.origin = t.source;
+    p.cls = net::TrafficClass::kNack;
+    p.msg = nack;
+    const std::uint64_t before = e.repairs_sent();
+    ASSERT_TRUE(e.handle(p));
+    while (e.repairs_sent() == before) ASSERT_TRUE(simu.step());
+    ASSERT_EQ(e.live_group_count(), 1u);
+    const fec::GroupEncoder* enc = e.encoder(g);
+    ASSERT_NE(enc, nullptr);
+    ASSERT_FALSE(enc->encoded().empty());
+    const fec::IndexedShard& sent = enc->encoded().back();
+    EXPECT_EQ(sent.index, expected) << (want_zcr ? "ZCR" : "plain receiver");
+    std::vector<fec::ShardBuffer> originals;
+    for (int d = 0; d < cfg.group_size; ++d) {
+      const auto at = payload.begin() +
+                      static_cast<std::ptrdiff_t>(g * group_bytes +
+                                                  d * cfg.shard_size_bytes);
+      originals.push_back(std::make_shared<const std::vector<std::uint8_t>>(
+          at, at + cfg.shard_size_bytes));
+    }
+    fec::GroupEncoder source(codec, originals);
+    EXPECT_EQ(*sent.bytes, *source.shard_shared(sent.index));
+    ++answered;
+
+    simu.run_until(simu.now() + 30.0);
+    EXPECT_EQ(e.repairs_sent(), before + 2) << "the second repair";
+    EXPECT_EQ(e.live_group_count(), 0u) << "group did not settle again";
+    EXPECT_EQ(e.encoder(g), nullptr);
+  }
+  EXPECT_EQ(answered, 2);
 }
 
 TEST(TransferUnit, Figure10GroupSizeSweep) {

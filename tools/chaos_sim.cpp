@@ -130,6 +130,9 @@ struct PlanResult {
   std::uint64_t malformed_rejects = 0;
   std::uint64_t peers_expired = 0, zcr_expiries = 0;
   std::size_t max_tracked_groups = 0, max_tracked_peers = 0;
+  /// Most groups any one agent held live at once (its live-state pool).
+  std::size_t max_live_groups = 0;
+  bool live_within_tracked = true;  // per agent: live high water <= tracked
   std::uint64_t drops_link_down = 0, drops_epoch_kill = 0;
   std::uint64_t drops_queue_full = 0;
   std::uint64_t events = 0;
@@ -332,6 +335,12 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
     r.zcr_expiries += a.session().zcr_expiries();
     r.max_tracked_groups =
         std::max(r.max_tracked_groups, a.transfer().tracked_group_count());
+    r.max_live_groups =
+        std::max(r.max_live_groups, a.transfer().live_group_high_water());
+    if (a.transfer().live_group_high_water() >
+        a.transfer().tracked_group_count()) {
+      r.live_within_tracked = false;
+    }
     r.max_tracked_peers =
         std::max(r.max_tracked_peers, a.session().tracked_peer_count());
     r.peers_shed += a.session().peers_shed();
@@ -362,10 +371,11 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   for (const auto& a : session.agents()) tally(*a);
   for (const auto& a : session.retired()) tally(*a);
   // Structural bounds: an agent never tracks more groups than the transfer
-  // has, and never more session peers than 3 hierarchy levels times the
-  // member count (peer table + bridge RTT table per level).
+  // has, never holds more of them live at once than it tracks, and never
+  // more session peers than 3 hierarchy levels times the member count
+  // (peer table + bridge RTT table per level).
   r.bounded =
-      r.max_tracked_groups <= o.groups &&
+      r.max_tracked_groups <= o.groups && r.live_within_tracked &&
       r.max_tracked_peers <=
           static_cast<std::size_t>(6 * net.node_count());
 
@@ -453,7 +463,8 @@ int main(int argc, char** argv) {
         "\"corrupt_rejects\":%llu,\"duplicate_rejects\":%llu,"
         "\"malformed_rejects\":%llu,"
         "\"peers_expired\":%llu,\"zcr_expiries\":%llu,"
-        "\"max_tracked_groups\":%zu,\"max_tracked_peers\":%zu,"
+        "\"max_tracked_groups\":%zu,\"max_live_groups\":%zu,"
+        "\"max_tracked_peers\":%zu,"
         "\"drops_link_down\":%llu,\"drops_epoch_kill\":%llu,"
         "\"drops_queue_full\":%llu,"
         "\"events\":%llu,\"nacks\":%llu,\"repairs\":%llu,"
@@ -471,7 +482,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.malformed_rejects),
         static_cast<unsigned long long>(r.peers_expired),
         static_cast<unsigned long long>(r.zcr_expiries), r.max_tracked_groups,
-        r.max_tracked_peers,
+        r.max_live_groups, r.max_tracked_peers,
         static_cast<unsigned long long>(r.drops_link_down),
         static_cast<unsigned long long>(r.drops_epoch_kill),
         static_cast<unsigned long long>(r.drops_queue_full),
