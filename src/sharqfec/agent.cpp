@@ -20,14 +20,11 @@ Agent::Agent(net::Network& net, Hierarchy& hier,
   hier.join(node);
   stats::Metrics* metrics = cfg->metrics;
   journal_ = cfg->journal;
-  budget_ = std::make_unique<BudgetTracker>(cfg->budget, node,
-                                            net.simulator_for(node), metrics,
-                                            journal_);
-  session_ = std::make_unique<SessionManager>(net, hier, cfg, node, is_source,
-                                              budget_.get());
+  session_ =
+      std::make_unique<SessionManager>(net, hier, cfg, node, is_source);
   transfer_ = std::make_unique<TransferEngine>(
       net, hier, *session_, std::move(cfg), std::move(codec), node, is_source,
-      log, budget_.get());
+      log);
   session_->set_progress_provider([this] {
     return std::make_pair(transfer_->max_group_seen(),
                           transfer_->seen_any_data());

@@ -6,7 +6,6 @@
 
 #include "net/network.hpp"
 #include "rm/delivery_log.hpp"
-#include "sharqfec/budget.hpp"
 #include "sharqfec/config.hpp"
 #include "sharqfec/hierarchy.hpp"
 #include "sharqfec/session_manager.hpp"
@@ -60,11 +59,6 @@ class Agent final : public net::Agent {
   /// duplication; the multicast tree itself delivers each uid once).
   std::uint64_t duplicate_rejects() const { return duplicate_rejects_; }
 
-  /// This node's runtime budget state (docs/ROBUSTNESS.md), shared with
-  /// the session manager and transfer engine.
-  BudgetTracker& budget() { return *budget_; }
-  const BudgetTracker& budget() const { return *budget_; }
-
   /// Slots in the uid dedup ring. A conditioner's copies of one packet
   /// share one delivery time and stay adjacent in every downstream FIFO
   /// link queue, so a node meets a duplicate within a few fresh uids of
@@ -75,15 +69,14 @@ class Agent final : public net::Agent {
 
   /// Contribute this endpoint's retained bytes to the profiler's memory
   /// census: the uid dedup ring under "dedup_windows", the rest of this
-  /// object and its budget tracker under "agent_objects", then the session
-  /// manager's and transfer engine's categories. `counted` is passed on to
-  /// the transfer engine (see TransferEngine::memory_census).
+  /// object under "agent_objects", then the session manager's and
+  /// transfer engine's categories. `counted` is passed on to the transfer
+  /// engine (see TransferEngine::memory_census).
   void memory_census(stats::MemCensus& census,
                      fec::BufferSet* counted = nullptr) const {
     census.add("dedup_windows", sizeof(recent_uids_), sizeof(recent_uids_));
-    const std::uint64_t self = stats::heap_block_bytes(sizeof(Agent)) -
-                               sizeof(recent_uids_) +
-                               stats::heap_block_bytes(sizeof(BudgetTracker));
+    const std::uint64_t self =
+        stats::heap_block_bytes(sizeof(Agent)) - sizeof(recent_uids_);
     census.add("agent_objects", self, self);
     session_->memory_census(census);
     transfer_->memory_census(census, counted);
@@ -101,7 +94,6 @@ class Agent final : public net::Agent {
   bool first_sighting(std::uint64_t uid);
 
   bool is_source_;
-  std::unique_ptr<BudgetTracker> budget_;
   std::unique_ptr<SessionManager> session_;
   std::unique_ptr<TransferEngine> transfer_;
   /// FIFO ring of recently accepted uids; ~0 marks an empty slot (the

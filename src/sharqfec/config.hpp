@@ -1,10 +1,10 @@
 #pragma once
 
+#include <cstdint>
 #include <unordered_map>
 
 #include "net/types.hpp"
 #include "rm/timers.hpp"
-#include "sharqfec/budget.hpp"
 #include "sim/time.hpp"
 
 namespace sharq::stats {
@@ -13,6 +13,27 @@ class Metrics;
 }  // namespace sharq::stats
 
 namespace sharq::sfq {
+
+/// Per-node caps on repair traffic (docs/ROBUSTNESS.md). Each is a
+/// deterministic limit with a graceful-degradation policy behind it:
+/// tripping one coalesces or defers repairs, never drops a request. A
+/// zero limit disables that cap; the defaults disable both, so
+/// default-configured runs behave and trace exactly as without them.
+/// Protocol state needs no budget of its own: the zone hierarchy already
+/// bounds every peer table (Hierarchy::session_peer_bound).
+struct ResourceBudget {
+  /// Hard cap on the pending-repair queue depth per group and level.
+  /// NACK deficits beyond it are coalesced down to the cap. 0 = unlimited.
+  std::int32_t repair_queue_depth = 0;
+  /// Maximum repair send rate per node (repairs/s). Reactive sends that
+  /// would beat the minimum spacing 1/rate are deferred, not dropped;
+  /// preemptive ones are skipped. 0 = unlimited.
+  double repair_rate_per_s = 0.0;
+
+  bool any_enabled() const {
+    return repair_queue_depth > 0 || repair_rate_per_s > 0.0;
+  }
+};
 
 /// SHARQFEC tunables. Defaults are the values the paper simulates with;
 /// the three feature flags reproduce the ablated variants of §6.2:
@@ -99,10 +120,8 @@ struct Config {
   std::unordered_map<net::ZoneId, net::NodeId> static_zcrs;
 
   // --- resource budget (docs/ROBUSTNESS.md) ----------------------------------
-  /// Per-node deterministic resource budget. The defaults keep every
-  /// dimension disabled, so default-configured runs behave — and trace —
-  /// exactly as before. Overload campaigns enable finite limits and the
-  /// graceful-degradation policies behind them.
+  /// Per-node repair-traffic caps. The defaults keep both disabled;
+  /// overload campaigns enable finite limits.
   ResourceBudget budget;
 
   // --- observability ---------------------------------------------------------

@@ -14,13 +14,6 @@ namespace sharq::sfq {
 namespace {
 constexpr double kDistEps = 1e-4;  // exact-tie margin for suppression
 
-// Accounted bytes per RTT-table / bridge-table entry for the budget's
-// state ledger (fixed units, sized when the tables were node-based maps).
-// Approximate by design: the ledger drives shedding decisions, not
-// allocator truth; the memory census counts the tables' real blocks.
-constexpr std::size_t kPeerEntryBytes = 96;
-constexpr std::size_t kBridgeEntryBytes = 64;
-
 /// Election hysteresis: challenge-derived distances carry ~1 ms of noise
 /// (serialization of session messages inflates some measured components
 /// and not others), so a claim must beat the incumbent by a real margin
@@ -32,8 +25,7 @@ double election_margin(double a, double b) {
 
 SessionManager::SessionManager(net::Network& net, Hierarchy& hier,
                                std::shared_ptr<const Config> cfg,
-                               net::NodeId node, bool is_source,
-                               BudgetTracker* budget)
+                               net::NodeId node, bool is_source)
     : net_(net),
       simu_(net.simulator_for(node)),
       hier_(hier),
@@ -43,8 +35,7 @@ SessionManager::SessionManager(net::Network& net, Hierarchy& hier,
       rng_(net.simulator_for(node).rng().fork()),
       chain_(hier.chain(node)),
       session_timer_(net.simulator_for(node)),
-      next_challenge_id_(static_cast<std::uint64_t>(node) << 32 | 1u),
-      budget_(budget) {
+      next_challenge_id_(static_cast<std::uint64_t>(node) << 32 | 1u) {
   session_timer_.set_tag("session.beacon");
   levels_.reserve(chain_.size());
   for (net::ZoneId z : chain_) levels_.emplace_back(z, simu_);
@@ -80,9 +71,6 @@ void SessionManager::register_metrics() {
   // Fleet-wide high-water gauges (unlabeled; set_max across every node):
   // one registry child each regardless of receiver count.
   m_peer_table_hw_ = &m->gauge("sharqfec.peer_table_high_water");
-  if (budget_ && budget_->limits().any_enabled()) {
-    m_peers_shed_ = &m->counter("sharqfec.peers_shed", by_node);
-  }
   m_session_msgs_.resize(chain_.size());
   for (std::size_t l = 0; l < chain_.size(); ++l) {
     const stats::Labels by_scope{{"node", node}, {"scope", std::to_string(l)}};
@@ -309,11 +297,8 @@ void SessionManager::expire_silent_peers() {
         // Crashed (or partitioned-away) peer: its RTT samples and bridge
         // entries would otherwise feed stale distances into repair timers
         // forever. Re-arrival simply re-measures from scratch.
-        if (lv.bridge_rtt.erase(it->first) > 0 && budget_) {
-          budget_->sub_state(kBridgeEntryBytes);
-        }
+        lv.bridge_rtt.erase(it->first);
         it = lv.peers.erase(it);
-        if (budget_) budget_->sub_state(kPeerEntryBytes);
         ++peers_expired_;
         if (m_peers_expired_) m_peers_expired_->inc();
       } else {
@@ -323,50 +308,12 @@ void SessionManager::expire_silent_peers() {
   }
 }
 
-void SessionManager::reserve_peer_slot(int level) {
-  if (!budget_) return;
-  Level& lv = levels_[level];
-  std::size_t cap = budget_->limits().peers_per_level;
-  if (budget_->over_state()) {
-    // State pressure freezes table growth: the effective cap is the
-    // current size, so inserting a new peer replaces the oldest one.
-    cap = cap > 0 ? std::min(cap, lv.peers.size()) : lv.peers.size();
-    if (cap == 0) cap = 1;  // always room to track the newest peer
-  }
-  if (cap == 0) return;
-  while (lv.peers.size() >= cap && !lv.peers.empty()) {
-    // Oldest by (heard_at, node id): the map iterates node-ascending, so
-    // keeping the first minimum makes the tie-break the lower node id —
-    // deterministic regardless of insertion history.
-    auto victim = lv.peers.begin();
-    for (auto it = lv.peers.begin(); it != lv.peers.end(); ++it) {
-      if (it->second.heard_at < victim->second.heard_at) victim = it;
-    }
-    if (lv.bridge_rtt.erase(victim->first) > 0) {
-      budget_->sub_state(kBridgeEntryBytes);
-    }
-    ++peers_shed_;
-    if (m_peers_shed_) m_peers_shed_->inc();
-    if (journal_) {
-      jnl("shed.peer", 0,
-          {{"level", level},
-           {"peer", victim->first},
-           {"idle", simu_.now() - victim->second.heard_at}});
-    }
-    lv.peers.erase(victim);
-    budget_->sub_state(kPeerEntryBytes);
-    budget_->note_shed("peers");
-  }
-}
-
 std::size_t SessionManager::peer_table_size(int level) const {
   // Sized once, on first use, when every member has joined. A member
   // never hears itself, so its own zone holds one fewer peer. Tables only
   // outgrow this while an election turns over or a dead ZCR awaits expiry.
   std::size_t n = hier_.session_peer_bound(levels_[level].zone);
   if (level == 0 && n > 0) --n;
-  const std::size_t cap = budget_ ? budget_->limits().peers_per_level : 0;
-  if (cap > 0) n = std::min(n, cap);
   return std::max<std::size_t>(n, 1);
 }
 
@@ -448,12 +395,7 @@ void SessionManager::handle_session(const SessionMsg& msg, int level) {
   auto pit = lv.peers.find(msg.sender);
   if (pit == lv.peers.end()) {
     if (lv.peers.capacity() == 0) lv.peers.reserve(peer_table_size(level));
-    reserve_peer_slot(level);
     pit = lv.peers.try_emplace(msg.sender, Peer{}).first;
-    if (budget_) budget_->add_state(kPeerEntryBytes);
-    if (lv.peers.size() > peers_high_water_) {
-      peers_high_water_ = lv.peers.size();
-    }
     if (m_peer_table_hw_) {
       m_peer_table_hw_->set_max(static_cast<double>(lv.peers.size()));
     }
@@ -475,31 +417,14 @@ void SessionManager::handle_session(const SessionMsg& msg, int level) {
   // Bridge-table learning: announcements from the bridge ZCR expose its
   // RTTs to the peers of this zone.
   if (msg.sender == expected_bridge(level)) {
-    const std::size_t bridge_cap =
-        budget_ ? budget_->limits().peers_per_level : 0;
     for (const SessionMsg::Entry& e : msg.entries) {
       if (e.rtt_est < 0.0) continue;
       auto slot = lv.bridge_rtt.find(e.peer);
       if (slot == lv.bridge_rtt.end()) {
-        // At capacity (or frozen by state pressure) the table keeps its
-        // current entries rather than churning: refreshed RTTs for known
-        // peers beat first sightings of unknown ones. A bound, not a shed
-        // — it re-applies every beacon, so it is counted but not
-        // journaled.
-        const bool frozen = budget_ && budget_->over_state();
-        if ((bridge_cap > 0 && lv.bridge_rtt.size() >= bridge_cap) ||
-            (frozen && !lv.bridge_rtt.empty())) {
-          ++bridge_skips_;
-          continue;
-        }
         if (lv.bridge_rtt.capacity() == 0) {
           lv.bridge_rtt.reserve(peer_table_size(level));
         }
         slot = lv.bridge_rtt.try_emplace(e.peer, -1.0).first;
-        if (budget_) budget_->add_state(kBridgeEntryBytes);
-        if (lv.bridge_rtt.size() > bridge_high_water_) {
-          bridge_high_water_ = lv.bridge_rtt.size();
-        }
       }
       ewma_rtt(slot->second, e.rtt_est);
     }

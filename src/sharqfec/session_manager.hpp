@@ -34,13 +34,9 @@ namespace sharq::sfq {
 /// packets.
 class SessionManager {
  public:
-  /// `budget` (optional, not owned) is the node's shared budget tracker:
-  /// when set, the per-level peer and bridge tables are bounded by
-  /// ResourceBudget::peers_per_level with oldest-first aging
-  /// (docs/ROBUSTNESS.md).
   SessionManager(net::Network& net, Hierarchy& hier,
                  std::shared_ptr<const Config> cfg, net::NodeId node,
-                 bool is_source, BudgetTracker* budget = nullptr);
+                 bool is_source);
 
   /// Begin session messaging and election timers.
   void start();
@@ -106,14 +102,6 @@ class SessionManager {
   std::uint64_t zcr_expiries() const { return zcr_expiries_; }
   /// Live peers currently tracked across all levels (state-growth probe).
   std::size_t tracked_peer_count() const;
-  /// Peers aged out to stay inside ResourceBudget::peers_per_level.
-  std::uint64_t peers_shed() const { return peers_shed_; }
-  /// Bridge-table learnings skipped because the table was at capacity.
-  std::uint64_t bridge_skips() const { return bridge_skips_; }
-  /// Largest per-level RTT / bridge table ever held (exhaustion
-  /// invariant: never exceeds ResourceBudget::peers_per_level when set).
-  std::size_t peer_table_high_water() const { return peers_high_water_; }
-  std::size_t bridge_table_high_water() const { return bridge_high_water_; }
 
   /// Contribute this manager's retained bytes to the profiler's memory
   /// census: RTT/bridge tables under "peer_tables" (each table's heap
@@ -171,10 +159,6 @@ class SessionManager {
   void send_session_for_level(int level);
   void schedule_session();
   void expire_silent_peers();
-  /// Make room for one new peer in `level`'s RTT table: age out the
-  /// oldest entries by (heard_at, node id) while the table is at its
-  /// budget cap (or at its current size under state pressure).
-  void reserve_peer_slot(int level);
   /// Entries reserved for `level`'s RTT and bridge tables.
   std::size_t peer_table_size(int level) const;
   void schedule_challenge(int level);
@@ -226,11 +210,6 @@ class SessionManager {
   std::uint64_t challenges_sent_ = 0;
   std::uint64_t peers_expired_ = 0;
   std::uint64_t zcr_expiries_ = 0;
-  BudgetTracker* budget_ = nullptr;  ///< shared per-node tracker, not owned
-  std::uint64_t peers_shed_ = 0;
-  std::uint64_t bridge_skips_ = 0;
-  std::size_t peers_high_water_ = 0;
-  std::size_t bridge_high_water_ = 0;
 
   // Metrics registry children, cached at construction (null when
   // cfg_.metrics is null). m_session_msgs_ is per chain level ("scope").
@@ -241,7 +220,6 @@ class SessionManager {
   stats::Counter* m_zcr_expiries_ = nullptr;
   stats::Counter* m_peers_expired_ = nullptr;
   stats::Gauge* m_peer_table_hw_ = nullptr;  ///< fleet-wide, unlabeled
-  stats::Counter* m_peers_shed_ = nullptr;
 };
 
 }  // namespace sharq::sfq

@@ -17,19 +17,25 @@ namespace {
 /// this would otherwise make the backfill loops materialize state for
 /// billions of phantom groups.
 constexpr std::uint32_t kMaxGroupJump = 4096;
-
-/// Accounted bytes per tracked group for the budget's state ledger
-/// (Group struct plus its arena strides, approximated; see
-/// docs/ROBUSTNESS.md on why the ledger is approximate by design).
-constexpr std::size_t kGroupStateBytes = 512;
 }  // namespace
+
+void RepairPacer::note_sent(sim::Time now) {
+  if (last_sent_ != sim::kTimeNever) {
+    const sim::Time spacing = now - last_sent_;
+    if (min_spacing_ == sim::kTimeNever || spacing < min_spacing_) {
+      min_spacing_ = spacing;
+    }
+  }
+  last_sent_ = now;
+  if (rate_ > 0.0) next_ok_ = std::max(next_ok_, now) + 1.0 / rate_;
+}
 
 TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
                                SessionManager& session,
                                std::shared_ptr<const Config> cfg,
                                std::shared_ptr<const fec::ReedSolomon> codec,
                                net::NodeId node, bool is_source,
-                               rm::DeliveryLog* log, BudgetTracker* budget)
+                               rm::DeliveryLog* log)
     : net_(net),
       simu_(net.simulator_for(node)),
       hier_(hier),
@@ -39,14 +45,14 @@ TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
       is_source_(is_source),
       log_(log),
       rng_(net.simulator_for(node).rng().fork()),
-      codec_(std::move(codec)) {
+      codec_(std::move(codec)),
+      pacer_(cfg_->budget.repair_rate_per_s) {
   zlc_pred_.assign(session_.chain().size(), 0.0);
   cov_pred_.assign(session_.chain().size(), 0.0);
   c1_adapt_ = cfg_->timers.c1;
   c2_adapt_ = cfg_->timers.c2;
   if (is_source_) source_node_ = node_;
   journal_ = cfg_->journal;
-  budget_ = budget;
   register_metrics();
 }
 
@@ -70,10 +76,9 @@ void TransferEngine::register_metrics() {
   m_arrival_ewma_ = &m->gauge("sharqfec.arrival_ewma", by_node);
   m_pending_hw_ = &m->gauge("sharqfec.pending_repair_high_water");
   m_completion_ = &m->histogram("sharqfec.group_completion_seconds", by_node);
-  if (budget_ && budget_->limits().any_enabled()) {
+  if (cfg_->budget.any_enabled()) {
     m_repairs_deferred_ = &m->counter("sharqfec.repairs_deferred", by_node);
     m_repairs_coalesced_ = &m->counter("sharqfec.repairs_coalesced", by_node);
-    m_scope_sheds_ = &m->counter("sharqfec.scope_sheds", by_node);
   }
   const std::size_t levels = session_.chain().size();
   m_repairs_by_level_.resize(levels);
@@ -165,10 +170,6 @@ void TransferEngine::ensure_group(std::uint32_t g) {
   r.initial_shards = static_cast<std::uint8_t>(cfg_->group_size);
   ++tracked_count_;
   live(g);  // incomplete, so live until it settles
-  // Group state is accounted but never shed: dropping a tracked group
-  // would break the delivery contract. It still counts against the state
-  // budget so growth here pressures the sheddable structures.
-  if (budget_) budget_->add_state(kGroupStateBytes);
 }
 
 TransferEngine::Live& TransferEngine::live(std::uint32_t g) {
@@ -572,7 +573,14 @@ void TransferEngine::on_data(const DataMsg& msg, net::TrafficClass) {
     }
     max_group_seen_ = std::max(max_group_seen_, msg.group);
   }
-  if (msg.groups_total > 0) groups_total_ = msg.groups_total;
+  if (msg.groups_total > 0) {
+    // Trust an announced stream length only as far as the jump bound
+    // reaches: a forged total would otherwise widen sane_group_id's
+    // window to any group id, letting one later message resize the
+    // per-group arrays to billions of entries.
+    groups_total_ =
+        std::min(msg.groups_total, max_group_seen_ + kMaxGroupJump + 1);
+  }
 
   const std::uint32_t g = msg.group;
   ensure_group(g);
@@ -849,29 +857,7 @@ void TransferEngine::fire_request(std::uint32_t g) {
   const bool escalation_due =
       l.attempts_at_scope >= cfg_->attempts_per_scope &&
       level + 1 < static_cast<int>(session_.chain().size());
-  if (escalation_due && l.backoff_i < cfg_->max_backoff_stage && budget_ &&
-      budget_->under_pressure()) {
-    // Overload shed: widening the scope would recruit a strictly larger
-    // repairer population while this node is already shedding load, so
-    // step back toward the base scope instead. The request is never
-    // dropped — recovery just stays local until pressure lifts. The shed
-    // deliberately does not refresh the pressure clock: it is a response
-    // to pressure, and refreshing would let scope sheds sustain the
-    // pressure they are meant to relieve. Each shed climbs the backoff
-    // ladder, and a request at the top of it escalates anyway: when a loss
-    // is shared by the whole zone nobody local can repair it, its futile
-    // local NACKs keep backing off the ZCR's own request, and pressure (the
-    // peer-table budget alone) can last the whole run.
-    l.attempts_at_scope = 0;
-    if (l.scope_level > 0) --l.scope_level;
-    l.backoff_i = std::min(l.backoff_i + 1, cfg_->max_backoff_stage);
-    ++scope_sheds_;
-    if (m_scope_sheds_) m_scope_sheds_->inc();
-    if (journal_) {
-      jnl("shed.scope", g, l.last_nack_ev,
-          {{"scope_level", l.scope_level}});
-    }
-  } else if (escalation_due) {
+  if (escalation_due) {
     ++l.scope_level;
     l.attempts_at_scope = 0;
     l.backoff_i = 1;
@@ -962,7 +948,7 @@ void TransferEngine::on_nack(const NackMsg& msg) {
   // NACKs raise the queue to the worst outstanding deficit; increases do
   // not reset a pending reply timer (paper LDP rule 8).
   std::int32_t want = std::max<std::int32_t>(lv.pending, msg.needed);
-  const std::int32_t qcap = budget_ ? budget_->limits().repair_queue_depth : 0;
+  const std::int32_t qcap = cfg_->budget.repair_queue_depth;
   if (qcap > 0 && want > qcap) {
     // Queue budget: coalesce the deficit down to the cap. The capped
     // queue still answers the worst deficit up to the budget; requesters
@@ -970,7 +956,6 @@ void TransferEngine::on_nack(const NackMsg& msg) {
     want = qcap;
     ++repairs_coalesced_;
     if (m_repairs_coalesced_) m_repairs_coalesced_->inc();
-    budget_->note_shed("repair");
     if (journal_) {
       jnl("shed.repair", g, heard_ev,
           {{"mode", "coalesce"},
@@ -1043,20 +1028,17 @@ void TransferEngine::fire_reply(std::uint32_t g) {
     if (level < 0) return;
     l.reply_level = level;
   }
-  if (budget_ && !budget_->repair_due()) {
-    // Rate budget: defer, never drop — re-arm for the pacer's next free
+  if (const sim::Time wait = pacer_.wait(simu_.now()); wait > 0.0) {
+    // Rate cap: defer, never drop — re-arm for the pacer's next free
     // slot. The pacer hands out slots in event order, so concurrent
     // deferrals across groups serialize deterministically.
     ++repairs_deferred_;
     if (m_repairs_deferred_) m_repairs_deferred_->inc();
-    budget_->note_shed("repair");
     if (journal_) {
       jnl("shed.repair", g, l.repair_sched_ev,
-          {{"mode", "defer"},
-           {"level", level},
-           {"wait", budget_->repair_wait()}});
+          {{"mode", "defer"}, {"level", level}, {"wait", wait}});
     }
-    l.reply_timer.arm(budget_->repair_wait(), [this, g] {
+    l.reply_timer.arm(wait, [this, g] {
       fire_reply(g);
       maybe_settle(g);
     });
@@ -1090,14 +1072,13 @@ void TransferEngine::send_one_repair(std::uint32_t g, int level,
                                      bool preemptive) {
   if (stopped_) return;
   Live& l = live(g);
-  if (budget_ && preemptive && !budget_->repair_due()) {
+  if (preemptive && !pacer_.due(simu_.now())) {
     // Preemptive injection is speculative redundancy: when the rate
-    // budget has no slot, skipping the shard is the graceful choice —
+    // cap has no slot, skipping the shard is the graceful choice —
     // anyone who actually needed it will NACK and be served through the
     // (deferring, never-dropping) reactive path.
     ++repairs_deferred_;
     if (m_repairs_deferred_) m_repairs_deferred_->inc();
-    budget_->note_shed("repair");
     if (journal_) {
       jnl("shed.repair", g, l.inject_ev,
           {{"mode", "skip_preemptive"}, {"level", level}});
@@ -1133,7 +1114,7 @@ void TransferEngine::send_one_repair(std::uint32_t g, int level,
   const std::uint64_t uid =
       net_.send(node_, hier_.repair_channel(zone), net::TrafficClass::kRepair,
                 cfg_->shard_size_bytes, msg);
-  if (budget_) budget_->note_repair_sent();
+  pacer_.note_sent(simu_.now());
   if (journal_) {
     const stats::EventId cause =
         preemptive ? l.inject_ev : l.repair_sched_ev;

@@ -20,6 +20,32 @@
 
 namespace sharq::sfq {
 
+/// Deterministic repair-rate pacer (ResourceBudget::repair_rate_per_s):
+/// hands out send slots at least 1/rate apart, in event order, and records
+/// the smallest spacing actually observed between two sends (the
+/// exhaustion invariant checks it against 1/rate). A rate of 0 never
+/// paces but still records the spacing.
+class RepairPacer {
+ public:
+  explicit RepairPacer(double rate_per_s) : rate_(rate_per_s) {}
+  /// Delay until the next repair may be sent (0 when due).
+  sim::Time wait(sim::Time now) const {
+    return next_ok_ > now ? next_ok_ - now : 0.0;
+  }
+  bool due(sim::Time now) const { return wait(now) <= 0.0; }
+  /// Record a repair send at `now`.
+  void note_sent(sim::Time now);
+  /// Smallest spacing observed between two sends; kTimeNever until two
+  /// sends have happened.
+  sim::Time min_spacing() const { return min_spacing_; }
+
+ private:
+  double rate_;
+  sim::Time next_ok_ = 0.0;
+  sim::Time last_sent_ = sim::kTimeNever;
+  sim::Time min_spacing_ = sim::kTimeNever;
+};
+
 /// The SHARQFEC data/repair engine for one member (paper §4).
 ///
 /// Implements the two-phase group delivery: the Loss Detection Phase
@@ -29,17 +55,14 @@ namespace sharq::sfq {
 /// EWMA of past Zone Loss Counts).
 class TransferEngine {
  public:
-  /// `budget` (optional, not owned) is the node's shared budget tracker:
-  /// when set, repair sends are paced to ResourceBudget::repair_rate_per_s,
-  /// pending-repair queues clamp to repair_queue_depth, and due scope
-  /// escalations de-escalate while the node is under pressure
+  /// Repair sends are paced to cfg.budget.repair_rate_per_s and
+  /// pending-repair queues clamp to cfg.budget.repair_queue_depth
   /// (docs/ROBUSTNESS.md). `codec` is the session's one Reed–Solomon
   /// codec for (cfg.group_size, cfg.max_parity), shared by every agent.
   TransferEngine(net::Network& net, Hierarchy& hier, SessionManager& session,
                  std::shared_ptr<const Config> cfg,
                  std::shared_ptr<const fec::ReedSolomon> codec,
-                 net::NodeId node, bool is_source, rm::DeliveryLog* log,
-                 BudgetTracker* budget = nullptr);
+                 net::NodeId node, bool is_source, rm::DeliveryLog* log);
 
   /// Source API: stream `group_count` groups of k shards each, starting at
   /// `start_at`. With real_payload set, `payload` supplies the bytes
@@ -106,15 +129,18 @@ class TransferEngine {
   /// Overload-testing hook (chaos exhaustion campaigns): send `count`
   /// root-scope NACKs for the lowest incomplete group, spaced `spacing`
   /// apart, bypassing suppression — the worst-case feedback implosion the
-  /// budget layer must absorb. No-op on the source or a stopped engine.
+  /// repair caps must absorb. No-op on the source or a stopped engine.
   void nack_storm(int count, sim::Time spacing);
 
-  /// Repair sends pushed later by the rate budget (shed decisions).
+  /// Repair sends pushed later (or preemptive ones skipped) by the rate
+  /// cap.
   std::uint64_t repairs_deferred() const { return repairs_deferred_; }
-  /// NACK deficits clamped down to the repair-queue budget.
+  /// NACK deficits clamped down to the repair-queue cap.
   std::uint64_t repairs_coalesced() const { return repairs_coalesced_; }
-  /// Due scope escalations converted to de-escalations under pressure.
-  std::uint64_t scope_sheds() const { return scope_sheds_; }
+  /// Smallest spacing between two of this engine's repair sends
+  /// (kTimeNever until two were sent); never below 1/repair_rate_per_s
+  /// when the rate cap is set.
+  sim::Time min_repair_spacing() const { return pacer_.min_spacing(); }
   /// Largest pending-repair queue ever held at one (group, level)
   /// (exhaustion invariant: never exceeds repair_queue_depth when set).
   std::int32_t pending_high_water() const { return pending_high_water_; }
@@ -387,10 +413,9 @@ class TransferEngine {
   std::uint64_t preemptive_sent_ = 0;
   std::uint64_t malformed_rejects_ = 0;
   bool stopped_ = false;
-  BudgetTracker* budget_ = nullptr;  ///< shared per-node tracker, not owned
+  RepairPacer pacer_;
   std::uint64_t repairs_deferred_ = 0;
   std::uint64_t repairs_coalesced_ = 0;
-  std::uint64_t scope_sheds_ = 0;
   std::int32_t pending_high_water_ = 0;
 
   // Metrics registry children, cached at construction (all null when
@@ -411,7 +436,6 @@ class TransferEngine {
   stats::Histogram* m_completion_ = nullptr;
   stats::Counter* m_repairs_deferred_ = nullptr;
   stats::Counter* m_repairs_coalesced_ = nullptr;
-  stats::Counter* m_scope_sheds_ = nullptr;
 
   // Adaptive request-window state (Config::adaptive_timers).
   double c1_adapt_;

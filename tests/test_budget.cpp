@@ -1,9 +1,9 @@
-// Overload-robustness tests: the per-node ResourceBudget and its graceful
+// Overload-robustness tests: the per-node repair caps and their graceful
 // degradation policies (docs/ROBUSTNESS.md). The contract under test is
-// that every budgeted dimension is a deterministic cap — high waters never
-// exceed it — and that shedding degrades recovery without ever breaking
-// delivery: transfers still complete, duplicates still reject exactly
-// once, and same-seed runs stay byte-identical.
+// that each cap is deterministic — high waters never exceed it — and that
+// shedding degrades recovery without ever breaking delivery: transfers
+// still complete, duplicates still reject exactly once, and same-seed runs
+// stay byte-identical.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -15,8 +15,8 @@
 
 #include "fault/fault_plan.hpp"
 #include "rm/delivery_log.hpp"
-#include "sharqfec/budget.hpp"
 #include "sharqfec/protocol.hpp"
+#include "sharqfec/transfer.hpp"
 #include "sim/simulator.hpp"
 #include "stats/journal.hpp"
 #include "stats/journal_reader.hpp"
@@ -27,72 +27,34 @@ namespace sharq::sfq {
 namespace {
 
 // ---------------------------------------------------------------------------
-// BudgetTracker unit behaviour: state ledger, repair pacer, pressure clock.
+// The transfer engine's repair-rate pacer.
 
-TEST(BudgetTracker, StateLedgerTracksHighWaterAndPressure) {
+TEST(RepairPacer, EnforcesMinimumSpacing) {
   sim::Simulator simu(1);
-  ResourceBudget limits;
-  limits.state_bytes = 1000;
-  BudgetTracker bt(limits, /*node=*/3, simu, nullptr, nullptr);
-  EXPECT_FALSE(bt.over_state());
-  bt.add_state(600);
-  bt.add_state(600);
-  EXPECT_TRUE(bt.over_state());
-  EXPECT_EQ(bt.state_bytes(), 1200u);
-  EXPECT_EQ(bt.state_high_water(), 1200u);
-  bt.sub_state(600);
-  EXPECT_FALSE(bt.over_state());
-  EXPECT_EQ(bt.state_bytes(), 600u);
-  EXPECT_EQ(bt.state_high_water(), 1200u);
-}
+  RepairPacer pacer(/*rate_per_s=*/100.0);  // min spacing 10 ms
 
-TEST(BudgetTracker, RepairPacerEnforcesMinimumSpacing) {
-  sim::Simulator simu(1);
-  ResourceBudget limits;
-  limits.repair_rate_per_s = 100.0;  // min spacing 10 ms
-  BudgetTracker bt(limits, /*node=*/1, simu, nullptr, nullptr);
-
-  EXPECT_TRUE(bt.repair_due());
-  EXPECT_DOUBLE_EQ(bt.repair_wait(), 0.0);
-  bt.note_repair_sent();  // t = 0
-  EXPECT_FALSE(bt.repair_due());
-  EXPECT_NEAR(bt.repair_wait(), 0.010, 1e-12);
+  EXPECT_TRUE(pacer.due(simu.now()));
+  EXPECT_DOUBLE_EQ(pacer.wait(simu.now()), 0.0);
+  pacer.note_sent(simu.now());  // t = 0
+  EXPECT_FALSE(pacer.due(simu.now()));
+  EXPECT_NEAR(pacer.wait(simu.now()), 0.010, 1e-12);
   // Only one send so far: the spacing probe is still unset.
-  EXPECT_EQ(bt.min_repair_spacing(), sim::kTimeNever);
+  EXPECT_EQ(pacer.min_spacing(), sim::kTimeNever);
 
   bool sent_at_10ms = false;
   simu.at(0.010, [&] {
-    EXPECT_TRUE(bt.repair_due());
-    bt.note_repair_sent();
+    EXPECT_TRUE(pacer.due(simu.now()));
+    pacer.note_sent(simu.now());
     sent_at_10ms = true;
   }, "test.budget");
   simu.at(0.012, [&] {
     // 2 ms after a send: paced out again.
-    EXPECT_FALSE(bt.repair_due());
-    EXPECT_NEAR(bt.repair_wait(), 0.008, 1e-12);
+    EXPECT_FALSE(pacer.due(simu.now()));
+    EXPECT_NEAR(pacer.wait(simu.now()), 0.008, 1e-12);
   }, "test.budget");
   simu.run_until(1.0);
   EXPECT_TRUE(sent_at_10ms);
-  EXPECT_NEAR(bt.min_repair_spacing(), 0.010, 1e-12);
-}
-
-TEST(BudgetTracker, PressureWindowExpires) {
-  sim::Simulator simu(1);
-  ResourceBudget limits;
-  limits.state_bytes = 1;  // any_enabled, though irrelevant to the clock
-  limits.pressure_window = 0.5;
-  BudgetTracker bt(limits, /*node=*/2, simu, nullptr, nullptr);
-  EXPECT_FALSE(bt.under_pressure());
-  bt.note_shed("peers");
-  EXPECT_TRUE(bt.under_pressure());
-  EXPECT_EQ(bt.sheds(), 1u);
-  bool checked = false;
-  simu.at(0.6, [&] {
-    EXPECT_FALSE(bt.under_pressure());
-    checked = true;
-  }, "test.budget");
-  simu.run_until(1.0);
-  EXPECT_TRUE(checked);
+  EXPECT_NEAR(pacer.min_spacing(), 0.010, 1e-12);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,35 +222,6 @@ TEST(DedupRing, InWindowDuplicateIsRejectedAndCounted) {
   EXPECT_EQ(journaled, 40);
 }
 
-/// Peer tables age deterministically at their cap and the session keeps
-/// functioning: elections, beacons, and recovery all continue with only
-/// the `peers_per_level` most recently heard peers retained.
-TEST(BudgetPeers, PeerTablesStayAtCapAndSessionCompletes) {
-  TreeFixture f(527, /*loss=*/0.08);
-  rm::DeliveryLog log;
-  Config cfg;
-  cfg.scoping = true;
-  cfg.budget.peers_per_level = 2;
-  Session s(f.net, f.tree.root, f.receivers, cfg, &log);
-  s.start();
-  const std::uint32_t kGroups = 8;
-  s.send_stream(kGroups, 6.0);
-  f.simu.run_until(120.0);
-
-  std::uint64_t shed = 0;
-  for (const auto& a : s.agents()) {
-    EXPECT_LE(a->session().peer_table_high_water(), 2u)
-        << "node " << a->node();
-    EXPECT_LE(a->session().bridge_table_high_water(), 2u)
-        << "node " << a->node();
-    shed += a->session().peers_shed();
-  }
-  EXPECT_GT(shed, 0u);  // 13 members per root zone: the cap must bite
-  for (net::NodeId r : f.receivers) {
-    EXPECT_TRUE(log.complete(r, kGroups)) << "receiver " << r;
-  }
-}
-
 /// Repair-queue depth and send rate stay bounded under loss: deficits
 /// beyond the cap coalesce, paced-out sends defer, and transfers still
 /// complete.
@@ -308,7 +241,7 @@ TEST(BudgetRepairs, QueueDepthAndRateStayBounded) {
   std::uint64_t deferred = 0, coalesced = 0;
   for (const auto& a : s.agents()) {
     EXPECT_LE(a->transfer().pending_high_water(), 2) << "node " << a->node();
-    const sim::Time spacing = a->budget().min_repair_spacing();
+    const sim::Time spacing = a->transfer().min_repair_spacing();
     if (spacing != sim::kTimeNever) {
       EXPECT_GE(spacing, 1.0 / 80.0 - 1e-9) << "node " << a->node();
     }
@@ -321,7 +254,7 @@ TEST(BudgetRepairs, QueueDepthAndRateStayBounded) {
   }
 }
 
-/// Same seed, budgets enabled, hostile wire: two runs must produce
+/// Same seed, both repair caps finite, hostile wire: two runs must produce
 /// byte-identical journals and metric exports. Shedding decisions are part
 /// of the deterministic state machine, not a best-effort heuristic.
 TEST(BudgetDeterminism, SameSeedRunsAreByteIdentical) {
@@ -338,8 +271,6 @@ TEST(BudgetDeterminism, SameSeedRunsAreByteIdentical) {
     cfg.scoping = true;
     cfg.metrics = &metrics;
     cfg.journal = &journal;
-    cfg.budget.state_bytes = 8 * 1024;
-    cfg.budget.peers_per_level = 2;
     cfg.budget.repair_queue_depth = 2;
     cfg.budget.repair_rate_per_s = 100.0;
     Session s(f.net, f.tree.root, f.receivers, cfg, &log);
@@ -353,8 +284,10 @@ TEST(BudgetDeterminism, SameSeedRunsAreByteIdentical) {
   const std::string a = run();
   const std::string b = run();
   EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("shed."), std::string::npos)
-      << "campaign never exercised a shed path";
+  EXPECT_NE(a.find("\"mode\":\"coalesce\""), std::string::npos)
+      << "the queue cap never tripped";
+  EXPECT_NE(a.find("\"mode\":\"defer\""), std::string::npos)
+      << "the rate cap never tripped";
 }
 
 // ---------------------------------------------------------------------------

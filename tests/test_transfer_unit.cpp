@@ -134,6 +134,63 @@ TEST(TransferUnit, GroupsCompletedCount) {
   EXPECT_TRUE(s.agent_for(f.a).transfer().seen_any_data());
 }
 
+// A data message may announce the stream length, but a forged total must
+// not widen the window of acceptable group ids: one message claiming
+// 2^32 - 1 groups, then a NACK naming group 2^31, would otherwise make the
+// engine size its per-group arrays for 2^31 groups. The announced total is
+// trusted only up to the jump bound past the stream head, so the NACK is
+// rejected as malformed and per-group state stays at the stream's size.
+TEST(TransferUnit, ForgedGroupTotalCannotWidenGroupIdWindow) {
+  TwoZone f;
+  Config cfg;
+  Session s(f.net, f.source, {f.relay, f.a, f.b}, cfg);
+  s.start();
+  constexpr std::uint32_t kGroups = 4;
+  s.send_stream(kGroups, 6.0);
+  f.simu.run_until(25.0);
+  ASSERT_TRUE(s.all_complete(kGroups));
+  TransferEngine& e = s.agent_for(f.a).transfer();
+  auto groups_census = [&e] {
+    stats::MemCensus census;
+    e.memory_census(census);
+    return census.categories["transfer_groups"].live_bytes;
+  };
+  const std::uint64_t census_before = groups_census();
+  const std::uint64_t rejects_before = e.malformed_rejects();
+  std::uint64_t uid = 1ull << 60;  // far from any uid the network issued
+  auto deliver = [&](net::TrafficClass cls,
+                     std::shared_ptr<const net::MessageBase> msg) {
+    net::Packet p;
+    p.uid = uid++;
+    p.origin = f.source;
+    p.cls = cls;
+    p.msg = std::move(msg);
+    EXPECT_TRUE(e.handle(p));
+  };
+
+  // Well-formed in every field but the announced total: a copy of group
+  // 0's first shard, which the receiver already holds.
+  auto data = std::make_shared<DataMsg>();
+  data->group = 0;
+  data->index = 0;
+  data->k = cfg.group_size;
+  data->initial_shards = cfg.group_size;
+  data->groups_total = 0xffffffffu;
+  deliver(net::TrafficClass::kData, data);
+  EXPECT_EQ(e.malformed_rejects(), rejects_before);
+
+  auto nack = std::make_shared<NackMsg>();
+  nack->group = 1u << 31;
+  nack->zone = f.zone;
+  nack->llc = 1;
+  nack->needed = 1;
+  nack->sender = f.b;
+  deliver(net::TrafficClass::kNack, nack);
+  EXPECT_EQ(e.malformed_rejects(), rejects_before + 1);
+  EXPECT_EQ(e.tracked_group_count(), kGroups);
+  EXPECT_EQ(groups_census(), census_before);
+}
+
 TEST(TransferUnit, ZlcPredictorLearnsSteadyLoss) {
   // 20% upstream loss shared by the whole zone: the source's root-level
   // ZLC prediction must converge to roughly 20% of a group.

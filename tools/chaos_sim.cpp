@@ -8,7 +8,8 @@
 //   drained   no stuck timers: after stopping all agents and a grace
 //             period, the event queue is empty
 //   bounded   per-agent state (tracked groups, session peers) stayed
-//             within its structural bound
+//             within its structural bound (peers: the members of the
+//             agent's zones)
 //   ledger    per-hop conservation: transmissions == hops + wire drops
 //
 // Output is one JSON object per plan plus a totals line, and is
@@ -16,11 +17,11 @@
 // chaos failures). Exit status 0 iff every invariant held on every plan.
 //
 // --exhaustion layers an overload campaign on top (docs/ROBUSTNESS.md):
-// finite per-node resource budgets, NACK storms, flash-crowd joins,
+// finite per-node repair caps, NACK storms, flash-crowd joins,
 // bandwidth/queue squeezes — and a fifth invariant:
 //
-//   budget    every budgeted dimension stayed at or under its cap and the
-//             repair pacer never beat its minimum spacing
+//   budget    the repair-queue high water stayed at or under its cap and
+//             the repair pacer never beat its minimum spacing
 //
 //   chaos_sim --plans 20 --seed 1
 //   chaos_sim --plans 1 --seed 7 --dump-plans   # show the plan spec text
@@ -78,7 +79,7 @@ struct Options {
       "  --grace T       post-stop drain window (default 5)\n"
       "  --queue-limit N per-link queue bound in packets, -1 = unbounded\n"
       "                  (default 512)\n"
-      "  --exhaustion    overload campaign: finite per-node budgets plus\n"
+      "  --exhaustion    overload campaign: finite per-node repair caps plus\n"
       "                  NACK storms, flash crowds, bandwidth and queue\n"
       "                  squeezes (adds the budget invariant)\n"
       "  --dump-plans    print each plan's spec text before running it\n"
@@ -133,13 +134,13 @@ struct PlanResult {
   /// Most groups any one agent held live at once (its live-state pool).
   std::size_t max_live_groups = 0;
   bool live_within_tracked = true;  // per agent: live high water <= tracked
+  bool peers_within_zones = true;   // per agent: see zone_peer_bound()
   std::uint64_t drops_link_down = 0, drops_epoch_kill = 0;
   std::uint64_t drops_queue_full = 0;
   std::uint64_t events = 0;
   std::uint64_t nacks = 0, repairs = 0, preemptive = 0;
-  bool budget_ok = true;  // vacuous when no budget dimension is enabled
-  std::uint64_t peers_shed = 0, bridge_skips = 0;
-  std::uint64_t repairs_deferred = 0, repairs_coalesced = 0, scope_sheds = 0;
+  bool budget_ok = true;  // vacuous when no repair cap is enabled
+  std::uint64_t repairs_deferred = 0, repairs_coalesced = 0;
   std::string metrics_json;  // per-plan registry totals, deterministic
 
   bool ok() const {
@@ -199,11 +200,9 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   cfg.max_backoff_stage = 5;
   cfg.late_join_full_history = true;  // restarted receivers recover history
   if (o.exhaustion) {
-    // Finite budgets, sized so the storms/crowds below actually trip them
-    // while leaving enough headroom that transfers still complete once
-    // pressure lifts (docs/ROBUSTNESS.md rationale).
-    cfg.budget.state_bytes = 64 * 1024;
-    cfg.budget.peers_per_level = 4;
+    // Finite repair caps, sized so the storms/crowds below actually trip
+    // them while leaving enough headroom that transfers still complete
+    // (docs/ROBUSTNESS.md rationale).
     cfg.budget.repair_queue_depth = 8;
     cfg.budget.repair_rate_per_s = 150.0;
   }
@@ -318,12 +317,24 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
 
   PlanResult r;
   r.complete = session.all_complete(o.groups);
-  // Budget invariants: every budgeted dimension's high water stayed at or
-  // under its cap, and the repair pacer kept its minimum spacing. The
-  // state ledger is a soft target with one-allocation overshoot before
-  // the next peer update sheds, hence the small slack.
+  // Budget invariants: the repair-queue high water stayed at or under its
+  // cap, and the repair pacer kept its minimum spacing.
   const sfq::ResourceBudget& bud = cfg.budget;
-  constexpr std::size_t kStateSlack = 4096;
+  // Session state needs no cap: every key in an agent's level-l RTT table
+  // is a node heard on zone chain[l]'s session channel, which only that
+  // zone's members join, and every key in its level-l bridge table is one
+  // the bridge ZCR heard there. So the RTT table holds at most the zone's
+  // other members and the bridge table at most all of them. Elections can
+  // hand any member a ZCR role (and a ZCR speaks one level up), and expiry
+  // only removes entries, so neither can break the bound; it holds for
+  // agents killed mid-election too.
+  auto zone_peer_bound = [&](const sfq::Agent& a) {
+    std::size_t n = 0;
+    for (net::ZoneId z : a.session().chain()) {
+      n += 2 * net.zones().members(z).size() - 1;
+    }
+    return n;
+  };
   auto tally = [&](const sfq::Agent& a) {
     r.corrupt_rejects += a.corrupt_rejects();
     r.duplicate_rejects += a.duplicate_rejects();
@@ -343,28 +354,19 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
     }
     r.max_tracked_peers =
         std::max(r.max_tracked_peers, a.session().tracked_peer_count());
-    r.peers_shed += a.session().peers_shed();
-    r.bridge_skips += a.session().bridge_skips();
+    if (a.session().tracked_peer_count() > zone_peer_bound(a)) {
+      r.peers_within_zones = false;
+    }
     r.repairs_deferred += a.transfer().repairs_deferred();
     r.repairs_coalesced += a.transfer().repairs_coalesced();
-    r.scope_sheds += a.transfer().scope_sheds();
-    if (bud.peers_per_level > 0 &&
-        (a.session().peer_table_high_water() > bud.peers_per_level ||
-         a.session().bridge_table_high_water() > bud.peers_per_level)) {
-      r.budget_ok = false;
-    }
     if (bud.repair_queue_depth > 0 &&
         a.transfer().pending_high_water() > bud.repair_queue_depth) {
       r.budget_ok = false;
     }
     if (bud.repair_rate_per_s > 0.0 &&
-        a.budget().min_repair_spacing() != sim::kTimeNever &&
-        a.budget().min_repair_spacing() <
+        a.transfer().min_repair_spacing() != sim::kTimeNever &&
+        a.transfer().min_repair_spacing() <
             1.0 / bud.repair_rate_per_s - 1e-9) {
-      r.budget_ok = false;
-    }
-    if (bud.state_bytes > 0 &&
-        a.budget().state_high_water() > bud.state_bytes + kStateSlack) {
       r.budget_ok = false;
     }
   };
@@ -372,12 +374,9 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   for (const auto& a : session.retired()) tally(*a);
   // Structural bounds: an agent never tracks more groups than the transfer
   // has, never holds more of them live at once than it tracks, and never
-  // more session peers than 3 hierarchy levels times the member count
-  // (peer table + bridge RTT table per level).
-  r.bounded =
-      r.max_tracked_groups <= o.groups && r.live_within_tracked &&
-      r.max_tracked_peers <=
-          static_cast<std::size_t>(6 * net.node_count());
+  // more session peers than its zones have members (zone_peer_bound).
+  r.bounded = r.max_tracked_groups <= o.groups && r.live_within_tracked &&
+              r.peers_within_zones;
 
   // Stuck-timer check: once every agent stops, the queue must fully drain
   // within the grace window (in-flight packets, pacing chains, and stale
@@ -469,9 +468,8 @@ int main(int argc, char** argv) {
         "\"drops_queue_full\":%llu,"
         "\"events\":%llu,\"nacks\":%llu,\"repairs\":%llu,"
         "\"preemptive\":%llu,\"budget_ok\":%s,"
-        "\"peers_shed\":%llu,\"bridge_skips\":%llu,"
         "\"repairs_deferred\":%llu,\"repairs_coalesced\":%llu,"
-        "\"scope_sheds\":%llu,\"ok\":%s,\"metrics\":%s}\n",
+        "\"ok\":%s,\"metrics\":%s}\n",
         i, static_cast<unsigned long long>(plan_seed),
         static_cast<unsigned long long>(r.applied),
         static_cast<unsigned long long>(r.skipped),
@@ -491,11 +489,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.repairs),
         static_cast<unsigned long long>(r.preemptive),
         r.budget_ok ? "true" : "false",
-        static_cast<unsigned long long>(r.peers_shed),
-        static_cast<unsigned long long>(r.bridge_skips),
         static_cast<unsigned long long>(r.repairs_deferred),
         static_cast<unsigned long long>(r.repairs_coalesced),
-        static_cast<unsigned long long>(r.scope_sheds),
         r.ok() ? "true" : "false", r.metrics_json.c_str());
   }
   std::printf("{\"plans\":%d,\"failed\":%d,\"ok\":%s}\n", o.plans, failed,
