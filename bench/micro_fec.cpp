@@ -258,9 +258,9 @@ void BM_GroupRoundTrip(benchmark::State& state) {
   sharq::fec::GroupEncoder enc(codec, std::move(data));
   for (auto _ : state) {
     sharq::fec::DecoderState held;
-    std::vector<sharq::fec::ShardBuffer> bytes(k);
     std::vector<std::uint8_t> index(k);
-    sharq::fec::GroupDecoder dec(*codec, held, bytes.data(), index.data());
+    sharq::fec::ShardStore store;
+    sharq::fec::GroupDecoder dec(*codec, held, index.data(), store, 0);
     // Lose a quarter of the data; fill from parity. The decoder shares the
     // encoder's buffers, as every receiver shares the sender's.
     for (int i = k / 4; i < k; ++i) dec.add(i, enc.shard_shared(i));
@@ -289,9 +289,9 @@ void BM_RepairerFirstParity(benchmark::State& state, bool from_held,
   }
   sharq::fec::GroupEncoder source(codec, std::move(data));
   sharq::fec::DecoderState held;
-  std::vector<sharq::fec::ShardBuffer> bytes(k);
   std::vector<std::uint8_t> index_of(k);
-  sharq::fec::GroupDecoder dec(*codec, held, bytes.data(), index_of.data());
+  sharq::fec::ShardStore store;
+  sharq::fec::GroupDecoder dec(*codec, held, index_of.data(), store, 0);
   for (int i = missing; i < k + missing; ++i) {
     dec.add(i, source.shard_shared(i));
   }

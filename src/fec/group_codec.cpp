@@ -1,5 +1,6 @@
 #include "fec/group_codec.hpp"
 
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -84,37 +85,76 @@ ShardBuffer GroupEncoder::shard_shared(int index) {
   return out;
 }
 
-bool GroupDecoder::add(int index, ShardBuffer bytes) {
+ShardStore::Entry* ShardStore::entry(std::uint32_t group, int index) {
+  if (group >= groups_.size()) return nullptr;
+  for (Entry& e : groups_[group]) {
+    if (e.index == index) return &e;
+  }
+  return nullptr;
+}
+
+const ShardBuffer* ShardStore::find(std::uint32_t group, int index) const {
+  const Entry* e = const_cast<ShardStore*>(this)->entry(group, index);
+  return e ? &e->bytes : nullptr;
+}
+
+const ShardBuffer& ShardStore::hold(std::uint32_t group, int index,
+                                    const ShardBuffer& bytes) {
+  if (Entry* e = entry(group, index)) {
+    ++e->holders;
+    return e->bytes;
+  }
+  if (group >= groups_.size()) groups_.resize(std::size_t{group} + 1);
+  ++size_;
+  return groups_[group]
+      .emplace_back(Entry{bytes, 1, static_cast<std::uint8_t>(index)})
+      .bytes;
+}
+
+void ShardStore::release(std::uint32_t group, int index) {
+  Entry* e = entry(group, index);
+  if (e == nullptr || --e->holders > 0) return;
+  std::vector<Entry>& entries = groups_[group];
+  if (e != &entries.back()) *e = std::move(entries.back());
+  entries.pop_back();
+  --size_;
+}
+
+bool GroupDecoder::add(int index, const ShardBuffer& bytes) {
   if (index < 0 || index >= codec_->max_shards() || has(index)) return false;
   DecoderState& st = *state_;
+  // A displaced index is released unconditionally, so a decoder that held
+  // some shards' bytes and not others' would drop another holder's key.
+  assert(st.held == 0 || (bytes != nullptr) == (bytes_of(0) != nullptr));
   st.seen.set(static_cast<std::size_t>(index));
   ++st.distinct;
   const bool original = index < k();
   if (original) ++st.distinct_data;
+  int slot = st.held;
   if (st.held < k()) {
-    bytes_[st.held] = std::move(bytes);
-    index_[st.held] = static_cast<std::uint8_t>(index);
     ++st.held;
-    return true;
+  } else {
+    // Full. A parity shard arriving now is later than every parity held, so
+    // a decode would never pick it; an original displaces the latest parity
+    // (parity entries are only ever appended, so the last one is the
+    // latest). A full decoder holding no parity already has all k originals.
+    if (!original) return true;
+    do {
+      --slot;
+    } while (slot >= 0 && index_[slot] < k());
+    if (slot < 0) return true;
+    store_->release(group_, index_[slot]);
   }
-  // Full. A parity shard arriving now is later than every parity held, so
-  // a decode would never pick it; an original displaces the latest parity
-  // (parity entries are only ever appended, so the last one is the latest).
-  // A full decoder holding no parity already has all k originals.
-  if (!original) return true;
-  for (int i = st.held; i-- > 0;) {
-    if (index_[i] >= k()) {
-      bytes_[i] = std::move(bytes);
-      index_[i] = static_cast<std::uint8_t>(index);
-      break;
-    }
-  }
+  index_[slot] = static_cast<std::uint8_t>(index);
+  if (bytes) store_->hold(group_, index, bytes);
   return true;
 }
 
 ShardBuffer GroupDecoder::held(int index) const {
   for (int i = 0; i < state_->held; ++i) {
-    if (index_[i] == index) return bytes_[i];
+    if (index_[i] != index) continue;
+    const ShardBuffer* b = bytes_of(i);
+    return b ? *b : nullptr;
   }
   return nullptr;
 }
@@ -123,7 +163,8 @@ std::vector<IndexedShard> GroupDecoder::held_shards() const {
   std::vector<IndexedShard> out;
   out.reserve(state_->held);
   for (int i = 0; i < state_->held; ++i) {
-    out.push_back(IndexedShard{index_[i], bytes_[i]});
+    const ShardBuffer* b = bytes_of(i);
+    out.push_back(IndexedShard{index_[i], b ? *b : nullptr});
   }
   return out;
 }
@@ -131,15 +172,16 @@ std::vector<IndexedShard> GroupDecoder::held_shards() const {
 std::vector<std::uint8_t> GroupDecoder::reconstruct() const {
   if (!complete()) return {};
   const int held = state_->held;
-  const std::size_t size = bytes_[0] ? bytes_[0]->size() : 0;
+  const ShardBuffer* first = bytes_of(0);
+  const std::size_t size = first ? (*first)->size() : 0;
   std::vector<ReedSolomon::ShardView> views;
   views.reserve(static_cast<std::size_t>(held));
   for (int i = 0; i < held; ++i) {
-    const ShardBuffer& b = bytes_[i];
-    if ((b ? b->size() : 0) != size) {
+    const ShardBuffer* b = bytes_of(i);
+    if ((b ? (*b)->size() : 0) != size) {
       throw std::invalid_argument("GroupDecoder: shard sizes differ");
     }
-    views.push_back({index_[i], b ? b->data() : nullptr});
+    views.push_back({index_[i], b ? (*b)->data() : nullptr});
   }
   std::vector<std::uint8_t> out(static_cast<std::size_t>(k()) * size);
   std::vector<std::uint8_t*> dst(k());

@@ -4,7 +4,6 @@
 #include <bitset>
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -13,8 +12,9 @@
 namespace sharq::fec {
 
 /// One shard's bytes, immutable once built and shared by every holder:
-/// the encoder that produced it, the message that carries it and every
-/// decoder that received it. A shard's bytes exist once per process.
+/// the encoder that produced it, the messages that carry it and the lane
+/// store (ShardStore) that every decoder resolves it through. Within one
+/// execution lane a shard's bytes exist once.
 using ShardBuffer = std::shared_ptr<const std::vector<std::uint8_t>>;
 
 /// Heap bytes of one shard buffer (memory-census probe): the byte storage
@@ -25,11 +25,61 @@ inline std::size_t buffer_bytes(const ShardBuffer& b) {
   return b ? b->capacity() + sizeof(*b) + kControlBlock : 0;
 }
 
-/// Shard buffers a memory census has already counted, by address, so a
-/// buffer shared by many holders is counted once (membership only; never
-/// iterated, so its order cannot leak).
-// sharq-lint: pointer-key-ok (membership only, order never observed)
-using BufferSet = std::unordered_set<const void*>;
+/// One execution lane's shard buffers, content-addressed by (group,
+/// index): at most one buffer per key, with a count of the holders that
+/// refer to it (decoders, encoders, the source's payload). The code is MDS,
+/// so every holder of a key needs the same bytes: a shard received,
+/// encoded or sent anywhere in the lane is kept once, and a buffer leaves
+/// the store with its last holder (messages in flight keep their own
+/// handle). A store is touched only by the lane that owns it; a buffer
+/// crossing lanes travels in its message and the receiving lane's store
+/// adopts it, so no lane shares mutable state with another.
+class ShardStore {
+ public:
+  /// The lane's buffer for shard `index` of `group`, or null when it holds
+  /// none.
+  const ShardBuffer* find(std::uint32_t group, int index) const;
+
+  /// Add one holder of (group, index) and return the lane's buffer for it:
+  /// the one already held, else `bytes` (non-null), adopted.
+  const ShardBuffer& hold(std::uint32_t group, int index,
+                          const ShardBuffer& bytes);
+
+  /// Drop one holder of (group, index); the last one takes the buffer out
+  /// of the store. No-op for a key the store does not hold.
+  void release(std::uint32_t group, int index);
+
+  /// Number of (group, index) buffers held.
+  std::size_t size() const { return size_; }
+
+  /// Calls `fn(const std::vector<T>&)` for each of the store's own arrays,
+  /// so the census can size them (buffers excluded).
+  template <class Fn>
+  void for_each_array(Fn&& fn) const {
+    fn(groups_);
+    for (const auto& entries : groups_) fn(entries);
+  }
+
+  /// Calls `fn(const ShardBuffer&)` for every buffer held (census only:
+  /// the order is the store's layout, never observed).
+  template <class Fn>
+  void for_each_buffer(Fn&& fn) const {
+    for (const auto& entries : groups_) {
+      for (const Entry& e : entries) fn(e.bytes);
+    }
+  }
+
+ private:
+  struct Entry {
+    ShardBuffer bytes;
+    std::uint32_t holders = 0;
+    std::uint8_t index = 0;
+  };
+  Entry* entry(std::uint32_t group, int index);
+
+  std::vector<std::vector<Entry>> groups_;  // by group id, entries unordered
+  std::size_t size_ = 0;
+};
 
 /// One shard of a group: its global index (0..k-1 originals, k.. parity)
 /// and its bytes.
@@ -97,42 +147,49 @@ class GroupEncoder {
 };
 
 /// The fixed-size half of one group's decoder: which indices arrived and
-/// how many shard handles are held. The handles themselves sit in two
-/// caller-owned arrays of k entries each (see GroupDecoder), so an owner
-/// keeping many groups can pack them at stride k with no per-group heap
-/// allocation.
+/// how many shards are held. The held indices sit in a caller-owned array
+/// of k bytes (see GroupDecoder), so an owner keeping many groups can pack
+/// them at stride k with no per-group heap allocation.
 struct DecoderState {
   std::bitset<256> seen;           ///< every index received (max_shards <= 255)
   std::uint8_t distinct = 0;       ///< distinct indices received
   std::uint8_t distinct_data = 0;  ///< of those, originals
-  std::uint8_t held = 0;           ///< handle slots in use, <= k
+  std::uint8_t held = 0;           ///< index slots in use, <= k
 };
 
 /// Receiver-side view of one FEC packet group, over storage its owner keeps:
-/// a DecoderState and k handle and k index slots.
+/// a DecoderState, k index slots and the lane's ShardStore.
 ///
 /// Accumulates shards (data or parity, in any order, duplicates ignored)
 /// and reports completion once any k distinct shards have arrived. It
-/// records every index it has seen but holds at most k buffers (shared,
-/// never copied): every original, then the earliest-arriving parity. That
-/// is exactly the set ReedSolomon::decode would pick from everything
-/// received, so a later parity shard adds nothing a decode would use, and
-/// once k are held an arriving original displaces the latest-arriving
-/// parity. Decoding is deferred until requested. A view is four pointers;
-/// build one where it is used.
+/// records every index it has seen but holds at most k shards: every
+/// original, then the earliest-arriving parity. That is exactly the set
+/// ReedSolomon::decode would pick from everything received, so a later
+/// parity shard adds nothing a decode would use, and once k are held an
+/// arriving original displaces the latest-arriving parity. The decoder
+/// keeps only the held indices; their bytes are holds in the lane store,
+/// under (group, index). Decoding is deferred until requested. A view is
+/// five words; build one where it is used.
 class GroupDecoder {
  public:
-  /// `bytes` and `index` point at codec.k() slots each; the view never
-  /// reads or writes past them. The codec and the storage must outlive it.
+  /// `index` points at codec.k() slots; the view never reads or writes past
+  /// them. The codec, the storage and the store must outlive it.
   GroupDecoder(const ReedSolomon& codec, DecoderState& state,
-               ShardBuffer* bytes, std::uint8_t* index)
-      : codec_(&codec), state_(&state), bytes_(bytes), index_(index) {}
+               std::uint8_t* index, ShardStore& store, std::uint32_t group)
+      : codec_(&codec),
+        state_(&state),
+        index_(index),
+        store_(&store),
+        group_(group) {}
 
   int k() const { return codec_->k(); }
 
-  /// Add one received shard; the decoder may share `bytes` (null in a
-  /// size-only simulation). Returns true if it was new (not a duplicate).
-  bool add(int index, ShardBuffer bytes);
+  /// Add one received shard; a held shard's `bytes` are held in the store
+  /// (null in a size-only simulation: nothing is stored). All adds to one
+  /// decoder carry bytes or none do (asserted; TransferEngine::handle
+  /// rejects messages that would break it). Returns true if it was new (not
+  /// a duplicate).
+  bool add(int index, const ShardBuffer& bytes);
 
   /// True once any k distinct shards have arrived.
   bool complete() const { return state_->distinct >= codec_->k(); }
@@ -152,14 +209,15 @@ class GroupDecoder {
            state_->seen.test(static_cast<std::size_t>(index));
   }
 
-  /// The buffer held for shard `index`; null when it is not held.
+  /// The buffer held for shard `index`, resolved through the store; null
+  /// when it is not held.
   ShardBuffer held(int index) const;
 
   /// Number of shards held, at most k.
   int held_count() const { return state_->held; }
 
-  /// The shards held, in no particular order: once complete(), exactly k,
-  /// a basis for a GroupEncoder.
+  /// The shards held, in no particular order, with their buffers from the
+  /// store: once complete(), exactly k, a basis for a GroupEncoder.
   std::vector<IndexedShard> held_shards() const;
 
   /// The k original packets, concatenated into one k x size allocation;
@@ -167,10 +225,15 @@ class GroupDecoder {
   std::vector<std::uint8_t> reconstruct() const;
 
  private:
+  const ShardBuffer* bytes_of(int slot) const {
+    return store_->find(group_, index_[slot]);
+  }
+
   const ReedSolomon* codec_;
   DecoderState* state_;
-  ShardBuffer* bytes_;    // k slots, [0, held) in use
-  std::uint8_t* index_;   // the shard index of each used slot
+  std::uint8_t* index_;   // k slots, [0, held) in use
+  ShardStore* store_;
+  std::uint32_t group_;
 };
 
 }  // namespace sharq::fec

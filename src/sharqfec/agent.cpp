@@ -3,6 +3,7 @@
 #include <string>
 
 #include "fec/cpu_features.hpp"
+#include "stats/profiler.hpp"
 
 namespace sharq::sfq {
 
@@ -12,8 +13,9 @@ const char* Agent::fec_kernel_name() {
 
 Agent::Agent(net::Network& net, Hierarchy& hier,
              std::shared_ptr<const Config> cfg,
-             std::shared_ptr<const fec::ReedSolomon> codec, net::NodeId node,
-             bool is_source, rm::DeliveryLog* log)
+             std::shared_ptr<const fec::ReedSolomon> codec,
+             fec::ShardStore& store, net::NodeId node, bool is_source,
+             rm::DeliveryLog* log)
     : is_source_(is_source) {
   recent_uids_.fill(~std::uint64_t{0});
   net.attach(node, this);
@@ -23,8 +25,8 @@ Agent::Agent(net::Network& net, Hierarchy& hier,
   session_ =
       std::make_unique<SessionManager>(net, hier, cfg, node, is_source);
   transfer_ = std::make_unique<TransferEngine>(
-      net, hier, *session_, std::move(cfg), std::move(codec), node, is_source,
-      log);
+      net, hier, *session_, std::move(cfg), std::move(codec), store, node,
+      is_source, log);
   session_->set_progress_provider([this] {
     return std::make_pair(transfer_->max_group_seen(),
                           transfer_->seen_any_data());
@@ -50,7 +52,8 @@ bool Agent::first_sighting(std::uint64_t uid) {
   return true;
 }
 
-void Agent::on_receive(const net::Packet& packet) {
+bool Agent::admit(const net::Packet& packet) {
+  SHARQ_PROF_SCOPE(agent_rx);
   // Hostile-wire hardening, in checksum order: a corrupt packet's payload
   // is untrustworthy (reject before any field is read), and a duplicated
   // uid has already been processed (idempotence without asking every
@@ -64,7 +67,7 @@ void Agent::on_receive(const net::Packet& packet) {
                      {{"class", net::to_string(packet.cls)},
                       {"reason", "corrupt"}});
     }
-    return;
+    return false;
   }
   if (!first_sighting(packet.uid)) {
     ++duplicate_rejects_;
@@ -75,8 +78,15 @@ void Agent::on_receive(const net::Packet& packet) {
                      {{"class", net::to_string(packet.cls)},
                       {"reason", "duplicate"}});
     }
-    return;
+    return false;
   }
+  return true;
+}
+
+void Agent::on_receive(const net::Packet& packet) {
+  // Each handler opens its own profiler scope only for its own message
+  // types.
+  if (!admit(packet)) return;
   if (transfer_->handle(packet)) return;
   session_->handle(packet);
 }

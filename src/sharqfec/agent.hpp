@@ -21,10 +21,11 @@ class Agent final : public net::Agent {
   /// The Config and the Reed–Solomon codec are shared, not copied: every
   /// agent in a session aliases one immutable instance of each, so
   /// per-agent cost stays flat no matter how large static_zcrs (etc.) or
-  /// the codec's generator matrix grows.
+  /// the codec's generator matrix grows. `store` is the shard store of the
+  /// node's execution lane (see TransferEngine).
   Agent(net::Network& net, Hierarchy& hier, std::shared_ptr<const Config> cfg,
-        std::shared_ptr<const fec::ReedSolomon> codec, net::NodeId node,
-        bool is_source, rm::DeliveryLog* log = nullptr);
+        std::shared_ptr<const fec::ReedSolomon> codec, fec::ShardStore& store,
+        net::NodeId node, bool is_source, rm::DeliveryLog* log = nullptr);
 
   /// Begin session messaging and ZCR election.
   void start() { session_->start(); }
@@ -70,16 +71,14 @@ class Agent final : public net::Agent {
   /// Contribute this endpoint's retained bytes to the profiler's memory
   /// census: the uid dedup ring under "dedup_windows", the rest of this
   /// object under "agent_objects", then the session manager's and
-  /// transfer engine's categories. `counted` is passed on to the transfer
-  /// engine (see TransferEngine::memory_census).
-  void memory_census(stats::MemCensus& census,
-                     fec::BufferSet* counted = nullptr) const {
+  /// transfer engine's categories.
+  void memory_census(stats::MemCensus& census) const {
     census.add("dedup_windows", sizeof(recent_uids_), sizeof(recent_uids_));
     const std::uint64_t self =
         stats::heap_block_bytes(sizeof(Agent)) - sizeof(recent_uids_);
     census.add("agent_objects", self, self);
     session_->memory_census(census);
-    transfer_->memory_census(census, counted);
+    transfer_->memory_census(census);
   }
 
   /// Name of the GF(256) kernel every agent's FEC work dispatches to
@@ -92,6 +91,9 @@ class Agent final : public net::Agent {
   /// accepted (a duplicated delivery); otherwise records it and returns
   /// true.
   bool first_sighting(std::uint64_t uid);
+  /// The receive path's wire checks: false (and counted) for a corrupt or
+  /// duplicated packet, which no handler sees.
+  bool admit(const net::Packet& packet);
 
   bool is_source_;
   std::unique_ptr<SessionManager> session_;

@@ -1,6 +1,9 @@
 #include "sharqfec/protocol.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 namespace sharq::sfq {
 
@@ -11,12 +14,16 @@ Session::Session(net::Network& net, net::NodeId source,
       cfg_(std::make_shared<const Config>(cfg)),
       codec_(std::make_shared<const fec::ReedSolomon>(cfg_->group_size,
                                                       cfg_->max_parity)),
+      stores_(static_cast<std::size_t>(
+          net.sharded() ? net.shard_map().nshards : 1)),
       log_(log) {
   hier_ = std::make_unique<Hierarchy>(net, cfg_->scoping);
-  agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, codec_, source,
+  agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, codec_,
+                                            store_for(source), source,
                                             /*is_source=*/true, log));
   for (net::NodeId r : receivers) {
-    agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, codec_, r,
+    agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, codec_,
+                                              store_for(r), r,
                                               /*is_source=*/false, log));
   }
 }
@@ -26,7 +33,8 @@ void Session::start() {
 }
 
 Agent& Session::add_receiver(net::NodeId node) {
-  agents_.push_back(std::make_unique<Agent>(net_, *hier_, cfg_, codec_, node,
+  agents_.push_back(std::make_unique<Agent>(net_, *hier_, cfg_, codec_,
+                                            store_for(node), node,
                                             /*is_source=*/false, log_));
   agents_.back()->start();
   return *agents_.back();
@@ -50,6 +58,34 @@ Agent& Session::agent_for(net::NodeId node) {
     if (a->node() == node) return *a;
   }
   throw std::out_of_range("no SHARQFEC agent for node");
+}
+
+void Session::memory_census(stats::MemCensus& census) const {
+  const fec::Matrix& gen = codec_->generator();
+  const std::uint64_t shared =
+      hier_->memory_bytes() + sizeof(fec::ReedSolomon) +
+      static_cast<std::uint64_t>(gen.rows()) * gen.cols() *
+          sizeof(fec::Matrix::Elem);
+  census.add("session_shared", shared, shared);
+  for (const auto& a : agents_) a->memory_census(census);
+  for (const auto& a : retired_) a->memory_census(census);
+  std::uint64_t stored = 0;
+  std::vector<std::pair<std::uintptr_t, std::uint64_t>> buffers;
+  for (const fec::ShardStore& s : stores_) {
+    s.for_each_array(
+        [&](const auto& array) { stored += stats::vector_block_bytes(array); });
+    s.for_each_buffer([&](const fec::ShardBuffer& b) {
+      buffers.emplace_back(reinterpret_cast<std::uintptr_t>(b.get()),
+                           fec::buffer_bytes(b));
+    });
+  }
+  std::sort(buffers.begin(), buffers.end());
+  for (std::size_t i = 0; i < buffers.size(); ++i) {
+    if (i == 0 || buffers[i].first != buffers[i - 1].first) {
+      stored += buffers[i].second;
+    }
+  }
+  census.add("transfer_groups", stored, stored);
 }
 
 bool Session::all_complete(std::uint32_t total) const {

@@ -55,24 +55,18 @@ class Session {
   /// True if every receiver completed every group in [0, total).
   bool all_complete(std::uint32_t total) const;
 
+  /// The shard store of each execution lane (one in a serial run, one per
+  /// shard on a ShardRuntime), by lane; every agent uses its node's.
+  const std::vector<fec::ShardStore>& stores() const { return stores_; }
+
   /// Memory census over every agent, retired ones included (their state
   /// is retained until destruction, so the resident set still pays for
   /// it), plus what the session holds once for all of them under
-  /// "session_shared": the channel hierarchy and the codec. A shard buffer
-  /// shared across agents is counted once. Drivers feed
-  /// the result to Profiler::set_memory.
-  void memory_census(stats::MemCensus& census) const {
-    const fec::Matrix& gen = codec_->generator();
-    const std::uint64_t shared =
-        hier_->memory_bytes() + sizeof(fec::ReedSolomon) +
-        static_cast<std::uint64_t>(gen.rows()) * gen.cols() *
-            sizeof(fec::Matrix::Elem);
-    census.add("session_shared", shared, shared);
-    // Parity buffers are shared across agents: count each once.
-    fec::BufferSet counted;
-    for (const auto& a : agents_) a->memory_census(census, &counted);
-    for (const auto& a : retired_) a->memory_census(census, &counted);
-  }
+  /// "session_shared": the channel hierarchy and the codec. The lane
+  /// stores go under "transfer_groups": their entries, and each shard
+  /// buffer once by address (a buffer that crossed lanes sits in two
+  /// stores). Drivers feed the result to Profiler::set_memory.
+  void memory_census(stats::MemCensus& census) const;
 
  private:
   net::Network& net_;
@@ -81,10 +75,18 @@ class Session {
   // their size, and the codec's generator is built once per session.
   std::shared_ptr<const Config> cfg_;
   std::shared_ptr<const fec::ReedSolomon> codec_;
+  // Never resized after construction (agents keep references); declared
+  // before the agents, so it outlives them.
+  std::vector<fec::ShardStore> stores_;
   rm::DeliveryLog* log_;
   std::unique_ptr<Hierarchy> hier_;
   std::vector<std::unique_ptr<Agent>> agents_;  // [0] = source
   std::vector<std::unique_ptr<Agent>> retired_;
+
+  fec::ShardStore& store_for(net::NodeId node) {
+    return stores_[static_cast<std::size_t>(
+        net_.sharded() ? net_.shard_map().shard(node) : 0)];
+  }
 };
 
 }  // namespace sharq::sfq

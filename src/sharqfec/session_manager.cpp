@@ -688,28 +688,26 @@ void SessionManager::handle_takeover(const ZcrTakeoverMsg& msg) {
 // --- dispatch ----------------------------------------------------------------
 
 bool SessionManager::handle(const net::Packet& packet) {
+  const auto* s = packet.as<SessionMsg>();
+  const auto* c = s ? nullptr : packet.as<ZcrChallengeMsg>();
+  const auto* r = s || c ? nullptr : packet.as<ZcrResponseMsg>();
+  const auto* t = s || c || r ? nullptr : packet.as<ZcrTakeoverMsg>();
+  if (!s && !c && !r && !t) return false;
   SHARQ_PROF_SCOPE(session);
   // Cross-node causality: whatever this packet triggers is caused by the
   // event that sent it (bound to the uid on the sender's side).
   cause_in_ = journal_ ? journal_->uid_event(packet.uid) : 0;
-  if (const auto* s = packet.as<SessionMsg>()) {
+  if (s) {
     const int l = level_index(s->zone);
     if (l >= 0) handle_session(*s, l);
-    return true;
-  }
-  if (const auto* c = packet.as<ZcrChallengeMsg>()) {
+  } else if (c) {
     handle_challenge(*c);
-    return true;
-  }
-  if (const auto* r = packet.as<ZcrResponseMsg>()) {
+  } else if (r) {
     handle_response(*r);
-    return true;
-  }
-  if (const auto* t = packet.as<ZcrTakeoverMsg>()) {
+  } else {
     handle_takeover(*t);
-    return true;
   }
-  return false;
+  return true;
 }
 
 }  // namespace sharq::sfq

@@ -34,8 +34,8 @@ TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
                                SessionManager& session,
                                std::shared_ptr<const Config> cfg,
                                std::shared_ptr<const fec::ReedSolomon> codec,
-                               net::NodeId node, bool is_source,
-                               rm::DeliveryLog* log)
+                               fec::ShardStore& store, net::NodeId node,
+                               bool is_source, rm::DeliveryLog* log)
     : net_(net),
       simu_(net.simulator_for(node)),
       hier_(hier),
@@ -46,6 +46,7 @@ TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
       log_(log),
       rng_(net.simulator_for(node).rng().fork()),
       codec_(std::move(codec)),
+      store_(&store),
       pacer_(cfg_->budget.repair_rate_per_s) {
   zlc_pred_.assign(session_.chain().size(), 0.0);
   cov_pred_.assign(session_.chain().size(), 0.0);
@@ -159,7 +160,6 @@ void TransferEngine::ensure_group(std::uint32_t g) {
     const std::size_t n = static_cast<std::size_t>(g) + 1;
     const auto k = static_cast<std::size_t>(codec_->k());
     records_.resize(n);
-    held_bytes_.resize(n * k);
     held_index_.resize(n * k);
     chain_arena_.resize(n * chain_levels_);
     slice_arena_.resize(n * slice_levels_);
@@ -205,7 +205,8 @@ void TransferEngine::maybe_settle(std::uint32_t g) {
       l.measure_timer.pending() || any_pending(g)) {
     return;
   }
-  static_cast<LiveState&>(l) = LiveState{};  // drops the encoder
+  drop_encoder(g, l);
+  static_cast<LiveState&>(l) = LiveState{};
   free_slots_.push_back(r.slot);
   r.slot = kNoSlot;
 }
@@ -227,8 +228,7 @@ void TransferEngine::stop() {
   }
 }
 
-void TransferEngine::memory_census(stats::MemCensus& census,
-                                   fec::BufferSet* counted) const {
+void TransferEngine::memory_census(stats::MemCensus& census) const {
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
   const std::uint64_t self =
       stats::heap_block_bytes(sizeof(TransferEngine)) - sizeof(rng_) +
@@ -236,45 +236,23 @@ void TransferEngine::memory_census(stats::MemCensus& census,
       stats::vector_block_bytes(cov_pred_);
   census.add("agent_objects", self, self);
 
-  // Per-group storage: records, held handles and level arenas only grow,
-  // so live == retained here; plus the live-state pool.
+  // Per-group storage: records, held indices and level arenas only grow,
+  // so live == retained here; plus the live-state pool and its encoders'
+  // own arrays (the buffers they share live in the lane store).
   std::uint64_t grp_bytes =
       stats::vector_block_bytes(records_) +
-      stats::vector_block_bytes(held_bytes_) +
       stats::vector_block_bytes(held_index_) +
       stats::vector_block_bytes(chain_arena_) +
       stats::vector_block_bytes(slice_arena_) +
       stats::vector_block_bytes(slots_) +
       stats::vector_block_bytes(free_slots_) +
-      slots_.size() * stats::heap_block_bytes(sizeof(Live)) +
-      stats::vector_block_bytes(source_shards_);
-  // Shard buffers are shared, so each is counted once. Originals were all
-  // allocated by the source, which counts them; any other holder counts
-  // only its handle. Parity is counted by address, by the first engine in
-  // the census that holds it, whether in a decoder or an encoder: the
-  // engine that encoded it may since have dropped its encoder.
-  for (const auto& s : source_shards_) grp_bytes += fec::buffer_bytes(s);
-  fec::BufferSet own;
-  if (counted == nullptr) counted = &own;
-  auto parity = [&](const fec::ShardBuffer& b) {
-    if (b && counted->insert(b.get()).second) grp_bytes += fec::buffer_bytes(b);
-  };
-  const auto k = static_cast<std::size_t>(codec_->k());
-  for (std::size_t i = 0; i < held_bytes_.size(); ++i) {
-    if (held_index_[i] >= k) parity(held_bytes_[i]);
-  }
+      slots_.size() * stats::heap_block_bytes(sizeof(Live));
   for (const auto& slot : slots_) {
     if (!slot->encoder) continue;
     const fec::GroupEncoder& enc = *slot->encoder;
-    // memory_bytes() includes the buffers it encoded: parity, counted once
-    // below like any other.
-    std::uint64_t shared = 0;
-    for (const auto& s : enc.encoded()) shared += fec::buffer_bytes(s.bytes);
-    grp_bytes += sizeof(fec::GroupEncoder) + enc.memory_bytes() - shared;
-    for (const auto& s : enc.basis()) {
-      if (s.index >= codec_->k()) parity(s.bytes);
-    }
-    for (const auto& s : enc.encoded()) parity(s.bytes);
+    std::uint64_t stored = 0;
+    for (const auto& s : enc.encoded()) stored += fec::buffer_bytes(s.bytes);
+    grp_bytes += sizeof(fec::GroupEncoder) + enc.memory_bytes() - stored;
   }
   census.add("transfer_groups", grp_bytes, grp_bytes);
 }
@@ -323,20 +301,18 @@ void TransferEngine::send_stream(std::uint32_t group_count, sim::Time start_at,
   assert(is_source_);
   send_total_groups_ = group_count;
   groups_total_ = group_count;
-  source_shards_.clear();
   if (cfg_->real_payload) {
     const auto size = static_cast<std::size_t>(cfg_->shard_size_bytes);
-    const std::size_t shards =
-        static_cast<std::size_t>(group_count) * cfg_->group_size;
-    source_shards_.reserve(shards);
-    for (std::size_t i = 0; i < shards; ++i) {
-      auto shard = std::make_shared<std::vector<std::uint8_t>>(size, 0);
-      const std::size_t at = i * size;
-      if (at < payload.size()) {
-        std::copy_n(payload.data() + at, std::min(size, payload.size() - at),
-                    shard->data());
+    std::size_t at = 0;
+    for (std::uint32_t g = 0; g < group_count; ++g) {
+      for (int d = 0; d < cfg_->group_size; ++d, at += size) {
+        auto shard = std::make_shared<std::vector<std::uint8_t>>(size, 0);
+        if (at < payload.size()) {
+          std::copy_n(payload.data() + at,
+                      std::min(size, payload.size() - at), shard->data());
+        }
+        store_->hold(g, d, std::move(shard));
       }
-      source_shards_.push_back(std::move(shard));
     }
   }
   // seen_any_ flips when the first packet actually leaves: advertising
@@ -346,27 +322,39 @@ void TransferEngine::send_stream(std::uint32_t group_count, sim::Time start_at,
 
 fec::ShardBuffer TransferEngine::shard_bytes(std::uint32_t g, int index) {
   if (!cfg_->real_payload) return nullptr;
+  // Every shard of one (group, index) has the same bytes, whoever made it
+  // (the code is MDS): one the lane already holds is sent as it is.
+  if (const fec::ShardBuffer* held = store_->find(g, index)) return *held;
   SHARQ_PROF_SCOPE(codec);
   Live& l = live(g);
   if (!l.encoder) {
+    std::vector<fec::IndexedShard> basis;
     if (is_source_ && g < send_total_groups_) {
-      const auto first = source_shards_.begin() +
-                         static_cast<std::ptrdiff_t>(g) * cfg_->group_size;
-      l.encoder = std::make_unique<fec::GroupEncoder>(
-          codec_,
-          std::vector<fec::ShardBuffer>(first, first + cfg_->group_size));
+      for (int d = 0; d < cfg_->group_size; ++d) {
+        basis.push_back(fec::IndexedShard{d, *store_->find(g, d)});
+      }
     } else if (rec(g).complete) {
       // The k shards this member holds span the code: parity comes
       // straight from them, and no missing original is rebuilt.
-      l.encoder = std::make_unique<fec::GroupEncoder>(
-          codec_, decoder_of(g).held_shards());
+      basis = decoder_of(g).held_shards();
     } else {
       return nullptr;
     }
+    for (const fec::IndexedShard& s : basis) store_->hold(g, s.index, s.bytes);
+    l.encoder = std::make_unique<fec::GroupEncoder>(codec_, std::move(basis));
   }
-  // Data shards are the shared buffers themselves; parity is encoded once,
-  // straight into the buffer every message and decoder will share.
-  return l.encoder->shard_shared(index);
+  // Not in the store, so not in the encoder's basis or encoded shards
+  // either: encoded here, once, straight into the buffer every message and
+  // decoder in the lane will share.
+  return store_->hold(g, index, l.encoder->shard_shared(index));
+}
+
+void TransferEngine::drop_encoder(std::uint32_t g, LiveState& l) {
+  if (!l.encoder) return;
+  for (const auto* shards : {&l.encoder->basis(), &l.encoder->encoded()}) {
+    for (const fec::IndexedShard& s : *shards) store_->release(g, s.index);
+  }
+  l.encoder.reset();
 }
 
 void TransferEngine::source_send_next() {
@@ -441,18 +429,32 @@ void TransferEngine::source_send_next() {
 // --- receive path -------------------------------------------------------------
 
 bool TransferEngine::handle(const net::Packet& packet) {
+  const auto* d = packet.as<DataMsg>();
+  const auto* r = d ? nullptr : packet.as<RepairMsg>();
+  const auto* n = d || r ? nullptr : packet.as<NackMsg>();
+  if (!d && !r && !n) return false;
   SHARQ_PROF_SCOPE(transfer);
   // Cross-node causality: whatever this packet triggers is caused by the
   // event that sent it (bound to the uid on the sender's side).
   cause_in_ = journal_ ? journal_->uid_event(packet.uid) : 0;
-  if (const auto* d = packet.as<DataMsg>()) {
-    if (stopped_) return true;
+  if (stopped_) return true;
+  // A shard's bytes must be a whole shard in a real-payload run and absent
+  // in a size-only one: decoders hold every shard's bytes in the lane store
+  // or none, and the first buffer held for a (group, index) is the one the
+  // whole lane decodes and repairs from.
+  auto bad_bytes = [this](const fec::ShardBuffer& bytes) {
+    return cfg_->real_payload
+               ? !bytes || bytes->size() !=
+                               static_cast<std::size_t>(cfg_->shard_size_bytes)
+               : bytes != nullptr;
+  };
+  if (d) {
     // Field validation before any state is touched: a hostile or decoder-
     // mangled message must bump the reject counter, not hang the backfill
     // loops or inflate per-group bookkeeping.
     if (d->index < 0 || d->index >= codec_->max_shards() ||
         d->k != cfg_->group_size || d->initial_shards > codec_->max_shards() ||
-        !sane_group_id(d->group)) {
+        !sane_group_id(d->group) || bad_bytes(d->bytes)) {
       ++malformed_rejects_;
       if (m_malformed_) m_malformed_->inc();
       return true;
@@ -464,11 +466,10 @@ bool TransferEngine::handle(const net::Packet& packet) {
     }
     return true;
   }
-  if (const auto* r = packet.as<RepairMsg>()) {
-    if (stopped_) return true;
+  if (r) {
     if (r->index < 0 || r->index >= codec_->max_shards() ||
         r->new_max_id < 0 || r->new_max_id >= codec_->max_shards() ||
-        !sane_group_id(r->group)) {
+        !sane_group_id(r->group) || bad_bytes(r->bytes)) {
       ++malformed_rejects_;
       if (m_malformed_) m_malformed_->inc();
       return true;
@@ -477,20 +478,16 @@ bool TransferEngine::handle(const net::Packet& packet) {
     maybe_settle(r->group);
     return true;
   }
-  if (const auto* n = packet.as<NackMsg>()) {
-    if (stopped_) return true;
-    if (n->llc < 0 || n->llc > codec_->max_shards() || n->needed < 0 ||
-        n->needed > codec_->max_shards() || n->max_id_seen < -1 ||
-        n->max_id_seen >= codec_->max_shards() || !sane_group_id(n->group)) {
-      ++malformed_rejects_;
-      if (m_malformed_) m_malformed_->inc();
-      return true;
-    }
-    on_nack(*n);
-    maybe_settle(n->group);
+  if (n->llc < 0 || n->llc > codec_->max_shards() || n->needed < 0 ||
+      n->needed > codec_->max_shards() || n->max_id_seen < -1 ||
+      n->max_id_seen >= codec_->max_shards() || !sane_group_id(n->group)) {
+    ++malformed_rejects_;
+    if (m_malformed_) m_malformed_->inc();
     return true;
   }
-  return false;
+  on_nack(*n);
+  maybe_settle(n->group);
+  return true;
 }
 
 void TransferEngine::fix_join_point(std::uint32_t first_heard_group,
@@ -1101,8 +1098,9 @@ void TransferEngine::send_one_repair(std::uint32_t g, int level,
   msg->preemptive = preemptive;
   msg->hints = session_.make_hints();
   msg->bytes = shard_bytes(g, index);
-  // Logical parity bytes: counted in both payload modes so the profile's
-  // FEC figures survive the (fast) shard-count configuration.
+  // Logical bytes of the repair sent, whether or not this send encoded
+  // them: counted in both payload modes so the profile's FEC figures
+  // survive the (fast) shard-count configuration.
   stats::Profiler::count(stats::ProfCounter::fec_bytes_encoded,
                          static_cast<std::uint64_t>(cfg_->shard_size_bytes));
   ++repairs_sent_;

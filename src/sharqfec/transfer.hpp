@@ -58,16 +58,20 @@ class TransferEngine {
   /// Repair sends are paced to cfg.budget.repair_rate_per_s and
   /// pending-repair queues clamp to cfg.budget.repair_queue_depth
   /// (docs/ROBUSTNESS.md). `codec` is the session's one Reed–Solomon
-  /// codec for (cfg.group_size, cfg.max_parity), shared by every agent.
+  /// codec for (cfg.group_size, cfg.max_parity), shared by every agent;
+  /// `store` is the shard store of the node's execution lane, which every
+  /// shard buffer this engine holds lives in.
   TransferEngine(net::Network& net, Hierarchy& hier, SessionManager& session,
                  std::shared_ptr<const Config> cfg,
                  std::shared_ptr<const fec::ReedSolomon> codec,
-                 net::NodeId node, bool is_source, rm::DeliveryLog* log);
+                 fec::ShardStore& store, net::NodeId node, bool is_source,
+                 rm::DeliveryLog* log);
 
   /// Source API: stream `group_count` groups of k shards each, starting at
   /// `start_at`. With real_payload set, `payload` supplies the bytes
   /// (zero-padded to whole groups), split here once into the shard buffers
-  /// that every holder shares; otherwise sizes alone are simulated.
+  /// that every holder shares (held in the lane store for as long as the
+  /// source lives); otherwise sizes alone are simulated.
   void send_stream(std::uint32_t group_count, sim::Time start_at,
                    const std::vector<std::uint8_t>& payload = {});
 
@@ -107,13 +111,15 @@ class TransferEngine {
   /// Reconstructed application bytes for a completed group (real_payload
   /// mode only; empty otherwise).
   std::vector<std::uint8_t> reconstructed(std::uint32_t g) const;
-  /// Read-only view of group `g`'s shard store, or nullopt while the group
-  /// is untracked.
+  /// Read-only view of group `g`'s decoder, or nullopt while the group is
+  /// untracked.
   std::optional<const fec::GroupDecoder> decoder(std::uint32_t g) const;
-  /// Group `g`'s repair encoder, or null unless the group is live and this
-  /// member has sent one of its shards with real payload bytes since it
-  /// last took a slot.
+  /// Group `g`'s repair encoder, or null unless the group is live and, since
+  /// it last took a slot, this member has sent (with real payload bytes) a
+  /// shard its lane's store did not hold.
   const fec::GroupEncoder* encoder(std::uint32_t g) const;
+  /// The shard store of this member's execution lane.
+  const fec::ShardStore& store() const { return *store_; }
   /// Called by the session manager's progress listener.
   void note_remote_progress(std::uint32_t remote_max_group);
   /// Application hook: invoked once per group, on completion.
@@ -146,16 +152,12 @@ class TransferEngine {
   std::int32_t pending_high_water() const { return pending_high_water_; }
 
   /// Contribute this engine's retained bytes to the profiler's memory
-  /// census: per-group state (records, held handles, level arenas, the
-  /// live-state pool and its encoders) and shard buffers under
+  /// census: per-group state (records, held indices, level arenas, the
+  /// live-state pool and its encoders' own arrays) under
   /// "transfer_groups", its random stream under "rng_streams", the object
-  /// itself under "agent_objects". A shared shard buffer is counted once:
-  /// every original by the source, which allocated them all, and each
-  /// parity buffer by the first engine holding it whose census shares
-  /// `counted` (a session passes one set to every engine; without one, the
-  /// engine counts every parity buffer it holds).
-  void memory_census(stats::MemCensus& census,
-                     fec::BufferSet* counted = nullptr) const;
+  /// itself under "agent_objects". Shard buffers live in the lane stores,
+  /// which the Session counts.
+  void memory_census(stats::MemCensus& census) const;
 
  private:
   /// Per chain-level state, indexed like the session manager's chain.
@@ -182,8 +184,8 @@ class TransferEngine {
   /// What a tracked group keeps for as long as the engine lives: what
   /// later data, repair and NACK handling can still ask of a delivered
   /// group. One per group id in `records_` (dense, untracked ids in gaps);
-  /// the group's k held shard handles and indices sit at stride k in
-  /// `held_bytes_`/`held_index_`, its level state in the two arenas.
+  /// the group's k held shard indices sit at stride k in `held_index_`
+  /// (their bytes in the lane store), its level state in the two arenas.
   struct Record {
     fec::DecoderState dec;
     // Span anchors later events of a delivered group can still cite
@@ -207,7 +209,8 @@ class TransferEngine {
   struct LiveState {
     sim::Time first_arrival = sim::kTimeNever;
     /// Real-payload repair source: the source's k originals, or a
-    /// repairer's k held shards once the group is complete. Dropped when
+    /// repairer's k held shards once the group is complete. It holds its
+    /// basis and every shard it encoded in the lane store. Dropped when
     /// the group settles and rebuilt on demand: the code is MDS, so any k
     /// held shards give the same parity bytes.
     std::unique_ptr<fec::GroupEncoder> encoder;
@@ -276,8 +279,10 @@ class TransferEngine {
   fec::GroupDecoder decoder_of(std::uint32_t g) {
     const std::size_t at = static_cast<std::size_t>(g) * codec_->k();
     return fec::GroupDecoder(*codec_, records_[g].dec,
-                             held_bytes_.data() + at, held_index_.data() + at);
+                             held_index_.data() + at, *store_, g);
   }
+  /// Release the lane-store holds of `l`'s encoder and drop it.
+  void drop_encoder(std::uint32_t g, LiveState& l);
   bool tracked(std::uint32_t g) const {
     return g < records_.size() && records_[g].tracked;
   }
@@ -363,14 +368,13 @@ class TransferEngine {
   stats::EventId cause_in_ = 0;
   sim::Rng rng_;
   std::shared_ptr<const fec::ReedSolomon> codec_;  ///< the session's, shared
+  fec::ShardStore* store_;  ///< the node's lane store, owned by the Session
 
   // Per-group storage indexed by group id, grown by ensure_group and never
   // shrunk (a delivered group can still be asked for its shards): the
-  // records, the held shard handles and indices at stride k, and the
-  // per-level arenas (SoA, one fixed-size stride per group, sized on
-  // first use).
+  // records, the held shard indices at stride k, and the per-level arenas
+  // (SoA, one fixed-size stride per group, sized on first use).
   std::vector<Record> records_;
-  std::vector<fec::ShardBuffer> held_bytes_;
   std::vector<std::uint8_t> held_index_;
   std::vector<ChainLevel> chain_arena_;
   std::vector<SliceLevel> slice_arena_;
@@ -402,9 +406,6 @@ class TransferEngine {
   std::uint32_t send_group_ = 0;
   int send_index_ = 0;
   std::uint32_t send_total_groups_ = 0;
-  /// The source's payload, one buffer per data shard (group-major), built
-  /// once by send_stream and shared by encoders, messages and decoders.
-  std::vector<fec::ShardBuffer> source_shards_;
   double arrival_ewma_ = -1.0;
   sim::Time last_arrival_ = sim::kTimeNever;
 

@@ -69,6 +69,7 @@ const char* prof_subsys_name(ProfSubsys s) {
   switch (s) {
     case ProfSubsys::event_loop: return "event_loop";
     case ProfSubsys::net_forward: return "net_forward";
+    case ProfSubsys::agent_rx: return "agent_rx";
     case ProfSubsys::transfer: return "transfer";
     case ProfSubsys::session: return "session";
     case ProfSubsys::codec: return "codec";

@@ -45,6 +45,7 @@ namespace sharq::stats {
 enum class ProfSubsys : int {
   event_loop = 0,  ///< event dispatch + handler time no finer probe claims
   net_forward,     ///< multicast forwarding: send, transmit, arrive
+  agent_rx,        ///< agent receive path: corrupt and duplicate checks
   transfer,        ///< two-phase transfer engine (data/NACK/repair + timers)
   session,         ///< session messaging, elections, peer/RTT bookkeeping
   codec,           ///< GF(256) FEC encode/decode call sites
@@ -61,7 +62,9 @@ enum class ProfCounter : int {
   events_dispatched = 0,  ///< events executed across all shard queues
   packets_forwarded,      ///< link hand-offs (per-hop, not per-send)
   packets_delivered,      ///< agent deliveries
-  fec_bytes_encoded,      ///< parity bytes produced by repairers
+  fec_bytes_encoded,      ///< shard_size_bytes per repair shard sent
+                          ///< (re-sent or stored indices included; the
+                          ///< source's initial parity excluded)
   fec_bytes_decoded,      ///< payload bytes reconstructed by receivers
   xshard_msgs,            ///< cross-shard mailbox hand-offs
   windows,                ///< lookahead windows executed

@@ -325,16 +325,15 @@ std::vector<std::uint8_t> concat(
 }
 
 // One decoder's storage, laid out as an engine keeps it (state, then k
-// handle and k index slots); `dec` views it.
+// index slots) over a lane's shard store; `dec` views it as group 0.
 struct DecoderStore {
   explicit DecoderStore(const ReedSolomon& codec)
-      : bytes(codec.k()), index(codec.k()),
-        dec(codec, state, bytes.data(), index.data()) {}
+      : index(codec.k()), dec(codec, state, index.data(), shards, 0) {}
   DecoderStore(const DecoderStore&) = delete;
   DecoderStore& operator=(const DecoderStore&) = delete;
   DecoderState state;
-  std::vector<ShardBuffer> bytes;
   std::vector<std::uint8_t> index;
+  ShardStore shards;
   GroupDecoder dec;
 };
 
@@ -414,6 +413,61 @@ TEST(GroupCodec, HoldersShareOneBuffer) {
   EXPECT_EQ(dec.held(1), data[1]);
   EXPECT_EQ(dec.held(5), enc.shard_shared(5));
   EXPECT_EQ(dec.held(0), nullptr);
+}
+
+// A lane store keeps one buffer per (group, index): the first one held is
+// the one every later holder resolves to, and it leaves the store with its
+// last holder.
+TEST(ShardStore, OneBufferPerKeyUntilItsLastHolderReleases) {
+  ShardStore store;
+  const ShardBuffer a = std::make_shared<const std::vector<std::uint8_t>>(8, 1);
+  const ShardBuffer b = std::make_shared<const std::vector<std::uint8_t>>(8, 1);
+  EXPECT_EQ(store.find(3, 5), nullptr);
+  EXPECT_EQ(store.hold(3, 5, a), a);
+  EXPECT_EQ(store.hold(3, 5, b), a) << "a second buffer for one key";
+  EXPECT_EQ(store.hold(3, 6, b), b);
+  EXPECT_EQ(store.size(), 2u);
+  std::size_t arrays = 0;
+  store.for_each_array([&](const auto&) { ++arrays; });
+  EXPECT_EQ(arrays, 5u) << "the group table and one array per group id";
+  store.release(3, 5);
+  ASSERT_NE(store.find(3, 5), nullptr);
+  EXPECT_EQ(*store.find(3, 5), a);
+  store.release(3, 5);
+  EXPECT_EQ(store.find(3, 5), nullptr);
+  store.release(3, 5);  // absent: no-op
+  store.release(9, 0);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(*store.find(3, 6), b);
+}
+
+// Two decoders of one group over one store: the second resolves the shard
+// to the buffer the first holds, and a parity displaced from one decoder
+// stays stored while the other still holds it.
+TEST(ShardStore, DecodersShareAndDisplacedParityIsReleased) {
+  auto codec = std::make_shared<ReedSolomon>(2, 2);
+  const auto data = share(random_shards(2, 16, 71));
+  GroupEncoder enc(codec, data);
+  const ShardBuffer p2 = enc.shard_shared(2);
+  const ShardBuffer p2_copy =
+      std::make_shared<const std::vector<std::uint8_t>>(*p2);
+  ShardStore shards;
+  DecoderState sa, sb;
+  std::vector<std::uint8_t> ia(2), ib(2);
+  GroupDecoder a(*codec, sa, ia.data(), shards, 0);
+  GroupDecoder b(*codec, sb, ib.data(), shards, 0);
+  a.add(2, p2);
+  b.add(2, p2_copy);
+  EXPECT_EQ(b.held(2), p2) << "the lane keeps the first buffer";
+  a.add(0, data[0]);
+  a.add(1, data[1]);  // displaces parity 2 from a
+  EXPECT_EQ(a.held(2), nullptr);
+  EXPECT_EQ(b.held(2), p2) << "still held by b";
+  b.add(1, data[1]);
+  b.add(0, data[0]);  // displaces parity 2 from b: no holder is left
+  EXPECT_EQ(shards.find(0, 2), nullptr);
+  EXPECT_EQ(shards.size(), 2u);
+  EXPECT_EQ(a.reconstruct(), b.reconstruct());
 }
 
 // A repairer's encoder is built from the shards its decoder holds: it
@@ -506,11 +560,12 @@ TEST(GroupCodec, DecoderHoldsExactlyDecodesPick) {
       ASSERT_EQ(held, pick) << "trial " << trial << " add " << a;
       ASSERT_EQ(held.size(), dec.held_shards().size()) << "held twice";
     }
-    // Never a write past the held slots in use: the rest stay empty.
+    // Never a write past the held slots in use: the rest stay empty. A
+    // size-only decoder (null bytes) stores nothing.
     for (int i = dec.held_count(); i < k; ++i) {
-      EXPECT_EQ(store.bytes[i], nullptr) << "slot " << i;
       EXPECT_EQ(store.index[i], 0) << "slot " << i;
     }
+    EXPECT_EQ(store.shards.size(), 0u);
   }
 }
 

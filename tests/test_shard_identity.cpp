@@ -11,7 +11,10 @@
 //     barriers (link flap, loss window, node kill/restart)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -27,6 +30,8 @@
 #include "stats/metrics.hpp"
 #include "topo/figure10.hpp"
 #include "topo/shard_plan.hpp"
+
+#include "lane_store_check.hpp"
 
 namespace sharq {
 namespace {
@@ -161,43 +166,96 @@ TEST(ShardIdentity, ShardedRunStillCompletesLikeSerial) {
 
 // Real payload across worker threads: shard buffers are shared, never
 // copied, so one buffer the source allocated is read by decoders and
-// re-encoders on every worker. Each receiver decodes in its completion
-// callback, on its own shard's worker; the bytes must equal the payload
-// and be identical at every worker count.
+// re-encoders on every worker. Each shard lane keeps its own store (one
+// buffer per (group, index), adopted from the message that carried it in
+// or encoded there), so no store is touched by two workers. Each receiver
+// decodes in its completion callback, on its own shard's worker; the
+// bytes must equal the payload and be identical at every worker count.
+// With `crash`, one leaf is killed mid-stream and rejoins with a fresh
+// agent (full-history recovery), which must decode every group too.
 struct PayloadRun {
   std::vector<std::vector<std::uint8_t>> decoded;  // [receiver * groups + g]
   std::uint64_t events = 0;
+  std::size_t lanes = 0;       // shard stores in the session
+  std::size_t store_keys = 0;  // (lane, group, index) keys checked
 };
 
 PayloadRun run_real_payload(int workers,
-                            const std::vector<std::uint8_t>& payload) {
+                            const std::vector<std::uint8_t>& payload,
+                            bool crash = false) {
   sim::Simulator simu(4242);
   net::Network net(simu);
   topo::Figure10 t = topo::make_figure10(net);
-  net::ShardMap map = topo::make_zone_shard_map(net, stats::kMaxLanes);
-  sim::ShardRuntime rt(simu, map.nshards, map.lookahead, /*seed=*/4242,
-                       workers);
-  net.enable_sharding(rt, std::move(map));
+  std::unique_ptr<sim::ShardRuntime> rt;
+  if (workers > 0) {
+    net::ShardMap map = topo::make_zone_shard_map(net, stats::kMaxLanes);
+    rt = std::make_unique<sim::ShardRuntime>(simu, map.nshards, map.lookahead,
+                                             /*seed=*/4242, workers);
+    net.enable_sharding(*rt, std::move(map));
+  }
 
   sfq::Config cfg;
   cfg.real_payload = true;
+  cfg.late_join_full_history = true;
   sfq::Session session(net, t.source, t.receivers, cfg);
   session.start();
   PayloadRun out;
   out.decoded.resize(t.receivers.size() * kGroups);
-  for (std::size_t i = 0; i < t.receivers.size(); ++i) {
-    sfq::TransferEngine& rx = session.agent_for(t.receivers[i]).transfer();
+  auto decode_into = [&out](sfq::TransferEngine& rx, std::size_t i) {
     rx.set_completion_callback([&out, &rx, i](std::uint32_t g) {
       if (g < kGroups) out.decoded[i * kGroups + g] = rx.reconstructed(g);
     });
+  };
+  for (std::size_t i = 0; i < t.receivers.size(); ++i) {
+    decode_into(session.agent_for(t.receivers[i]).transfer(), i);
+  }
+  const net::NodeId victim = t.leaves_of(0).back();
+  const std::size_t victim_at = static_cast<std::size_t>(
+      std::find(t.receivers.begin(), t.receivers.end(), victim) -
+      t.receivers.begin());
+  fault::Injector::Hooks hooks;
+  hooks.kill = [&](net::NodeId n) { session.remove_receiver(n); };
+  hooks.restart = [&](net::NodeId n) {
+    // The fresh agent decodes every group again.
+    for (std::uint32_t g = 0; g < kGroups; ++g) {
+      out.decoded[victim_at * kGroups + g].clear();
+    }
+    decode_into(session.add_receiver(n).transfer(), victim_at);
+  };
+  fault::Injector inject(net, std::move(hooks));
+  if (crash) {
+    if (rt) {
+      inject.set_scheduler([&rt](sim::Time at, std::function<void()> fn) {
+        rt->at_global(at, std::move(fn));
+      });
+    }
+    fault::FaultPlan plan;
+    plan.events.push_back({6.6, fault::EventKind::kNodeKill, victim,
+                           net::kNoNode, 0.0, 0.0, 0});
+    plan.events.push_back({12.0, fault::EventKind::kNodeRestart, victim,
+                           net::kNoNode, 0.0, 0.0, 0});
+    inject.schedule(plan);
   }
   session.send_stream(kGroups, 6.0, payload);
-  rt.run_until(30.0);
-  out.events = rt.events_executed();
+  const sim::Time horizon = crash ? 60.0 : 30.0;
+  if (rt) {
+    rt->run_until(horizon);
+    out.events = rt->events_executed();
+  } else {
+    simu.run_until(horizon);
+    out.events = simu.events_executed();
+  }
+  out.lanes = session.stores().size();
+  EXPECT_EQ(out.lanes, rt ? static_cast<std::size_t>(rt->nshards()) : 1u);
+  if (crash) {
+    EXPECT_EQ(session.retired().size(), 1u);
+  }
+  testing::LaneStoreCheck lane_stores(kGroups, payload, cfg);
+  out.store_keys = lane_stores(session);
   return out;
 }
 
-TEST(ShardIdentity, RealPayloadBytesIdenticalAcrossWorkers) {
+std::vector<std::uint8_t> test_payload() {
   const sfq::Config cfg;
   const std::size_t group_bytes =
       static_cast<std::size_t>(cfg.group_size) * cfg.shard_size_bytes;
@@ -205,19 +263,46 @@ TEST(ShardIdentity, RealPayloadBytesIdenticalAcrossWorkers) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
   }
-  const PayloadRun one = run_real_payload(1, payload);
-  for (std::size_t slot = 0; slot < one.decoded.size(); ++slot) {
+  return payload;
+}
+
+void expect_payload_decoded(const PayloadRun& run,
+                            const std::vector<std::uint8_t>& payload) {
+  const std::size_t group_bytes = payload.size() / kGroups;
+  for (std::size_t slot = 0; slot < run.decoded.size(); ++slot) {
     const std::size_t g = slot % kGroups;
     const std::vector<std::uint8_t> want(
         payload.begin() + g * group_bytes,
         payload.begin() + (g + 1) * group_bytes);
-    ASSERT_EQ(one.decoded[slot], want)
+    ASSERT_EQ(run.decoded[slot], want)
         << "receiver #" << slot / kGroups << " group " << g;
   }
+}
+
+TEST(ShardIdentity, RealPayloadBytesIdenticalAcrossWorkers) {
+  const std::vector<std::uint8_t> payload = test_payload();
+  const PayloadRun one = run_real_payload(1, payload);
+  expect_payload_decoded(one, payload);
+  EXPECT_GT(one.lanes, 1u);
+  EXPECT_GT(one.store_keys, 0u);
   for (int workers : {2, 4}) {
     const PayloadRun many = run_real_payload(workers, payload);
     EXPECT_EQ(one.events, many.events) << "workers=" << workers;
     EXPECT_TRUE(one.decoded == many.decoded) << "workers=" << workers;
+    EXPECT_EQ(one.store_keys, many.store_keys) << "workers=" << workers;
+  }
+}
+
+// A receiver crashes mid-stream and rejoins as a fresh agent: it recovers
+// every group's bytes from its zone, serially and on two workers, and its
+// retired agent's holds stay in its lane's store.
+TEST(ShardIdentity, RealPayloadRejoinerDecodesCorrectBytes) {
+  const std::vector<std::uint8_t> payload = test_payload();
+  for (int workers : {0, 2}) {
+    SCOPED_TRACE(workers == 0 ? "serial" : "2 workers");
+    const PayloadRun run = run_real_payload(workers, payload, /*crash=*/true);
+    expect_payload_decoded(run, payload);
+    EXPECT_GT(run.store_keys, 0u);
   }
 }
 

@@ -11,6 +11,8 @@
 #include "topo/figure10.hpp"
 #include "topo/shapes.hpp"
 
+#include "lane_store_check.hpp"
+
 namespace sharq::sfq {
 namespace {
 
@@ -191,6 +193,90 @@ TEST(TransferUnit, ForgedGroupTotalCannotWidenGroupIdWindow) {
   EXPECT_EQ(groups_census(), census_before);
 }
 
+// A shard's bytes are held once per lane under (group, index), and the
+// first buffer held for a key is the one the whole lane decodes and
+// repairs from. So a real-payload engine rejects data and repair messages
+// whose bytes are missing or not a whole shard before they reach a
+// decoder, and a size-only engine rejects bytes it would never store: a
+// decoder holds every shard's bytes or none. Forged copies of shards the
+// receiver has not yet heard are rejected, and the stream that follows
+// still decodes to the source's bytes.
+TEST(TransferUnit, ShardBytesThatAreNotAWholeShardAreRejected) {
+  constexpr std::uint32_t kGroups = 2;
+  auto forge = [](TransferEngine& e, net::NodeId origin, const Config& cfg,
+                  const fec::ShardBuffer& bytes) {
+    std::uint64_t uid = 1ull << 60;  // far from any uid the network issued
+    auto deliver = [&](net::TrafficClass cls,
+                       std::shared_ptr<const net::MessageBase> msg) {
+      net::Packet p;
+      p.uid = uid++;
+      p.origin = origin;
+      p.cls = cls;
+      p.msg = std::move(msg);
+      EXPECT_TRUE(e.handle(p));
+    };
+    const std::uint64_t rejects_before = e.malformed_rejects();
+    auto data = std::make_shared<DataMsg>();
+    data->index = 0;
+    data->k = cfg.group_size;
+    data->initial_shards = cfg.group_size;
+    data->bytes = bytes;
+    deliver(net::TrafficClass::kData, data);
+    auto repair = std::make_shared<RepairMsg>();
+    repair->index = cfg.group_size;
+    repair->k = cfg.group_size;
+    repair->new_max_id = cfg.group_size;
+    repair->bytes = bytes;
+    deliver(net::TrafficClass::kRepair, repair);
+    EXPECT_EQ(e.malformed_rejects(), rejects_before + 2);
+    EXPECT_EQ(e.tracked_group_count(), 0u) << "a forged shard was tracked";
+  };
+
+  Config cfg;
+  cfg.real_payload = true;
+  const std::size_t shard = static_cast<std::size_t>(cfg.shard_size_bytes);
+  std::vector<std::uint8_t> payload(kGroups * cfg.group_size * shard);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 11 + (i >> 8));
+  }
+  TwoZone f;
+  Session s(f.net, f.source, {f.relay, f.a, f.b}, cfg);
+  s.start();
+  s.send_stream(kGroups, 6.0, payload);
+  f.simu.run_until(1.0);
+  TransferEngine& a = s.agent_for(f.a).transfer();
+  forge(a, f.source, cfg,
+        std::make_shared<const std::vector<std::uint8_t>>(shard - 1, 0xee));
+  forge(a, f.source, cfg,
+        std::make_shared<const std::vector<std::uint8_t>>(shard + 1, 0xee));
+  forge(a, f.source, cfg, nullptr);
+  // The lane holds the source's originals, sent at 6 s, and nothing else.
+  EXPECT_EQ(s.stores().front().size(), std::size_t{kGroups} * cfg.group_size)
+      << "a forged buffer was stored";
+  const fec::ShardBuffer* first = s.stores().front().find(0, 0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_TRUE(std::equal((*first)->begin(), (*first)->end(), payload.begin()));
+  f.simu.run_until(25.0);
+  ASSERT_TRUE(s.all_complete(kGroups));
+  for (std::uint32_t g = 0; g < kGroups; ++g) {
+    const auto bytes = a.reconstructed(g);
+    const std::size_t group_bytes = cfg.group_size * shard;
+    EXPECT_TRUE(bytes.size() == group_bytes &&
+                std::equal(bytes.begin(), bytes.end(),
+                           payload.begin() + g * group_bytes))
+        << "group " << g;
+  }
+
+  // Size-only: a shard that carries bytes is rejected.
+  TwoZone sized;
+  Config size_only;
+  Session t(sized.net, sized.source, {sized.relay, sized.a, sized.b},
+            size_only);
+  t.start();
+  forge(t.agent_for(sized.a).transfer(), sized.source, size_only,
+        std::make_shared<const std::vector<std::uint8_t>>(shard, 0xee));
+}
+
 TEST(TransferUnit, ZlcPredictorLearnsSteadyLoss) {
   // 20% upstream loss shared by the whole zone: the source's root-level
   // ZLC prediction must converge to roughly 20% of a group.
@@ -342,8 +428,11 @@ TEST(TransferUnit, RealPayloadSurvivesHeavyLoss) {
   }
 }
 
-// A real-payload Figure-10 stream: every receiver's decoder must hold the
-// very buffers the source sent, not copies of them.
+// A lossy real-payload Figure-10 stream: every receiver's decoder resolves
+// each original it holds to the very buffer the source sent, not a copy;
+// the run's one lane store keeps one buffer per (group, index) and nothing
+// no holder refers to; and every index any decoder holds (parity included)
+// resolves to the source encoder's bytes.
 TEST(TransferUnit, RealPayloadReceiversHoldTheSourcesBuffers) {
   sim::Simulator simu{29};
   net::Network net{simu};
@@ -363,17 +452,23 @@ TEST(TransferUnit, RealPayloadReceiversHoldTheSourcesBuffers) {
   simu.run_until(60.0);
   ASSERT_TRUE(s.all_complete(kGroups));
 
+  ASSERT_EQ(s.stores().size(), 1u) << "a serial run has one lane";
   const TransferEngine& source = s.source_agent().transfer();
-  int shared = 0;
+  int shared = 0, parity = 0;
   for (net::NodeId r : t.receivers) {
     const TransferEngine& rx = s.agent_for(r).transfer();
+    EXPECT_EQ(&rx.store(), &s.stores().front()) << "receiver " << r;
     for (std::uint32_t g = 0; g < kGroups; ++g) {
       const auto dec = rx.decoder(g);
       ASSERT_TRUE(dec.has_value()) << "receiver " << r << " group " << g;
-      for (int i = 0; i < cfg.group_size; ++i) {
-        if (!dec->has(i)) continue;
-        EXPECT_EQ(dec->held(i), source.decoder(g)->held(i))
-            << "receiver " << r << " group " << g << " shard " << i;
+      for (const fec::IndexedShard& h : dec->held_shards()) {
+        ASSERT_NE(h.bytes, nullptr) << "receiver " << r << " group " << g;
+        if (h.index >= cfg.group_size) {
+          ++parity;
+          continue;
+        }
+        EXPECT_EQ(h.bytes, source.decoder(g)->held(h.index))
+            << "receiver " << r << " group " << g << " shard " << h.index;
         ++shared;
       }
       const auto bytes = rx.reconstructed(g);
@@ -384,6 +479,9 @@ TEST(TransferUnit, RealPayloadReceiversHoldTheSourcesBuffers) {
     }
   }
   EXPECT_GT(shared, 0);
+  EXPECT_GT(parity, 0) << "no receiver decoded from parity";
+  testing::LaneStoreCheck lane_stores(kGroups, payload, cfg);
+  EXPECT_GT(lane_stores(s), kGroups * static_cast<std::size_t>(cfg.group_size));
 }
 
 // The memory census counts a shard buffer once, at the engine that
@@ -429,8 +527,11 @@ TEST(TransferUnit, RealPayloadCensusCountsPayloadOnce) {
 // census charges it for the parity it encoded and nothing else: on a
 // lossy Figure-10 stream, members that lost originals and then repaired
 // add no original-buffer bytes, and each parity buffer is counted once,
-// however many engines hold it. Encoders live only while their group does,
-// so they are inspected every 10 ms of the run.
+// however many engines hold it. A parity index is encoded once per lane:
+// an engine encodes only an index its lane's store does not hold, so no
+// two engines ever hold encoded buffers for one (group, index) at once.
+// Encoders live only while their group does, so they are inspected every
+// 10 ms of the run.
 TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
   constexpr std::uint32_t kGroups = 6;
   Config cfg;
@@ -438,8 +539,9 @@ TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
                                     cfg.group_size * cfg.shard_size_bytes;
   const std::uint64_t one_buffer = fec::buffer_bytes(
       std::make_shared<const std::vector<std::uint8_t>>(cfg.shard_size_bytes));
-  struct Engines {
-    std::vector<std::uint64_t> census;  // transfer_groups, per engine
+  struct Census {
+    std::vector<std::uint64_t> engines;  // transfer_groups, per engine
+    std::uint64_t session = 0;           // transfer_groups, whole session
     std::uint64_t events = 0;
   };
   // Every parity buffer any engine encoded, with the engine that did and a
@@ -448,9 +550,14 @@ TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
   // sharq-lint: pointer-key-ok (membership only, order never observed)
   std::map<const void*, std::pair<std::size_t, fec::ShardBuffer>> encoded;
   std::set<std::pair<std::size_t, std::uint32_t>> lost_then_repaired;
-  std::uint64_t held_parity_bytes = 0, live_encoders = 0;
+  std::size_t checked_keys = 0;
+  std::uint64_t live_encoders = 0, store_arrays = 0, stored_keys = 0;
+  std::vector<std::uint8_t> payload(payload_bytes);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + (i >> 9));
+  }
   auto run = [&](bool real_payload) {
-    Engines out;
+    Census out;
     sim::Simulator simu{37};
     net::Network net{simu};
     topo::Figure10 t = topo::make_figure10(net);
@@ -458,16 +565,14 @@ TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
     c.real_payload = real_payload;
     Session s(net, t.source, t.receivers, c);
     s.start();
-    std::vector<std::uint8_t> payload(payload_bytes);
-    for (std::size_t i = 0; i < payload.size(); ++i) {
-      payload[i] = static_cast<std::uint8_t>(i * 7 + (i >> 9));
-    }
     s.send_stream(kGroups, 6.0, payload);
     std::vector<const TransferEngine*> engines{&s.source_agent().transfer()};
     for (net::NodeId r : t.receivers) {
       engines.push_back(&s.agent_for(r).transfer());
     }
     auto inspect = [&] {
+      // (group, index) -> the engine whose encoder holds it as encoded.
+      std::map<std::pair<std::uint32_t, int>, std::size_t> encoder_of;
       for (std::size_t i = 0; i < engines.size(); ++i) {
         for (std::uint32_t g = 0; g < kGroups; ++g) {
           const fec::GroupEncoder* enc = engines[i]->encoder(g);
@@ -490,71 +595,76 @@ TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
                 encoded.try_emplace(p.bytes.get(), i, p.bytes);
             EXPECT_TRUE(fresh || it->second.first == i)
                 << "parity buffer encoded by two engines";
+            const auto [owner, first] =
+                encoder_of.try_emplace({g, p.index}, i);
+            EXPECT_TRUE(first) << "group " << g << " parity " << p.index
+                               << " encoded by engines " << owner->second
+                               << " and " << i << " in one lane";
           }
         }
       }
     };
+    testing::LaneStoreCheck lane_stores(kGroups, payload, c);
     for (int step = 1; step <= 6000; ++step) {
       simu.run_until(step * 0.01);
-      if (real_payload) inspect();
+      if (!real_payload) continue;
+      inspect();
+      if (step % 50 == 0) {
+        checked_keys = std::max(checked_keys, lane_stores(s));
+      }
     }
     EXPECT_TRUE(s.all_complete(kGroups));
     out.events = simu.events_executed();
-    fec::BufferSet counted;
     for (const TransferEngine* e : engines) {
       stats::MemCensus census;
-      e->memory_census(census, &counted);
-      out.census.push_back(census.categories["transfer_groups"].live_bytes);
+      e->memory_census(census);
+      out.engines.push_back(census.categories["transfer_groups"].live_bytes);
     }
+    stats::MemCensus census;
+    s.memory_census(census);
+    out.session = census.categories["transfer_groups"].live_bytes;
     if (!real_payload) return out;
-    // Every parity buffer still held anywhere, once: by a decoder, or by an
-    // encoder whose group is still live.
-    fec::BufferSet parity;
-    auto hold = [&](const fec::IndexedShard& p) {
-      if (p.index >= cfg.group_size && parity.insert(p.bytes.get()).second) {
-        held_parity_bytes += fec::buffer_bytes(p.bytes);
-      }
-    };
     for (const TransferEngine* e : engines) {
       for (std::uint32_t g = 0; g < kGroups; ++g) {
-        for (const fec::IndexedShard& p : e->decoder(g)->held_shards()) hold(p);
-        const fec::GroupEncoder* enc = e->encoder(g);
-        if (!enc) continue;
-        ++live_encoders;
-        for (const fec::IndexedShard& p : enc->basis()) hold(p);
-        for (const fec::IndexedShard& p : enc->encoded()) hold(p);
+        live_encoders += e->encoder(g) != nullptr ? 1 : 0;
       }
+    }
+    for (const fec::ShardStore& store : s.stores()) {
+      store.for_each_array([&](const auto& array) {
+        store_arrays += stats::vector_block_bytes(array);
+      });
+      stored_keys += store.size();
     }
     return out;
   };
-  const Engines real = run(true);
-  const Engines sized = run(false);
+  const Census real = run(true);
+  const Census sized = run(false);
   ASSERT_EQ(real.events, sized.events) << "payload bytes changed history";
   ASSERT_FALSE(lost_then_repaired.empty())
       << "no repairer had lost an original";
   ASSERT_FALSE(encoded.empty());
-  ASSERT_GT(held_parity_bytes, 0u);
-  std::uint64_t extra = 0;
-  for (std::size_t i = 0; i < real.census.size(); ++i) {
-    ASSERT_GE(real.census[i], sized.census[i]) << "engine " << i;
-    extra += real.census[i] - sized.census[i];
+  ASSERT_GT(checked_keys, 0u);
+  // An engine's own census holds no shard buffer: only its encoders' arrays
+  // (handles and the k x k inverse), less than one buffer each.
+  std::uint64_t engine_extra = 0;
+  for (std::size_t i = 0; i < real.engines.size(); ++i) {
+    ASSERT_GE(real.engines[i], sized.engines[i]) << "engine " << i;
+    engine_extra += real.engines[i] - sized.engines[i];
   }
-  // The payload once (at the source, with its array of handles), every
-  // parity buffer still held once, and per live encoder only handles and
-  // the k x k inverse: less than one buffer.
+  EXPECT_LT(engine_extra, (live_encoders + 1) * one_buffer);
+  // The session adds the lane store: every buffer it holds once (the
+  // payload, and each parity buffer still held by a decoder or encoder),
+  // plus its own arrays.
   const std::uint64_t shards = payload_bytes / cfg.shard_size_bytes;
-  const std::uint64_t source_buffers =
-      shards * one_buffer +
-      stats::heap_block_bytes(shards * sizeof(fec::ShardBuffer));
-  EXPECT_GE(extra, source_buffers + held_parity_bytes);
-  EXPECT_LT(extra, source_buffers + held_parity_bytes +
-                       (live_encoders + 1) * one_buffer);
+  ASSERT_GT(stored_keys, shards) << "no parity held at the end";
+  EXPECT_EQ(real.session - sized.session,
+            engine_extra + store_arrays + stored_keys * one_buffer);
 }
 
 // A long real-payload stream on a small lossy topology: every group is
 // delivered byte-exact, delivered groups settle so the live-state pool
 // stops growing once the stream is in steady state, and what a receiver
-// keeps per tracked group is its record, k held handles and its level
+// keeps per tracked group is its record, k held indices and its level
 // strides.
 TEST(TransferUnit, LongStreamSettlesIntoFlatState) {
   struct Soak {
@@ -591,22 +701,11 @@ TEST(TransferUnit, LongStreamSettlesIntoFlatState) {
       EXPECT_EQ(rx.live_group_count(), 0u) << "receiver " << r;
       out.live_high_water =
           std::max(out.live_high_water, rx.live_group_high_water());
-      // Parity buffers are shared with other holders and sized by the
-      // shard, not by the state kept per group: leave them out. Counted
-      // alone, the engine counts each one it holds.
-      std::uint64_t parity = 0;
-      fec::BufferSet held;
-      for (std::uint32_t g = 0; g < groups; ++g) {
-        for (const fec::IndexedShard& p : rx.decoder(g)->held_shards()) {
-          if (p.index >= cfg.group_size && held.insert(p.bytes.get()).second) {
-            parity += fec::buffer_bytes(p.bytes);
-          }
-        }
-      }
+      // The engine's census holds no shard buffer (those live in the lane
+      // store, sized by the shard, not by the state kept per group).
       stats::MemCensus census;
       rx.memory_census(census);
-      const std::uint64_t kept =
-          census.categories["transfer_groups"].live_bytes - parity;
+      const std::uint64_t kept = census.categories["transfer_groups"].live_bytes;
       out.per_group = std::max<std::uint64_t>(out.per_group, kept / groups);
     }
     return out;
@@ -616,11 +715,11 @@ TEST(TransferUnit, LongStreamSettlesIntoFlatState) {
   EXPECT_GT(short_run.live_high_water, 0u);
   EXPECT_LT(short_run.live_high_water, 500u / 50);
   EXPECT_EQ(long_run.live_high_water, short_run.live_high_water);
-  // k = 16: a 72-B record, 16 x 17 B of held handles and indices and two
-  // 2-level strides (24 + 16 B) make 384 B; vector capacity rounding and
-  // the live-state pool add a few bytes per group.
-  EXPECT_LE(long_run.per_group, 400u);
-  EXPECT_LE(short_run.per_group, 400u);
+  // k = 16: a 72-B record, 16 held 1-B indices and two 2-level strides
+  // (24 + 16 B) make 128 B; vector capacity rounding and the live-state
+  // pool add a few bytes per group.
+  EXPECT_LE(long_run.per_group, 144u);
+  EXPECT_LE(short_run.per_group, 144u);
 }
 
 // A NACK for a group that has settled takes a slot again: a ZCR and a
@@ -731,6 +830,97 @@ TEST(TransferUnit, SettledGroupAnswersNackFromHeldShards) {
     EXPECT_EQ(e.encoder(g), nullptr);
   }
   EXPECT_EQ(answered, 2);
+}
+
+// Sibling zones at one level share a parity slice, so a repairer's next
+// index is often one its lane already holds (a member of a sibling zone
+// decoded with it). Asked for it, the repairer sends the lane's buffer and
+// encodes nothing.
+TEST(TransferUnit, RepairerSendsTheBufferItsLaneHolds) {
+  sim::Simulator simu{41};
+  net::Network net{simu};
+  topo::Figure10 t = topo::make_figure10(net);
+  Config cfg;
+  cfg.real_payload = true;
+  Session s(net, t.source, t.receivers, cfg);
+  s.start();
+  constexpr std::uint32_t kGroups = 8;
+  std::vector<std::uint8_t> payload(kGroups * cfg.group_size *
+                                    static_cast<std::size_t>(cfg.shard_size_bytes));
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 5 + (i >> 11));
+  }
+  s.send_stream(kGroups, 6.0, payload);
+  simu.run_until(90.0);
+  ASSERT_TRUE(s.all_complete(kGroups));
+
+  // A member, a zone it answers for and a group whose next index in that
+  // zone's slice (one past the highest it has seen there) the lane holds.
+  const Hierarchy& hier = s.hierarchy();
+  const int width = std::max(1, cfg.max_parity / hier.depth());
+  const int max_shards = cfg.group_size + cfg.max_parity;
+  Agent* responder = nullptr;
+  net::ZoneId zone = net::kNoZone;
+  std::uint32_t g = 0;
+  int index = -1;
+  for (net::NodeId r : t.receivers) {
+    Agent& a = s.agent_for(r);
+    const auto& chain = a.session().chain();
+    for (std::size_t l = 0; l + 1 < chain.size() && !responder; ++l) {
+      const int lo = cfg.group_size + hier.level(chain[l]) * width;
+      const int hi = std::min(lo + width, max_shards);
+      for (std::uint32_t grp = 0; grp < kGroups && !responder; ++grp) {
+        const auto dec = a.transfer().decoder(grp);
+        int next = lo;
+        for (int j = lo; j < hi; ++j) {
+          if (dec->has(j)) next = j + 1;
+        }
+        if (next > lo && next < hi && a.transfer().store().find(grp, next)) {
+          responder = &a;
+          zone = chain[l];
+          g = grp;
+          index = next;
+        }
+      }
+    }
+    if (responder) break;
+  }
+  ASSERT_NE(responder, nullptr) << "no lane held a repairer's next index";
+  TransferEngine& e = responder->transfer();
+  ASSERT_EQ(e.live_group_count(), 0u) << "groups still live at the horizon";
+  const fec::ShardBuffer held = *e.store().find(g, index);
+  const std::size_t stored = e.store().size();
+
+  auto nack = std::make_shared<NackMsg>();
+  nack->group = g;
+  nack->zone = zone;
+  nack->llc = 1;
+  nack->needed = 1;
+  nack->sender = t.source;
+  net::Packet p;
+  p.uid = 1ull << 60;  // far from any uid the network issued
+  p.origin = t.source;
+  p.cls = net::TrafficClass::kNack;
+  p.msg = nack;
+  // Only this member acts on the NACK, so any FEC work in between is its
+  // own: the profiler counts every encode site's codec scope.
+  stats::Profiler prof;
+  struct Active {
+    explicit Active(stats::Profiler& p) { stats::Profiler::set_active(&p); }
+    ~Active() { stats::Profiler::set_active(nullptr); }
+  };
+  const std::uint64_t before = e.repairs_sent();
+  {
+    const Active active(prof);
+    ASSERT_TRUE(e.handle(p));
+    while (e.repairs_sent() == before) ASSERT_TRUE(simu.step());
+  }
+  EXPECT_TRUE(e.decoder(g)->has(index)) << "sent another index";
+  EXPECT_EQ(prof.scope_count(stats::ProfSubsys::codec), 0u)
+      << "the repairer encoded";
+  ASSERT_NE(e.store().find(g, index), nullptr);
+  EXPECT_EQ(*e.store().find(g, index), held) << "the lane's buffer changed";
+  EXPECT_EQ(e.store().size(), stored);
 }
 
 TEST(TransferUnit, Figure10GroupSizeSweep) {
