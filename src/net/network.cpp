@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <new>
 #include <queue>
 #include <utility>
 
@@ -41,6 +42,13 @@ Network::Network(sim::Simulator& simu) : simu_(simu) { lanes_.resize(1); }
 
 Network::LaneCtx& Network::ctx() {
   return lanes_[static_cast<std::size_t>(rt_ ? stats::lane() : 0)];
+}
+
+int Network::lane_of(NodeId node) const {
+  const int shard = shard_map_.shard(node);
+  assert((!rt_ || !rt_->in_window() || shard == stats::lane()) &&
+         "a node's traffic runs on its own shard's lane inside a window");
+  return shard;
 }
 
 sim::Simulator& Network::ctx_sim() {
@@ -105,10 +113,6 @@ void Network::memory_census(stats::MemCensus& census) const {
   const std::uint64_t rngs = links_.size() * sizeof(sim::Rng);
   census.add("rng_streams", rngs, rngs);
   using stats::vector_block_bytes;
-  // vector<bool> counts capacity in bits.
-  auto bits_block_bytes = [](const std::vector<bool>& v) -> std::uint64_t {
-    return v.capacity() == 0 ? 0 : stats::heap_block_bytes(v.capacity() / 8);
-  };
   std::uint64_t topo = vector_block_bytes(nodes_) + vector_block_bytes(links_) +
                        vector_block_bytes(channels_) - rngs +
                        zones_.memory_bytes();
@@ -122,25 +126,16 @@ void Network::memory_census(stats::MemCensus& census) const {
   // eviction), so live == retained here too.
   std::uint64_t caches = vector_block_bytes(lanes_);
   for (const LaneCtx& lc : lanes_) {
-    caches += vector_block_bytes(lc.routing);
-    for (const Routing& r : lc.routing) {
-      caches += vector_block_bytes(r.dist) + vector_block_bytes(r.pred_link) +
-                vector_block_bytes(r.next_hop) +
-                bits_block_bytes(r.next_hop_known);
+    // Neither map caches hash codes in its nodes (both hashes are
+    // noexcept), so hash_table_bytes applies. The census sums integers,
+    // so iteration order never shows.
+    caches += stats::hash_table_bytes(lc.routing);
+    for (const auto& [src, r] : lc.routing) {  // sharq-lint: unordered-iter-ok (integer byte sums commute)
+      caches += vector_block_bytes(r.dist) + vector_block_bytes(r.pred_link);
     }
-    // Bucket array plus one node per entry: next pointer, key, entry and
-    // the cached hash code (FwdKeyHash is not noexcept, so it is cached).
-    const auto& fc = lc.fwd_cache;
-    if (fc.bucket_count() > 1) {
-      caches += stats::heap_block_bytes(fc.bucket_count() * sizeof(void*));
-    }
-    caches += fc.size() * stats::heap_block_bytes(2 * sizeof(void*) +
-                                                  sizeof(FwdKey) +
-                                                  sizeof(FwdEntry));
-    // The census sums integers, so iteration order never shows.
-    for (const auto& [key, e] : fc) {  // sharq-lint: unordered-iter-ok (integer byte sums commute)
-      caches += vector_block_bytes(e.nodes) + vector_block_bytes(e.out_begin) +
-                vector_block_bytes(e.links) + bits_block_bytes(e.deliver);
+    caches += stats::hash_table_bytes(lc.fwd_cache);
+    for (const auto& [key, rows] : lc.fwd_cache) {  // sharq-lint: unordered-iter-ok (integer byte sums commute)
+      caches += stats::heap_block_bytes(rows->block_bytes());
     }
     caches += vector_block_bytes(lc.arrive_outs) +
               vector_block_bytes(lc.send_outs) +
@@ -283,21 +278,16 @@ void Network::detach(NodeId node, Agent* agent) {
 
 void Network::invalidate_routing() {
   for (LaneCtx& lc : lanes_) {
-    for (Routing& r : lc.routing) r.valid = false;
+    lc.routing.clear();
     lc.fwd_cache.clear();
   }
 }
 
-void Network::ensure_routing(NodeId src) {
-  LaneCtx& lc = ctx();
-  if (lc.routing.size() < nodes_.size()) lc.routing.resize(nodes_.size());
-  Routing& r = lc.routing[static_cast<std::size_t>(src)];
-  if (r.valid) return;
+Network::Routing Network::shortest_paths(NodeId src) const {
+  Routing r;
   const int n = node_count();
   r.dist.assign(n, sim::kTimeInfinity);
   r.pred_link.assign(n, kNoLink);
-  r.next_hop.assign(n, kNoNode);
-  r.next_hop_known.assign(n, false);
   // Dijkstra by propagation delay, with a tiny per-hop epsilon so equal-
   // delay paths deterministically prefer fewer hops.
   constexpr sim::Time kHopEps = 1e-9;
@@ -320,12 +310,18 @@ void Network::ensure_routing(NodeId src) {
       }
     }
   }
-  r.valid = true;
+  return r;
+}
+
+const Network::Routing& Network::routing(NodeId src) {
+  auto& cache = ctx().routing;
+  auto it = cache.find(src);
+  if (it == cache.end()) it = cache.emplace(src, shortest_paths(src)).first;
+  return it->second;
 }
 
 std::vector<NodeId> Network::path(NodeId a, NodeId b) {
-  ensure_routing(a);
-  const Routing& r = ctx().routing[static_cast<std::size_t>(a)];
+  const Routing& r = routing(a);
   if (b < 0 || b >= node_count() || r.dist[b] == sim::kTimeInfinity) return {};
   std::vector<NodeId> rev{b};
   NodeId cur = b;
@@ -340,8 +336,7 @@ std::vector<NodeId> Network::path(NodeId a, NodeId b) {
 
 sim::Time Network::path_delay(NodeId a, NodeId b) {
   if (a == b) return 0.0;
-  ensure_routing(a);
-  const Routing& r = ctx().routing[static_cast<std::size_t>(a)];
+  const Routing& r = routing(a);
   const sim::Time d = r.dist[b];
   if (d == sim::kTimeInfinity) return sim::kTimeInfinity;
   // Strip the per-hop epsilon contribution by recomputing over the path.
@@ -357,8 +352,7 @@ sim::Time Network::path_delay(NodeId a, NodeId b) {
 
 double Network::path_loss(NodeId a, NodeId b) {
   if (a == b) return 0.0;
-  ensure_routing(a);
-  const Routing& r = ctx().routing[static_cast<std::size_t>(a)];
+  const Routing& r = routing(a);
   if (r.dist[b] == sim::kTimeInfinity) return 1.0;
   double deliver = 1.0;
   NodeId cur = b;
@@ -370,82 +364,102 @@ double Network::path_loss(NodeId a, NodeId b) {
   return 1.0 - deliver;
 }
 
-int Network::FwdEntry::find(NodeId v) const {
-  const auto it = std::lower_bound(nodes.begin(), nodes.end(), v);
-  if (it == nodes.end() || *it != v) return -1;
-  return static_cast<int>(it - nodes.begin());
+std::vector<NodeId> Network::cached_row_nodes(int lane) const {
+  std::vector<NodeId> out;
+  const LaneCtx& lc = lanes_[static_cast<std::size_t>(lane)];
+  for (const auto& [key, rows] : lc.fwd_cache) {  // sharq-lint: unordered-iter-ok (sorted below)
+    out.insert(out.end(), rows->nodes().begin(), rows->nodes().end());
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
-/// Pack per-subscriber graft output — hops in insertion order (= wire
-/// order of downstream copies) and delivery nodes in ascending order —
-/// into the entry's CSR arrays.
-void Network::pack_fwd_entry(FwdEntry& e,
-                             std::vector<std::pair<NodeId, LinkId>>& hops,
-                             const std::vector<NodeId>& deliver_nodes) {
+int Network::FwdRows::find(NodeId v) const {
+  const std::span<const NodeId> rows = nodes();
+  const auto it = std::lower_bound(rows.begin(), rows.end(), v);
+  if (it == rows.end() || *it != v) return -1;
+  return static_cast<int>(it - rows.begin());
+}
+
+/// Pack graft output — hops in insertion order (= wire order of
+/// downstream copies) and delivery nodes in ascending order — into one
+/// block of CSR rows, keeping only the nodes of `shard`. A serial network
+/// has one shard, so it keeps every row.
+Network::FwdRowsPtr Network::pack_rows(
+    std::uint64_t version, int shard, Hops& hops,
+    std::vector<NodeId>& deliver_nodes) const {
+  const auto foreign = [&](NodeId v) { return shard_map_.shard(v) != shard; };
+  std::erase_if(hops, [&](const auto& h) { return foreign(h.first); });
+  std::erase_if(deliver_nodes, foreign);
   // stable_sort keeps each node's links in insertion order, which is the
   // deterministic wire order the dense layout used to provide.
   std::stable_sort(hops.begin(), hops.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  e.nodes.clear();
+  std::vector<NodeId> nodes;
+  nodes.reserve(hops.size() + deliver_nodes.size());
   for (const auto& [node, link] : hops) {
-    if (e.nodes.empty() || e.nodes.back() != node) e.nodes.push_back(node);
+    if (nodes.empty() || nodes.back() != node) nodes.push_back(node);
   }
-  for (NodeId d : deliver_nodes) {
-    const auto it = std::lower_bound(e.nodes.begin(), e.nodes.end(), d);
-    if (it == e.nodes.end() || *it != d) e.nodes.insert(it, d);
-  }
-  e.out_begin.assign(e.nodes.size() + 1, 0);
-  e.links.clear();
-  e.links.reserve(hops.size());
-  e.deliver.assign(e.nodes.size(), false);
-  std::size_t hi = 0;
-  for (std::size_t i = 0; i < e.nodes.size(); ++i) {
-    e.out_begin[i] = static_cast<std::uint32_t>(e.links.size());
-    while (hi < hops.size() && hops[hi].first == e.nodes[i]) {
-      e.links.push_back(hops[hi].second);
-      ++hi;
+  const auto forwarders = static_cast<std::ptrdiff_t>(nodes.size());
+  nodes.insert(nodes.end(), deliver_nodes.begin(), deliver_nodes.end());
+  std::inplace_merge(nodes.begin(), nodes.begin() + forwarders, nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+
+  const auto n = static_cast<std::uint32_t>(nodes.size());
+  const auto nlinks = static_cast<std::uint32_t>(hops.size());
+  FwdRowsPtr rows(new (::operator new(FwdRows::block_bytes(n, nlinks)))
+                      FwdRows{version, n, nlinks});
+  auto* words = reinterpret_cast<std::uint32_t*>(rows.get() + 1);
+  std::copy(nodes.begin(), nodes.end(), reinterpret_cast<NodeId*>(words));
+  std::uint32_t* out_begin = words + n;
+  auto* links = reinterpret_cast<LinkId*>(out_begin + n + 1);
+  std::uint32_t hi = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    out_begin[i] = hi;
+    for (; hi < nlinks && hops[hi].first == nodes[i]; ++hi) {
+      links[hi] = hops[hi].second;
     }
   }
-  e.out_begin[e.nodes.size()] = static_cast<std::uint32_t>(e.links.size());
+  out_begin[n] = hi;
+  std::uint32_t* bits = out_begin + n + 1 + nlinks;
+  std::fill_n(bits, (n + 31) / 32, 0u);
   for (NodeId d : deliver_nodes) {
-    const auto it = std::lower_bound(e.nodes.begin(), e.nodes.end(), d);
-    e.deliver[static_cast<std::size_t>(it - e.nodes.begin())] = true;
+    const auto i = static_cast<std::uint32_t>(
+        std::lower_bound(nodes.begin(), nodes.end(), d) - nodes.begin());
+    bits[i / 32] |= 1u << (i % 32);  // sharq-lint: unchecked-shift-ok (i % 32 < 32)
   }
+  return rows;
 }
 
-const Network::FwdEntry& Network::forwarding(ChannelId ch, NodeId origin) {
+const Network::FwdRows& Network::forwarding(int lane, ChannelId ch,
+                                            NodeId origin) {
   const Channel& channel = channels_[ch];
-  FwdEntry& e = ctx().fwd_cache[FwdKey{ch, origin}];
-  if (e.version == channel.version + 1) return e;
+  LaneCtx& lc = lanes_[static_cast<std::size_t>(lane)];
+  FwdRowsPtr& rows = lc.fwd_cache[FwdKey{ch, origin}];
+  if (rows && rows->version == channel.version) return *rows;
 
-  e.version = channel.version + 1;  // 0 marks "never built"
-  e.nodes.clear();
-  e.out_begin.clear();
-  e.links.clear();
-  e.deliver.clear();
-
+  Hops hops;
+  std::vector<NodeId> deliver_nodes;
   const ZoneId scope = channel.scope;
-  const bool origin_in_scope =
-      scope == kNoZone || zones_.contains(scope, origin);
-  if (!origin_in_scope) return e;  // boundary blocks everything
-
   if (scope == kNoZone) {
-    build_unscoped_entry(e, channel, origin);
-  } else {
-    build_scoped_entry(e, channel, origin, scope);
-  }
-  return e;
+    build_unscoped_tree(channel, origin, hops, deliver_nodes);
+  } else if (zones_.contains(scope, origin)) {
+    build_scoped_tree(channel, origin, scope, hops, deliver_nodes);
+  }  // else the scope boundary blocks everything: no rows
+  rows = pack_rows(channel.version, lane, hops, deliver_nodes);
+  return *rows;
 }
 
-void Network::build_unscoped_entry(FwdEntry& e, const Channel& channel,
-                                   NodeId origin) {
-  ensure_routing(origin);
-  const Routing& r = ctx().routing[static_cast<std::size_t>(origin)];
+void Network::build_unscoped_tree(const Channel& channel, NodeId origin,
+                                  Hops& hops,
+                                  std::vector<NodeId>& deliver_nodes) const {
+  // Computed per build, not cached: a cache would hold O(V) per origin in
+  // every lane that carries the channel.
+  const Routing r = shortest_paths(origin);
   const int n = node_count();
   std::vector<bool> on_tree(n, false);
   on_tree[origin] = true;
-  std::vector<std::pair<NodeId, LinkId>> hops;
-  std::vector<NodeId> deliver_nodes;
   // Graft in ascending subscriber order: the hash set's own order differs
   // across standard libraries and rehashes, and it decides the order links
   // join the entry — i.e. the wire order of downstream copies.
@@ -460,11 +474,11 @@ void Network::build_unscoped_entry(FwdEntry& e, const Channel& channel,
       cur = links_[pl].from;
     }
   }
-  pack_fwd_entry(e, hops, deliver_nodes);
 }
 
-void Network::build_scoped_entry(FwdEntry& e, const Channel& channel,
-                                 NodeId origin, ZoneId scope) {
+void Network::build_scoped_tree(const Channel& channel, NodeId origin,
+                                ZoneId scope, Hops& hops,
+                                std::vector<NodeId>& deliver_nodes) const {
   // Dijkstra restricted to the zone-induced subgraph: a scoped channel
   // never traverses a node outside the zone, so everything outside can be
   // ignored outright. Cost scales with the zone, not the whole network —
@@ -508,8 +522,6 @@ void Network::build_scoped_entry(FwdEntry& e, const Channel& channel,
 
   std::vector<bool> on_tree(m, false);
   on_tree[lorigin] = true;
-  std::vector<std::pair<NodeId, LinkId>> hops;
-  std::vector<NodeId> deliver_nodes;
   for (NodeId s : ordered_keys(channel.subs)) {
     if (s == origin) continue;
     const int ls = local(s);
@@ -522,7 +534,6 @@ void Network::build_scoped_entry(FwdEntry& e, const Channel& channel,
       cur = local(links_[pl].from);
     }
   }
-  pack_fwd_entry(e, hops, deliver_nodes);
 }
 
 std::uint64_t Network::send(NodeId origin, ChannelId ch, TrafficClass cls,
@@ -556,17 +567,19 @@ std::uint64_t Network::send(NodeId origin, ChannelId ch, TrafficClass cls,
   }
   // Copy the origin's out-links into lane scratch (capacity retained
   // across packets, so no steady-state allocation): transmit() is
-  // event-deferred and touches no forwarding state, but the entry itself
-  // lives in the lane's fwd cache and a rebuild must not invalidate the
-  // iteration.
-  LaneCtx& lc = ctx();
+  // event-deferred and touches no forwarding state, but the rows
+  // themselves live in the lane's fwd cache and a rebuild must not
+  // invalidate the iteration. The origin's own lane holds its rows — also
+  // when a barrier on lane 0 sends for a node of another shard.
+  const int lane = lane_of(origin);
+  LaneCtx& lc = lanes_[static_cast<std::size_t>(lane)];
   assert(!lc.in_send && "Network::send is not reentrant");
   lc.in_send = true;
-  const FwdEntry& fwd = forwarding(ch, origin);
+  const FwdRows& fwd = forwarding(lane, ch, origin);
   lc.send_outs.clear();
   if (const int i = fwd.find(origin); i >= 0) {
-    lc.send_outs.assign(fwd.links.begin() + fwd.out_begin[i],
-                        fwd.links.begin() + fwd.out_begin[i + 1]);
+    const std::span<const LinkId> outs = fwd.out(i);
+    lc.send_outs.assign(outs.begin(), outs.end());
   }
   for (LinkId l : lc.send_outs) transmit(l, p);
   lc.in_send = false;
@@ -722,17 +735,18 @@ void Network::arrive(NodeId at, const Packet& packet) {
   // cache. The copies land in lane scratch (capacity retained across
   // packets) — arrive() cannot reenter because every transmission is
   // deferred through the event queue.
-  LaneCtx& lc = ctx();
+  const int lane = lane_of(at);
+  LaneCtx& lc = lanes_[static_cast<std::size_t>(lane)];
   assert(!lc.in_arrive && "Network::arrive is not reentrant");
   lc.in_arrive = true;
   bool deliver_here = false;
   lc.arrive_outs.clear();
   {
-    const FwdEntry& fwd = forwarding(packet.channel, packet.origin);
+    const FwdRows& fwd = forwarding(lane, packet.channel, packet.origin);
     if (const int i = fwd.find(at); i >= 0) {
-      deliver_here = fwd.deliver[i];
-      lc.arrive_outs.assign(fwd.links.begin() + fwd.out_begin[i],
-                            fwd.links.begin() + fwd.out_begin[i + 1]);
+      deliver_here = fwd.deliver(i);
+      const std::span<const LinkId> outs = fwd.out(i);
+      lc.arrive_outs.assign(outs.begin(), outs.end());
     }
   }
   // Forward before delivering so downstream copies are not reordered by

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -234,6 +235,10 @@ class Network {
   /// The routed node sequence a..b (empty if unreachable).
   std::vector<NodeId> path(NodeId a, NodeId b);
 
+  /// Nodes with forwarding rows cached in lane `lane`, ascending. Every
+  /// one belongs to that lane's shard.
+  std::vector<NodeId> cached_row_nodes(int lane) const;
+
   // --- plumbing --------------------------------------------------------------
 
   void set_sink(TrafficSink* sink) { sink_ = sink; }
@@ -244,8 +249,8 @@ class Network {
 
   /// Contribute the network's retained bytes to the profiler's memory
   /// census: topology vectors under "net_topology", the links' random
-  /// streams under "rng_streams", per-lane routing and forwarding caches
-  /// (plus packet scratch) under "net_caches".
+  /// streams under "rng_streams", each lane's forwarding rows, path-query
+  /// trees and packet scratch under "net_caches".
   void memory_census(stats::MemCensus& census) const;
 
   /// Attach the recovery-lifecycle journal: drops of recovery traffic
@@ -263,8 +268,9 @@ class Network {
   /// bind — agents must schedule into their node's shard via
   /// simulator_for(). Link events run on the shard owning the link's
   /// `from` node; a packet crossing into another shard is handed through
-  /// the runtime's deterministic mailbox merge. Per-lane copies of the
-  /// routing/forwarding caches keep lookups thread-private.
+  /// the runtime's deterministic mailbox merge. Each shard's lane caches
+  /// only its own nodes' forwarding rows, so lookups stay thread-private
+  /// and the rows summed over lanes are the serial cache's.
   void enable_sharding(sim::ShardRuntime& rt, ShardMap map);
 
   bool sharded() const { return rt_ != nullptr; }
@@ -308,12 +314,10 @@ class Network {
     std::unordered_set<NodeId> subs;
     std::uint64_t version = 0;
   };
+  /// Shortest-path tree from one source by propagation delay.
   struct Routing {
-    bool valid = false;
-    std::vector<sim::Time> dist;       // from src, by dst
-    std::vector<LinkId> pred_link;     // into dst on shortest path from src
-    std::vector<NodeId> next_hop;      // first hop from src toward dst
-    std::vector<bool> next_hop_known;
+    std::vector<sim::Time> dist;    // from src, by dst
+    std::vector<LinkId> pred_link;  // into dst on shortest path from src
   };
   struct FwdKey {
     ChannelId channel;
@@ -321,38 +325,73 @@ class Network {
     friend bool operator==(const FwdKey&, const FwdKey&) = default;
   };
   struct FwdKeyHash {
-    std::size_t operator()(const FwdKey& k) const {
+    // noexcept so the map's nodes do not cache the hash code.
+    std::size_t operator()(const FwdKey& k) const noexcept {
       return std::hash<std::uint64_t>()(
           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.channel))
            << 32) |
           static_cast<std::uint32_t>(k.origin));
     }
   };
-  /// Sparse forwarding state for one (channel, origin): only nodes that
-  /// forward or receive appear, in CSR form. On a scoped channel every
-  /// member is an origin (session beacons), so a dense per-node layout
-  /// would cost O(V) per entry — O(V²) across a session. Sparse entries
-  /// cost O(zone size) instead (docs/ARCHITECTURE.md).
-  struct FwdEntry {
-    std::uint64_t version = 0;
-    std::vector<NodeId> nodes;             // sorted, binary-searched
-    std::vector<std::uint32_t> out_begin;  // nodes.size()+1 offsets into links
-    std::vector<LinkId> links;             // grouped by node, in wire order
-    std::vector<bool> deliver;             // parallel to nodes
+  /// Sparse forwarding rows for one (channel, origin) as one lane sees
+  /// them: only the lane's own nodes that forward or receive appear, in
+  /// CSR form. On a scoped channel every member is an origin (session
+  /// beacons), so a dense per-node layout would cost O(V) per entry —
+  /// O(V²) across a session. Sparse rows cost O(zone size) instead, and a
+  /// lane's share of them is its own nodes', so the rows summed over lanes
+  /// are the serial rows (docs/ARCHITECTURE.md).
+  ///
+  /// The header and its four arrays share one heap block; the arrays
+  /// follow the header as 32-bit words:
+  ///   NodeId        nodes[n]             sorted, binary-searched
+  ///   std::uint32_t out_begin[n + 1]     offsets into links
+  ///   LinkId        links[nlinks]        grouped by node, in wire order
+  ///   std::uint32_t deliver[(n+31)/32]   one bit per row
+  struct FwdRows {
+    std::uint64_t version;  // channel version the rows were built for
+    std::uint32_t n;
+    std::uint32_t nlinks;
 
-    /// Index of `v` in nodes, or -1 when the node takes no part.
+    static std::size_t block_bytes(std::size_t n, std::size_t nlinks) {
+      return sizeof(FwdRows) +
+             sizeof(std::uint32_t) * (2 * n + 1 + nlinks + (n + 31) / 32);
+    }
+    std::size_t block_bytes() const { return block_bytes(n, nlinks); }
+    const std::uint32_t* words() const {
+      return reinterpret_cast<const std::uint32_t*>(this + 1);
+    }
+    std::span<const NodeId> nodes() const {
+      return {reinterpret_cast<const NodeId*>(words()), n};
+    }
+    /// Index of `v` among the rows, or -1 when the node takes no part.
     int find(NodeId v) const;
+    /// Row `i`'s out-links, in wire order.
+    std::span<const LinkId> out(int i) const {
+      const std::uint32_t* out_begin = words() + n;
+      const auto* links = reinterpret_cast<const LinkId*>(out_begin + n + 1);
+      return {links + out_begin[i], links + out_begin[i + 1]};
+    }
+    bool deliver(int i) const {
+      const std::uint32_t* bits = words() + 2 * n + 1 + nlinks;
+      return (bits[i / 32] >> (i % 32)) & 1u;
+    }
   };
+  struct FwdRowsFree {
+    void operator()(FwdRows* r) const { ::operator delete(r); }
+  };
+  using FwdRowsPtr = std::unique_ptr<FwdRows, FwdRowsFree>;
 
   /// Per-execution-lane working state. Serial runs use exactly lane 0; a
-  /// sharded run gives every shard lane its own copy, so the lazily built
-  /// routing/forwarding caches and the per-packet scratch are written only
-  /// by the thread executing that lane — no sharing, no locks, and cache
-  /// contents stay a pure function of topology state (identical across
-  /// lanes whenever queried).
+  /// sharded run gives every shard a lane. A lane's forwarding cache holds
+  /// only the rows of its shard's nodes: `send` looks rows up in its
+  /// origin's lane and `arrive` in the arrival node's lane, so inside a
+  /// window every access comes from the thread executing that shard (no
+  /// sharing, no locks), and a barrier, which runs alone, may touch any
+  /// lane. Cache contents stay a pure function of topology state.
   struct LaneCtx {
-    std::vector<Routing> routing;  // per source node, sized lazily
-    std::unordered_map<FwdKey, FwdEntry, FwdKeyHash> fwd_cache;
+    // Ground-truth path queries' trees, only for the sources queried.
+    std::unordered_map<NodeId, Routing> routing;
+    std::unordered_map<FwdKey, FwdRowsPtr, FwdKeyHash> fwd_cache;
     // Per-packet scratch, reused across calls so the hot path performs no
     // heap allocation in steady state. arrive()/send() are not reentrant
     // (transmission is event-deferred); guarded by an assert in debug.
@@ -363,7 +402,11 @@ class Network {
     bool in_send = false;
   };
 
+  /// Lane of the executing thread (ground-truth path queries).
   LaneCtx& ctx();
+  /// Lane holding `node`'s forwarding rows: its shard's. Inside a window
+  /// that is always the executing lane (asserted in debug builds).
+  int lane_of(NodeId node) const;
   /// Simulator providing "now" for the executing context: the executing
   /// lane's shard simulator, or the base simulator in serial runs. At
   /// barriers every shard clock agrees, so lane 0 is always safe there.
@@ -373,18 +416,26 @@ class Network {
   /// The sink observing the executing lane.
   TrafficSink* sink();
 
-  void ensure_routing(NodeId src);
-  const FwdEntry& forwarding(ChannelId ch, NodeId origin);
+  Routing shortest_paths(NodeId src) const;
+  /// The executing lane's cached tree from `src` (path queries).
+  const Routing& routing(NodeId src);
+  /// Rows of (ch, origin) for the nodes of shard `lane`, built on first
+  /// use and rebuilt when the channel's membership version moves.
+  const FwdRows& forwarding(int lane, ChannelId ch, NodeId origin);
+  using Hops = std::vector<std::pair<NodeId, LinkId>>;
   /// Graft shortest paths from `origin` to in-scope subscribers restricted
-  /// to the members of `scope`, appending (node, link) hops + delivery
-  /// flags into `e`. Runs Dijkstra over the zone-induced subgraph only.
-  void build_scoped_entry(FwdEntry& e, const Channel& channel, NodeId origin,
-                          ZoneId scope);
-  void build_unscoped_entry(FwdEntry& e, const Channel& channel,
-                            NodeId origin);
-  static void pack_fwd_entry(FwdEntry& e,
-                             std::vector<std::pair<NodeId, LinkId>>& hops,
-                             const std::vector<NodeId>& deliver_nodes);
+  /// to the members of `scope`, appending (node, link) hops and delivery
+  /// nodes. Runs Dijkstra over the zone-induced subgraph only.
+  void build_scoped_tree(const Channel& channel, NodeId origin, ZoneId scope,
+                         Hops& hops,
+                         std::vector<NodeId>& deliver_nodes) const;
+  void build_unscoped_tree(const Channel& channel, NodeId origin,
+                           Hops& hops,
+                           std::vector<NodeId>& deliver_nodes) const;
+  /// Keep the hops and deliveries of `shard`'s nodes and pack them into
+  /// one block.
+  FwdRowsPtr pack_rows(std::uint64_t version, int shard, Hops& hops,
+                       std::vector<NodeId>& deliver_nodes) const;
   void transmit(LinkId link, const Packet& packet);
   /// Schedule the propagation-complete (hop + arrive) event for `out` on
   /// the shard owning the link's receiving side, crossing shards through
@@ -397,11 +448,11 @@ class Network {
   std::vector<Link> links_;
   std::vector<Channel> channels_;
   ZoneHierarchy zones_;
-  std::vector<LaneCtx> lanes_;  // [0] only in serial runs
   void count_drop(DropReason reason);
   void journal_drop(LinkId link, const Packet& packet, DropReason reason);
 
-  // sharq-lint: shard-owned begin (per-shard lanes and uid streams: touched only from the owning lane or the barrier merge)
+  // sharq-lint: shard-owned begin (per-shard lanes and uid streams: inside a window only the owning lane touches them; the single-threaded barrier may touch any lane)
+  std::vector<LaneCtx> lanes_;  // by shard; [0] only in serial runs
   sim::ShardRuntime* rt_ = nullptr;
   ShardMap shard_map_;
   std::vector<TrafficSink*> shard_sinks_;  // by shard, sharded runs only

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "fault/injector.hpp"
+#include "net/network.hpp"
 #include "net/shard_map.hpp"
 #include "sharqfec/protocol.hpp"
 #include "sim/shard_runtime.hpp"
@@ -28,7 +29,9 @@
 #include "stats/journal.hpp"
 #include "stats/lane.hpp"
 #include "stats/metrics.hpp"
+#include "stats/profiler.hpp"
 #include "topo/figure10.hpp"
+#include "topo/shapes.hpp"
 #include "topo/shard_plan.hpp"
 
 #include "lane_store_check.hpp"
@@ -303,6 +306,162 @@ TEST(ShardIdentity, RealPayloadRejoinerDecodesCorrectBytes) {
     const PayloadRun run = run_real_payload(workers, payload, /*crash=*/true);
     expect_payload_decoded(run, payload);
     EXPECT_GT(run.store_keys, 0u);
+  }
+}
+
+
+// Forwarding state is sized by the topology, not the shard count: each
+// lane caches only its own nodes' forwarding rows, so the rows summed over
+// eight lanes are the serial cache's. A d2 tree with fan-out 8 has eight
+// top-level zones; the partitioner deals them across shards 1-7 beside the
+// root zone's shard 0, so the run uses the full eight lanes.
+struct DeepRun {
+  std::uint64_t net_caches = 0;  // census peak bytes
+  int shards = 0;
+  std::uint32_t complete = 0;
+  std::vector<std::vector<net::NodeId>> lane_rows;  // by lane
+  std::vector<int> shard_of;                        // by node
+};
+
+DeepRun run_deep(int workers) {
+  sim::Simulator simu(7);
+  net::Network net(simu);
+  topo::DeepTreeParams p;
+  p.zone_depth = 2;
+  p.fanout = 8;
+  p.leaves_per_hub = 4;
+  p.leaf_loss = 0.01;
+  topo::DeepTree tree = topo::make_deep_tree(net, p);
+  std::unique_ptr<sim::ShardRuntime> rt;
+  DeepRun out;
+  if (workers > 0) {
+    net::ShardMap map = topo::make_zone_shard_map(net, stats::kMaxLanes);
+    out.shard_of = map.shard_of;
+    rt = std::make_unique<sim::ShardRuntime>(simu, map.nshards, map.lookahead,
+                                             /*seed=*/7, workers);
+    out.shards = rt->nshards();
+    net.enable_sharding(*rt, std::move(map));
+  }
+  sfq::Config cfg;
+  for (const auto& [zone, hub] : tree.zone_hubs) cfg.static_zcrs[zone] = hub;
+  sfq::Session session(net, tree.source, tree.receivers, cfg);
+  session.start();
+  session.send_stream(2, /*start_at=*/2.0);
+  if (rt) {
+    rt->run_until(12.0);
+  } else {
+    simu.run_until(12.0);
+  }
+  for (net::NodeId r : tree.receivers) {
+    if (session.agent_for(r).transfer().group_complete(1)) ++out.complete;
+  }
+  stats::MemCensus census;
+  net.memory_census(census);
+  out.net_caches = census.categories["net_caches"].peak_bytes;
+  for (int lane = 0; lane < out.shards; ++lane) {
+    out.lane_rows.push_back(net.cached_row_nodes(lane));
+  }
+  return out;
+}
+
+TEST(ShardIdentity, NetCachesDoNotScaleWithShards) {
+  const DeepRun serial = run_deep(0);
+  const DeepRun sharded = run_deep(4);
+  ASSERT_EQ(sharded.shards, stats::kMaxLanes);
+  EXPECT_GT(serial.complete, 0u);
+  EXPECT_EQ(serial.complete, sharded.complete);
+  ASSERT_GT(serial.net_caches, 0u);
+  EXPECT_LE(static_cast<double>(sharded.net_caches),
+            1.1 * static_cast<double>(serial.net_caches))
+      << "serial " << serial.net_caches << " B, " << sharded.shards
+      << " shards " << sharded.net_caches << " B";
+}
+
+TEST(ShardIdentity, EachLaneCachesOnlyItsOwnShardsRows) {
+  const DeepRun run = run_deep(2);
+  ASSERT_EQ(run.lane_rows.size(), static_cast<std::size_t>(run.shards));
+  std::size_t rows = 0;
+  for (int lane = 0; lane < run.shards; ++lane) {
+    const auto& nodes = run.lane_rows[static_cast<std::size_t>(lane)];
+    EXPECT_FALSE(nodes.empty()) << "lane " << lane;
+    for (net::NodeId v : nodes) {
+      EXPECT_EQ(run.shard_of[static_cast<std::size_t>(v)], lane)
+          << "node " << v << " cached in lane " << lane;
+    }
+    rows += nodes.size();
+  }
+  // Every node forwards or receives something, and owns its rows once.
+  EXPECT_EQ(rows, run.shard_of.size());
+}
+
+// A send issued from a barrier (lane 0) for a node of another shard reads
+// that node's own lane, which holds its rows: it reaches every subscriber,
+// as it does serially, whatever the worker count.
+class RecordingAgent : public net::Agent {
+ public:
+  void on_receive(const net::Packet& packet) override {
+    heard.push_back(packet.channel);
+  }
+  std::vector<net::ChannelId> heard;  // written only by this node's lane
+};
+
+using Heard = std::vector<std::pair<net::NodeId, net::ChannelId>>;
+
+Heard barrier_send_receivers(int workers) {
+  sim::Simulator simu(11);
+  net::Network net(simu);
+  topo::DeepTreeParams p;
+  p.zone_depth = 2;
+  p.fanout = 4;
+  p.leaves_per_hub = 2;
+  topo::DeepTree tree = topo::make_deep_tree(net, p);
+  std::unique_ptr<sim::ShardRuntime> rt;
+  const net::NodeId origin = tree.leaves.back();
+  if (workers > 0) {
+    net::ShardMap map = topo::make_zone_shard_map(net, stats::kMaxLanes);
+    EXPECT_NE(map.shard(origin), 0) << "the origin must sit outside shard 0";
+    rt = std::make_unique<sim::ShardRuntime>(simu, map.nshards, map.lookahead,
+                                             /*seed=*/11, workers);
+    net.enable_sharding(*rt, std::move(map));
+  }
+  // One unscoped channel and one confined to the root zone; both span
+  // every shard.
+  const net::ChannelId global = net.create_channel();
+  const net::ChannelId root = net.create_channel(tree.root_zone);
+  std::vector<RecordingAgent> agents(static_cast<std::size_t>(net.node_count()));
+  for (net::NodeId v = 0; v < net.node_count(); ++v) {
+    net.attach(v, &agents[static_cast<std::size_t>(v)]);
+    net.subscribe(global, v);
+    net.subscribe(root, v);
+  }
+  auto send = [&net, origin, global, root] {
+    net.send(origin, global, net::TrafficClass::kControl, 100, nullptr);
+    net.send(origin, root, net::TrafficClass::kControl, 100, nullptr);
+  };
+  if (rt) {
+    rt->at_global(1.0, send);
+    rt->run_until(5.0);
+  } else {
+    simu.at(1.0, send);
+    simu.run_until(5.0);
+  }
+  Heard heard;
+  for (net::NodeId v = 0; v < net.node_count(); ++v) {
+    for (net::ChannelId ch : agents[static_cast<std::size_t>(v)].heard) {
+      heard.emplace_back(v, ch);
+    }
+  }
+  return heard;
+}
+
+TEST(ShardIdentity, BarrierSendFromAnotherShardReachesEverySubscriber) {
+  const Heard serial = barrier_send_receivers(0);
+  // 53 nodes (source, 4 + 16 hubs, 32 leaves): every node but the origin
+  // hears each of the two channels once.
+  EXPECT_EQ(serial.size(), 2u * (53u - 1u));
+  for (int workers : {1, 4}) {
+    EXPECT_EQ(barrier_send_receivers(workers), serial)
+        << "workers=" << workers;
   }
 }
 

@@ -306,19 +306,26 @@ int cmd_report(const JVal& doc) {
               static_cast<int>(det->num_or("shards", 1)), wall,
               human_bytes(rss).c_str(), env_line.c_str());
 
-  // Self time, ranked. Row: name, total_s, % of wall, imbalance.
+  // Self time, ranked. Row: name, total_s, % of wall, imbalance. A scope
+  // the run never entered (codec without real payload, shard_barrier in a
+  // serial run) reads n/a: its 0 s is absence, not a measurement.
   if (const JVal* self = tim->get("self_time")) {
     struct Row {
       std::string name;
       double total;
       double imb;
+      bool entered;
     };
+    const JVal* scopes = det->get("scopes");
     std::vector<Row> rows;
     double attributed = 0.0;
     for (const auto& [name, entry] : self->obj) {
       const double total = entry.num_or("total_s", 0.0);
       const JVal* shards = entry.get("by_shard_s");
-      rows.push_back({name, total, shards ? imbalance(*shards) : 1.0});
+      const JVal* count = scopes ? scopes->get(name) : nullptr;
+      const bool entered = count == nullptr || count->num_or("total", 0.0) > 0;
+      rows.push_back(
+          {name, total, shards ? imbalance(*shards) : 1.0, entered});
       attributed += total;  // sharq-lint: float-accum-ok (parser preserves the profile's insertion order)
     }
     std::sort(rows.begin(), rows.end(),
@@ -326,6 +333,10 @@ int cmd_report(const JVal& doc) {
     std::printf("\n%-16s %10s %7s %10s\n", "self time", "seconds", "%wall",
                 "imbalance");
     for (const Row& r : rows) {
+      if (!r.entered) {
+        std::printf("%-16s %10s\n", r.name.c_str(), "n/a");
+        continue;
+      }
       std::printf("%-16s %10.3f %6.1f%% %9.2fx\n", r.name.c_str(), r.total,
                   wall > 0 ? 100.0 * r.total / wall : 0.0, r.imb);
     }
