@@ -291,7 +291,9 @@ void write_json(std::FILE* f, const std::vector<CaseResult>& results) {
     std::fprintf(f, "      \"horizon_s\": %.1f,\n", r.point.horizon);
     std::fprintf(f, "      \"events\": %llu,\n",
                  static_cast<unsigned long long>(r.events));
-    std::fprintf(f, "      \"wall_s\": %.2f,\n", r.wall_s);
+    // Full precision: check_bench.py compares events / wall_s against
+    // events_per_sec, which a rounded time skews on short runs.
+    std::fprintf(f, "      \"wall_s\": %.17g,\n", r.wall_s);
     std::fprintf(f, "      \"events_per_sec\": %.0f,\n", r.events_per_sec);
     std::fprintf(f, "      \"queue_high_water\": %.0f,\n", r.queue_high_water);
     std::fprintf(f, "      \"rss_delta_bytes\": %lld,\n", r.rss_delta_bytes);

@@ -258,7 +258,8 @@ void BM_GroupRoundTrip(benchmark::State& state) {
   sharq::fec::GroupEncoder enc(codec, std::move(data));
   for (auto _ : state) {
     sharq::fec::DecoderState held;
-    std::vector<std::uint8_t> index(k);
+    std::vector<std::uint8_t> index(
+        sharq::fec::GroupDecoder::block_bytes(*codec));
     sharq::fec::ShardStore store;
     sharq::fec::GroupDecoder dec(*codec, held, index.data(), store, 0);
     // Lose a quarter of the data; fill from parity. The decoder shares the
@@ -289,7 +290,8 @@ void BM_RepairerFirstParity(benchmark::State& state, bool from_held,
   }
   sharq::fec::GroupEncoder source(codec, std::move(data));
   sharq::fec::DecoderState held;
-  std::vector<std::uint8_t> index_of(k);
+  std::vector<std::uint8_t> index_of(
+      sharq::fec::GroupDecoder::block_bytes(*codec));
   sharq::fec::ShardStore store;
   sharq::fec::GroupDecoder dec(*codec, held, index_of.data(), store, 0);
   for (int i = missing; i < k + missing; ++i) {

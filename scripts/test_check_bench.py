@@ -118,6 +118,20 @@ class CheckBenchTest(unittest.TestCase):
         self.assert_error(errors, "'inconsistent'")
         self.assert_error(errors, "inconsistent with events/wall_s")
 
+    def test_short_run_written_at_full_precision_passes(self):
+        # A --smoke case that finished in 0.045 s, as macro_sim writes it:
+        # wall_s at full precision ("%.17g") and events_per_sec from the
+        # same unrounded time ("%.0f"), so the two agree. Rounded to two
+        # decimals, the same wall_s read 0.05 and implied 10% fewer events
+        # per second than events_per_sec, just past the checker's slack.
+        wall, events = 0.045, 149200
+        case = good_case(events=events, wall_s=float("%.17g" % wall),
+                         events_per_sec=float("%.0f" % (events / wall)))
+        self.assertEqual(run(good_doc(case)), [])
+        rounded = dict(case, wall_s=float("%.2f" % wall))
+        self.assert_error(run(good_doc(rounded)),
+                          "inconsistent with events/wall_s")
+
     def test_threads_shards_must_agree(self):
         doc = good_doc(good_case(threads=4, shards=0))
         self.assert_error(run(doc), "disagree about the engine")

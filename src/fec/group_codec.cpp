@@ -126,7 +126,7 @@ bool GroupDecoder::add(int index, const ShardBuffer& bytes) {
   // A displaced index is released unconditionally, so a decoder that held
   // some shards' bytes and not others' would drop another holder's key.
   assert(st.held == 0 || (bytes != nullptr) == (bytes_of(0) != nullptr));
-  st.seen.set(static_cast<std::size_t>(index));
+  seen()[index >> 3] |= static_cast<std::uint8_t>(1u << (index & 7));  // sharq-lint: unchecked-shift-ok (index & 7 < 8)
   ++st.distinct;
   const bool original = index < k();
   if (original) ++st.distinct_data;
@@ -157,6 +157,57 @@ ShardBuffer GroupDecoder::held(int index) const {
     return b ? *b : nullptr;
   }
   return nullptr;
+}
+
+bool GroupDecoder::holds_parity() const {
+  for (int i = 0; i < state_->held; ++i) {
+    if (index_[i] >= k()) return true;
+  }
+  return false;
+}
+
+void GroupDecoder::hold_originals() {
+  if (!complete() || !holds_parity()) return;
+  const int n = k();
+  std::vector<bool> have(static_cast<std::size_t>(n), false);
+  for (int i = 0; i < n; ++i) {
+    if (index_[i] < n) have[index_[i]] = true;
+  }
+  // With real bytes, the missing originals the lane does not hold yet are
+  // decoded from the held shards, before any parity hold is released.
+  const bool real = bytes_of(0) != nullptr;
+  std::vector<ShardBuffer> decoded(static_cast<std::size_t>(n));
+  if (real) {
+    const std::size_t size = (*bytes_of(0))->size();
+    std::vector<std::uint8_t*> dst(static_cast<std::size_t>(n), nullptr);
+    bool lacking = false;
+    for (int d = 0; d < n; ++d) {
+      if (have[d] || store_->find(group_, d) != nullptr) continue;
+      auto out = std::make_shared<std::vector<std::uint8_t>>(size);
+      dst[d] = out->data();
+      decoded[d] = std::move(out);
+      lacking = true;
+    }
+    if (lacking) {
+      std::vector<ReedSolomon::ShardView> views;
+      views.reserve(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        views.push_back({index_[i], (*bytes_of(i))->data()});
+      }
+      if (!codec_->decode(views, size, dst.data())) return;
+    }
+  }
+  int next = 0;  // lowest original not held
+  for (int i = 0; i < n; ++i) {
+    const int parity = index_[i];
+    if (parity < n) continue;
+    while (have[next]) ++next;
+    have[next] = true;
+    index_[i] = static_cast<std::uint8_t>(next);
+    if (!real) continue;
+    store_->hold(group_, next, decoded[next]);  // the lane's, if it has one
+    store_->release(group_, parity);
+  }
 }
 
 std::vector<IndexedShard> GroupDecoder::held_shards() const {

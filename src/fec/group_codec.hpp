@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -146,39 +145,49 @@ class GroupEncoder {
   std::vector<IndexedShard> encoded_;              // in request order
 };
 
-/// The fixed-size half of one group's decoder: which indices arrived and
-/// how many shards are held. The held indices sit in a caller-owned array
-/// of k bytes (see GroupDecoder), so an owner keeping many groups can pack
-/// them at stride k with no per-group heap allocation.
+/// The fixed-size half of one group's decoder: how many indices arrived
+/// and how many shards are held. Which indices arrived and which are held
+/// sit in a caller-owned block (see GroupDecoder::block_bytes), so an owner
+/// keeping many groups can pack them at one stride with no per-group heap
+/// allocation.
 struct DecoderState {
-  std::bitset<256> seen;           ///< every index received (max_shards <= 255)
   std::uint8_t distinct = 0;       ///< distinct indices received
   std::uint8_t distinct_data = 0;  ///< of those, originals
   std::uint8_t held = 0;           ///< index slots in use, <= k
 };
 
 /// Receiver-side view of one FEC packet group, over storage its owner keeps:
-/// a DecoderState, k index slots and the lane's ShardStore.
+/// a DecoderState, a block of k index slots and one bit per shard index,
+/// and the lane's ShardStore.
 ///
 /// Accumulates shards (data or parity, in any order, duplicates ignored)
 /// and reports completion once any k distinct shards have arrived. It
 /// records every index it has seen but holds at most k shards: every
-/// original, then the earliest-arriving parity. That is exactly the set
-/// ReedSolomon::decode would pick from everything received, so a later
-/// parity shard adds nothing a decode would use, and once k are held an
-/// arriving original displaces the latest-arriving parity. The decoder
-/// keeps only the held indices; their bytes are holds in the lane store,
-/// under (group, index). Decoding is deferred until requested. A view is
-/// five words; build one where it is used.
+/// original, then the earliest-arriving parity, exactly what decode would
+/// pick (ReedSolomon::decode over everything received), until the group
+/// settles (hold_originals). So a later parity shard adds nothing a decode
+/// would use, and once k are held an arriving original displaces the
+/// latest-arriving parity. The decoder keeps only the held indices; their
+/// bytes are holds in the lane store, under (group, index). Decoding is
+/// deferred until requested. A view is five words; build one where it is
+/// used.
 class GroupDecoder {
  public:
-  /// `index` points at codec.k() slots; the view never reads or writes past
-  /// them. The codec, the storage and the store must outlive it.
+  /// Bytes of one decoder's block: k held-index slots, then one bit per
+  /// shard index (max_shards <= 255), all zero in a fresh decoder.
+  static std::size_t block_bytes(const ReedSolomon& codec) {
+    return static_cast<std::size_t>(codec.k()) +
+           (static_cast<std::size_t>(codec.max_shards()) + 7) / 8;
+  }
+
+  /// `block` points at block_bytes(codec) bytes; the view never reads or
+  /// writes past them. The codec, the storage and the store must outlive
+  /// it.
   GroupDecoder(const ReedSolomon& codec, DecoderState& state,
-               std::uint8_t* index, ShardStore& store, std::uint32_t group)
+               std::uint8_t* block, ShardStore& store, std::uint32_t group)
       : codec_(&codec),
         state_(&state),
-        index_(index),
+        index_(block),
         store_(&store),
         group_(group) {}
 
@@ -206,7 +215,7 @@ class GroupDecoder {
   /// True if shard `index` has been received (held or not).
   bool has(int index) const {
     return index >= 0 && index < codec_->max_shards() &&
-           state_->seen.test(static_cast<std::size_t>(index));
+           (seen()[index >> 3] >> (index & 7) & 1) != 0;
   }
 
   /// The buffer held for shard `index`, resolved through the store; null
@@ -215,6 +224,19 @@ class GroupDecoder {
 
   /// Number of shards held, at most k.
   int held_count() const { return state_->held; }
+
+  /// True if a parity shard is among those held.
+  bool holds_parity() const;
+
+  /// Settle a complete group onto its k originals: each held parity index
+  /// is replaced by the lowest original not yet held, and its store hold by
+  /// one on that original, the lane's buffer when the store has one, else
+  /// bytes decoded here (one decode for all the originals the lane lacks).
+  /// What was received (has, distinct, distinct_data) is unchanged, and a
+  /// later original finds no parity to displace, which leaves the state as
+  /// displacing one would. No-op unless complete; a size-only decoder only
+  /// renumbers its slots.
+  void hold_originals();
 
   /// The shards held, in no particular order, with their buffers from the
   /// store: once complete(), exactly k, a basis for a GroupEncoder.
@@ -228,10 +250,11 @@ class GroupDecoder {
   const ShardBuffer* bytes_of(int slot) const {
     return store_->find(group_, index_[slot]);
   }
+  std::uint8_t* seen() const { return index_ + codec_->k(); }
 
   const ReedSolomon* codec_;
   DecoderState* state_;
-  std::uint8_t* index_;   // k slots, [0, held) in use
+  std::uint8_t* index_;   // k slots ([0, held) in use), then the seen bits
   ShardStore* store_;
   std::uint32_t group_;
 };

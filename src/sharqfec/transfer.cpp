@@ -47,6 +47,7 @@ TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
       rng_(net.simulator_for(node).rng().fork()),
       codec_(std::move(codec)),
       store_(&store),
+      dec_block_(fec::GroupDecoder::block_bytes(*codec_)),
       pacer_(cfg_->budget.repair_rate_per_s) {
   zlc_pred_.assign(session_.chain().size(), 0.0);
   cov_pred_.assign(session_.chain().size(), 0.0);
@@ -130,7 +131,7 @@ void TransferEngine::note_parity_seen(std::uint32_t g, int index) {
   const int level = std::min((index - cfg_->group_size) / slice_width(),
                              hier_.depth() - 1);
   SliceLevel& sl = slice_lv(g)[level];
-  sl.next = std::max(sl.next, index + 1);
+  sl.next = static_cast<std::int16_t>(std::max<int>(sl.next, index + 1));
 }
 
 int TransferEngine::next_parity_index(std::uint32_t g, net::ZoneId zone) {
@@ -144,7 +145,13 @@ int TransferEngine::next_parity_index(std::uint32_t g, net::ZoneId zone) {
   // livelocks the NACK/repair exchange (found by the chaos soak).
   const int span = hi - lo;
   const int idx = raw < hi ? raw : (span > 0 ? lo + (raw - lo) % span : hi - 1);
-  slice_lv(g)[level].next = raw + 1;
+  // Once the cursor is past max_shards, no shard heard (note_parity_seen)
+  // can raise it, and stepping it back a whole span emits the same index:
+  // so it stays in [max_shards, max_shards + span) and fits its 16 bits.
+  const int step = std::max(span, 1);
+  int next = raw + 1;
+  if (next >= codec_->max_shards() + step) next -= step;
+  slice_lv(g)[level].next = static_cast<std::int16_t>(next);
   return idx;
 }
 
@@ -158,9 +165,9 @@ void TransferEngine::ensure_group(std::uint32_t g) {
   }
   if (g >= records_.size()) {
     const std::size_t n = static_cast<std::size_t>(g) + 1;
-    const auto k = static_cast<std::size_t>(codec_->k());
     records_.resize(n);
-    held_index_.resize(n * k);
+    dec_blocks_.resize(n * dec_block_);
+    if (journal_) anchors_.resize(n);
     chain_arena_.resize(n * chain_levels_);
     slice_arena_.resize(n * slice_levels_);
   }
@@ -206,6 +213,17 @@ void TransferEngine::maybe_settle(std::uint32_t g) {
     return;
   }
   drop_encoder(g, l);
+  // What a delivered group can still be asked for is repair parity, which
+  // any k shards give alike (the code is MDS): the decoder moves onto the
+  // k originals, the ones its lane holds or, where it lacks one, decoded
+  // here once, and the parity it held is released.
+  fec::GroupDecoder dec = decoder_of(g);
+  if (cfg_->real_payload && dec.holds_parity()) {
+    SHARQ_PROF_SCOPE(codec);
+    dec.hold_originals();
+  } else {
+    dec.hold_originals();  // size-only, it renumbers the held slots
+  }
   static_cast<LiveState&>(l) = LiveState{};
   free_slots_.push_back(r.slot);
   r.slot = kNoSlot;
@@ -236,12 +254,14 @@ void TransferEngine::memory_census(stats::MemCensus& census) const {
       stats::vector_block_bytes(cov_pred_);
   census.add("agent_objects", self, self);
 
-  // Per-group storage: records, held indices and level arenas only grow,
-  // so live == retained here; plus the live-state pool and its encoders'
-  // own arrays (the buffers they share live in the lane store).
+  // Per-group storage: records, decoder blocks, span anchors and level
+  // arenas only grow, so live == retained here; plus the live-state pool
+  // and its encoders' own arrays (the buffers they share live in the lane
+  // store).
   std::uint64_t grp_bytes =
       stats::vector_block_bytes(records_) +
-      stats::vector_block_bytes(held_index_) +
+      stats::vector_block_bytes(dec_blocks_) +
+      stats::vector_block_bytes(anchors_) +
       stats::vector_block_bytes(chain_arena_) +
       stats::vector_block_bytes(slice_arena_) +
       stats::vector_block_bytes(slots_) +
@@ -540,7 +560,7 @@ void TransferEngine::note_remote_progress(std::uint32_t remote_max_group) {
         if (!rec(g).ldp_done) finish_ldp(g, "timer");
       });
       if (journal_ && lv.ldp_armed_ev == 0) {
-        lv.ldp_armed_ev = jnl("ldp.armed", g, rec(g).root_ev, {{"eta", grace}});
+        lv.ldp_armed_ev = jnl("ldp.armed", g, span_root(g), {{"eta", grace}});
       }
     }
   }
@@ -590,7 +610,8 @@ void TransferEngine::on_data(const DataMsg& msg, net::TrafficClass) {
     if (journal_) {
       // Span root: data sends are not journaled (volume), so the first
       // arrival starts this {node, group} recovery lifecycle from nothing.
-      r.root_ev = jnl("group.first_arrival", g, 0, {{"index", msg.index}});
+      anchors_[g].root =
+          jnl("group.first_arrival", g, 0, {{"index", msg.index}});
     }
   }
   note_initial_progress(g, msg.index);
@@ -609,7 +630,7 @@ void TransferEngine::on_data(const DataMsg& msg, net::TrafficClass) {
   // Journaled once per group (the timer re-arms on every packet; a line
   // per packet would drown the journal in the common no-loss case).
   if (journal_ && l.ldp_armed_ev == 0) {
-    l.ldp_armed_ev = jnl("ldp.armed", g, rec(g).root_ev, {{"eta", eta}});
+    l.ldp_armed_ev = jnl("ldp.armed", g, span_root(g), {{"eta", eta}});
   }
 }
 
@@ -628,7 +649,7 @@ void TransferEngine::note_initial_progress(std::uint32_t g, int index) {
   if (newly_missing_originals > 0) {
     // An index jump is observed on a data arrival, so the span root (the
     // group's first arrival) is the closest recorded trigger.
-    raise_llc(g, newly_missing_originals, r.root_ev);
+    raise_llc(g, newly_missing_originals, span_root(g));
   }
 }
 
@@ -637,8 +658,8 @@ void TransferEngine::raise_llc(std::uint32_t g, int newly_missing,
   Record& r = rec(g);
   r.llc = static_cast<std::int16_t>(r.llc + newly_missing);
   if (journal_) {
-    r.last_loss_ev =
-        jnl("loss.detected", g, cause ? cause : r.root_ev,
+    anchors_[g].last_loss =
+        jnl("loss.detected", g, cause ? cause : span_root(g),
             {{"llc", r.llc}, {"newly_missing", newly_missing}});
   }
   maybe_request(g);
@@ -660,7 +681,7 @@ void TransferEngine::finish_ldp(std::uint32_t g, const char* via) {
   r.max_id_seen = std::max<std::int16_t>(r.max_id_seen, r.last_initial_seen);
   if (journal_) {
     l.ldp_fired_ev =
-        jnl("ldp.fired", g, l.ldp_armed_ev ? l.ldp_armed_ev : r.root_ev,
+        jnl("ldp.fired", g, l.ldp_armed_ev ? l.ldp_armed_ev : span_root(g),
             {{"missing", missing_originals}, {"via", via}});
   }
   if (missing_originals > 0) {
@@ -844,7 +865,7 @@ void TransferEngine::fire_request(std::uint32_t g) {
   }
   ChainLevel& lv = chain_lv(g)[level];
   lv.nacked = true;
-  lv.zlc = std::max<std::int32_t>(lv.zlc, r.llc);
+  lv.zlc = std::max(lv.zlc, r.llc);
 
   // Escalate to the parent scope after the configured number of attempts;
   // a fresh scope starts with a fresh backoff stage (the paper resets i on
@@ -903,7 +924,7 @@ void TransferEngine::on_nack(const NackMsg& msg) {
   Record& r = rec(g);
   ChainLevel& lv = chain_lv(g)[level];
   const bool increased = msg.llc > lv.zlc;
-  lv.zlc = std::max<std::int32_t>(lv.zlc, msg.llc);
+  lv.zlc = static_cast<std::int16_t>(std::max<int>(lv.zlc, msg.llc));
 
   // The NACK's max-id may reveal shards we never saw (paper LDP rule 7).
   if (msg.max_id_seen > r.max_id_seen) {
@@ -944,7 +965,7 @@ void TransferEngine::on_nack(const NackMsg& msg) {
   // Repairer bookkeeping: speculative repair queue for that zone. New
   // NACKs raise the queue to the worst outstanding deficit; increases do
   // not reset a pending reply timer (paper LDP rule 8).
-  std::int32_t want = std::max<std::int32_t>(lv.pending, msg.needed);
+  int want = std::max<int>(lv.pending, msg.needed);
   const std::int32_t qcap = cfg_->budget.repair_queue_depth;
   if (qcap > 0 && want > qcap) {
     // Queue budget: coalesce the deficit down to the cap. The capped
@@ -961,7 +982,7 @@ void TransferEngine::on_nack(const NackMsg& msg) {
            {"queued", qcap}});
     }
   }
-  lv.pending = want;
+  lv.pending = static_cast<std::uint8_t>(want);
   if (lv.pending > pending_high_water_) pending_high_water_ = lv.pending;
   if (m_pending_hw_) m_pending_hw_->set_max(static_cast<double>(lv.pending));
   if (!eligible_repairer(g)) return;
@@ -1045,7 +1066,7 @@ void TransferEngine::fire_reply(std::uint32_t g) {
   // Re-fetch the stride: send_one_repair can complete the group, and the
   // completion callback may create groups (arena growth moves the data).
   ChainLevel* lv = chain_lv(g);
-  lv[level].pending = std::max<std::int32_t>(0, lv[level].pending - 1);
+  if (lv[level].pending > 0) --lv[level].pending;
   if (any_pending(g)) {
     if (is_source_ || session_.is_zcr(session_.chain()[level])) {
       // Dedicated repairers pace the rest of the burst at half the data
@@ -1199,7 +1220,7 @@ void TransferEngine::on_repair(const RepairMsg& msg) {
   if (level >= 0) {
     ChainLevel* lv = chain_lv(g);
     for (int l = 0; l <= level; ++l) {
-      lv[l].pending = std::max<std::int32_t>(0, lv[l].pending - 1);
+      if (lv[l].pending > 0) --lv[l].pending;
     }
     Live* l = live_if(g);
     if (l && l->reply_timer.pending() && !any_pending(g)) {

@@ -163,9 +163,11 @@ class TransferEngine {
   /// Per chain-level state, indexed like the session manager's chain.
   /// Packed in the engine's `chain_arena_` (one stride per group) so a
   /// mostly-idle group carries no per-level heap allocations.
+  /// Counts fit in narrow fields: every count a NACK carries is
+  /// validated <= max_shards <= 255.
   struct ChainLevel {
-    std::int32_t zlc = 0;      ///< highest loss count heard for this zone
-    std::int32_t pending = 0;  ///< speculative repair queue size
+    std::int16_t zlc = 0;      ///< highest loss count heard for this zone
+    std::uint8_t pending = 0;  ///< speculative repair queue size
     bool nacked = false;       ///< we announced our LLC at this level
     bool injected = false;     ///< preemptive injection done at this level
   };
@@ -175,8 +177,10 @@ class TransferEngine {
   /// same shard; within a slice, repairs heard advance the cursor (the
   /// paper's max-identifier announcements).
   struct SliceLevel {
-    std::int32_t next = 0;  ///< next parity index to emit in this slice
-    std::int32_t seen = 0;  ///< repair shards heard that originated here
+    /// Next parity index to emit in this slice, kept below max_shards plus
+    /// the slice width (see next_parity_index).
+    std::int16_t next = 0;
+    std::int16_t seen = 0;  ///< repair shards heard that originated here
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -184,25 +188,31 @@ class TransferEngine {
   /// What a tracked group keeps for as long as the engine lives: what
   /// later data, repair and NACK handling can still ask of a delivered
   /// group. One per group id in `records_` (dense, untracked ids in gaps);
-  /// the group's k held shard indices sit at stride k in `held_index_`
-  /// (their bytes in the lane store), its level state in the two arenas.
+  /// the group's decoder block (k held shard indices, their bytes in the
+  /// lane store, then the bits of the indices seen) sits at a fixed stride
+  /// in `dec_blocks_`, its level state in the two arenas.
   struct Record {
-    fec::DecoderState dec;
-    // Span anchors later events of a delivered group can still cite
-    // (journal only; both 0 when the journal is detached).
-    stats::EventId root_ev = 0;       ///< group.first_arrival (span root)
-    stats::EventId last_loss_ev = 0;  ///< latest loss.detected
     std::uint32_t slot = kNoSlot;     ///< live state in slots_, if held
     std::int16_t last_initial_seen = -1;  ///< highest initial-tranche index
     std::int16_t max_id_seen = -1;    ///< highest shard id seen or announced
     std::int16_t llc = 0;             ///< local loss count (missing originals)
+    fec::DecoderState dec;
     std::uint8_t initial_shards = 0;  ///< k + h announced by the source
-    bool tracked = false;
-    bool ldp_done = false;
-    bool complete = false;
-    bool measured = false;
-    bool arrived = false;  ///< a data shard of the group has arrived
+    bool tracked : 1 = false;
+    bool ldp_done : 1 = false;
+    bool complete : 1 = false;
+    bool measured : 1 = false;
+    bool arrived : 1 = false;  ///< a data shard of the group has arrived
   };
+  /// Span anchors later events of a delivered group can still cite, one
+  /// per group id in `anchors_` (journal attached only).
+  struct SpanAnchors {
+    stats::EventId root = 0;       ///< group.first_arrival (span root)
+    stats::EventId last_loss = 0;  ///< latest loss.detected
+  };
+  static_assert(sizeof(Record) <= 16 && sizeof(ChainLevel) <= 6 &&
+                    sizeof(SliceLevel) <= 4,
+                "per-group state is sized for streams of thousands of groups");
 
   /// The resettable part of a group's live state: request backoff and
   /// scope, journal anchors, the repair encoder.
@@ -218,7 +228,7 @@ class TransferEngine {
     // the most recent event of each kind, used as the `cause` of whatever
     // it triggers next (docs/OBSERVABILITY.md). Once a group has settled
     // none of these is read before it is rewritten; the two anchors that
-    // can be (span root, latest loss) live in the Record.
+    // can be (span root, latest loss) live in `anchors_`.
     stats::EventId ldp_armed_ev = 0;
     stats::EventId ldp_fired_ev = 0;
     stats::EventId last_nack_ev = 0;  ///< our own nack.sent
@@ -277,9 +287,8 @@ class TransferEngine {
   /// end of each entry point, never while a caller still uses the slot.
   void maybe_settle(std::uint32_t g);
   fec::GroupDecoder decoder_of(std::uint32_t g) {
-    const std::size_t at = static_cast<std::size_t>(g) * codec_->k();
     return fec::GroupDecoder(*codec_, records_[g].dec,
-                             held_index_.data() + at, *store_, g);
+                             dec_blocks_.data() + g * dec_block_, *store_, g);
   }
   /// Release the lane-store holds of `l`'s encoder and drop it.
   void drop_encoder(std::uint32_t g, LiveState& l);
@@ -346,11 +355,16 @@ class TransferEngine {
   /// run never constructs the Attrs map.
   stats::EventId jnl(const char* ev, std::uint32_t group, stats::EventId cause,
                      const stats::Attrs& attrs = {});
+  /// Group `g`'s span root (0 when the journal is detached).
+  stats::EventId span_root(std::uint32_t g) const {
+    return journal_ ? anchors_[g].root : 0;
+  }
   /// Default cause for span-internal events: the latest loss, else the
   /// span root (0 when neither was journaled).
   stats::EventId span_cause(std::uint32_t g) const {
-    const Record& r = records_[g];
-    return r.last_loss_ev ? r.last_loss_ev : r.root_ev;
+    if (!journal_) return 0;
+    const SpanAnchors& a = anchors_[g];
+    return a.last_loss ? a.last_loss : a.root;
   }
 
   net::Network& net_;
@@ -372,10 +386,13 @@ class TransferEngine {
 
   // Per-group storage indexed by group id, grown by ensure_group and never
   // shrunk (a delivered group can still be asked for its shards): the
-  // records, the held shard indices at stride k, and the per-level arenas
-  // (SoA, one fixed-size stride per group, sized on first use).
+  // records, the decoder blocks, the span anchors (journal only) and the
+  // per-level arenas (SoA, one fixed-size stride per group, sized on first
+  // use).
   std::vector<Record> records_;
-  std::vector<std::uint8_t> held_index_;
+  std::size_t dec_block_;  ///< GroupDecoder::block_bytes of the codec
+  std::vector<std::uint8_t> dec_blocks_;
+  std::vector<SpanAnchors> anchors_;
   std::vector<ChainLevel> chain_arena_;
   std::vector<SliceLevel> slice_arena_;
   std::size_t chain_levels_ = 0;  ///< session chain length (arena stride)

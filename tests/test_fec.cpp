@@ -324,11 +324,13 @@ std::vector<std::uint8_t> concat(
   return out;
 }
 
-// One decoder's storage, laid out as an engine keeps it (state, then k
-// index slots) over a lane's shard store; `dec` views it as group 0.
+// One decoder's storage, laid out as an engine keeps it (state, then a
+// block of k index slots and the seen bits) over a lane's shard store;
+// `dec` views it as group 0.
 struct DecoderStore {
   explicit DecoderStore(const ReedSolomon& codec)
-      : index(codec.k()), dec(codec, state, index.data(), shards, 0) {}
+      : index(GroupDecoder::block_bytes(codec)),
+        dec(codec, state, index.data(), shards, 0) {}
   DecoderStore(const DecoderStore&) = delete;
   DecoderStore& operator=(const DecoderStore&) = delete;
   DecoderState state;
@@ -453,7 +455,8 @@ TEST(ShardStore, DecodersShareAndDisplacedParityIsReleased) {
       std::make_shared<const std::vector<std::uint8_t>>(*p2);
   ShardStore shards;
   DecoderState sa, sb;
-  std::vector<std::uint8_t> ia(2), ib(2);
+  std::vector<std::uint8_t> ia(GroupDecoder::block_bytes(*codec));
+  std::vector<std::uint8_t> ib(ia.size());
   GroupDecoder a(*codec, sa, ia.data(), shards, 0);
   GroupDecoder b(*codec, sb, ib.data(), shards, 0);
   a.add(2, p2);

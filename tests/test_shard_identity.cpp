@@ -181,6 +181,10 @@ struct PayloadRun {
   std::uint64_t events = 0;
   std::size_t lanes = 0;       // shard stores in the session
   std::size_t store_keys = 0;  // (lane, group, index) keys checked
+  // Originals a lane holds in a buffer other than the source's: decoded
+  // when a group settled in a lane that lacked them. The message carrying
+  // an original shares the source's buffer into every lane it reaches.
+  std::size_t lane_decoded = 0;
 };
 
 PayloadRun run_real_payload(int workers,
@@ -255,6 +259,15 @@ PayloadRun run_real_payload(int workers,
   }
   testing::LaneStoreCheck lane_stores(kGroups, payload, cfg);
   out.store_keys = lane_stores(session);
+  const fec::ShardStore& at_source = session.source_agent().transfer().store();
+  for (const fec::ShardStore& lane : session.stores()) {
+    for (std::uint32_t g = 0; g < kGroups; ++g) {
+      for (int d = 0; d < cfg.group_size; ++d) {
+        const fec::ShardBuffer* held = lane.find(g, d);
+        out.lane_decoded += held && *held != *at_source.find(g, d) ? 1 : 0;
+      }
+    }
+  }
   return out;
 }
 
@@ -294,6 +307,24 @@ TEST(ShardIdentity, RealPayloadBytesIdenticalAcrossWorkers) {
     EXPECT_TRUE(one.decoded == many.decoded) << "workers=" << workers;
     EXPECT_EQ(one.store_keys, many.store_keys) << "workers=" << workers;
   }
+}
+
+// Where every member of a lane lost one original, the lane's store lacks it
+// when those members' group settles: the first to settle decodes it once
+// from the shards it holds, and the rest hold that buffer. LaneStoreCheck,
+// inside the run, checks the decoded bytes are the source's and that the
+// lane store holds one buffer per key its holders refer to; the run is the
+// same at 1 and 4 workers.
+TEST(ShardIdentity, LaneLackingAnOriginalDecodesItAtSettle) {
+  const std::vector<std::uint8_t> payload = test_payload();
+  const PayloadRun one = run_real_payload(1, payload);
+  expect_payload_decoded(one, payload);
+  EXPECT_GT(one.lane_decoded, 0u) << "no lane lacked an original at settle";
+  const PayloadRun four = run_real_payload(4, payload);
+  expect_payload_decoded(four, payload);
+  EXPECT_EQ(four.lane_decoded, one.lane_decoded);
+  EXPECT_EQ(four.events, one.events);
+  EXPECT_EQ(four.store_keys, one.store_keys);
 }
 
 // A receiver crashes mid-stream and rejoins as a fresh agent: it recovers

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -428,11 +429,12 @@ TEST(TransferUnit, RealPayloadSurvivesHeavyLoss) {
   }
 }
 
-// A lossy real-payload Figure-10 stream: every receiver's decoder resolves
-// each original it holds to the very buffer the source sent, not a copy;
-// the run's one lane store keeps one buffer per (group, index) and nothing
-// no holder refers to; and every index any decoder holds (parity included)
-// resolves to the source encoder's bytes.
+// A lossy real-payload Figure-10 stream: receivers that lost originals
+// decode from parity at completion, and once their groups have settled
+// every receiver's decoder holds the k originals, each resolved to the very
+// buffer the source sent, not a copy; the run's one lane store keeps one
+// buffer per (group, index) and nothing no holder refers to, which is then
+// exactly the payload's shards.
 TEST(TransferUnit, RealPayloadReceiversHoldTheSourcesBuffers) {
   sim::Simulator simu{29};
   net::Network net{simu};
@@ -448,25 +450,40 @@ TEST(TransferUnit, RealPayloadReceiversHoldTheSourcesBuffers) {
   for (std::size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<std::uint8_t>(i * 13 + (i >> 8));
   }
+  // Parity held at completion is what the completion decode used.
+  int parity = 0;
+  for (net::NodeId r : t.receivers) {
+    TransferEngine& rx = s.agent_for(r).transfer();
+    rx.set_completion_callback([&, r, rx = &rx](std::uint32_t g) {
+      for (const fec::IndexedShard& h : rx->decoder(g)->held_shards()) {
+        parity += h.index >= cfg.group_size ? 1 : 0;
+      }
+      const auto bytes = rx->reconstructed(g);
+      EXPECT_TRUE(bytes.size() == group_bytes &&
+                  std::equal(bytes.begin(), bytes.end(),
+                             payload.begin() + g * group_bytes))
+          << "receiver " << r << " group " << g << " at completion";
+    });
+  }
   s.send_stream(kGroups, 6.0, payload);
   simu.run_until(60.0);
   ASSERT_TRUE(s.all_complete(kGroups));
+  EXPECT_GT(parity, 0) << "no receiver decoded from parity";
 
   ASSERT_EQ(s.stores().size(), 1u) << "a serial run has one lane";
   const TransferEngine& source = s.source_agent().transfer();
-  int shared = 0, parity = 0;
+  std::size_t shared = 0;
   for (net::NodeId r : t.receivers) {
     const TransferEngine& rx = s.agent_for(r).transfer();
     EXPECT_EQ(&rx.store(), &s.stores().front()) << "receiver " << r;
+    EXPECT_EQ(rx.live_group_count(), 0u) << "receiver " << r;
     for (std::uint32_t g = 0; g < kGroups; ++g) {
       const auto dec = rx.decoder(g);
       ASSERT_TRUE(dec.has_value()) << "receiver " << r << " group " << g;
       for (const fec::IndexedShard& h : dec->held_shards()) {
+        ASSERT_LT(h.index, cfg.group_size)
+            << "receiver " << r << " group " << g << " holds parity";
         ASSERT_NE(h.bytes, nullptr) << "receiver " << r << " group " << g;
-        if (h.index >= cfg.group_size) {
-          ++parity;
-          continue;
-        }
         EXPECT_EQ(h.bytes, source.decoder(g)->held(h.index))
             << "receiver " << r << " group " << g << " shard " << h.index;
         ++shared;
@@ -478,10 +495,143 @@ TEST(TransferUnit, RealPayloadReceiversHoldTheSourcesBuffers) {
           << "receiver " << r << " group " << g;
     }
   }
-  EXPECT_GT(shared, 0);
-  EXPECT_GT(parity, 0) << "no receiver decoded from parity";
+  EXPECT_EQ(shared, t.receivers.size() * kGroups * cfg.group_size);
   testing::LaneStoreCheck lane_stores(kGroups, payload, cfg);
-  EXPECT_GT(lane_stores(s), kGroups * static_cast<std::size_t>(cfg.group_size));
+  EXPECT_EQ(lane_stores(s), kGroups * static_cast<std::size_t>(cfg.group_size));
+}
+
+// A delivered group settles onto its k originals. On a lossy real-payload
+// Figure-10 stream, once every group is idle each receiver's decoder holds
+// exactly indices 0..k-1, each the very buffer the source sent, and still
+// reconstructs the payload. What was received is unchanged, so a late
+// original finds no parity to displace and leaves the decoder's state as
+// displacing one would: through the engine, and byte for byte against a
+// decoder that never settled.
+TEST(TransferUnit, SettledDecoderHoldsTheOriginals) {
+  sim::Simulator simu{43};
+  net::Network net{simu};
+  topo::Figure10 t = topo::make_figure10(net);
+  Config cfg;
+  cfg.real_payload = true;
+  Session s(net, t.source, t.receivers, cfg);
+  s.start();
+  constexpr std::uint32_t kGroups = 6;
+  const int k = cfg.group_size;
+  const std::size_t group_bytes =
+      static_cast<std::size_t>(k) * cfg.shard_size_bytes;
+  std::vector<std::uint8_t> payload(kGroups * group_bytes);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 17 + (i >> 10));
+  }
+  int from_parity = 0;  // completions whose decoder held parity
+  for (net::NodeId r : t.receivers) {
+    TransferEngine& rx = s.agent_for(r).transfer();
+    rx.set_completion_callback([&, rx = &rx](std::uint32_t g) {
+      from_parity += rx->decoder(g)->distinct_data() < k ? 1 : 0;
+    });
+  }
+  s.send_stream(kGroups, 6.0, payload);
+  simu.run_until(90.0);
+  ASSERT_TRUE(s.all_complete(kGroups));
+  ASSERT_GT(from_parity, 0) << "no receiver decoded from parity";
+
+  const TransferEngine& source = s.source_agent().transfer();
+  TransferEngine* late_rx = nullptr;  // a receiver that never got original
+  std::uint32_t late_g = 0;           // `late_d` of group `late_g`
+  int late_d = -1;
+  for (net::NodeId r : t.receivers) {
+    TransferEngine& rx = s.agent_for(r).transfer();
+    ASSERT_EQ(rx.live_group_count(), 0u) << "receiver " << r;
+    for (std::uint32_t g = 0; g < kGroups; ++g) {
+      const auto dec = rx.decoder(g);
+      std::vector<fec::IndexedShard> held = dec->held_shards();
+      std::sort(held.begin(), held.end(), [](const auto& a, const auto& b) {
+        return a.index < b.index;
+      });
+      ASSERT_EQ(held.size(), static_cast<std::size_t>(k));
+      for (int d = 0; d < k; ++d) {
+        ASSERT_EQ(held[d].index, d) << "receiver " << r << " group " << g;
+        EXPECT_EQ(held[d].bytes, source.decoder(g)->held(d))
+            << "receiver " << r << " group " << g << " original " << d;
+        if (!late_rx && !dec->has(d)) {
+          late_rx = &rx;
+          late_g = g;
+          late_d = d;
+        }
+      }
+      const auto bytes = rx.reconstructed(g);
+      EXPECT_TRUE(bytes.size() == group_bytes &&
+                  std::equal(bytes.begin(), bytes.end(),
+                             payload.begin() + g * group_bytes))
+          << "receiver " << r << " group " << g;
+    }
+  }
+  ASSERT_NE(late_rx, nullptr) << "every receiver got every original";
+
+  // The late original through the engine: received, held nowhere new.
+  const auto before = late_rx->decoder(late_g);
+  const int distinct = before->distinct();
+  const int distinct_data = before->distinct_data();
+  const std::size_t stored = late_rx->store().size();
+  auto data = std::make_shared<DataMsg>();
+  data->group = late_g;
+  data->index = late_d;
+  data->k = k;
+  data->initial_shards = k;
+  data->bytes = source.decoder(late_g)->held(late_d);
+  net::Packet p;
+  p.uid = 1ull << 60;  // far from any uid the network issued
+  p.origin = t.source;
+  p.cls = net::TrafficClass::kData;
+  p.msg = data;
+  ASSERT_TRUE(late_rx->handle(p));
+  const auto after = late_rx->decoder(late_g);
+  EXPECT_TRUE(after->has(late_d));
+  EXPECT_EQ(after->distinct(), distinct + 1);
+  EXPECT_EQ(after->distinct_data(), distinct_data + 1);
+  EXPECT_EQ(after->held_count(), k);
+  EXPECT_EQ(after->held(late_d), data->bytes);
+  EXPECT_EQ(late_rx->store().size(), stored);
+  EXPECT_EQ(late_rx->live_group_count(), 0u);
+
+  // The same late original against a decoder that never settled: both
+  // received originals 2..k-1 and parity k, k+1, then k+2.
+  const auto codec = std::make_shared<const fec::ReedSolomon>(k, cfg.max_parity);
+  std::vector<fec::ShardBuffer> originals;
+  for (int d = 0; d < k; ++d) {
+    originals.push_back(source.decoder(late_g)->held(d));
+  }
+  fec::GroupEncoder shards(codec, originals);
+  struct Storage {
+    fec::DecoderState state;
+    std::vector<std::uint8_t> block;
+    fec::ShardStore shards;
+  };
+  Storage settled{{}, std::vector<std::uint8_t>(
+                          fec::GroupDecoder::block_bytes(*codec)), {}};
+  Storage displacing{{}, settled.block, {}};
+  fec::GroupDecoder a(*codec, settled.state, settled.block.data(),
+                      settled.shards, late_g);
+  fec::GroupDecoder b(*codec, displacing.state, displacing.block.data(),
+                      displacing.shards, late_g);
+  for (int index = 2; index < k + 3; ++index) {
+    a.add(index, shards.shard_shared(index));
+    b.add(index, shards.shard_shared(index));
+  }
+  a.hold_originals();
+  EXPECT_FALSE(a.holds_parity());
+  EXPECT_TRUE(b.holds_parity());
+  EXPECT_EQ(a.reconstruct(), b.reconstruct());
+  for (fec::GroupDecoder* dec : {&a, &b}) {
+    EXPECT_TRUE(dec->add(0, originals[0]));
+  }
+  EXPECT_EQ(std::memcmp(&settled.state, &displacing.state,
+                        sizeof(fec::DecoderState)),
+            0);
+  for (int index = 0; index < codec->max_shards(); ++index) {
+    EXPECT_EQ(a.has(index), b.has(index)) << "index " << index;
+  }
+  EXPECT_EQ(a.reconstruct(), b.reconstruct());
 }
 
 // The memory census counts a shard buffer once, at the engine that
@@ -531,7 +681,8 @@ TEST(TransferUnit, RealPayloadCensusCountsPayloadOnce) {
 // an engine encodes only an index its lane's store does not hold, so no
 // two engines ever hold encoded buffers for one (group, index) at once.
 // Encoders live only while their group does, so they are inspected every
-// 10 ms of the run.
+// 10 ms of the run. Once every group has settled, decoders hold only
+// originals, so the store ends holding the payload's shards and no parity.
 TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
   constexpr std::uint32_t kGroups = 6;
   Config cfg;
@@ -653,23 +804,25 @@ TEST(TransferUnit, RepairerCensusCountsOnlyTheParityItEncoded) {
   }
   EXPECT_LT(engine_extra, (live_encoders + 1) * one_buffer);
   // The session adds the lane store: every buffer it holds once (the
-  // payload, and each parity buffer still held by a decoder or encoder),
-  // plus its own arrays.
+  // payload; no parity is held once the groups have settled), plus its own
+  // arrays.
   const std::uint64_t shards = payload_bytes / cfg.shard_size_bytes;
-  ASSERT_GT(stored_keys, shards) << "no parity held at the end";
+  EXPECT_EQ(stored_keys, shards) << "a settled group still holds parity";
   EXPECT_EQ(real.session - sized.session,
             engine_extra + store_arrays + stored_keys * one_buffer);
 }
 
 // A long real-payload stream on a small lossy topology: every group is
 // delivered byte-exact, delivered groups settle so the live-state pool
-// stops growing once the stream is in steady state, and what a receiver
-// keeps per tracked group is its record, k held indices and its level
-// strides.
+// stops growing once the stream is in steady state, what a receiver keeps
+// per tracked group is its record, its decoder block (k held indices and
+// the seen bits) and its level strides, and the lane store ends holding
+// the originals alone.
 TEST(TransferUnit, LongStreamSettlesIntoFlatState) {
   struct Soak {
     std::size_t live_high_water = 0;  // largest pool of any receiver
     std::uint64_t per_group = 0;      // census per tracked group, largest
+    std::size_t stored = 0;           // keys in the lane store
   };
   auto run = [](std::uint32_t groups) {
     TwoZone f(0.04, 0.04);
@@ -708,6 +861,7 @@ TEST(TransferUnit, LongStreamSettlesIntoFlatState) {
       const std::uint64_t kept = census.categories["transfer_groups"].live_bytes;
       out.per_group = std::max<std::uint64_t>(out.per_group, kept / groups);
     }
+    out.stored = s.stores().front().size();
     return out;
   };
   const Soak short_run = run(500);
@@ -715,11 +869,16 @@ TEST(TransferUnit, LongStreamSettlesIntoFlatState) {
   EXPECT_GT(short_run.live_high_water, 0u);
   EXPECT_LT(short_run.live_high_water, 500u / 50);
   EXPECT_EQ(long_run.live_high_water, short_run.live_high_water);
-  // k = 16: a 72-B record, 16 held 1-B indices and two 2-level strides
-  // (24 + 16 B) make 128 B; vector capacity rounding and the live-state
-  // pool add a few bytes per group.
-  EXPECT_LE(long_run.per_group, 144u);
-  EXPECT_LE(short_run.per_group, 144u);
+  // k = 16, 144 shard indices: a 16-B record, a 34-B decoder block (16
+  // held 1-B indices and 18 B of seen bits) and two 2-level strides
+  // (12 + 8 B) make 70 B; vector capacity rounding (both runs' group
+  // counts sit just under a power of two) and the live-state pool add a
+  // few bytes per group.
+  EXPECT_LE(long_run.per_group, 76u);
+  EXPECT_LE(short_run.per_group, 76u);
+  const Config cfg;
+  EXPECT_EQ(short_run.stored, 500u * cfg.group_size);
+  EXPECT_EQ(long_run.stored, 2000u * cfg.group_size);
 }
 
 // A NACK for a group that has settled takes a slot again: a ZCR and a
@@ -833,9 +992,12 @@ TEST(TransferUnit, SettledGroupAnswersNackFromHeldShards) {
 }
 
 // Sibling zones at one level share a parity slice, so a repairer's next
-// index is often one its lane already holds (a member of a sibling zone
-// decoded with it). Asked for it, the repairer sends the lane's buffer and
-// encodes nothing.
+// index is often one its lane already holds: another member encoded it for
+// a repair of its own, or decoded with it. Asked for it, the repairer sends
+// the lane's buffer and encodes nothing. Settled groups hold no parity, so
+// a first repairer is asked first: it encodes the index, and since it still
+// owes a second repair its encoder stays live and holds the index while
+// the second repairer is asked.
 TEST(TransferUnit, RepairerSendsTheBufferItsLaneHolds) {
   sim::Simulator simu{41};
   net::Network net{simu};
@@ -854,73 +1016,108 @@ TEST(TransferUnit, RepairerSendsTheBufferItsLaneHolds) {
   simu.run_until(90.0);
   ASSERT_TRUE(s.all_complete(kGroups));
 
-  // A member, a zone it answers for and a group whose next index in that
-  // zone's slice (one past the highest it has seen there) the lane holds.
+  // Members that answer a NACK at once (the ZCR of the NACK's zone), each
+  // with a zone it answers for, by global level; for one group, the next
+  // index of that level's slice (one past the highest it has seen there).
   const Hierarchy& hier = s.hierarchy();
   const int width = std::max(1, cfg.max_parity / hier.depth());
   const int max_shards = cfg.group_size + cfg.max_parity;
-  Agent* responder = nullptr;
-  net::ZoneId zone = net::kNoZone;
-  std::uint32_t g = 0;
-  int index = -1;
+  struct Repairer {
+    Agent* agent;
+    net::ZoneId zone;
+    int level;
+  };
+  std::vector<Repairer> repairers;
   for (net::NodeId r : t.receivers) {
     Agent& a = s.agent_for(r);
-    const auto& chain = a.session().chain();
-    for (std::size_t l = 0; l + 1 < chain.size() && !responder; ++l) {
-      const int lo = cfg.group_size + hier.level(chain[l]) * width;
-      const int hi = std::min(lo + width, max_shards);
-      for (std::uint32_t grp = 0; grp < kGroups && !responder; ++grp) {
-        const auto dec = a.transfer().decoder(grp);
-        int next = lo;
-        for (int j = lo; j < hi; ++j) {
-          if (dec->has(j)) next = j + 1;
-        }
-        if (next > lo && next < hi && a.transfer().store().find(grp, next)) {
-          responder = &a;
-          zone = chain[l];
+    for (net::ZoneId z : a.session().chain()) {
+      if (a.session().is_zcr(z)) repairers.push_back({&a, z, hier.level(z)});
+    }
+  }
+  auto next_index = [&](const Repairer& m, std::uint32_t g) {
+    const int lo = cfg.group_size + m.level * width;
+    // Indices past the last slice count toward it (note_parity_seen).
+    const int top = m.level + 1 == hier.depth() ? max_shards
+                                                : std::min(lo + width, max_shards);
+    const auto dec = m.agent->transfer().decoder(g);
+    int next = lo;
+    for (int j = lo; j < top; ++j) {
+      if (dec->has(j)) next = j + 1;
+    }
+    return next < std::min(lo + width, max_shards) ? next : -1;
+  };
+  const Repairer* first = nullptr;
+  const Repairer* second = nullptr;
+  std::uint32_t g = 0;
+  int index = -1;
+  for (std::size_t i = 0; i < repairers.size() && !second; ++i) {
+    for (std::size_t j = 0; j < repairers.size() && !second; ++j) {
+      const Repairer& a = repairers[i];
+      const Repairer& b = repairers[j];
+      if (a.agent == b.agent || a.level != b.level) continue;
+      for (std::uint32_t grp = 0; grp < kGroups && !second; ++grp) {
+        const int next = next_index(a, grp);
+        if (next >= 0 && next == next_index(b, grp)) {
+          first = &a;
+          second = &b;
           g = grp;
           index = next;
         }
       }
     }
-    if (responder) break;
   }
-  ASSERT_NE(responder, nullptr) << "no lane held a repairer's next index";
-  TransferEngine& e = responder->transfer();
-  ASSERT_EQ(e.live_group_count(), 0u) << "groups still live at the horizon";
-  const fec::ShardBuffer held = *e.store().find(g, index);
-  const std::size_t stored = e.store().size();
+  ASSERT_NE(second, nullptr) << "no two repairers share a next index";
+  TransferEngine& ea = first->agent->transfer();
+  TransferEngine& eb = second->agent->transfer();
+  ASSERT_EQ(ea.live_group_count(), 0u) << "groups still live at the horizon";
+  ASSERT_EQ(eb.live_group_count(), 0u) << "groups still live at the horizon";
+  ASSERT_EQ(ea.store().find(g, index), nullptr) << "parity held at settle";
 
-  auto nack = std::make_shared<NackMsg>();
-  nack->group = g;
-  nack->zone = zone;
-  nack->llc = 1;
-  nack->needed = 1;
-  nack->sender = t.source;
-  net::Packet p;
-  p.uid = 1ull << 60;  // far from any uid the network issued
-  p.origin = t.source;
-  p.cls = net::TrafficClass::kNack;
-  p.msg = nack;
-  // Only this member acts on the NACK, so any FEC work in between is its
-  // own: the profiler counts every encode site's codec scope.
+  std::uint64_t uid = 1ull << 60;  // far from any uid the network issued
+  auto nack_to = [&](TransferEngine& e, net::ZoneId zone, int needed) {
+    auto nack = std::make_shared<NackMsg>();
+    nack->group = g;
+    nack->zone = zone;
+    nack->llc = needed;
+    nack->needed = needed;
+    nack->sender = t.source;
+    net::Packet p;
+    p.uid = uid++;
+    p.origin = t.source;
+    p.cls = net::TrafficClass::kNack;
+    p.msg = nack;
+    const std::uint64_t before = e.repairs_sent();
+    ASSERT_TRUE(e.handle(p));
+    EXPECT_EQ(e.repairs_sent(), before + 1) << "the ZCR did not answer at once";
+  };
+  nack_to(ea, first->zone, 2);
+  const fec::GroupEncoder* enc = ea.encoder(g);
+  ASSERT_NE(enc, nullptr) << "the first repairer's encoder did not stay live";
+  ASSERT_FALSE(enc->encoded().empty());
+  ASSERT_EQ(enc->encoded().back().index, index);
+  ASSERT_NE(ea.store().find(g, index), nullptr);
+  const fec::ShardBuffer held = *ea.store().find(g, index);
+  ASSERT_EQ(&ea.store(), &eb.store()) << "a serial run has one lane";
+  const std::size_t stored = eb.store().size();
+
+  // Only the second repairer acts while the profiler is active, so any FEC
+  // work counted is its own: the profiler counts every encode site's codec
+  // scope.
   stats::Profiler prof;
   struct Active {
     explicit Active(stats::Profiler& p) { stats::Profiler::set_active(&p); }
     ~Active() { stats::Profiler::set_active(nullptr); }
   };
-  const std::uint64_t before = e.repairs_sent();
   {
     const Active active(prof);
-    ASSERT_TRUE(e.handle(p));
-    while (e.repairs_sent() == before) ASSERT_TRUE(simu.step());
+    nack_to(eb, second->zone, 1);
   }
-  EXPECT_TRUE(e.decoder(g)->has(index)) << "sent another index";
+  EXPECT_TRUE(eb.decoder(g)->has(index)) << "sent another index";
   EXPECT_EQ(prof.scope_count(stats::ProfSubsys::codec), 0u)
       << "the repairer encoded";
-  ASSERT_NE(e.store().find(g, index), nullptr);
-  EXPECT_EQ(*e.store().find(g, index), held) << "the lane's buffer changed";
-  EXPECT_EQ(e.store().size(), stored);
+  ASSERT_NE(eb.store().find(g, index), nullptr);
+  EXPECT_EQ(*eb.store().find(g, index), held) << "the lane's buffer changed";
+  EXPECT_EQ(eb.store().size(), stored);
 }
 
 TEST(TransferUnit, Figure10GroupSizeSweep) {
