@@ -14,7 +14,6 @@ PacketFate LinkConditioner::next(sim::Rng& rng, const Packet& packet) {
   if (rng.bernoulli(reorder_rate_)) {
     fate.extra_delay += rng.uniform(0.0, reorder_jitter_);
   }
-  for (auto& stage : extra_) stage->condition(fate, rng, packet);
   return fate;
 }
 
@@ -30,39 +29,6 @@ void LinkConditioner::set_duplicate(double rate, int copies) {
 void LinkConditioner::set_reorder(double rate, sim::Time max_jitter) {
   reorder_rate_ = rate;
   reorder_jitter_ = max_jitter < 0.0 ? 0.0 : max_jitter;
-}
-
-void LinkConditioner::append(std::unique_ptr<ConditionerStage> stage) {
-  if (stage) extra_.push_back(std::move(stage));
-}
-
-double LinkConditioner::mean_drop_rate() const {
-  // Independent stages: a packet survives only if every stage passes it.
-  double deliver = 1.0 - loss_->mean_loss_rate();
-  for (const auto& stage : extra_) deliver *= 1.0 - stage->mean_drop_rate();
-  return 1.0 - deliver;
-}
-
-double LinkConditioner::effective_loss_rate() const {
-  // Drop or corrupt both deny the receiver a usable packet; the two draws
-  // are independent.
-  const double usable =
-      (1.0 - mean_drop_rate()) * (1.0 - (corrupt_rate_ > 0.0 ? corrupt_rate_
-                                                             : 0.0));
-  return 1.0 - usable;
-}
-
-LinkConditioner LinkConditioner::clone() const {
-  LinkConditioner c;
-  c.loss_ = loss_->clone();
-  c.corrupt_rate_ = corrupt_rate_;
-  c.dup_rate_ = dup_rate_;
-  c.dup_copies_ = dup_copies_;
-  c.reorder_rate_ = reorder_rate_;
-  c.reorder_jitter_ = reorder_jitter_;
-  c.extra_.reserve(extra_.size());
-  for (const auto& stage : extra_) c.extra_.push_back(stage->clone());
-  return c;
 }
 
 }  // namespace sharq::net

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "net/loss.hpp"
 #include "net/packet.hpp"
@@ -20,37 +19,14 @@ struct PacketFate {
   sim::Time extra_delay = 0.0;  ///< jitter added to propagation (reordering)
 };
 
-/// One composable stage of a link's conditioning pipeline.
-///
-/// Stages run in pipeline order and may set any field of the fate; a stage
-/// must not *clear* a field an earlier stage set (faults compound). Stages
-/// are stateful (burst models, periodic patterns) and are consulted once
-/// per packet in transmission order.
-class ConditionerStage {
- public:
-  virtual ~ConditionerStage() = default;
-
-  /// Decide this stage's contribution to the packet's fate.
-  virtual void condition(PacketFate& fate, sim::Rng& rng,
-                         const Packet& packet) = 0;
-
-  /// Long-run probability that this stage alone discards a packet
-  /// (only dropping stages report a nonzero rate).
-  virtual double mean_drop_rate() const { return 0.0; }
-
-  /// Deep copy (pipelines are cloned when topologies are duplicated).
-  virtual std::unique_ptr<ConditionerStage> clone() const = 0;
-};
-
 /// Adversarial link conditioning: the generalization of the per-link loss
 /// model into a pipeline that can also corrupt payload bytes (delivered
 /// with `Packet::corrupted` set — the simulator's model of a failed
 /// checksum over bit-flipped bytes), duplicate packets, and add delay
 /// jitter so packets resequence in flight.
 ///
-/// The built-in stages run in a fixed order — loss, corrupt, duplicate,
-/// reorder — followed by any appended custom stages. All built-in fault
-/// rates default to zero and, because `Rng::bernoulli` consumes no
+/// The stages run in a fixed order — loss, corrupt, duplicate, reorder.
+/// All fault rates default to zero and, because `Rng::bernoulli` consumes no
 /// randomness for p <= 0, a default-constructed conditioner is
 /// byte-identical in behaviour (and RNG stream) to the bare loss model it
 /// wraps.
@@ -68,7 +44,7 @@ class LinkConditioner {
   /// Decide the fate of the next packet, in transmission order.
   PacketFate next(sim::Rng& rng, const Packet& packet);
 
-  // --- built-in stages ------------------------------------------------------
+  // --- stages ---------------------------------------------------------------
 
   /// Replace the loss process (never null; pass NoLoss to disable).
   void set_loss(std::unique_ptr<LossModel> model);
@@ -88,28 +64,12 @@ class LinkConditioner {
   double reorder_rate() const { return reorder_rate_; }
   sim::Time reorder_jitter() const { return reorder_jitter_; }
 
-  /// Append a custom stage; custom stages run after the built-ins.
-  void append(std::unique_ptr<ConditionerStage> stage);
-
   // --- analytics ------------------------------------------------------------
 
   /// Long-run probability a (loss-eligible) packet is discarded on the
   /// wire. Matches the old LossModel::mean_loss_rate() contract, so
   /// routing analytics (`Network::path_loss`) are unchanged by default.
-  double mean_drop_rate() const;
-
-  /// Long-run probability a packet fails to *usefully* arrive: dropped, or
-  /// delivered corrupted (a hardened receiver rejects it either way).
-  double effective_loss_rate() const;
-
-  /// True when the pipeline is just a loss model (no fault stages armed).
-  bool transparent() const {
-    return corrupt_rate_ <= 0.0 && dup_rate_ <= 0.0 && reorder_rate_ <= 0.0 &&
-           extra_.empty();
-  }
-
-  /// Deep copy (links are cloned when topologies are duplicated).
-  LinkConditioner clone() const;
+  double mean_drop_rate() const { return loss_->mean_loss_rate(); }
 
  private:
   std::unique_ptr<LossModel> loss_;
@@ -118,7 +78,6 @@ class LinkConditioner {
   int dup_copies_ = 1;
   double reorder_rate_ = 0.0;
   sim::Time reorder_jitter_ = 0.0;
-  std::vector<std::unique_ptr<ConditionerStage>> extra_;
 };
 
 }  // namespace sharq::net

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "sim/random.hpp"
@@ -23,6 +24,9 @@ class LossModel {
 
   /// Deep copy (links are cloned when topologies are duplicated).
   virtual std::unique_ptr<LossModel> clone() const = 0;
+
+  /// Size of the whole object, one heap block (memory-census probe).
+  virtual std::size_t object_bytes() const = 0;
 };
 
 /// Independent (Bernoulli) loss at a fixed rate — the model the paper's
@@ -37,6 +41,7 @@ class BernoulliLoss final : public LossModel {
   std::unique_ptr<LossModel> clone() const override {
     return std::make_unique<BernoulliLoss>(rate_);
   }
+  std::size_t object_bytes() const override { return sizeof(*this); }
 
   double rate() const { return rate_; }
 
@@ -65,6 +70,7 @@ class GilbertElliottLoss final : public LossModel {
     return std::make_unique<GilbertElliottLoss>(p_gb_, p_bg_, good_loss_,
                                                 bad_loss_);
   }
+  std::size_t object_bytes() const override { return sizeof(*this); }
 
   bool in_bad_state() const { return bad_; }
 
@@ -84,6 +90,7 @@ class NoLoss final : public LossModel {
   std::unique_ptr<LossModel> clone() const override {
     return std::make_unique<NoLoss>();
   }
+  std::size_t object_bytes() const override { return sizeof(*this); }
 };
 
 }  // namespace sharq::net

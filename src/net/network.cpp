@@ -6,7 +6,6 @@
 #include <queue>
 #include <utility>
 
-#include "sharqfec/ordered.hpp"
 #include "sim/shard_runtime.hpp"
 #include "stats/journal.hpp"
 #include "stats/lane.hpp"
@@ -109,7 +108,8 @@ void Network::set_metrics(stats::Metrics* metrics) {
 void Network::memory_census(stats::MemCensus& census) const {
   // Topology vectors are append-only after build, so live == retained.
   // Each link's random stream sits inline in its Link but is reported
-  // under "rng_streams", with the agents' streams.
+  // under "rng_streams", with the agents' streams; its conditioner's loss
+  // model is a heap block of its own.
   const std::uint64_t rngs = links_.size() * sizeof(sim::Rng);
   census.add("rng_streams", rngs, rngs);
   using stats::vector_block_bytes;
@@ -119,7 +119,10 @@ void Network::memory_census(stats::MemCensus& census) const {
   for (const NodeRec& n : nodes_) {
     topo += vector_block_bytes(n.out_links) + vector_block_bytes(n.agents);
   }
-  for (const Channel& c : channels_) topo += stats::hash_table_bytes(c.subs);
+  for (const Link& l : links_) {
+    topo += stats::heap_block_bytes(l.cond.loss().object_bytes());
+  }
+  for (const Channel& c : channels_) topo += vector_block_bytes(c.subs);
   census.add("net_topology", topo, topo);
 
   // Lazily built per-lane routing/forwarding caches; they only grow (no
@@ -247,21 +250,18 @@ void Network::subscribe(ChannelId ch, NodeId node) {
   // Membership is shared read-only state inside a shard window; mutations
   // (joins/leaves, fault hooks) must happen at barriers or setup.
   assert(!rt_ || !rt_->in_window());
-  if (channels_[ch].subs.insert(node).second) ++channels_[ch].version;
+  if (insert_sorted(channels_[ch].subs, node)) ++channels_[ch].version;
 }
 
 void Network::unsubscribe(ChannelId ch, NodeId node) {
   assert(ch >= 0 && ch < static_cast<ChannelId>(channels_.size()));
   assert(!rt_ || !rt_->in_window());
-  if (channels_[ch].subs.erase(node) > 0) ++channels_[ch].version;
+  if (erase_sorted(channels_[ch].subs, node)) ++channels_[ch].version;
 }
 
 bool Network::subscribed(ChannelId ch, NodeId node) const {
-  return channels_[ch].subs.contains(node);
-}
-
-std::vector<NodeId> Network::subscribers(ChannelId ch) const {
-  return ordered_keys(channels_[ch].subs);
+  const std::vector<NodeId>& subs = channels_[ch].subs;
+  return std::binary_search(subs.begin(), subs.end(), node);
 }
 
 void Network::attach(NodeId node, Agent* agent) {
@@ -460,10 +460,10 @@ void Network::build_unscoped_tree(const Channel& channel, NodeId origin,
   const int n = node_count();
   std::vector<bool> on_tree(n, false);
   on_tree[origin] = true;
-  // Graft in ascending subscriber order: the hash set's own order differs
-  // across standard libraries and rehashes, and it decides the order links
-  // join the entry — i.e. the wire order of downstream copies.
-  for (NodeId s : ordered_keys(channel.subs)) {
+  // Graft in ascending subscriber order (the order membership is stored
+  // in): it decides the order links join the entry — i.e. the wire order
+  // of downstream copies.
+  for (NodeId s : channel.subs) {
     if (s == origin) continue;
     if (r.dist[s] == sim::kTimeInfinity) continue;
     deliver_nodes.push_back(s);
@@ -483,7 +483,7 @@ void Network::build_scoped_tree(const Channel& channel, NodeId origin,
   // never traverses a node outside the zone, so everything outside can be
   // ignored outright. Cost scales with the zone, not the whole network —
   // essential because every member is an origin on its session channel.
-  const std::vector<NodeId> zone_nodes = ordered_keys(zones_.members(scope));
+  const std::span<const NodeId> zone_nodes = zones_.members(scope);
   const int m = static_cast<int>(zone_nodes.size());
   auto local = [&](NodeId v) -> int {
     const auto it = std::lower_bound(zone_nodes.begin(), zone_nodes.end(), v);
@@ -522,7 +522,7 @@ void Network::build_scoped_tree(const Channel& channel, NodeId origin,
 
   std::vector<bool> on_tree(m, false);
   on_tree[lorigin] = true;
-  for (NodeId s : ordered_keys(channel.subs)) {
+  for (NodeId s : channel.subs) {
     if (s == origin) continue;
     const int ls = local(s);
     if (ls < 0 || dist[ls] == sim::kTimeInfinity) continue;
@@ -623,7 +623,7 @@ void Network::set_node_up(NodeId node, bool up) {
     // node stops refreshing, so drop it everywhere. Rejoining after a
     // restart is the protocol's responsibility.
     for (Channel& c : channels_) {
-      if (c.subs.erase(node) > 0) ++c.version;
+      if (erase_sorted(c.subs, node)) ++c.version;
     }
   }
   invalidate_routing();

@@ -4,7 +4,6 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -199,11 +198,13 @@ class Network {
   void unsubscribe(ChannelId ch, NodeId node);
   bool subscribed(ChannelId ch, NodeId node) const;
 
-  /// Current members of a channel, ascending by id. A sorted snapshot, not
-  /// a reference into the membership hash set: callers iterate this into
-  /// timers, wire messages, and reports, where hash order would leak
-  /// nondeterminism (docs/DETERMINISM.md).
-  std::vector<NodeId> subscribers(ChannelId ch) const;
+  /// Current members of a channel, ascending by id. Membership is stored
+  /// sorted, so callers may iterate this into timers, wire messages and
+  /// reports directly (docs/DETERMINISM.md). Valid until the channel's
+  /// membership next changes.
+  std::span<const NodeId> subscribers(ChannelId ch) const {
+    return channels_[ch].subs;
+  }
   std::size_t subscriber_count(ChannelId ch) const {
     return channels_[ch].subs.size();
   }
@@ -311,7 +312,7 @@ class Network {
   };
   struct Channel {
     ZoneId scope = kNoZone;
-    std::unordered_set<NodeId> subs;
+    std::vector<NodeId> subs;  // ascending
     std::uint64_t version = 0;
   };
   /// Shortest-path tree from one source by propagation delay.

@@ -7,12 +7,11 @@
 namespace sharq::net {
 
 std::uint64_t ZoneHierarchy::memory_bytes() const {
-  std::uint64_t bytes = stats::vector_block_bytes(zones_) +
-                        stats::hash_table_bytes(assignment_);
+  using stats::vector_block_bytes;
+  std::uint64_t bytes =
+      vector_block_bytes(zones_) + vector_block_bytes(assignment_);
   for (const Zone& z : zones_) {
-    bytes += stats::vector_block_bytes(z.children) +
-             stats::hash_table_bytes(z.members) +
-             stats::hash_table_bytes(z.direct);
+    bytes += vector_block_bytes(z.children) + vector_block_bytes(z.members);
   }
   return bytes;
 }
@@ -36,29 +35,17 @@ ZoneId ZoneHierarchy::add_zone(ZoneId parent) {
 }
 
 void ZoneHierarchy::assign(NodeId node, ZoneId zone) {
+  assert(node >= 0);
   assert(zone >= 0 && zone < static_cast<ZoneId>(zones_.size()));
-  auto it = assignment_.find(node);
-  if (it != assignment_.end()) {
-    for (ZoneId z = it->second; z != kNoZone; z = zones_[z].parent) {
-      zones_[z].members.erase(node);
-    }
-    zones_[it->second].direct.erase(node);
+  const auto slot = static_cast<std::size_t>(node);
+  if (slot >= assignment_.size()) assignment_.resize(slot + 1, kNoZone);
+  for (ZoneId z = assignment_[slot]; z != kNoZone; z = zones_[z].parent) {
+    erase_sorted(zones_[z].members, node);
   }
-  assignment_[node] = zone;
-  zones_[zone].direct.insert(node);
+  assignment_[slot] = zone;
   for (ZoneId z = zone; z != kNoZone; z = zones_[z].parent) {
-    zones_[z].members.insert(node);
+    insert_sorted(zones_[z].members, node);
   }
-}
-
-bool ZoneHierarchy::contains(ZoneId zone, NodeId node) const {
-  if (zone < 0 || zone >= static_cast<ZoneId>(zones_.size())) return false;
-  return zones_[zone].members.contains(node);
-}
-
-ZoneId ZoneHierarchy::smallest_zone(NodeId node) const {
-  auto it = assignment_.find(node);
-  return it == assignment_.end() ? kNoZone : it->second;
 }
 
 std::vector<ZoneId> ZoneHierarchy::chain(NodeId node) const {
@@ -71,11 +58,15 @@ std::vector<ZoneId> ZoneHierarchy::chain(NodeId node) const {
 
 ZoneId ZoneHierarchy::common_zone(NodeId a, NodeId b) const {
   ZoneId za = smallest_zone(a);
-  if (za == kNoZone || smallest_zone(b) == kNoZone) return kNoZone;
-  for (ZoneId z = za; z != kNoZone; z = zones_[z].parent) {
-    if (contains(z, b)) return z;
+  ZoneId zb = smallest_zone(b);
+  if (za == kNoZone || zb == kNoZone) return kNoZone;
+  while (zones_[za].level > zones_[zb].level) za = zones_[za].parent;
+  while (zones_[zb].level > zones_[za].level) zb = zones_[zb].parent;
+  while (za != zb) {
+    za = zones_[za].parent;
+    zb = zones_[zb].parent;
   }
-  return kNoZone;
+  return za;
 }
 
 bool ZoneHierarchy::is_ancestor_or_self(ZoneId ancestor, ZoneId zone) const {

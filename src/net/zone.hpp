@@ -1,13 +1,32 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "net/types.hpp"
 
 namespace sharq::net {
+
+/// Membership arrays: ascending, duplicate-free node ids. Membership
+/// changes only at set-up or at barriers, and builders add ids in
+/// ascending order, so an insert is almost always an append.
+/// Returns true when `id` was not present.
+inline bool insert_sorted(std::vector<NodeId>& ids, NodeId id) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (it != ids.end() && *it == id) return false;
+  ids.insert(it, id);
+  return true;
+}
+
+/// Returns true when `id` was present.
+inline bool erase_sorted(std::vector<NodeId>& ids, NodeId id) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (it == ids.end() || *it != id) return false;
+  ids.erase(it);
+  return true;
+}
 
 /// A hierarchy of nested administratively scoped zones.
 ///
@@ -34,10 +53,17 @@ class ZoneHierarchy {
   void assign(NodeId node, ZoneId zone);
 
   /// True if `node` is a member of `zone` (directly or via nesting).
-  bool contains(ZoneId zone, NodeId node) const;
+  bool contains(ZoneId zone, NodeId node) const {
+    return zone >= 0 && zone < zone_count() &&
+           is_ancestor_or_self(zone, smallest_zone(node));
+  }
 
   /// The smallest zone `node` was assigned to (kNoZone if unassigned).
-  ZoneId smallest_zone(NodeId node) const;
+  ZoneId smallest_zone(NodeId node) const {
+    return node >= 0 && static_cast<std::size_t>(node) < assignment_.size()
+               ? assignment_[static_cast<std::size_t>(node)]
+               : kNoZone;
+  }
 
   /// Zones containing `node`, ordered smallest -> root.
   std::vector<ZoneId> chain(NodeId node) const;
@@ -59,14 +85,9 @@ class ZoneHierarchy {
     return zones_.at(zone).children;
   }
 
-  /// All members of a zone (directly assigned or nested).
-  const std::unordered_set<NodeId>& members(ZoneId zone) const {
+  /// All members of a zone (directly assigned or nested), ascending.
+  std::span<const NodeId> members(ZoneId zone) const {
     return zones_.at(zone).members;
-  }
-
-  /// Nodes whose *smallest* zone is exactly `zone`.
-  const std::unordered_set<NodeId>& direct_members(ZoneId zone) const {
-    return zones_.at(zone).direct;
   }
 
   int zone_count() const { return static_cast<int>(zones_.size()); }
@@ -74,8 +95,8 @@ class ZoneHierarchy {
   /// True when `ancestor` is `zone` itself or one of its ancestors.
   bool is_ancestor_or_self(ZoneId ancestor, ZoneId zone) const;
 
-  /// Heap bytes of the zone table and its membership sets (memory-census
-  /// probe).
+  /// Heap bytes of the zone table, the membership arrays and the
+  /// assignment array (memory-census probe).
   std::uint64_t memory_bytes() const;
 
  private:
@@ -83,11 +104,10 @@ class ZoneHierarchy {
     ZoneId parent = kNoZone;
     int level = 0;
     std::vector<ZoneId> children;
-    std::unordered_set<NodeId> members;
-    std::unordered_set<NodeId> direct;
+    std::vector<NodeId> members;  // ascending
   };
   std::vector<Zone> zones_;
-  std::unordered_map<NodeId, ZoneId> assignment_;
+  std::vector<ZoneId> assignment_;  // by node; kNoZone when unassigned
   ZoneId root_ = kNoZone;
 };
 

@@ -92,7 +92,7 @@ void SessionManager::memory_census(stats::MemCensus& census) const {
   // (held inline). The tables inside the levels are counted above.
   const std::uint64_t self =
       stats::heap_block_bytes(sizeof(SessionManager)) - sizeof(rng_) +
-      stats::vector_block_bytes(levels_) + stats::vector_block_bytes(chain_) +
+      stats::vector_block_bytes(levels_) +
       challenges_.size() *
           stats::heap_block_bytes(stats::kTreeNodeHeader +
                                   sizeof(decltype(challenges_)::value_type));

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/network.hpp"
@@ -79,7 +80,7 @@ class SessionManager {
   double dist_to_zcr_at(int level) const;
 
   net::NodeId node() const { return node_; }
-  const std::vector<net::ZoneId>& chain() const { return chain_; }
+  std::span<const net::ZoneId> chain() const { return chain_; }
 
   /// Transfer engine hook: supplies (max_group_seen, seen_any_data) for
   /// inclusion in session messages, enabling tail-loss detection.
@@ -195,7 +196,7 @@ class SessionManager {
   /// handle()): the cross-node cause of whatever the packet triggers.
   stats::EventId cause_in_ = 0;
   sim::Rng rng_;
-  std::vector<net::ZoneId> chain_;
+  std::span<const net::ZoneId> chain_;  // into the hierarchy's table
   std::vector<Level> levels_;
   sim::Timer session_timer_;
   int session_rounds_ = 0;

@@ -25,7 +25,6 @@ net::ShardMap make_zone_shard_map(const net::Network& net, int max_shards) {
       std::min(static_cast<int>(tops.size()) + 1, budget);
   for (std::size_t i = 0; i < tops.size(); ++i) {
     const int shard = 1 + static_cast<int>(i) % (nshards - 1);
-    // sharq-lint: unordered-iter-ok (every member gets the same shard id)
     for (net::NodeId n : zones.members(tops[i])) {
       map.shard_of[static_cast<std::size_t>(n)] = shard;
     }

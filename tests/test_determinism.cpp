@@ -3,6 +3,7 @@
 // property every simulation result in EXPERIMENTS.md relies on.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -158,17 +159,21 @@ TEST(Determinism, SessionBeaconEntriesAreSortedByPeer) {
   EXPECT_GT(sink.beacons_with_entries, 0);
 }
 
-// Channel membership snapshots are sorted regardless of join order.
+// Channel membership is stored sorted regardless of join order.
 TEST(Determinism, SubscriberSnapshotIsSorted) {
   sim::Simulator simu(1);
   net::Network net(simu);
   net.add_nodes(6);
   const net::ChannelId ch = net.create_channel();
   for (net::NodeId n : {4, 1, 5, 0, 3}) net.subscribe(ch, n);
-  EXPECT_EQ(net.subscribers(ch), (std::vector<net::NodeId>{0, 1, 3, 4, 5}));
+  auto subscribers = [&] {
+    const std::span<const net::NodeId> s = net.subscribers(ch);
+    return std::vector<net::NodeId>(s.begin(), s.end());
+  };
+  EXPECT_EQ(subscribers(), (std::vector<net::NodeId>{0, 1, 3, 4, 5}));
   EXPECT_EQ(net.subscriber_count(ch), 5u);
   net.unsubscribe(ch, 3);
-  EXPECT_EQ(net.subscribers(ch), (std::vector<net::NodeId>{0, 1, 4, 5}));
+  EXPECT_EQ(subscribers(), (std::vector<net::NodeId>{0, 1, 4, 5}));
 }
 
 // DeliveryLog::latencies walks each node's unit->time table into the
