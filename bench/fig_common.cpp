@@ -139,6 +139,7 @@ RunResult run_sharqfec(const sfq::Config& cfg, const Workload& w,
   }
   const double group_time = cfg2.group_size * w.packet_size * 8.0 / w.rate_bps;
   fill_latency(r, log, topo.receivers, groups, w.data_start, group_time);
+  if (metrics_dump_enabled()) session.export_metrics(metrics);
   maybe_dump_metrics(metrics, label);
   return r;
 }

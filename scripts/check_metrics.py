@@ -38,7 +38,9 @@ REQUIRED = {
     "sharqfec.nacks_deduped": "counter",
     "sharqfec.nacks_sent": "counter",
     "sharqfec.nacks_suppressed": "counter",
+    "sharqfec.peer_table_high_water": "gauge",
     "sharqfec.peers_expired": "counter",
+    "sharqfec.pending_repair_high_water": "gauge",
     "sharqfec.preemptive_repairs": "counter",
     "sharqfec.repairs_sent": "counter",
     "sharqfec.rtt_samples": "counter",

@@ -20,7 +20,6 @@ Agent::Agent(net::Network& net, Hierarchy& hier,
   recent_uids_.fill(~std::uint64_t{0});
   net.attach(node, this);
   hier.join(node);
-  stats::Metrics* metrics = cfg->metrics;
   journal_ = cfg->journal;
   session_ =
       std::make_unique<SessionManager>(net, hier, cfg, node, is_source);
@@ -33,12 +32,14 @@ Agent::Agent(net::Network& net, Hierarchy& hier,
   });
   session_->set_progress_listener(
       [this](std::uint32_t g) { transfer_->note_remote_progress(g); });
-  if (metrics) {
-    const stats::Labels by_node{{"node", std::to_string(node)}};
-    m_corrupt_rejects_ = &metrics->counter("sharqfec.corrupt_rejects", by_node);
-    m_duplicate_rejects_ =
-        &metrics->counter("sharqfec.duplicate_rejects", by_node);
-  }
+}
+
+void Agent::export_metrics(stats::Metrics& m) const {
+  const stats::Labels by_node{{"node", std::to_string(node())}};
+  m.counter("sharqfec.corrupt_rejects", by_node).inc(corrupt_rejects_);
+  m.counter("sharqfec.duplicate_rejects", by_node).inc(duplicate_rejects_);
+  session_->export_metrics(m);
+  transfer_->export_metrics(m);
 }
 
 bool Agent::first_sighting(std::uint64_t uid) {
@@ -60,7 +61,6 @@ bool Agent::admit(const net::Packet& packet) {
   // handler to re-check).
   if (packet.corrupted) {
     ++corrupt_rejects_;
-    if (m_corrupt_rejects_) m_corrupt_rejects_->inc();
     if (journal_) {
       journal_->emit("pkt.rejected", network().simulator_for(node()).now(), node(),
                      /*group=*/-1, journal_->uid_event(packet.uid),
@@ -71,7 +71,6 @@ bool Agent::admit(const net::Packet& packet) {
   }
   if (!first_sighting(packet.uid)) {
     ++duplicate_rejects_;
-    if (m_duplicate_rejects_) m_duplicate_rejects_->inc();
     if (journal_) {
       journal_->emit("pkt.rejected", network().simulator_for(node()).now(), node(),
                      /*group=*/-1, journal_->uid_event(packet.uid),

@@ -68,6 +68,11 @@ class Agent final : public net::Agent {
   /// decoder (tests/test_budget.cpp, DedupRing).
   static constexpr std::size_t kDedupRingSlots = 128;
 
+  /// Add this endpoint's sharqfec.* counts to `m`: its own rejects, then
+  /// the session manager's and transfer engine's. Session::export_metrics
+  /// calls it once per agent, after the run.
+  void export_metrics(stats::Metrics& m) const;
+
   /// Contribute this endpoint's retained bytes to the profiler's memory
   /// census: the uid dedup ring under "dedup_windows", the rest of this
   /// object under "agent_objects", then the session manager's and
@@ -104,8 +109,6 @@ class Agent final : public net::Agent {
   std::size_t ring_next_ = 0;  ///< slot the next accepted uid overwrites
   std::uint64_t corrupt_rejects_ = 0;
   std::uint64_t duplicate_rejects_ = 0;
-  stats::Counter* m_corrupt_rejects_ = nullptr;
-  stats::Counter* m_duplicate_rejects_ = nullptr;
   stats::Journal* journal_ = nullptr;  ///< cfg.journal, cached
 };
 

@@ -35,6 +35,51 @@ struct ResourceBudget {
   }
 };
 
+// --- protocol constants -----------------------------------------------------
+// Fixed by the paper or by this implementation's tuning; no run varies them.
+
+/// Bounds on the adaptive request window's C1 and C2 factors
+/// (Config::adaptive_timers).
+inline constexpr double kAdaptiveC1Min = 0.5, kAdaptiveC1Max = 8.0;
+inline constexpr double kAdaptiveC2Min = 1.0, kAdaptiveC2Max = 16.0;
+/// Repair pacing: successive repairs from one repairer are spaced at
+/// this fraction of the data inter-packet interval (paper: one half).
+inline constexpr double kRepairSpacingFactor = 0.5;
+/// Non-dedicated repairers (complete receivers that are neither the
+/// source nor a ZCR) stretch their reply-suppression delay by this
+/// factor, and re-randomize it between successive repairs instead of
+/// using the dedicated pacing above. They exist for robustness when the
+/// dedicated repairers are dead; without the deferral, one large-scope
+/// NACK recruits every complete receiver faster than the first repair
+/// can propagate and suppress them (~100x repair amplification under
+/// churn).
+inline constexpr double kFallbackReplyDefer = 3.0;
+/// NACK attempts at one scope before escalating to the parent zone
+/// (paper: "after two attempts at each zone").
+inline constexpr int kAttemptsPerScope = 2;
+/// A ZCR measures the group's true ZLC after waiting this multiple of
+/// the RTT to its most distant known receiver (paper: 2.5).
+inline constexpr double kZlcMeasureRttFactor = 2.5;
+inline constexpr double kRttGain = 0.25;  ///< EWMA gain for RTT estimates
+/// Distance before estimates converge.
+inline constexpr sim::Time kDefaultDist = 0.050;
+/// ZCR re-challenge cadence.
+inline constexpr sim::Time kZcrChallengePeriod = 4.0;
+/// Silence before usurping.
+inline constexpr sim::Time kZcrWatchdogPeriod = 10.0;
+/// Session peers silent for this long are expired from the RTT tables
+/// (their measurements would otherwise pollute distance estimates
+/// forever after a crash).
+inline constexpr sim::Time kPeerExpiry = 30.0;
+/// First watchdog window: elections must settle within the paper's 5 s
+/// session warm-up, so the bootstrap challenge fires early.
+inline constexpr sim::Time kZcrBootstrapDelay = 1.0;
+/// Challenge->response delay.
+inline constexpr sim::Time kZcrProcessingDelay = 0.001;
+/// Takeover suppression: candidates delay proportionally to their
+/// distance so the closest receiver announces first.
+inline constexpr double kTakeoverDelayFactor = 2.0;
+
 /// SHARQFEC tunables. Defaults are the values the paper simulates with;
 /// the three feature flags reproduce the ablated variants of §6.2:
 ///
@@ -66,50 +111,15 @@ struct Config {
   /// request window per receiver from observed duplicate NACKs (grow it)
   /// and recovery delay (shrink it), bounded by [c_min, c_max] factors.
   bool adaptive_timers = false;
-  double adaptive_c1_min = 0.5, adaptive_c1_max = 8.0;
-  double adaptive_c2_min = 1.0, adaptive_c2_max = 16.0;
-  /// Repair pacing: successive repairs from one repairer are spaced at
-  /// this fraction of the data inter-packet interval (paper: one half).
-  double repair_spacing_factor = 0.5;
-  /// Non-dedicated repairers (complete receivers that are neither the
-  /// source nor a ZCR) stretch their reply-suppression delay by this
-  /// factor, and re-randomize it between successive repairs instead of
-  /// using the dedicated pacing above. They exist for robustness when the
-  /// dedicated repairers are dead; without the deferral, one large-scope
-  /// NACK recruits every complete receiver faster than the first repair
-  /// can propagate and suppress them (~100x repair amplification under
-  /// churn).
-  double fallback_reply_defer = 3.0;
-  /// NACK attempts at one scope before escalating to the parent zone
-  /// (paper: "after two attempts at each zone").
-  int attempts_per_scope = 2;
   /// Backoff stage cap for request timers.
   int max_backoff_stage = 10;
 
   // --- ZLC prediction (paper: EWMA 0.75 / 0.25) ----------------------------
   double ewma_old = 0.75;
   double ewma_new = 0.25;
-  /// A ZCR measures the group's true ZLC after waiting this multiple of
-  /// the RTT to its most distant known receiver (paper: 2.5).
-  double zlc_measure_rtt_factor = 2.5;
 
   // --- session management ----------------------------------------------------
   rm::SessionStagger stagger;      ///< paper §5 staggering constants
-  double rtt_gain = 0.25;          ///< EWMA gain for RTT estimates
-  sim::Time default_dist = 0.050;  ///< distance before estimates converge
-  sim::Time zcr_challenge_period = 4.0;   ///< ZCR re-challenge cadence
-  sim::Time zcr_watchdog_period = 10.0;   ///< silence before usurping
-  /// Session peers silent for this long are expired from the RTT tables
-  /// (their measurements would otherwise pollute distance estimates
-  /// forever after a crash). 0 disables expiry.
-  sim::Time peer_expiry = 30.0;
-  /// First watchdog window: elections must settle within the paper's 5 s
-  /// session warm-up, so the bootstrap challenge fires early.
-  sim::Time zcr_bootstrap_delay = 1.0;
-  sim::Time zcr_processing_delay = 0.001; ///< challenge->response delay
-  /// Takeover suppression: candidates delay proportionally to their
-  /// distance so the closest receiver announces first.
-  double takeover_delay_factor = 2.0;
   /// Statically configured ZCRs (paper §5.2: "a cache is placed next to
   /// the zone's Border Gateway Router"): zone -> node. Members start with
   /// these as the known ZCRs — no bootstrap election churn — but the
@@ -126,9 +136,10 @@ struct Config {
 
   // --- observability ---------------------------------------------------------
   /// Optional metrics registry (not owned; must outlive the protocol
-  /// objects). Agents register sharqfec.* counter/gauge/histogram families
-  /// here; null disables instrumentation with no hot-path cost beyond a
-  /// pointer test.
+  /// objects). Engines observe sharqfec.group_completion_seconds here as
+  /// groups complete; every other sharqfec.* family is counted by the
+  /// engines themselves and written by Session::export_metrics after the
+  /// run. Null disables the histogram at the cost of a pointer test.
   stats::Metrics* metrics = nullptr;
   /// Optional recovery-lifecycle flight recorder (not owned; must outlive
   /// the protocol objects). Engines journal causally linked lifecycle

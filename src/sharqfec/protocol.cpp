@@ -60,6 +60,11 @@ Agent& Session::agent_for(net::NodeId node) {
   throw std::out_of_range("no SHARQFEC agent for node");
 }
 
+void Session::export_metrics(stats::Metrics& m) const {
+  for (const auto& a : retired_) a->export_metrics(m);
+  for (const auto& a : agents_) a->export_metrics(m);
+}
+
 void Session::memory_census(stats::MemCensus& census) const {
   const fec::Matrix& gen = codec_->generator();
   const std::uint64_t shared =

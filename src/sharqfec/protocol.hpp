@@ -59,6 +59,14 @@ class Session {
   /// shard on a ShardRuntime), by lane; every agent uses its node's.
   const std::vector<fec::ShardStore>& stores() const { return stores_; }
 
+  /// Write every agent's sharqfec.* counts into `m`, retired agents first
+  /// in retirement order, then the live ones: a node's counters sum over
+  /// its incarnations, its per-node gauges keep the newest incarnation's
+  /// measurement, and fleet-wide high waters take the maximum. Counters
+  /// add, so call it once per registry, after the run
+  /// (docs/OBSERVABILITY.md).
+  void export_metrics(stats::Metrics& m) const;
+
   /// Memory census over every agent, retired ones included (their state
   /// is retained until destruction, so the resident set still pays for
   /// it), plus what the session holds once for all of them under

@@ -39,7 +39,6 @@ SessionManager::SessionManager(net::Network& net, Hierarchy& hier,
   session_timer_.set_tag("session.beacon");
   levels_.reserve(chain_.size());
   for (net::ZoneId z : chain_) levels_.emplace_back(z, simu_);
-  register_metrics();
   // The source is the static ZCR of the root zone (the paper's "top ZCR").
   if (is_source_) {
     Level& root = levels_.back();
@@ -58,24 +57,28 @@ SessionManager::SessionManager(net::Network& net, Hierarchy& hier,
   }
 }
 
-void SessionManager::register_metrics() {
-  stats::Metrics* m = cfg_->metrics;
-  if (!m) return;
+void SessionManager::export_metrics(stats::Metrics& m) const {
   const std::string node = std::to_string(node_);
   const stats::Labels by_node{{"node", node}};
-  m_rtt_samples_ = &m->counter("sharqfec.rtt_samples", by_node);
-  m_challenges_ = &m->counter("sharqfec.zcr_challenges", by_node);
-  m_takeovers_ = &m->counter("sharqfec.zcr_takeovers", by_node);
-  m_zcr_expiries_ = &m->counter("sharqfec.zcr_expiries", by_node);
-  m_peers_expired_ = &m->counter("sharqfec.peers_expired", by_node);
-  // Fleet-wide high-water gauges (unlabeled; set_max across every node):
-  // one registry child each regardless of receiver count.
-  m_peer_table_hw_ = &m->gauge("sharqfec.peer_table_high_water");
-  m_session_msgs_.resize(chain_.size());
-  for (std::size_t l = 0; l < chain_.size(); ++l) {
+  m.counter("sharqfec.rtt_samples", by_node).inc(rtt_samples_);
+  m.counter("sharqfec.zcr_challenges", by_node).inc(challenges_sent_);
+  m.counter("sharqfec.zcr_takeovers", by_node).inc(takeovers_sent_);
+  m.counter("sharqfec.zcr_expiries", by_node).inc(zcr_expiries_);
+  m.counter("sharqfec.peers_expired", by_node).inc(peers_expired_);
+  // Fleet-wide (unlabeled): one registry child regardless of receiver
+  // count.
+  m.gauge("sharqfec.peer_table_high_water")
+      .set_max(static_cast<double>(peer_table_hw_));
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
     const stats::Labels by_scope{{"node", node}, {"scope", std::to_string(l)}};
-    m_session_msgs_[l] = &m->counter("sharqfec.session_msgs", by_scope);
+    m.counter("sharqfec.session_msgs", by_scope).inc(levels_[l].session_msgs);
   }
+}
+
+std::uint64_t SessionManager::session_messages_sent() const {
+  std::uint64_t n = 0;
+  for (const Level& lv : levels_) n += lv.session_msgs;
+  return n;
 }
 
 void SessionManager::memory_census(stats::MemCensus& census) const {
@@ -174,7 +177,7 @@ double SessionManager::max_rtt_in_zone(net::ZoneId z) const {
       best = std::max(best, p.rtt);
     }
   }
-  return best > 0.0 ? best : 2.0 * cfg_->default_dist;
+  return best > 0.0 ? best : 2.0 * kDefaultDist;
 }
 
 double SessionManager::dist_to_zcr_at(int level) const {
@@ -228,14 +231,14 @@ double SessionManager::estimate_dist(net::NodeId peer,
     }
   }
   const net::ZoneId common = hier_.common_zone(node_, peer);
-  if (common == net::kNoZone) return cfg_->default_dist;
+  if (common == net::kNoZone) return kDefaultDist;
   const int lc = level_index(common);
-  if (lc < 0) return cfg_->default_dist;
+  if (lc < 0) return kDefaultDist;
 
   const net::NodeId bridge = expected_bridge(lc);
-  if (bridge == net::kNoNode) return cfg_->default_dist;
+  if (bridge == net::kNoNode) return kDefaultDist;
   const double base = dist_to_zcr_at(lc == 0 ? 0 : lc - 1);
-  if (base < 0.0) return cfg_->default_dist;
+  if (base < 0.0) return kDefaultDist;
   if (peer == bridge) return base;
 
   const Level& lv = levels_[lc];
@@ -258,14 +261,14 @@ double SessionManager::estimate_dist(net::NodeId peer,
       return base + sib->second / 2.0 + h.dist;
     }
   }
-  return cfg_->default_dist;
+  return kDefaultDist;
 }
 
 void SessionManager::ewma_rtt(double& slot, double sample) const {
   // Shared sentinel convention with the transfer engine's inter-arrival
   // estimator (sharqfec/ewma.hpp): unset slots are negative, the first
   // accepted sample seeds directly.
-  ewma_update(slot, sample, cfg_->rtt_gain);
+  ewma_update(slot, sample, kRttGain);
 }
 
 // --- session messages -------------------------------------------------------
@@ -290,17 +293,15 @@ void SessionManager::schedule_session() {
 }
 
 void SessionManager::expire_silent_peers() {
-  if (cfg_->peer_expiry <= 0.0) return;
   for (Level& lv : levels_) {
     for (auto it = lv.peers.begin(); it != lv.peers.end();) {
-      if (simu_.now() - it->second.heard_at > cfg_->peer_expiry) {
+      if (simu_.now() - it->second.heard_at > kPeerExpiry) {
         // Crashed (or partitioned-away) peer: its RTT samples and bridge
         // entries would otherwise feed stale distances into repair timers
         // forever. Re-arrival simply re-measures from scratch.
         lv.bridge_rtt.erase(it->first);
         it = lv.peers.erase(it);
         ++peers_expired_;
-        if (m_peers_expired_) m_peers_expired_->inc();
       } else {
         ++it;
       }
@@ -353,8 +354,7 @@ void SessionManager::send_session_for_level(int level) {
     e.rtt_est = p.rtt;
     msg->entries.push_back(e);
   }
-  ++session_sent_;
-  if (!m_session_msgs_.empty()) m_session_msgs_[level]->inc();
+  ++lv.session_msgs;
   net_.send(node_, hier_.session_channel(lv.zone), net::TrafficClass::kSession,
             session_size(msg->entries.size()), msg, /*lossless=*/true);
 }
@@ -396,9 +396,7 @@ void SessionManager::handle_session(const SessionMsg& msg, int level) {
   if (pit == lv.peers.end()) {
     if (lv.peers.capacity() == 0) lv.peers.reserve(peer_table_size(level));
     pit = lv.peers.try_emplace(msg.sender, Peer{}).first;
-    if (m_peer_table_hw_) {
-      m_peer_table_hw_->set_max(static_cast<double>(lv.peers.size()));
-    }
+    peer_table_hw_ = std::max(peer_table_hw_, lv.peers.size());
   }
   Peer& peer = pit->second;
   peer.last_ts = msg.ts;
@@ -409,7 +407,7 @@ void SessionManager::handle_session(const SessionMsg& msg, int level) {
       const double rtt = simu_.now() - e.peer_ts - e.delay;
       if (rtt > 0.0) {
         ewma_rtt(peer.rtt, rtt);
-        if (m_rtt_samples_) m_rtt_samples_->inc();
+        ++rtt_samples_;
       }
       break;
     }
@@ -439,7 +437,7 @@ void SessionManager::schedule_challenge(int level) {
   if (lv.zcr != node_) return;
   if (level + 1 >= static_cast<int>(levels_.size())) return;  // root
   const sim::Time period =
-      cfg_->zcr_challenge_period * rng_.uniform(0.8, 1.2);
+      kZcrChallengePeriod * rng_.uniform(0.8, 1.2);
   lv.challenge_timer.arm(period, [this, level] {
     SHARQ_PROF_SCOPE(session);
     if (levels_[level].zcr == node_) {
@@ -455,8 +453,8 @@ void SessionManager::schedule_watchdog(int level) {
   // warm-up window); steady-state monitoring is much lazier.
   const bool bootstrap = lv.zcr == net::kNoNode;
   const sim::Time period =
-      bootstrap ? cfg_->zcr_bootstrap_delay * rng_.uniform(1.0, 2.0)
-                : cfg_->zcr_watchdog_period * rng_.uniform(1.0, 1.5);
+      bootstrap ? kZcrBootstrapDelay * rng_.uniform(1.0, 2.0)
+                : kZcrWatchdogPeriod * rng_.uniform(1.0, 1.5);
   lv.watchdog.arm(period, [this, level] {
     SHARQ_PROF_SCOPE(session);
     Level& l = levels_[level];
@@ -467,21 +465,20 @@ void SessionManager::schedule_watchdog(int level) {
         l.zcr == net::kNoNode ||
         (l.zcr != node_ && (l.zcr_last_heard == sim::kTimeNever ||
                             simu_.now() - l.zcr_last_heard >
-                                cfg_->zcr_watchdog_period));
+                                kZcrWatchdogPeriod));
     // Top-down rule: children back off until the parent zone has a ZCR.
     if (parent_known && zcr_silent && l.zcr != node_) {
       // A silent ZCR is presumed dead: drop its (possibly better) claim
       // so the surviving receivers can elect among themselves.
       if (l.zcr != net::kNoNode &&
           (l.zcr_last_heard == sim::kTimeNever ||
-           simu_.now() - l.zcr_last_heard > cfg_->zcr_watchdog_period)) {
+           simu_.now() - l.zcr_last_heard > kZcrWatchdogPeriod)) {
         if (journal_) {
           jnl("zcr.expired", 0, {{"old_zcr", l.zcr}, {"zone", l.zone}});
         }
         l.zcr = net::kNoNode;
         l.zcr_parent_dist = -1.0;
         ++zcr_expiries_;
-        if (m_zcr_expiries_) m_zcr_expiries_->inc();
       }
       issue_challenge(level);
     }
@@ -499,7 +496,6 @@ void SessionManager::issue_challenge(int level) {
   challenges_[msg->challenge_id] =
       PendingChallenge{msg->zone, node_, simu_.now(), true};
   ++challenges_sent_;
-  if (m_challenges_) m_challenges_->inc();
   const std::uint64_t uid =
       net_.send(node_, hier_.session_channel(parent_zone),
                 net::TrafficClass::kControl, 40, msg, /*lossless=*/true);
@@ -528,9 +524,9 @@ void SessionManager::handle_challenge(const ZcrChallengeMsg& msg) {
   resp->responder = node_;
   resp->zone = msg.zone;
   resp->challenge_id = msg.challenge_id;
-  resp->processing_delay = cfg_->zcr_processing_delay;
+  resp->processing_delay = kZcrProcessingDelay;
   simu_.after(
-      cfg_->zcr_processing_delay,
+      kZcrProcessingDelay,
       [this, resp, parent_zone, cause = cause_in_] {
         const std::uint64_t uid =
             net_.send(node_, hier_.session_channel(parent_zone),
@@ -589,7 +585,7 @@ void SessionManager::consider_takeover(int level, double my_dist) {
   lv.candidate_dist = my_dist;
   lv.takeover_cause = cause_in_;  // the response that revealed a better claim
   const sim::Time delay =
-      cfg_->takeover_delay_factor * my_dist + rng_.uniform(0.0, 0.01);
+      kTakeoverDelayFactor * my_dist + rng_.uniform(0.0, 0.01);
   lv.takeover_timer.arm(delay, [this, level] {
     Level& l = levels_[level];
     if (l.zcr == node_) return;
@@ -621,7 +617,6 @@ void SessionManager::become_zcr(int level, double dist_to_parent) {
     msg->zone = lv.zone;
     msg->dist_to_parent = dist_to_parent;
     ++takeovers_sent_;
-    if (m_takeovers_) m_takeovers_->inc();
     const std::uint64_t uid =
         net_.send(node_, hier_.session_channel(zone),
                   net::TrafficClass::kControl, 32, msg, /*lossless=*/true);

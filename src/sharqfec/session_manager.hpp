@@ -93,16 +93,23 @@ class SessionManager {
     on_progress_ = std::move(f);
   }
 
-  std::uint64_t session_messages_sent() const { return session_sent_; }
+  std::uint64_t session_messages_sent() const;
   std::uint64_t takeovers_sent() const { return takeovers_sent_; }
   std::uint64_t challenges_sent() const { return challenges_sent_; }
-  /// Silent peers garbage-collected from the RTT tables (Config::
-  /// peer_expiry).
+  /// Silent peers garbage-collected from the RTT tables (kPeerExpiry).
   std::uint64_t peers_expired() const { return peers_expired_; }
   /// Times the watchdog declared a silent ZCR dead and cleared it.
   std::uint64_t zcr_expiries() const { return zcr_expiries_; }
+  /// RTT samples folded into the peer tables.
+  std::uint64_t rtt_samples() const { return rtt_samples_; }
+  /// Most peers one level's RTT table ever held.
+  std::size_t peer_table_high_water() const { return peer_table_hw_; }
   /// Live peers currently tracked across all levels (state-growth probe).
   std::size_t tracked_peer_count() const;
+
+  /// Add this manager's sharqfec.* counts to `m` (docs/OBSERVABILITY.md):
+  /// counters add, the fleet-wide peer-table high water keeps the maximum.
+  void export_metrics(stats::Metrics& m) const;
 
   /// Contribute this manager's retained bytes to the profiler's memory
   /// census: RTT/bridge tables under "peer_tables" (each table's heap
@@ -145,6 +152,7 @@ class SessionManager {
     /// Journal cause of a pending takeover: the zcr.response (or heard
     /// zcr.takeover) that started the consideration.
     stats::EventId takeover_cause = 0;
+    std::uint64_t session_msgs = 0;  ///< session messages sent at this scope
   };
   struct PendingChallenge {
     net::ZoneId zone = net::kNoZone;
@@ -175,7 +183,6 @@ class SessionManager {
   void become_zcr(int level, double dist_to_parent);
   void adopt_zcr(int level, net::NodeId who, double dist);
   void ewma_rtt(double& slot, double sample) const;
-  void register_metrics();
   /// Append one election event (group -1; no-op returning 0 when the
   /// journal is detached). Call sites guard with `if (journal_)`.
   stats::EventId jnl(const char* ev, stats::EventId cause,
@@ -206,21 +213,12 @@ class SessionManager {
   std::uint64_t next_challenge_id_;
   std::function<std::pair<std::uint32_t, bool>()> progress_;
   std::function<void(std::uint32_t)> on_progress_;
-  std::uint64_t session_sent_ = 0;
   std::uint64_t takeovers_sent_ = 0;
   std::uint64_t challenges_sent_ = 0;
   std::uint64_t peers_expired_ = 0;
   std::uint64_t zcr_expiries_ = 0;
-
-  // Metrics registry children, cached at construction (null when
-  // cfg_.metrics is null). m_session_msgs_ is per chain level ("scope").
-  std::vector<stats::Counter*> m_session_msgs_;
-  stats::Counter* m_rtt_samples_ = nullptr;
-  stats::Counter* m_challenges_ = nullptr;
-  stats::Counter* m_takeovers_ = nullptr;
-  stats::Counter* m_zcr_expiries_ = nullptr;
-  stats::Counter* m_peers_expired_ = nullptr;
-  stats::Gauge* m_peer_table_hw_ = nullptr;  ///< fleet-wide, unlabeled
+  std::uint64_t rtt_samples_ = 0;
+  std::size_t peer_table_hw_ = 0;
 };
 
 }  // namespace sharq::sfq

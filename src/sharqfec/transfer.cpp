@@ -49,13 +49,15 @@ TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
       store_(&store),
       dec_block_(fec::GroupDecoder::block_bytes(*codec_)),
       pacer_(cfg_->budget.repair_rate_per_s) {
-  zlc_pred_.assign(session_.chain().size(), 0.0);
-  cov_pred_.assign(session_.chain().size(), 0.0);
+  scopes_.resize(session_.chain().size());
   c1_adapt_ = cfg_->timers.c1;
   c2_adapt_ = cfg_->timers.c2;
   if (is_source_) source_node_ = node_;
   journal_ = cfg_->journal;
-  register_metrics();
+  if (cfg_->metrics) {
+    completion_ = &cfg_->metrics->histogram("sharqfec.group_completion_seconds",
+                                            {{"node", std::to_string(node_)}});
+  }
 }
 
 stats::EventId TransferEngine::jnl(const char* ev, std::uint32_t group,
@@ -66,32 +68,42 @@ stats::EventId TransferEngine::jnl(const char* ev, std::uint32_t group,
                         static_cast<std::int64_t>(group), cause, attrs);
 }
 
-void TransferEngine::register_metrics() {
-  stats::Metrics* m = cfg_->metrics;
-  if (!m) return;
+void TransferEngine::export_metrics(stats::Metrics& m) const {
   const std::string node = std::to_string(node_);
   const stats::Labels by_node{{"node", node}};
-  m_nacks_sent_ = &m->counter("sharqfec.nacks_sent", by_node);
-  m_nacks_suppressed_ = &m->counter("sharqfec.nacks_suppressed", by_node);
-  m_nacks_deduped_ = &m->counter("sharqfec.nacks_deduped", by_node);
-  m_malformed_ = &m->counter("sharqfec.malformed_rejects", by_node);
-  m_arrival_ewma_ = &m->gauge("sharqfec.arrival_ewma", by_node);
-  m_pending_hw_ = &m->gauge("sharqfec.pending_repair_high_water");
-  m_completion_ = &m->histogram("sharqfec.group_completion_seconds", by_node);
+  m.counter("sharqfec.nacks_sent", by_node).inc(nacks_sent_);
+  m.counter("sharqfec.nacks_suppressed", by_node).inc(nacks_suppressed_);
+  m.counter("sharqfec.nacks_deduped", by_node).inc(nacks_deduped_);
+  m.counter("sharqfec.malformed_rejects", by_node).inc(malformed_rejects_);
+  stats::Gauge& ewma = m.gauge("sharqfec.arrival_ewma", by_node);
+  if (ewma_seeded(arrival_ewma_)) ewma.set(arrival_ewma_);
+  // Fleet-wide (unlabeled): the deepest per-level repair backlog any node
+  // saw, one registry child however many receivers there are.
+  m.gauge("sharqfec.pending_repair_high_water").set_max(pending_high_water_);
   if (cfg_->budget.any_enabled()) {
-    m_repairs_deferred_ = &m->counter("sharqfec.repairs_deferred", by_node);
-    m_repairs_coalesced_ = &m->counter("sharqfec.repairs_coalesced", by_node);
+    m.counter("sharqfec.repairs_deferred", by_node).inc(repairs_deferred_);
+    m.counter("sharqfec.repairs_coalesced", by_node).inc(repairs_coalesced_);
   }
-  const std::size_t levels = session_.chain().size();
-  m_repairs_by_level_.resize(levels);
-  m_preemptive_by_level_.resize(levels);
-  m_zlc_pred_.resize(levels);
-  for (std::size_t l = 0; l < levels; ++l) {
+  for (std::size_t l = 0; l < scopes_.size(); ++l) {
     const stats::Labels by_level{{"level", std::to_string(l)}, {"node", node}};
-    m_repairs_by_level_[l] = &m->counter("sharqfec.repairs_sent", by_level);
-    m_preemptive_by_level_[l] = &m->counter("sharqfec.preemptive_repairs", by_level);
-    m_zlc_pred_[l] = &m->gauge("sharqfec.zlc_pred", by_level);
+    const Scope& sc = scopes_[l];
+    m.counter("sharqfec.repairs_sent", by_level).inc(sc.repairs);
+    m.counter("sharqfec.preemptive_repairs", by_level).inc(sc.preemptive);
+    stats::Gauge& zlc = m.gauge("sharqfec.zlc_pred", by_level);
+    if (sc.zlc_measured) zlc.set(sc.zlc_pred);
   }
+}
+
+std::uint64_t TransferEngine::repairs_sent() const {
+  std::uint64_t n = 0;
+  for (const Scope& sc : scopes_) n += sc.repairs;
+  return n;
+}
+
+std::uint64_t TransferEngine::preemptive_repairs_sent() const {
+  std::uint64_t n = 0;
+  for (const Scope& sc : scopes_) n += sc.preemptive;
+  return n;
 }
 
 sim::Time TransferEngine::packet_interval() const {
@@ -107,10 +119,10 @@ sim::Time TransferEngine::inter_arrival_estimate() const {
 sim::Time TransferEngine::dist_to_source() const {
   // Before the first data packet reveals the source (e.g. a late joiner
   // recovering pure history through its zone), the distance estimate has
-  // nothing to converge on; default_dist keeps the request window at a
+  // nothing to converge on; kDefaultDist keeps the request window at a
   // plausible network scale instead of collapsing to the floor and burning
   // through every NACK scope before the zone can answer once.
-  if (source_node_ == net::kNoNode) return cfg_->default_dist;
+  if (source_node_ == net::kNoNode) return kDefaultDist;
   return std::max(1e-3, session_.estimate_dist(source_node_));
 }
 
@@ -250,8 +262,7 @@ void TransferEngine::memory_census(stats::MemCensus& census) const {
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
   const std::uint64_t self =
       stats::heap_block_bytes(sizeof(TransferEngine)) - sizeof(rng_) +
-      stats::vector_block_bytes(zlc_pred_) +
-      stats::vector_block_bytes(cov_pred_);
+      stats::vector_block_bytes(scopes_);
   census.add("agent_objects", self, self);
 
   // Per-group storage: records, decoder blocks, span anchors and level
@@ -290,7 +301,7 @@ bool TransferEngine::group_complete(std::uint32_t g) const {
 double TransferEngine::predicted_zlc(net::ZoneId z) const {
   const auto& chain = session_.chain();
   for (std::size_t l = 0; l < chain.size(); ++l) {
-    if (chain[l] == z) return zlc_pred_[l];
+    if (chain[l] == z) return scopes_[l].zlc_pred;
   }
   return 0.0;
 }
@@ -391,7 +402,7 @@ void TransferEngine::source_send_next() {
       // Size up ("sufficient redundancy to guarantee delivery", §3.2):
       // fractional predicted loss still means some receiver usually needs
       // that shard, and an unneeded proactive shard merely suppresses.
-      h = static_cast<int>(std::ceil(zlc_pred_.back() - 0.05));
+      h = static_cast<int>(std::ceil(scopes_.back().zlc_pred - 0.05));
       // Initial parity lives in the root zone's slice of the parity space.
       h = std::clamp(h, 0, slice_width() - 1);
     }
@@ -410,11 +421,8 @@ void TransferEngine::source_send_next() {
   net_.send(node_, hier_.data_channel(),
             is_parity ? net::TrafficClass::kRepair : net::TrafficClass::kData,
             cfg_->shard_size_bytes, msg);
-  if (is_parity) {
-    ++preemptive_sent_;
-    // Initial parity is injected at root scope (the whole session).
-    if (!m_preemptive_by_level_.empty()) m_preemptive_by_level_.back()->inc();
-  }
+  // Initial parity is injected at root scope (the whole session).
+  if (is_parity) ++scopes_.back().preemptive;
   // The source trivially "has" every shard it emits.
   add_shard(g, send_index_, msg->bytes);
   Record& r = rec(g);
@@ -476,7 +484,6 @@ bool TransferEngine::handle(const net::Packet& packet) {
         d->k != cfg_->group_size || d->initial_shards > codec_->max_shards() ||
         !sane_group_id(d->group) || bad_bytes(d->bytes)) {
       ++malformed_rejects_;
-      if (m_malformed_) m_malformed_->inc();
       return true;
     }
     if (source_node_ == net::kNoNode) source_node_ = packet.origin;
@@ -491,7 +498,6 @@ bool TransferEngine::handle(const net::Packet& packet) {
         r->new_max_id < 0 || r->new_max_id >= codec_->max_shards() ||
         !sane_group_id(r->group) || bad_bytes(r->bytes)) {
       ++malformed_rejects_;
-      if (m_malformed_) m_malformed_->inc();
       return true;
     }
     on_repair(*r);
@@ -502,7 +508,6 @@ bool TransferEngine::handle(const net::Packet& packet) {
       n->needed > codec_->max_shards() || n->max_id_seen < -1 ||
       n->max_id_seen >= codec_->max_shards() || !sane_group_id(n->group)) {
     ++malformed_rejects_;
-    if (m_malformed_) m_malformed_->inc();
     return true;
   }
   on_nack(*n);
@@ -576,7 +581,6 @@ void TransferEngine::on_data(const DataMsg& msg, net::TrafficClass) {
     const double gap = simu_.now() - last_arrival_;
     if (gap > 0.0 && gap < 10.0 * packet_interval()) {
       ewma_update(arrival_ewma_, gap, 0.1);
-      if (m_arrival_ewma_) m_arrival_ewma_->set(arrival_ewma_);
     }
   }
   last_arrival_ = simu_.now();
@@ -798,8 +802,8 @@ void TransferEngine::adapt_request_window(bool heard_duplicate) {
     c1_adapt_ -= 0.05;
     c2_adapt_ -= 0.1;
   }
-  c1_adapt_ = std::clamp(c1_adapt_, cfg_->adaptive_c1_min, cfg_->adaptive_c1_max);
-  c2_adapt_ = std::clamp(c2_adapt_, cfg_->adaptive_c2_min, cfg_->adaptive_c2_max);
+  c1_adapt_ = std::clamp(c1_adapt_, kAdaptiveC1Min, kAdaptiveC1Max);
+  c2_adapt_ = std::clamp(c2_adapt_, kAdaptiveC2Min, kAdaptiveC2Max);
 }
 
 void TransferEngine::fire_request(std::uint32_t g) {
@@ -830,7 +834,7 @@ void TransferEngine::fire_request(std::uint32_t g) {
   const bool progressing = distinct != l.last_fire_distinct;
   l.last_fire_distinct = distinct;
   if (covered && progressing) {
-    if (m_nacks_suppressed_) m_nacks_suppressed_->inc();
+    ++nacks_suppressed_;
     stats::EventId suppressed_ev = 0;
     if (journal_) {
       suppressed_ev = jnl("nack.suppressed", g, span_cause(g),
@@ -851,7 +855,6 @@ void TransferEngine::fire_request(std::uint32_t g) {
   msg->sender = node_;
   msg->hints = session_.make_hints();
   ++nacks_sent_;
-  if (m_nacks_sent_) m_nacks_sent_->inc();
   const std::uint64_t uid =
       net_.send(node_, hier_.repair_channel(zone), net::TrafficClass::kNack,
                 nack_size(msg->hints.size()), msg, /*lossless=*/true);
@@ -873,7 +876,7 @@ void TransferEngine::fire_request(std::uint32_t g) {
   // actually repair would inherit minutes of accumulated backoff).
   ++l.attempts_at_scope;
   const bool escalation_due =
-      l.attempts_at_scope >= cfg_->attempts_per_scope &&
+      l.attempts_at_scope >= kAttemptsPerScope &&
       level + 1 < static_cast<int>(session_.chain().size());
   if (escalation_due) {
     ++l.scope_level;
@@ -948,7 +951,7 @@ void TransferEngine::on_nack(const NackMsg& msg) {
     // one that does not raise the ZLC, backs our own request off.
     Live& l = live(g);
     if (l.request_timer.pending() && (!increased || r.llc <= lv.zlc)) {
-      if (m_nacks_deduped_) m_nacks_deduped_->inc();
+      ++nacks_deduped_;
       stats::EventId dedup_ev = 0;
       if (journal_) {
         dedup_ev = jnl("nack.deduped", g, heard_ev,
@@ -973,7 +976,6 @@ void TransferEngine::on_nack(const NackMsg& msg) {
     // still short after the burst re-NACK and are served next round.
     want = qcap;
     ++repairs_coalesced_;
-    if (m_repairs_coalesced_) m_repairs_coalesced_->inc();
     if (journal_) {
       jnl("shed.repair", g, heard_ev,
           {{"mode", "coalesce"},
@@ -984,7 +986,6 @@ void TransferEngine::on_nack(const NackMsg& msg) {
   }
   lv.pending = static_cast<std::uint8_t>(want);
   if (lv.pending > pending_high_water_) pending_high_water_ = lv.pending;
-  if (m_pending_hw_) m_pending_hw_->set_max(static_cast<double>(lv.pending));
   if (!eligible_repairer(g)) return;
   if (cfg_->sender_only && !is_source_) return;
   Live& l = live(g);
@@ -1007,7 +1008,7 @@ void TransferEngine::on_nack(const NackMsg& msg) {
       l.repair_sched_ev = jnl("repair.scheduled", g, heard_ev,
                               {{"level", level}, {"via", "deferred"}});
     }
-    arm_reply_timer(g, level, d * cfg_->fallback_reply_defer);
+    arm_reply_timer(g, level, d * kFallbackReplyDefer);
   }
 }
 
@@ -1051,7 +1052,6 @@ void TransferEngine::fire_reply(std::uint32_t g) {
     // slot. The pacer hands out slots in event order, so concurrent
     // deferrals across groups serialize deterministically.
     ++repairs_deferred_;
-    if (m_repairs_deferred_) m_repairs_deferred_->inc();
     if (journal_) {
       jnl("shed.repair", g, l.repair_sched_ev,
           {{"mode", "defer"}, {"level", level}, {"wait", wait}});
@@ -1071,7 +1071,7 @@ void TransferEngine::fire_reply(std::uint32_t g) {
     if (is_source_ || session_.is_zcr(session_.chain()[level])) {
       // Dedicated repairers pace the rest of the burst at half the data
       // inter-packet interval (paper RP rule 1).
-      l.reply_timer.arm(cfg_->repair_spacing_factor * packet_interval(),
+      l.reply_timer.arm(kRepairSpacingFactor * packet_interval(),
                         [this, g] {
                           fire_reply(g);
                           maybe_settle(g);
@@ -1081,7 +1081,7 @@ void TransferEngine::fire_reply(std::uint32_t g) {
       // repairs so a dedicated repairer's burst (or another fallback's)
       // can drain the queue first.
       arm_reply_timer(g, l.reply_level,
-                      cfg_->default_dist * cfg_->fallback_reply_defer);
+                      kDefaultDist * kFallbackReplyDefer);
     }
   }
 }
@@ -1096,7 +1096,6 @@ void TransferEngine::send_one_repair(std::uint32_t g, int level,
     // anyone who actually needed it will NACK and be served through the
     // (deferring, never-dropping) reactive path.
     ++repairs_deferred_;
-    if (m_repairs_deferred_) m_repairs_deferred_->inc();
     if (journal_) {
       jnl("shed.repair", g, l.inject_ev,
           {{"mode", "skip_preemptive"}, {"level", level}});
@@ -1124,12 +1123,9 @@ void TransferEngine::send_one_repair(std::uint32_t g, int level,
   // survive the (fast) shard-count configuration.
   stats::Profiler::count(stats::ProfCounter::fec_bytes_encoded,
                          static_cast<std::uint64_t>(cfg_->shard_size_bytes));
-  ++repairs_sent_;
-  if (preemptive) ++preemptive_sent_;
-  if (level >= 0 && level < static_cast<int>(m_repairs_by_level_.size())) {
-    m_repairs_by_level_[level]->inc();
-    if (preemptive) m_preemptive_by_level_[level]->inc();
-  }
+  Scope& sc = scopes_[static_cast<std::size_t>(level)];
+  ++sc.repairs;
+  if (preemptive) ++sc.preemptive;
   const std::uint64_t uid =
       net_.send(node_, hier_.repair_channel(zone), net::TrafficClass::kRepair,
                 cfg_->shard_size_bytes, msg);
@@ -1251,8 +1247,8 @@ void TransferEngine::on_group_complete(std::uint32_t g) {
         static_cast<std::uint64_t>(rebuilt) *
             static_cast<std::uint64_t>(cfg_->shard_size_bytes));
   }
-  if (m_completion_ && l.first_arrival != sim::kTimeNever) {
-    m_completion_->observe(simu_.now() - l.first_arrival);
+  if (completion_ && l.first_arrival != sim::kTimeNever) {
+    completion_->observe(simu_.now() - l.first_arrival);
   }
   if (journal_) {
     // The parity decode is instantaneous in shard-count mode, so start and
@@ -1299,7 +1295,7 @@ void TransferEngine::on_group_complete(std::uint32_t g) {
         fire_reply(g);
       } else {
         arm_reply_timer(g, level,
-                        std::max(1e-3, cfg_->default_dist * 1.0));
+                        std::max(1e-3, kDefaultDist * 1.0));
       }
     }
   }
@@ -1322,8 +1318,8 @@ void TransferEngine::schedule_injection(std::uint32_t g) {
     // each zone compensates only for its own incremental loss; "should
     // too much redundancy be injected at one level, receivers in
     // subservient zones will add less").
-    const int want =
-        static_cast<int>(std::ceil(zlc_pred_[l] - cov_pred_[l] - 0.05));
+    const int want = static_cast<int>(
+        std::ceil(scopes_[l].zlc_pred - scopes_[l].cov_pred - 0.05));
     const int extra = std::clamp(want, 0, slice_width() - 1);
     if (extra <= 0) continue;
     const int level = static_cast<int>(l);
@@ -1338,7 +1334,7 @@ void TransferEngine::schedule_injection(std::uint32_t g) {
     lg.injections += extra;
     for (int i = 0; i < extra; ++i) {
       simu_.after(
-          cfg_->repair_spacing_factor * packet_interval() * i,
+          kRepairSpacingFactor * packet_interval() * i,
           [this, g, level] {
             --live(g).injections;
             send_one_repair(g, level, /*preemptive=*/true);
@@ -1376,7 +1372,7 @@ void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
   const double nack_window =
       2.0 * (cfg_->timers.c1 + cfg_->timers.c2) * std::max(d_src, 1e-3);
   const sim::Time wait =
-      cfg_->zlc_measure_rtt_factor * std::max(max_rtt, nack_window);
+      kZlcMeasureRttFactor * std::max(max_rtt, nack_window);
   l.measure_timer.arm(wait, [this, g] {
     rec(g).measured = true;
     const auto& ch = session_.chain();
@@ -1390,11 +1386,9 @@ void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
       // (paper: "the EWMA filter will use the receiver's LLC in cases
       // where no NACKs are received").
       const int measured = std::max<int>(lv[lvl].zlc, rec(g).llc);
-      zlc_pred_[lvl] =
-          cfg_->ewma_old * zlc_pred_[lvl] + cfg_->ewma_new * measured;
-      if (!m_zlc_pred_.empty() && lvl < m_zlc_pred_.size()) {
-        m_zlc_pred_[lvl]->set(zlc_pred_[lvl]);
-      }
+      Scope& sc = scopes_[lvl];
+      sc.zlc_pred = cfg_->ewma_old * sc.zlc_pred + cfg_->ewma_new * measured;
+      sc.zlc_measured = true;
       // Coverage from larger scopes observed for this group: parity whose
       // originating level is strictly above this zone's level.
       const int my_glevel = hier_.level(ch[lvl]);
@@ -1402,8 +1396,7 @@ void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
       for (int gl = 0; gl < my_glevel && gl < hier_.depth(); ++gl) {
         from_above += sl[gl].seen;
       }
-      cov_pred_[lvl] =
-          cfg_->ewma_old * cov_pred_[lvl] + cfg_->ewma_new * from_above;
+      sc.cov_pred = cfg_->ewma_old * sc.cov_pred + cfg_->ewma_new * from_above;
     }
     maybe_settle(g);
   });
@@ -1448,7 +1441,6 @@ void TransferEngine::send_storm_nack() {
   msg->sender = node_;
   msg->hints = session_.make_hints();
   ++nacks_sent_;
-  if (m_nacks_sent_) m_nacks_sent_->inc();
   const std::uint64_t uid =
       net_.send(node_, hier_.repair_channel(zone), net::TrafficClass::kNack,
                 nack_size(msg->hints.size()), msg, /*lossless=*/true);

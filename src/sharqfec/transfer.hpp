@@ -91,8 +91,14 @@ class TransferEngine {
   std::uint32_t max_group_seen() const { return max_group_seen_; }
   bool seen_any_data() const { return seen_any_; }
   std::uint64_t nacks_sent() const { return nacks_sent_; }
-  std::uint64_t repairs_sent() const { return repairs_sent_; }
-  std::uint64_t preemptive_repairs_sent() const { return preemptive_sent_; }
+  /// Request-timer firings that sent nothing because a heard NACK already
+  /// announced our loss (paper LDP rule 6).
+  std::uint64_t nacks_suppressed() const { return nacks_suppressed_; }
+  /// Pending requests backed off by a heard NACK (LDP rules 5/6).
+  std::uint64_t nacks_deduped() const { return nacks_deduped_; }
+  std::uint64_t repairs_sent() const;
+  /// Preemptive repairs sent, the source's initial parity included.
+  std::uint64_t preemptive_repairs_sent() const;
   /// Transfer messages rejected as malformed (out-of-range shard indices,
   /// absurd group jumps, inconsistent counts). Hostile input must bump
   /// this counter, never distort protocol state.
@@ -151,6 +157,11 @@ class TransferEngine {
   /// (exhaustion invariant: never exceeds repair_queue_depth when set).
   std::int32_t pending_high_water() const { return pending_high_water_; }
 
+  /// Add this engine's sharqfec.* counts to `m` (docs/OBSERVABILITY.md):
+  /// counters add, a per-node gauge is set only once this engine has
+  /// measured it, and the fleet-wide high water keeps the maximum.
+  void export_metrics(stats::Metrics& m) const;
+
   /// Contribute this engine's retained bytes to the profiler's memory
   /// census: per-group state (records, held indices, level arenas, the
   /// live-state pool and its encoders' own arrays) under
@@ -181,6 +192,21 @@ class TransferEngine {
     /// the slice width (see next_parity_index).
     std::int16_t next = 0;
     std::int16_t seen = 0;  ///< repair shards heard that originated here
+  };
+
+  /// Per chain-level state that outlives any one group, indexed like the
+  /// session manager's chain.
+  struct Scope {
+    /// Predicted ZLC (EWMA state), and the predicted repair coverage
+    /// arriving from larger scopes (so ZCR injection is incremental: each
+    /// zone tops up only the loss its parent's coverage leaves exposed).
+    double zlc_pred = 0.0;
+    double cov_pred = 0.0;
+    std::uint64_t repairs = 0;  ///< repairs sent into this zone
+    /// Preemptive repairs sent into this zone, the source's initial parity
+    /// included (which `repairs` does not count).
+    std::uint64_t preemptive = 0;
+    bool zlc_measured = false;  ///< zlc_pred holds a measurement
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -415,11 +441,7 @@ class TransferEngine {
   net::NodeId source_node_ = net::kNoNode;
   std::function<void(std::uint32_t)> on_complete_;
 
-  // Predicted ZLC per chain level (EWMA state), and the predicted repair
-  // coverage arriving from larger scopes (so ZCR injection is incremental:
-  // each zone tops up only the loss its parent's coverage leaves exposed).
-  std::vector<double> zlc_pred_;
-  std::vector<double> cov_pred_;
+  std::vector<Scope> scopes_;
   std::uint32_t send_group_ = 0;
   int send_index_ = 0;
   std::uint32_t send_total_groups_ = 0;
@@ -427,33 +449,18 @@ class TransferEngine {
   sim::Time last_arrival_ = sim::kTimeNever;
 
   std::uint64_t nacks_sent_ = 0;
-  std::uint64_t repairs_sent_ = 0;
-  std::uint64_t preemptive_sent_ = 0;
+  std::uint64_t nacks_suppressed_ = 0;
+  std::uint64_t nacks_deduped_ = 0;
   std::uint64_t malformed_rejects_ = 0;
   bool stopped_ = false;
   RepairPacer pacer_;
   std::uint64_t repairs_deferred_ = 0;
   std::uint64_t repairs_coalesced_ = 0;
   std::int32_t pending_high_water_ = 0;
-
-  // Metrics registry children, cached at construction (all null when
-  // cfg_.metrics is null). Indexed like the session chain where per-level.
-  void register_metrics();
-  stats::Counter* m_nacks_sent_ = nullptr;
-  stats::Counter* m_nacks_suppressed_ = nullptr;
-  stats::Counter* m_nacks_deduped_ = nullptr;
-  stats::Counter* m_malformed_ = nullptr;
-  std::vector<stats::Counter*> m_repairs_by_level_;
-  std::vector<stats::Counter*> m_preemptive_by_level_;
-  std::vector<stats::Gauge*> m_zlc_pred_;
-  stats::Gauge* m_arrival_ewma_ = nullptr;
-  /// Fleet-wide (unlabeled, set_max across every engine) mirror of
-  /// pending_high_water_: the deepest per-level repair backlog any node
-  /// saw. One registry child total, so macro-scale runs pay nothing.
-  stats::Gauge* m_pending_hw_ = nullptr;
-  stats::Histogram* m_completion_ = nullptr;
-  stats::Counter* m_repairs_deferred_ = nullptr;
-  stats::Counter* m_repairs_coalesced_ = nullptr;
+  /// sharqfec.group_completion_seconds child for this node (null when
+  /// cfg_.metrics is): a distribution, so it is observed as groups
+  /// complete rather than read from the engine at export.
+  stats::Histogram* completion_ = nullptr;
 
   // Adaptive request-window state (Config::adaptive_timers).
   double c1_adapt_;

@@ -190,7 +190,7 @@ double Metrics::gauge_value(const std::string& name, const Labels& labels,
   return it == fam->children.end() ? fallback : it->second.gauge->value();
 }
 
-// --- Metrics: snapshot / delta -----------------------------------------------
+// --- Metrics: snapshot -------------------------------------------------------
 
 Metrics::Snapshot Metrics::snapshot() const {
   Snapshot snap;
@@ -222,34 +222,6 @@ Metrics::Snapshot Metrics::snapshot() const {
     }
   }
   return snap;
-}
-
-Metrics::Snapshot Metrics::delta(const Snapshot& now, const Snapshot& then) {
-  Snapshot out = now;
-  for (auto& [name, fam] : out.families) {
-    auto then_fam = then.families.find(name);
-    if (then_fam == then.families.end()) continue;
-    for (auto& [key, val] : fam.values) {
-      auto then_val = then_fam->second.values.find(key);
-      if (then_val == then_fam->second.values.end()) continue;
-      const Snapshot::Value& old = then_val->second;
-      switch (fam.type) {
-        case Type::kCounter:
-          val.scalar -= old.scalar;
-          break;
-        case Type::kGauge:
-          break;  // gauges keep the newer value
-        case Type::kHistogram:
-          val.count -= old.count;
-          val.sum -= old.sum;
-          for (std::size_t i = 0; i < val.buckets.size() && i < old.buckets.size(); ++i)
-            val.buckets[i] -= old.buckets[i];
-          val.overflow -= old.overflow;
-          break;
-      }
-    }
-  }
-  return out;
 }
 
 // --- Metrics: export ---------------------------------------------------------

@@ -96,7 +96,7 @@ class Gauge {
 /// Fixed-bucket log2 histogram: bucket i counts observations with
 /// value <= least_bound * 2^i; anything larger lands in the overflow
 /// bucket. Values <= 0 count in bucket 0. Bounds are fixed at
-/// construction, so deltas subtract bucket-wise.
+/// construction.
 /// Lane-aware (see Counter): observations land in the caller's lane and
 /// the accessors sum bucket-wise across lanes.
 class Histogram {
@@ -147,8 +147,12 @@ class Histogram {
 ///
 /// Contract:
 ///  - `counter(name, labels)` (etc.) returns a reference that stays valid
-///    for the registry's lifetime, so hot paths register once and bump a
-///    cached pointer;
+///    for the registry's lifetime. The event core and the network register
+///    once and bump a cached pointer during the run. The protocol's
+///    sharqfec.* families are filled at export instead: the engines keep
+///    each count once, and Session::export_metrics writes them after the
+///    run. Only the completion-latency histogram, a distribution no engine
+///    holds, is observed live;
 ///  - a family's type is fixed by its first registration; re-registering
 ///    under another type is a programmer error and aborts;
 ///  - export order is stable: families by name, children by their
@@ -176,10 +180,9 @@ class Metrics {
   double gauge_value(const std::string& name, const Labels& labels,
                      double fallback = 0.0) const;
 
-  // --- snapshot / delta ------------------------------------------------------
+  // --- snapshot --------------------------------------------------------------
 
-  /// A deep copy of every value at one instant. Counter and histogram
-  /// snapshots subtract (delta()); gauges report the newer value.
+  /// A deep copy of every value at one instant.
   struct Snapshot {
     struct Value {
       Labels labels;
@@ -198,11 +201,6 @@ class Metrics {
   };
 
   Snapshot snapshot() const;
-
-  /// now - then, per family/child: counters and histograms subtract
-  /// element-wise, gauges keep their `now` value. Children absent from
-  /// `then` pass through unchanged; children only in `then` are dropped.
-  static Snapshot delta(const Snapshot& now, const Snapshot& then);
 
   // --- export ----------------------------------------------------------------
 

@@ -65,10 +65,10 @@ TEST(AdaptiveTimers, EnabledStaysBoundedAndDelivers) {
   for (auto& a : s.agents()) {
     const double c1 = a->transfer().adapted_c1();
     const double c2 = a->transfer().adapted_c2();
-    EXPECT_GE(c1, cfg.adaptive_c1_min);
-    EXPECT_LE(c1, cfg.adaptive_c1_max);
-    EXPECT_GE(c2, cfg.adaptive_c2_min);
-    EXPECT_LE(c2, cfg.adaptive_c2_max);
+    EXPECT_GE(c1, kAdaptiveC1Min);
+    EXPECT_LE(c1, kAdaptiveC1Max);
+    EXPECT_GE(c2, kAdaptiveC2Min);
+    EXPECT_LE(c2, kAdaptiveC2Max);
     moved = moved || c1 != 2.0 || c2 != 2.0;
   }
   EXPECT_TRUE(moved);  // at least someone adapted under 15% loss

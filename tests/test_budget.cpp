@@ -203,6 +203,7 @@ TEST(DedupRing, InWindowDuplicateIsRejectedAndCounted) {
 
   ASSERT_EQ(sink.replays(), 40u);
   EXPECT_EQ(agent.duplicate_rejects(), 40u);
+  s.export_metrics(metrics);
   EXPECT_EQ(metrics
                 .counter("sharqfec.duplicate_rejects",
                          {{"node", std::to_string(target)}})
@@ -277,6 +278,7 @@ TEST(BudgetDeterminism, SameSeedRunsAreByteIdentical) {
     s.start();
     s.send_stream(8, 6.0);
     f.simu.run_until(150.0);
+    s.export_metrics(metrics);
     std::ostringstream mos;
     metrics.write_totals_json(mos);
     return jos.str() + "\n---\n" + mos.str();

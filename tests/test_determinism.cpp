@@ -7,13 +7,10 @@
 #include <sstream>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "rm/delivery_log.hpp"
 #include "sharqfec/messages.hpp"
-#include "sharqfec/ordered.hpp"
 #include "sharqfec/protocol.hpp"
 #include "sim/simulator.hpp"
 #include "srm/session.hpp"
@@ -188,17 +185,6 @@ TEST(Determinism, DeliveryLogLatenciesAreUnitOrdered) {
       {0, 1.0}, {1, 1.5}, {2, 2.0}};
   const std::vector<double> lat = log.latencies({7}, sent_at);
   EXPECT_EQ(lat, (std::vector<double>{8.0, 4.5, 3.0}));  // units 0, 1, 2
-}
-
-// The ordered.hpp helpers themselves: sorted, complete, and set/map agnostic.
-TEST(Determinism, OrderedSnapshotHelpers) {
-  std::unordered_map<int, int> umap{{3, 30}, {1, 10}, {2, 20}};
-  EXPECT_EQ(ordered_keys(umap), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(ordered_items(umap),
-            (std::vector<std::pair<int, int>>{{1, 10}, {2, 20}, {3, 30}}));
-  EXPECT_EQ(ordered_values(umap), (std::vector<int>{10, 20, 30}));
-  std::unordered_set<int> uset{9, 4, 6};
-  EXPECT_EQ(ordered_keys(uset), (std::vector<int>{4, 6, 9}));
 }
 
 }  // namespace

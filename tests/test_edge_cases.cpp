@@ -22,7 +22,7 @@ TEST(EstimateFallback, UnknownPeerUsesDefaultDistance) {
   sfq::Session s(net, c.nodes[0], {c.nodes[1], c.nodes[2]}, cfg);
   // Before start(): no session traffic at all, every estimate falls back.
   EXPECT_DOUBLE_EQ(s.agent_for(c.nodes[1]).session().estimate_dist(c.nodes[2]),
-                   cfg.default_dist);
+                   sfq::kDefaultDist);
   EXPECT_DOUBLE_EQ(s.agent_for(c.nodes[1]).session().estimate_dist(c.nodes[1]),
                    0.0);
 }

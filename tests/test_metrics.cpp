@@ -142,34 +142,7 @@ TEST(MetricsRegistry, JsonEscapesLabelValues) {
       << os.str();
 }
 
-// --- snapshot / delta --------------------------------------------------------
-
-TEST(MetricsSnapshot, DeltaSubtractsCountersKeepsGauges) {
-  Metrics m;
-  Counter& c = m.counter("c", {{"node", "0"}});
-  Gauge& g = m.gauge("g");
-  Histogram& h = m.histogram("h", {}, 1.0, 2);
-  c.inc(10);
-  g.set(1.0);
-  h.observe(0.5);
-  const Metrics::Snapshot then = m.snapshot();
-  c.inc(5);
-  g.set(9.0);
-  h.observe(0.5);
-  h.observe(100.0);
-  m.counter("c", {{"node", "1"}}).inc(7);  // child born after `then`
-  const Metrics::Snapshot d = Metrics::delta(m.snapshot(), then);
-
-  EXPECT_DOUBLE_EQ(d.families.at("c").values.at("node=0").scalar, 5.0);
-  // A child absent from `then` passes through unchanged.
-  EXPECT_DOUBLE_EQ(d.families.at("c").values.at("node=1").scalar, 7.0);
-  EXPECT_DOUBLE_EQ(d.families.at("g").values.at("").scalar, 9.0);
-  const auto& hv = d.families.at("h").values.at("");
-  EXPECT_EQ(hv.count, 2u);
-  EXPECT_DOUBLE_EQ(hv.sum, 100.5);
-  EXPECT_EQ(hv.buckets[0], 1u);
-  EXPECT_EQ(hv.overflow, 1u);
-}
+// --- snapshot ----------------------------------------------------------------
 
 TEST(MetricsSnapshot, SnapshotJsonMatchesLiveJson) {
   Metrics m;
@@ -214,7 +187,90 @@ struct Fig10Run {
   bool complete = false;
 };
 
-Fig10Run run_fig10(std::uint64_t seed) {
+/// Every agent the session ever ran: retired incarnations, then live ones.
+std::vector<const sfq::Agent*> every_agent(const sfq::Session& s) {
+  std::vector<const sfq::Agent*> all;
+  for (const auto& a : s.retired()) all.push_back(a.get());
+  for (const auto& a : s.agents()) all.push_back(a.get());
+  return all;
+}
+
+/// A churned node's registry children against its two incarnations: the
+/// counters sum both, the per-node gauge is the newest one's, and the
+/// fleet-wide high waters are the maximum over every agent.
+void expect_churned_node_exported(const Metrics& m, sfq::Session& s,
+                                  net::NodeId victim) {
+  ASSERT_EQ(s.retired().size(), 1u);
+  const sfq::Agent& was = *s.retired().front();
+  const sfq::Agent& now = s.agent_for(victim);
+  ASSERT_EQ(was.node(), victim);
+  // Both incarnations did real work, so a dropped one would show.
+  EXPECT_GT(was.session().session_messages_sent(), 0u);
+  EXPECT_GT(now.session().session_messages_sent(), 0u);
+
+  const Labels node{{"node", std::to_string(victim)}};
+  auto both = [&](auto count) { return count(was) + count(now); };
+  using A = const sfq::Agent&;
+  EXPECT_EQ(m.counter_value("sharqfec.nacks_sent", node),
+            both([](A a) { return a.transfer().nacks_sent(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.nacks_suppressed", node),
+            both([](A a) { return a.transfer().nacks_suppressed(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.nacks_deduped", node),
+            both([](A a) { return a.transfer().nacks_deduped(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.malformed_rejects", node),
+            both([](A a) { return a.transfer().malformed_rejects(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.duplicate_rejects", node),
+            both([](A a) { return a.duplicate_rejects(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.corrupt_rejects", node),
+            both([](A a) { return a.corrupt_rejects(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.rtt_samples", node),
+            both([](A a) { return a.session().rtt_samples(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.zcr_challenges", node),
+            both([](A a) { return a.session().challenges_sent(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.zcr_takeovers", node),
+            both([](A a) { return a.session().takeovers_sent(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.zcr_expiries", node),
+            both([](A a) { return a.session().zcr_expiries(); }));
+  EXPECT_EQ(m.counter_value("sharqfec.peers_expired", node),
+            both([](A a) { return a.session().peers_expired(); }));
+  std::uint64_t session_msgs = 0, repairs = 0, preemptive = 0;
+  for (std::size_t l = 0; l < now.session().chain().size(); ++l) {
+    const Labels scope{{"node", node.at("node")}, {"scope", std::to_string(l)}};
+    const Labels level{{"level", std::to_string(l)}, {"node", node.at("node")}};
+    session_msgs += m.counter_value("sharqfec.session_msgs", scope);
+    repairs += m.counter_value("sharqfec.repairs_sent", level);
+    preemptive += m.counter_value("sharqfec.preemptive_repairs", level);
+  }
+  EXPECT_EQ(session_msgs,
+            both([](A a) { return a.session().session_messages_sent(); }));
+  EXPECT_EQ(repairs, both([](A a) { return a.transfer().repairs_sent(); }));
+  EXPECT_EQ(preemptive,
+            both([](A a) { return a.transfer().preemptive_repairs_sent(); }));
+
+  // The restarted incarnation heard the rest of the stream, so its
+  // estimate is the one that stands.
+  ASSERT_GE(now.transfer().arrival_ewma(), 0.0);
+  EXPECT_NE(now.transfer().arrival_ewma(), was.transfer().arrival_ewma());
+  EXPECT_EQ(m.gauge_value("sharqfec.arrival_ewma", node, -1.0),
+            now.transfer().arrival_ewma());
+
+  std::int32_t pending_hw = 0;
+  std::size_t peer_hw = 0;
+  for (const sfq::Agent* a : every_agent(s)) {
+    pending_hw = std::max(pending_hw, a->transfer().pending_high_water());
+    peer_hw = std::max(peer_hw, a->session().peer_table_high_water());
+  }
+  EXPECT_GT(peer_hw, 0u);
+  EXPECT_EQ(m.gauge_value("sharqfec.pending_repair_high_water", {}, -1.0),
+            static_cast<double>(pending_hw));
+  EXPECT_EQ(m.gauge_value("sharqfec.peer_table_high_water", {}, -1.0),
+            static_cast<double>(peer_hw));
+}
+
+/// The Figure-10 stream with a registry attached. With `churn`, one leaf is
+/// killed mid-stream and restarted, and its export is checked against both
+/// of its incarnations.
+Fig10Run run_fig10(std::uint64_t seed, bool churn = false) {
   Fig10Run out;
   Metrics m;
   sim::Simulator simu(seed);
@@ -228,10 +284,18 @@ Fig10Run run_fig10(std::uint64_t seed) {
   sfq::Session s(net, t.source, t.receivers, cfg, &log);
   s.start();
   s.send_stream(16, 6.0);
+  const net::NodeId victim = t.leaves_of(0).back();
+  if (churn) {
+    simu.run_until(7.0);  // the 16 groups go out over 6.0-8.6 s
+    s.remove_receiver(victim);
+    simu.run_until(7.5);
+    s.add_receiver(victim);
+  }
   simu.run_until(45.0);
+  s.export_metrics(m);
 
   std::uint64_t insp_nacks = 0, insp_repairs = 0, insp_preemptive = 0;
-  for (const auto& a : s.agents()) {
+  for (const sfq::Agent* a : every_agent(s)) {
     insp_nacks += a->transfer().nacks_sent();
     insp_repairs += a->transfer().repairs_sent();
     insp_preemptive += a->transfer().preemptive_repairs_sent();
@@ -246,15 +310,16 @@ Fig10Run run_fig10(std::uint64_t seed) {
   out.events_fired = m.counter_total("sim.events_fired");
   out.events_cancelled = m.counter_total("sim.events_cancelled");
 
-  // The registry must agree with the engines' own inspection counters:
-  // they are maintained at the same sites from independent variables.
+  // The export must carry the engines' own counts: a family it drops,
+  // double-counts or files under the wrong node shows here.
   EXPECT_EQ(out.nacks, insp_nacks);
   EXPECT_EQ(out.repairs, insp_repairs);
   EXPECT_EQ(out.preemptive, insp_preemptive);
 
   // Per-level repair counters must partition the total. Chains differ per
   // agent (the source sits in the root zone only; leaves carry the full
-  // root/mesh/leaf chain), so walk each agent's own chain.
+  // root/mesh/leaf chain), so walk each agent's own chain. Live agents
+  // name each node once; a node's children cover all its incarnations.
   for (const auto& a : s.agents()) {
     const std::size_t chain = a->session().chain().size();
     out.levels = std::max(out.levels, chain);
@@ -265,6 +330,8 @@ Fig10Run run_fig10(std::uint64_t seed) {
            {"node", std::to_string(a->session().node())}});
     }
   }
+
+  if (churn) expect_churned_node_exported(m, s, victim);
 
   std::ostringstream os;
   m.write_json(os);
@@ -286,6 +353,13 @@ TEST(MetricsE2E, Figure10KnownCountersAndConsistency) {
   // Every fired event was scheduled; cancelled ones never fire.
   EXPECT_EQ(r.events_fired, r.executed);
   EXPECT_GE(r.events_scheduled, r.events_fired + r.events_cancelled);
+}
+
+TEST(MetricsE2E, Figure10ChurnedNodeExportsBothIncarnations) {
+  const Fig10Run r = run_fig10(7, /*churn=*/true);
+  EXPECT_TRUE(r.complete);
+  EXPECT_GT(r.nacks, 0u);
+  EXPECT_EQ(r.repairs_by_level_sum, r.repairs);
 }
 
 TEST(MetricsE2E, Figure10SameSeedIsByteIdentical) {

@@ -114,6 +114,7 @@ RunOutput run_sharded(int workers, bool with_faults) {
   out.events = rt.events_executed();
   out.complete = session.all_complete(kGroups);
   out.journal = jos.str();
+  session.export_metrics(metrics);
   std::ostringstream mos;
   metrics.write_json(mos);
   out.metrics = mos.str();

@@ -413,6 +413,7 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   r.drops_epoch_kill = d_kill;
   r.drops_queue_full = sum_drops(net::DropReason::kQueueFull);
   r.events = rt ? rt->events_executed() : simu.events_executed();
+  session.export_metrics(metrics);
   std::ostringstream mos;
   metrics.write_totals_json(mos);
   r.metrics_json = mos.str();

@@ -17,8 +17,7 @@
 // Rules:
 //   unordered-iter   iteration over unordered containers (range-for or
 //                    begin()/end() family) outside annotated regions.
-//                    Iterate an ordered container, or take a sorted
-//                    snapshot via sharqfec/ordered.hpp.
+//                    Iterate an ordered container instead.
 //   wall-clock       wall-clock / ambient-nondeterminism sources in src/
 //                    (time(), system_clock, rand(), std::random_device,
 //                    <chrono>/<ctime>/<random> includes). Randomness must
@@ -873,19 +872,6 @@ void collect_rng_forked(const LexedFile& f, ProjectIndex& idx) {
 // Rules
 // ---------------------------------------------------------------------------
 
-// Names that mark a range expression as an ordered snapshot.
-bool has_ordered_snapshot_call(const std::vector<Tok>& toks, std::size_t lo,
-                               std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    if (toks[i].kind == Tok::kIdent &&
-        (toks[i].text == "ordered_keys" || toks[i].text == "ordered_items" ||
-         toks[i].text == "ordered_values")) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void rule_unordered_iter(const LexedFile& f, const SymbolTable& sym,
                          const Suppressions& sup, std::vector<Finding>& out) {
   const auto& toks = f.toks;
@@ -909,14 +895,14 @@ void rule_unordered_iter(const LexedFile& f, const SymbolTable& sym,
         else if (toks[j].text == ":" && depth == 1) { colon = j; break; }
         else if (toks[j].text == ";") break;  // classic for-loop
       }
-      if (colon != 0 && !has_ordered_snapshot_call(toks, colon, close)) {
+      if (colon != 0) {
         for (std::size_t j = colon + 1; j + 1 < close; ++j) {
           if (is_unordered_name(toks[j]) && !sup.suppressed("unordered-iter", toks[j].line)) {
             out.push_back({f.path, toks[i].line, "unordered-iter",
                            "range-for over unordered container '" + toks[j].text +
                                "': iteration order is hash-dependent and can leak "
                                "into timers/wire/export ordering; use an ordered "
-                               "container or sharqfec/ordered.hpp, or annotate "
+                               "container, or annotate "
                                "`// sharq-lint: unordered-iter-ok (reason)`"});
             break;
           }
@@ -935,8 +921,8 @@ void rule_unordered_iter(const LexedFile& f, const SymbolTable& sym,
           !sup.suppressed("unordered-iter", toks[i].line)) {
         out.push_back({f.path, toks[i].line, "unordered-iter",
                        "iterator walk over unordered container '" + toks[i].text +
-                           "': order is hash-dependent; use an ordered container "
-                           "or sharqfec/ordered.hpp, or annotate "
+                           "': order is hash-dependent; use an ordered container, "
+                           "or annotate "
                            "`// sharq-lint: unordered-iter-ok (reason)`"});
       }
     }

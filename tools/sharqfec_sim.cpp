@@ -271,6 +271,7 @@ int main(int argc, char** argv) {
       repairs += a->transfer().repairs_sent();
     }
     units = o.packets / cfg.group_size;
+    if (!o.metrics_file.empty()) s.export_metrics(metrics);
     if (prof) s.memory_census(census);
   }
 
