@@ -105,7 +105,6 @@ RunResult run_sharqfec(const sfq::Config& cfg, const Workload& w,
   net::Network net(simu);
   if (metrics_dump_enabled()) {
     simu.set_metrics(&metrics);
-    net.set_metrics(&metrics);
   }
   topo::Figure10 topo = topo::make_figure10(net);
   r.receivers = topo.receivers;
@@ -139,7 +138,10 @@ RunResult run_sharqfec(const sfq::Config& cfg, const Workload& w,
   }
   const double group_time = cfg2.group_size * w.packet_size * 8.0 / w.rate_bps;
   fill_latency(r, log, topo.receivers, groups, w.data_start, group_time);
-  if (metrics_dump_enabled()) session.export_metrics(metrics);
+  if (metrics_dump_enabled()) {
+    net.export_metrics(metrics);
+    session.export_metrics(metrics);
+  }
   maybe_dump_metrics(metrics, label);
   return r;
 }

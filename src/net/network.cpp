@@ -58,51 +58,48 @@ sim::Simulator& Network::sim_of_node(NodeId node) {
   return rt_ ? rt_->sim(shard_map_.shard(node)) : simu_;
 }
 
-TrafficSink* Network::sink() {
-  if (rt_ && !shard_sinks_.empty()) {
-    if (TrafficSink* s = shard_sinks_[static_cast<std::size_t>(stats::lane())])
-      return s;
-  }
-  return sink_;
-}
-
 void Network::enable_sharding(sim::ShardRuntime& rt, ShardMap map) {
   assert(static_cast<int>(map.shard_of.size()) == node_count());
   assert(map.nshards == rt.nshards());
+  assert(lanes_[0].next_uid == 1 && "enable sharding before any traffic");
   rt_ = &rt;
   shard_map_ = std::move(map);
+  TrafficSink* const sink = lanes_[0].sink;
   lanes_.clear();
   lanes_.resize(static_cast<std::size_t>(shard_map_.nshards));
-  shard_sinks_.assign(lanes_.size(), nullptr);
-  shard_next_uid_.assign(lanes_.size(), 1);
+  for (LaneCtx& lc : lanes_) lc.sink = sink;
 }
 
 sim::Simulator& Network::simulator_for(NodeId node) { return sim_of_node(node); }
 
-void Network::set_shard_sink(int shard, TrafficSink* sink) {
-  assert(rt_ && shard >= 0 && shard < shard_map_.nshards);
-  shard_sinks_[static_cast<std::size_t>(shard)] = sink;
+void Network::set_sink(TrafficSink* sink) {
+  for (LaneCtx& lc : lanes_) lc.sink = sink;
 }
 
-void Network::set_metrics(stats::Metrics* metrics) {
-  metrics_ = metrics;
-  if (!metrics_) {
-    for (auto& c : sends_by_class_) c = nullptr;
-    for (auto& c : drops_by_reason_) c = nullptr;
-    corrupted_ = nullptr;
-    duplicated_ = nullptr;
-    return;
+void Network::set_shard_sink(int shard, TrafficSink* sink) {
+  assert(rt_ && shard >= 0 && shard < shard_map_.nshards);
+  lanes_[static_cast<std::size_t>(shard)].sink = sink;
+}
+
+void Network::export_metrics(stats::Metrics& m) const {
+  WireCounts total;
+  for (const LaneCtx& lc : lanes_) {
+    const WireCounts& w = lc.wire;
+    for (int i = 0; i < kTrafficClassCount; ++i) total.sends[i] += w.sends[i];
+    for (int i = 0; i < kDropReasonCount; ++i) total.drops[i] += w.drops[i];
+    total.corrupted += w.corrupted;
+    total.duplicated += w.duplicated;
   }
   for (int i = 0; i < kTrafficClassCount; ++i) {
-    const stats::Labels labels{{"class", to_string(static_cast<TrafficClass>(i))}};
-    sends_by_class_[i] = &metrics_->counter("net.sends", labels);
+    m.counter("net.sends", {{"class", to_string(static_cast<TrafficClass>(i))}})
+        .inc(total.sends[i]);
   }
-  for (int i = 0; i < 4; ++i) {
-    const stats::Labels labels{{"reason", to_string(static_cast<DropReason>(i))}};
-    drops_by_reason_[i] = &metrics_->counter("net.drops", labels);
+  for (int i = 0; i < kDropReasonCount; ++i) {
+    m.counter("net.drops", {{"reason", to_string(static_cast<DropReason>(i))}})
+        .inc(total.drops[i]);
   }
-  corrupted_ = &metrics_->counter("net.corrupted");
-  duplicated_ = &metrics_->counter("net.duplicated");
+  m.counter("net.corrupted").inc(total.corrupted);
+  m.counter("net.duplicated").inc(total.duplicated);
 }
 
 void Network::memory_census(stats::MemCensus& census) const {
@@ -147,28 +144,27 @@ void Network::memory_census(stats::MemCensus& census) const {
   census.add("net_caches", caches, caches);
 }
 
-void Network::count_drop(DropReason reason) {
-  if (metrics_) drops_by_reason_[static_cast<int>(reason)]->inc();
-}
-
-void Network::journal_drop(LinkId link, const Packet& packet,
-                           DropReason reason) {
-  if (!journal_) return;
+void Network::drop(LinkId link, const Packet& packet, DropReason reason) {
+  LaneCtx& lc = ctx();
+  ++lc.wire.drops[static_cast<int>(reason)];
+  const sim::Time now = ctx_sim().now();
   // Recovery traffic always journals: a lost NACK or repair breaks a
   // causal chain the analyzer would otherwise call "stuck", so the drop
   // itself is the explanation. Data loss from the conditioner is ordinary
   // here and surfaces as loss.detected — but a queue-full drop journals
   // for every class, because overflow is an overload symptom the
   // robustness campaign must be able to narrate (docs/ROBUSTNESS.md).
-  if (reason != DropReason::kQueueFull &&
-      packet.cls != TrafficClass::kNack && packet.cls != TrafficClass::kRepair)
-    return;
-  journal_->emit("net.dropped", ctx_sim().now(), links_[link].to, -1,
-                 journal_->uid_event(packet.uid),
-                 {{"class", to_string(packet.cls)},
-                  {"from", links_[link].from},
-                  {"reason", to_string(reason)},
-                  {"to", links_[link].to}});
+  if (journal_ && (reason == DropReason::kQueueFull ||
+                   packet.cls == TrafficClass::kNack ||
+                   packet.cls == TrafficClass::kRepair)) {
+    journal_->emit("net.dropped", now, links_[link].to, -1,
+                   journal_->uid_event(packet.uid),
+                   {{"class", to_string(packet.cls)},
+                    {"from", links_[link].from},
+                    {"reason", to_string(reason)},
+                    {"to", links_[link].to}});
+  }
+  if (lc.sink) lc.sink->on_drop(now, link, packet, reason);
 }
 
 NodeId Network::add_node() {
@@ -544,15 +540,16 @@ std::uint64_t Network::send(NodeId origin, ChannelId ch, TrafficClass cls,
   assert(ch >= 0 && ch < static_cast<ChannelId>(channels_.size()));
   SHARQ_PROF_SCOPE(net_forward);
   if (!nodes_[origin].up) return 0;  // a crashed node's NIC sends nothing
+  // The origin's own lane holds its rows and its uid stream — also when a
+  // barrier on lane 0 sends for a node of another shard.
+  const int lane = lane_of(origin);
+  LaneCtx& lc = lanes_[static_cast<std::size_t>(lane)];
+  // With more than one shard the origin's shard prefixes the uid, so uids
+  // stay unique across the lanes' streams.
+  const std::uint64_t prefix =
+      shard_map_.nshards > 1 ? static_cast<std::uint64_t>(lane + 1) << 48 : 0;
   Packet p;
-  if (rt_) {
-    const std::size_t shard =
-        static_cast<std::size_t>(shard_map_.shard(origin));
-    p.uid = (static_cast<std::uint64_t>(shard + 1) << 48) |
-            shard_next_uid_[shard]++;
-  } else {
-    p.uid = next_uid_++;
-  }
+  p.uid = prefix | lc.next_uid++;
   p.origin = origin;
   p.channel = ch;
   p.cls = cls;
@@ -562,17 +559,12 @@ std::uint64_t Network::send(NodeId origin, ChannelId ch, TrafficClass cls,
   // Bound-check before indexing: same forged-class hazard as
   // TraceWriter::enabled().
   const unsigned ci = static_cast<unsigned>(cls);
-  if (metrics_ && ci < static_cast<unsigned>(kTrafficClassCount)) {
-    sends_by_class_[ci]->inc();
-  }
+  if (ci < static_cast<unsigned>(kTrafficClassCount)) ++lc.wire.sends[ci];
   // Copy the origin's out-links into lane scratch (capacity retained
   // across packets, so no steady-state allocation): transmit() is
   // event-deferred and touches no forwarding state, but the rows
   // themselves live in the lane's fwd cache and a rebuild must not
-  // invalidate the iteration. The origin's own lane holds its rows — also
-  // when a barrier on lane 0 sends for a node of another shard.
-  const int lane = lane_of(origin);
-  LaneCtx& lc = lanes_[static_cast<std::size_t>(lane)];
+  // invalidate the iteration.
   assert(!lc.in_send && "Network::send is not reentrant");
   lc.in_send = true;
   const FwdRows& fwd = forwarding(lane, ch, origin);
@@ -658,17 +650,11 @@ void Network::transmit(LinkId link, const Packet& packet) {
   Link& l = links_[link];
   const sim::Time now = ctx_sim().now();
   if (!l.up) {
-    count_drop(DropReason::kLinkDown);
-    journal_drop(link, packet, DropReason::kLinkDown);
-    if (TrafficSink* s = sink()) s->on_drop(now, link, packet, DropReason::kLinkDown);
+    drop(link, packet, DropReason::kLinkDown);
     return;
   }
   if (l.queue_limit_pkts >= 0 && l.queued >= l.queue_limit_pkts) {
-    count_drop(DropReason::kQueueFull);
-    journal_drop(link, packet, DropReason::kQueueFull);
-    if (TrafficSink* s = sink()) {
-      s->on_drop(now, link, packet, DropReason::kQueueFull);
-    }
+    drop(link, packet, DropReason::kQueueFull);
     return;
   }
   if (TrafficSink* s = sink()) s->on_transmit(now, link, packet);
@@ -690,37 +676,28 @@ void Network::transmit(LinkId link, const Packet& packet) {
         Link& lk = links_[link];
         const sim::Time snow = ctx_sim().now();
         if (!lk.up || lk.epoch != epoch) {  // link or endpoint died mid-flight
-          count_drop(DropReason::kEpochKill);
-          journal_drop(link, packet, DropReason::kEpochKill);
-          if (TrafficSink* s = sink()) {
-            s->on_drop(snow, link, packet, DropReason::kEpochKill);
-          }
+          drop(link, packet, DropReason::kEpochKill);
           return;
         }
         --lk.queued;
         const PacketFate fate = lk.cond.next(lk.rng, packet);
         if (fate.drop) {
-          count_drop(DropReason::kLoss);
-          journal_drop(link, packet, DropReason::kLoss);
-          if (TrafficSink* s = sink()) {
-            s->on_drop(snow, link, packet, DropReason::kLoss);
-          }
+          drop(link, packet, DropReason::kLoss);
           return;
         }
+        LaneCtx& lc = ctx();
         Packet out = packet;
         if (fate.corrupt) {
           out.corrupted = true;
-          if (corrupted_) corrupted_->inc();
+          ++lc.wire.corrupted;
         }
-        if (fate.duplicates > 0 && duplicated_) {
-          duplicated_->inc(static_cast<std::uint64_t>(fate.duplicates));
+        if (fate.duplicates > 0) {
+          lc.wire.duplicated += static_cast<std::uint64_t>(fate.duplicates);
         }
         // Duplicates are real wire copies, so each gets its own ledger entry;
         // jitter shifts the whole burst, letting later packets overtake it.
         for (int copy = 0; copy <= fate.duplicates; ++copy) {
-          if (copy > 0) {
-            if (TrafficSink* s = sink()) s->on_transmit(snow, link, out);
-          }
+          if (copy > 0 && lc.sink) lc.sink->on_transmit(snow, link, out);
           deliver_after(link, out, snow + lk.delay + fate.extra_delay);
         }
       },

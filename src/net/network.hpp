@@ -20,7 +20,6 @@ class ShardRuntime;
 }  // namespace sharq::sim
 
 namespace sharq::stats {
-class Counter;
 class Journal;
 class Metrics;
 struct MemCensus;
@@ -58,6 +57,7 @@ enum class DropReason : std::uint8_t {
   kLoss,       ///< the link's conditioner dropped it on the wire
   kEpochKill,  ///< link (or an endpoint node) died mid-serialization
 };
+inline constexpr int kDropReasonCount = 4;
 
 /// Human-readable name for a DropReason.
 const char* to_string(DropReason reason);
@@ -242,11 +242,14 @@ class Network {
 
   // --- plumbing --------------------------------------------------------------
 
-  void set_sink(TrafficSink* sink) { sink_ = sink; }
+  /// Observe every lane's traffic with `sink` (set_shard_sink overrides
+  /// one shard's).
+  void set_sink(TrafficSink* sink);
 
-  /// Attach a metrics registry: net.sends{class}, net.drops{reason},
-  /// net.corrupted, net.duplicated. Pass nullptr to detach.
-  void set_metrics(stats::Metrics* metrics);
+  /// Write the wire counts, summed over lanes: net.sends{class},
+  /// net.drops{reason}, net.corrupted, net.duplicated, zeros included.
+  /// Counters add, so a registry gets one export, after the run.
+  void export_metrics(stats::Metrics& m) const;
 
   /// Contribute the network's retained bytes to the profiler's memory
   /// census: topology vectors under "net_topology", the links' random
@@ -389,6 +392,15 @@ class Network {
   /// window every access comes from the thread executing that shard (no
   /// sharing, no locks), and a barrier, which runs alone, may touch any
   /// lane. Cache contents stay a pure function of topology state.
+  ///
+  /// A lane also owns the traffic it executes: its sink, its uid stream
+  /// and its wire counts, which export_metrics sums.
+  struct WireCounts {
+    std::uint64_t sends[kTrafficClassCount] = {};
+    std::uint64_t drops[kDropReasonCount] = {};
+    std::uint64_t corrupted = 0;
+    std::uint64_t duplicated = 0;
+  };
   struct LaneCtx {
     // Ground-truth path queries' trees, only for the sources queried.
     std::unordered_map<NodeId, Routing> routing;
@@ -401,6 +413,13 @@ class Network {
     std::vector<LinkId> send_outs;
     bool in_arrive = false;
     bool in_send = false;
+
+    TrafficSink* sink = nullptr;
+    /// The uid stream of the lane's origins: uid = (shard+1) << 48 |
+    /// counter with more than one shard, the plain counter otherwise, so
+    /// uids are unique and depend only on each shard's own send order.
+    std::uint64_t next_uid = 1;
+    WireCounts wire;
   };
 
   /// Lane of the executing thread (ground-truth path queries).
@@ -415,7 +434,7 @@ class Network {
   /// Simulator owning `node`'s events (shard of the node).
   sim::Simulator& sim_of_node(NodeId node);
   /// The sink observing the executing lane.
-  TrafficSink* sink();
+  TrafficSink* sink() { return ctx().sink; }
 
   Routing shortest_paths(NodeId src) const;
   /// The executing lane's cached tree from `src` (path queries).
@@ -449,28 +468,17 @@ class Network {
   std::vector<Link> links_;
   std::vector<Channel> channels_;
   ZoneHierarchy zones_;
-  void count_drop(DropReason reason);
-  void journal_drop(LinkId link, const Packet& packet, DropReason reason);
+  /// Count a wire drop in the executing lane, journal it and tell the
+  /// lane's sink.
+  void drop(LinkId link, const Packet& packet, DropReason reason);
 
-  // sharq-lint: shard-owned begin (per-shard lanes and uid streams: inside a window only the owning lane touches them; the single-threaded barrier may touch any lane)
+  // sharq-lint: shard-owned begin (per-shard lanes: inside a window only the owning lane touches them; the single-threaded barrier may touch any lane)
   std::vector<LaneCtx> lanes_;  // by shard; [0] only in serial runs
   sim::ShardRuntime* rt_ = nullptr;
   ShardMap shard_map_;
-  std::vector<TrafficSink*> shard_sinks_;  // by shard, sharded runs only
-  /// Per-shard uid streams: uid = (shard+1) << 48 | counter, keyed by the
-  /// origin's shard, so uids are globally unique and depend only on each
-  /// shard's own deterministic send order. Serial runs use next_uid_.
-  std::vector<std::uint64_t> shard_next_uid_;
   // sharq-lint: shard-owned end
 
-  TrafficSink* sink_ = nullptr;
-  stats::Metrics* metrics_ = nullptr;
   stats::Journal* journal_ = nullptr;
-  stats::Counter* sends_by_class_[kTrafficClassCount] = {};
-  stats::Counter* drops_by_reason_[4] = {};
-  stats::Counter* corrupted_ = nullptr;
-  stats::Counter* duplicated_ = nullptr;
-  std::uint64_t next_uid_ = 1;
 };
 
 }  // namespace sharq::net

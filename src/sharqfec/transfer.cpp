@@ -75,8 +75,10 @@ void TransferEngine::export_metrics(stats::Metrics& m) const {
   m.counter("sharqfec.nacks_suppressed", by_node).inc(nacks_suppressed_);
   m.counter("sharqfec.nacks_deduped", by_node).inc(nacks_deduped_);
   m.counter("sharqfec.malformed_rejects", by_node).inc(malformed_rejects_);
-  stats::Gauge& ewma = m.gauge("sharqfec.arrival_ewma", by_node);
-  if (ewma_seeded(arrival_ewma_)) ewma.set(arrival_ewma_);
+  // Gauges get a child only once measured: an unmeasured one would read 0.
+  if (ewma_seeded(arrival_ewma_)) {
+    m.gauge("sharqfec.arrival_ewma", by_node).set(arrival_ewma_);
+  }
   // Fleet-wide (unlabeled): the deepest per-level repair backlog any node
   // saw, one registry child however many receivers there are.
   m.gauge("sharqfec.pending_repair_high_water").set_max(pending_high_water_);
@@ -89,8 +91,9 @@ void TransferEngine::export_metrics(stats::Metrics& m) const {
     const Scope& sc = scopes_[l];
     m.counter("sharqfec.repairs_sent", by_level).inc(sc.repairs);
     m.counter("sharqfec.preemptive_repairs", by_level).inc(sc.preemptive);
-    stats::Gauge& zlc = m.gauge("sharqfec.zlc_pred", by_level);
-    if (sc.zlc_measured) zlc.set(sc.zlc_pred);
+    if (sc.zlc_measured) {
+      m.gauge("sharqfec.zlc_pred", by_level).set(sc.zlc_pred);
+    }
   }
 }
 

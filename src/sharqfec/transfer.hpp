@@ -114,6 +114,8 @@ class TransferEngine {
   /// Most groups ever live at once: the size of the live-state pool.
   std::size_t live_group_high_water() const { return slots_.size(); }
   double predicted_zlc(net::ZoneId z) const;
+  /// True once chain level `l` holds a zone-loss measurement.
+  bool zlc_measured(std::size_t l) const { return scopes_[l].zlc_measured; }
   /// Reconstructed application bytes for a completed group (real_payload
   /// mode only; empty otherwise).
   std::vector<std::uint8_t> reconstructed(std::uint32_t g) const;

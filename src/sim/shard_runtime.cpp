@@ -72,7 +72,6 @@ void ShardRuntime::post(int dst, Time at, Callback fn, const char* tag) {
   auto& box = mail_[static_cast<std::size_t>(src)];
   box.push_back(Xmsg{at, src, mail_seq_[static_cast<std::size_t>(src)]++, dst,
                      std::move(fn), tag});
-  if (xshard_msgs_) xshard_msgs_->inc();
   stats::Profiler::count(stats::ProfCounter::xshard_msgs);
 }
 
@@ -160,6 +159,7 @@ void ShardRuntime::barrier() {
   for (Xmsg& m : batch) {
     sims_[static_cast<std::size_t>(m.dst)]->at(m.at, std::move(m.fn), m.tag);
   }
+  if (xshard_msgs_) xshard_msgs_->inc(batch.size());
   if (journal_) journal_->flush_lanes();
 }
 
@@ -188,7 +188,9 @@ void ShardRuntime::run_until(Time horizon) {
     }
     if (h > horizon) break;  // also covers h == infinity
 
-    Time end = h + lookahead_;
+    // One shard has no cross-shard link, so nothing bounds its window
+    // but the next global op and the horizon (its lookahead may be 0).
+    Time end = k == 1 ? kTimeInfinity : h + lookahead_;
     if (have_op) end = std::min(end, t_op);
     bool inclusive = false;
     if (end > horizon) {

@@ -51,7 +51,8 @@ class ShardRuntime {
   /// `shard0` is the driver's existing Simulator (it owns shard 0 — the
   /// root zone / source side); shards 1..nshards-1 get fresh Simulators
   /// seeded deterministically from `seed`.
-  /// `lookahead` is the minimum cross-shard link latency (> 0);
+  /// `lookahead` is the minimum cross-shard link latency (> 0 unless
+  /// nshards == 1, which has no cross-shard link and ignores it);
   /// `nthreads` >= 1 sizes the worker pool (clamped to nshards).
   ShardRuntime(Simulator& shard0, int nshards, Time lookahead,
                std::uint64_t seed, int nthreads);

@@ -1,18 +1,18 @@
 #pragma once
 
 // Execution-lane id for the sharded parallel runtime (docs/ARCHITECTURE.md,
-// "Zone-sharded parallel simulation"). Every stats sink (metrics registry,
-// journal) keeps per-lane storage so shard worker threads never contend on
+// "Zone-sharded parallel simulation"). The journal, the profiler and the
+// network keep per-lane storage so shard worker threads never contend on
 // a shared slot; lane 0 is the serial default and the barrier-time lane.
 //
 // The lane id is the one piece of thread-local state in the library: it is
-// set by the shard runtime around each window and read by Counter::inc &
-// co. Protocol code never touches it.
+// set by the shard runtime around each window and read by those per-lane
+// writers. Protocol code never touches it.
 
 namespace sharq::stats {
 
 /// Compile-time cap on shard lanes. The shard partitioner clamps its shard
-/// count to this, so per-metric lane storage can be a fixed array.
+/// count to this, so per-lane storage can be a fixed array.
 inline constexpr int kMaxLanes = 8;
 
 namespace detail {

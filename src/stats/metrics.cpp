@@ -1,7 +1,7 @@
 #include "stats/metrics.hpp"
 
 // sharq-lint: thread-unsafe-ok file (registry registration is the one
-// cross-lane rendezvous the shard runtime allows; see metrics.hpp)
+// cross-shard rendezvous the shard runtime allows; see metrics.hpp)
 
 #include <charconv>
 #include <cstdio>
@@ -86,8 +86,8 @@ const char* type_name(Metrics::Type t) {
 
 Histogram::Histogram(double least_bound, int bucket_count)
     : least_bound_(least_bound > 0.0 ? least_bound : 1e-3),
-      nbuckets_(bucket_count > 0 ? bucket_count : 1),
-      buckets_(static_cast<std::size_t>(nbuckets_) * kMaxLanes, 0) {}
+      buckets_(static_cast<std::size_t>(bucket_count > 0 ? bucket_count : 1),
+               0) {}
 
 double Histogram::bound(int i) const {
   double b = least_bound_;
@@ -96,21 +96,17 @@ double Histogram::bound(int i) const {
 }
 
 void Histogram::observe(double v) {
-  const int l = lane();
-  ++count_[l];
-  sum_[l] += v;
-  if (v <= least_bound_) {
-    ++buckets_[slot(l, 0)];
-    return;
-  }
+  ++count_;
+  sum_ += v;
   double upper = least_bound_;
-  for (int i = 0; i < nbuckets_; ++i, upper *= 2.0) {
+  for (std::uint64_t& b : buckets_) {
     if (v <= upper) {
-      ++buckets_[slot(l, i)];
+      ++b;
       return;
     }
+    upper *= 2.0;
   }
-  ++overflow_[l];
+  ++overflow_;
 }
 
 // --- Metrics: registration ---------------------------------------------------

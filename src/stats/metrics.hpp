@@ -7,14 +7,12 @@
 // Registration (family/child map insertion) is the one concurrent path in
 // the sharded runtime — hot paths bump cached references. A plain mutex
 // there cannot perturb simulation order, so determinism is preserved.
-// sharq-lint: thread-unsafe-ok file (lane-aware metrics registry backing
-// the deterministic shard runtime; docs/ARCHITECTURE.md)
+// sharq-lint: thread-unsafe-ok file (the metrics registry's registration
+// lock under the deterministic shard runtime; docs/ARCHITECTURE.md)
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "stats/lane.hpp"
 
 namespace sharq::stats {
 
@@ -40,106 +38,56 @@ std::string json_double(double v);
 using Labels = std::map<std::string, std::string>;
 
 /// Monotonically increasing event count.
-///
-/// Lane-aware: each shard worker writes its own lane slot (no sharing, no
-/// synchronization) and value() sums the lanes. Summation is
-/// order-independent, so exports are byte-identical for any worker count.
-/// Reading value() concurrently with a running shard window is a race by
-/// contract — reads belong at barriers or after the run.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { lanes_[lane()] += n; }
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (std::uint64_t v : lanes_) total += v;
-    return total;
-  }
+  void inc(std::uint64_t n = 1) { value_ += n; }
+  std::uint64_t value() const { return value_; }
 
  private:
-  std::uint64_t lanes_[kMaxLanes] = {};
+  std::uint64_t value_ = 0;
 };
 
 /// Point-in-time value (EWMA trajectories, queue depths, high-water marks).
-///
-/// Lane-aware like Counter: writes land in the caller's lane and value()
-/// merges with max over *written* lanes — exact for high-water marks and
-/// for per-entity gauges written from one lane (a node's gauge is only
-/// ever set by the shard that owns the node). A serial run uses lane 0
-/// only, so value() degenerates to the plain last-write semantics.
 class Gauge {
  public:
-  void set(double v) {
-    lanes_[lane()] = v;
-    written_[lane()] = true;
-  }
+  void set(double v) { value_ = v; }
   /// Keep the maximum ever seen (high-water marks).
   void set_max(double v) {
-    written_[lane()] = true;
-    if (v > lanes_[lane()]) lanes_[lane()] = v;
+    if (v > value_) value_ = v;
   }
-  double value() const {
-    double best = 0.0;
-    bool any = false;
-    for (int l = 0; l < kMaxLanes; ++l) {
-      if (!written_[l]) continue;
-      if (!any || lanes_[l] > best) best = lanes_[l];
-      any = true;
-    }
-    return best;
-  }
+  double value() const { return value_; }
 
  private:
-  double lanes_[kMaxLanes] = {};
-  bool written_[kMaxLanes] = {};
+  double value_ = 0.0;
 };
 
 /// Fixed-bucket log2 histogram: bucket i counts observations with
 /// value <= least_bound * 2^i; anything larger lands in the overflow
 /// bucket. Values <= 0 count in bucket 0. Bounds are fixed at
 /// construction.
-/// Lane-aware (see Counter): observations land in the caller's lane and
-/// the accessors sum bucket-wise across lanes.
 class Histogram {
  public:
   explicit Histogram(double least_bound = 1e-3, int bucket_count = 24);
 
   void observe(double v);
 
-  std::uint64_t count() const { return sum_lanes(count_); }
-  double sum() const {
-    double total = 0.0;
-    // sharq-lint: float-accum-ok (iteration order fixed: lane-indexed vector, lane count is seed-stable)
-    for (double v : sum_) total += v;
-    return total;
-  }
-  int bucket_count() const { return nbuckets_; }
+  std::uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
+  int bucket_count() const { return static_cast<int>(buckets_.size()); }
   /// Inclusive upper bound of bucket i (least_bound * 2^i).
   double bound(int i) const;
   std::uint64_t bucket(int i) const {
-    std::uint64_t total = 0;
-    for (int l = 0; l < kMaxLanes; ++l) total += buckets_[slot(l, i)];
-    return total;
+    return buckets_[static_cast<std::size_t>(i)];
   }
-  std::uint64_t overflow() const { return sum_lanes(overflow_); }
+  std::uint64_t overflow() const { return overflow_; }
   double least_bound() const { return least_bound_; }
 
  private:
-  std::size_t slot(int lane, int bucket) const {
-    return static_cast<std::size_t>(lane) * static_cast<std::size_t>(nbuckets_) +
-           static_cast<std::size_t>(bucket);
-  }
-  static std::uint64_t sum_lanes(const std::uint64_t (&lanes)[kMaxLanes]) {
-    std::uint64_t total = 0;
-    for (std::uint64_t v : lanes) total += v;
-    return total;
-  }
-
   double least_bound_;
-  int nbuckets_;
-  std::vector<std::uint64_t> buckets_;  // [lane * nbuckets_ + bucket]
-  std::uint64_t overflow_[kMaxLanes] = {};
-  std::uint64_t count_[kMaxLanes] = {};
-  double sum_[kMaxLanes] = {};
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t overflow_ = 0;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 /// A deterministic registry of named counter/gauge/histogram families with
@@ -147,12 +95,19 @@ class Histogram {
 ///
 /// Contract:
 ///  - `counter(name, labels)` (etc.) returns a reference that stays valid
-///    for the registry's lifetime. The event core and the network register
-///    once and bump a cached pointer during the run. The protocol's
-///    sharqfec.* families are filled at export instead: the engines keep
-///    each count once, and Session::export_metrics writes them after the
-///    run. Only the completion-latency histogram, a distribution no engine
-///    holds, is observed live;
+///    for the registry's lifetime. The event core registers once and bumps
+///    a cached pointer during the run. The network's net.* and the
+///    protocol's sharqfec.* families are filled at export instead: each
+///    count lives once, in the component that counts it, and
+///    Network::export_metrics / Session::export_metrics write them after
+///    the run. Only the completion-latency histogram, a distribution no
+///    engine holds, is observed live;
+///  - every child has one writer at a time: a plain number, no lane
+///    slices and no synchronisation. Under the shard runtime a child is
+///    written only by the shard that owns it (a node's histogram, a
+///    shard's queue counters) or at a single-threaded barrier, and the
+///    barriers order those writes. Reads belong at barriers or after the
+///    run;
 ///  - a family's type is fixed by its first registration; re-registering
 ///    under another type is a programmer error and aborts;
 ///  - export order is stable: families by name, children by their
@@ -235,8 +190,9 @@ class Metrics {
   const Family* find_family(const std::string& name) const;
 
   // Guards family/child map insertion only (cold path). Shard workers may
-  // register a labelled child mid-window; returned references stay valid
-  // (node-based maps), so hot-path bumps stay lock-free. Map insertion
+  // register a labelled child mid-window (an event queue's first use of a
+  // tag); returned references stay valid (node-based maps), so hot-path
+  // bumps stay lock-free. Map insertion
   // order cannot leak into exports — they iterate in key order.
   mutable std::mutex reg_mu_;
   std::map<std::string, Family> families_;

@@ -5,8 +5,8 @@
 // Channel A — deterministic. Per-subsystem scope counts and named
 // counters (events dispatched, packets forwarded, FEC bytes, cross-shard
 // messages, windows, barriers) plus the pull-based memory census. Every
-// value is a pure function of simulated history: lane-sliced like the
-// metrics registry (lane == shard), so the exported "deterministic"
+// value is a pure function of simulated history: sliced by execution
+// lane (lane == shard), so the exported "deterministic"
 // section is byte-identical across worker counts and belongs inside the
 // same-seed reproducibility contract.
 //

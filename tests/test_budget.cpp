@@ -353,8 +353,6 @@ class NullAgent final : public net::Agent {
 TEST(QueueOverflow, DataClassDropsAreJournaledAndCounted) {
   sim::Simulator simu(5);
   net::Network net(simu);
-  stats::Metrics metrics;
-  net.set_metrics(&metrics);
   std::ostringstream jos;
   stats::Journal journal(jos);
   net.set_journal(&journal);
@@ -374,6 +372,8 @@ TEST(QueueOverflow, DataClassDropsAreJournaledAndCounted) {
   }
   simu.run();
 
+  stats::Metrics metrics;
+  net.export_metrics(metrics);
   const double dropped =
       metrics.counter("net.drops", {{"reason", "queue-full"}}).value();
   EXPECT_GT(dropped, 0.0);

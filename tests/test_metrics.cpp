@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "rm/delivery_log.hpp"
+#include "sharqfec/ewma.hpp"
 #include "sharqfec/protocol.hpp"
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
@@ -185,6 +186,10 @@ struct Fig10Run {
   std::uint64_t executed = 0;
   std::size_t levels = 0;
   bool complete = false;
+  // Live agents' chain levels with and without a zone-loss measurement,
+  // and nodes whose gauge children do not match what they measured.
+  std::size_t zlc_measured = 0, zlc_unmeasured = 0;
+  std::vector<std::string> gauge_mismatches;
 };
 
 /// Every agent the session ever ran: retired incarnations, then live ones.
@@ -276,7 +281,6 @@ Fig10Run run_fig10(std::uint64_t seed, bool churn = false) {
   sim::Simulator simu(seed);
   net::Network net(simu);
   simu.set_metrics(&m);
-  net.set_metrics(&m);
   const topo::Figure10 t = topo::make_figure10(net);
   sfq::Config cfg;
   cfg.metrics = &m;
@@ -292,6 +296,7 @@ Fig10Run run_fig10(std::uint64_t seed, bool churn = false) {
     s.add_receiver(victim);
   }
   simu.run_until(45.0);
+  net.export_metrics(m);
   s.export_metrics(m);
 
   std::uint64_t insp_nacks = 0, insp_repairs = 0, insp_preemptive = 0;
@@ -331,6 +336,30 @@ Fig10Run run_fig10(std::uint64_t seed, bool churn = false) {
     }
   }
 
+  // A gauge child exists exactly where its engine measured something: an
+  // unmeasured level (or the source's arrival gap) would otherwise export
+  // a 0 that no run observed.
+  constexpr double kAbsent = -1.0;
+  for (const auto& a : s.agents()) {
+    if (churn && a->node() == victim) continue;  // its retiree measured too
+    const std::string node = std::to_string(a->node());
+    const sfq::TransferEngine& e = a->transfer();
+    if ((m.gauge_value("sharqfec.arrival_ewma", {{"node", node}}, kAbsent) !=
+         kAbsent) != sfq::ewma_seeded(e.arrival_ewma())) {
+      out.gauge_mismatches.push_back("arrival_ewma node " + node);
+    }
+    for (std::size_t l = 0; l < a->session().chain().size(); ++l) {
+      const Labels level{{"level", std::to_string(l)}, {"node", node}};
+      const bool child =
+          m.gauge_value("sharqfec.zlc_pred", level, kAbsent) != kAbsent;
+      ++(e.zlc_measured(l) ? out.zlc_measured : out.zlc_unmeasured);
+      if (child != e.zlc_measured(l)) {
+        out.gauge_mismatches.push_back("zlc_pred node " + node + " level " +
+                                       std::to_string(l));
+      }
+    }
+  }
+
   if (churn) expect_churned_node_exported(m, s, victim);
 
   std::ostringstream os;
@@ -353,6 +382,16 @@ TEST(MetricsE2E, Figure10KnownCountersAndConsistency) {
   // Every fired event was scheduled; cancelled ones never fire.
   EXPECT_EQ(r.events_fired, r.executed);
   EXPECT_GE(r.events_scheduled, r.events_fired + r.events_cancelled);
+}
+
+TEST(MetricsE2E, Figure10UnmeasuredGaugesHaveNoChild) {
+  const Fig10Run r = run_fig10(7);
+  EXPECT_TRUE(r.gauge_mismatches.empty())
+      << r.gauge_mismatches.size() << " mismatches, first: "
+      << r.gauge_mismatches.front();
+  // Both kinds of level occur, so neither direction passes vacuously.
+  EXPECT_GT(r.zlc_measured, 0u);
+  EXPECT_GT(r.zlc_unmeasured, 0u);
 }
 
 TEST(MetricsE2E, Figure10ChurnedNodeExportsBothIncarnations) {

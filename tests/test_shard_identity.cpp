@@ -30,6 +30,7 @@
 #include "stats/lane.hpp"
 #include "stats/metrics.hpp"
 #include "stats/profiler.hpp"
+#include "stats/trace_writer.hpp"
 #include "topo/figure10.hpp"
 #include "topo/shapes.hpp"
 #include "topo/shard_plan.hpp"
@@ -57,7 +58,6 @@ RunOutput run_sharded(int workers, bool with_faults) {
   sim::Simulator simu(4242);
   net::Network net(simu);
   simu.set_metrics(&metrics);
-  net.set_metrics(&metrics);
   net.set_journal(&journal);
   topo::Figure10 t = topo::make_figure10(net);
 
@@ -114,6 +114,7 @@ RunOutput run_sharded(int workers, bool with_faults) {
   out.events = rt.events_executed();
   out.complete = session.all_complete(kGroups);
   out.journal = jos.str();
+  net.export_metrics(metrics);
   session.export_metrics(metrics);
   std::ostringstream mos;
   metrics.write_json(mos);
@@ -148,6 +149,46 @@ INSTANTIATE_TEST_SUITE_P(CleanAndFaulted, ShardIdentity,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "FaultPlan" : "CleanStream";
                          });
+
+// One shard has no cross-shard link, so the map of an unshardable
+// topology (one shard, lookahead 0) must still run: each window reaches
+// the next global op or the horizon, and the history is the serial one.
+std::string fig10_trace(bool one_shard_runtime) {
+  sim::Simulator simu(4242);
+  net::Network net(simu);
+  topo::Figure10 t = topo::make_figure10(net);
+  std::unique_ptr<sim::ShardRuntime> rt;
+  if (one_shard_runtime) {
+    net::ShardMap map = topo::make_zone_shard_map(net, /*max_shards=*/1);
+    EXPECT_EQ(map.nshards, 1);
+    EXPECT_EQ(map.lookahead, 0.0);
+    rt = std::make_unique<sim::ShardRuntime>(simu, map.nshards, map.lookahead,
+                                             /*seed=*/4242, /*nthreads=*/1);
+    net.enable_sharding(*rt, std::move(map));
+  }
+  std::ostringstream trace;
+  stats::TraceWriter tw(trace, &net, nullptr);
+  net.set_sink(&tw);
+  sfq::Config cfg;
+  sfq::Session session(net, t.source, t.receivers, cfg);
+  session.start();
+  session.send_stream(kGroups, 6.0);
+  for (sim::Time horizon : {15.0, 30.0}) {
+    if (rt) {
+      rt->run_until(horizon);
+    } else {
+      simu.run_until(horizon);
+    }
+  }
+  EXPECT_TRUE(session.all_complete(kGroups));
+  return trace.str();
+}
+
+TEST(ShardIdentity, OneShardZeroLookaheadRunsTheSerialHistory) {
+  const std::string serial = fig10_trace(false);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(fig10_trace(true), serial);
+}
 
 // The same seed on the *serial* engine is a different determinism domain
 // (different RNG stream layout), but it must still agree on protocol

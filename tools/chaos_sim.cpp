@@ -157,7 +157,6 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   sim::Simulator simu(plan_seed);
   net::Network net(simu);
   simu.set_metrics(&metrics);
-  net.set_metrics(&metrics);
   topo::Figure10Options topt;
   topt.queue_limit_pkts = o.queue_limit;
   const topo::Figure10 t = topo::make_figure10(net, topt);
@@ -413,6 +412,7 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   r.drops_epoch_kill = d_kill;
   r.drops_queue_full = sum_drops(net::DropReason::kQueueFull);
   r.events = rt ? rt->events_executed() : simu.events_executed();
+  net.export_metrics(metrics);
   session.export_metrics(metrics);
   std::ostringstream mos;
   metrics.write_totals_json(mos);

@@ -199,7 +199,6 @@ int main(int argc, char** argv) {
   stats::Metrics metrics;
   if (!o.metrics_file.empty()) {
     simu.set_metrics(&metrics);
-    net.set_metrics(&metrics);
   }
   const Built b = build_topology(net, o);
   std::ofstream journal_os;
@@ -302,6 +301,7 @@ int main(int argc, char** argv) {
                    o.metrics_file.c_str());
       return 2;
     }
+    net.export_metrics(metrics);
     // Combined export: the registry families plus the 0.1 s per-class
     // delivery series, under one sharqfec.metrics.v1 envelope.
     mos << "{\"schema\":\"sharqfec.metrics.v1\",\"metrics\":";
