@@ -35,8 +35,8 @@ Row run_with_burst(double p_bad_to_good) {
     if (p <= 0.0) continue;
     const double pi = p / 0.9;
     const double p_gb = pi * p_bad_to_good / (1.0 - pi);
-    net.set_loss_model(l, std::make_unique<net::GilbertElliottLoss>(
-                              p_gb, p_bad_to_good, 0.0, 0.9));
+    net.conditioner(l).set_loss(
+        net::LossModel(p_gb, p_bad_to_good, 0.0, 0.9));
   }
   rm::DeliveryLog log;
   sfq::Config cfg;

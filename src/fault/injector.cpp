@@ -1,7 +1,5 @@
 #include "fault/injector.hpp"
 
-#include <memory>
-
 #include "net/loss.hpp"
 
 namespace sharq::fault {
@@ -44,9 +42,7 @@ void Injector::apply(const FaultEvent& e) {
       break;
     case EventKind::kLossRate:
       on_link(e.from, e.to, [this, &e](net::LinkId l) {
-        net_.conditioner(l).set_loss(
-            e.rate > 0.0 ? std::make_unique<net::BernoulliLoss>(e.rate)
-                         : nullptr);
+        net_.conditioner(l).set_loss(net::LossModel::bernoulli(e.rate));
       });
       break;
     case EventKind::kCorruptRate:

@@ -20,14 +20,14 @@ namespace sharq::fault {
 class Injector {
  public:
   struct Hooks {
-    std::function<void(net::NodeId)> kill;     ///< before set_node_up(false)
-    std::function<void(net::NodeId)> restart;  ///< after set_node_up(true)
+    std::function<void(net::NodeId)> kill{};     ///< before set_node_up(false)
+    std::function<void(net::NodeId)> restart{};  ///< after set_node_up(true)
     /// Late join: the session owner adds `node` as a receiver (flash-crowd
     /// events fan out to one call per node, staggered by the spacing).
-    std::function<void(net::NodeId)> join;
+    std::function<void(net::NodeId)> join{};
     /// Synthetic NACK burst: `node` emits `count` scoped NACKs, `spacing`
     /// seconds apart (overload pressure, not a real deficit).
-    std::function<void(net::NodeId, int count, sim::Time spacing)> nack_storm;
+    std::function<void(net::NodeId, int count, sim::Time spacing)> nack_storm{};
   };
 
   Injector(net::Network& net, Hooks hooks)

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <memory>
-
 #include "net/loss.hpp"
 #include "net/packet.hpp"
 #include "sim/random.hpp"
@@ -10,8 +8,7 @@
 namespace sharq::net {
 
 /// The fate a link's conditioner pipeline assigns one packet at the moment
-/// its serialization completes (wire order, same instant the old loss
-/// models were consulted).
+/// its serialization completes (wire order).
 struct PacketFate {
   bool drop = false;        ///< packet is discarded by the link
   bool corrupt = false;     ///< payload bytes arrive damaged (checksum fails)
@@ -29,26 +26,21 @@ struct PacketFate {
 /// All fault rates default to zero and, because `Rng::bernoulli` consumes no
 /// randomness for p <= 0, a default-constructed conditioner is
 /// byte-identical in behaviour (and RNG stream) to the bare loss model it
-/// wraps.
+/// holds.
 ///
 /// Loss honours `Packet::lossless` (the paper exempts session messages and
 /// NACKs from loss, §6.2); corruption, duplication, and reordering apply to
 /// every packet — they model pathologies, not policy.
 class LinkConditioner {
  public:
-  LinkConditioner() : loss_(std::make_unique<NoLoss>()) {}
-
-  LinkConditioner(LinkConditioner&&) = default;
-  LinkConditioner& operator=(LinkConditioner&&) = default;
-
   /// Decide the fate of the next packet, in transmission order.
   PacketFate next(sim::Rng& rng, const Packet& packet);
 
   // --- stages ---------------------------------------------------------------
 
-  /// Replace the loss process (never null; pass NoLoss to disable).
-  void set_loss(std::unique_ptr<LossModel> model);
-  const LossModel& loss() const { return *loss_; }
+  /// Replace the loss process (a default LossModel disables loss). The
+  /// new chain starts in its Good state.
+  void set_loss(const LossModel& model) { loss_ = model; }
 
   /// Probability a packet's payload is corrupted in flight.
   void set_corrupt_rate(double rate) { corrupt_rate_ = rate; }
@@ -67,12 +59,11 @@ class LinkConditioner {
   // --- analytics ------------------------------------------------------------
 
   /// Long-run probability a (loss-eligible) packet is discarded on the
-  /// wire. Matches the old LossModel::mean_loss_rate() contract, so
-  /// routing analytics (`Network::path_loss`) are unchanged by default.
-  double mean_drop_rate() const { return loss_->mean_loss_rate(); }
+  /// wire: the loss model's mean rate (`Network::path_loss` compounds it).
+  double mean_drop_rate() const { return loss_.mean_loss_rate(); }
 
  private:
-  std::unique_ptr<LossModel> loss_;
+  LossModel loss_;
   double corrupt_rate_ = 0.0;
   double dup_rate_ = 0.0;
   int dup_copies_ = 1;

@@ -1,96 +1,63 @@
 #pragma once
 
-#include <cstddef>
-#include <memory>
-
 #include "sim/random.hpp"
 
 namespace sharq::net {
 
-/// Per-link packet loss process.
+/// Per-link packet loss process: a two-state Gilbert-Elliott chain, held
+/// inline in its link and consulted once per packet in transmission order,
+/// so burst state sees a faithful packet sequence.
 ///
-/// Each simplex link owns one model instance and consults it once per
-/// packet, in transmission order, so stateful (bursty) models see a
-/// faithful packet sequence.
+/// In the Good state packets drop with probability `good_loss`, in the Bad
+/// state with `bad_loss`; transitions Good->Bad and Bad->Good happen per
+/// packet with probabilities `p_gb` and `p_bg`. Independent (Bernoulli)
+/// loss — the model the paper's simulations use, justified there by MBone
+/// measurements of uncorrelated loss — is the one-state chain p_gb = 0,
+/// good_loss = p; a lossless link is all zeros. Burst loss is an extension
+/// beyond the paper, to probe sensitivity to loss correlation in time.
+///
+/// Draw contract: each packet draws the transition from the current
+/// state, then the loss at the new state's rate. `Rng::bernoulli` draws
+/// nothing at p <= 0 or p >= 1, so a packet costs one draw per step whose
+/// probability lies strictly between 0 and 1: none on a lossless link or
+/// at rate 1, one for Bernoulli(0 < p < 1), up to two for a burst chain.
 class LossModel {
  public:
-  virtual ~LossModel() = default;
+  /// Lossless.
+  LossModel() = default;
 
-  /// Decide the fate of the next packet. True = packet is dropped.
-  virtual bool drop_next(sim::Rng& rng) = 0;
-
-  /// Long-run average drop probability (for analytic helpers and tests).
-  virtual double mean_loss_rate() const = 0;
-
-  /// Deep copy (links are cloned when topologies are duplicated).
-  virtual std::unique_ptr<LossModel> clone() const = 0;
-
-  /// Size of the whole object, one heap block (memory-census probe).
-  virtual std::size_t object_bytes() const = 0;
-};
-
-/// Independent (Bernoulli) loss at a fixed rate — the model the paper's
-/// simulations use, justified there by MBone measurements of uncorrelated
-/// loss across receivers.
-class BernoulliLoss final : public LossModel {
- public:
-  explicit BernoulliLoss(double rate) : rate_(rate) {}
-
-  bool drop_next(sim::Rng& rng) override { return rng.bernoulli(rate_); }
-  double mean_loss_rate() const override { return rate_; }
-  std::unique_ptr<LossModel> clone() const override {
-    return std::make_unique<BernoulliLoss>(rate_);
-  }
-  std::size_t object_bytes() const override { return sizeof(*this); }
-
-  double rate() const { return rate_; }
-
- private:
-  double rate_;
-};
-
-/// Two-state Gilbert-Elliott burst-loss model (extension beyond the paper:
-/// lets the benchmarks probe sensitivity to loss correlation in time).
-///
-/// In the Good state packets drop with probability `good_loss`; in the Bad
-/// state with `bad_loss`. Transitions g->b and b->g happen per packet with
-/// the given probabilities.
-class GilbertElliottLoss final : public LossModel {
- public:
-  GilbertElliottLoss(double p_good_to_bad, double p_bad_to_good,
-                     double good_loss, double bad_loss)
+  LossModel(double p_good_to_bad, double p_bad_to_good, double good_loss,
+            double bad_loss)
       : p_gb_(p_good_to_bad),
         p_bg_(p_bad_to_good),
         good_loss_(good_loss),
         bad_loss_(bad_loss) {}
 
-  bool drop_next(sim::Rng& rng) override;
-  double mean_loss_rate() const override;
-  std::unique_ptr<LossModel> clone() const override {
-    return std::make_unique<GilbertElliottLoss>(p_gb_, p_bg_, good_loss_,
-                                                bad_loss_);
-  }
-  std::size_t object_bytes() const override { return sizeof(*this); }
+  /// Independent loss at `rate`.
+  static LossModel bernoulli(double rate) { return {0.0, 0.0, rate, 0.0}; }
 
-  bool in_bad_state() const { return bad_; }
+  /// Decide the fate of the next packet. True = packet is dropped.
+  bool drop_next(sim::Rng& rng) {
+    // State transition first, so a burst's first packet already sees the
+    // Bad state's rate.
+    if (rng.bernoulli(bad_ ? p_bg_ : p_gb_)) bad_ = !bad_;
+    return rng.bernoulli(bad_ ? bad_loss_ : good_loss_);
+  }
+
+  /// Long-run average drop probability (routing analytics and tests).
+  double mean_loss_rate() const {
+    const double denom = p_gb_ + p_bg_;
+    if (denom <= 0.0) return good_loss_;
+    const double pi_bad = p_gb_ / denom;
+    return (1.0 - pi_bad) * good_loss_ + pi_bad * bad_loss_;
+  }
 
  private:
-  double p_gb_;
-  double p_bg_;
-  double good_loss_;
-  double bad_loss_;
+  double p_gb_ = 0.0;
+  double p_bg_ = 0.0;
+  double good_loss_ = 0.0;
+  double bad_loss_ = 0.0;
   bool bad_ = false;
-};
-
-/// A link that never drops anything.
-class NoLoss final : public LossModel {
- public:
-  bool drop_next(sim::Rng&) override { return false; }
-  double mean_loss_rate() const override { return 0.0; }
-  std::unique_ptr<LossModel> clone() const override {
-    return std::make_unique<NoLoss>();
-  }
-  std::size_t object_bytes() const override { return sizeof(*this); }
 };
 
 }  // namespace sharq::net

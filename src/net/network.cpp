@@ -27,7 +27,6 @@ const char* to_string(TrafficClass cls) {
 
 const char* to_string(DropReason reason) {
   switch (reason) {
-    case DropReason::kLinkDown: return "link-down";
     case DropReason::kQueueFull: return "queue-full";
     case DropReason::kLoss: return "loss";
     case DropReason::kEpochKill: return "epoch-kill";
@@ -35,12 +34,13 @@ const char* to_string(DropReason reason) {
   return "?";
 }
 
-Network::Network(sim::Simulator& simu) : simu_(simu) { lanes_.resize(1); }
+Network::Network(sim::Simulator& simu)
+    : simu_(simu), lanes_(1), sims_{&simu} {}
 
 // --- sharding ---------------------------------------------------------------
 
 Network::LaneCtx& Network::ctx() {
-  return lanes_[static_cast<std::size_t>(rt_ ? stats::lane() : 0)];
+  return lanes_[static_cast<std::size_t>(stats::lane())];
 }
 
 int Network::lane_of(NodeId node) const {
@@ -51,11 +51,11 @@ int Network::lane_of(NodeId node) const {
 }
 
 sim::Simulator& Network::ctx_sim() {
-  return rt_ ? rt_->sim(stats::lane()) : simu_;
+  return *sims_[static_cast<std::size_t>(stats::lane())];
 }
 
-sim::Simulator& Network::sim_of_node(NodeId node) {
-  return rt_ ? rt_->sim(shard_map_.shard(node)) : simu_;
+sim::Simulator& Network::simulator_for(NodeId node) {
+  return *sims_[static_cast<std::size_t>(shard_map_.shard(node))];
 }
 
 void Network::enable_sharding(sim::ShardRuntime& rt, ShardMap map) {
@@ -67,10 +67,12 @@ void Network::enable_sharding(sim::ShardRuntime& rt, ShardMap map) {
   TrafficSink* const sink = lanes_[0].sink;
   lanes_.clear();
   lanes_.resize(static_cast<std::size_t>(shard_map_.nshards));
-  for (LaneCtx& lc : lanes_) lc.sink = sink;
+  sims_.clear();
+  for (int s = 0; s < shard_map_.nshards; ++s) {
+    lanes_[static_cast<std::size_t>(s)].sink = sink;
+    sims_.push_back(&rt.sim(s));
+  }
 }
-
-sim::Simulator& Network::simulator_for(NodeId node) { return sim_of_node(node); }
 
 void Network::set_sink(TrafficSink* sink) {
   for (LaneCtx& lc : lanes_) lc.sink = sink;
@@ -105,8 +107,8 @@ void Network::export_metrics(stats::Metrics& m) const {
 void Network::memory_census(stats::MemCensus& census) const {
   // Topology vectors are append-only after build, so live == retained.
   // Each link's random stream sits inline in its Link but is reported
-  // under "rng_streams", with the agents' streams; its conditioner's loss
-  // model is a heap block of its own.
+  // under "rng_streams", with the agents' streams; its loss state is
+  // inline too.
   const std::uint64_t rngs = links_.size() * sizeof(sim::Rng);
   census.add("rng_streams", rngs, rngs);
   using stats::vector_block_bytes;
@@ -115,9 +117,6 @@ void Network::memory_census(stats::MemCensus& census) const {
                        zones_.memory_bytes();
   for (const NodeRec& n : nodes_) {
     topo += vector_block_bytes(n.out_links) + vector_block_bytes(n.agents);
-  }
-  for (const Link& l : links_) {
-    topo += stats::heap_block_bytes(l.cond.loss().object_bytes());
   }
   for (const Channel& c : channels_) topo += vector_block_bytes(c.subs);
   census.add("net_topology", topo, topo);
@@ -187,9 +186,7 @@ LinkId Network::add_link(NodeId from, NodeId to, const LinkConfig& cfg) {
   l.to = to;
   l.bandwidth_bps = cfg.bandwidth_bps;
   l.delay = cfg.delay;
-  if (cfg.loss_rate > 0.0) {
-    l.cond.set_loss(std::make_unique<BernoulliLoss>(cfg.loss_rate));
-  }
+  l.cond.set_loss(LossModel::bernoulli(cfg.loss_rate));
   l.rng = simu_.rng().fork();
   l.queue_limit_pkts = cfg.queue_limit_pkts;
   links_.push_back(std::move(l));
@@ -202,11 +199,6 @@ LinkId Network::add_link(NodeId from, NodeId to, const LinkConfig& cfg) {
 std::pair<LinkId, LinkId> Network::add_duplex_link(NodeId a, NodeId b,
                                                    const LinkConfig& cfg) {
   return {add_link(a, b, cfg), add_link(b, a, cfg)};
-}
-
-void Network::set_loss_model(LinkId link, std::unique_ptr<LossModel> model) {
-  assert(link >= 0 && link < link_count());
-  links_[link].cond.set_loss(std::move(model));
 }
 
 void Network::set_link_bandwidth(LinkId link, double bandwidth_bps) {
@@ -279,30 +271,41 @@ void Network::invalidate_routing() {
   }
 }
 
-Network::Routing Network::shortest_paths(NodeId src) const {
+int Network::Domain::index(NodeId v) const {
+  if (members.empty()) return v;
+  const auto it = std::lower_bound(members.begin(), members.end(), v);
+  if (it == members.end() || *it != v) return -1;
+  return static_cast<int>(it - members.begin());
+}
+
+Network::Routing Network::shortest_paths(NodeId src,
+                                         const Domain& dom) const {
   Routing r;
-  const int n = node_count();
-  r.dist.assign(n, sim::kTimeInfinity);
-  r.pred_link.assign(n, kNoLink);
+  r.dist.assign(dom.size, sim::kTimeInfinity);
+  r.pred_link.assign(dom.size, kNoLink);
   // Dijkstra by propagation delay, with a tiny per-hop epsilon so equal-
-  // delay paths deterministically prefer fewer hops.
+  // delay paths deterministically prefer fewer hops; remaining ties pop
+  // in index (= node id) order.
   constexpr sim::Time kHopEps = 1e-9;
-  using Item = std::pair<sim::Time, NodeId>;
+  using Item = std::pair<sim::Time, int>;  // (dist, domain index)
   std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  r.dist[src] = 0.0;
-  pq.emplace(0.0, src);
+  const int s = dom.index(src);
+  r.dist[s] = 0.0;
+  pq.emplace(0.0, s);
   while (!pq.empty()) {
     auto [d, u] = pq.top();
     pq.pop();
     if (d > r.dist[u]) continue;
-    for (LinkId lid : nodes_[u].out_links) {
+    for (LinkId lid : nodes_[dom.node(u)].out_links) {
       const Link& l = links_[lid];
       if (!l.up || !nodes_[l.from].up || !nodes_[l.to].up) continue;
+      const int v = dom.index(l.to);
+      if (v < 0) continue;  // leaves the zone: scope boundary blocks it
       const sim::Time nd = d + l.delay + kHopEps;
-      if (nd < r.dist[l.to]) {
-        r.dist[l.to] = nd;
-        r.pred_link[l.to] = lid;
-        pq.emplace(nd, l.to);
+      if (nd < r.dist[v]) {
+        r.dist[v] = nd;
+        r.pred_link[v] = lid;
+        pq.emplace(nd, v);
       }
     }
   }
@@ -312,7 +315,9 @@ Network::Routing Network::shortest_paths(NodeId src) const {
 const Network::Routing& Network::routing(NodeId src) {
   auto& cache = ctx().routing;
   auto it = cache.find(src);
-  if (it == cache.end()) it = cache.emplace(src, shortest_paths(src)).first;
+  if (it == cache.end()) {
+    it = cache.emplace(src, shortest_paths(src, all_nodes())).first;
+  }
   return it->second;
 }
 
@@ -437,97 +442,42 @@ const Network::FwdRows& Network::forwarding(int lane, ChannelId ch,
 
   Hops hops;
   std::vector<NodeId> deliver_nodes;
-  const ZoneId scope = channel.scope;
-  if (scope == kNoZone) {
-    build_unscoped_tree(channel, origin, hops, deliver_nodes);
-  } else if (zones_.contains(scope, origin)) {
-    build_scoped_tree(channel, origin, scope, hops, deliver_nodes);
-  }  // else the scope boundary blocks everything: no rows
+  build_tree(channel, origin, hops, deliver_nodes);
   rows = pack_rows(channel.version, lane, hops, deliver_nodes);
   return *rows;
 }
 
-void Network::build_unscoped_tree(const Channel& channel, NodeId origin,
-                                  Hops& hops,
-                                  std::vector<NodeId>& deliver_nodes) const {
-  // Computed per build, not cached: a cache would hold O(V) per origin in
-  // every lane that carries the channel.
-  const Routing r = shortest_paths(origin);
-  const int n = node_count();
-  std::vector<bool> on_tree(n, false);
-  on_tree[origin] = true;
+void Network::build_tree(const Channel& channel, NodeId origin, Hops& hops,
+                         std::vector<NodeId>& deliver_nodes) const {
+  // A scoped channel never traverses a node outside its zone, so the tree
+  // is computed over the zone's members only: cost scales with the zone,
+  // not the whole network — essential because every member is an origin
+  // on its session channel.
+  Domain dom = all_nodes();
+  if (channel.scope != kNoZone) {
+    dom.members = zones_.members(channel.scope);
+    dom.size = static_cast<int>(dom.members.size());
+  }
+  const int root = dom.index(origin);
+  if (root < 0) return;  // the scope boundary blocks everything: no rows
+  // Computed per build, not cached: a cache would hold O(domain) per
+  // origin in every lane that carries the channel.
+  const Routing r = shortest_paths(origin, dom);
+  std::vector<bool> on_tree(static_cast<std::size_t>(dom.size), false);
+  on_tree[root] = true;
   // Graft in ascending subscriber order (the order membership is stored
   // in): it decides the order links join the entry — i.e. the wire order
   // of downstream copies.
   for (NodeId s : channel.subs) {
     if (s == origin) continue;
-    if (r.dist[s] == sim::kTimeInfinity) continue;
+    const int leaf = dom.index(s);
+    if (leaf < 0 || r.dist[leaf] == sim::kTimeInfinity) continue;
     deliver_nodes.push_back(s);
-    for (NodeId cur = s; !on_tree[cur];) {
+    for (int cur = leaf; !on_tree[cur];) {
       on_tree[cur] = true;
       const LinkId pl = r.pred_link[cur];
       hops.emplace_back(links_[pl].from, pl);
-      cur = links_[pl].from;
-    }
-  }
-}
-
-void Network::build_scoped_tree(const Channel& channel, NodeId origin,
-                                ZoneId scope, Hops& hops,
-                                std::vector<NodeId>& deliver_nodes) const {
-  // Dijkstra restricted to the zone-induced subgraph: a scoped channel
-  // never traverses a node outside the zone, so everything outside can be
-  // ignored outright. Cost scales with the zone, not the whole network —
-  // essential because every member is an origin on its session channel.
-  const std::span<const NodeId> zone_nodes = zones_.members(scope);
-  const int m = static_cast<int>(zone_nodes.size());
-  auto local = [&](NodeId v) -> int {
-    const auto it = std::lower_bound(zone_nodes.begin(), zone_nodes.end(), v);
-    if (it == zone_nodes.end() || *it != v) return -1;
-    return static_cast<int>(it - zone_nodes.begin());
-  };
-  const int lorigin = local(origin);
-  if (lorigin < 0) return;
-
-  constexpr sim::Time kHopEps = 1e-9;
-  std::vector<sim::Time> dist(m, sim::kTimeInfinity);
-  std::vector<LinkId> pred(m, kNoLink);
-  using Item = std::pair<sim::Time, int>;  // (dist, local index)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[lorigin] = 0.0;
-  pq.emplace(0.0, lorigin);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    const NodeId un = zone_nodes[u];
-    if (!nodes_[un].up) continue;
-    for (LinkId lid : nodes_[un].out_links) {
-      const Link& l = links_[lid];
-      if (!l.up || !nodes_[l.from].up || !nodes_[l.to].up) continue;
-      const int lv = local(l.to);
-      if (lv < 0) continue;  // leaves the zone: scope boundary blocks it
-      const sim::Time nd = d + l.delay + kHopEps;
-      if (nd < dist[lv]) {
-        dist[lv] = nd;
-        pred[lv] = lid;
-        pq.emplace(nd, lv);
-      }
-    }
-  }
-
-  std::vector<bool> on_tree(m, false);
-  on_tree[lorigin] = true;
-  for (NodeId s : channel.subs) {
-    if (s == origin) continue;
-    const int ls = local(s);
-    if (ls < 0 || dist[ls] == sim::kTimeInfinity) continue;
-    deliver_nodes.push_back(s);
-    for (int cur = ls; !on_tree[cur];) {
-      on_tree[cur] = true;
-      const LinkId pl = pred[cur];
-      hops.emplace_back(links_[pl].from, pl);
-      cur = local(links_[pl].from);
+      cur = dom.index(links_[pl].from);
     }
   }
 }
@@ -633,26 +583,22 @@ void Network::deliver_after(LinkId link, const Packet& out, sim::Time arrival) {
     if (TrafficSink* s = sink()) s->on_hop(ctx_sim().now(), link, out);
     arrive(links_[link].to, out);
   };
-  if (!rt_) {
-    simu_.at(arrival, std::move(fn), "net.propagate");
-    return;
-  }
-  const int src_shard = shard_map_.shard(links_[link].from);
+  // Two shards imply a runtime.
   const int dst_shard = shard_map_.shard(links_[link].to);
-  if (dst_shard == src_shard || !rt_->in_window()) {
-    rt_->sim(dst_shard).at(arrival, std::move(fn), "net.propagate");
-  } else {
+  if (dst_shard != shard_map_.shard(links_[link].from) && rt_->in_window()) {
     rt_->post(dst_shard, arrival, std::move(fn), "net.propagate");
+  } else {
+    sims_[static_cast<std::size_t>(dst_shard)]->at(arrival, std::move(fn),
+                                                   "net.propagate");
   }
 }
 
 void Network::transmit(LinkId link, const Packet& packet) {
   Link& l = links_[link];
   const sim::Time now = ctx_sim().now();
-  if (!l.up) {
-    drop(link, packet, DropReason::kLinkDown);
-    return;
-  }
+  // Routing skips down links and every set_link_up clears the rows, so a
+  // down link is never offered a packet.
+  assert(l.up);
   if (l.queue_limit_pkts >= 0 && l.queued >= l.queue_limit_pkts) {
     drop(link, packet, DropReason::kQueueFull);
     return;
@@ -669,7 +615,7 @@ void Network::transmit(LinkId link, const Packet& packet) {
   // runs on the shard owning the link's sending side — the same lane
   // executing this hand-off during a window, so link state stays
   // thread-private.
-  sim_of_node(l.from).at(
+  simulator_for(l.from).at(
       start + tx_time,
       [this, link, packet, epoch = l.epoch] {
         SHARQ_PROF_SCOPE(net_forward);

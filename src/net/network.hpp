@@ -52,12 +52,11 @@ class Agent {
 
 /// Why a link discarded a packet.
 enum class DropReason : std::uint8_t {
-  kLinkDown,   ///< offered to a link that is administratively down
   kQueueFull,  ///< FIFO cap reached at hand-off
   kLoss,       ///< the link's conditioner dropped it on the wire
   kEpochKill,  ///< link (or an endpoint node) died mid-serialization
 };
-inline constexpr int kDropReasonCount = 4;
+inline constexpr int kDropReasonCount = 3;
 
 /// Human-readable name for a DropReason.
 const char* to_string(DropReason reason);
@@ -66,9 +65,9 @@ const char* to_string(DropReason reason);
 ///
 /// Per-hop conservation contract: every `on_transmit` is followed, once the
 /// event queue drains, by exactly one of `on_hop` (the hop completed) or
-/// `on_drop` with reason kLoss / kEpochKill. Drops with reason kLinkDown /
-/// kQueueFull happen at hand-off, *instead of* `on_transmit`. The chaos
-/// soak asserts this ledger balances after every plan.
+/// `on_drop` with reason kLoss / kEpochKill. Drops with reason kQueueFull
+/// happen at hand-off, *instead of* `on_transmit`. The chaos soak asserts
+/// this ledger balances after every plan.
 class TrafficSink {
  public:
   virtual ~TrafficSink() = default;
@@ -105,10 +104,12 @@ struct LinkConfig {
 /// administrative scoping, and source-rooted shortest-path forwarding.
 ///
 /// Routing model: every source uses its shortest-path tree (by propagation
-/// delay) toward the channel's subscribers, pruned at the boundary of the
-/// channel's scope zone — packets on a scoped channel never traverse a
-/// node outside the zone, which is exactly the containment administrative
-/// scoping provides. Trees are rebuilt lazily when membership changes.
+/// delay) toward the channel's subscribers, computed over the nodes of the
+/// channel's scope zone only — packets on a scoped channel never traverse
+/// a node outside the zone, which is exactly the containment administrative
+/// scoping provides. An unscoped channel is the scope that holds every
+/// node, so one routine builds both kinds of tree, and it answers the path
+/// queries too. Trees are rebuilt lazily when membership changes.
 class Network {
  public:
   explicit Network(sim::Simulator& simu);
@@ -133,12 +134,9 @@ class Network {
   std::pair<LinkId, LinkId> add_duplex_link(NodeId a, NodeId b,
                                             const LinkConfig& cfg);
 
-  /// Replace the loss process of a link (shorthand for
-  /// `conditioner(link).set_loss(...)`).
-  void set_loss_model(LinkId link, std::unique_ptr<LossModel> model);
-
   /// Full fault-conditioning pipeline of a link (loss, corruption,
-  /// duplication, reordering). Mutable so fault plans can retune it mid-run.
+  /// duplication, reordering). Mutable so fault plans can retune it mid-run;
+  /// `conditioner(link).set_loss(...)` replaces the loss process.
   LinkConditioner& conditioner(LinkId link) { return links_[link].cond; }
   const LinkConditioner& conditioner(LinkId link) const {
     return links_[link].cond;
@@ -275,15 +273,16 @@ class Network {
   /// the runtime's deterministic mailbox merge. Each shard's lane caches
   /// only its own nodes' forwarding rows, so lookups stay thread-private
   /// and the rows summed over lanes are the serial cache's.
+  ///
+  /// Until then the network is a one-shard network: the default map puts
+  /// every node on shard 0, whose simulator is the base one.
   void enable_sharding(sim::ShardRuntime& rt, ShardMap map);
-
-  bool sharded() const { return rt_ != nullptr; }
 
   const ShardMap& shard_map() const { return shard_map_; }
 
-  /// The simulator that owns `node`'s events: its shard's simulator when
-  /// sharding is enabled, the base simulator otherwise. Agents bind their
-  /// timers and RNG forks through this.
+  /// The simulator that owns `node`'s events: its shard's simulator (the
+  /// base simulator on a one-shard network). Agents bind their timers and
+  /// RNG forks through this.
   sim::Simulator& simulator_for(NodeId node);
 
   /// Per-shard traffic sink (sharded runs): hop/deliver callbacks fire on
@@ -318,10 +317,23 @@ class Network {
     std::vector<NodeId> subs;  // ascending
     std::uint64_t version = 0;
   };
-  /// Shortest-path tree from one source by propagation delay.
+  /// The nodes a tree may cross: a scope zone's members, ascending, or
+  /// every node (`members` empty), indexed by id. Index order is id order
+  /// either way, so ties between equal-distance paths break alike.
+  struct Domain {
+    std::span<const NodeId> members;
+    int size = 0;
+    /// Position of `v` in the domain, or -1 outside it.
+    int index(NodeId v) const;
+    NodeId node(int i) const {
+      return members.empty() ? i : members[static_cast<std::size_t>(i)];
+    }
+  };
+  /// Shortest-path tree from one source by propagation delay, by domain
+  /// index.
   struct Routing {
-    std::vector<sim::Time> dist;    // from src, by dst
-    std::vector<LinkId> pred_link;  // into dst on shortest path from src
+    std::vector<sim::Time> dist;    // from src
+    std::vector<LinkId> pred_link;  // into the node on the shortest path
   };
   struct FwdKey {
     ChannelId channel;
@@ -422,36 +434,36 @@ class Network {
     WireCounts wire;
   };
 
-  /// Lane of the executing thread (ground-truth path queries).
+  /// Lane of the executing thread.
   LaneCtx& ctx();
   /// Lane holding `node`'s forwarding rows: its shard's. Inside a window
   /// that is always the executing lane (asserted in debug builds).
   int lane_of(NodeId node) const;
   /// Simulator providing "now" for the executing context: the executing
-  /// lane's shard simulator, or the base simulator in serial runs. At
-  /// barriers every shard clock agrees, so lane 0 is always safe there.
+  /// lane's shard simulator. At barriers every shard clock agrees, so
+  /// lane 0 is always safe there.
   sim::Simulator& ctx_sim();
-  /// Simulator owning `node`'s events (shard of the node).
-  sim::Simulator& sim_of_node(NodeId node);
   /// The sink observing the executing lane.
   TrafficSink* sink() { return ctx().sink; }
 
-  Routing shortest_paths(NodeId src) const;
-  /// The executing lane's cached tree from `src` (path queries).
+  /// Every node, indexed by id: the domain of unscoped channels and path
+  /// queries.
+  Domain all_nodes() const { return {{}, node_count()}; }
+  /// Dijkstra from `src` (a member of `dom`) over the links between
+  /// members of `dom` that are up at both ends.
+  Routing shortest_paths(NodeId src, const Domain& dom) const;
+  /// The executing lane's cached tree from `src` over every node (path
+  /// queries).
   const Routing& routing(NodeId src);
   /// Rows of (ch, origin) for the nodes of shard `lane`, built on first
   /// use and rebuilt when the channel's membership version moves.
   const FwdRows& forwarding(int lane, ChannelId ch, NodeId origin);
   using Hops = std::vector<std::pair<NodeId, LinkId>>;
-  /// Graft shortest paths from `origin` to in-scope subscribers restricted
-  /// to the members of `scope`, appending (node, link) hops and delivery
-  /// nodes. Runs Dijkstra over the zone-induced subgraph only.
-  void build_scoped_tree(const Channel& channel, NodeId origin, ZoneId scope,
-                         Hops& hops,
-                         std::vector<NodeId>& deliver_nodes) const;
-  void build_unscoped_tree(const Channel& channel, NodeId origin,
-                           Hops& hops,
-                           std::vector<NodeId>& deliver_nodes) const;
+  /// Graft the shortest paths from `origin` to the channel's subscribers
+  /// inside its scope, appending (node, link) hops and delivery nodes.
+  /// Nothing when the scope does not hold `origin`.
+  void build_tree(const Channel& channel, NodeId origin, Hops& hops,
+                  std::vector<NodeId>& deliver_nodes) const;
   /// Keep the hops and deliveries of `shard`'s nodes and pack them into
   /// one block.
   FwdRowsPtr pack_rows(std::uint64_t version, int shard, Hops& hops,
@@ -473,8 +485,9 @@ class Network {
   void drop(LinkId link, const Packet& packet, DropReason reason);
 
   // sharq-lint: shard-owned begin (per-shard lanes: inside a window only the owning lane touches them; the single-threaded barrier may touch any lane)
-  std::vector<LaneCtx> lanes_;  // by shard; [0] only in serial runs
-  sim::ShardRuntime* rt_ = nullptr;
+  std::vector<LaneCtx> lanes_;          // by shard
+  std::vector<sim::Simulator*> sims_;   // by shard
+  sim::ShardRuntime* rt_ = nullptr;     // null on a one-shard network
   ShardMap shard_map_;
   // sharq-lint: shard-owned end
 

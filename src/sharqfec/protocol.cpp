@@ -14,8 +14,7 @@ Session::Session(net::Network& net, net::NodeId source,
       cfg_(std::make_shared<const Config>(cfg)),
       codec_(std::make_shared<const fec::ReedSolomon>(cfg_->group_size,
                                                       cfg_->max_parity)),
-      stores_(static_cast<std::size_t>(
-          net.sharded() ? net.shard_map().nshards : 1)),
+      stores_(static_cast<std::size_t>(net.shard_map().nshards)),
       log_(log) {
   hier_ = std::make_unique<Hierarchy>(net, cfg_->scoping);
   agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, codec_,

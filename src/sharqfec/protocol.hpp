@@ -92,8 +92,7 @@ class Session {
   std::vector<std::unique_ptr<Agent>> retired_;
 
   fec::ShardStore& store_for(net::NodeId node) {
-    return stores_[static_cast<std::size_t>(
-        net_.sharded() ? net_.shard_map().shard(node) : 0)];
+    return stores_[static_cast<std::size_t>(net_.shard_map().shard(node))];
   }
 };
 

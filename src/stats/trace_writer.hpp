@@ -11,7 +11,7 @@ namespace sharq::stats {
 ///   h <time> <from> <to> <class> <size> <uid>           hop (link transmit)
 ///   r <time> <node> - <class> <size> <uid>              receive (delivery)
 ///   d <time> <from> <to> <class> <size> <uid> <reason>  drop; reason is
-///                                  loss | queue-full | link-down | epoch-kill
+///                                  loss | queue-full | epoch-kill
 ///
 /// Useful for eyeballing protocol behaviour or feeding external plotting.
 /// Can forward every event to another sink (e.g. a TrafficRecorder) so

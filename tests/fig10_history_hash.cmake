@@ -13,7 +13,7 @@
 #   cmake -DSIM=<path to sharqfec_sim> -P fig10_history_hash.cmake
 
 set(EXPECTED_TRACE_SHA256 "39bb73a67b309ec48734caa897ddfee34ba7d75bda2ab613d03f528908909137")
-set(EXPECTED_METRICS_SHA256 "d42496919d98500719d254a1c2e877527d466ea7765c314ecb1456c80792c626")
+set(EXPECTED_METRICS_SHA256 "ab9b426a882b81dbbb786e9157365db22d995e54c30e5a65049afe1f573efe00")
 
 if(NOT SIM)
   message(FATAL_ERROR "pass -DSIM=<path to sharqfec_sim>")

@@ -164,8 +164,8 @@ TEST(EdgeCases, DeepHierarchyFiveLevels) {
     receivers.push_back(c.nodes[i]);
   }
   for (int i = 0; i < 5; ++i) {
-    net.set_loss_model(net.find_link(c.nodes[i], c.nodes[i + 1]),
-                       std::make_unique<net::BernoulliLoss>(0.05));
+    net.conditioner(net.find_link(c.nodes[i], c.nodes[i + 1]))
+        .set_loss(net::LossModel::bernoulli(0.05));
   }
   rm::DeliveryLog log;
   sfq::Config cfg;

@@ -19,8 +19,7 @@ TEST(Failure, BurstLossGilbertElliottStillDelivers) {
   topo::BalancedTree t = topo::make_balanced_tree(net, 2, 3, link);
   // Replace every link's loss process with a bursty one (~9% mean).
   for (net::LinkId l = 0; l < net.link_count(); ++l) {
-    net.set_loss_model(
-        l, std::make_unique<net::GilbertElliottLoss>(0.02, 0.2, 0.01, 0.5));
+    net.conditioner(l).set_loss(net::LossModel(0.02, 0.2, 0.01, 0.5));
   }
   auto& z = net.zones();
   const net::ZoneId root = z.add_root();
@@ -104,8 +103,7 @@ TEST(Failure, SrmSurvivesBurstLoss) {
   net::Network net{simu};
   topo::BalancedTree t = topo::make_balanced_tree(net, 2, 2, net::LinkConfig{});
   for (net::LinkId l = 0; l < net.link_count(); ++l) {
-    net.set_loss_model(
-        l, std::make_unique<net::GilbertElliottLoss>(0.05, 0.3, 0.02, 0.4));
+    net.conditioner(l).set_loss(net::LossModel(0.05, 0.3, 0.02, 0.4));
   }
   std::vector<net::NodeId> receivers(t.all.begin() + 1, t.all.end());
   rm::DeliveryLog log;
@@ -128,8 +126,8 @@ TEST(Failure, AsymmetricLossOnlyUpstream) {
   const net::NodeId src = net.add_node();
   const net::NodeId rx = net.add_node();
   net.add_duplex_link(src, rx, net::LinkConfig{});
-  net.set_loss_model(net.find_link(src, rx),
-                     std::make_unique<net::BernoulliLoss>(0.3));
+  net.conditioner(net.find_link(src, rx))
+      .set_loss(net::LossModel::bernoulli(0.3));
   auto& z = net.zones();
   const net::ZoneId root = z.add_root();
   z.assign(src, root);

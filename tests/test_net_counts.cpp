@@ -25,9 +25,9 @@
 namespace sharq {
 namespace {
 
-constexpr net::DropReason kReasons[] = {
-    net::DropReason::kLinkDown, net::DropReason::kQueueFull,
-    net::DropReason::kLoss, net::DropReason::kEpochKill};
+constexpr net::DropReason kReasons[] = {net::DropReason::kQueueFull,
+                                        net::DropReason::kLoss,
+                                        net::DropReason::kEpochKill};
 constexpr net::TrafficClass kClasses[] = {
     net::TrafficClass::kData, net::TrafficClass::kRepair,
     net::TrafficClass::kNack, net::TrafficClass::kSession,
@@ -130,8 +130,7 @@ void expect_drops_match_recorders(const Counts& c) {
     const int i = static_cast<int>(r);
     EXPECT_EQ(c.exported_drops[i], c.recorded_drops[i]) << net::to_string(r);
   }
-  // The plan reaches every drop site a packet can take. Routing never
-  // offers a down link, so link-down stays 0 on both sides.
+  // The plan reaches every drop site a packet can take.
   EXPECT_GT(c.exported_drops[static_cast<int>(net::DropReason::kQueueFull)], 0u);
   EXPECT_GT(c.exported_drops[static_cast<int>(net::DropReason::kLoss)], 0u);
   EXPECT_GT(c.exported_drops[static_cast<int>(net::DropReason::kEpochKill)], 0u);

@@ -360,8 +360,109 @@ TEST(Network, MembershipChangeRebuildsForwarding) {
   EXPECT_EQ(rx.received.size(), 1u);
 }
 
+/// Records every hand-off and delivery, in order.
+class WireLog final : public TrafficSink {
+ public:
+  struct Event {
+    char kind;  // 't' transmit, 'r' deliver
+    sim::Time at;
+    int where;  // link for 't', node for 'r'
+    friend bool operator==(const Event&, const Event&) = default;
+  };
+  std::vector<Event> events;
+
+  void on_deliver(sim::Time t, NodeId at, const Packet&) override {
+    events.push_back({'r', t, at});
+  }
+  void on_transmit(sim::Time t, LinkId link, const Packet&) override {
+    events.push_back({'t', t, link});
+  }
+};
+
+/// A 3x4 grid of equal-delay links — many equal-length paths, so ties
+/// decide the trees — with two slower chords; every node sits in the root
+/// zone. Returns the channel: unscoped, or scoped to the root zone.
+ChannelId build_grid(Network& net, bool scoped) {
+  constexpr int kRows = 3, kCols = 4;
+  net.add_nodes(kRows * kCols);
+  const LinkConfig cfg{.delay = 0.010};
+  for (int r = 0; r < kRows; ++r) {
+    for (int c = 0; c < kCols; ++c) {
+      const NodeId v = r * kCols + c;
+      if (c + 1 < kCols) net.add_duplex_link(v, v + 1, cfg);
+      if (r + 1 < kRows) net.add_duplex_link(v, v + kCols, cfg);
+    }
+  }
+  net.add_duplex_link(0, 11, LinkConfig{.delay = 0.045});
+  net.add_duplex_link(3, 8, LinkConfig{.delay = 0.030});
+  const ZoneId root = net.zones().add_root();
+  for (NodeId v = 0; v < net.node_count(); ++v) net.zones().assign(v, root);
+  const ChannelId ch = net.create_channel(scoped ? root : kNoZone);
+  for (NodeId v : {1, 4, 6, 8, 9, 11}) net.subscribe(ch, v);
+  return ch;
+}
+
+TEST(Network, UnscopedTreeEqualsScopeHoldingEveryNode) {
+  // An unscoped channel is the scope that holds every node: from every
+  // origin, before and after a link and a node fail, both channels must
+  // cache the same rows and put the same copies on the same links at the
+  // same times.
+  Net2 plain, scoped;
+  const ChannelId pch = build_grid(plain.net, false);
+  const ChannelId sch = build_grid(scoped.net, true);
+  WireLog plog, slog;
+  plain.net.set_sink(&plog);
+  scoped.net.set_sink(&slog);
+  for (int phase = 0; phase < 3; ++phase) {
+    if (phase == 1) {
+      plain.net.set_link_up(plain.net.find_link(5, 6), false);
+      scoped.net.set_link_up(scoped.net.find_link(5, 6), false);
+    } else if (phase == 2) {
+      plain.net.set_node_up(2, false);
+      scoped.net.set_node_up(2, false);
+    }
+    for (NodeId origin = 0; origin < plain.net.node_count(); ++origin) {
+      plain.net.send(origin, pch, TrafficClass::kData, 100,
+                     std::make_shared<Probe>());
+      scoped.net.send(origin, sch, TrafficClass::kData, 100,
+                      std::make_shared<Probe>());
+      plain.simu.run();
+      scoped.simu.run();
+    }
+    EXPECT_EQ(plain.net.cached_row_nodes(0), scoped.net.cached_row_nodes(0))
+        << "phase " << phase;
+    ASSERT_FALSE(plog.events.empty());
+    EXPECT_EQ(plog.events, slog.events) << "phase " << phase;
+  }
+}
+
+/// Feeds `n` loss-eligible packets through a link conditioner holding
+/// `model` and checks the link's stream then equals a reference stream
+/// from the same seed advanced by `draws` values.
+void expect_draws(const LossModel& model, int n, int draws) {
+  LinkConditioner cond;
+  cond.set_loss(model);
+  sim::Rng link(99), reference(99);
+  const Packet packet;
+  for (int i = 0; i < n; ++i) cond.next(link, packet);
+  for (int i = 0; i < draws; ++i) reference.next_u64();
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(link.next_u64(), reference.next_u64());
+}
+
+TEST(LossModel, DrawContract) {
+  // The draw counts loss.hpp documents: none when a probability is 0 or
+  // 1, one per step whose probability lies strictly between.
+  constexpr int kPackets = 1000;
+  expect_draws(LossModel{}, kPackets, 0);
+  expect_draws(LossModel::bernoulli(0.0), kPackets, 0);
+  expect_draws(LossModel::bernoulli(1.0), kPackets, 0);
+  expect_draws(LossModel::bernoulli(0.3), kPackets, kPackets);
+  // Transition and loss rates all strictly inside (0, 1): two per packet.
+  expect_draws(LossModel(0.1, 0.3, 0.02, 0.6), kPackets, 2 * kPackets);
+}
+
 TEST(GilbertElliott, MeanRateMatchesStationary) {
-  GilbertElliottLoss ge(0.1, 0.3, 0.01, 0.5);
+  LossModel ge(0.1, 0.3, 0.01, 0.5);
   // pi_bad = 0.1/0.4 = 0.25 -> mean = 0.75*0.01 + 0.25*0.5 = 0.1325
   EXPECT_NEAR(ge.mean_loss_rate(), 0.1325, 1e-12);
   sim::Rng rng(5);
@@ -374,7 +475,7 @@ TEST(GilbertElliott, MeanRateMatchesStationary) {
 TEST(GilbertElliott, BurstStatisticsPinned) {
   // The chaos soak leans on the burst *shape*, not just the mean rate:
   // pin the statistics that distinguish Gilbert-Elliott from Bernoulli.
-  GilbertElliottLoss ge(0.05, 0.25, 0.0, 1.0);  // clean good, lossy bad
+  LossModel ge(0.05, 0.25, 0.0, 1.0);  // clean good, lossy bad
   sim::Rng rng(42);
   const int n = 400000;
   int drops = 0, runs = 0, paired = 0, prev = 0;
@@ -408,12 +509,12 @@ TEST(GilbertElliott, BurstStatisticsPinned) {
 TEST(GilbertElliott, SameSeedSameDecisions) {
   // Chaos reproducibility depends on loss models consuming randomness
   // deterministically: two instances walked with equal seeds must agree
-  // decision-for-decision, and clones must not share mutable state.
-  GilbertElliottLoss a(0.1, 0.3, 0.02, 0.6);
-  auto b = a.clone();
+  // decision-for-decision, and copies must not share mutable state.
+  LossModel a(0.1, 0.3, 0.02, 0.6);
+  LossModel b = a;
   sim::Rng ra(7), rb(7);
   for (int i = 0; i < 10000; ++i) {
-    ASSERT_EQ(a.drop_next(ra), b->drop_next(rb)) << "diverged at " << i;
+    ASSERT_EQ(a.drop_next(ra), b.drop_next(rb)) << "diverged at " << i;
   }
 }
 

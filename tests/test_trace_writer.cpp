@@ -42,8 +42,8 @@ TEST(TraceWriter, EmitsHopAndReceiveLines) {
 
 TEST(TraceWriter, DropLinesOnLoss) {
   Fixture f;
-  f.net.set_loss_model(f.net.find_link(f.a, f.b),
-                       std::make_unique<net::BernoulliLoss>(1.0));
+  f.net.conditioner(f.net.find_link(f.a, f.b))
+      .set_loss(net::LossModel::bernoulli(1.0));
   std::ostringstream os;
   TraceWriter tw(os, &f.net);
   f.net.set_sink(&tw);
@@ -59,8 +59,8 @@ TEST(TraceWriter, DropLinesCarryTheReason) {
   // random loss, a queue overflow and a dead link all printed identical
   // 'd' lines. The reason is now the trailing field.
   Fixture f;
-  f.net.set_loss_model(f.net.find_link(f.a, f.b),
-                       std::make_unique<net::BernoulliLoss>(1.0));
+  f.net.conditioner(f.net.find_link(f.a, f.b))
+      .set_loss(net::LossModel::bernoulli(1.0));
   std::ostringstream os;
   TraceWriter tw(os, &f.net);
   f.net.set_sink(&tw);

@@ -342,7 +342,7 @@ TEST(TransferUnit, ZoneLocalLossRepairedInZone) {
   TwoZone f(0.0, 0.0);
   // Make only the relay->a direction lossy.
   const net::LinkId la = f.net.find_link(f.relay, f.a);
-  f.net.set_loss_model(la, std::make_unique<net::BernoulliLoss>(0.2));
+  f.net.conditioner(la).set_loss(net::LossModel::bernoulli(0.2));
   Config cfg;
   Session s(f.net, f.source, {f.relay, f.a, f.b}, cfg);
   s.start();

@@ -135,8 +135,7 @@ struct PlanResult {
   std::size_t max_live_groups = 0;
   bool live_within_tracked = true;  // per agent: live high water <= tracked
   bool peers_within_zones = true;   // per agent: see zone_peer_bound()
-  std::uint64_t drops_link_down = 0, drops_epoch_kill = 0;
-  std::uint64_t drops_queue_full = 0;
+  std::uint64_t drops_epoch_kill = 0, drops_queue_full = 0;
   std::uint64_t events = 0;
   std::uint64_t nacks = 0, repairs = 0, preemptive = 0;
   bool budget_ok = true;  // vacuous when no repair cap is enabled
@@ -408,7 +407,6 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   r.ledger = tx == hops + d_loss + d_kill;
   r.applied = inject.applied_events();
   r.skipped = inject.skipped_events();
-  r.drops_link_down = sum_drops(net::DropReason::kLinkDown);
   r.drops_epoch_kill = d_kill;
   r.drops_queue_full = sum_drops(net::DropReason::kQueueFull);
   r.events = rt ? rt->events_executed() : simu.events_executed();
@@ -465,8 +463,7 @@ int main(int argc, char** argv) {
         "\"peers_expired\":%llu,\"zcr_expiries\":%llu,"
         "\"max_tracked_groups\":%zu,\"max_live_groups\":%zu,"
         "\"max_tracked_peers\":%zu,"
-        "\"drops_link_down\":%llu,\"drops_epoch_kill\":%llu,"
-        "\"drops_queue_full\":%llu,"
+        "\"drops_epoch_kill\":%llu,\"drops_queue_full\":%llu,"
         "\"events\":%llu,\"nacks\":%llu,\"repairs\":%llu,"
         "\"preemptive\":%llu,\"budget_ok\":%s,"
         "\"repairs_deferred\":%llu,\"repairs_coalesced\":%llu,"
@@ -482,7 +479,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.peers_expired),
         static_cast<unsigned long long>(r.zcr_expiries), r.max_tracked_groups,
         r.max_live_groups, r.max_tracked_peers,
-        static_cast<unsigned long long>(r.drops_link_down),
         static_cast<unsigned long long>(r.drops_epoch_kill),
         static_cast<unsigned long long>(r.drops_queue_full),
         static_cast<unsigned long long>(r.events),
