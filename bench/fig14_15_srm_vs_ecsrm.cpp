@@ -13,8 +13,7 @@ using namespace sharq::bench;
 
 int main() {
   Workload w;
-  srm::Config srm_cfg;
-  srm_cfg.adaptive_timers = true;  // paper: "adaptive timers turned on"
+  srm::Config srm_cfg;  // adaptive timers, as the paper runs SRM
   RunResult srm_run = run_srm(srm_cfg, w, "SRM(adaptive)");
   RunResult ecsrm = run_sharqfec(sharqfec_ns_ni_so(), w,
                                  "SHARQFEC(ns,ni,so)/ECSRM");

@@ -26,8 +26,7 @@ int main() {
   std::vector<RunResult> sweeps;
   for (double gain : {0.1, 0.25, 0.5, 0.9}) {
     sharq::sfq::Config cfg = sharqfec_full();
-    cfg.ewma_new = gain;
-    cfg.ewma_old = 1.0 - gain;
+    cfg.zlc_ewma_gain = gain;
     char label[48];
     std::snprintf(label, sizeof(label), "SHARQFEC(ewma=%.2f)", gain);
     sweeps.push_back(run_sharqfec(cfg, w, label));

@@ -1,10 +1,22 @@
 #include "fault/random_plan.hpp"
 
-#include <algorithm>
-
 namespace sharq::fault {
 
 namespace {
+
+// Peak rates inside a degrade window.
+constexpr double kMaxLoss = 0.30;
+constexpr double kMaxCorrupt = 0.05;
+constexpr double kMaxDuplicate = 0.10;
+constexpr double kMaxReorder = 0.20;
+constexpr sim::Time kMaxReorderJitter = 0.050;
+// NACK storms: peak NACKs per storm and the spacing between them.
+constexpr int kMaxStormNacks = 32;
+constexpr sim::Time kMinStormSpacing = 0.002, kMaxStormSpacing = 0.020;
+// Squeezes: the bandwidth floor as a fraction of the edge baseline, and
+// the queue-limit clamp range in packets.
+constexpr double kMinSqueezeFraction = 0.05;
+constexpr int kMinSqueezePkts = 2, kMaxSqueezePkts = 16;
 
 /// A [start, end) window that opens early enough to bite and always closes
 /// with margin before the horizon.
@@ -42,13 +54,13 @@ FaultPlan make_random_plan(sim::Rng& rng, const PlanShape& shape,
       switch (rng.uniform_int(0, 3)) {
         case 0:
           plan.events.push_back({t0, EventKind::kLossRate, e.a, e.b,
-                                 rng.uniform(0.05, shape.max_loss), 0.0, 1});
+                                 rng.uniform(0.05, kMaxLoss), 0.0, 1});
           plan.events.push_back({t1, EventKind::kLossRate, e.a, e.b,
                                  e.baseline_loss, 0.0, 1});
           break;
         case 1:
           plan.events.push_back({t0, EventKind::kCorruptRate, e.a, e.b,
-                                 rng.uniform(0.005, shape.max_corrupt), 0.0,
+                                 rng.uniform(0.005, kMaxCorrupt), 0.0,
                                  1});
           plan.events.push_back(
               {t1, EventKind::kCorruptRate, e.a, e.b, 0.0, 0.0, 1});
@@ -56,7 +68,7 @@ FaultPlan make_random_plan(sim::Rng& rng, const PlanShape& shape,
         case 2:
           plan.events.push_back(
               {t0, EventKind::kDuplicateRate, e.a, e.b,
-               rng.uniform(0.01, shape.max_duplicate), 0.0,
+               rng.uniform(0.01, kMaxDuplicate), 0.0,
                static_cast<int>(rng.uniform_int(1, 2))});
           plan.events.push_back(
               {t1, EventKind::kDuplicateRate, e.a, e.b, 0.0, 0.0, 1});
@@ -64,8 +76,8 @@ FaultPlan make_random_plan(sim::Rng& rng, const PlanShape& shape,
         default:
           plan.events.push_back(
               {t0, EventKind::kReorderRate, e.a, e.b,
-               rng.uniform(0.02, shape.max_reorder),
-               rng.uniform(0.001, shape.max_reorder_jitter), 1});
+               rng.uniform(0.02, kMaxReorder),
+               rng.uniform(0.001, kMaxReorderJitter), 1});
           plan.events.push_back(
               {t1, EventKind::kReorderRate, e.a, e.b, 0.0, 0.0, 1});
           break;
@@ -80,9 +92,7 @@ FaultPlan make_random_plan(sim::Rng& rng, const PlanShape& shape,
     for (int i = 0; i < shape.bw_squeezes; ++i) {
       const FaultyEdge& e = pick_edge();
       const auto [t0, t1] = draw_window(rng, shape.horizon);
-      const double fraction =
-          rng.uniform(shape.min_squeeze_fraction,
-                      std::max(shape.min_squeeze_fraction, 0.5));
+      const double fraction = rng.uniform(kMinSqueezeFraction, 0.5);
       if (e.baseline_bps <= 0.0) continue;  // no restore target: skip edge
       plan.events.push_back({t0, EventKind::kBandwidth, e.a, e.b,
                              fraction * e.baseline_bps, 0.0, 1});
@@ -92,9 +102,8 @@ FaultPlan make_random_plan(sim::Rng& rng, const PlanShape& shape,
     for (int i = 0; i < shape.queue_squeezes; ++i) {
       const FaultyEdge& e = pick_edge();
       const auto [t0, t1] = draw_window(rng, shape.horizon);
-      const int pkts = static_cast<int>(rng.uniform_int(
-          shape.min_squeeze_pkts,
-          std::max(shape.min_squeeze_pkts, shape.max_squeeze_pkts)));
+      const int pkts = static_cast<int>(
+          rng.uniform_int(kMinSqueezePkts, kMaxSqueezePkts));
       plan.events.push_back(
           {t0, EventKind::kQueueLimit, e.a, e.b, 0.0, 0.0, pkts});
       plan.events.push_back({t1, EventKind::kQueueLimit, e.a, e.b, 0.0, 0.0,
@@ -109,10 +118,9 @@ FaultPlan make_random_plan(sim::Rng& rng, const PlanShape& shape,
                           static_cast<std::int64_t>(shape.stormers.size()) - 1))];
       const sim::Time t0 = rng.uniform(0.05 * shape.horizon,
                                        0.60 * shape.horizon);
-      const int count = static_cast<int>(rng.uniform_int(
-          std::max(1, shape.max_storm_nacks / 2), shape.max_storm_nacks));
-      const sim::Time spacing =
-          rng.uniform(shape.min_storm_spacing, shape.max_storm_spacing);
+      const int count = static_cast<int>(
+          rng.uniform_int(kMaxStormNacks / 2, kMaxStormNacks));
+      const sim::Time spacing = rng.uniform(kMinStormSpacing, kMaxStormSpacing);
       plan.events.push_back(
           {t0, EventKind::kNackStorm, from, net::kNoNode, 0.0, spacing, count});
     }

@@ -19,17 +19,13 @@ struct FaultyEdge {
 
 /// Bounds for a generated plan. Every fault a random plan opens, it also
 /// closes before `horizon` (partitions heal, crashed nodes restart, rates
-/// return to baseline) so a soak can demand full delivery afterwards.
+/// return to baseline) so a soak can demand full delivery afterwards. The
+/// peak rates, storm sizes and squeeze depths are fixed in random_plan.cpp.
 struct PlanShape {
   sim::Time horizon = 60.0;  ///< all recovery events land before this
   int partitions = 1;        ///< paired partition/heal windows
   int degrade_windows = 2;   ///< loss/corrupt/duplicate/reorder windows
   int node_churns = 1;       ///< paired kill/restart windows
-  double max_loss = 0.30;    ///< peak loss rate inside a window
-  double max_corrupt = 0.05;
-  double max_duplicate = 0.10;
-  double max_reorder = 0.20;
-  double max_reorder_jitter = 0.050;  ///< seconds
   std::vector<FaultyEdge> edges;      ///< candidate edges for link faults
   std::vector<net::NodeId> killable;  ///< candidate crash victims (no source)
 
@@ -39,13 +35,6 @@ struct PlanShape {
   int bw_squeezes = 0;      ///< bandwidth clamp windows on `edges`
   int queue_squeezes = 0;   ///< queue-limit clamp windows on `edges`
   int flash_crowds = 0;     ///< late-join waves over `joinable`
-  int max_storm_nacks = 32;          ///< peak NACKs per storm
-  double min_storm_spacing = 0.002;  ///< seconds between storm NACKs
-  double max_storm_spacing = 0.020;
-  double min_squeeze_fraction = 0.05;  ///< bandwidth floor as a fraction
-                                       ///< of the edge baseline
-  int min_squeeze_pkts = 2;   ///< tightest queue-limit clamp
-  int max_squeeze_pkts = 16;
   int baseline_queue_pkts = -1;  ///< restore target when a squeeze closes
   std::vector<net::NodeId> joinable;  ///< flash-crowd candidates (not yet
                                       ///< in the session)

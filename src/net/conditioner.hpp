@@ -44,17 +44,13 @@ class LinkConditioner {
 
   /// Probability a packet's payload is corrupted in flight.
   void set_corrupt_rate(double rate) { corrupt_rate_ = rate; }
-  double corrupt_rate() const { return corrupt_rate_; }
 
   /// Probability a packet is duplicated (`copies` extras when it fires).
   void set_duplicate(double rate, int copies = 1);
-  double duplicate_rate() const { return dup_rate_; }
 
   /// Probability a packet picks up extra delay, uniform in [0, max_jitter]
   /// — packets behind it can overtake, i.e. delay-jitter resequencing.
   void set_reorder(double rate, sim::Time max_jitter);
-  double reorder_rate() const { return reorder_rate_; }
-  sim::Time reorder_jitter() const { return reorder_jitter_; }
 
   // --- analytics ------------------------------------------------------------
 

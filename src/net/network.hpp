@@ -168,12 +168,10 @@ class Network {
   /// drag). Effective from the next hand-off; in-flight packets keep their
   /// computed serialization window.
   void set_link_bandwidth(LinkId l, double bandwidth_bps);
-  double link_bandwidth(LinkId l) const { return links_[l].bandwidth_bps; }
 
   /// Retune a link's FIFO cap mid-run (fault plans: queue-limit squeeze);
   /// -1 = unbounded. Applies to subsequent hand-offs only.
   void set_link_queue_limit(LinkId l, int queue_limit_pkts);
-  int link_queue_limit(LinkId l) const { return links_[l].queue_limit_pkts; }
 
   /// Crash a node (all incident links kill in-flight packets, every channel
   /// subscription is lost, sends from it become no-ops, and routing steers
@@ -189,8 +187,6 @@ class Network {
 
   /// Create a channel confined to `scope` (kNoZone = unscoped/global).
   ChannelId create_channel(ZoneId scope = kNoZone);
-
-  ZoneId channel_scope(ChannelId ch) const { return channels_[ch].scope; }
 
   void subscribe(ChannelId ch, NodeId node);
   void unsubscribe(ChannelId ch, NodeId node);

@@ -6,8 +6,9 @@
 namespace sharq::rm {
 
 /// SRM-style suppression timer windows (Floyd et al. '95), shared by the
-/// SRM baseline and SHARQFEC (which uses them with fixed constants
-/// C1=C2=2, D1=D2=1 per the paper).
+/// SRM baseline and SHARQFEC. The defaults are the paper's fixed windows,
+/// kPaperTimers; SRM's adaptive timers and SHARQFEC's optional adaptive
+/// request window move the factors inside [kAdaptiveMin, kAdaptiveMax].
 struct TimerPolicy {
   double c1 = 2.0;  ///< request window start multiplier
   double c2 = 2.0;  ///< request window width multiplier
@@ -49,22 +50,29 @@ struct TimerPolicy {
   static int clamp_stage(int i) { return i < 0 ? 0 : (i > 16 ? 16 : i); }
 };
 
-/// Session-message stagger (paper §5): uniform [0.9, 1.1] s steady state,
-/// uniform [0.05, 0.25] s for the first three messages to speed up
-/// convergence.
-struct SessionStagger {
-  double steady_lo = 0.9;
-  double steady_hi = 1.1;
-  double startup_lo = 0.05;
-  double startup_hi = 0.25;
-  int startup_count = 3;
+/// The paper's fixed windows: C1 = C2 = 2, D1 = D2 = 1.
+inline constexpr TimerPolicy kPaperTimers{};
+/// Bounds adaptive timers clamp each factor to.
+inline constexpr TimerPolicy kAdaptiveMin{0.5, 1.0, 0.5, 1.0};
+inline constexpr TimerPolicy kAdaptiveMax{8.0, 16.0, 8.0, 16.0};
 
-  sim::Time next_delay(sim::Rng& rng, int messages_sent_so_far) const {
-    if (messages_sent_so_far < startup_count) {
-      return rng.uniform(startup_lo, startup_hi);
-    }
-    return rng.uniform(steady_lo, steady_hi);
+/// One-way distance assumed before session messages converge an estimate.
+inline constexpr sim::Time kDefaultDist = 0.050;
+
+/// Session-message stagger (paper §5): the first kStartupSessionMsgs
+/// messages wait uniform [0.05, 0.25] s to speed up convergence, later
+/// ones uniform [0.9, 1.1] s.
+inline constexpr int kStartupSessionMsgs = 3;
+inline constexpr double kStartupStaggerLo = 0.05, kStartupStaggerHi = 0.25;
+inline constexpr double kSteadyStaggerLo = 0.9, kSteadyStaggerHi = 1.1;
+
+/// The delay before a member's next session message, given how many it
+/// has sent so far.
+inline sim::Time session_stagger(sim::Rng& rng, int messages_sent_so_far) {
+  if (messages_sent_so_far < kStartupSessionMsgs) {
+    return rng.uniform(kStartupStaggerLo, kStartupStaggerHi);
   }
-};
+  return rng.uniform(kSteadyStaggerLo, kSteadyStaggerHi);
+}
 
 }  // namespace sharq::rm

@@ -38,10 +38,10 @@ struct ResourceBudget {
 // --- protocol constants -----------------------------------------------------
 // Fixed by the paper or by this implementation's tuning; no run varies them.
 
-/// Bounds on the adaptive request window's C1 and C2 factors
-/// (Config::adaptive_timers).
-inline constexpr double kAdaptiveC1Min = 0.5, kAdaptiveC1Max = 8.0;
-inline constexpr double kAdaptiveC2Min = 1.0, kAdaptiveC2Max = 16.0;
+// The request/reply windows, their adaptive bounds, the session stagger
+// and the default distance are shared with the SRM baseline and live in
+// rm/timers.hpp.
+
 /// Repair pacing: successive repairs from one repairer are spaced at
 /// this fraction of the data inter-packet interval (paper: one half).
 inline constexpr double kRepairSpacingFactor = 0.5;
@@ -61,8 +61,6 @@ inline constexpr int kAttemptsPerScope = 2;
 /// the RTT to its most distant known receiver (paper: 2.5).
 inline constexpr double kZlcMeasureRttFactor = 2.5;
 inline constexpr double kRttGain = 0.25;  ///< EWMA gain for RTT estimates
-/// Distance before estimates converge.
-inline constexpr sim::Time kDefaultDist = 0.050;
 /// ZCR re-challenge cadence.
 inline constexpr sim::Time kZcrChallengePeriod = 4.0;
 /// Silence before usurping.
@@ -105,21 +103,19 @@ struct Config {
   /// live (false).
   bool late_join_full_history = true;
 
-  // --- timers (paper: fixed timers, C1=C2=2, D1=D2=1) ----------------------
-  rm::TimerPolicy timers{2.0, 2.0, 1.0, 1.0};
+  // --- timers (paper: fixed timers, rm::kPaperTimers) ----------------------
   /// Paper §7 future work, implemented here as an option: adapt the
   /// request window per receiver from observed duplicate NACKs (grow it)
-  /// and recovery delay (shrink it), bounded by [c_min, c_max] factors.
+  /// and recovery delay (shrink it), bounded by rm::kAdaptiveMin/Max.
   bool adaptive_timers = false;
   /// Backoff stage cap for request timers.
   int max_backoff_stage = 10;
 
   // --- ZLC prediction (paper: EWMA 0.75 / 0.25) ----------------------------
-  double ewma_old = 0.75;
-  double ewma_new = 0.25;
+  /// Weight of a new ZLC measurement; the old prediction keeps 1 - gain.
+  double zlc_ewma_gain = 0.25;
 
   // --- session management ----------------------------------------------------
-  rm::SessionStagger stagger;      ///< paper §5 staggering constants
   /// Statically configured ZCRs (paper §5.2: "a cache is placed next to
   /// the zone's Border Gateway Router"): zone -> node. Members start with
   /// these as the known ZCRs — no bootstrap election churn — but the

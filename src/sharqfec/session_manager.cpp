@@ -177,7 +177,7 @@ double SessionManager::max_rtt_in_zone(net::ZoneId z) const {
       best = std::max(best, p.rtt);
     }
   }
-  return best > 0.0 ? best : 2.0 * kDefaultDist;
+  return best > 0.0 ? best : 2.0 * rm::kDefaultDist;
 }
 
 double SessionManager::dist_to_zcr_at(int level) const {
@@ -231,14 +231,14 @@ double SessionManager::estimate_dist(net::NodeId peer,
     }
   }
   const net::ZoneId common = hier_.common_zone(node_, peer);
-  if (common == net::kNoZone) return kDefaultDist;
+  if (common == net::kNoZone) return rm::kDefaultDist;
   const int lc = level_index(common);
-  if (lc < 0) return kDefaultDist;
+  if (lc < 0) return rm::kDefaultDist;
 
   const net::NodeId bridge = expected_bridge(lc);
-  if (bridge == net::kNoNode) return kDefaultDist;
+  if (bridge == net::kNoNode) return rm::kDefaultDist;
   const double base = dist_to_zcr_at(lc == 0 ? 0 : lc - 1);
-  if (base < 0.0) return kDefaultDist;
+  if (base < 0.0) return rm::kDefaultDist;
   if (peer == bridge) return base;
 
   const Level& lv = levels_[lc];
@@ -261,7 +261,7 @@ double SessionManager::estimate_dist(net::NodeId peer,
       return base + sib->second / 2.0 + h.dist;
     }
   }
-  return kDefaultDist;
+  return rm::kDefaultDist;
 }
 
 void SessionManager::ewma_rtt(double& slot, double sample) const {
@@ -274,7 +274,7 @@ void SessionManager::ewma_rtt(double& slot, double sample) const {
 // --- session messages -------------------------------------------------------
 
 void SessionManager::schedule_session() {
-  const sim::Time delay = cfg_->stagger.next_delay(rng_, session_rounds_);
+  const sim::Time delay = rm::session_stagger(rng_, session_rounds_);
   session_timer_.arm(delay, [this] {
     SHARQ_PROF_SCOPE(session);
     send_session_messages();

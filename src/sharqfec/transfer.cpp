@@ -50,8 +50,6 @@ TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
       dec_block_(fec::GroupDecoder::block_bytes(*codec_)),
       pacer_(cfg_->budget.repair_rate_per_s) {
   scopes_.resize(session_.chain().size());
-  c1_adapt_ = cfg_->timers.c1;
-  c2_adapt_ = cfg_->timers.c2;
   if (is_source_) source_node_ = node_;
   journal_ = cfg_->journal;
   if (cfg_->metrics) {
@@ -122,10 +120,10 @@ sim::Time TransferEngine::inter_arrival_estimate() const {
 sim::Time TransferEngine::dist_to_source() const {
   // Before the first data packet reveals the source (e.g. a late joiner
   // recovering pure history through its zone), the distance estimate has
-  // nothing to converge on; kDefaultDist keeps the request window at a
+  // nothing to converge on; rm::kDefaultDist keeps the request window at a
   // plausible network scale instead of collapsing to the floor and burning
   // through every NACK scope before the zone can answer once.
-  if (source_node_ == net::kNoNode) return kDefaultDist;
+  if (source_node_ == net::kNoNode) return rm::kDefaultDist;
   return std::max(1e-3, session_.estimate_dist(source_node_));
 }
 
@@ -772,7 +770,7 @@ void TransferEngine::maybe_request(std::uint32_t g) {
 
 void TransferEngine::arm_request_timer(std::uint32_t g, stats::EventId cause) {
   const double d = dist_to_source();
-  rm::TimerPolicy policy = cfg_->timers;
+  rm::TimerPolicy policy = rm::kPaperTimers;
   if (cfg_->adaptive_timers) {
     policy.c1 = c1_adapt_;
     policy.c2 = c2_adapt_;
@@ -805,8 +803,8 @@ void TransferEngine::adapt_request_window(bool heard_duplicate) {
     c1_adapt_ -= 0.05;
     c2_adapt_ -= 0.1;
   }
-  c1_adapt_ = std::clamp(c1_adapt_, kAdaptiveC1Min, kAdaptiveC1Max);
-  c2_adapt_ = std::clamp(c2_adapt_, kAdaptiveC2Min, kAdaptiveC2Max);
+  c1_adapt_ = std::clamp(c1_adapt_, rm::kAdaptiveMin.c1, rm::kAdaptiveMax.c1);
+  c2_adapt_ = std::clamp(c2_adapt_, rm::kAdaptiveMin.c2, rm::kAdaptiveMax.c2);
 }
 
 void TransferEngine::fire_request(std::uint32_t g) {
@@ -1025,7 +1023,7 @@ void TransferEngine::arm_reply_timer(std::uint32_t g, int level,
                                      double dist_to_requester) {
   Live& l = live(g);
   l.reply_level = level;
-  const sim::Time delay = cfg_->timers.reply_delay(rng_, dist_to_requester);
+  const sim::Time delay = rm::kPaperTimers.reply_delay(rng_, dist_to_requester);
   l.reply_timer.arm(delay, [this, g] {
     fire_reply(g);
     maybe_settle(g);
@@ -1084,7 +1082,7 @@ void TransferEngine::fire_reply(std::uint32_t g) {
       // repairs so a dedicated repairer's burst (or another fallback's)
       // can drain the queue first.
       arm_reply_timer(g, l.reply_level,
-                      kDefaultDist * kFallbackReplyDefer);
+                      rm::kDefaultDist * kFallbackReplyDefer);
     }
   }
 }
@@ -1298,7 +1296,7 @@ void TransferEngine::on_group_complete(std::uint32_t g) {
         fire_reply(g);
       } else {
         arm_reply_timer(g, level,
-                        std::max(1e-3, kDefaultDist * 1.0));
+                        std::max(1e-3, rm::kDefaultDist * 1.0));
       }
     }
   }
@@ -1373,7 +1371,7 @@ void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
   // RTT): that member's request timer is the last NACK we must wait for.
   const double d_src = std::max(dist_to_source(), max_rtt / 2.0);
   const double nack_window =
-      2.0 * (cfg_->timers.c1 + cfg_->timers.c2) * std::max(d_src, 1e-3);
+      2.0 * (rm::kPaperTimers.c1 + rm::kPaperTimers.c2) * std::max(d_src, 1e-3);
   const sim::Time wait =
       kZlcMeasureRttFactor * std::max(max_rtt, nack_window);
   l.measure_timer.arm(wait, [this, g] {
@@ -1381,6 +1379,7 @@ void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
     const auto& ch = session_.chain();
     const ChainLevel* lv = chain_lv(g);
     const SliceLevel* sl = slice_lv(g);
+    const double gain = cfg_->zlc_ewma_gain, keep = 1.0 - gain;
     for (std::size_t lvl = 0; lvl < ch.size(); ++lvl) {
       const bool mine =
           (is_source_ && lvl + 1 == ch.size()) || session_.is_zcr(ch[lvl]);
@@ -1390,7 +1389,7 @@ void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
       // where no NACKs are received").
       const int measured = std::max<int>(lv[lvl].zlc, rec(g).llc);
       Scope& sc = scopes_[lvl];
-      sc.zlc_pred = cfg_->ewma_old * sc.zlc_pred + cfg_->ewma_new * measured;
+      sc.zlc_pred = keep * sc.zlc_pred + gain * measured;
       sc.zlc_measured = true;
       // Coverage from larger scopes observed for this group: parity whose
       // originating level is strictly above this zone's level.
@@ -1399,7 +1398,7 @@ void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
       for (int gl = 0; gl < my_glevel && gl < hier_.depth(); ++gl) {
         from_above += sl[gl].seen;
       }
-      sc.cov_pred = cfg_->ewma_old * sc.cov_pred + cfg_->ewma_new * from_above;
+      sc.cov_pred = keep * sc.cov_pred + gain * from_above;
     }
     maybe_settle(g);
   });

@@ -465,8 +465,8 @@ class TransferEngine {
   stats::Histogram* completion_ = nullptr;
 
   // Adaptive request-window state (Config::adaptive_timers).
-  double c1_adapt_;
-  double c2_adapt_;
+  double c1_adapt_ = rm::kPaperTimers.c1;
+  double c2_adapt_ = rm::kPaperTimers.c2;
   double ave_dup_nack_ = 0.0;
 
  public:

@@ -5,6 +5,20 @@
 
 namespace sharq::srm {
 
+namespace {
+
+/// After sending or hearing a repair, ignore further requests for that
+/// seq for this multiple of the distance to the source.
+constexpr double kHolddownFactor = 3.0;
+/// EWMA gain for distance estimates from session messages.
+constexpr double kDistGain = 0.5;
+/// Request backoff cap: 2^6 * [C1 d, (C1+C2) d] is already tens of
+/// seconds; growing further turns a suppressed receiver into a stalled
+/// one when its repairs keep getting lost.
+constexpr int kMaxBackoffStage = 6;
+
+}  // namespace
+
 Agent::Agent(net::Network& net, net::ChannelId channel, net::NodeId node,
              Config config, rm::DeliveryLog* log)
     : net_(net),
@@ -13,11 +27,7 @@ Agent::Agent(net::Network& net, net::ChannelId channel, net::NodeId node,
       cfg_(config),
       log_(log),
       rng_(net.simulator().rng().fork()),
-      session_timer_(net.simulator()),
-      c1_(config.timers.c1),
-      c2_(config.timers.c2),
-      d1_(config.timers.d1),
-      d2_(config.timers.d2) {
+      session_timer_(net.simulator()) {
   net_.attach(node, this);
   net_.subscribe(channel_, node);
 }
@@ -25,7 +35,7 @@ Agent::Agent(net::Network& net, net::ChannelId channel, net::NodeId node,
 void Agent::start() { schedule_session(); }
 
 void Agent::schedule_session() {
-  const sim::Time delay = cfg_.stagger.next_delay(rng_, session_msgs_sent_);
+  const sim::Time delay = rm::session_stagger(rng_, session_msgs_sent_);
   session_timer_.arm(delay, [this] {
     send_session_message();
     schedule_session();
@@ -75,11 +85,11 @@ void Agent::send_stream(std::uint32_t count, sim::Time start_at) {
 
 sim::Time Agent::distance_to(net::NodeId peer) const {
   auto it = dist_.find(peer);
-  return it == dist_.end() ? cfg_.default_dist : it->second;
+  return it == dist_.end() ? rm::kDefaultDist : it->second;
 }
 
 sim::Time Agent::dist_to_source() const {
-  return source_ == net::kNoNode ? cfg_.default_dist : distance_to(source_);
+  return source_ == net::kNoNode ? rm::kDefaultDist : distance_to(source_);
 }
 
 bool Agent::has(std::uint32_t seq) const {
@@ -127,7 +137,7 @@ void Agent::on_receive(const net::Packet& packet) {
       if (it == dist_.end()) {
         dist_[sess->sender] = d;
       } else {
-        it->second = (1.0 - cfg_.dist_gain) * it->second + cfg_.dist_gain * d;
+        it->second = (1.0 - kDistGain) * it->second + kDistGain * d;
       }
       break;
     }
@@ -188,11 +198,8 @@ void Agent::start_request(std::uint32_t seq) {
   if (requests_.contains(seq)) return;
   auto it = requests_.try_emplace(seq, simu_).first;
   it->second.detected_at = simu_.now();
-  rm::TimerPolicy policy = cfg_.timers;
-  policy.c1 = c1_;
-  policy.c2 = c2_;
   const sim::Time delay =
-      policy.request_delay(rng_, dist_to_source(), it->second.backoff);
+      timers_.request_delay(rng_, dist_to_source(), it->second.backoff);
   it->second.timer.arm(delay, [this, seq] { fire_request(seq); });
 }
 
@@ -207,12 +214,9 @@ void Agent::fire_request(std::uint32_t seq) {
   net_.send(node(), channel_, net::TrafficClass::kNack, 32, msg,
             /*lossless=*/true);
   // Back off and wait for the repair; if none arrives the timer refires.
-  it->second.backoff = std::min(it->second.backoff + 1, cfg_.max_backoff_stage);
-  rm::TimerPolicy policy = cfg_.timers;
-  policy.c1 = c1_;
-  policy.c2 = c2_;
+  it->second.backoff = std::min(it->second.backoff + 1, kMaxBackoffStage);
   const sim::Time delay =
-      policy.request_delay(rng_, dist_to_source(), it->second.backoff);
+      timers_.request_delay(rng_, dist_to_source(), it->second.backoff);
   it->second.timer.arm(delay, [this, seq] { fire_request(seq); });
 }
 
@@ -226,11 +230,8 @@ void Agent::handle_request(const RequestMsg& req) {
     if (replies_.contains(seq)) return;
     auto it = replies_.try_emplace(seq, simu_).first;
     it->second.requester = req.requester;
-    rm::TimerPolicy policy = cfg_.timers;
-    policy.d1 = d1_;
-    policy.d2 = d2_;
     const sim::Time delay =
-        policy.reply_delay(rng_, distance_to(req.requester));
+        timers_.reply_delay(rng_, distance_to(req.requester));
     it->second.timer.arm(delay, [this, seq] {
       auto jt = replies_.find(seq);
       if (jt == replies_.end()) return;
@@ -241,7 +242,7 @@ void Agent::handle_request(const RequestMsg& req) {
       ++repairs_sent_;
       net_.send(node(), channel_, net::TrafficClass::kRepair,
                 cfg_.packet_size_bytes, msg);
-      holddown_until_[seq] = simu_.now() + cfg_.holddown_factor * dist_to_source();
+      holddown_until_[seq] = simu_.now() + kHolddownFactor * dist_to_source();
       replies_.erase(jt);
       adapt_reply_timers(/*was_duplicate=*/false);
     });
@@ -261,12 +262,9 @@ void Agent::handle_request(const RequestMsg& req) {
   }
   PendingRequest& pr = it->second;
   if (pr.requested_once) ++pr.dup_requests;
-  pr.backoff = std::min(pr.backoff + 1, cfg_.max_backoff_stage);
-  rm::TimerPolicy policy = cfg_.timers;
-  policy.c1 = c1_;
-  policy.c2 = c2_;
+  pr.backoff = std::min(pr.backoff + 1, kMaxBackoffStage);
   const sim::Time delay =
-      policy.request_delay(rng_, dist_to_source(), pr.backoff);
+      timers_.request_delay(rng_, dist_to_source(), pr.backoff);
   pr.timer.arm(delay, [this, seq] { fire_request(seq); });
 }
 
@@ -280,29 +278,27 @@ void Agent::handle_repair_heard(std::uint32_t seq) {
   }
   if (has(seq)) {
     holddown_until_[seq] =
-        simu_.now() + cfg_.holddown_factor * dist_to_source();
+        simu_.now() + kHolddownFactor * dist_to_source();
   }
 }
 
 void Agent::adapt_reply_timers(bool was_duplicate) {
-  if (!cfg_.adaptive_timers) return;
   // Mirror of the request adaptation (Floyd et al. '95): widen the reply
   // window when our replies keep colliding with other repairers'; shrink
   // it slowly while we answer without duplication.
   ave_dup_rep_ = 0.75 * ave_dup_rep_ + 0.25 * (was_duplicate ? 1.0 : 0.0);
   if (ave_dup_rep_ >= 0.5) {
-    d1_ += 0.05;
-    d2_ += 0.25;
+    timers_.d1 += 0.05;
+    timers_.d2 += 0.25;
   } else if (ave_dup_rep_ < 0.2) {
-    d1_ -= 0.025;
-    d2_ -= 0.05;
+    timers_.d1 -= 0.025;
+    timers_.d2 -= 0.05;
   }
-  d1_ = std::clamp(d1_, cfg_.d1_min, cfg_.d1_max);
-  d2_ = std::clamp(d2_, cfg_.d2_min, cfg_.d2_max);
+  timers_.d1 = std::clamp(timers_.d1, rm::kAdaptiveMin.d1, rm::kAdaptiveMax.d1);
+  timers_.d2 = std::clamp(timers_.d2, rm::kAdaptiveMin.d2, rm::kAdaptiveMax.d2);
 }
 
 void Agent::adapt_request_timers(const PendingRequest& done, sim::Time now) {
-  if (!cfg_.adaptive_timers) return;
   if (!done.requested_once && done.dup_requests == 0) {
     // Recovered purely by someone else's request/repair: counts as zero
     // duplicates and does not update the delay average.
@@ -316,14 +312,14 @@ void Agent::adapt_request_timers(const PendingRequest& done, sim::Time now) {
   // Floyd et al. '95: grow the window when duplicates are common; shrink
   // it (bounded) when duplicates are rare but recovery is slow.
   if (ave_dup_req_ >= 1.0) {
-    c1_ += 0.1;
-    c2_ += 0.5;
+    timers_.c1 += 0.1;
+    timers_.c2 += 0.5;
   } else if (ave_dup_req_ < 0.9) {
-    if (ave_req_delay_ > 2.0 * (c1_ + c2_)) c2_ -= 0.1;
-    c1_ -= 0.05;
+    if (ave_req_delay_ > 2.0 * (timers_.c1 + timers_.c2)) timers_.c2 -= 0.1;
+    timers_.c1 -= 0.05;
   }
-  c1_ = std::clamp(c1_, cfg_.c1_min, cfg_.c1_max);
-  c2_ = std::clamp(c2_, cfg_.c2_min, cfg_.c2_max);
+  timers_.c1 = std::clamp(timers_.c1, rm::kAdaptiveMin.c1, rm::kAdaptiveMax.c1);
+  timers_.c2 = std::clamp(timers_.c2, rm::kAdaptiveMin.c2, rm::kAdaptiveMax.c2);
 }
 
 }  // namespace sharq::srm

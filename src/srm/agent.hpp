@@ -14,26 +14,12 @@
 
 namespace sharq::srm {
 
-/// Tunables for the SRM baseline.
+/// Tunables for the SRM baseline. Its timers are always adaptive (Floyd
+/// et al. '95, as the paper runs it), starting from rm::kPaperTimers; the
+/// protocol's other constants are in agent.cpp.
 struct Config {
-  rm::TimerPolicy timers;       ///< C1,C2 request / D1,D2 reply windows
-  bool adaptive_timers = true;  ///< Floyd et al. '95 adaptive adjustment
-  rm::SessionStagger stagger;   ///< session message pacing
   int packet_size_bytes = 1000;
   double data_rate_bps = 800e3;
-  sim::Time default_dist = 0.050;  ///< distance before session converges
-  /// After sending a repair, ignore further requests for that seq for
-  /// `holddown_factor * d_source` seconds.
-  double holddown_factor = 3.0;
-  /// EWMA gain for distance estimates from session messages.
-  double dist_gain = 0.5;
-  /// Bounds for adaptive timer parameters.
-  double c1_min = 0.5, c1_max = 8.0, c2_min = 1.0, c2_max = 16.0;
-  double d1_min = 0.5, d1_max = 8.0, d2_min = 1.0, d2_max = 16.0;
-  /// Request backoff cap: 2^6 * [C1 d, (C1+C2) d] is already tens of
-  /// seconds; growing further turns a suppressed receiver into a stalled
-  /// one when its repairs keep getting lost.
-  int max_backoff_stage = 6;
 };
 
 /// One SRM endpoint (source or receiver). All SRM traffic — data,
@@ -64,9 +50,8 @@ class Agent final : public net::Agent {
   std::uint64_t requests_sent() const { return requests_sent_; }
   std::uint64_t repairs_sent() const { return repairs_sent_; }
   std::uint64_t duplicate_repairs_heard() const { return dup_repairs_; }
-  const Config& config() const { return cfg_; }
-  double adapted_c1() const { return c1_; }
-  double adapted_c2() const { return c2_; }
+  double adapted_c1() const { return timers_.c1; }
+  double adapted_c2() const { return timers_.c2; }
 
  private:
   struct PendingRequest {
@@ -135,7 +120,7 @@ class Agent final : public net::Agent {
 
   // adaptive timer state (Floyd et al. '95 appendix, simplified: see
   // adapt_request_timers)
-  double c1_, c2_, d1_, d2_;
+  rm::TimerPolicy timers_ = rm::kPaperTimers;
   double ave_dup_req_ = 0.0;
   double ave_req_delay_ = 0.0;
   double ave_dup_rep_ = 0.0;

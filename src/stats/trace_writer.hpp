@@ -24,8 +24,6 @@ class TraceWriter final : public net::TrafficSink {
   explicit TraceWriter(std::ostream& os, const net::Network* net = nullptr,
                        net::TrafficSink* next = nullptr);
 
-  void set_next(net::TrafficSink* next) { next_ = next; }
-
   /// Only record events for traffic classes enabled here (default: all).
   void enable_class(net::TrafficClass cls, bool on);
 

@@ -4,6 +4,22 @@
 
 namespace sharq::topo {
 
+namespace {
+
+/// Per-tree cumulative backbone loss (source -> mesh node m). Tuned so
+/// trees differ, tree 3 is worst and tree 6 best, matching the quoted
+/// 28.3% / 13.4% compounded leaf losses.
+constexpr double kBackboneLoss[7] = {0.08, 0.12,   0.188, 0.10,
+                                     0.06, 0.0196, 0.04};
+/// Source -> mesh propagation delays (the paper's backbone latencies are
+/// in the unreadable figure; these span the same 10-50 ms regime).
+constexpr sim::Time kBackboneDelay[7] = {0.030, 0.045, 0.020, 0.040,
+                                         0.010, 0.025, 0.035};
+constexpr sim::Time kTreeLinkDelay = 0.020;  ///< paper: 20 ms per link
+constexpr double kBackboneBandwidthBps = 45e6;  ///< paper: 45 Mbit/s
+
+}  // namespace
+
 std::vector<net::NodeId> Figure10::middles_of(int m) const {
   assert(m >= 0 && m < static_cast<int>(mesh.size()));
   return {middles[3 * m], middles[3 * m + 1], middles[3 * m + 2]};
@@ -17,7 +33,6 @@ std::vector<net::NodeId> Figure10::leaves_of(int c) const {
 
 Figure10 make_figure10(net::Network& net, const Figure10Options& opt) {
   assert(net.node_count() == 0 && "figure 10 numbering needs a fresh network");
-  assert(opt.backbone_loss.size() == 7 && opt.backbone_delay.size() == 7);
 
   Figure10 t;
   t.source = net.add_node();  // node 0
@@ -33,9 +48,9 @@ Figure10 make_figure10(net::Network& net, const Figure10Options& opt) {
   // Source -> mesh backbone links (45 Mbit/s, per-tree loss and latency).
   for (int m = 0; m < 7; ++m) {
     net::LinkConfig cfg;
-    cfg.bandwidth_bps = opt.backbone_bandwidth_bps;
-    cfg.delay = opt.backbone_delay[m];
-    cfg.loss_rate = opt.backbone_loss[m];
+    cfg.bandwidth_bps = kBackboneBandwidthBps;
+    cfg.delay = kBackboneDelay[m];
+    cfg.loss_rate = kBackboneLoss[m];
     cfg.queue_limit_pkts = opt.queue_limit_pkts;
     net.add_duplex_link(t.source, t.mesh[m], cfg);
   }
@@ -44,7 +59,7 @@ Figure10 make_figure10(net::Network& net, const Figure10Options& opt) {
   // failure/rerouting scenarios and mesh-shaped sessions can be exercised.
   for (int m = 0; m < 7; ++m) {
     net::LinkConfig cfg;
-    cfg.bandwidth_bps = opt.backbone_bandwidth_bps;
+    cfg.bandwidth_bps = kBackboneBandwidthBps;
     cfg.delay = 0.030;
     cfg.loss_rate = 0.01;
     cfg.queue_limit_pkts = opt.queue_limit_pkts;
@@ -55,37 +70,35 @@ Figure10 make_figure10(net::Network& net, const Figure10Options& opt) {
     for (int j = 0; j < 3; ++j) {
       const int c = 3 * m + j;
       net::LinkConfig cfg;
-      cfg.bandwidth_bps = opt.tree_bandwidth_bps;
-      cfg.delay = opt.tree_link_delay;
-      cfg.loss_rate = opt.mesh_child_loss;
+      cfg.bandwidth_bps = kFig10TreeBandwidthBps;
+      cfg.delay = kTreeLinkDelay;
+      cfg.loss_rate = kFig10MeshChildLoss;
       cfg.queue_limit_pkts = opt.queue_limit_pkts;
       net.add_duplex_link(t.mesh[m], t.middles[c], cfg);
       for (int i = 0; i < 4; ++i) {
         net::LinkConfig leaf_cfg;
-        leaf_cfg.bandwidth_bps = opt.tree_bandwidth_bps;
-        leaf_cfg.delay = opt.tree_link_delay;
-        leaf_cfg.loss_rate = opt.child_leaf_loss;
+        leaf_cfg.bandwidth_bps = kFig10TreeBandwidthBps;
+        leaf_cfg.delay = kTreeLinkDelay;
+        leaf_cfg.loss_rate = kFig10ChildLeafLoss;
         leaf_cfg.queue_limit_pkts = opt.queue_limit_pkts;
         net.add_duplex_link(t.middles[c], t.leaves[4 * c + i], leaf_cfg);
       }
     }
   }
 
-  if (opt.build_zones) {
-    net::ZoneHierarchy& zones = net.zones();
-    t.z_root = zones.add_root();
-    zones.assign(t.source, t.z_root);
-    for (int m = 0; m < 7; ++m) {
-      const net::ZoneId tz = zones.add_zone(t.z_root);
-      t.tree_zones.push_back(tz);
-      zones.assign(t.mesh[m], tz);
-      for (int j = 0; j < 3; ++j) {
-        const int c = 3 * m + j;
-        const net::ZoneId lz = zones.add_zone(tz);
-        t.leaf_zones.push_back(lz);
-        zones.assign(t.middles[c], lz);
-        for (int i = 0; i < 4; ++i) zones.assign(t.leaves[4 * c + i], lz);
-      }
+  net::ZoneHierarchy& zones = net.zones();
+  t.z_root = zones.add_root();
+  zones.assign(t.source, t.z_root);
+  for (int m = 0; m < 7; ++m) {
+    const net::ZoneId tz = zones.add_zone(t.z_root);
+    t.tree_zones.push_back(tz);
+    zones.assign(t.mesh[m], tz);
+    for (int j = 0; j < 3; ++j) {
+      const int c = 3 * m + j;
+      const net::ZoneId lz = zones.add_zone(tz);
+      t.leaf_zones.push_back(lz);
+      zones.assign(t.middles[c], lz);
+      for (int i = 0; i < 4; ++i) zones.assign(t.leaves[4 * c + i], lz);
     }
   }
   return t;

@@ -15,8 +15,9 @@ namespace sharq::topo {
 /// 8-28 = middle nodes (3 per mesh node), 29-112 = leaves (4 per middle
 /// node). The paper states leaves 53.. (under mesh node 3) see the worst
 /// compounded loss (~28.3%) and leaves 89-100 (under mesh node 6) the
-/// least (~13.4%); the backbone loss rates below are chosen to reproduce
-/// those endpoints, since the figure carrying the exact values is an image.
+/// least (~13.4%); the backbone loss rates in figure10.cpp are chosen to
+/// reproduce those endpoints, since the figure carrying the exact values is
+/// an image.
 ///
 /// Link parameters from the paper: source->mesh links 45 Mbit/s, all other
 /// links 10 Mbit/s; intra-tree link latency 20 ms; mesh->child links lose
@@ -38,28 +39,18 @@ struct Figure10 {
   std::vector<net::NodeId> leaves_of(int c) const;
 };
 
+/// The paper's per-link parameters, as the builder applies them.
+inline constexpr double kFig10MeshChildLoss = 0.08;  ///< mesh -> middle
+inline constexpr double kFig10ChildLeafLoss = 0.04;  ///< middle -> leaf
+inline constexpr double kFig10TreeBandwidthBps = 10e6;
+
 /// Options for the builder (defaults reproduce the paper's setup).
 struct Figure10Options {
-  /// Per-tree cumulative backbone loss (source -> mesh node m). Tuned so
-  /// trees differ, tree 3 is worst and tree 6 best, matching the quoted
-  /// 28.3% / 13.4% compounded leaf losses.
-  std::vector<double> backbone_loss = {0.08,   0.12, 0.188, 0.10,
-                                       0.06,   0.0196, 0.04};
-  /// Source -> mesh propagation delays (the paper's backbone latencies are
-  /// in the unreadable figure; these span the same 10-50 ms regime).
-  std::vector<sim::Time> backbone_delay = {0.030, 0.045, 0.020, 0.040,
-                                           0.010, 0.025, 0.035};
-  double mesh_child_loss = 0.08;  ///< mesh -> middle (paper)
-  double child_leaf_loss = 0.04;  ///< middle -> leaf (paper)
-  sim::Time tree_link_delay = 0.020;  ///< paper: 20 ms per intra-tree link
-  double backbone_bandwidth_bps = 45e6;  ///< paper: 45 Mbit/s
-  double tree_bandwidth_bps = 10e6;      ///< paper: 10 Mbit/s
   int queue_limit_pkts = -1;  ///< per-link queue bound (-1 = unbounded)
-  bool build_zones = true;  ///< overlay the 3-level scope hierarchy
 };
 
-/// Build the Figure 10 topology (and optionally its zone overlay) into
-/// `net`. Must be called on an empty network so the node numbering holds.
+/// Build the Figure 10 topology and its zone overlay into `net`. Must be
+/// called on an empty network so the node numbering holds.
 Figure10 make_figure10(net::Network& net,
                        const Figure10Options& opt = Figure10Options{});
 

@@ -4,6 +4,19 @@
 
 namespace sharq::topo {
 
+namespace {
+
+// Link parameters per level, top to bottom.
+constexpr double kBackboneBps = 155e6;  ///< source -> region
+constexpr double kMetroBps = 45e6;      ///< region -> city
+constexpr double kAccessBps = 10e6;     ///< city -> suburb -> subscriber
+constexpr sim::Time kRegionDelay = 0.025;
+constexpr sim::Time kCityDelay = 0.010;
+constexpr sim::Time kSuburbDelay = 0.005;
+constexpr sim::Time kSubscriberDelay = 0.002;
+
+}  // namespace
+
 National make_national(net::Network& net, const NationalParams& p) {
   assert(net.node_count() == 0 && "national builder needs a fresh network");
   National n;
@@ -18,8 +31,8 @@ National make_national(net::Network& net, const NationalParams& p) {
     const net::NodeId region = net.add_node();
     n.region_caches.push_back(region);
     net::LinkConfig cfg;
-    cfg.bandwidth_bps = p.backbone_bps;
-    cfg.delay = p.region_delay;
+    cfg.bandwidth_bps = kBackboneBps;
+    cfg.delay = kRegionDelay;
     net.add_duplex_link(n.source, region, cfg);
     const net::ZoneId zr = zones.add_zone(n.z_national);
     n.z_regions.push_back(zr);
@@ -29,8 +42,8 @@ National make_national(net::Network& net, const NationalParams& p) {
       const net::NodeId city = net.add_node();
       n.city_caches.push_back(city);
       net::LinkConfig ccfg;
-      ccfg.bandwidth_bps = p.metro_bps;
-      ccfg.delay = p.city_delay;
+      ccfg.bandwidth_bps = kMetroBps;
+      ccfg.delay = kCityDelay;
       net.add_duplex_link(region, city, ccfg);
       const net::ZoneId zc = zones.add_zone(zr);
       n.z_cities.push_back(zc);
@@ -40,8 +53,8 @@ National make_national(net::Network& net, const NationalParams& p) {
         const net::NodeId hub = net.add_node();
         n.suburb_hubs.push_back(hub);
         net::LinkConfig scfg;
-        scfg.bandwidth_bps = p.access_bps;
-        scfg.delay = p.suburb_delay;
+        scfg.bandwidth_bps = kAccessBps;
+        scfg.delay = kSuburbDelay;
         net.add_duplex_link(city, hub, scfg);
         const net::ZoneId zs = zones.add_zone(zc);
         n.z_suburbs.push_back(zs);
@@ -51,8 +64,8 @@ National make_national(net::Network& net, const NationalParams& p) {
           const net::NodeId sub = net.add_node();
           n.subscribers.push_back(sub);
           net::LinkConfig ucfg;
-          ucfg.bandwidth_bps = p.access_bps;
-          ucfg.delay = p.subscriber_delay;
+          ucfg.bandwidth_bps = kAccessBps;
+          ucfg.delay = kSubscriberDelay;
           ucfg.loss_rate = p.access_loss;
           net.add_duplex_link(hub, sub, ucfg);
           zones.assign(sub, zs);

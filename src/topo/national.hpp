@@ -15,15 +15,8 @@ struct NationalParams {
   int cities_per_region = 20;
   int suburbs_per_city = 100;
   int subscribers_per_suburb = 500;
-
-  // Link parameters per level (top to bottom).
-  double backbone_bps = 155e6;
-  double metro_bps = 45e6;
-  double access_bps = 10e6;
-  sim::Time region_delay = 0.025;
-  sim::Time city_delay = 0.010;
-  sim::Time suburb_delay = 0.005;
-  sim::Time subscriber_delay = 0.002;
+  /// Loss on subscriber access links. Link rates and delays per level are
+  /// fixed in national.cpp.
   double access_loss = 0.02;
 };
 

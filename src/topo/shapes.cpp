@@ -133,6 +133,16 @@ ExampleTree make_figure1_tree(net::Network& net) {
   return t;
 }
 
+namespace {
+
+// Deep-tree links: hub -> hub, and hub -> subscriber.
+constexpr double kHubBps = 100e6;
+constexpr sim::Time kHubDelay = 0.005;
+constexpr double kLeafBps = 10e6;
+constexpr sim::Time kLeafDelay = 0.002;
+
+}  // namespace
+
 DeepTree make_deep_tree(net::Network& net, const DeepTreeParams& p) {
   DeepTree t;
   net::ZoneHierarchy& zones = net.zones();
@@ -146,12 +156,12 @@ DeepTree make_deep_tree(net::Network& net, const DeepTreeParams& p) {
   std::vector<std::pair<net::NodeId, net::ZoneId>> frontier{
       {t.source, t.root_zone}};
   net::LinkConfig hub_link;
-  hub_link.bandwidth_bps = p.hub_bps;
-  hub_link.delay = p.hub_delay;
+  hub_link.bandwidth_bps = kHubBps;
+  hub_link.delay = kHubDelay;
   hub_link.queue_limit_pkts = p.queue_limit_pkts;
   net::LinkConfig leaf_link;
-  leaf_link.bandwidth_bps = p.leaf_bps;
-  leaf_link.delay = p.leaf_delay;
+  leaf_link.bandwidth_bps = kLeafBps;
+  leaf_link.delay = kLeafDelay;
   leaf_link.loss_rate = p.leaf_loss;
   leaf_link.queue_limit_pkts = p.queue_limit_pkts;
 

@@ -67,15 +67,11 @@ ExampleTree make_figure1_tree(net::Network& net);
 /// each deepest hub. Every hub owns a zone nested in its parent's, so the
 /// zone hierarchy is `zone_depth + 1` levels deep including the root —
 /// the generalization of the 4-level national topology to arbitrary
-/// depth, built in O(nodes).
+/// depth, built in O(nodes). Link rates and delays are fixed in shapes.cpp.
 struct DeepTreeParams {
   int zone_depth = 3;      ///< hub levels below the source (>= 1)
   int fanout = 4;          ///< child hubs per hub
   int leaves_per_hub = 8;  ///< subscribers under each deepest hub
-  double hub_bps = 100e6;
-  double leaf_bps = 10e6;
-  sim::Time hub_delay = 0.005;
-  sim::Time leaf_delay = 0.002;
   double leaf_loss = 0.0;  ///< loss on subscriber access links
   int queue_limit_pkts = -1;  ///< per-link queue bound (-1 = unbounded)
 };

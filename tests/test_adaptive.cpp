@@ -65,10 +65,10 @@ TEST(AdaptiveTimers, EnabledStaysBoundedAndDelivers) {
   for (auto& a : s.agents()) {
     const double c1 = a->transfer().adapted_c1();
     const double c2 = a->transfer().adapted_c2();
-    EXPECT_GE(c1, kAdaptiveC1Min);
-    EXPECT_LE(c1, kAdaptiveC1Max);
-    EXPECT_GE(c2, kAdaptiveC2Min);
-    EXPECT_LE(c2, kAdaptiveC2Max);
+    EXPECT_GE(c1, rm::kAdaptiveMin.c1);
+    EXPECT_LE(c1, rm::kAdaptiveMax.c1);
+    EXPECT_GE(c2, rm::kAdaptiveMin.c2);
+    EXPECT_LE(c2, rm::kAdaptiveMax.c2);
     moved = moved || c1 != 2.0 || c2 != 2.0;
   }
   EXPECT_TRUE(moved);  // at least someone adapted under 15% loss

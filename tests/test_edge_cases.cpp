@@ -22,7 +22,7 @@ TEST(EstimateFallback, UnknownPeerUsesDefaultDistance) {
   sfq::Session s(net, c.nodes[0], {c.nodes[1], c.nodes[2]}, cfg);
   // Before start(): no session traffic at all, every estimate falls back.
   EXPECT_DOUBLE_EQ(s.agent_for(c.nodes[1]).session().estimate_dist(c.nodes[2]),
-                   sfq::kDefaultDist);
+                   rm::kDefaultDist);
   EXPECT_DOUBLE_EQ(s.agent_for(c.nodes[1]).session().estimate_dist(c.nodes[1]),
                    0.0);
 }
@@ -74,7 +74,7 @@ TEST(SrmInternals, DefaultDistanceBeforeConvergence) {
   srm::Config cfg;
   srm::Session s(net, c.nodes[0], {c.nodes[1]}, cfg);
   EXPECT_DOUBLE_EQ(s.agent_for(c.nodes[1]).distance_to(c.nodes[0]),
-                   cfg.default_dist);
+                   rm::kDefaultDist);
 }
 
 TEST(SrmInternals, SourceHoldsEverythingItSent) {

@@ -124,16 +124,15 @@ TEST(Srm, AdaptiveTimersStayBounded) {
   topo::BalancedTree t = topo::make_balanced_tree(f.net, 2, 2, lossy);
   std::vector<net::NodeId> receivers(t.all.begin() + 1, t.all.end());
   Config cfg;
-  cfg.adaptive_timers = true;
   Session session(f.net, t.root, receivers, cfg, nullptr);
   session.start();
   session.send_stream(150, 3.0);
   f.simu.run_until(60.0);
   for (auto& a : session.agents()) {
-    EXPECT_GE(a->adapted_c1(), cfg.c1_min);
-    EXPECT_LE(a->adapted_c1(), cfg.c1_max);
-    EXPECT_GE(a->adapted_c2(), cfg.c2_min);
-    EXPECT_LE(a->adapted_c2(), cfg.c2_max);
+    EXPECT_GE(a->adapted_c1(), rm::kAdaptiveMin.c1);
+    EXPECT_LE(a->adapted_c1(), rm::kAdaptiveMax.c1);
+    EXPECT_GE(a->adapted_c2(), rm::kAdaptiveMin.c2);
+    EXPECT_LE(a->adapted_c2(), rm::kAdaptiveMax.c2);
   }
 }
 

@@ -67,29 +67,27 @@ TEST(TimerPolicy, CustomConstants) {
 }
 
 TEST(SessionStagger, StartupThenSteady) {
-  SessionStagger s;
   sim::Rng rng(6);
   for (int sent = 0; sent < 3; ++sent) {
     for (int i = 0; i < 100; ++i) {
-      const double d = s.next_delay(rng, sent);
+      const double d = session_stagger(rng, sent);
       EXPECT_GE(d, 0.05);
       EXPECT_LE(d, 0.25);
     }
   }
   for (int i = 0; i < 100; ++i) {
-    const double d = s.next_delay(rng, 3);
+    const double d = session_stagger(rng, 3);
     EXPECT_GE(d, 0.9);
     EXPECT_LE(d, 1.1);
   }
 }
 
 TEST(SessionStagger, PaperConstants) {
-  SessionStagger s;
-  EXPECT_DOUBLE_EQ(s.steady_lo, 0.9);
-  EXPECT_DOUBLE_EQ(s.steady_hi, 1.1);
-  EXPECT_DOUBLE_EQ(s.startup_lo, 0.05);
-  EXPECT_DOUBLE_EQ(s.startup_hi, 0.25);
-  EXPECT_EQ(s.startup_count, 3);
+  EXPECT_DOUBLE_EQ(kSteadyStaggerLo, 0.9);
+  EXPECT_DOUBLE_EQ(kSteadyStaggerHi, 1.1);
+  EXPECT_DOUBLE_EQ(kStartupStaggerLo, 0.05);
+  EXPECT_DOUBLE_EQ(kStartupStaggerHi, 0.25);
+  EXPECT_EQ(kStartupSessionMsgs, 3);
 }
 
 }  // namespace

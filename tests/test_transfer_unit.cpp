@@ -647,11 +647,10 @@ TEST(TransferUnit, RealPayloadCensusCountsPayloadOnce) {
   auto run = [&](bool real_payload, std::uint64_t& events) {
     sim::Simulator simu{31};
     net::Network net{simu};
-    topo::Figure10Options lossless;
-    lossless.backbone_loss.assign(lossless.backbone_loss.size(), 0.0);
-    lossless.mesh_child_loss = 0.0;
-    lossless.child_leaf_loss = 0.0;
-    topo::Figure10 t = topo::make_figure10(net, lossless);
+    topo::Figure10 t = topo::make_figure10(net);
+    for (net::LinkId l = 0; l < net.link_count(); ++l) {
+      net.conditioner(l).set_loss(net::LossModel{});
+    }
     Config c = cfg;
     c.real_payload = real_payload;
     Session s(net, t.source, t.receivers, c);

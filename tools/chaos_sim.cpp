@@ -38,7 +38,6 @@
 
 #include "fault/injector.hpp"
 #include "fault/random_plan.hpp"
-#include "rm/delivery_log.hpp"
 #include "sharqfec/protocol.hpp"
 #include "sim/shard_runtime.hpp"
 #include "sim/simulator.hpp"
@@ -186,10 +185,6 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
         std::make_unique<stats::TrafficRecorder>(net.node_count()));
     net.set_sink(recs.front().get());
   }
-  // The shared DeliveryLog is serial-only bookkeeping (nothing below reads
-  // it); a sharded run would interleave writes across lanes, so skip it.
-  rm::DeliveryLog log;
-
   sfq::Config cfg;
   cfg.metrics = &metrics;
   // Chaos tuning: a tighter backoff cap keeps post-heal recovery latency
@@ -222,8 +217,7 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
     receivers = t.receivers;
   }
 
-  sfq::Session session(net, t.source, receivers, cfg,
-                       rt ? nullptr : &log);
+  sfq::Session session(net, t.source, receivers, cfg);
   session.start();
   session.send_stream(o.groups, o.data_start);
 
@@ -235,14 +229,14 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   shape.horizon = o.horizon;
   for (std::size_t m = 0; m < t.mesh.size(); ++m) {
     for (net::NodeId mid : t.middles_of(static_cast<int>(m))) {
-      shape.edges.push_back({t.mesh[m], mid, topt.mesh_child_loss,
-                             topt.tree_bandwidth_bps});
+      shape.edges.push_back({t.mesh[m], mid, topo::kFig10MeshChildLoss,
+                             topo::kFig10TreeBandwidthBps});
     }
   }
   for (std::size_t c = 0; c < t.middles.size(); ++c) {
     for (net::NodeId leaf : t.leaves_of(static_cast<int>(c))) {
-      shape.edges.push_back({t.middles[c], leaf, topt.child_leaf_loss,
-                             topt.tree_bandwidth_bps});
+      shape.edges.push_back({t.middles[c], leaf, topo::kFig10ChildLeafLoss,
+                             topo::kFig10TreeBandwidthBps});
     }
   }
   // Churn victims; middles/ZCRs churn via tests. Held-out joiners are
