@@ -617,7 +617,7 @@ void Network::transmit(LinkId link, const Packet& packet) {
   // thread-private.
   simulator_for(l.from).at(
       start + tx_time,
-      [this, link, packet, epoch = l.epoch] {
+      [this, packet, link, epoch = l.epoch] {
         SHARQ_PROF_SCOPE(net_forward);
         Link& lk = links_[link];
         const sim::Time snow = ctx_sim().now();

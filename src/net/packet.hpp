@@ -44,8 +44,8 @@ struct Packet {
   std::uint64_t uid = 0;      ///< unique per original send, kept across hops
   NodeId origin = kNoNode;    ///< node that performed the send
   ChannelId channel = kNoChannel;  ///< multicast channel it travels on
-  TrafficClass cls = TrafficClass::kData;
   std::int32_t size_bytes = 0;     ///< wire size used for serialization time
+  TrafficClass cls = TrafficClass::kData;
   bool lossless = false;           ///< exempt from link loss (session/NACK)
   bool corrupted = false;          ///< payload damaged in flight (bit flips);
                                    ///< a checksum over the wire bytes fails,
@@ -58,5 +58,8 @@ struct Packet {
     return dynamic_cast<const T*>(msg.get());
   }
 };
+// Copied by value into every hop's transmit closure (sim::Callback holds
+// 56 bytes); the one-byte fields share the word after size_bytes.
+static_assert(sizeof(Packet) == 40, "net::Packet grew past 40 bytes");
 
 }  // namespace sharq::net

@@ -347,10 +347,8 @@ void SessionManager::send_session_for_level(int level) {
   for (const auto& [peer, p] : lv.peers) {
     SessionMsg::Entry e;
     e.peer = peer;
-    if (p.clock_valid) {
-      e.peer_ts = p.last_ts;
-      e.delay = simu_.now() - p.heard_at;
-    }
+    e.peer_ts = p.last_ts;
+    e.delay = simu_.now() - p.heard_at;
     e.rtt_est = p.rtt;
     msg->entries.push_back(e);
   }
@@ -401,7 +399,6 @@ void SessionManager::handle_session(const SessionMsg& msg, int level) {
   Peer& peer = pit->second;
   peer.last_ts = msg.ts;
   peer.heard_at = simu_.now();
-  peer.clock_valid = true;
   for (const SessionMsg::Entry& e : msg.entries) {
     if (e.peer == node_ && e.peer_ts > 0.0) {
       const double rtt = simu_.now() - e.peer_ts - e.delay;

@@ -122,7 +122,6 @@ class SessionManager {
     double rtt = -1.0;           // measured RTT to this peer (EWMA)
     sim::Time last_ts = 0.0;     // peer clock for echoing
     sim::Time heard_at = 0.0;
-    bool clock_valid = false;
   };
   struct Level {
     Level(net::ZoneId z, sim::Simulator& simu)

@@ -44,21 +44,22 @@ EventQueue::TagCounters& EventQueue::counters_for(const char* tag) {
 }
 
 std::size_t EventQueue::memory_bytes() const {
-  return slots_.capacity() * sizeof(Slot) +
-         free_slots_.capacity() * sizeof(std::uint32_t) +
+  return slot_count() * sizeof(Slot) +
+         chunks_.capacity() * sizeof(chunks_[0]) +
          heap_.capacity() * sizeof(Key);
 }
 
+void EventQueue::add_chunk() {
+  const auto base = static_cast<std::uint32_t>(slot_count());
+  chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  for (std::uint32_t i = kChunkSlots; i-- > 0;) push_free(base + i);
+}
+
 EventId EventQueue::schedule(Time at, Callback fn, const char* tag) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slots_.emplace_back();
-    slot = static_cast<std::uint32_t>(slots_.size() - 1);
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
-  Slot& s = slots_[slot];
+  if (free_head_ == kNoSlot) add_chunk();
+  const std::uint32_t slot = free_head_;
+  Slot& s = slot_at(slot);
+  free_head_ = s.next_free;
   s.fn = std::move(fn);
   s.tag = tag;
   s.live = true;
@@ -76,14 +77,15 @@ EventId EventQueue::schedule(Time at, Callback fn, const char* tag) {
 bool EventQueue::pending(EventId id) const {
   const std::uint32_t slot = static_cast<std::uint32_t>(id.value & 0xFFFFFFFFu);
   const std::uint32_t gen = static_cast<std::uint32_t>(id.value >> 32);
-  return slot < slots_.size() && slots_[slot].live && slots_[slot].gen == gen;
+  if (slot >= slot_count()) return false;
+  const Slot& s = slot_at(slot);
+  return s.live && s.gen == gen;
 }
 
 bool EventQueue::cancel(EventId id) {
   if (!pending(id)) return false;
   const std::uint32_t slot = static_cast<std::uint32_t>(id.value & 0xFFFFFFFFu);
-  Slot& s = slots_[slot];
-  if (metrics_) counters_for(s.tag).cancelled->inc();
+  if (metrics_) counters_for(slot_at(slot).tag).cancelled->inc();
   // The key stays in the heap and is skipped as stale when it surfaces
   // (or purged by the next compaction) — the generation has moved on.
   free_slot(slot);
@@ -91,10 +93,14 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
+void EventQueue::push_free(std::uint32_t slot) {
+  slot_at(slot).next_free = free_head_;
+  free_head_ = slot;
+}
+
 void EventQueue::free_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   s.fn = nullptr;  // release captured state promptly
-  s.tag = nullptr;
   s.live = false;
   ++s.gen;
   // Generation wrapped: retire the slot instead of recycling it. A fresh
@@ -102,7 +108,7 @@ void EventQueue::free_slot(std::uint32_t slot) {
   // (and gen 0 would make EventId.value == slot, colliding with the null
   // id for slot 0). Retired slots simply never re-enter the free list.
   if (s.gen == 0) return;
-  free_slots_.push_back(slot);
+  push_free(slot);
 }
 
 void EventQueue::drop_stale_top() {
@@ -130,7 +136,7 @@ EventQueue::Fired EventQueue::pop() {
   const Key k = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
-  Slot& s = slots_[k.slot];
+  Slot& s = slot_at(k.slot);
   Fired fired{k.at, std::move(s.fn)};
   if (metrics_) counters_for(s.tag).fired->inc();
   free_slot(k.slot);
@@ -139,18 +145,18 @@ EventQueue::Fired EventQueue::pop() {
 }
 
 void EventQueue::clear() {
-  for (Slot& s : slots_) {
+  // Rebuild the free list from scratch, lowest index on top, so a
+  // cleared queue hands out slots in the same order as a fresh one.
+  free_head_ = kNoSlot;
+  for (std::size_t i = slot_count(); i-- > 0;) {
+    Slot& s = slot_at(static_cast<std::uint32_t>(i));
     if (s.live) {
       s.fn = nullptr;
-      s.tag = nullptr;
       s.live = false;
       ++s.gen;
     }
-  }
-  free_slots_.clear();
-  for (std::size_t i = slots_.size(); i-- > 0;) {
-    if (slots_[i].gen == 0) continue;  // retired (generation wrapped)
-    free_slots_.push_back(static_cast<std::uint32_t>(i));
+    if (s.gen == 0) continue;  // retired (generation wrapped)
+    push_free(static_cast<std::uint32_t>(i));
   }
   live_ = 0;
   heap_.clear();
@@ -158,10 +164,10 @@ void EventQueue::clear() {
 
 void EventQueue::test_set_slot_generation(std::uint32_t slot,
                                           std::uint32_t gen) {
-  if (slot >= slots_.size() || slots_[slot].live) {
-    std::abort();  // the hook only touches existing, free slots
+  if (slot >= slot_count() || slot_at(slot).live) {
+    std::abort();  // the hook only touches allocated, free slots
   }
-  slots_[slot].gen = gen;
+  slot_at(slot).gen = gen;
 }
 
 }  // namespace sharq::sim

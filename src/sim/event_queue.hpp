@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -35,16 +36,23 @@ struct EventId {
 /// order, which is what keeps same-seed runs byte-identical
 /// (docs/ARCHITECTURE.md, "Event core").
 ///
-/// Storage is a slab: callbacks live in recycled slots, the heap holds
-/// 24-byte keys, and the callback type itself (sim::Callback) stores
-/// captures inline — so scheduling an event performs no heap allocation
-/// in steady state. A cancelled event's key stays in the heap until it
-/// surfaces or a compaction purges it; compaction runs once stale keys
-/// outnumber live events, so a Timer re-armed forever keeps the heap
-/// within twice its live size.
+/// Storage is a slab: callbacks live in recycled 80-byte slots, the heap
+/// holds 24-byte keys, and the callback type itself (sim::Callback)
+/// stores captures inline — so scheduling an event performs no heap
+/// allocation in steady state. Slots come in fixed chunks of kChunkSlots,
+/// allocated when the free list runs dry and kept until the queue is
+/// destroyed: growing the slab never moves a pending callback, and never
+/// holds two copies of the slots. Free slots form an intrusive LIFO list.
+/// A cancelled event's key stays in the heap until it surfaces or a
+/// compaction purges it; compaction runs once stale keys outnumber live
+/// events, so a Timer re-armed forever keeps the heap within twice its
+/// live size.
 class EventQueue {
  public:
   using Callback = sim::Callback;
+
+  /// Slots per slab chunk: 80 KiB a chunk.
+  static constexpr std::uint32_t kChunkSlots = 1024;
 
   /// Schedule `fn` to run at absolute time `at`. Returns a handle that can
   /// be passed to cancel(). `tag` names the event's purpose for the
@@ -88,7 +96,8 @@ class EventQueue {
 
   /// Test-only: overwrite a *free* slot's generation counter so the
   /// generation-wrap retirement path can be exercised without 2^32 mint
-  /// cycles (tests/test_event_queue.cpp). Aborts if the slot is live.
+  /// cycles (tests/test_event_queue.cpp). Aborts if the slot is live or
+  /// lies beyond the chunks allocated so far.
   void test_set_slot_generation(std::uint32_t slot, std::uint32_t gen);
 
   /// Attach a metrics registry: per-tag scheduled/fired/cancelled counters
@@ -100,9 +109,9 @@ class EventQueue {
   /// shard 0 — overriding the unlabeled registration from setup).
   void set_metrics(stats::Metrics* metrics, int shard = -1);
 
-  /// Bytes retained by the queue's own containers (slot slab, heap keys,
-  /// free list) — capacity, since vectors never shrink. Feeds the
-  /// "event_queue" category of the profiler's memory census.
+  /// Bytes retained by the queue's own containers (slot chunks and their
+  /// pointer table, heap keys) — capacity, since neither shrinks. Feeds
+  /// the "event_queue" category of the profiler's memory census.
   std::size_t memory_bytes() const;
 
  private:
@@ -112,7 +121,7 @@ class EventQueue {
   struct Key {
     Time at = 0.0;
     std::uint64_t seq = 0;   // global tie-break
-    std::uint32_t slot = 0;  // index into slots_
+    std::uint32_t slot = 0;  // slab index: chunk * kChunkSlots + offset
     std::uint32_t gen = 0;   // generation the key was minted under
   };
   struct Later {
@@ -123,7 +132,10 @@ class EventQueue {
   };
   struct Slot {
     Callback fn;
-    const char* tag = nullptr;
+    union {
+      const char* tag = nullptr;  // while live
+      std::uint32_t next_free;    // while on the free list (kNoSlot: last)
+    };
     // Starts at 1 so EventId.value is never 0. When the counter wraps
     // back to 0 after 2^32-1 mints the slot is *retired* (never recycled):
     // reusing it would alias a fresh event with the oldest stale EventId
@@ -132,17 +144,30 @@ class EventQueue {
     std::uint32_t gen = 1;
     bool live = false;
   };
+  // Every pending event pins one slot (63k at once on d3_f8_8k), so a new
+  // field here grows memory at every scale.
+  static_assert(sizeof(Slot) <= 80, "EventQueue::Slot grew past 80 bytes");
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   struct TagCounters {
     stats::Counter* scheduled = nullptr;
     stats::Counter* fired = nullptr;
     stats::Counter* cancelled = nullptr;
   };
 
+  Slot& slot_at(std::uint32_t slot) const {
+    return chunks_[slot / kChunkSlots][slot % kChunkSlots];
+  }
+  std::size_t slot_count() const { return chunks_.size() * kChunkSlots; }
   bool stale(const Key& k) const {
-    const Slot& s = slots_[k.slot];
+    const Slot& s = slot_at(k.slot);
     return !s.live || s.gen != k.gen;
   }
+  /// Push a free, unretired slot onto the free list.
+  void push_free(std::uint32_t slot);
   void free_slot(std::uint32_t slot);
+  /// Allocate one chunk and thread its slots onto the free list so they
+  /// are handed out in index order.
+  void add_chunk();
 
   /// Pop stale keys off the heap top; afterwards the top (if any) is the
   /// earliest live event.
@@ -153,8 +178,8 @@ class EventQueue {
 
   TagCounters& counters_for(const char* tag);
 
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t free_head_ = kNoSlot;
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 1;
   /// Min-heap on (at, seq) via std::push_heap/pop_heap with Later.

@@ -53,7 +53,6 @@ void Simulator::run() {
 
 void Timer::arm(Time delay, Callback fn) {
   cancel();
-  deadline_ = simu_->now() + std::max(delay, 0.0);
   id_ = simu_->after(delay, std::move(fn), tag_);
 }
 

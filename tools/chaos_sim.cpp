@@ -191,7 +191,6 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   // inside the completion deadline (the paper's cap of 10 gives worst-case
   // 2^10 backoff factors that outlive any reasonable soak budget).
   cfg.max_backoff_stage = 5;
-  cfg.late_join_full_history = true;  // restarted receivers recover history
   if (o.exhaustion) {
     // Finite repair caps, sized so the storms/crowds below actually trip
     // them while leaving enough headroom that transfers still complete
