@@ -1,14 +1,11 @@
 #include "fig_common.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <numeric>
 #include <unordered_set>
 
 #include "sharqfec/protocol.hpp"
 #include "srm/session.hpp"
-#include "stats/metrics.hpp"
 #include "stats/report.hpp"
 
 namespace sharq::bench {
@@ -56,23 +53,6 @@ std::vector<double> RunResult::backbone_nack_series() const {
 
 namespace {
 
-/// When SHARQFEC_METRICS_JSON names a file, every bench run appends one
-/// {"label":...,"metrics":{...}} line to it (off by default; the figure
-/// benches stay pure stdout tools).
-bool metrics_dump_enabled() {
-  const char* path = std::getenv("SHARQFEC_METRICS_JSON");
-  return path != nullptr && *path != '\0';
-}
-
-void maybe_dump_metrics(const stats::Metrics& m, const std::string& label) {
-  if (!metrics_dump_enabled()) return;
-  std::ofstream os(std::getenv("SHARQFEC_METRICS_JSON"), std::ios::app);
-  if (!os) return;
-  os << "{\"label\":\"" << label << "\",\"metrics\":";
-  m.write_json(os);
-  os << "}\n";
-}
-
 void fill_latency(RunResult& r, const rm::DeliveryLog& log,
                   const std::vector<net::NodeId>& receivers,
                   std::uint64_t units, sim::Time data_start, double unit_time) {
@@ -98,14 +78,8 @@ RunResult run_sharqfec(const sfq::Config& cfg, const Workload& w,
                        const std::string& label) {
   RunResult r;
   r.label = label;
-  // Declared before the simulator/network/agents that cache pointers into
-  // it, so it is destroyed last.
-  stats::Metrics metrics;
   sim::Simulator simu(w.seed);
   net::Network net(simu);
-  if (metrics_dump_enabled()) {
-    simu.set_metrics(&metrics);
-  }
   topo::Figure10 topo = topo::make_figure10(net);
   r.receivers = topo.receivers;
   r.source = topo.source;
@@ -123,7 +97,6 @@ RunResult run_sharqfec(const sfq::Config& cfg, const Workload& w,
   sfq::Config cfg2 = cfg;
   cfg2.shard_size_bytes = w.packet_size;
   cfg2.data_rate_bps = w.rate_bps;
-  if (metrics_dump_enabled()) cfg2.metrics = &metrics;
   rm::DeliveryLog log;
   sfq::Session session(net, topo.source, topo.receivers, cfg2, &log);
   session.start();
@@ -138,11 +111,6 @@ RunResult run_sharqfec(const sfq::Config& cfg, const Workload& w,
   }
   const double group_time = cfg2.group_size * w.packet_size * 8.0 / w.rate_bps;
   fill_latency(r, log, topo.receivers, groups, w.data_start, group_time);
-  if (metrics_dump_enabled()) {
-    net.export_metrics(metrics);
-    session.export_metrics(metrics);
-  }
-  maybe_dump_metrics(metrics, label);
   return r;
 }
 

@@ -57,10 +57,6 @@ class GF256 {
                              std::size_t n);
   static void scale_scalar(Elem* dst, Elem c, std::size_t n);
 
-  /// Discrete log / antilog access for tests.
-  static Elem exp_table(unsigned i) { return exp_[i % 510]; }
-  static int log_table(Elem a) { return log_[a]; }
-
  private:
   struct Tables {
     Tables();

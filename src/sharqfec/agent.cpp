@@ -59,27 +59,22 @@ bool Agent::admit(const net::Packet& packet) {
   // is untrustworthy (reject before any field is read), and a duplicated
   // uid has already been processed (idempotence without asking every
   // handler to re-check).
+  const char* reason = nullptr;
   if (packet.corrupted) {
     ++corrupt_rejects_;
-    if (journal_) {
-      journal_->emit("pkt.rejected", network().simulator_for(node()).now(), node(),
-                     /*group=*/-1, journal_->uid_event(packet.uid),
-                     {{"class", net::to_string(packet.cls)},
-                      {"reason", "corrupt"}});
-    }
-    return false;
-  }
-  if (!first_sighting(packet.uid)) {
+    reason = "corrupt";
+  } else if (!first_sighting(packet.uid)) {
     ++duplicate_rejects_;
-    if (journal_) {
-      journal_->emit("pkt.rejected", network().simulator_for(node()).now(), node(),
-                     /*group=*/-1, journal_->uid_event(packet.uid),
-                     {{"class", net::to_string(packet.cls)},
-                      {"reason", "duplicate"}});
-    }
-    return false;
+    reason = "duplicate";
+  } else {
+    return true;
   }
-  return true;
+  if (journal_) {
+    journal_->emit("pkt.rejected", network().simulator_for(node()).now(), node(),
+                   /*group=*/-1, journal_->uid_event(packet.uid),
+                   {{"class", net::to_string(packet.cls)}, {"reason", reason}});
+  }
+  return false;
 }
 
 void Agent::on_receive(const net::Packet& packet) {

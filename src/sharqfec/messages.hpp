@@ -100,12 +100,16 @@ struct ZcrTakeoverMsg final : net::MessageBase {
   double dist_to_parent = 0.0;  ///< claimant's distance to the parent ZCR
 };
 
-/// Wire-size helpers (bytes) for control messages.
+/// Simulated sizes (bytes) of the control messages: the one size model
+/// the network charges (the wire codec's encodings differ).
 inline int nack_size(std::size_t hints) {
   return 48 + static_cast<int>(hints) * 16;
 }
 inline int session_size(std::size_t entries) {
   return 32 + static_cast<int>(entries) * 20;
 }
+inline constexpr int kChallengeSize = 40;
+inline constexpr int kResponseSize = 40;
+inline constexpr int kTakeoverSize = 32;
 
 }  // namespace sharq::sfq

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "sharqfec/ewma.hpp"
@@ -467,9 +465,7 @@ void SessionManager::schedule_watchdog(int level) {
     if (parent_known && zcr_silent && l.zcr != node_) {
       // A silent ZCR is presumed dead: drop its (possibly better) claim
       // so the surviving receivers can elect among themselves.
-      if (l.zcr != net::kNoNode &&
-          (l.zcr_last_heard == sim::kTimeNever ||
-           simu_.now() - l.zcr_last_heard > kZcrWatchdogPeriod)) {
+      if (l.zcr != net::kNoNode) {
         if (journal_) {
           jnl("zcr.expired", 0, {{"old_zcr", l.zcr}, {"zone", l.zone}});
         }
@@ -495,7 +491,8 @@ void SessionManager::issue_challenge(int level) {
   ++challenges_sent_;
   const std::uint64_t uid =
       net_.send(node_, hier_.session_channel(parent_zone),
-                net::TrafficClass::kControl, 40, msg, /*lossless=*/true);
+                net::TrafficClass::kControl, kChallengeSize, msg,
+                /*lossless=*/true);
   if (journal_) {
     // Challenges start rounds (periodic or watchdog-driven): cause 0.
     journal_->bind_uid(
@@ -527,7 +524,8 @@ void SessionManager::handle_challenge(const ZcrChallengeMsg& msg) {
       [this, resp, parent_zone, cause = cause_in_] {
         const std::uint64_t uid =
             net_.send(node_, hier_.session_channel(parent_zone),
-                      net::TrafficClass::kControl, 40, resp, /*lossless=*/true);
+                      net::TrafficClass::kControl, kResponseSize, resp,
+                      /*lossless=*/true);
         if (journal_) {
           journal_->bind_uid(
               uid, jnl("zcr.response", cause,
@@ -595,10 +593,6 @@ void SessionManager::consider_takeover(int level, double my_dist) {
 
 void SessionManager::become_zcr(int level, double dist_to_parent) {
   Level& lv = levels_[level];
-  if (getenv("SHARQ_TRACE_ZCR")) {
-    std::fprintf(stderr, "[%.3f] node %d becomes ZCR of zone %d dist=%.4f\n",
-                 simu_.now(), node_, lv.zone, dist_to_parent);
-  }
   lv.zcr = node_;
   lv.zcr_parent_dist = dist_to_parent;
   lv.zcr_last_heard = simu_.now();
@@ -616,7 +610,8 @@ void SessionManager::become_zcr(int level, double dist_to_parent) {
     ++takeovers_sent_;
     const std::uint64_t uid =
         net_.send(node_, hier_.session_channel(zone),
-                  net::TrafficClass::kControl, 32, msg, /*lossless=*/true);
+                  net::TrafficClass::kControl, kTakeoverSize, msg,
+                  /*lossless=*/true);
     if (journal_) journal_->bind_uid(uid, takeover_ev);
   };
   announce(lv.zone);

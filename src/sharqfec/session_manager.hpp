@@ -81,6 +81,9 @@ class SessionManager {
 
   net::NodeId node() const { return node_; }
   std::span<const net::ZoneId> chain() const { return chain_; }
+  /// Index of zone `z` in chain(), or -1 if `z` is not on this member's
+  /// chain.
+  int level_index(net::ZoneId z) const;
 
   /// Transfer engine hook: supplies (max_group_seen, seen_any_data) for
   /// inclusion in session messages, enabling tail-loss detection.
@@ -160,7 +163,6 @@ class SessionManager {
     bool mine = false;
   };
 
-  int level_index(net::ZoneId z) const;          // -1 if not on my chain
   net::NodeId expected_bridge(int level) const;  // kNoNode if unknown
   bool participates_at(int level) const;
   void send_session_messages();

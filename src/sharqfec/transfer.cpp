@@ -206,12 +206,12 @@ TransferEngine::Live& TransferEngine::live(std::uint32_t g) {
   return *slots_[r.slot];
 }
 
-bool TransferEngine::any_pending(std::uint32_t g) const {
+int TransferEngine::lowest_pending_level(std::uint32_t g) const {
   const ChainLevel* lv = chain_lv(g);
   for (std::size_t l = 0; l < chain_levels_; ++l) {
-    if (lv[l].pending > 0) return true;
+    if (lv[l].pending > 0) return static_cast<int>(l);
   }
-  return false;
+  return -1;
 }
 
 void TransferEngine::maybe_settle(std::uint32_t g) {
@@ -222,7 +222,7 @@ void TransferEngine::maybe_settle(std::uint32_t g) {
   Live& l = *slots_[r.slot];
   if (l.injections > 0 || l.ldp_timer.pending() ||
       l.request_timer.pending() || l.reply_timer.pending() ||
-      l.measure_timer.pending() || any_pending(g)) {
+      l.measure_timer.pending() || lowest_pending_level(g) >= 0) {
     return;
   }
   drop_encoder(g, l);
@@ -300,11 +300,8 @@ bool TransferEngine::group_complete(std::uint32_t g) const {
 }
 
 double TransferEngine::predicted_zlc(net::ZoneId z) const {
-  const auto& chain = session_.chain();
-  for (std::size_t l = 0; l < chain.size(); ++l) {
-    if (chain[l] == z) return scopes_[l].zlc_pred;
-  }
-  return 0.0;
+  const int l = session_.level_index(z);
+  return l < 0 ? 0.0 : scopes_[l].zlc_pred;
 }
 
 std::vector<std::uint8_t> TransferEngine::reconstructed(std::uint32_t g) const {
@@ -436,11 +433,7 @@ void TransferEngine::source_send_next() {
     // immediately (paper RP rule 1) and flushes any queued repairs.
     r.ldp_done = true;
     if (!l.reply_timer.pending()) {
-      const ChainLevel* lv = chain_lv(g);
-      int level = -1;
-      for (std::size_t lvl = chain_levels_; lvl-- > 0;) {
-        if (lv[lvl].pending > 0) level = static_cast<int>(lvl);
-      }
+      const int level = lowest_pending_level(g);
       if (level >= 0) {
         l.reply_level = level;
         fire_reply(g);
@@ -639,16 +632,22 @@ void TransferEngine::on_data(const DataMsg& msg, net::TrafficClass) {
   }
 }
 
+int TransferEngine::missing_originals(std::uint32_t g, int from, int to) {
+  const fec::GroupDecoder dec = decoder_of(g);
+  int n = 0;
+  for (int j = from; j < std::min(to, cfg_->group_size); ++j) {
+    if (!dec.has(j)) ++n;
+  }
+  return n;
+}
+
 void TransferEngine::note_initial_progress(std::uint32_t g, int index) {
   // Initial-tranche shards arrive in index order over a FIFO tree; a jump
   // means the skipped shards were lost on our path.
   Record& r = rec(g);
   if (index <= r.last_initial_seen) return;
-  const fec::GroupDecoder dec = decoder_of(g);
-  int newly_missing_originals = 0;
-  for (int j = r.last_initial_seen + 1; j < index; ++j) {
-    if (!dec.has(j) && j < cfg_->group_size) ++newly_missing_originals;
-  }
+  const int newly_missing_originals =
+      missing_originals(g, r.last_initial_seen + 1, index);
   r.last_initial_seen = static_cast<std::int16_t>(index);
   r.max_id_seen = std::max<std::int16_t>(r.max_id_seen, r.last_initial_seen);
   if (newly_missing_originals > 0) {
@@ -677,20 +676,17 @@ void TransferEngine::finish_ldp(std::uint32_t g, const char* via) {
   Live& l = live(g);
   l.ldp_timer.cancel();
   // Shards of the initial tranche we never saw are lost.
-  const fec::GroupDecoder dec = decoder_of(g);
-  int missing_originals = 0;
-  for (int j = r.last_initial_seen + 1; j < r.initial_shards; ++j) {
-    if (!dec.has(j) && j < cfg_->group_size) ++missing_originals;
-  }
+  const int missing =
+      missing_originals(g, r.last_initial_seen + 1, r.initial_shards);
   r.last_initial_seen = static_cast<std::int16_t>(r.initial_shards - 1);
   r.max_id_seen = std::max<std::int16_t>(r.max_id_seen, r.last_initial_seen);
   if (journal_) {
     l.ldp_fired_ev =
         jnl("ldp.fired", g, l.ldp_armed_ev ? l.ldp_armed_ev : span_root(g),
-            {{"missing", missing_originals}, {"via", via}});
+            {{"missing", missing}, {"via", via}});
   }
-  if (missing_originals > 0) {
-    raise_llc(g, missing_originals, l.ldp_fired_ev);
+  if (missing > 0) {
+    raise_llc(g, missing, l.ldp_fired_ev);
   } else {
     maybe_request(g);
   }
@@ -841,32 +837,10 @@ void TransferEngine::fire_request(std::uint32_t g) {
       suppressed_ev = jnl("nack.suppressed", g, span_cause(g),
                           {{"level", level}, {"llc", r.llc}});
     }
-    l.backoff_i = std::min(l.backoff_i + 1, cfg_->max_backoff_stage);
-    arm_request_timer(g, suppressed_ev);
+    back_off_request(g, suppressed_ev);
     return;
   }
-  const net::ZoneId zone = session_.chain()[level];
-
-  auto msg = std::make_shared<NackMsg>();
-  msg->group = g;
-  msg->zone = zone;
-  msg->llc = r.llc;
-  msg->needed = deficit(g);
-  msg->max_id_seen = r.max_id_seen;
-  msg->sender = node_;
-  msg->hints = session_.make_hints();
-  ++nacks_sent_;
-  const std::uint64_t uid =
-      net_.send(node_, hier_.repair_channel(zone), net::TrafficClass::kNack,
-                nack_size(msg->hints.size()), msg, /*lossless=*/true);
-  if (journal_) {
-    l.last_nack_ev = jnl("nack.sent", g, span_cause(g),
-                         {{"level", level},
-                          {"llc", r.llc},
-                          {"needed", msg->needed},
-                          {"zone", zone}});
-    journal_->bind_uid(uid, l.last_nack_ev);
-  }
+  l.last_nack_ev = send_nack(g, level, r.llc, deficit(g), /*storm=*/false);
   ChainLevel& lv = chain_lv(g)[level];
   lv.nacked = true;
   lv.zlc = std::max(lv.zlc, r.llc);
@@ -879,18 +853,48 @@ void TransferEngine::fire_request(std::uint32_t g) {
   const bool escalation_due =
       l.attempts_at_scope >= kAttemptsPerScope &&
       level + 1 < static_cast<int>(session_.chain().size());
-  if (escalation_due) {
-    ++l.scope_level;
-    l.attempts_at_scope = 0;
-    l.backoff_i = 1;
-    if (journal_) {
-      jnl("scope.escalated", g, l.last_nack_ev,
-          {{"scope_level", l.scope_level}});
-    }
-  } else {
-    l.backoff_i = std::min(l.backoff_i + 1, cfg_->max_backoff_stage);
+  if (!escalation_due) {
+    back_off_request(g, l.last_nack_ev);
+    return;
+  }
+  ++l.scope_level;
+  l.attempts_at_scope = 0;
+  l.backoff_i = 1;
+  if (journal_) {
+    jnl("scope.escalated", g, l.last_nack_ev,
+        {{"scope_level", l.scope_level}});
   }
   arm_request_timer(g, l.last_nack_ev);
+}
+
+void TransferEngine::back_off_request(std::uint32_t g, stats::EventId cause) {
+  Live& l = live(g);
+  l.backoff_i = std::min(l.backoff_i + 1, cfg_->max_backoff_stage);
+  arm_request_timer(g, cause);
+}
+
+stats::EventId TransferEngine::send_nack(std::uint32_t g, int level, int llc,
+                                         int needed, bool storm) {
+  const net::ZoneId zone = session_.chain()[level];
+  auto msg = std::make_shared<NackMsg>();
+  msg->group = g;
+  msg->zone = zone;
+  msg->llc = llc;
+  msg->needed = needed;
+  msg->max_id_seen = rec(g).max_id_seen;
+  msg->sender = node_;
+  msg->hints = session_.make_hints();
+  ++nacks_sent_;
+  const std::uint64_t uid =
+      net_.send(node_, hier_.repair_channel(zone), net::TrafficClass::kNack,
+                nack_size(msg->hints.size()), msg, /*lossless=*/true);
+  if (!journal_) return 0;
+  stats::Attrs attrs{
+      {"level", level}, {"llc", llc}, {"needed", needed}, {"zone", zone}};
+  if (storm) attrs.emplace("storm", 1);
+  const stats::EventId sent_ev = jnl("nack.sent", g, span_cause(g), attrs);
+  journal_->bind_uid(uid, sent_ev);
+  return sent_ev;
 }
 
 // --- NACK handling (suppression + repairer bookkeeping) ------------------------
@@ -903,14 +907,7 @@ void TransferEngine::on_nack(const NackMsg& msg) {
   }
   const std::uint32_t g = msg.group;
   ensure_group(g);
-  const auto& chain = session_.chain();
-  int level = -1;
-  for (std::size_t l = 0; l < chain.size(); ++l) {
-    if (chain[l] == msg.zone) {
-      level = static_cast<int>(l);
-      break;
-    }
-  }
+  const int level = session_.level_index(msg.zone);
   if (level < 0) return;  // scoping prevents this in practice
 
   stats::EventId heard_ev = 0;
@@ -932,19 +929,14 @@ void TransferEngine::on_nack(const NackMsg& msg) {
 
   // The NACK's max-id may reveal shards we never saw (paper LDP rule 7).
   if (msg.max_id_seen > r.max_id_seen) {
-    const fec::GroupDecoder dec = decoder_of(g);
-    int missing_originals = 0;
-    for (int j = r.max_id_seen + 1; j <= msg.max_id_seen; ++j) {
-      if (j < cfg_->group_size && !dec.has(j)) ++missing_originals;
-    }
+    const int missing =
+        missing_originals(g, r.max_id_seen + 1, msg.max_id_seen + 1);
     if (r.last_initial_seen < msg.max_id_seen &&
         msg.max_id_seen < r.initial_shards) {
       r.last_initial_seen = static_cast<std::int16_t>(msg.max_id_seen);
     }
     r.max_id_seen = static_cast<std::int16_t>(msg.max_id_seen);
-    if (missing_originals > 0 && !is_source_) {
-      raise_llc(g, missing_originals, heard_ev);
-    }
+    if (missing > 0 && !is_source_) raise_llc(g, missing, heard_ev);
   }
 
   if (!is_source_ && !r.complete) {
@@ -958,8 +950,7 @@ void TransferEngine::on_nack(const NackMsg& msg) {
         dedup_ev = jnl("nack.deduped", g, heard_ev,
                        {{"level", level}, {"llc", r.llc}});
       }
-      l.backoff_i = std::min(l.backoff_i + 1, cfg_->max_backoff_stage);
-      arm_request_timer(g, dedup_ev);
+      back_off_request(g, dedup_ev);
       // A NACK that didn't raise the ZLC while ours announced the same
       // losses is a duplicate in the adaptive-timer sense.
       if (lv.nacked && !increased) adapt_request_window(true);
@@ -988,43 +979,43 @@ void TransferEngine::on_nack(const NackMsg& msg) {
   lv.pending = static_cast<std::uint8_t>(want);
   if (lv.pending > pending_high_water_) pending_high_water_ = lv.pending;
   if (!eligible_repairer(g)) return;
-  if (cfg_->sender_only && !is_source_) return;
   Live& l = live(g);
   if (l.reply_timer.pending()) {
     l.reply_level = std::max(l.reply_level, level);
     return;
   }
-  l.reply_level = level;
-  if (is_source_ || session_.is_zcr(msg.zone)) {
-    // Sender and responsible ZCRs answer immediately (paced).
-    if (journal_) {
-      l.repair_sched_ev = jnl("repair.scheduled", g, heard_ev,
-                              {{"level", level}, {"via", "immediate"}});
-    }
-    fire_reply(g);
-  } else {
-    const double d =
-        std::max(1e-3, session_.estimate_dist(msg.sender, msg.hints));
-    if (journal_) {
-      l.repair_sched_ev = jnl("repair.scheduled", g, heard_ev,
-                              {{"level", level}, {"via", "deferred"}});
-    }
-    arm_reply_timer(g, level, d * kFallbackReplyDefer);
+  const double d =
+      std::max(1e-3, session_.estimate_dist(msg.sender, msg.hints));
+  if (journal_) {
+    const char* via = dedicated_repairer(level) ? "immediate" : "deferred";
+    l.repair_sched_ev = jnl("repair.scheduled", g, heard_ev,
+                            {{"level", level}, {"via", via}});
   }
+  start_reply(g, level, d * kFallbackReplyDefer);
 }
 
 bool TransferEngine::eligible_repairer(std::uint32_t g) const {
+  if (cfg_->sender_only && !is_source_) return false;
   const Record& r = rec(g);
-  if (is_source_) return r.ldp_done || r.complete;
-  return r.complete;
+  return r.complete || (is_source_ && r.ldp_done);
 }
 
-void TransferEngine::arm_reply_timer(std::uint32_t g, int level,
-                                     double dist_to_requester) {
-  Live& l = live(g);
-  l.reply_level = level;
-  const sim::Time delay = rm::kPaperTimers.reply_delay(rng_, dist_to_requester);
-  l.reply_timer.arm(delay, [this, g] {
+bool TransferEngine::dedicated_repairer(int level) const {
+  return is_source_ || session_.is_zcr(session_.chain()[level]);
+}
+
+void TransferEngine::start_reply(std::uint32_t g, int level,
+                                 double fallback_dist) {
+  live(g).reply_level = level;
+  if (dedicated_repairer(level)) {
+    fire_reply(g);  // sender and responsible ZCRs answer at once (paced)
+  } else {
+    arm_reply(g, rm::kPaperTimers.reply_delay(rng_, fallback_dist));
+  }
+}
+
+void TransferEngine::arm_reply(std::uint32_t g, sim::Time delay) {
+  live(g).reply_timer.arm(delay, [this, g] {
     fire_reply(g);
     maybe_settle(g);
   });
@@ -1032,22 +1023,16 @@ void TransferEngine::arm_reply_timer(std::uint32_t g, int level,
 
 void TransferEngine::fire_reply(std::uint32_t g) {
   SHARQ_PROF_SCOPE(transfer);
-  if (stopped_) return;
-  if (!eligible_repairer(g)) return;
-  if (cfg_->sender_only && !is_source_) return;
+  if (stopped_ || !eligible_repairer(g)) return;
   Live& l = live(g);
-  int level = l.reply_level;
-  if (level < 0) return;
-  if (chain_lv(g)[level].pending <= 0) {
+  if (l.reply_level < 0) return;
+  if (chain_lv(g)[l.reply_level].pending <= 0) {
     // This zone is served; check smaller zones we may also owe.
-    const ChainLevel* lv = chain_lv(g);
-    level = -1;
-    for (std::size_t lvl = chain_levels_; lvl-- > 0;) {
-      if (lv[lvl].pending > 0) level = static_cast<int>(lvl);
-    }
-    if (level < 0) return;
-    l.reply_level = level;
+    const int owed = lowest_pending_level(g);
+    if (owed < 0) return;
+    l.reply_level = owed;
   }
+  const int level = l.reply_level;
   if (const sim::Time wait = pacer_.wait(simu_.now()); wait > 0.0) {
     // Rate cap: defer, never drop — re-arm for the pacer's next free
     // slot. The pacer hands out slots in event order, so concurrent
@@ -1057,10 +1042,7 @@ void TransferEngine::fire_reply(std::uint32_t g) {
       jnl("shed.repair", g, l.repair_sched_ev,
           {{"mode", "defer"}, {"level", level}, {"wait", wait}});
     }
-    l.reply_timer.arm(wait, [this, g] {
-      fire_reply(g);
-      maybe_settle(g);
-    });
+    arm_reply(g, wait);
     return;
   }
   send_one_repair(g, level, /*preemptive=*/false);
@@ -1068,22 +1050,17 @@ void TransferEngine::fire_reply(std::uint32_t g) {
   // completion callback may create groups (arena growth moves the data).
   ChainLevel* lv = chain_lv(g);
   if (lv[level].pending > 0) --lv[level].pending;
-  if (any_pending(g)) {
-    if (is_source_ || session_.is_zcr(session_.chain()[level])) {
-      // Dedicated repairers pace the rest of the burst at half the data
-      // inter-packet interval (paper RP rule 1).
-      l.reply_timer.arm(kRepairSpacingFactor * packet_interval(),
-                        [this, g] {
-                          fire_reply(g);
-                          maybe_settle(g);
-                        });
-    } else {
-      // Fallback repairers re-randomize a suppression-sized delay between
-      // repairs so a dedicated repairer's burst (or another fallback's)
-      // can drain the queue first.
-      arm_reply_timer(g, l.reply_level,
-                      rm::kDefaultDist * kFallbackReplyDefer);
-    }
+  if (lowest_pending_level(g) < 0) return;
+  if (dedicated_repairer(level)) {
+    // Dedicated repairers pace the rest of the burst at half the data
+    // inter-packet interval (paper RP rule 1).
+    arm_reply(g, kRepairSpacingFactor * packet_interval());
+  } else {
+    // Fallback repairers re-randomize a suppression-sized delay between
+    // repairs so a dedicated repairer's burst (or another fallback's)
+    // can drain the queue first.
+    arm_reply(g, rm::kPaperTimers.reply_delay(
+                     rng_, rm::kDefaultDist * kFallbackReplyDefer));
   }
 }
 
@@ -1153,14 +1130,7 @@ void TransferEngine::on_repair(const RepairMsg& msg) {
   if (join_point_fixed_ && msg.group < skip_before_) return;
   const std::uint32_t g = msg.group;
   ensure_group(g);
-  const auto& chain = session_.chain();
-  int level = -1;
-  for (std::size_t l = 0; l < chain.size(); ++l) {
-    if (chain[l] == msg.zone) {
-      level = static_cast<int>(l);
-      break;
-    }
-  }
+  const int level = session_.level_index(msg.zone);
   Record& r = rec(g);
   r.max_id_seen = std::max<std::int16_t>(
       r.max_id_seen, static_cast<std::int16_t>(msg.new_max_id));
@@ -1220,7 +1190,7 @@ void TransferEngine::on_repair(const RepairMsg& msg) {
       if (lv[l].pending > 0) --lv[l].pending;
     }
     Live* l = live_if(g);
-    if (l && l->reply_timer.pending() && !any_pending(g)) {
+    if (l && l->reply_timer.pending() && lowest_pending_level(g) < 0) {
       l->reply_timer.cancel();
     }
   }
@@ -1278,35 +1248,20 @@ void TransferEngine::on_group_complete(std::uint32_t g) {
   // Becoming a repairer: serve any speculative queue (paper RP rules 2/3).
   // Stride fetched after the completion callback above (it may create
   // groups and grow the arena).
-  if (eligible_repairer(g) && (!cfg_->sender_only || is_source_)) {
-    const ChainLevel* lv = chain_lv(g);
-    int level = -1;
-    for (std::size_t lvl = chain_levels_; lvl-- > 0;) {
-      if (lv[lvl].pending > 0) level = static_cast<int>(lvl);
+  const int level = eligible_repairer(g) ? lowest_pending_level(g) : -1;
+  if (level >= 0 && !l.reply_timer.pending()) {
+    if (journal_) {
+      l.repair_sched_ev = jnl("repair.scheduled", g, l.complete_ev,
+                              {{"level", level}, {"via", "completion"}});
     }
-    if (level >= 0 && !l.reply_timer.pending()) {
-      const net::ZoneId zone = session_.chain()[level];
-      if (journal_) {
-        l.repair_sched_ev =
-            jnl("repair.scheduled", g, l.complete_ev,
-                {{"level", level}, {"via", "completion"}});
-      }
-      if (is_source_ || session_.is_zcr(zone)) {
-        l.reply_level = level;
-        fire_reply(g);
-      } else {
-        arm_reply_timer(g, level,
-                        std::max(1e-3, rm::kDefaultDist * 1.0));
-      }
-    }
+    start_reply(g, level, rm::kDefaultDist);
   }
   schedule_injection(g);
   schedule_zlc_measurement(g);
 }
 
 void TransferEngine::schedule_injection(std::uint32_t g) {
-  if (!cfg_->injection) return;
-  if (cfg_->sender_only && !is_source_) return;
+  if (!cfg_->injection || !eligible_repairer(g)) return;
   const auto& chain = session_.chain();
   // The source's root-level proactive FEC is the initial tranche; ZCRs of
   // smaller zones top up their zone to the predicted ZLC.
@@ -1349,18 +1304,15 @@ void TransferEngine::schedule_injection(std::uint32_t g) {
 void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
   Live& l = live(g);
   if (rec(g).measured || l.measure_timer.pending()) return;
-  const auto& chain = session_.chain();
   bool responsible = is_source_;
-  for (std::size_t lvl = 0; !responsible && lvl < chain.size(); ++lvl) {
-    responsible = session_.is_zcr(chain[lvl]);
+  double max_rtt = 0.0;
+  const auto& chain = session_.chain();
+  for (std::size_t lvl = 0; lvl < chain.size(); ++lvl) {
+    if (!dedicated_repairer(static_cast<int>(lvl))) continue;
+    responsible = true;
+    max_rtt = std::max(max_rtt, session_.max_rtt_in_zone(chain[lvl]));
   }
   if (!responsible) return;
-  double max_rtt = 0.0;
-  for (net::ZoneId z : chain) {
-    if (is_source_ || session_.is_zcr(z)) {
-      max_rtt = std::max(max_rtt, session_.max_rtt_in_zone(z));
-    }
-  }
   // The paper's 2.5x window assumes NACKs are delayed at most one zone
   // RTT plus the suppression timer; our request timers (like the paper's)
   // are drawn from 2^i [C1 d_S, (C1+C2) d_S] against the distance to the
@@ -1431,32 +1383,12 @@ void TransferEngine::send_storm_nack() {
   if (chain.empty()) return;
   // Root scope on purpose: a root NACK recruits every repairer in the
   // session — the worst-case feedback implosion the budgets must absorb.
-  const int level = static_cast<int>(chain.size()) - 1;
-  const net::ZoneId zone = chain[level];
   const Record& r = rec(g);
-  auto msg = std::make_shared<NackMsg>();
-  msg->group = g;
-  msg->zone = zone;
-  msg->llc = std::max<int>(r.llc, 1);
-  msg->needed = std::max(deficit(g), 1);
-  msg->max_id_seen = r.max_id_seen;
-  msg->sender = node_;
-  msg->hints = session_.make_hints();
-  ++nacks_sent_;
-  const std::uint64_t uid =
-      net_.send(node_, hier_.repair_channel(zone), net::TrafficClass::kNack,
-                nack_size(msg->hints.size()), msg, /*lossless=*/true);
-  if (journal_) {
-    const stats::EventId sent_ev = jnl("nack.sent", g, span_cause(g),
-                                       {{"level", level},
-                                        {"llc", msg->llc},
-                                        {"needed", msg->needed},
-                                        {"storm", 1},
-                                        {"zone", zone}});
-    // A delivered group's own NACK anchor is never read again.
-    if (!r.complete) live(g).last_nack_ev = sent_ev;
-    journal_->bind_uid(uid, sent_ev);
-  }
+  const stats::EventId sent_ev =
+      send_nack(g, static_cast<int>(chain.size()) - 1, std::max<int>(r.llc, 1),
+                std::max(deficit(g), 1), /*storm=*/true);
+  // A delivered group's own NACK anchor is never read again.
+  if (!r.complete) live(g).last_nack_ev = sent_ev;
 }
 
 }  // namespace sharq::sfq

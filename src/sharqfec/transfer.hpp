@@ -337,7 +337,8 @@ class TransferEngine {
   SliceLevel* slice_lv(std::uint32_t g) {
     return slice_arena_.data() + static_cast<std::size_t>(g) * slice_levels_;
   }
-  bool any_pending(std::uint32_t g) const;
+  /// Lowest chain level still owed a repair for `g`, or -1 if none is.
+  int lowest_pending_level(std::uint32_t g) const;
 
   /// Track group `g` (creating its record and live slot) if it is not yet.
   void ensure_group(std::uint32_t g);
@@ -352,20 +353,38 @@ class TransferEngine {
   void on_nack(const NackMsg& msg);
   void add_shard(std::uint32_t g, int index, const fec::ShardBuffer& bytes);
   void note_initial_progress(std::uint32_t g, int index);
+  /// Originals (index < k) in [from, to) that `g`'s decoder does not hold.
+  int missing_originals(std::uint32_t g, int from, int to);
   void raise_llc(std::uint32_t g, int newly_missing, stats::EventId cause = 0);
   void finish_ldp(std::uint32_t g, const char* via = "advance");
   void maybe_request(std::uint32_t g);
   void arm_request_timer(std::uint32_t g, stats::EventId cause = 0);
   void adapt_request_window(bool heard_duplicate);
+  /// One more step up the 2^i request back-off ladder, then re-arm.
+  void back_off_request(std::uint32_t g, stats::EventId cause);
   void fire_request(std::uint32_t g);
+  /// Send (and journal) a NACK for `g` into chain level `level`'s zone;
+  /// returns its nack.sent event (0 when the journal is detached).
+  stats::EventId send_nack(std::uint32_t g, int level, int llc, int needed,
+                           bool storm);
   void on_group_complete(std::uint32_t g);
-  void arm_reply_timer(std::uint32_t g, int level, double dist_to_requester);
+  /// Start serving `level`'s repair queue: at once (paced) if this member
+  /// is a dedicated repairer there, else after a reply timer drawn against
+  /// `fallback_dist`.
+  void start_reply(std::uint32_t g, int level, double fallback_dist);
+  /// (Re)arm `g`'s reply timer to fire_reply after `delay`.
+  void arm_reply(std::uint32_t g, sim::Time delay);
   void fire_reply(std::uint32_t g);
   void send_storm_nack();
   void send_one_repair(std::uint32_t g, int level, bool preemptive);
   void schedule_injection(std::uint32_t g);
   void schedule_zlc_measurement(std::uint32_t g);
+  /// May this member send repairs for `g` at all: it holds the group
+  /// (the source once its tranche is out), and the sender-only ablation
+  /// does not rule receivers out.
   bool eligible_repairer(std::uint32_t g) const;
+  /// Source, or ZCR of chain level `level`'s zone.
+  bool dedicated_repairer(int level) const;
   int base_scope_level() const;
   int nack_level(std::uint32_t g) const;
   bool covered_by_zlc(std::uint32_t g) const;

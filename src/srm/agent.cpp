@@ -272,7 +272,6 @@ void Agent::handle_repair_heard(std::uint32_t seq) {
   // A repair suppresses our own pending reply for the same data.
   auto it = replies_.find(seq);
   if (it != replies_.end()) {
-    ++dup_repairs_;
     replies_.erase(it);
     adapt_reply_timers(/*was_duplicate=*/true);
   }

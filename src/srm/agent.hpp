@@ -49,7 +49,6 @@ class Agent final : public net::Agent {
   sim::Time distance_to(net::NodeId peer) const;
   std::uint64_t requests_sent() const { return requests_sent_; }
   std::uint64_t repairs_sent() const { return repairs_sent_; }
-  std::uint64_t duplicate_repairs_heard() const { return dup_repairs_; }
   double adapted_c1() const { return timers_.c1; }
   double adapted_c2() const { return timers_.c2; }
 
@@ -128,7 +127,6 @@ class Agent final : public net::Agent {
   // counters
   std::uint64_t requests_sent_ = 0;
   std::uint64_t repairs_sent_ = 0;
-  std::uint64_t dup_repairs_ = 0;
 };
 
 }  // namespace sharq::srm

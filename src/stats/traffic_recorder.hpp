@@ -67,14 +67,6 @@ class TrafficRecorder final : public net::TrafficSink {
     return drops_by_reason_[static_cast<int>(reason)];
   }
 
-  /// True when the per-hop ledger balances: every transmission either
-  /// completed its hop or was dropped on the wire (valid once the event
-  /// queue has drained).
-  bool hop_ledger_balanced() const {
-    return transmissions_ == hops_ + drops(net::DropReason::kLoss) +
-                                 drops(net::DropReason::kEpochKill);
-  }
-
   /// Total bytes delivered, all nodes and classes.
   std::uint64_t bytes_delivered() const { return bytes_delivered_; }
 

@@ -248,8 +248,12 @@ TEST(Membership, DeepTreeTopologyBytesPerReceiverStayFlat) {
         static_cast<double>(census.categories["net_topology"].peak_bytes +
                             census.categories["session_shared"].peak_bytes) /
         static_cast<double>(t.receivers.size());
-    RecordProperty("d" + std::to_string(k.depth) + "_bytes_per_receiver",
-                   std::to_string(per_receiver));
+    // Appended piecewise: GCC 12 at -O3 flags the inlined
+    // `"d" + std::to_string(...) + ...` with a -Wrestrict false positive.
+    std::string property = "d";
+    property += std::to_string(k.depth);
+    property += "_bytes_per_receiver";
+    RecordProperty(property, std::to_string(per_receiver));
     EXPECT_LE(per_receiver, k.bound)
         << "d" << k.depth << "_f" << k.fanout << ": " << t.receivers.size()
         << " receivers";
