@@ -58,12 +58,25 @@ sim::Simulator& Network::simulator_for(NodeId node) {
   return *sims_[static_cast<std::size_t>(shard_map_.shard(node))];
 }
 
+void Network::for_each_shard(const std::function<void(int)>& fn) {
+  if (!rt_) {
+    fn(0);
+    return;
+  }
+  rt_->for_each_shard(fn);
+  rt_->flush_journal();
+}
+
 void Network::enable_sharding(sim::ShardRuntime& rt, ShardMap map) {
   assert(static_cast<int>(map.shard_of.size()) == node_count());
   assert(map.nshards == rt.nshards());
   assert(lanes_[0].next_uid == 1 && "enable sharding before any traffic");
   rt_ = &rt;
   shard_map_ = std::move(map);
+  // A shard's set-up and window work grow with its node count.
+  std::vector<std::size_t> loads(static_cast<std::size_t>(shard_map_.nshards));
+  for (int s : shard_map_.shard_of) ++loads[static_cast<std::size_t>(s)];
+  rt.set_shard_loads(loads);
   TrafficSink* const sink = lanes_[0].sink;
   lanes_.clear();
   lanes_.resize(static_cast<std::size_t>(shard_map_.nshards));
@@ -166,16 +179,17 @@ void Network::drop(LinkId link, const Packet& packet, DropReason reason) {
   if (lc.sink) lc.sink->on_drop(now, link, packet, reason);
 }
 
-NodeId Network::add_node() {
-  nodes_.push_back(NodeRec{});
-  invalidate_routing();
-  return static_cast<NodeId>(nodes_.size() - 1);
-}
+NodeId Network::add_node() { return add_nodes(1); }
 
 NodeId Network::add_nodes(int count) {
   const NodeId first = static_cast<NodeId>(nodes_.size());
-  for (int i = 0; i < count; ++i) add_node();
+  nodes_.resize(nodes_.size() + static_cast<std::size_t>(count));
+  invalidate_routing();
   return first;
+}
+
+void Network::reserve_links(int count) {
+  links_.reserve(links_.size() + static_cast<std::size_t>(count));
 }
 
 LinkId Network::add_link(NodeId from, NodeId to, const LinkConfig& cfg) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -124,6 +125,10 @@ class Network {
 
   /// Add `count` nodes; returns the id of the first.
   NodeId add_nodes(int count);
+
+  /// Make room for `count` more simplex links, so a builder that knows its
+  /// size grows the link table once (add_nodes grows the node table once).
+  void reserve_links(int count);
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
 
@@ -280,6 +285,14 @@ class Network {
   /// base simulator on a one-shard network). Agents bind their timers and
   /// RNG forks through this.
   sim::Simulator& simulator_for(NodeId node);
+
+  /// Run `fn(s)` once per shard s — in parallel on the runtime's workers
+  /// (ShardRuntime::for_each_shard), or as `fn(0)` inline on a one-shard
+  /// network — then flush the journal's lane buffers as a barrier would.
+  /// Set-up's phase primitive: `fn` may touch only shard s's nodes and
+  /// simulator, never topology, membership or a metrics registry. Call
+  /// outside a window.
+  void for_each_shard(const std::function<void(int)>& fn);
 
   /// Per-shard traffic sink (sharded runs): hop/deliver callbacks fire on
   /// the shard executing the packet, so each shard needs its own

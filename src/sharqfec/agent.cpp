@@ -19,7 +19,6 @@ Agent::Agent(net::Network& net, Hierarchy& hier,
     : is_source_(is_source) {
   recent_uids_.fill(~std::uint64_t{0});
   net.attach(node, this);
-  hier.join(node);
   journal_ = cfg->journal;
   session_ =
       std::make_unique<SessionManager>(net, hier, cfg, node, is_source);

@@ -14,15 +14,17 @@
 namespace sharq::sfq {
 
 /// A complete SHARQFEC endpoint: the scoped session manager plus the
-/// two-phase transfer engine, attached to one node and joined to every
-/// channel of the node's zone chain.
+/// two-phase transfer engine, attached to one node, which has joined every
+/// channel of its zone chain.
 class Agent final : public net::Agent {
  public:
   /// The Config and the Reed–Solomon codec are shared, not copied: every
   /// agent in a session aliases one immutable instance of each, so
   /// per-agent cost stays flat no matter how large static_zcrs (etc.) or
   /// the codec's generator matrix grows. `store` is the shard store of the
-  /// node's execution lane (see TransferEngine).
+  /// node's execution lane (see TransferEngine). The node must already
+  /// have joined `hier`, and the constructor touches only the node's own
+  /// shard, so Session builds each shard's agents on that shard's worker.
   Agent(net::Network& net, Hierarchy& hier, std::shared_ptr<const Config> cfg,
         std::shared_ptr<const fec::ReedSolomon> codec, fec::ShardStore& store,
         net::NodeId node, bool is_source, rm::DeliveryLog* log = nullptr);

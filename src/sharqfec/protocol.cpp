@@ -17,26 +17,48 @@ Session::Session(net::Network& net, net::NodeId source,
       stores_(static_cast<std::size_t>(net.shard_map().nshards)),
       log_(log) {
   hier_ = std::make_unique<Hierarchy>(net, cfg_->scoping);
-  agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, codec_,
-                                            store_for(source), source,
-                                            /*is_source=*/true, log));
-  for (net::NodeId r : receivers) {
-    agents_.push_back(std::make_unique<Agent>(net, *hier_, cfg_, codec_,
-                                              store_for(r), r,
-                                              /*is_source=*/false, log));
-  }
+  std::vector<net::NodeId> nodes{source};  // agents_[i] serves nodes[i]
+  nodes.insert(nodes.end(), receivers.begin(), receivers.end());
+  // Channel membership is shared: every member joins first, serially and
+  // in agent order.
+  for (net::NodeId n : nodes) hier_->join(n);
+  // Each shard then builds its own agents, in agent order, so its RNG
+  // forks come out as they would serially.
+  agents_.resize(nodes.size());
+  net.for_each_shard([&](int shard) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (net.shard_map().shard(nodes[i]) == shard) {
+        agents_[i] = make_agent(nodes[i], /*is_source=*/i == 0);
+      }
+    }
+  });
+  // So is the metrics registry: serially, in agent order.
+  for (auto& a : agents_) a->transfer().register_metrics();
+}
+
+std::unique_ptr<Agent> Session::make_agent(net::NodeId node, bool is_source) {
+  return std::make_unique<Agent>(net_, *hier_, cfg_, codec_, store_for(node),
+                                 node, is_source, log_);
 }
 
 void Session::start() {
-  for (auto& a : agents_) a->start();
+  // Arming timers touches only the agent's shard: each shard arms its own
+  // agents, in agent order, so its event sequence numbers match a serial
+  // start.
+  net_.for_each_shard([this](int shard) {
+    for (auto& a : agents_) {
+      if (net_.shard_map().shard(a->node()) == shard) a->start();
+    }
+  });
 }
 
 Agent& Session::add_receiver(net::NodeId node) {
-  agents_.push_back(std::make_unique<Agent>(net_, *hier_, cfg_, codec_,
-                                            store_for(node), node,
-                                            /*is_source=*/false, log_));
-  agents_.back()->start();
-  return *agents_.back();
+  hier_->join(node);
+  agents_.push_back(make_agent(node, /*is_source=*/false));
+  Agent& a = *agents_.back();
+  a.transfer().register_metrics();
+  a.start();
+  return a;
 }
 
 void Session::remove_receiver(net::NodeId node) {

@@ -12,11 +12,16 @@ namespace sharq::sfq {
 /// hierarchy, the source agent, and one receiver agent per node.
 class Session {
  public:
+  /// Joins every member to its channels and registers each one's metrics
+  /// serially, in agent order; builds the agents themselves shard by shard
+  /// through net::Network::for_each_shard (in parallel on a sharded
+  /// network).
   Session(net::Network& net, net::NodeId source,
           const std::vector<net::NodeId>& receivers, const Config& cfg,
           rm::DeliveryLog* log = nullptr);
 
-  /// Start session messaging/elections on every member.
+  /// Start session messaging/elections on every member, shard by shard
+  /// like construction.
   void start();
 
   /// Late join: add (and start) a receiver while the session runs. The
@@ -91,6 +96,9 @@ class Session {
   std::vector<std::unique_ptr<Agent>> agents_;  // [0] = source
   std::vector<std::unique_ptr<Agent>> retired_;
 
+  /// An agent for `node`, which has joined the hierarchy; its metrics
+  /// are not registered yet.
+  std::unique_ptr<Agent> make_agent(net::NodeId node, bool is_source);
   fec::ShardStore& store_for(net::NodeId node) {
     return stores_[static_cast<std::size_t>(net_.shard_map().shard(node))];
   }

@@ -52,6 +52,9 @@ TransferEngine::TransferEngine(net::Network& net, Hierarchy& hier,
   scopes_.resize(session_.chain().size());
   if (is_source_) source_node_ = node_;
   journal_ = cfg_->journal;
+}
+
+void TransferEngine::register_metrics() {
   if (cfg_->metrics) {
     completion_ = &cfg_->metrics->histogram("sharqfec.group_completion_seconds",
                                             {{"node", std::to_string(node_)}});

@@ -164,6 +164,11 @@ class TransferEngine {
   /// measured it, and the fleet-wide high water keeps the maximum.
   void export_metrics(stats::Metrics& m) const;
 
+  /// Look up this node's sharqfec.group_completion_seconds child in
+  /// cfg.metrics (nothing when it is unset). A registry insert, so the
+  /// session calls it serially, in agent order, outside parallel set-up.
+  void register_metrics();
+
   /// Contribute this engine's retained bytes to the profiler's memory
   /// census: per-group state (records, held indices, level arenas, the
   /// live-state pool and its encoders' own arrays) under

@@ -4,6 +4,11 @@
 #include <cassert>
 // sharq-lint: thread-unsafe-ok file (the shard runtime IS the
 // deterministic synchronization layer; docs/ARCHITECTURE.md)
+#include <atomic>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "stats/journal.hpp"
@@ -26,6 +31,37 @@ std::uint64_t shard_seed(std::uint64_t seed, int shard) {
 
 }  // namespace
 
+// One phase at a time: for_each_shard publishes `job` under `mu` and bumps
+// `phase`; every worker wakes, claims shards through `next` until none is
+// left, and checks out through `busy`. The caller claims too, then sleeps
+// on `idle` until the last worker has checked out, so a phase's shard
+// state is visible to the caller (and to the next phase's workers)
+// through `mu`. Between phases the workers sleep on `wake`: they never
+// spin.
+struct ShardRuntime::Pool {
+  std::mutex mu;
+  std::condition_variable wake;  // a phase was posted, or stop
+  std::condition_variable idle;  // the last worker checked out
+  const std::function<void(int)>* job = nullptr;
+  std::uint64_t phase = 0;
+  int busy = 0;  // workers not yet checked out of the current phase
+  bool stop = false;
+  std::atomic<int> next{0};  // next index into claim_order_
+  std::vector<std::thread> threads;
+
+  Pool() = default;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+  ~Pool() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    wake.notify_all();
+    for (std::thread& t : threads) t.join();
+  }
+};
+
 ShardRuntime::ShardRuntime(Simulator& shard0, int nshards, Time lookahead,
                            std::uint64_t seed, int nthreads)
     : lookahead_(lookahead),
@@ -40,9 +76,92 @@ ShardRuntime::ShardRuntime(Simulator& shard0, int nshards, Time lookahead,
   mail_.resize(static_cast<std::size_t>(nshards));
   mail_seq_.assign(static_cast<std::size_t>(nshards), 0);
   window_executed_.assign(static_cast<std::size_t>(nshards), 0);
+  shard_errors_.resize(static_cast<std::size_t>(nshards));
+  claim_order_.resize(static_cast<std::size_t>(nshards));
+  std::iota(claim_order_.begin(), claim_order_.end(), 0);
+  pool_ = std::make_unique<Pool>();
+  Pool& pool = *pool_;
+  pool.threads.reserve(static_cast<std::size_t>(nthreads_ - 1));
+  for (int w = 1; w < nthreads_; ++w) {
+    pool.threads.emplace_back([this, &pool] { worker_loop(pool); });
+  }
 }
 
+// pool_ is the last member, so its destructor joins the workers before
+// anything they read is destroyed.
 ShardRuntime::~ShardRuntime() = default;
+
+void ShardRuntime::set_shard_loads(const std::vector<std::size_t>& loads) {
+  assert(static_cast<int>(loads.size()) == nshards());
+  std::iota(claim_order_.begin(), claim_order_.end(), 0);
+  std::stable_sort(claim_order_.begin(), claim_order_.end(),
+                   [&loads](int a, int b) {
+                     return loads[static_cast<std::size_t>(a)] >
+                            loads[static_cast<std::size_t>(b)];
+                   });
+}
+
+void ShardRuntime::run_shard(const std::function<void(int)>& fn, int shard) {
+  stats::ScopedLane scoped(shard);
+  try {
+    fn(shard);
+  } catch (...) {
+    shard_errors_[static_cast<std::size_t>(shard)] = std::current_exception();
+  }
+}
+
+void ShardRuntime::claim_shards(Pool& pool,
+                                const std::function<void(int)>& fn) {
+  for (;;) {
+    const int i = pool.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= nshards()) return;
+    run_shard(fn, claim_order_[static_cast<std::size_t>(i)]);
+  }
+}
+
+void ShardRuntime::worker_loop(Pool& pool) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    const std::function<void(int)>* job = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(pool.mu);
+      pool.wake.wait(lock, [&] { return pool.stop || pool.phase != seen; });
+      if (pool.stop) return;
+      seen = pool.phase;
+      job = pool.job;
+    }
+    claim_shards(pool, *job);
+    std::lock_guard<std::mutex> lock(pool.mu);
+    if (--pool.busy == 0) pool.idle.notify_one();
+  }
+}
+
+void ShardRuntime::for_each_shard(const std::function<void(int)>& fn) {
+  assert(!in_window_ && "phases do not nest");
+  in_window_ = true;
+  Pool& pool = *pool_;
+  {
+    std::lock_guard<std::mutex> lock(pool.mu);
+    pool.job = &fn;
+    pool.next.store(0, std::memory_order_relaxed);
+    pool.busy = static_cast<int>(pool.threads.size());
+    ++pool.phase;
+  }
+  pool.wake.notify_all();
+  claim_shards(pool, fn);
+  {
+    std::unique_lock<std::mutex> lock(pool.mu);
+    pool.idle.wait(lock, [&] { return pool.busy == 0; });
+    pool.job = nullptr;
+  }
+  in_window_ = false;
+  std::exception_ptr error;
+  for (std::exception_ptr& e : shard_errors_) {
+    if (e && !error) error = e;
+    e = nullptr;
+  }
+  if (error) std::rethrow_exception(error);
+}
 
 void ShardRuntime::set_metrics(stats::Metrics* metrics) {
   // Every shard's queue — including shard 0, whose unlabeled registration
@@ -93,41 +212,24 @@ bool ShardRuntime::next_op(std::size_t* index) const {
 }
 
 void ShardRuntime::run_window(Time end, bool inclusive) {
-  const int k = nshards();
-  const int workers = std::min(nthreads_, k);
   stats::Profiler* prof = stats::Profiler::active();
   if (prof) prof->window_begin();
-  in_window_ = true;
-  auto run_lane_set = [this, k, workers, end, inclusive, prof](int w) {
-    for (int s = w; s < k; s += workers) {
-      stats::ScopedLane scoped(s);
-      Simulator& sim = *sims_[static_cast<std::size_t>(s)];
-      const std::uint64_t before = sim.events_executed();
-      if (inclusive) {
-        sim.run_until(end);
-      } else {
-        sim.run_before(end);
-      }
-      window_executed_[static_cast<std::size_t>(s)] =
-          sim.events_executed() - before;
-      // The finish stamp feeds the barrier-wait histogram: a shard's wait
-      // is the gap between its own finish and the last finisher's.
-      if (prof) prof->shard_window_done(s);
+  for_each_shard([this, end, inclusive, prof](int s) {
+    Simulator& sim = *sims_[static_cast<std::size_t>(s)];
+    const std::uint64_t before = sim.events_executed();
+    if (inclusive) {
+      sim.run_until(end);
+    } else {
+      sim.run_before(end);
     }
-  };
-  if (workers == 1) {
-    run_lane_set(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(workers - 1));
-    for (int w = 1; w < workers; ++w) {
-      pool.emplace_back(run_lane_set, w);
-    }
-    run_lane_set(0);
-    for (std::thread& t : pool) t.join();
-  }
-  in_window_ = false;
+    window_executed_[static_cast<std::size_t>(s)] =
+        sim.events_executed() - before;
+    // The finish stamp feeds the barrier-wait histogram: a shard's wait
+    // is the gap between its own finish and the last finisher's.
+    if (prof) prof->shard_window_done(s);
+  });
 
+  const int k = nshards();
   bool stalled = false;
   for (int s = 0; s < k; ++s) {
     if (window_executed_[static_cast<std::size_t>(s)] == 0) stalled = true;
@@ -160,6 +262,10 @@ void ShardRuntime::barrier() {
     sims_[static_cast<std::size_t>(m.dst)]->at(m.at, std::move(m.fn), m.tag);
   }
   if (xshard_msgs_) xshard_msgs_->inc(batch.size());
+  flush_journal();
+}
+
+void ShardRuntime::flush_journal() {
   if (journal_) journal_->flush_lanes();
 }
 
@@ -206,7 +312,7 @@ void ShardRuntime::run_until(Time horizon) {
   for (int s = 0; s < k; ++s) {
     sims_[static_cast<std::size_t>(s)]->run_until(horizon);  // clocks to horizon
   }
-  if (journal_) journal_->flush_lanes();
+  flush_journal();
 }
 
 std::uint64_t ShardRuntime::events_executed() const {

@@ -260,7 +260,8 @@ std::optional<std::vector<JournalEvent>> read_journal(std::istream& is,
 // --- timeline ----------------------------------------------------------------
 
 std::vector<TimelineEntry> timeline(const std::vector<JournalEvent>& events,
-                                    std::int64_t group, int node) {
+                                    std::optional<std::int64_t> group,
+                                    int node, const std::string& event) {
   // Lookup-only index over the full journal so filtered views still
   // resolve cause edges that live outside the slice.
   std::unordered_map<std::uint64_t, const JournalEvent*> by_id;
@@ -278,8 +279,9 @@ std::vector<TimelineEntry> timeline(const std::vector<JournalEvent>& events,
   }
   std::vector<TimelineEntry> rows;
   for (const JournalEvent& ev : events) {
-    if (ev.group != group) continue;
+    if (group && ev.group != *group) continue;
     if (node != -1 && ev.node != node) continue;
+    if (!event.empty() && ev.ev != event) continue;
     TimelineEntry row;
     row.event = &ev;
     const auto dit = depth.find(ev.id);

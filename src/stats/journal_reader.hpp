@@ -52,11 +52,15 @@ struct TimelineEntry {
   int depth = 0;
 };
 
-/// Narrative for one group (node -1 = all nodes). Cause edges are resolved
-/// against the FULL event list, so cross-node edges keep their latency
-/// even when filtering to one node.
+/// Narrative for one group, or for every group and track when `group` is
+/// nullopt (-1 is the session/election track), optionally narrowed to one
+/// node (-1 = all nodes) and to one event name (empty = all). Cause edges
+/// are resolved against the FULL event list, so cross-node edges keep
+/// their latency even when filtering.
 std::vector<TimelineEntry> timeline(const std::vector<JournalEvent>& events,
-                                    std::int64_t group, int node = -1);
+                                    std::optional<std::int64_t> group,
+                                    int node = -1,
+                                    const std::string& event = {});
 
 // --- breakdown ---------------------------------------------------------------
 

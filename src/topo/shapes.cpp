@@ -147,7 +147,21 @@ DeepTree make_deep_tree(net::Network& net, const DeepTreeParams& p) {
   DeepTree t;
   net::ZoneHierarchy& zones = net.zones();
 
-  t.source = net.add_node();
+  // Every node and link up front, so the tables grow once; ids are handed
+  // out in the order the loops below visit them.
+  int hubs = 0, tier = 1;
+  for (int level = 1; level <= p.zone_depth; ++level) {
+    tier *= p.fanout;
+    hubs += tier;
+  }
+  const int leaves = tier * p.leaves_per_hub;
+  net.reserve_links(2 * (hubs + leaves));
+  net::NodeId next_id = net.add_nodes(1 + hubs + leaves);
+  t.hubs.reserve(static_cast<std::size_t>(hubs));
+  t.zone_hubs.reserve(static_cast<std::size_t>(hubs));
+  t.leaves.reserve(static_cast<std::size_t>(leaves));
+
+  t.source = next_id++;
   t.root_zone = zones.add_root();
   zones.assign(t.source, t.root_zone);
 
@@ -170,7 +184,7 @@ DeepTree make_deep_tree(net::Network& net, const DeepTreeParams& p) {
     next.reserve(frontier.size() * static_cast<std::size_t>(p.fanout));
     for (const auto& [parent, pzone] : frontier) {
       for (int c = 0; c < p.fanout; ++c) {
-        const net::NodeId hub = net.add_node();
+        const net::NodeId hub = next_id++;
         net.add_duplex_link(parent, hub, hub_link);
         const net::ZoneId z = zones.add_zone(pzone);
         zones.assign(hub, z);
@@ -183,7 +197,7 @@ DeepTree make_deep_tree(net::Network& net, const DeepTreeParams& p) {
   }
   for (const auto& [hub, z] : frontier) {
     for (int u = 0; u < p.leaves_per_hub; ++u) {
-      const net::NodeId leaf = net.add_node();
+      const net::NodeId leaf = next_id++;
       net.add_duplex_link(hub, leaf, leaf_link);
       zones.assign(leaf, z);
       t.leaves.push_back(leaf);

@@ -154,6 +154,29 @@ TEST(JournalAnalyzer, TimelineOrdersAndMeasuresEdges) {
   EXPECT_EQ(node0[0].depth, 3);
 }
 
+TEST(JournalAnalyzer, TimelineSpansEveryTrackAndFiltersByEvent) {
+  const std::vector<JournalEvent> events = {
+      make(1, 0.5, 3, -1, "zcr.takeover", 0),  // session track
+      make(2, 1.0, 2, 0, "group.first_arrival", 0),
+      make(3, 1.2, 2, 0, "nack.sent", 2),
+      make(4, 1.3, 2, 5, "nack.sent", 0),
+      make(5, 1.6, 4, -1, "zcr.takeover", 1),
+  };
+  // No group: every track, in id order.
+  EXPECT_EQ(timeline(events, std::nullopt).size(), events.size());
+  const auto takeovers = timeline(events, std::nullopt, -1, "zcr.takeover");
+  ASSERT_EQ(takeovers.size(), 2u);
+  EXPECT_EQ(takeovers[0].event->id, 1u);
+  EXPECT_EQ(takeovers[1].event->id, 5u);
+  EXPECT_EQ(takeovers[1].depth, 1);
+  EXPECT_NEAR(takeovers[1].edge_latency, 1.1, 1e-12);
+  // The name filter composes with the group and node filters.
+  const auto nacks = timeline(events, 0, 2, "nack.sent");
+  ASSERT_EQ(nacks.size(), 1u);
+  EXPECT_EQ(nacks[0].event->id, 3u);
+  EXPECT_TRUE(timeline(events, std::nullopt, -1, "no.such").empty());
+}
+
 TEST(JournalAnalyzer, BreakdownSplitsPhases) {
   const std::vector<JournalEvent> events = {
       make(1, 1.0, 2, 0, "group.first_arrival", 0),

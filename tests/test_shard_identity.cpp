@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -207,6 +208,135 @@ TEST(ShardIdentity, ShardedRunStillCompletesLikeSerial) {
 
   const RunOutput sharded = run_sharded(2, /*with_faults=*/false);
   EXPECT_TRUE(sharded.complete);
+}
+
+// The pool's one primitive: every shard runs exactly once per phase, on
+// its own lane and inside a window, whatever the worker count; a shard's
+// exception reaches the caller after the phase, and the pool still runs
+// the next one.
+TEST(ShardIdentity, ForEachShardRunsEveryShardOnceAndRethrows) {
+  for (int workers : {1, 2, 4}) {
+    sim::Simulator simu(1);
+    sim::ShardRuntime rt(simu, /*nshards=*/5, /*lookahead=*/0.01,
+                         /*seed=*/1, workers);
+    rt.set_shard_loads({1, 7, 3, 7, 2});
+    std::vector<int> runs(5, 0);
+    std::vector<int> lanes(5, -1);
+    std::vector<char> windowed(5, 0);
+    for (int phase = 0; phase < 3; ++phase) {
+      rt.for_each_shard([&](int s) {
+        ++runs[static_cast<std::size_t>(s)];
+        lanes[static_cast<std::size_t>(s)] = stats::lane();
+        windowed[static_cast<std::size_t>(s)] = rt.in_window();
+      });
+    }
+    EXPECT_FALSE(rt.in_window());
+    for (int s = 0; s < 5; ++s) {
+      EXPECT_EQ(runs[static_cast<std::size_t>(s)], 3) << "workers=" << workers;
+      EXPECT_EQ(lanes[static_cast<std::size_t>(s)], s) << "workers=" << workers;
+      EXPECT_TRUE(windowed[static_cast<std::size_t>(s)]);
+    }
+
+    // Shards 1 and 3 throw; every shard still runs, and the caller gets
+    // the lowest-numbered shard's exception, whichever worker ran it.
+    std::vector<int> ran(5, 0);
+    std::string what;
+    try {
+      rt.for_each_shard([&](int s) {
+        ran[static_cast<std::size_t>(s)] = 1;
+        if (s == 1 || s == 3) throw std::runtime_error(std::to_string(s));
+      });
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, "1") << "workers=" << workers;
+    EXPECT_EQ(ran, std::vector<int>(5, 1)) << "workers=" << workers;
+    EXPECT_FALSE(rt.in_window());
+    rt.for_each_shard([&](int s) { ++runs[static_cast<std::size_t>(s)]; });
+    EXPECT_EQ(runs, std::vector<int>(5, 4)) << "workers=" << workers;
+  }
+}
+
+// Set-up runs on the pool: Session joins every member serially, then each
+// shard builds and starts its own agents on whichever worker claims it.
+// The agents of one shard are visited in agent order, so every shard's
+// RNG forks and timer sequence numbers, and with them the whole history,
+// must not depend on the worker count. A d2_f4 deep tree (148 receivers)
+// splits into several shards of unequal size, so workers claim shards
+// in an order that differs from shard order.
+struct DeepSetUp {
+  std::vector<std::size_t> pending;    // by shard, right after start()
+  std::vector<sim::Time> next_event;   // by shard, right after start()
+  std::string journal;
+  std::string metrics;
+  std::uint64_t events = 0;
+  bool complete = false;
+};
+
+DeepSetUp run_deep_setup(int workers) {
+  constexpr std::uint32_t kDeepGroups = 4;
+  DeepSetUp out;
+  std::ostringstream jos;
+  stats::Metrics metrics;
+  stats::Journal journal(jos);
+  sim::Simulator simu(77);
+  net::Network net(simu);
+  simu.set_metrics(&metrics);
+  net.set_journal(&journal);
+  topo::DeepTreeParams p;
+  p.zone_depth = 2;
+  p.fanout = 4;
+  p.leaves_per_hub = 8;
+  p.leaf_loss = 0.05;
+  const topo::DeepTree tree = topo::make_deep_tree(net, p);
+  net::ShardMap map = topo::make_zone_shard_map(net, stats::kMaxLanes);
+  sim::ShardRuntime rt(simu, map.nshards, map.lookahead, /*seed=*/77,
+                       workers);
+  net.enable_sharding(rt, std::move(map));
+  rt.set_metrics(&metrics);
+  rt.set_journal(&journal);
+
+  sfq::Config cfg;
+  cfg.metrics = &metrics;
+  cfg.journal = &journal;
+  for (const auto& [zone, hub] : tree.zone_hubs) cfg.static_zcrs[zone] = hub;
+  sfq::Session session(net, tree.source, tree.receivers, cfg);
+  session.start();
+  for (int s = 0; s < rt.nshards(); ++s) {
+    out.pending.push_back(rt.sim(s).events_pending());
+    out.next_event.push_back(rt.sim(s).next_event_time());
+  }
+  session.send_stream(kDeepGroups, 1.0);
+  rt.run_until(20.0);
+
+  out.events = rt.events_executed();
+  out.complete = session.all_complete(kDeepGroups);
+  out.journal = jos.str();
+  net.export_metrics(metrics);
+  session.export_metrics(metrics);
+  std::ostringstream mos;
+  metrics.write_json(mos);
+  out.metrics = mos.str();
+  return out;
+}
+
+TEST(ShardIdentity, ParallelSetUpMatchesAnyWorkerCount) {
+  const DeepSetUp one = run_deep_setup(1);
+  ASSERT_GT(one.pending.size(), 2u) << "the deep tree must split into shards";
+  for (std::size_t s = 0; s < one.pending.size(); ++s) {
+    EXPECT_GT(one.pending[s], 0u) << "every shard arms timers; shard " << s;
+  }
+  EXPECT_TRUE(one.complete);
+  EXPECT_FALSE(one.journal.empty());
+
+  for (int workers : {2, 4}) {
+    const DeepSetUp many = run_deep_setup(workers);
+    EXPECT_EQ(one.pending, many.pending) << "workers=" << workers;
+    EXPECT_EQ(one.next_event, many.next_event) << "workers=" << workers;
+    EXPECT_EQ(one.events, many.events) << "workers=" << workers;
+    EXPECT_EQ(one.journal, many.journal) << "workers=" << workers;
+    EXPECT_EQ(one.metrics, many.metrics) << "workers=" << workers;
+  }
 }
 
 // Real payload across worker threads: shard buffers are shared, never

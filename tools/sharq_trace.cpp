@@ -1,9 +1,11 @@
 // sharq_trace: analyzer for the causal recovery journal written by
 // sharqfec_sim --journal (stats::Journal JSONL).
 //
-//   sharq_trace timeline JOURNAL --group G [--node N]
-//       Causally ordered narrative of one group's recovery: every event
-//       with its cause edge and the latency along it.
+//   sharq_trace timeline JOURNAL [--group G] [--node N] [--event NAME]
+//       Causally ordered narrative: every event with its cause edge and
+//       the latency along it, for one group (-1 = the session/election
+//       track) or, without --group, for all of them; --node and --event
+//       narrow it to one node and one event name.
 //
 //   sharq_trace breakdown JOURNAL
 //       Recovery latency split per zone level: detection (first arrival
@@ -26,6 +28,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,7 +43,8 @@ namespace {
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: sharq_trace timeline JOURNAL --group G [--node N]\n"
+               "usage: sharq_trace timeline JOURNAL [--group G] [--node N]\n"
+               "                   [--event NAME]\n"
                "       sharq_trace breakdown JOURNAL\n"
                "       sharq_trace anomalies JOURNAL [--nack-count K]\n"
                "                   [--nack-window W] [--escalations N]\n"
@@ -67,11 +71,11 @@ std::vector<stats::JournalEvent> load(const std::string& path) {
 std::string fmt(double v) { return stats::json_double(v); }
 
 int cmd_timeline(const std::vector<stats::JournalEvent>& events,
-                 std::int64_t group, int node) {
-  const auto rows = stats::timeline(events, group, node);
+                 std::optional<std::int64_t> group, int node,
+                 const std::string& event) {
+  const auto rows = stats::timeline(events, group, node, event);
   if (rows.empty()) {
-    std::printf("no events for group %lld\n",
-                static_cast<long long>(group));
+    std::printf("no matching events\n");
     return 0;
   }
   for (const auto& row : rows) {
@@ -206,8 +210,9 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const std::string journal_file = argv[2];
 
-  std::int64_t group = -2;  // unset; -1 is the valid election track
+  std::optional<std::int64_t> group;  // unset = every group and track
   int node = -1;
+  std::string event;
   bool perfetto = false;
   std::string out_file;
   stats::AnomalyThresholds th;
@@ -219,6 +224,7 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--group") group = std::strtoll(need(i), nullptr, 10);
     else if (a == "--node") node = std::atoi(need(i));
+    else if (a == "--event") event = need(i);
     else if (a == "--perfetto") perfetto = true;
     else if (a == "-o") out_file = need(i);
     else if (a == "--nack-count") th.implosion_nacks = std::atoi(need(i));
@@ -229,13 +235,7 @@ int main(int argc, char** argv) {
   }
 
   const auto events = load(journal_file);
-  if (cmd == "timeline") {
-    if (group == -2) {
-      std::fprintf(stderr, "sharq_trace: timeline needs --group\n");
-      return 2;
-    }
-    return cmd_timeline(events, group, node);
-  }
+  if (cmd == "timeline") return cmd_timeline(events, group, node, event);
   if (cmd == "breakdown") return cmd_breakdown(events);
   if (cmd == "anomalies") return cmd_anomalies(events, th);
   if (cmd == "export") {
