@@ -194,21 +194,18 @@ CaseResult run_case(const SweepPoint& pt, int threads, const char* dump_dir,
   sfq::Session session(net, tree.source, tree.receivers, cfg);
   session.start();
   session.send_stream(pt.groups, /*start_at=*/2.0);
-  if (rt) {
-    rt->run_until(pt.horizon);
-  } else {
-    simu.run_until(pt.horizon);
-  }
+  net.run_until(pt.horizon);
 
   const auto wall1 = std::chrono::steady_clock::now();
   res.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
-  res.events = rt ? rt->events_executed() : simu.events_executed();
+  res.events = net.events_executed();
   res.events_per_sec =
       res.wall_s > 0 ? static_cast<double>(res.events) / res.wall_s : 0.0;
   // Sharded runs register one gauge per shard ({"shard", s}; shard 0's
   // replaces the unlabeled one), so report the deepest shard queue.
+  const int nshards = net.shard_map().nshards;
   res.queue_high_water = metrics.gauge_value("sim.queue_high_water", {});
-  for (int s = 0; rt && s < rt->nshards(); ++s) {
+  for (int s = 0; s < nshards; ++s) {
     res.queue_high_water = std::max(
         res.queue_high_water,
         metrics.gauge_value("sim.queue_high_water",
@@ -238,19 +235,12 @@ CaseResult run_case(const SweepPoint& pt, int threads, const char* dump_dir,
   // reports live/peak per category (pull-based — zero hot-path cost).
   session.memory_census(res.census);
   net.memory_census(res.census);
-  std::uint64_t evq = 0;
-  if (rt) {
-    for (int s = 0; s < rt->nshards(); ++s) {
-      evq += rt->sim(s).queue_memory_bytes();
-    }
-  } else {
-    evq = simu.queue_memory_bytes();
-  }
+  const std::uint64_t evq = net.queue_memory_bytes();
   res.census.add("event_queue", evq, evq);
   if (prof) {
     prof->set_memory(res.census);
     prof->set_rss_delta(static_cast<std::uint64_t>(res.rss_delta_bytes));
-    prof->set_shards(rt ? rt->nshards() : 1);
+    prof->set_shards(nshards);
     prof->set_env("tool", "macro_sim");
     prof->set_env("case", res.name);
     prof->set_env("threads", std::to_string(threads));

@@ -4,17 +4,9 @@
 
 namespace sharq::fault {
 
-void Injector::schedule_at(sim::Time at, std::function<void()> fn) {
-  if (scheduler_) {
-    scheduler_(at, std::move(fn));
-  } else {
-    net_.simulator().at(at, std::move(fn), "fault.inject");
-  }
-}
-
 void Injector::schedule(const FaultPlan& plan) {
   for (const FaultEvent& e : plan.events) {
-    schedule_at(e.at, [this, e] { apply(e); });
+    net_.at_global(e.at, [this, e] { apply(e); }, "fault.inject");
   }
 }
 
@@ -101,16 +93,16 @@ void Injector::apply(const FaultEvent& e) {
       }
       // Absolute times, not `after(now)`: the event fires at e.at, so
       // `e.at + idx*jitter` is the same instant, and absolute scheduling
-      // also works through a barrier scheduler whose clock is the window
-      // edge rather than the event time.
+      // also works at a barrier, whose clock is the window edge rather
+      // than the event time.
       int idx = 0;
       for (net::NodeId n = e.from; n <= e.to; ++n, ++idx) {
         if (!valid_node(n)) {
           ++skipped_;
           continue;
         }
-        schedule_at(e.at + static_cast<sim::Time>(idx) * e.jitter,
-                    [this, n] { hooks_.join(n); });
+        net_.at_global(e.at + static_cast<sim::Time>(idx) * e.jitter,
+                       [this, n] { hooks_.join(n); }, "fault.inject");
         ++applied_;
       }
       break;

@@ -33,16 +33,10 @@ class Injector {
   Injector(net::Network& net, Hooks hooks)
       : net_(net), hooks_(std::move(hooks)) {}
 
-  /// Route plan events through `fn(at, thunk)` instead of the network's
-  /// serial simulator. Fault events mutate global state (link flags,
-  /// routing, conditioners), so a sharded run must execute them at a
-  /// window barrier — the driver passes ShardRuntime::at_global here.
-  /// Must be called before schedule().
-  void set_scheduler(std::function<void(sim::Time, std::function<void()>)> fn) {
-    scheduler_ = std::move(fn);
-  }
-
-  /// Schedule every event of `plan` at its absolute simulator time.
+  /// Schedule every event of `plan` at its absolute simulator time, as
+  /// a Network::at_global op: fault events mutate global state (link
+  /// flags, routing, conditioners, membership), so a sharded run executes
+  /// them at a window barrier.
   /// Events naming a nonexistent link/node are counted in
   /// `skipped_events()` and otherwise ignored — a randomized plan must
   /// not abort the whole soak over one unroutable statement.
@@ -57,12 +51,8 @@ class Injector {
   void on_link(net::NodeId from, net::NodeId to,
                const std::function<void(net::LinkId)>& fn);
 
-  /// Schedule `fn` at absolute time `at` (defaults to the serial simulator).
-  void schedule_at(sim::Time at, std::function<void()> fn);
-
   net::Network& net_;
   Hooks hooks_;
-  std::function<void(sim::Time, std::function<void()>)> scheduler_;
   std::uint64_t applied_ = 0;
   std::uint64_t skipped_ = 0;
 };

@@ -34,8 +34,7 @@ const char* to_string(DropReason reason) {
   return "?";
 }
 
-Network::Network(sim::Simulator& simu)
-    : simu_(simu), lanes_(1), sims_{&simu} {}
+Network::Network(sim::Simulator& simu) : lanes_(1), sims_{&simu} {}
 
 // --- sharding ---------------------------------------------------------------
 
@@ -72,6 +71,7 @@ void Network::enable_sharding(sim::ShardRuntime& rt, ShardMap map) {
   assert(map.nshards == rt.nshards());
   assert(lanes_[0].next_uid == 1 && "enable sharding before any traffic");
   rt_ = &rt;
+  if (journal_) rt.set_journal(journal_);
   shard_map_ = std::move(map);
   // A shard's set-up and window work grow with its node count.
   std::vector<std::size_t> loads(static_cast<std::size_t>(shard_map_.nshards));
@@ -92,8 +92,50 @@ void Network::set_sink(TrafficSink* sink) {
 }
 
 void Network::set_shard_sink(int shard, TrafficSink* sink) {
-  assert(rt_ && shard >= 0 && shard < shard_map_.nshards);
+  assert(shard >= 0 && shard < shard_map_.nshards);
   lanes_[static_cast<std::size_t>(shard)].sink = sink;
+}
+
+void Network::set_journal(stats::Journal* journal) {
+  journal_ = journal;
+  if (rt_) rt_->set_journal(journal);
+}
+
+// --- running ----------------------------------------------------------------
+
+void Network::run_until(sim::Time t) {
+  if (rt_) {
+    rt_->run_until(t);
+  } else {
+    sims_.front()->run_until(t);
+  }
+}
+
+void Network::at_global(sim::Time t, std::function<void()> fn,
+                        const char* tag) {
+  if (rt_) {
+    rt_->at_global(t, std::move(fn));
+  } else {
+    sims_.front()->at(t, std::move(fn), tag);
+  }
+}
+
+std::uint64_t Network::events_executed() const {
+  std::uint64_t total = 0;
+  for (const sim::Simulator* s : sims_) total += s->events_executed();
+  return total;
+}
+
+std::size_t Network::events_pending() const {
+  std::size_t total = 0;
+  for (const sim::Simulator* s : sims_) total += s->events_pending();
+  return total;
+}
+
+std::size_t Network::queue_memory_bytes() const {
+  std::size_t total = 0;
+  for (const sim::Simulator* s : sims_) total += s->queue_memory_bytes();
+  return total;
 }
 
 void Network::export_metrics(stats::Metrics& m) const {
@@ -201,7 +243,7 @@ LinkId Network::add_link(NodeId from, NodeId to, const LinkConfig& cfg) {
   l.bandwidth_bps = cfg.bandwidth_bps;
   l.delay = cfg.delay;
   l.cond.set_loss(LossModel::bernoulli(cfg.loss_rate));
-  l.rng = simu_.rng().fork();
+  l.rng = sims_.front()->rng().fork();
   l.queue_limit_pkts = cfg.queue_limit_pkts;
   links_.push_back(std::move(l));
   const LinkId id = static_cast<LinkId>(links_.size() - 1);

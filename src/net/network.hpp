@@ -259,10 +259,34 @@ class Network {
   /// Attach the recovery-lifecycle journal: drops of recovery traffic
   /// (NACK / repair classes only — data loss is ordinary, journaled
   /// indirectly as `loss.detected`) become `net.dropped` events whose
-  /// cause is the event that sent the packet. Pass nullptr to detach.
-  void set_journal(stats::Journal* journal) { journal_ = journal; }
+  /// cause is the event that sent the packet. A sharded network also
+  /// hands the journal to its runtime, which buffers emits by lane and
+  /// flushes them at barriers; enable_sharding does the same for a
+  /// journal attached before it. Pass nullptr to detach.
+  void set_journal(stats::Journal* journal);
 
-  sim::Simulator& simulator() { return simu_; }
+  // --- running (one path whether or not the network is sharded) -----------
+
+  /// Run every shard to `t` (inclusive, like Simulator::run_until): in
+  /// the runtime's lookahead windows when sharded, on the base simulator
+  /// otherwise. Re-entrant across calls.
+  void run_until(sim::Time t);
+
+  /// Run `fn` at time `t` with the whole network to itself, before any
+  /// event at `t`: a barrier op when sharded (same-time ops run in
+  /// registration order), an ordinary event named `tag` (a string
+  /// literal) on a one-shard network. Global state — link flags,
+  /// routing, conditioners, membership — may change only here or at
+  /// set-up. Call outside a window.
+  void at_global(sim::Time t, std::function<void()> fn, const char* tag);
+
+  /// Events executed and pending, summed over shards.
+  std::uint64_t events_executed() const;
+  std::size_t events_pending() const;
+
+  /// Bytes retained by every shard's event queue (the profiler census's
+  /// "event_queue" category).
+  std::size_t queue_memory_bytes() const;
 
   // --- sharding (docs/ARCHITECTURE.md, "Zone-sharded parallel simulation") --
 
@@ -294,9 +318,10 @@ class Network {
   /// outside a window.
   void for_each_shard(const std::function<void(int)>& fn);
 
-  /// Per-shard traffic sink (sharded runs): hop/deliver callbacks fire on
-  /// the shard executing the packet, so each shard needs its own
-  /// recorder; ledgers balance across the set, not per recorder.
+  /// Per-shard traffic sink: hop/deliver callbacks fire on the shard
+  /// executing the packet, so each shard needs its own recorder; ledgers
+  /// balance across the set, not per recorder. A one-shard network has
+  /// shard 0 only.
   void set_shard_sink(int shard, TrafficSink* sink);
 
   /// Drop all routing/forwarding caches (topology editing mid-run).
@@ -484,7 +509,6 @@ class Network {
   void deliver_after(LinkId link, const Packet& out, sim::Time arrival);
   void arrive(NodeId at, const Packet& packet);
 
-  sim::Simulator& simu_;
   std::vector<NodeRec> nodes_;
   std::vector<Link> links_;
   std::vector<Channel> channels_;
@@ -495,7 +519,7 @@ class Network {
 
   // sharq-lint: shard-owned begin (per-shard lanes: inside a window only the owning lane touches them; the single-threaded barrier may touch any lane)
   std::vector<LaneCtx> lanes_;          // by shard
-  std::vector<sim::Simulator*> sims_;   // by shard
+  std::vector<sim::Simulator*> sims_;   // by shard; [0] = the base one
   sim::ShardRuntime* rt_ = nullptr;     // null on a one-shard network
   ShardMap shard_map_;
   // sharq-lint: shard-owned end

@@ -321,10 +321,4 @@ std::uint64_t ShardRuntime::events_executed() const {
   return total;
 }
 
-std::size_t ShardRuntime::events_pending() const {
-  std::size_t total = 0;
-  for (const Simulator* s : sims_) total += s->events_pending();
-  return total;
-}
-
 }  // namespace sharq::sim

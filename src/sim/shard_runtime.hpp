@@ -71,8 +71,6 @@ class ShardRuntime {
   ShardRuntime& operator=(const ShardRuntime&) = delete;
 
   int nshards() const { return static_cast<int>(sims_.size()); }
-  int nthreads() const { return nthreads_; }
-  Time lookahead() const { return lookahead_; }
 
   Simulator& sim(int shard) { return *sims_[static_cast<std::size_t>(shard)]; }
 
@@ -107,8 +105,8 @@ class ShardRuntime {
 
   /// Schedule `fn` to run single-threaded at the barrier when every shard
   /// has reached time `t` (before any shard executes events at `t`).
-  /// Same-time ops run in registration order. The fault injector's
-  /// scheduling primitive.
+  /// Same-time ops run in registration order. net::Network::at_global's
+  /// sharded half (the fault injector schedules through it).
   void at_global(Time t, std::function<void()> fn);
 
   /// Register `sim.shard.*` counters and attach per-shard event-queue
@@ -116,7 +114,8 @@ class ShardRuntime {
   void set_metrics(stats::Metrics* metrics);
 
   /// Switch `journal` into lane-buffered mode and flush it at every
-  /// barrier. Call before any event emits.
+  /// barrier. Call before any event emits (net::Network::set_journal and
+  /// enable_sharding call it).
   void set_journal(stats::Journal* journal);
 
   /// Merge the journal's lane buffers in lane order, as a barrier does: a
@@ -130,10 +129,6 @@ class ShardRuntime {
 
   /// Sum of events executed across shards.
   std::uint64_t events_executed() const;
-
-  /// Sum of pending events across shards (mailboxes are always empty
-  /// outside a window).
-  std::size_t events_pending() const;
 
  private:
   struct Xmsg {

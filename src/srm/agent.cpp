@@ -22,12 +22,12 @@ constexpr int kMaxBackoffStage = 6;
 Agent::Agent(net::Network& net, net::ChannelId channel, net::NodeId node,
              Config config, rm::DeliveryLog* log)
     : net_(net),
-      simu_(net.simulator()),
+      simu_(net.simulator_for(node)),
       channel_(channel),
       cfg_(config),
       log_(log),
-      rng_(net.simulator().rng().fork()),
-      session_timer_(net.simulator()) {
+      rng_(simu_.rng().fork()),
+      session_timer_(simu_) {
   net_.attach(node, this);
   net_.subscribe(channel_, node);
 }

@@ -28,7 +28,9 @@ struct Config {
 class Agent final : public net::Agent {
  public:
   /// Attach an agent to `node`. The channel must be subscribed by every
-  /// session member. `log` may be null.
+  /// session member. `log` may be null; a sharded run must not share one
+  /// log between shards. Timers and the RNG bind the node's shard
+  /// simulator.
   Agent(net::Network& net, net::ChannelId channel, net::NodeId node,
         Config config, rm::DeliveryLog* log);
 

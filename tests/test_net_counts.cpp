@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -58,12 +57,10 @@ Counts run_plan(int workers) {
     net.enable_sharding(*rt, std::move(map));
   }
   std::vector<std::unique_ptr<stats::TrafficRecorder>> recs;
-  const int nshards = rt ? rt->nshards() : 1;
-  for (int s = 0; s < nshards; ++s) {
+  for (int s = 0; s < net.shard_map().nshards; ++s) {
     recs.push_back(std::make_unique<stats::TrafficRecorder>(net.node_count()));
-    if (rt) net.set_shard_sink(s, recs.back().get());
+    net.set_shard_sink(s, recs.back().get());
   }
-  if (!rt) net.set_sink(recs.front().get());
 
   sfq::Config cfg;
   cfg.max_backoff_stage = 5;
@@ -75,11 +72,6 @@ Counts run_plan(int workers) {
   hooks.kill = [&](net::NodeId n) { session.remove_receiver(n); };
   hooks.restart = [&](net::NodeId n) { session.add_receiver(n); };
   fault::Injector inject(net, std::move(hooks));
-  if (rt) {
-    inject.set_scheduler([&rt](sim::Time at, std::function<void()> fn) {
-      rt->at_global(at, std::move(fn));
-    });
-  }
   const net::NodeId mesh = t.mesh[0];
   const net::NodeId squeezed = t.middles_of(0)[0];
   const net::NodeId crashed = t.middles_of(1)[0];
@@ -101,11 +93,7 @@ Counts run_plan(int workers) {
   };
   plan.sort();
   inject.schedule(plan);
-  if (rt) {
-    rt->run_until(40.0);
-  } else {
-    simu.run_until(40.0);
-  }
+  net.run_until(40.0);
 
   stats::Metrics metrics;
   net.export_metrics(metrics);

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +26,7 @@
 #include "sharqfec/protocol.hpp"
 #include "sim/shard_runtime.hpp"
 #include "sim/simulator.hpp"
+#include "srm/session.hpp"
 #include "stats/journal.hpp"
 #include "stats/lane.hpp"
 #include "stats/metrics.hpp"
@@ -70,7 +70,6 @@ RunOutput run_sharded(int workers, bool with_faults) {
   out.shards = rt.nshards();
   net.enable_sharding(rt, std::move(map));
   rt.set_metrics(&metrics);
-  rt.set_journal(&journal);
 
   sfq::Config cfg;
   cfg.metrics = &metrics;
@@ -85,9 +84,6 @@ RunOutput run_sharded(int workers, bool with_faults) {
       net, {.kill = [&](net::NodeId n) { session.remove_receiver(n); },
             .restart = [&](net::NodeId n) { session.add_receiver(n); }});
   if (with_faults) {
-    inject.set_scheduler([&rt](sim::Time at, std::function<void()> fn) {
-      rt.at_global(at, std::move(fn));
-    });
     fault::FaultPlan plan;
     const net::NodeId mid = t.middles.front();
     const net::NodeId leaf = t.leaves_of(0).front();
@@ -110,9 +106,9 @@ RunOutput run_sharded(int workers, bool with_faults) {
     inject.schedule(plan);
   }
 
-  rt.run_until(with_faults ? 60.0 : 30.0);
+  net.run_until(with_faults ? 60.0 : 30.0);
 
-  out.events = rt.events_executed();
+  out.events = net.events_executed();
   out.complete = session.all_complete(kGroups);
   out.journal = jos.str();
   net.export_metrics(metrics);
@@ -174,13 +170,7 @@ std::string fig10_trace(bool one_shard_runtime) {
   sfq::Session session(net, t.source, t.receivers, cfg);
   session.start();
   session.send_stream(kGroups, 6.0);
-  for (sim::Time horizon : {15.0, 30.0}) {
-    if (rt) {
-      rt->run_until(horizon);
-    } else {
-      simu.run_until(horizon);
-    }
-  }
+  for (sim::Time horizon : {15.0, 30.0}) net.run_until(horizon);
   EXPECT_TRUE(session.all_complete(kGroups));
   return trace.str();
 }
@@ -203,11 +193,54 @@ TEST(ShardIdentity, ShardedRunStillCompletesLikeSerial) {
   sfq::Session session(net, t.source, t.receivers, cfg);
   session.start();
   session.send_stream(kGroups, 6.0);
-  simu.run_until(30.0);
+  net.run_until(30.0);
   EXPECT_TRUE(session.all_complete(kGroups));
 
   const RunOutput sharded = run_sharded(2, /*with_faults=*/false);
   EXPECT_TRUE(sharded.complete);
+}
+
+// SRM binds each member's timers and RNG stream to its node's shard
+// simulator, so it runs on Figure 10's shards like SHARQFEC does: every
+// member ends holding the whole stream, and the worker count moves no
+// event. Each agent's own packets_held() is read rather than a shared
+// rm::DeliveryLog, which every shard would write at once.
+constexpr std::uint32_t kSrmPackets = 64;
+
+struct SrmRun {
+  std::uint64_t events = 0;
+  std::vector<std::uint32_t> held;  // by agent, [0] = source
+};
+
+SrmRun run_srm_sharded(int workers) {
+  sim::Simulator simu(4242);
+  net::Network net(simu);
+  topo::Figure10 t = topo::make_figure10(net);
+  net::ShardMap map = topo::make_zone_shard_map(net, stats::kMaxLanes);
+  EXPECT_GT(map.nshards, 1);
+  sim::ShardRuntime rt(simu, map.nshards, map.lookahead, /*seed=*/4242,
+                       workers);
+  net.enable_sharding(rt, std::move(map));
+  srm::Session session(net, t.source, t.receivers, srm::Config{});
+  session.start();
+  session.send_stream(kSrmPackets, 6.0);
+  net.run_until(30.0);
+  SrmRun out;
+  out.events = net.events_executed();
+  for (const auto& a : session.agents()) out.held.push_back(a->packets_held());
+  return out;
+}
+
+TEST(ShardIdentity, SrmRunsOnShards) {
+  const SrmRun one = run_srm_sharded(1);
+  const SrmRun four = run_srm_sharded(4);
+  ASSERT_GT(one.events, 0u);
+  EXPECT_EQ(one.events, four.events);
+  for (const SrmRun* run : {&one, &four}) {
+    for (std::size_t i = 0; i < run->held.size(); ++i) {
+      EXPECT_EQ(run->held[i], kSrmPackets) << "agent #" << i;
+    }
+  }
 }
 
 // The pool's one primitive: every shard runs exactly once per phase, on
@@ -294,7 +327,6 @@ DeepSetUp run_deep_setup(int workers) {
                        workers);
   net.enable_sharding(rt, std::move(map));
   rt.set_metrics(&metrics);
-  rt.set_journal(&journal);
 
   sfq::Config cfg;
   cfg.metrics = &metrics;
@@ -307,9 +339,9 @@ DeepSetUp run_deep_setup(int workers) {
     out.next_event.push_back(rt.sim(s).next_event_time());
   }
   session.send_stream(kDeepGroups, 1.0);
-  rt.run_until(20.0);
+  net.run_until(20.0);
 
-  out.events = rt.events_executed();
+  out.events = net.events_executed();
   out.complete = session.all_complete(kDeepGroups);
   out.journal = jos.str();
   net.export_metrics(metrics);
@@ -403,11 +435,6 @@ PayloadRun run_real_payload(int workers,
   };
   fault::Injector inject(net, std::move(hooks));
   if (crash) {
-    if (rt) {
-      inject.set_scheduler([&rt](sim::Time at, std::function<void()> fn) {
-        rt->at_global(at, std::move(fn));
-      });
-    }
     fault::FaultPlan plan;
     plan.events.push_back({6.6, fault::EventKind::kNodeKill, victim,
                            net::kNoNode, 0.0, 0.0, 0});
@@ -416,16 +443,10 @@ PayloadRun run_real_payload(int workers,
     inject.schedule(plan);
   }
   session.send_stream(kGroups, 6.0, payload);
-  const sim::Time horizon = crash ? 60.0 : 30.0;
-  if (rt) {
-    rt->run_until(horizon);
-    out.events = rt->events_executed();
-  } else {
-    simu.run_until(horizon);
-    out.events = simu.events_executed();
-  }
+  net.run_until(crash ? 60.0 : 30.0);
+  out.events = net.events_executed();
   out.lanes = session.stores().size();
-  EXPECT_EQ(out.lanes, rt ? static_cast<std::size_t>(rt->nshards()) : 1u);
+  EXPECT_EQ(out.lanes, static_cast<std::size_t>(net.shard_map().nshards));
   if (crash) {
     EXPECT_EQ(session.retired().size(), 1u);
   }
@@ -550,11 +571,7 @@ DeepRun run_deep(int workers) {
   sfq::Session session(net, tree.source, tree.receivers, cfg);
   session.start();
   session.send_stream(2, /*start_at=*/2.0);
-  if (rt) {
-    rt->run_until(12.0);
-  } else {
-    simu.run_until(12.0);
-  }
+  net.run_until(12.0);
   for (net::NodeId r : tree.receivers) {
     if (session.agent_for(r).transfer().group_complete(1)) ++out.complete;
   }
@@ -641,13 +658,8 @@ Heard barrier_send_receivers(int workers) {
     net.send(origin, global, net::TrafficClass::kControl, 100, nullptr);
     net.send(origin, root, net::TrafficClass::kControl, 100, nullptr);
   };
-  if (rt) {
-    rt->at_global(1.0, send);
-    rt->run_until(5.0);
-  } else {
-    simu.at(1.0, send);
-    simu.run_until(5.0);
-  }
+  net.at_global(1.0, send, "test.send");
+  net.run_until(5.0);
   Heard heard;
   for (net::NodeId v = 0; v < net.node_count(); ++v) {
     for (net::ChannelId ch : agents[static_cast<std::size_t>(v)].heard) {

@@ -5,8 +5,7 @@
 // the determinism lint rely on broke. Scenarios: the paper's Figure 10
 // topology end to end, and a scripted chaos plan (partition + heal + ZCR
 // kill) whose cancellations and re-elections exercise the queue's lazy
-// deletion and compaction. The suite keeps its name from when it compared
-// the calendar and heap queue backends on the same traces.
+// deletion and compaction.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -63,7 +62,7 @@ RunResult run_figure10(std::uint64_t seed) {
   return r;
 }
 
-TEST(EventBackendEquivalence, Figure10TraceIsByteIdentical) {
+TEST(TraceIdentity, Figure10TraceIsByteIdentical) {
   const RunResult a = run_figure10(424242);
   const RunResult b = run_figure10(424242);
   ASSERT_FALSE(a.trace.empty());
@@ -71,7 +70,7 @@ TEST(EventBackendEquivalence, Figure10TraceIsByteIdentical) {
   EXPECT_EQ(a, b);
 }
 
-TEST(EventBackendEquivalence, Figure10SecondSeedAgreesToo) {
+TEST(TraceIdentity, Figure10SecondSeedAgreesToo) {
   // One seed could agree by luck on a short run; a second pins it.
   EXPECT_EQ(run_figure10(7), run_figure10(7));
 }
@@ -137,7 +136,7 @@ RunResult run_chaos(std::uint64_t seed) {
   return r;
 }
 
-TEST(EventBackendEquivalence, ChaosPlanTraceIsByteIdentical) {
+TEST(TraceIdentity, ChaosPlanTraceIsByteIdentical) {
   const RunResult a = run_chaos(1717);
   const RunResult b = run_chaos(1717);
   ASSERT_FALSE(a.trace.empty());

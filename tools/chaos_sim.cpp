@@ -173,17 +173,11 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
       rt->set_metrics(&metrics);
     }
   }
+  const int nshards = net.shard_map().nshards;
   std::vector<std::unique_ptr<stats::TrafficRecorder>> recs;
-  if (rt) {
-    for (int s = 0; s < rt->nshards(); ++s) {
-      recs.push_back(
-          std::make_unique<stats::TrafficRecorder>(net.node_count()));
-      net.set_shard_sink(s, recs.back().get());
-    }
-  } else {
-    recs.push_back(
-        std::make_unique<stats::TrafficRecorder>(net.node_count()));
-    net.set_sink(recs.front().get());
+  for (int s = 0; s < nshards; ++s) {
+    recs.push_back(std::make_unique<stats::TrafficRecorder>(net.node_count()));
+    net.set_shard_sink(s, recs.back().get());
   }
   sfq::Config cfg;
   cfg.metrics = &metrics;
@@ -283,28 +277,8 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
                     a->transfer().nack_storm(count, spacing);
                   }
                 }});
-  if (rt) {
-    // Fault events flip global state (link flags, routing, conditioners,
-    // membership), so they execute single-threaded at window barriers.
-    inject.set_scheduler([&rtr = *rt](sim::Time at, std::function<void()> fn) {
-      rtr.at_global(at, std::move(fn));
-    });
-  }
   inject.schedule(plan);
-
-#ifdef CHAOS_DEBUG_SERIES
-  for (double tt = 5.0; tt <= o.until; tt += 5.0) {
-    simu.run_until(tt);
-    std::fprintf(stderr, "t=%5.1f events=%llu pending=%zu\n", tt,
-                 static_cast<unsigned long long>(simu.events_executed()),
-                 simu.events_pending());
-  }
-#endif
-  if (rt) {
-    rt->run_until(o.until);
-  } else {
-    simu.run_until(o.until);
-  }
+  net.run_until(o.until);
 
   PlanResult r;
   r.complete = session.all_complete(o.groups);
@@ -373,13 +347,8 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   // within the grace window (in-flight packets, pacing chains, and stale
   // scheduled lambdas all fire and no-op).
   for (const auto& a : session.agents()) a->stop();
-  if (rt) {
-    rt->run_until(o.until + o.grace);
-    r.stuck_events = rt->events_pending();
-  } else {
-    simu.run_until(o.until + o.grace);
-    r.stuck_events = simu.events_pending();
-  }
+  net.run_until(o.until + o.grace);
+  r.stuck_events = net.events_pending();
   r.drained = r.stuck_events == 0;
 
   // Per-hop conservation. A sharded run records a transmission on the
@@ -402,7 +371,7 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   r.skipped = inject.skipped_events();
   r.drops_epoch_kill = d_kill;
   r.drops_queue_full = sum_drops(net::DropReason::kQueueFull);
-  r.events = rt ? rt->events_executed() : simu.events_executed();
+  r.events = net.events_executed();
   net.export_metrics(metrics);
   session.export_metrics(metrics);
   std::ostringstream mos;
@@ -413,18 +382,11 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   if (census != nullptr) {
     session.memory_census(*census);
     net.memory_census(*census);
-    std::uint64_t evq = 0;
-    if (rt) {
-      for (int s = 0; s < rt->nshards(); ++s) {
-        evq += rt->sim(s).queue_memory_bytes();
-      }
-      if (stats::Profiler* prof = stats::Profiler::active()) {
-        prof->set_shards(rt->nshards());
-      }
-    } else {
-      evq = simu.queue_memory_bytes();
-    }
+    const std::uint64_t evq = net.queue_memory_bytes();
     census->add("event_queue", evq, evq);
+    if (stats::Profiler* prof = stats::Profiler::active()) {
+      prof->set_shards(nshards);
+    }
   }
   return r;
 }

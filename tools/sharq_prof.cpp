@@ -9,18 +9,11 @@
 //       fraction of the run's RSS growth attributed to named categories,
 //       and the deterministic counters.
 //
-//   sharq_prof diff BASE NEW [--time-tol F] [--mem-tol F] [--count-tol F]
-//       Compare two profiles: deterministic counters exactly by default
-//       (--count-tol relaxes), memory within --mem-tol (default 0.25),
-//       timing within --time-tol (default 10.0 — wall time is hardware).
-//       Exit 1 when any tracked quantity moved beyond its tolerance.
-//
 //   sharq_prof export PROFILE --perfetto [-o FILE]
 //       Chrome trace-event JSON (load in Perfetto / chrome://tracing):
 //       one track per shard with the per-subsystem self-time laid out as
 //       slices, plus counter tracks for the memory census.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,8 +34,6 @@ namespace {
   std::fprintf(
       stderr,
       "usage: sharq_prof report PROFILE\n"
-      "       sharq_prof diff BASE NEW [--time-tol F] [--mem-tol F]\n"
-      "                   [--count-tol F]\n"
       "       sharq_prof export PROFILE --perfetto [-o FILE]\n");
   std::exit(2);
 }
@@ -411,88 +402,6 @@ int cmd_report(const JVal& doc) {
   return 0;
 }
 
-// --- diff --------------------------------------------------------------------
-
-struct DiffStats {
-  int checked = 0;
-  int failed = 0;
-
-  /// Relative comparison: |a-b| <= tol * max(|a|,|b|, floor). The floor
-  /// keeps tiny absolute values (a 2 ms subsystem) from tripping a
-  /// relative gate.
-  void check(const std::string& what, double base, double now, double tol,
-             double floor) {
-    ++checked;
-    const double mag = std::max({std::fabs(base), std::fabs(now), floor});
-    const double delta = std::fabs(now - base);
-    if (delta <= tol * mag) return;
-    ++failed;
-    std::printf("FAIL %-40s base=%.6g new=%.6g (%+.1f%%, tol %.0f%%)\n",
-                what.c_str(), base, now,
-                base != 0 ? 100.0 * (now - base) / base : 0.0, 100.0 * tol);
-  }
-};
-
-void diff_section(DiffStats& st, const JVal* base, const JVal* now,
-                  const char* section, const char* field, double tol,
-                  double floor) {
-  if (base == nullptr && now == nullptr) return;
-  // A category present on one side only is a change worth flagging.
-  if (base == nullptr || now == nullptr) {
-    ++st.checked;
-    ++st.failed;
-    std::printf("FAIL section %s only in %s profile\n", section,
-                base == nullptr ? "new" : "base");
-    return;
-  }
-  for (const auto& [name, entry] : base->obj) {
-    const JVal* other = now->get(name);
-    const double b = entry.num_or(field, entry.kind == JVal::kNum ? entry.num : 0.0);
-    const double n =
-        other != nullptr
-            ? other->num_or(field, other->kind == JVal::kNum ? other->num : 0.0)
-            : 0.0;
-    st.check(std::string(section) + "." + name, b, n, tol, floor);
-  }
-  for (const auto& [name, entry] : now->obj) {
-    if (base->get(name) == nullptr) {
-      const double n =
-          entry.num_or(field, entry.kind == JVal::kNum ? entry.num : 0.0);
-      st.check(std::string(section) + "." + name + " (new)", 0.0, n, tol,
-               floor);
-    }
-  }
-}
-
-int cmd_diff(const JVal& base, const JVal& now, double time_tol,
-             double mem_tol, double count_tol) {
-  const JVal* bdet = base.get("deterministic");
-  const JVal* ndet = now.get("deterministic");
-  const JVal* btim = base.get("timing");
-  const JVal* ntim = now.get("timing");
-  if (bdet == nullptr || ndet == nullptr || btim == nullptr ||
-      ntim == nullptr) {
-    std::fprintf(stderr, "sharq_prof: profile missing sections\n");
-    return 2;
-  }
-  DiffStats st;
-  // Channel A: counters and scope counts gate tightly (exact by default —
-  // they are inside the determinism contract), memory by category.
-  diff_section(st, bdet->get("counters"), ndet->get("counters"), "counters",
-               "total", count_tol, 1.0);
-  diff_section(st, bdet->get("scopes"), ndet->get("scopes"), "scopes",
-               "total", count_tol, 1.0);
-  diff_section(st, bdet->get("memory"), ndet->get("memory"), "memory",
-               "peak_bytes", mem_tol, 4096.0);
-  // Channel B: generous — wall time moves with the hardware.
-  st.check("timing.wall_s", btim->num_or("wall_s", 0.0),
-           ntim->num_or("wall_s", 0.0), time_tol, 0.1);
-  diff_section(st, btim->get("self_time"), ntim->get("self_time"),
-               "self_time", "total_s", time_tol, 0.1);
-  std::printf("%d compared, %d beyond tolerance\n", st.checked, st.failed);
-  return st.failed == 0 ? 0 : 1;
-}
-
 // --- perfetto export ---------------------------------------------------------
 
 int cmd_export(const JVal& doc, std::ostream& os) {
@@ -571,34 +480,6 @@ int main(int argc, char** argv) {
     if (args.size() != 1) usage();
     const JVal doc = load(args[0]);
     return cmd_report(doc);
-  }
-  if (cmd == "diff") {
-    double time_tol = 10.0;
-    double mem_tol = 0.25;
-    double count_tol = 0.0;
-    std::vector<std::string> files;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      const std::string& a = args[i];
-      auto tol_arg = [&](double& slot) {
-        if (i + 1 >= args.size()) usage();
-        slot = std::strtod(args[++i].c_str(), nullptr);
-      };
-      if (a == "--time-tol") {
-        tol_arg(time_tol);
-      } else if (a == "--mem-tol") {
-        tol_arg(mem_tol);
-      } else if (a == "--count-tol") {
-        tol_arg(count_tol);
-      } else if (!a.empty() && a[0] == '-') {
-        usage();
-      } else {
-        files.push_back(a);
-      }
-    }
-    if (files.size() != 2) usage();
-    const JVal base = load(files[0]);
-    const JVal now = load(files[1]);
-    return cmd_diff(base, now, time_tol, mem_tol, count_tol);
   }
   if (cmd == "export") {
     bool perfetto = false;
