@@ -2,10 +2,10 @@
 //
 // Two layers:
 //   1. A self-timed per-kernel sweep (scalar vs every SIMD kernel the host
-//      supports) over GF(256) mul_add / scale / mul_add_rows and
-//      Reed-Solomon encode, written to BENCH_fec.json (path overridable via
-//      SHARQFEC_BENCH_JSON) and summarized on stdout. This is the FEC
-//      performance baseline tracked in CHANGES.md.
+//      supports) over GF(256) mul_add (one-row mul_add_rows), 16-row
+//      mul_add_rows and Reed-Solomon encode, written to BENCH_fec.json
+//      (path overridable via SHARQFEC_BENCH_JSON) and summarized on
+//      stdout. This is the FEC performance baseline tracked in CHANGES.md.
 //   2. The google-benchmark suite for RS parity generation, worst-case
 //      decode (all data shards erased), and the group round trip, sweeping
 //      group size k (DESIGN.md ablation #2), plus "repairer first parity":
@@ -76,11 +76,11 @@ SweepResult run_sweep(const std::vector<int>& sizes) {
     const std::string name = cpu::kernel_name(k);
     for (int size : sizes) {
       std::vector<std::uint8_t> dst(size, 0x55), src(size, 0xAA);
+      const std::uint8_t* one_src = src.data();
+      const std::uint8_t one_coeff = 0xC3;
       res.mbps["mul_add"][name][size] = throughput_mbps(size, [&] {
-        simd::mul_add(k, dst.data(), src.data(), 0xC3, size);
+        simd::mul_add_rows(k, dst.data(), &one_src, &one_coeff, 1, size);
       });
-      res.mbps["scale"][name][size] = throughput_mbps(
-          size, [&] { simd::scale(k, dst.data(), 0xC3, size); });
       auto rows = make_shards(kRows, size);
       std::vector<const std::uint8_t*> ptrs;
       std::vector<std::uint8_t> coeffs;

@@ -20,11 +20,6 @@ Features probe() {
   return f;
 }
 
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
 Kernel best_of(const Features& f) {
   if (f.neon) return Kernel::kNeon;
   if (f.avx2) return Kernel::kAvx2;
@@ -34,7 +29,6 @@ Kernel best_of(const Features& f) {
 
 Kernel resolve_active() {
   const Features& f = features();
-  if (env_flag("SHARQFEC_FORCE_SCALAR")) return Kernel::kScalar;
   if (const char* want = std::getenv("SHARQFEC_FORCE_KERNEL")) {
     const auto supported = supported_kernels();
     for (Kernel k : supported) {

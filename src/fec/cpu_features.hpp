@@ -34,10 +34,10 @@ const char* kernel_name(Kernel k);
 std::vector<Kernel> supported_kernels();
 
 /// The kernel the dispatcher will use: the strongest supported one, unless
-/// overridden by environment:
-///   SHARQFEC_FORCE_SCALAR=1      -> scalar (reproducible-run escape hatch)
-///   SHARQFEC_FORCE_KERNEL=name   -> that kernel if supported, else best
-/// The environment is read once, at the first FEC operation.
+/// SHARQFEC_FORCE_KERNEL=name names a supported kernel, which is then used
+/// ("scalar" is the reproducible-run escape hatch). An unknown or
+/// unsupported name is ignored. The environment is read once, at the first
+/// FEC operation.
 Kernel active_kernel();
 
 }  // namespace sharq::fec::cpu

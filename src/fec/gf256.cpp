@@ -61,7 +61,7 @@ void GF256::mul_add_scalar(Elem* dst, const Elem* src, Elem c, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
 }
 
-void GF256::scale_scalar(Elem* dst, Elem c, std::size_t n) {
+void GF256::scale(Elem* dst, Elem c, std::size_t n) {
   if (c == 1) return;
   if (c == 0) {
     for (std::size_t i = 0; i < n; ++i) dst[i] = 0;
@@ -72,11 +72,7 @@ void GF256::scale_scalar(Elem* dst, Elem c, std::size_t n) {
 }
 
 void GF256::mul_add(Elem* dst, const Elem* src, Elem c, std::size_t n) {
-  simd::mul_add(dst, src, c, n);
-}
-
-void GF256::scale(Elem* dst, Elem c, std::size_t n) {
-  simd::scale(dst, c, n);
+  simd::mul_add_rows(dst, &src, &c, 1, n);
 }
 
 }  // namespace sharq::fec

@@ -41,21 +41,20 @@ class GF256 {
   static Elem alpha_pow(unsigned n) { return exp_[n % 255]; }
 
   /// Multiply-accumulate over a buffer: dst[i] ^= c * src[i].
-  /// This is the hot loop of erasure encode/decode; it dispatches to the
-  /// best SIMD kernel the host supports (see fec/gf256_simd.hpp). Set
-  /// SHARQFEC_FORCE_SCALAR=1 to pin the scalar path for reproducible runs.
+  /// One row of simd::mul_add_rows, so it runs the best SIMD kernel the
+  /// host supports (see fec/gf256_simd.hpp). Set
+  /// SHARQFEC_FORCE_KERNEL=scalar to pin the scalar path.
   static void mul_add(Elem* dst, const Elem* src, Elem c, std::size_t n);
 
-  /// Scale a buffer in place: dst[i] = c * dst[i]. SIMD-dispatched like
-  /// mul_add.
+  /// Scale a buffer in place: dst[i] = c * dst[i], by the table loop. Its
+  /// only callers scale one pivot row of a Gauss-Jordan step.
   static void scale(Elem* dst, Elem c, std::size_t n);
 
-  /// Portable table-driven kernels: the reference implementation every
-  /// SIMD kernel is cross-checked against, and the fallback for hosts
-  /// (or vector tails) without shuffle units.
+  /// Portable table-driven multiply-accumulate: the reference every SIMD
+  /// kernel is cross-checked against, and the fallback for hosts (or
+  /// vector tails) without shuffle units.
   static void mul_add_scalar(Elem* dst, const Elem* src, Elem c,
                              std::size_t n);
-  static void scale_scalar(Elem* dst, Elem c, std::size_t n);
 
  private:
   struct Tables {

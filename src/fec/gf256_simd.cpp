@@ -1,7 +1,5 @@
 #include "fec/gf256_simd.hpp"
 
-#include <cassert>
-
 #include "fec/gf256.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -56,207 +54,156 @@ const NibbleTables& nib() {
   return t;
 }
 
-// --- scalar reference -----------------------------------------------------------
+// --- scalar ----------------------------------------------------------------------
 
-void mul_add_scalar(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-                    std::size_t n) {
-  GF256::mul_add_scalar(dst, src, c, n);
-}
-
-void scale_scalar(std::uint8_t* dst, std::uint8_t c, std::size_t n) {
-  GF256::scale_scalar(dst, c, n);
+// dst[i..n) ^= sum over r of coeffs[r] * srcs[r][i..n), by the scalar table
+// loop: the whole scalar kernel (i = 0) and every vector kernel's tail of
+// fewer than 16 bytes.
+void mul_add_rows_scalar_from(std::size_t i, std::uint8_t* dst,
+                              const std::uint8_t* const* srcs,
+                              const std::uint8_t* coeffs, int rows,
+                              std::size_t n) {
+  if (i == n) return;
+  for (int r = 0; r < rows; ++r) {
+    GF256::mul_add_scalar(dst + i, srcs[r] + i, coeffs[r], n - i);
+  }
 }
 
 void mul_add_rows_scalar(std::uint8_t* dst, const std::uint8_t* const* srcs,
                          const std::uint8_t* coeffs, int rows, std::size_t n) {
-  for (int r = 0; r < rows; ++r) {
-    GF256::mul_add_scalar(dst, srcs[r], coeffs[r], n);
-  }
+  mul_add_rows_scalar_from(0, dst, srcs, coeffs, rows, n);
 }
 
-// --- x86: SSSE3 (PSHUFB, 16 bytes/op) -------------------------------------------
+// --- x86: SSSE3 (PSHUFB, 16 bytes/op) and AVX2 (VPSHUFB, 32 bytes/op) ------------
 
 #ifdef SHARQ_FEC_X86
 
-__attribute__((target("ssse3"))) void mul_add_ssse3(std::uint8_t* dst,
-                                                    const std::uint8_t* src,
-                                                    std::uint8_t c,
-                                                    std::size_t n) {
-  const NibbleTables& t = nib();
-  const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c]));
-  const __m128i hi = _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c]));
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    const __m128i pl = _mm_shuffle_epi8(lo, _mm_and_si128(s, mask));
-    const __m128i ph =
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(s, 4), mask));
-    d = _mm_xor_si128(d, _mm_xor_si128(pl, ph));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), d);
-  }
-  if (i < n) mul_add_scalar(dst + i, src + i, c, n - i);
+__attribute__((target("ssse3"))) inline __m128i load16(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 
-__attribute__((target("ssse3"))) void scale_ssse3(std::uint8_t* dst,
-                                                  std::uint8_t c,
-                                                  std::size_t n) {
-  const NibbleTables& t = nib();
-  const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c]));
-  const __m128i hi = _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c]));
+__attribute__((target("ssse3"))) inline void store16(std::uint8_t* p,
+                                                     __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+// c * s bytewise, from c's nibble tables lo and hi.
+__attribute__((target("ssse3"))) inline __m128i gf_mul16(__m128i lo,
+                                                         __m128i hi,
+                                                         __m128i s) {
   const __m128i mask = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i d =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    const __m128i pl = _mm_shuffle_epi8(lo, _mm_and_si128(d, mask));
-    const __m128i ph =
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(d, 4), mask));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_xor_si128(pl, ph));
+  return _mm_xor_si128(
+      _mm_shuffle_epi8(lo, _mm_and_si128(s, mask)),
+      _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(s, 4), mask)));
+}
+
+// One 16-byte block at byte i with every row applied. Both x86 kernels end
+// with it, so any remainder of 16 bytes or more (the k = 16 and 2k = 32
+// rows of a Gauss-Jordan step included) stays vectorised.
+__attribute__((target("ssse3"))) inline void block16(
+    std::size_t i, std::uint8_t* dst, const std::uint8_t* const* srcs,
+    const std::uint8_t* coeffs, int rows) {
+  const NibbleTables& t = nib();
+  __m128i acc = load16(dst + i);
+  for (int r = 0; r < rows; ++r) {
+    const std::uint8_t c = coeffs[r];
+    if (c == 0) continue;
+    acc = _mm_xor_si128(acc, gf_mul16(load16(t.lo[c]), load16(t.hi[c]),
+                                      load16(srcs[r] + i)));
   }
-  if (i < n) scale_scalar(dst + i, c, n - i);
+  store16(dst + i, acc);
 }
 
 __attribute__((target("ssse3"))) void mul_add_rows_ssse3(
     std::uint8_t* dst, const std::uint8_t* const* srcs,
     const std::uint8_t* coeffs, int rows, std::size_t n) {
   const NibbleTables& t = nib();
-  const __m128i mask = _mm_set1_epi8(0x0f);
   std::size_t i = 0;
   // 32-byte blocks: the two accumulators stay in registers while every
   // source row streams through, so dst traffic is once per block, not once
   // per row.
   for (; i + 32 <= n; i += 32) {
-    __m128i acc0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    __m128i acc1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i + 16));
+    __m128i acc0 = load16(dst + i);
+    __m128i acc1 = load16(dst + i + 16);
     for (int r = 0; r < rows; ++r) {
       const std::uint8_t c = coeffs[r];
       if (c == 0) continue;
-      const __m128i lo =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c]));
-      const __m128i hi =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c]));
-      const std::uint8_t* src = srcs[r] + i;
-      const __m128i s0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
-      const __m128i s1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 16));
-      acc0 = _mm_xor_si128(
-          acc0, _mm_xor_si128(
-                    _mm_shuffle_epi8(lo, _mm_and_si128(s0, mask)),
-                    _mm_shuffle_epi8(
-                        hi, _mm_and_si128(_mm_srli_epi64(s0, 4), mask))));
-      acc1 = _mm_xor_si128(
-          acc1, _mm_xor_si128(
-                    _mm_shuffle_epi8(lo, _mm_and_si128(s1, mask)),
-                    _mm_shuffle_epi8(
-                        hi, _mm_and_si128(_mm_srli_epi64(s1, 4), mask))));
+      const __m128i lo = load16(t.lo[c]);
+      const __m128i hi = load16(t.hi[c]);
+      acc0 = _mm_xor_si128(acc0, gf_mul16(lo, hi, load16(srcs[r] + i)));
+      acc1 = _mm_xor_si128(acc1, gf_mul16(lo, hi, load16(srcs[r] + i + 16)));
     }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), acc0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 16), acc1);
+    store16(dst + i, acc0);
+    store16(dst + i + 16, acc1);
   }
-  if (i < n) {
-    for (int r = 0; r < rows; ++r) {
-      mul_add_ssse3(dst + i, srcs[r] + i, coeffs[r], n - i);
-    }
+  if (i + 16 <= n) {
+    block16(i, dst, srcs, coeffs, rows);
+    i += 16;
   }
+  mul_add_rows_scalar_from(i, dst, srcs, coeffs, rows, n);
 }
 
-// --- x86: AVX2 (VPSHUFB, 32 bytes/op) -------------------------------------------
-
-__attribute__((target("avx2"))) void mul_add_avx2(std::uint8_t* dst,
-                                                  const std::uint8_t* src,
-                                                  std::uint8_t c,
-                                                  std::size_t n) {
-  const NibbleTables& t = nib();
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c])));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c])));
-  const __m256i mask = _mm256_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i pl = _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask));
-    const __m256i ph = _mm256_shuffle_epi8(
-        hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-    d = _mm256_xor_si256(d, _mm256_xor_si256(pl, ph));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), d);
-  }
-  if (i < n) mul_add_ssse3(dst + i, src + i, c, n - i);
+__attribute__((target("avx2"))) inline __m256i load32(const std::uint8_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
-__attribute__((target("avx2"))) void scale_avx2(std::uint8_t* dst,
-                                                std::uint8_t c,
-                                                std::size_t n) {
-  const NibbleTables& t = nib();
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c])));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c])));
+__attribute__((target("avx2"))) inline void store32(std::uint8_t* p,
+                                                    __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+__attribute__((target("avx2"))) inline __m256i gf_mul32(__m256i lo,
+                                                        __m256i hi,
+                                                        __m256i s) {
   const __m256i mask = _mm256_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i pl = _mm256_shuffle_epi8(lo, _mm256_and_si256(d, mask));
-    const __m256i ph = _mm256_shuffle_epi8(
-        hi, _mm256_and_si256(_mm256_srli_epi64(d, 4), mask));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(pl, ph));
-  }
-  if (i < n) scale_ssse3(dst + i, c, n - i);
+  return _mm256_xor_si256(
+      _mm256_shuffle_epi8(lo, _mm256_and_si256(s, mask)),
+      _mm256_shuffle_epi8(hi,
+                          _mm256_and_si256(_mm256_srli_epi64(s, 4), mask)));
+}
+
+// c's 16-byte nibble table in both 128-bit lanes (VPSHUFB shuffles per lane).
+__attribute__((target("avx2"))) inline __m256i table32(
+    const std::uint8_t* row) {
+  return _mm256_broadcastsi128_si256(load16(row));
 }
 
 __attribute__((target("avx2"))) void mul_add_rows_avx2(
     std::uint8_t* dst, const std::uint8_t* const* srcs,
     const std::uint8_t* coeffs, int rows, std::size_t n) {
   const NibbleTables& t = nib();
-  const __m256i mask = _mm256_set1_epi8(0x0f);
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
-    __m256i acc0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i acc1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i + 32));
+    __m256i acc0 = load32(dst + i);
+    __m256i acc1 = load32(dst + i + 32);
     for (int r = 0; r < rows; ++r) {
       const std::uint8_t c = coeffs[r];
       if (c == 0) continue;
-      const __m256i lo = _mm256_broadcastsi128_si256(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c])));
-      const __m256i hi = _mm256_broadcastsi128_si256(
-          _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c])));
-      const std::uint8_t* src = srcs[r] + i;
-      const __m256i s0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
-      const __m256i s1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 32));
-      acc0 = _mm256_xor_si256(
-          acc0,
-          _mm256_xor_si256(
-              _mm256_shuffle_epi8(lo, _mm256_and_si256(s0, mask)),
-              _mm256_shuffle_epi8(
-                  hi, _mm256_and_si256(_mm256_srli_epi64(s0, 4), mask))));
-      acc1 = _mm256_xor_si256(
-          acc1,
-          _mm256_xor_si256(
-              _mm256_shuffle_epi8(lo, _mm256_and_si256(s1, mask)),
-              _mm256_shuffle_epi8(
-                  hi, _mm256_and_si256(_mm256_srli_epi64(s1, 4), mask))));
+      const __m256i lo = table32(t.lo[c]);
+      const __m256i hi = table32(t.hi[c]);
+      acc0 = _mm256_xor_si256(acc0, gf_mul32(lo, hi, load32(srcs[r] + i)));
+      acc1 =
+          _mm256_xor_si256(acc1, gf_mul32(lo, hi, load32(srcs[r] + i + 32)));
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), acc0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), acc1);
+    store32(dst + i, acc0);
+    store32(dst + i + 32, acc1);
   }
-  if (i < n) {
+  if (i + 32 <= n) {
+    __m256i acc = load32(dst + i);
     for (int r = 0; r < rows; ++r) {
-      mul_add_avx2(dst + i, srcs[r] + i, coeffs[r], n - i);
+      const std::uint8_t c = coeffs[r];
+      if (c == 0) continue;
+      acc = _mm256_xor_si256(acc, gf_mul32(table32(t.lo[c]), table32(t.hi[c]),
+                                           load32(srcs[r] + i)));
     }
+    store32(dst + i, acc);
+    i += 32;
   }
+  if (i + 16 <= n) {
+    block16(i, dst, srcs, coeffs, rows);
+    i += 16;
+  }
+  mul_add_rows_scalar_from(i, dst, srcs, coeffs, rows, n);
 }
 
 #endif  // SHARQ_FEC_X86
@@ -265,43 +212,15 @@ __attribute__((target("avx2"))) void mul_add_rows_avx2(
 
 #ifdef SHARQ_FEC_NEON
 
-void mul_add_neon(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-                  std::size_t n) {
-  const NibbleTables& t = nib();
-  const uint8x16_t lo = vld1q_u8(t.lo[c]);
-  const uint8x16_t hi = vld1q_u8(t.hi[c]);
-  const uint8x16_t mask = vdupq_n_u8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t s = vld1q_u8(src + i);
-    uint8x16_t d = vld1q_u8(dst + i);
-    const uint8x16_t pl = vqtbl1q_u8(lo, vandq_u8(s, mask));
-    const uint8x16_t ph = vqtbl1q_u8(hi, vshrq_n_u8(s, 4));
-    d = veorq_u8(d, veorq_u8(pl, ph));
-    vst1q_u8(dst + i, d);
-  }
-  if (i < n) mul_add_scalar(dst + i, src + i, c, n - i);
-}
-
-void scale_neon(std::uint8_t* dst, std::uint8_t c, std::size_t n) {
-  const NibbleTables& t = nib();
-  const uint8x16_t lo = vld1q_u8(t.lo[c]);
-  const uint8x16_t hi = vld1q_u8(t.hi[c]);
-  const uint8x16_t mask = vdupq_n_u8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t d = vld1q_u8(dst + i);
-    const uint8x16_t pl = vqtbl1q_u8(lo, vandq_u8(d, mask));
-    const uint8x16_t ph = vqtbl1q_u8(hi, vshrq_n_u8(d, 4));
-    vst1q_u8(dst + i, veorq_u8(pl, ph));
-  }
-  if (i < n) scale_scalar(dst + i, c, n - i);
+// c * s bytewise, from c's nibble tables lo and hi.
+inline uint8x16_t gf_mul16(uint8x16_t lo, uint8x16_t hi, uint8x16_t s) {
+  return veorq_u8(vqtbl1q_u8(lo, vandq_u8(s, vdupq_n_u8(0x0f))),
+                  vqtbl1q_u8(hi, vshrq_n_u8(s, 4)));
 }
 
 void mul_add_rows_neon(std::uint8_t* dst, const std::uint8_t* const* srcs,
                        const std::uint8_t* coeffs, int rows, std::size_t n) {
   const NibbleTables& t = nib();
-  const uint8x16_t mask = vdupq_n_u8(0x0f);
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     uint8x16_t acc0 = vld1q_u8(dst + i);
@@ -311,58 +230,32 @@ void mul_add_rows_neon(std::uint8_t* dst, const std::uint8_t* const* srcs,
       if (c == 0) continue;
       const uint8x16_t lo = vld1q_u8(t.lo[c]);
       const uint8x16_t hi = vld1q_u8(t.hi[c]);
-      const uint8x16_t s0 = vld1q_u8(srcs[r] + i);
-      const uint8x16_t s1 = vld1q_u8(srcs[r] + i + 16);
-      acc0 = veorq_u8(acc0, veorq_u8(vqtbl1q_u8(lo, vandq_u8(s0, mask)),
-                                     vqtbl1q_u8(hi, vshrq_n_u8(s0, 4))));
-      acc1 = veorq_u8(acc1, veorq_u8(vqtbl1q_u8(lo, vandq_u8(s1, mask)),
-                                     vqtbl1q_u8(hi, vshrq_n_u8(s1, 4))));
+      acc0 = veorq_u8(acc0, gf_mul16(lo, hi, vld1q_u8(srcs[r] + i)));
+      acc1 = veorq_u8(acc1, gf_mul16(lo, hi, vld1q_u8(srcs[r] + i + 16)));
     }
     vst1q_u8(dst + i, acc0);
     vst1q_u8(dst + i + 16, acc1);
   }
-  if (i < n) {
+  if (i + 16 <= n) {
+    uint8x16_t acc = vld1q_u8(dst + i);
     for (int r = 0; r < rows; ++r) {
-      mul_add_neon(dst + i, srcs[r] + i, coeffs[r], n - i);
+      const std::uint8_t c = coeffs[r];
+      if (c == 0) continue;
+      acc = veorq_u8(acc, gf_mul16(vld1q_u8(t.lo[c]), vld1q_u8(t.hi[c]),
+                                   vld1q_u8(srcs[r] + i)));
     }
+    vst1q_u8(dst + i, acc);
+    i += 16;
   }
+  mul_add_rows_scalar_from(i, dst, srcs, coeffs, rows, n);
 }
 
 #endif  // SHARQ_FEC_NEON
 
 // --- dispatch -------------------------------------------------------------------
 
-using MulAddFn = void (*)(std::uint8_t*, const std::uint8_t*, std::uint8_t,
-                          std::size_t);
-using ScaleFn = void (*)(std::uint8_t*, std::uint8_t, std::size_t);
 using MulAddRowsFn = void (*)(std::uint8_t*, const std::uint8_t* const*,
                               const std::uint8_t*, int, std::size_t);
-
-MulAddFn mul_add_fn(Kernel k) {
-  switch (k) {
-#ifdef SHARQ_FEC_X86
-    case Kernel::kSsse3: return mul_add_ssse3;
-    case Kernel::kAvx2: return mul_add_avx2;
-#endif
-#ifdef SHARQ_FEC_NEON
-    case Kernel::kNeon: return mul_add_neon;
-#endif
-    default: return mul_add_scalar;
-  }
-}
-
-ScaleFn scale_fn(Kernel k) {
-  switch (k) {
-#ifdef SHARQ_FEC_X86
-    case Kernel::kSsse3: return scale_ssse3;
-    case Kernel::kAvx2: return scale_avx2;
-#endif
-#ifdef SHARQ_FEC_NEON
-    case Kernel::kNeon: return scale_neon;
-#endif
-    default: return scale_scalar;
-  }
-}
 
 MulAddRowsFn mul_add_rows_fn(Kernel k) {
   switch (k) {
@@ -377,48 +270,13 @@ MulAddRowsFn mul_add_rows_fn(Kernel k) {
   }
 }
 
-struct ActiveFns {
-  MulAddFn mul_add;
-  ScaleFn scale;
-  MulAddRowsFn mul_add_rows;
-};
-
-const ActiveFns& active() {
-  static const ActiveFns fns = [] {
-    const Kernel k = cpu::active_kernel();
-    return ActiveFns{mul_add_fn(k), scale_fn(k), mul_add_rows_fn(k)};
-  }();
-  return fns;
-}
-
 }  // namespace
-
-void mul_add(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
-             std::size_t n) {
-  if (c == 0 || n == 0) return;
-  active().mul_add(dst, src, c, n);
-}
-
-void mul_add(Kernel k, std::uint8_t* dst, const std::uint8_t* src,
-             std::uint8_t c, std::size_t n) {
-  if (c == 0 || n == 0) return;
-  mul_add_fn(k)(dst, src, c, n);
-}
-
-void scale(std::uint8_t* dst, std::uint8_t c, std::size_t n) {
-  if (c == 1 || n == 0) return;
-  active().scale(dst, c, n);
-}
-
-void scale(Kernel k, std::uint8_t* dst, std::uint8_t c, std::size_t n) {
-  if (c == 1 || n == 0) return;
-  scale_fn(k)(dst, c, n);
-}
 
 void mul_add_rows(std::uint8_t* dst, const std::uint8_t* const* srcs,
                   const std::uint8_t* coeffs, int rows, std::size_t n) {
   if (rows <= 0 || n == 0) return;
-  active().mul_add_rows(dst, srcs, coeffs, rows, n);
+  static const MulAddRowsFn active = mul_add_rows_fn(cpu::active_kernel());
+  active(dst, srcs, coeffs, rows, n);
 }
 
 void mul_add_rows(Kernel k, std::uint8_t* dst, const std::uint8_t* const* srcs,

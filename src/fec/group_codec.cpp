@@ -69,13 +69,10 @@ ShardBuffer GroupEncoder::shard_shared(int index) {
   }
   // Shard `index` is G_index * data = (G_index * S^-1) * basis.
   const std::uint8_t* coeffs = codec_->generator().row(index);
-  std::vector<std::uint8_t> mixed;
+  Matrix mixed;
   if (from_basis_.rows() > 0) {
-    mixed.assign(static_cast<std::size_t>(k()), 0);
-    for (int i = 0; i < k(); ++i) {
-      simd::mul_add(mixed.data(), from_basis_.row(i), coeffs[i], mixed.size());
-    }
-    coeffs = mixed.data();
+    mixed = codec_->generator().select_rows({index}).multiply(from_basis_);
+    coeffs = mixed.row(0);
   }
   auto out = std::make_shared<std::vector<std::uint8_t>>(
       basis_.front().bytes->size(), 0);

@@ -2,14 +2,9 @@
 
 #include <string>
 
-#include "fec/cpu_features.hpp"
 #include "stats/profiler.hpp"
 
 namespace sharq::sfq {
-
-const char* Agent::fec_kernel_name() {
-  return fec::cpu::kernel_name(fec::cpu::active_kernel());
-}
 
 Agent::Agent(net::Network& net, Hierarchy& hier,
              std::shared_ptr<const Config> cfg,

@@ -88,11 +88,6 @@ class Agent final : public net::Agent {
     transfer_->memory_census(census);
   }
 
-  /// Name of the GF(256) kernel every agent's FEC work dispatches to
-  /// ("scalar", "ssse3", "avx2", "neon"); fixed for the process lifetime.
-  /// See README "Debugging aids" for the SHARQFEC_FORCE_SCALAR contract.
-  static const char* fec_kernel_name();
-
  private:
   /// False when `uid` is among the last kDedupRingSlots uids this agent
   /// accepted (a duplicated delivery); otherwise records it and returns

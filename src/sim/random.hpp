@@ -11,6 +11,18 @@
 
 namespace sharq::sim {
 
+/// splitmix64's increment, the 64-bit golden ratio.
+inline constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ull;
+
+/// splitmix64 (Steele, Lea & Flood, OOPSLA 2014): advances `x` by
+/// kSplitmixGamma and returns its next mixed output.
+inline std::uint64_t splitmix64(std::uint64_t& x) {
+  std::uint64_t z = (x += kSplitmixGamma);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic random source for a simulation run.
 ///
 /// xoshiro256** (Blackman & Vigna, "Scrambled Linear Pseudorandom Number
@@ -77,14 +89,6 @@ class Rng {
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
-  }
-
-  /// splitmix64: advances `x` and returns its next mixed output.
-  static std::uint64_t splitmix64(std::uint64_t& x) {
-    std::uint64_t z = (x += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
   }
 
   std::array<std::uint64_t, 4> s_;

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <thread>
 
+#include "sim/random.hpp"
 #include "stats/journal.hpp"
 #include "stats/lane.hpp"
 #include "stats/metrics.hpp"
@@ -20,13 +21,12 @@ namespace sharq::sim {
 
 namespace {
 
-// Per-shard seed derivation (splitmix64 finalizer): shards get decorrelated
-// root streams from one run seed, independent of thread count.
+// Per-shard seed derivation (one splitmix64 step from seed + gamma*shard):
+// shards get decorrelated root streams from one run seed, independent of
+// thread count.
 std::uint64_t shard_seed(std::uint64_t seed, int shard) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(shard) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  std::uint64_t x = seed + kSplitmixGamma * static_cast<std::uint64_t>(shard);
+  return splitmix64(x);
 }
 
 }  // namespace

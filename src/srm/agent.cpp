@@ -211,7 +211,7 @@ void Agent::fire_request(std::uint32_t seq) {
   msg->requester = node();
   ++requests_sent_;
   it->second.requested_once = true;
-  net_.send(node(), channel_, net::TrafficClass::kNack, 32, msg,
+  net_.send(node(), channel_, net::TrafficClass::kNack, kRequestSize, msg,
             /*lossless=*/true);
   // Back off and wait for the repair; if none arrives the timer refires.
   it->second.backoff = std::min(it->second.backoff + 1, kMaxBackoffStage);

@@ -54,4 +54,7 @@ inline int session_msg_size(std::size_t echoes) {
   return 16 + static_cast<int>(echoes) * 16;
 }
 
+/// Wire size of a repair request.
+inline constexpr int kRequestSize = 32;
+
 }  // namespace sharq::srm

@@ -2,11 +2,12 @@
 // cross-checked bit-for-bit against the scalar table reference over all 256
 // multipliers, odd/unaligned lengths, and batched row application; plus an
 // exhaustive Reed-Solomon loss-pattern property test. Run once normally and
-// once with SHARQFEC_FORCE_SCALAR=1 (the `fec_simd_force_scalar` ctest
+// once with SHARQFEC_FORCE_KERNEL=scalar (the `fec_simd_force_scalar` ctest
 // entry) to cover both dispatch decisions.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -49,16 +50,24 @@ TEST(CpuFeatures, SupportedKernelsStartWithScalar) {
   EXPECT_TRUE(active_supported);
 }
 
-TEST(CpuFeatures, ForceScalarEnvPinsDispatch) {
+TEST(CpuFeatures, ForceKernelEnvPinsDispatch) {
   // The same binary runs twice in ctest: once plain, once with
-  // SHARQFEC_FORCE_SCALAR=1. Assert the dispatcher's decision matches the
-  // environment it was launched with.
-  const char* force = std::getenv("SHARQFEC_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' && std::string(force) != "0") {
-    EXPECT_EQ(cpu::active_kernel(), Kernel::kScalar);
-  } else if (std::getenv("SHARQFEC_FORCE_KERNEL") == nullptr) {
-    EXPECT_EQ(cpu::active_kernel(), cpu::supported_kernels().back());
+  // SHARQFEC_FORCE_KERNEL=scalar. A supported kernel's name selects that
+  // kernel; no name, or any other, selects the strongest supported one.
+  const auto supported = cpu::supported_kernels();
+  Kernel want = supported.back();
+  if (const char* force = std::getenv("SHARQFEC_FORCE_KERNEL")) {
+    for (Kernel k : supported) {
+      if (std::strcmp(force, cpu::kernel_name(k)) == 0) want = k;
+    }
   }
+  EXPECT_EQ(cpu::active_kernel(), want);
+}
+
+// GF256::mul_add's kernel: one row of mul_add_rows.
+void mul_add_one_row(Kernel k, std::uint8_t* dst, const std::uint8_t* src,
+                     std::uint8_t c, std::size_t n) {
+  simd::mul_add_rows(k, dst, &src, &c, 1, n);
 }
 
 TEST(SimdKernels, MulAddMatchesScalarForAllMultipliers) {
@@ -71,8 +80,8 @@ TEST(SimdKernels, MulAddMatchesScalarForAllMultipliers) {
       GF256::mul_add_scalar(want.data(), src.data(),
                             static_cast<std::uint8_t>(c), want.size());
       auto got = dst0;
-      simd::mul_add(k, got.data(), src.data(), static_cast<std::uint8_t>(c),
-                    got.size());
+      mul_add_one_row(k, got.data(), src.data(), static_cast<std::uint8_t>(c),
+                      got.size());
       ASSERT_EQ(want, got) << "kernel=" << cpu::kernel_name(k) << " c=" << c;
     }
   }
@@ -94,7 +103,7 @@ TEST(SimdKernels, MulAddMatchesScalarForAllSizesAndOffsets) {
           std::vector<std::uint8_t> got = want;
           GF256::mul_add_scalar(want.data(), src_buf.data() + off, c, n);
           // Feed the kernel the unaligned source pointer directly.
-          simd::mul_add(k, got.data(), src_buf.data() + off, c, n);
+          mul_add_one_row(k, got.data(), src_buf.data() + off, c, n);
           ASSERT_EQ(want, got)
               << "kernel=" << cpu::kernel_name(k) << " n=" << n
               << " off=" << off << " c=" << int(c);
@@ -104,42 +113,25 @@ TEST(SimdKernels, MulAddMatchesScalarForAllSizesAndOffsets) {
   }
 }
 
-TEST(SimdKernels, ScaleMatchesScalarForAllMultipliersAndSizes) {
-  std::mt19937 rng(99);
-  const auto base = random_bytes(rng, 4109);
-  for (Kernel k : cpu::supported_kernels()) {
-    for (int c = 0; c < 256; ++c) {
-      auto want = base;
-      GF256::scale_scalar(want.data(), static_cast<std::uint8_t>(c),
-                          want.size());
-      auto got = base;
-      simd::scale(k, got.data(), static_cast<std::uint8_t>(c), got.size());
-      ASSERT_EQ(want, got) << "kernel=" << cpu::kernel_name(k) << " c=" << c;
-    }
-    for (std::size_t n : kSizes) {
-      std::vector<std::uint8_t> want(base.begin(), base.begin() + n);
-      auto got = want;
-      GF256::scale_scalar(want.data(), 0xB7, n);
-      simd::scale(k, got.data(), 0xB7, n);
-      ASSERT_EQ(want, got) << "kernel=" << cpu::kernel_name(k) << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdKernels, MulAddRowsMatchesSequentialScalar) {
+  // Every length up to 150 crosses each kernel's step-down (64, 32 and 16
+  // bytes, then the scalar tail) at every remainder; 1000 is a shard.
+  std::vector<std::size_t> sizes(151);
+  for (std::size_t n = 0; n < sizes.size(); ++n) sizes[n] = n;
+  sizes.push_back(1000);
   std::mt19937 rng(1337);
   for (Kernel k : cpu::supported_kernels()) {
     for (int rows : {1, 2, 3, 8, 16, 31}) {
-      for (std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
-                            std::size_t{65}, std::size_t{1000}}) {
+      for (std::size_t n : sizes) {
         std::vector<std::vector<std::uint8_t>> srcs;
         std::vector<const std::uint8_t*> ptrs;
         std::vector<std::uint8_t> coeffs;
         for (int r = 0; r < rows; ++r) {
           srcs.push_back(random_bytes(rng, n));
           ptrs.push_back(srcs.back().data());
-          // Exercise the c==0 row-skip and c==1 identity paths too.
-          coeffs.push_back(r == 0 ? 0 : (r == 1 ? 1 : rng() & 0xff));
+          // Exercise the c==0 row-skip and c==1 identity paths too; row 0
+          // is random so one-row calls multiply.
+          coeffs.push_back(r == 1 ? 0 : (r == 2 ? 1 : rng() & 0xff));
         }
         const auto dst0 = random_bytes(rng, n);
         auto want = dst0;
@@ -157,7 +149,7 @@ TEST(SimdKernels, MulAddRowsMatchesSequentialScalar) {
 
 TEST(SimdKernels, EncodeBitIdenticalAcrossKernels) {
   // Parity generated through any kernel must be byte-identical: receivers
-  // on different hardware (or with SHARQFEC_FORCE_SCALAR set) must agree
+  // on different hardware (or with SHARQFEC_FORCE_KERNEL set) must agree
   // on every shard.
   std::mt19937 rng(2024);
   const int k = 16, parity = 8;

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "fec/cpu_features.hpp"
 #include "rm/delivery_log.hpp"
 #include "sharqfec/protocol.hpp"
 #include "sim/simulator.hpp"
@@ -278,7 +279,8 @@ int main(int argc, char** argv) {
   for (net::NodeId r : b.receivers) {
     if (!log.complete(r, units)) ++incomplete;
   }
-  std::printf("fec kernel: %s\n", sfq::Agent::fec_kernel_name());
+  std::printf("fec kernel: %s\n",
+              fec::cpu::kernel_name(fec::cpu::active_kernel()));
   stats::Table t({"protocol", "topo", "receivers", "nacks", "repairs",
                   "incomplete", "events", "drops"});
   t.add_row({o.protocol, o.topo, std::to_string(b.receivers.size()),
