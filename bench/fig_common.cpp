@@ -72,6 +72,23 @@ void fill_latency(RunResult& r, const rm::DeliveryLog& log,
   r.mean_recovery_latency = n ? sum / static_cast<double>(n) : 0.0;
 }
 
+/// Builds the Figure-10 topology on `net` and routes its traffic into a
+/// fresh recorder on `r` that also watches the source's backbone links.
+topo::Figure10 record_figure10(net::Network& net, RunResult& r) {
+  topo::Figure10 topo = topo::make_figure10(net);
+  r.receivers = topo.receivers;
+  r.source = topo.source;
+  r.recorder = std::make_unique<stats::TrafficRecorder>(net.node_count(), 0.1);
+  std::unordered_set<net::LinkId> backbone;
+  for (net::NodeId m : topo.mesh) {
+    backbone.insert(net.find_link(topo.source, m));
+    backbone.insert(net.find_link(m, topo.source));
+  }
+  r.recorder->watch_links(std::move(backbone));
+  net.set_sink(r.recorder.get());
+  return topo;
+}
+
 }  // namespace
 
 RunResult run_sharqfec(const sfq::Config& cfg, const Workload& w,
@@ -80,19 +97,7 @@ RunResult run_sharqfec(const sfq::Config& cfg, const Workload& w,
   r.label = label;
   sim::Simulator simu(w.seed);
   net::Network net(simu);
-  topo::Figure10 topo = topo::make_figure10(net);
-  r.receivers = topo.receivers;
-  r.source = topo.source;
-  r.recorder = std::make_unique<stats::TrafficRecorder>(net.node_count(), 0.1);
-  {
-    std::unordered_set<net::LinkId> backbone;
-    for (net::NodeId m : topo.mesh) {
-      backbone.insert(net.find_link(topo.source, m));
-      backbone.insert(net.find_link(m, topo.source));
-    }
-    r.recorder->watch_links(std::move(backbone));
-  }
-  net.set_sink(r.recorder.get());
+  const topo::Figure10 topo = record_figure10(net, r);
 
   sfq::Config cfg2 = cfg;
   cfg2.shard_size_bytes = w.packet_size;
@@ -120,19 +125,7 @@ RunResult run_srm(const srm::Config& cfg, const Workload& w,
   r.label = label;
   sim::Simulator simu(w.seed);
   net::Network net(simu);
-  topo::Figure10 topo = topo::make_figure10(net);
-  r.receivers = topo.receivers;
-  r.source = topo.source;
-  r.recorder = std::make_unique<stats::TrafficRecorder>(net.node_count(), 0.1);
-  {
-    std::unordered_set<net::LinkId> backbone;
-    for (net::NodeId m : topo.mesh) {
-      backbone.insert(net.find_link(topo.source, m));
-      backbone.insert(net.find_link(m, topo.source));
-    }
-    r.recorder->watch_links(std::move(backbone));
-  }
-  net.set_sink(r.recorder.get());
+  const topo::Figure10 topo = record_figure10(net, r);
 
   srm::Config cfg2 = cfg;
   cfg2.packet_size_bytes = w.packet_size;

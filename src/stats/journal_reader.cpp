@@ -8,210 +8,62 @@
 #include <unordered_map>
 #include <utility>
 
-#include "stats/metrics.hpp"
+#include "stats/json.hpp"
 
 namespace sharq::stats {
 
 namespace {
-
-/// Hand-rolled scanner for the journal's single-line JSON objects. The
-/// writer emits a fixed shape (flat object, one nested "attrs" object,
-/// no arrays), so a full JSON library would be dead weight; the scanner
-/// still tolerates whitespace and unknown keys so hand-edited fixtures
-/// parse too.
-class Scanner {
- public:
-  explicit Scanner(const std::string& s) : s_(s) {}
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool eat(char c) {
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool peek_is(char c) {
-    skip_ws();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-
-  bool at_end() {
-    skip_ws();
-    return pos_ >= s_.size();
-  }
-
-  /// Parse a quoted string at the cursor, unescaping into `out`.
-  bool parse_string(std::string& out) {
-    if (!eat('"')) return false;
-    out.clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= s_.size()) return false;
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4U;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return false;
-            }
-          }
-          // The writer only \u-escapes control characters, so a single
-          // byte always suffices; accept the general BMP range anyway.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0U | (code >> 6U)));
-            out.push_back(static_cast<char>(0x80U | (code & 0x3FU)));
-          } else {
-            out.push_back(static_cast<char>(0xE0U | (code >> 12U)));
-            out.push_back(static_cast<char>(0x80U | ((code >> 6U) & 0x3FU)));
-            out.push_back(static_cast<char>(0x80U | (code & 0x3FU)));
-          }
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  /// Capture a bare JSON number's raw characters.
-  bool parse_number_token(std::string& out) {
-    skip_ws();
-    out.clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E') {
-        out.push_back(c);
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    return !out.empty();
-  }
-
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 bool fail(std::string* error, const char* msg) {
   if (error) *error = msg;
   return false;
 }
 
-/// Does `s` read entirely as one JSON number? Drives the perfetto export's
-/// re-emit decision for attrs (numbers stay bare, everything else gets
-/// quoted); the writer's string attrs never look numeric.
-bool looks_numeric(const std::string& s) {
-  if (s.empty()) return false;
-  const char* begin = s.c_str();
+/// `s` as a number if it reads entirely as one. Also drives the perfetto
+/// export's re-emit decision for attrs (numbers stay bare, everything else
+/// gets quoted); the writer's string attrs never look numeric.
+std::optional<double> as_number(const std::string& s) {
   char* end = nullptr;
-  std::strtod(begin, &end);
-  return end == begin + s.size();
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || end != s.c_str() + s.size()) return std::nullopt;
+  return v;
 }
 
-/// Parse a journal line's fields into `out`; false (with message) on any
-/// structural problem.
-bool parse_line_into(const std::string& line, JournalEvent& out,
-                     std::string* error) {
-  Scanner sc(line);
-  if (!sc.eat('{')) return fail(error, "expected '{'");
-  bool saw_id = false;
-  bool saw_ev = false;
-  if (!sc.peek_is('}')) {
-    do {
-      std::string key;
-      if (!sc.parse_string(key)) return fail(error, "expected key string");
-      if (!sc.eat(':')) return fail(error, "expected ':'");
-      if (key == "attrs") {
-        if (!sc.eat('{')) return fail(error, "expected attrs object");
-        if (!sc.peek_is('}')) {
-          do {
-            std::string akey;
-            std::string aval;
-            if (!sc.parse_string(akey)) {
-              return fail(error, "expected attr key");
-            }
-            if (!sc.eat(':')) return fail(error, "expected ':' in attrs");
-            if (sc.peek_is('"')) {
-              if (!sc.parse_string(aval)) {
-                return fail(error, "bad attr string");
-              }
-            } else if (!sc.parse_number_token(aval)) {
-              return fail(error, "bad attr value");
-            }
-            out.attrs.emplace(std::move(akey), std::move(aval));
-          } while (sc.eat(','));
+/// Map one parsed journal line onto `out`. The writer emits a flat object
+/// with one nested "attrs" object; unknown keys from a newer writer are
+/// skipped. Integers are read from the raw token, so 64-bit ids stay exact.
+bool to_event(json::Value& doc, JournalEvent& out, std::string* error) {
+  using Kind = json::Value::Kind;
+  if (doc.kind != Kind::kObject) return fail(error, "expected an object");
+  for (auto& [key, v] : doc.members) {
+    const char* tok = v.text.c_str();
+    if (key == "attrs") {
+      if (v.kind != Kind::kObject) return fail(error, "expected attrs object");
+      for (auto& [akey, aval] : v.members) {
+        if (aval.kind != Kind::kString && aval.kind != Kind::kNumber) {
+          return fail(error, "bad attr value");
         }
-        if (!sc.eat('}')) return fail(error, "unterminated attrs");
-        continue;
+        out.attrs.emplace(akey, std::move(aval.text));
       }
-      if (key == "ev") {
-        if (!sc.parse_string(out.ev)) return fail(error, "bad ev string");
-        saw_ev = true;
-        continue;
-      }
-      std::string num;
-      if (sc.peek_is('"')) {
-        // Unknown string-valued key from a newer writer: skip it.
-        if (!sc.parse_string(num)) return fail(error, "bad string value");
-        continue;
-      }
-      if (!sc.parse_number_token(num)) return fail(error, "bad value");
-      if (key == "id") {
-        out.id = std::strtoull(num.c_str(), nullptr, 10);
-        saw_id = true;
-      } else if (key == "t") {
-        out.t = std::strtod(num.c_str(), nullptr);
-      } else if (key == "node") {
-        out.node = static_cast<int>(std::strtol(num.c_str(), nullptr, 10));
-      } else if (key == "group") {
-        out.group = std::strtoll(num.c_str(), nullptr, 10);
-      } else if (key == "cause") {
-        out.cause = std::strtoull(num.c_str(), nullptr, 10);
-      }
-      // Unknown numeric keys are skipped.
-    } while (sc.eat(','));
+    } else if (key == "ev") {
+      if (v.kind != Kind::kString) return fail(error, "bad ev string");
+      out.ev = std::move(v.text);
+    } else if (v.kind != Kind::kNumber) {
+      continue;
+    } else if (key == "id") {
+      out.id = std::strtoull(tok, nullptr, 10);
+    } else if (key == "t") {
+      out.t = v.number;
+    } else if (key == "node") {
+      out.node = static_cast<int>(std::strtol(tok, nullptr, 10));
+    } else if (key == "group") {
+      out.group = std::strtoll(tok, nullptr, 10);
+    } else if (key == "cause") {
+      out.cause = std::strtoull(tok, nullptr, 10);
+    }
   }
-  if (!sc.eat('}')) return fail(error, "unterminated object");
-  if (!sc.at_end()) return fail(error, "trailing characters");
-  if (!saw_id || out.id == 0) return fail(error, "missing or zero id");
-  if (!saw_ev || out.ev.empty()) return fail(error, "missing ev");
+  if (out.id == 0) return fail(error, "missing or zero id");
+  if (out.ev.empty()) return fail(error, "missing ev");
   return true;
 }
 
@@ -224,17 +76,14 @@ const std::string* JournalEvent::attr(const std::string& key) const {
 
 double JournalEvent::attr_num(const std::string& key, double fallback) const {
   const std::string* raw = attr(key);
-  if (!raw || raw->empty()) return fallback;
-  const char* begin = raw->c_str();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  return end == begin + raw->size() ? v : fallback;
+  return raw ? as_number(*raw).value_or(fallback) : fallback;
 }
 
 std::optional<JournalEvent> parse_journal_line(const std::string& line,
                                                std::string* error) {
+  std::optional<json::Value> doc = json::parse(line, error);
   JournalEvent ev;
-  if (!parse_line_into(line, ev, error)) return std::nullopt;
+  if (!doc || !to_event(*doc, ev, error)) return std::nullopt;
   return ev;
 }
 
@@ -247,12 +96,12 @@ std::optional<std::vector<JournalEvent>> read_journal(std::istream& is,
     ++lineno;
     if (line.empty()) continue;
     std::string why;
-    JournalEvent ev;
-    if (!parse_line_into(line, ev, &why)) {
+    std::optional<JournalEvent> ev = parse_journal_line(line, &why);
+    if (!ev) {
       if (error) *error = "line " + std::to_string(lineno) + ": " + why;
       return std::nullopt;
     }
-    events.push_back(std::move(ev));
+    events.push_back(std::move(*ev));
   }
   return events;
 }
@@ -495,56 +344,34 @@ void write_perfetto(std::ostream& os, const std::vector<JournalEvent>& events) {
   by_id.reserve(events.size());
   for (const JournalEvent& ev : events) by_id.emplace(ev.id, &ev);
 
+  // Trace-event ts is in microseconds; the sim clock is seconds.
+  auto place = [](const JournalEvent& e) {
+    return ",\"ts\":" + json_double(e.t * 1e6) + ",\"pid\":" +
+           std::to_string(e.node) + ",\"tid\":" + std::to_string(e.group);
+  };
   os << "{\"traceEvents\":[";
-  bool first = true;
   std::string buf;
   for (const JournalEvent& ev : events) {
-    // Trace-event ts is in microseconds; the sim clock is seconds.
-    const std::string ts = json_double(ev.t * 1e6);
-    buf.clear();
-    if (!first) buf += ',';
-    first = false;
-    buf += "\n{\"name\":";
-    buf += json_quoted(ev.ev);
-    buf += ",\"ph\":\"X\",\"ts\":";
-    buf += ts;
-    buf += ",\"dur\":1,\"pid\":";
-    buf += std::to_string(ev.node);
-    buf += ",\"tid\":";
-    buf += std::to_string(ev.group);
-    buf += ",\"args\":{\"id\":";
-    buf += std::to_string(ev.id);
+    buf = &ev == events.data() ? "\n" : ",\n";
+    buf += "{\"name\":" + json_quoted(ev.ev) + ",\"ph\":\"X\",\"ts\":" +
+           json_double(ev.t * 1e6) + ",\"dur\":1,\"pid\":" +
+           std::to_string(ev.node) + ",\"tid\":" + std::to_string(ev.group) +
+           ",\"args\":{\"id\":" + std::to_string(ev.id);
     for (const auto& [key, value] : ev.attrs) {
-      buf += ',';
-      buf += json_quoted(key);
-      buf += ':';
-      buf += looks_numeric(value) ? value : json_quoted(value);
+      buf += ',' + json_quoted(key) + ':' +
+             (as_number(value) ? value : json_quoted(value));
     }
     buf += "}}";
-    os << buf;
-    if (ev.cause == 0) continue;
-    const auto cit = by_id.find(ev.cause);
-    if (cit == by_id.end()) continue;
-    const JournalEvent& src = *cit->second;
-    // One flow arrow per cause edge, keyed by the child's id (unique).
-    buf.clear();
-    buf += ",\n{\"name\":\"cause\",\"cat\":\"cause\",\"ph\":\"s\",\"id\":";
-    buf += std::to_string(ev.id);
-    buf += ",\"ts\":";
-    buf += json_double(src.t * 1e6);
-    buf += ",\"pid\":";
-    buf += std::to_string(src.node);
-    buf += ",\"tid\":";
-    buf += std::to_string(src.group);
-    buf += "},\n{\"name\":\"cause\",\"cat\":\"cause\",\"ph\":\"f\",\"bp\":\"e\",\"id\":";
-    buf += std::to_string(ev.id);
-    buf += ",\"ts\":";
-    buf += ts;
-    buf += ",\"pid\":";
-    buf += std::to_string(ev.node);
-    buf += ",\"tid\":";
-    buf += std::to_string(ev.group);
-    buf += '}';
+    const auto cit = ev.cause == 0 ? by_id.end() : by_id.find(ev.cause);
+    if (cit != by_id.end()) {
+      // One flow arrow per cause edge, keyed by the child's id (unique).
+      const std::string id = std::to_string(ev.id);
+      buf += ",\n{\"name\":\"cause\",\"cat\":\"cause\",\"ph\":\"s\",\"id\":" +
+             id + place(*cit->second) +
+             "},\n{\"name\":\"cause\",\"cat\":\"cause\",\"ph\":\"f\","
+             "\"bp\":\"e\",\"id\":" +
+             id + place(ev) + '}';
+    }
     os << buf;
   }
   os << "\n]}\n";

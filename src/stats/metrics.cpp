@@ -3,47 +3,11 @@
 // sharq-lint: thread-unsafe-ok file (registry registration is the one
 // cross-shard rendezvous the shard runtime allows; see metrics.hpp)
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
 
 namespace sharq::stats {
-
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string json_quoted(const std::string& s) {
-  std::string out = "\"";
-  json_escape(out, s);
-  out += '"';
-  return out;
-}
-
-// Shortest round-trip formatting via std::to_chars: deterministic across
-// runs (no locale, no printf precision guessing).
-std::string json_double(double v) {
-  char buf[64];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec != std::errc{}) return "0";
-  return std::string(buf, ptr);
-}
 
 namespace {
 
@@ -60,10 +24,6 @@ std::string label_key(const Labels& labels) {
   }
   return key;
 }
-
-std::string format_double(double v) { return json_double(v); }
-
-std::string quoted(const std::string& s) { return json_quoted(s); }
 
 [[noreturn]] void type_mismatch(const std::string& name) {
   std::fprintf(stderr, "metrics: family '%s' re-registered with a different type\n",
@@ -231,11 +191,11 @@ void write_value_json(std::ostream& os, Metrics::Type type,
       os << static_cast<std::uint64_t>(val.scalar);
       break;
     case Metrics::Type::kGauge:
-      os << format_double(val.scalar);
+      os << json_double(val.scalar);
       break;
     case Metrics::Type::kHistogram: {
-      os << "{\"count\":" << val.count << ",\"sum\":" << format_double(val.sum)
-         << ",\"least_bound\":" << format_double(val.least_bound)
+      os << "{\"count\":" << val.count << ",\"sum\":" << json_double(val.sum)
+         << ",\"least_bound\":" << json_double(val.least_bound)
          << ",\"buckets\":[";
       for (std::size_t i = 0; i < val.buckets.size(); ++i) {
         if (i) os << ',';
@@ -261,13 +221,13 @@ void Metrics::write_families_json(std::ostream& os, const Snapshot& snap) {
   for (const auto& [name, fam] : snap.families) {
     if (!first_fam) os << ',';
     first_fam = false;
-    os << quoted(name) << ":{\"type\":\"" << type_name(fam.type)
+    os << json_quoted(name) << ":{\"type\":\"" << type_name(fam.type)
        << "\",\"values\":{";
     bool first_val = true;
     for (const auto& [key, val] : fam.values) {
       if (!first_val) os << ',';
       first_val = false;
-      os << quoted(key) << ':';
+      os << json_quoted(key) << ':';
       write_value_json(os, fam.type, val);
     }
     os << "}}";
@@ -283,7 +243,7 @@ void Metrics::write_totals_json(std::ostream& os) const {
   for (const auto& [name, fam] : families_) {
     if (!first) os << ',';
     first = false;
-    os << quoted(name) << ':';
+    os << json_quoted(name) << ':';
     switch (fam.type) {
       case Type::kCounter: {
         std::uint64_t total = 0;
@@ -300,7 +260,7 @@ void Metrics::write_totals_json(std::ostream& os) const {
           if (!any || v > mx) mx = v;
           any = true;
         }
-        os << format_double(mx);
+        os << json_double(mx);
         break;
       }
       case Type::kHistogram: {
@@ -311,7 +271,7 @@ void Metrics::write_totals_json(std::ostream& os) const {
           // sharq-lint: float-accum-ok (iteration order fixed: children is a std::map, label-key order)
           sum += child.histogram->sum();
         }
-        os << "{\"count\":" << count << ",\"sum\":" << format_double(sum) << '}';
+        os << "{\"count\":" << count << ",\"sum\":" << json_double(sum) << '}';
         break;
       }
     }

@@ -14,23 +14,11 @@
 #include <utility>
 #include <vector>
 
+// json_escape, json_quoted and json_double: the exporters that include this
+// header write through them.
+#include "stats/json.hpp"
+
 namespace sharq::stats {
-
-// --- shared deterministic JSON helpers ---------------------------------------
-// Every exporter in stats/ (metrics registry, journal, traffic series) must
-// produce byte-identical output for identical values, so they share one
-// formatting vocabulary: to_chars doubles (shortest round-trip, no locale)
-// and one escaping rule.
-
-/// Append `s` to `out` with JSON string escaping (", \, \n, \t, and other
-/// control bytes as \uXXXX).
-void json_escape(std::string& out, const std::string& s);
-
-/// `s` escaped and wrapped in double quotes.
-std::string json_quoted(const std::string& s);
-
-/// Shortest round-trip formatting via std::to_chars; "0" on failure.
-std::string json_double(double v);
 
 /// Labels attached to one child of a metric family. Stored as an ordered
 /// map so two registrations with the same pairs in different order land on

@@ -15,24 +15,12 @@
 namespace sharq::sim {
 namespace {
 
-// The contract tests are parameterized over queue implementations. The
-// binary heap is the only one left (the calendar queue was removed); the
-// parameter and the instantiation name are kept so the test names stay
-// stable and another implementation can be added as a second value.
-enum class Backend { kHeap = 1 };
-
-class EventQueueTest : public testing::TestWithParam<Backend> {
+class EventQueueTest : public testing::Test {
  protected:
   EventQueue q;
 };
 
-INSTANTIATE_TEST_SUITE_P(BothBackends, EventQueueTest,
-                         testing::Values(Backend::kHeap),
-                         [](const testing::TestParamInfo<Backend>&) {
-                           return "heap";
-                         });
-
-TEST_P(EventQueueTest, OrdersByTime) {
+TEST_F(EventQueueTest, OrdersByTime) {
   std::vector<int> order;
   q.schedule(3.0, [&] { order.push_back(3); });
   q.schedule(1.0, [&] { order.push_back(1); });
@@ -41,7 +29,7 @@ TEST_P(EventQueueTest, OrdersByTime) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueTest, TiesBreakByInsertionOrder) {
+TEST_F(EventQueueTest, TiesBreakByInsertionOrder) {
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     q.schedule(5.0, [&order, i] { order.push_back(i); });
@@ -50,7 +38,7 @@ TEST_P(EventQueueTest, TiesBreakByInsertionOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(EventQueueTest, CancelPreventsExecution) {
+TEST_F(EventQueueTest, CancelPreventsExecution) {
   bool ran = false;
   EventId id = q.schedule(1.0, [&] { ran = true; });
   EXPECT_TRUE(q.cancel(id));
@@ -59,7 +47,7 @@ TEST_P(EventQueueTest, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST_P(EventQueueTest, CancelMiddleOfHeap) {
+TEST_F(EventQueueTest, CancelMiddleOfHeap) {
   std::vector<int> order;
   q.schedule(1.0, [&] { order.push_back(1); });
   EventId id = q.schedule(2.0, [&] { order.push_back(2); });
@@ -69,18 +57,18 @@ TEST_P(EventQueueTest, CancelMiddleOfHeap) {
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
-TEST_P(EventQueueTest, NextTimeSkipsCancelled) {
+TEST_F(EventQueueTest, NextTimeSkipsCancelled) {
   EventId id = q.schedule(1.0, [] {});
   q.schedule(2.0, [] {});
   q.cancel(id);
   EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
 }
 
-TEST_P(EventQueueTest, NextTimeInfinityWhenEmpty) {
+TEST_F(EventQueueTest, NextTimeInfinityWhenEmpty) {
   EXPECT_EQ(q.next_time(), kTimeInfinity);
 }
 
-TEST_P(EventQueueTest, PopOnEmptyReturnsInertFired) {
+TEST_F(EventQueueTest, PopOnEmptyReturnsInertFired) {
   // Regression: pop() on an empty queue used to be guarded by an assert
   // only, so a Release build would pop from an empty heap (UB). It must
   // return an inert entry in every build type.
@@ -89,7 +77,7 @@ TEST_P(EventQueueTest, PopOnEmptyReturnsInertFired) {
   EXPECT_FALSE(f.fn);
 }
 
-TEST_P(EventQueueTest, PopAfterCancellingEverythingIsInert) {
+TEST_F(EventQueueTest, PopAfterCancellingEverythingIsInert) {
   // The heap still physically holds the cancelled entry; pop() must drain
   // it and then report empty rather than returning a dead callback.
   EventId id = q.schedule(1.0, [] {});
@@ -99,7 +87,7 @@ TEST_P(EventQueueTest, PopAfterCancellingEverythingIsInert) {
   EXPECT_FALSE(f.fn);
 }
 
-TEST_P(EventQueueTest, GenerationWrapRetiresSlotInsteadOfAliasing) {
+TEST_F(EventQueueTest, GenerationWrapRetiresSlotInsteadOfAliasing) {
   // Regression (slot-generation ABA wrap): SlotMeta::gen is a uint32
   // starting at 1 "so EventId.value is never 0". After 2^32 mint cycles
   // on one slot the generation wraps back through 0, so (a) the next
@@ -144,7 +132,7 @@ TEST_P(EventQueueTest, GenerationWrapRetiresSlotInsteadOfAliasing) {
 // Timer::arm is cancel-then-schedule, so a timer re-armed before it
 // fires leaves one stale key behind per re-arm. Without compaction those
 // keys pile up until they surface: here, a million of them.
-TEST_P(EventQueueTest, RearmedTimersKeepStoredKeysBounded) {
+TEST_F(EventQueueTest, RearmedTimersKeepStoredKeysBounded) {
   constexpr int kTimers = 100;
   constexpr std::size_t kSlack = 128;
   std::vector<EventId> ids(kTimers);
@@ -305,7 +293,7 @@ struct MoveCounter {
 // Growing the slab allocates a new chunk and leaves every pending
 // callback where schedule() put it: no event is moved between its
 // schedule() and its pop(), across chunk boundaries too.
-TEST_P(EventQueueTest, SlabGrowthNeverMovesPendingCallbacks) {
+TEST_F(EventQueueTest, SlabGrowthNeverMovesPendingCallbacks) {
   constexpr int kEvents = 3 * static_cast<int>(EventQueue::kChunkSlots) + 7;
   std::vector<int> moves(kEvents, 0);
   std::vector<int> after_schedule(kEvents, 0);
@@ -320,7 +308,7 @@ TEST_P(EventQueueTest, SlabGrowthNeverMovesPendingCallbacks) {
 
 // Generation-wrap retirement on a slot past the first chunk: the wrapped
 // slot is skipped, and neighbouring slots in its chunk stay in use.
-TEST_P(EventQueueTest, GenerationWrapRetiresSlotInLaterChunk) {
+TEST_F(EventQueueTest, GenerationWrapRetiresSlotInLaterChunk) {
   constexpr std::uint32_t kSlot = EventQueue::kChunkSlots + 5;
   std::vector<EventId> ids;
   for (std::uint32_t i = 0; i <= kSlot; ++i) {
@@ -561,7 +549,7 @@ TEST(Timer, StopLeavesEveryTimerIdle) {
   EXPECT_TRUE(fired);
 }
 
-TEST_P(EventQueueTest, TagCountersKeyByContentsNotAddress) {
+TEST_F(EventQueueTest, TagCountersKeyByContentsNotAddress) {
   stats::Metrics m;
   q.set_metrics(&m);
   // Two distinct arrays spelling the same tag: equal contents, different

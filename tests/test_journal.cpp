@@ -19,6 +19,7 @@
 #include "sim/simulator.hpp"
 #include "stats/journal.hpp"
 #include "stats/journal_reader.hpp"
+#include "stats/json.hpp"
 #include "stats/traffic_recorder.hpp"
 #include "topo/figure10.hpp"
 
@@ -111,6 +112,48 @@ TEST(JournalReader, RejectsMalformedLines) {
   std::istringstream is("{\"id\":1,\"ev\":\"x\"}\nnot json\n");
   EXPECT_FALSE(read_journal(is, &error).has_value());
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+
+  // Nesting: the line's object plus kMaxDepth - 1 arrays is the deepest
+  // accepted; one more level, or a million, is an error, not a crash.
+  auto nested = [](int arrays) {
+    return "{\"id\":1,\"ev\":\"x\",\"deep\":" +
+           std::string(static_cast<std::size_t>(arrays), '[') +
+           std::string(static_cast<std::size_t>(arrays), ']') + "}";
+  };
+  EXPECT_TRUE(
+      parse_journal_line(nested(json::kMaxDepth - 1), &error).has_value())
+      << error;
+  EXPECT_FALSE(parse_journal_line(nested(json::kMaxDepth), &error).has_value());
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+  EXPECT_FALSE(
+      parse_journal_line(std::string(1000000, '['), &error).has_value());
+
+  // A number token must read whole as one number.
+  EXPECT_FALSE(parse_journal_line("{\"id\":1-2,\"ev\":\"x\"}", &error));
+  EXPECT_NE(error.find("bad number"), std::string::npos) << error;
+
+  // Unterminated strings, in a value and in a key.
+  EXPECT_FALSE(parse_journal_line("{\"id\":1,\"ev\":\"x", &error));
+  EXPECT_NE(error.find("unterminated"), std::string::npos) << error;
+  EXPECT_FALSE(parse_journal_line("{\"id\":1,\"ev", &error));
+
+  // \u escapes decode to UTF-8; a short or non-hex one is an error.
+  const auto escaped = parse_journal_line(
+      "{\"id\":1,\"ev\":\"x\",\"attrs\":{\"s\":\"\\u0041\\u0007\\u00e9\"}}",
+      &error);
+  ASSERT_TRUE(escaped.has_value()) << error;
+  EXPECT_EQ(*escaped->attr("s"), "A\x07\xc3\xa9");
+  EXPECT_FALSE(parse_journal_line(
+      "{\"id\":1,\"ev\":\"x\",\"attrs\":{\"s\":\"\\u00g1\"}}", &error));
+  EXPECT_FALSE(parse_journal_line("{\"id\":1,\"ev\":\"\\u00\"}", &error));
+
+  // Ids and causes above 2^53 come from the token, not from a double.
+  const auto big = parse_journal_line(
+      "{\"id\":18446744073709551615,\"ev\":\"x\",\"cause\":9007199254740993}",
+      &error);
+  ASSERT_TRUE(big.has_value()) << error;
+  EXPECT_EQ(big->id, UINT64_MAX);
+  EXPECT_EQ(big->cause, 9007199254740993ULL);
 }
 
 // --- analyzer: handcrafted journals ------------------------------------------

@@ -82,29 +82,13 @@ int cmd_timeline(const std::vector<stats::JournalEvent>& events,
     const stats::JournalEvent& ev = *row.event;
     std::string line(static_cast<std::size_t>(2 * std::min(row.depth, 16)),
                      ' ');
-    line += '#';
-    line += std::to_string(ev.id);
-    line += " t=";
-    line += fmt(ev.t);
-    line += " node=";
-    line += std::to_string(ev.node);
-    line += ' ';
-    line += ev.ev;
+    line += '#' + std::to_string(ev.id) + " t=" + fmt(ev.t) +
+            " node=" + std::to_string(ev.node) + ' ' + ev.ev;
     if (ev.cause != 0) {
-      line += "  <- #";
-      line += std::to_string(ev.cause);
-      if (row.edge_latency >= 0) {
-        line += " (+";
-        line += fmt(row.edge_latency);
-        line += "s)";
-      }
+      line += "  <- #" + std::to_string(ev.cause);
+      if (row.edge_latency >= 0) line += " (+" + fmt(row.edge_latency) + "s)";
     }
-    for (const auto& [key, value] : ev.attrs) {
-      line += ' ';
-      line += key;
-      line += '=';
-      line += value;
-    }
+    for (const auto& [key, value] : ev.attrs) line += ' ' + key + '=' + value;
     std::printf("%s\n", line.c_str());
   }
   return 0;
@@ -171,17 +155,9 @@ int cmd_anomalies(const std::vector<stats::JournalEvent>& events,
     return 0;
   }
   for (const auto& a : anomalies) {
-    std::string line = a.kind;
-    line += " group=";
-    line += std::to_string(a.group);
-    if (a.node >= 0) {
-      line += " node=";
-      line += std::to_string(a.node);
-    }
-    line += " t=";
-    line += fmt(a.t);
-    line += ": ";
-    line += a.detail;
+    std::string line = a.kind + " group=" + std::to_string(a.group);
+    if (a.node >= 0) line += " node=" + std::to_string(a.node);
+    line += " t=" + fmt(a.t) + ": " + a.detail;
     std::printf("%s\n", line.c_str());
   }
   std::printf("%zu anomalies\n", anomalies.size());
