@@ -41,10 +41,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <unistd.h>
-#endif
-#if defined(__GLIBC__)
-#include <malloc.h>
 #endif
 
 #include "sharqfec/protocol.hpp"
@@ -82,24 +78,11 @@ struct CaseResult {
   double wall_s = 0.0;
   double events_per_sec = 0.0;
   double queue_high_water = 0.0;
-  long long rss_delta_bytes = 0;  // resident growth across build+run
+  std::uint64_t rss_delta_bytes = 0;  // resident growth across build+run
   double bytes_per_receiver = 0.0;
   std::uint32_t complete_receivers = 0;
   stats::MemCensus census;  // post-run memory attribution by category
 };
-
-/// Current resident set in bytes (Linux /proc; 0 where unavailable).
-long long current_rss_bytes() {
-#if defined(__linux__)
-  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
-    long long pages = 0, resident = 0;
-    const int got = std::fscanf(f, "%lld %lld", &pages, &resident);
-    std::fclose(f);
-    if (got == 2) return resident * static_cast<long long>(sysconf(_SC_PAGESIZE));
-  }
-#endif
-  return 0;
-}
 
 /// Process peak resident set in bytes (0 where unavailable).
 long long peak_rss_bytes() {
@@ -127,12 +110,9 @@ CaseResult run_case(const SweepPoint& pt, int threads, const char* dump_dir,
   res.name = pt.name;
   if (threads > 0) res.name += "_t" + std::to_string(threads);
   res.threads = threads;
-#if defined(__GLIBC__)
-  // Return freed arenas to the OS so each point's RSS delta reflects its
-  // own footprint, not the high-water of the previous (larger) point.
-  malloc_trim(0);
-#endif
-  const long long rss0 = current_rss_bytes();
+  // Trimmed, so each point's RSS delta reflects its own footprint, not the
+  // high-water of the previous (larger) point.
+  const std::uint64_t rss0 = stats::trimmed_rss_bytes();
   const auto wall0 = std::chrono::steady_clock::now();
   // Install the profiler before any protocol object exists so the build
   // phase is attributed too. Probes cost one branch when this is absent,
@@ -211,12 +191,9 @@ CaseResult run_case(const SweepPoint& pt, int threads, const char* dump_dir,
         metrics.gauge_value("sim.queue_high_water",
                             {{"shard", std::to_string(s)}}));
   }
-#if defined(__GLIBC__)
-  // Drop freed-but-retained allocator chunks so the delta measures live
-  // protocol/simulator state, not transient churn high-water.
-  malloc_trim(0);
-#endif
-  const long long rss1 = current_rss_bytes();
+  // Trimmed, so the delta measures live protocol/simulator state, not
+  // transient churn high-water.
+  const std::uint64_t rss1 = stats::trimmed_rss_bytes();
   res.rss_delta_bytes = rss1 > rss0 ? rss1 - rss0 : 0;
   res.bytes_per_receiver =
       res.receivers > 0
@@ -239,7 +216,7 @@ CaseResult run_case(const SweepPoint& pt, int threads, const char* dump_dir,
   res.census.add("event_queue", evq, evq);
   if (prof) {
     prof->set_memory(res.census);
-    prof->set_rss_delta(static_cast<std::uint64_t>(res.rss_delta_bytes));
+    prof->set_rss_delta(res.rss_delta_bytes);
     prof->set_shards(nshards);
     prof->set_env("tool", "macro_sim");
     prof->set_env("case", res.name);
@@ -286,7 +263,8 @@ void write_json(std::FILE* f, const std::vector<CaseResult>& results) {
     std::fprintf(f, "      \"wall_s\": %.17g,\n", r.wall_s);
     std::fprintf(f, "      \"events_per_sec\": %.0f,\n", r.events_per_sec);
     std::fprintf(f, "      \"queue_high_water\": %.0f,\n", r.queue_high_water);
-    std::fprintf(f, "      \"rss_delta_bytes\": %lld,\n", r.rss_delta_bytes);
+    std::fprintf(f, "      \"rss_delta_bytes\": %llu,\n",
+                 static_cast<unsigned long long>(r.rss_delta_bytes));
     std::fprintf(f, "      \"bytes_per_receiver\": %.0f,\n",
                  r.bytes_per_receiver);
     // Per-subsystem retained bytes at end of run (the census's peak

@@ -13,11 +13,12 @@ Checks, in order:
                entries summing to its total; scope counts and counters are
                non-negative integers; every memory category carries
                non-negative live_bytes <= peak_bytes; self-time totals are
-               non-negative and their sum does not exceed wall_s plus 25%
-               slack (self times are 1-in-sample_period estimates scaled
-               back up at export, so they carry sampling noise on top of
-               clock calibration error); histogram counts match their
-               bucket sums
+               non-negative and their sum does not exceed wall_s times the
+               run's workers (timing.env.threads, at least 1: self time is
+               summed over worker threads) plus 25% slack (self times are
+               1-in-sample_period estimates scaled back up at export, so
+               they carry sampling noise on top of clock calibration
+               error); histogram counts match their bucket sums
   cross        events_dispatched > 0 (an empty profile is a wedged run,
                not a baseline); when windows > 0, barriers > 0 too
   baseline     with --baseline BASE, compare against a committed profile:
@@ -71,6 +72,17 @@ def check_by_shard(entry, shards, where, bad, field="by_shard",
             bad(f"{where}: {field} sums to {sum(per)}, total says {total}")
     elif abs(sum(per) - total) > max(1e-6, 0.01 * abs(total)):
         bad(f"{where}: {field} sums to {sum(per):g}, total says {total:g}")
+
+
+def profile_workers(tim):
+    """Worker threads the profiled run had: timing.env.threads, at least
+    1 (serial drivers write 0 or leave it out)."""
+    env = tim.get("env")
+    threads = env.get("threads") if isinstance(env, dict) else None
+    try:
+        return max(int(threads), 1)
+    except (TypeError, ValueError):
+        return 1
 
 
 def check_hist(hist, where, bad):
@@ -168,13 +180,14 @@ def check_profile(doc):
             check_by_shard(entry, shards, where, bad, field="by_shard_s",
                            total_field="total_s")
             total_self += entry["total_s"]
-        # Self time partitions wall time, but the exported figures are
-        # sampled (1 in sample_period gated units is clocked, scaled back
-        # up at export): allow 25% slack for sampling noise on top of
-        # TSC-to-ns calibration error.
-        if wall is not None and total_self > wall * 1.25 + 0.01:
+        # Self time partitions each worker's wall time, but the exported
+        # figures are sampled (1 in sample_period gated units is clocked,
+        # scaled back up at export): allow 25% slack for sampling noise on
+        # top of TSC-to-ns calibration error.
+        workers = profile_workers(tim)
+        if wall is not None and total_self > wall * workers * 1.25 + 0.01:
             bad(f"timing.self_time sums to {total_self:.3f}s, more than "
-                f"wall_s {wall:.3f}s")
+                f"wall_s {wall:.3f}s x {workers} worker(s)")
     hists = tim.get("histograms")
     if not isinstance(hists, dict):
         bad("timing.histograms missing")

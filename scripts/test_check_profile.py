@@ -137,6 +137,26 @@ class CheckProfileTest(unittest.TestCase):
             "total_s": 2.5, "by_shard_s": [1.5, 1.0]}
         self.assert_error(run(doc), "more than")
 
+    def test_self_time_budget_scales_with_workers(self):
+        # Self time is summed over worker threads: a two-worker run may
+        # attribute up to twice its wall clock.
+        doc = good_doc()
+        doc["timing"]["env"]["threads"] = "2"
+        doc["timing"]["self_time"]["event_loop"] = {
+            "total_s": 4.0, "by_shard_s": [2.2, 1.8]}
+        self.assertEqual(run(doc), [])
+        doc["timing"]["self_time"]["event_loop"] = {
+            "total_s": 5.5, "by_shard_s": [3.0, 2.5]}
+        self.assert_error(run(doc), "x 2 worker(s)")
+
+    def test_serial_self_time_over_wall_still_fails(self):
+        # A serial driver writes threads "0": the budget is one wall clock.
+        doc = good_doc()
+        doc["timing"]["env"]["threads"] = "0"
+        doc["timing"]["self_time"]["event_loop"] = {
+            "total_s": 4.0, "by_shard_s": [2.2, 1.8]}
+        self.assert_error(run(doc), "x 1 worker(s)")
+
     def test_bad_sample_period_is_rejected(self):
         doc = good_doc()
         doc["timing"]["sample_period"] = 0

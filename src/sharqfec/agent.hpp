@@ -29,30 +29,35 @@ class Agent final : public net::Agent {
         std::shared_ptr<const fec::ReedSolomon> codec, fec::ShardStore& store,
         net::NodeId node, bool is_source, rm::DeliveryLog* log = nullptr);
 
+  // The network, the session manager's progress hooks and the transfer
+  // engine (which holds session_ by reference) all keep this address.
+  Agent(const Agent&) = delete;
+  Agent& operator=(const Agent&) = delete;
+
   /// Begin session messaging and ZCR election.
-  void start() { session_->start(); }
+  void start() { session_.start(); }
 
   /// Model this member dying: stop transmitting session/election traffic
   /// AND cancel the transfer engine's timers, so a killed member leaves no
   /// events pending and never transmits again. Pair with
   /// Network::detach() to also stop it receiving.
   void stop() {
-    session_->stop();
-    transfer_->stop();
+    session_.stop();
+    transfer_.stop();
   }
 
   /// Source API: stream groups starting at `start_at`.
   void send_stream(std::uint32_t group_count, sim::Time start_at,
                    const std::vector<std::uint8_t>& payload = {}) {
-    transfer_->send_stream(group_count, start_at, payload);
+    transfer_.send_stream(group_count, start_at, payload);
   }
 
   void on_receive(const net::Packet& packet) override;
 
-  SessionManager& session() { return *session_; }
-  const SessionManager& session() const { return *session_; }
-  TransferEngine& transfer() { return *transfer_; }
-  const TransferEngine& transfer() const { return *transfer_; }
+  SessionManager& session() { return session_; }
+  const SessionManager& session() const { return session_; }
+  TransferEngine& transfer() { return transfer_; }
+  const TransferEngine& transfer() const { return transfer_; }
   bool is_source() const { return is_source_; }
 
   /// Packets rejected because they arrived corrupted (the modelled wire
@@ -65,10 +70,14 @@ class Agent final : public net::Agent {
   /// Slots in the uid dedup ring. A conditioner's copies of one packet
   /// share one delivery time and stay adjacent in every downstream FIFO
   /// link queue, so a node meets a duplicate within a few fresh uids of
-  /// its original; 128 slots cover that with a wide margin at 1 KiB per
-  /// agent. A copy that still outlives the ring is a no-op in the group
-  /// decoder (tests/test_budget.cpp, DedupRing).
-  static constexpr std::size_t kDedupRingSlots = 128;
+  /// its original: over 283 chaos plans with duplication and jitter on,
+  /// the widest spread was 7 accepted uids. 32 slots are four times that,
+  /// at 256 B per agent. Two chained faulty links jitter each copy apart
+  /// and widen the spread (11 at the chaos campaign's largest rates).
+  /// tests/test_budget.cpp's DedupRing tests pin both cases. A copy that
+  /// still outlives the ring is a no-op in the group decoder (BudgetDedup,
+  /// same file).
+  static constexpr std::size_t kDedupRingSlots = 32;
 
   /// Add this endpoint's sharqfec.* counts to `m`: its own rejects, then
   /// the session manager's and transfer engine's. Session::export_metrics
@@ -77,15 +86,16 @@ class Agent final : public net::Agent {
 
   /// Contribute this endpoint's retained bytes to the profiler's memory
   /// census: the uid dedup ring under "dedup_windows", the rest of this
-  /// object under "agent_objects", then the session manager's and
-  /// transfer engine's categories.
+  /// object's heap block under "agent_objects", then the session manager's
+  /// and transfer engine's categories (each counts its own inline bytes).
   void memory_census(stats::MemCensus& census) const {
     census.add("dedup_windows", sizeof(recent_uids_), sizeof(recent_uids_));
-    const std::uint64_t self =
-        stats::heap_block_bytes(sizeof(Agent)) - sizeof(recent_uids_);
+    const std::uint64_t self = stats::heap_block_bytes(sizeof(Agent)) -
+                               sizeof(recent_uids_) - sizeof(session_) -
+                               sizeof(transfer_);
     census.add("agent_objects", self, self);
-    session_->memory_census(census);
-    transfer_->memory_census(census);
+    session_.memory_census(census);
+    transfer_.memory_census(census);
   }
 
  private:
@@ -98,8 +108,11 @@ class Agent final : public net::Agent {
   bool admit(const net::Packet& packet);
 
   bool is_source_;
-  std::unique_ptr<SessionManager> session_;
-  std::unique_ptr<TransferEngine> transfer_;
+  // Held inline, so an agent is one heap block. Constructed in this
+  // order: each forks its random stream from the node's simulator, the
+  // session manager first.
+  SessionManager session_;
+  TransferEngine transfer_;
   /// FIFO ring of recently accepted uids; ~0 marks an empty slot (the
   /// network numbers uids from 1 and never reaches it).
   std::array<std::uint64_t, kDedupRingSlots> recent_uids_;

@@ -34,7 +34,6 @@ SessionManager::SessionManager(net::Network& net, Hierarchy& hier,
       chain_(hier.chain(node)),
       session_timer_(net.simulator_for(node)),
       next_challenge_id_(static_cast<std::uint64_t>(node) << 32 | 1u) {
-  session_timer_.set_tag("session.beacon");
   levels_.reserve(chain_.size());
   for (net::ZoneId z : chain_) levels_.emplace_back(z, simu_);
   // The source is the static ZCR of the root zone (the paper's "top ZCR").
@@ -89,10 +88,11 @@ void SessionManager::memory_census(stats::MemCensus& census) const {
   }
   census.add("peer_tables", tables, tables);
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
-  // The object itself and its per-level state, election timers included
-  // (held inline). The tables inside the levels are counted above.
+  // The object itself (held inline in its Agent's heap block) and its
+  // per-level state, election timers included (held inline). The tables
+  // inside the levels are counted above.
   const std::uint64_t self =
-      stats::heap_block_bytes(sizeof(SessionManager)) - sizeof(rng_) +
+      sizeof(SessionManager) - sizeof(rng_) +
       stats::vector_block_bytes(levels_) +
       challenges_.size() *
           stats::heap_block_bytes(stats::kTreeNodeHeader +
@@ -287,7 +287,7 @@ void SessionManager::schedule_session() {
     }
     expire_silent_peers();
     schedule_session();
-  });
+  }, "session.beacon");
 }
 
 void SessionManager::expire_silent_peers() {
@@ -439,7 +439,7 @@ void SessionManager::schedule_challenge(int level) {
       issue_challenge(level);
       schedule_challenge(level);
     }
-  });
+  }, "session.challenge");
 }
 
 void SessionManager::schedule_watchdog(int level) {
@@ -476,7 +476,7 @@ void SessionManager::schedule_watchdog(int level) {
       issue_challenge(level);
     }
     schedule_watchdog(level);
-  });
+  }, "session.watchdog");
 }
 
 void SessionManager::issue_challenge(int level) {
@@ -588,7 +588,7 @@ void SessionManager::consider_takeover(int level, double my_dist) {
       return;  // someone better announced meanwhile
     }
     become_zcr(level, l.candidate_dist);
-  });
+  }, "session.takeover");
 }
 
 void SessionManager::become_zcr(int level, double dist_to_parent) {

@@ -128,11 +128,7 @@ class SessionManager {
   };
   struct Level {
     Level(net::ZoneId z, sim::Simulator& simu)
-        : zone(z), challenge_timer(simu), watchdog(simu), takeover_timer(simu) {
-      challenge_timer.set_tag("session.challenge");
-      watchdog.set_tag("session.watchdog");
-      takeover_timer.set_tag("session.takeover");
-    }
+        : zone(z), challenge_timer(simu), watchdog(simu), takeover_timer(simu) {}
     net::ZoneId zone = net::kNoZone;
     // Ordered: iterated into session-message entries (wire order), peer
     // expiry, and max-RTT scans — hash order here would make beacon

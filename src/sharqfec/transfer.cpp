@@ -264,8 +264,9 @@ void TransferEngine::stop() {
 
 void TransferEngine::memory_census(stats::MemCensus& census) const {
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
+  // The object itself is held inline in its Agent's heap block.
   const std::uint64_t self =
-      stats::heap_block_bytes(sizeof(TransferEngine)) - sizeof(rng_) +
+      sizeof(TransferEngine) - sizeof(rng_) +
       stats::vector_block_bytes(scopes_);
   census.add("agent_objects", self, self);
 
@@ -560,7 +561,7 @@ void TransferEngine::note_remote_progress(std::uint32_t remote_max_group) {
       Live& lv = live(g);
       lv.ldp_timer.arm(grace, [this, g] {
         if (!rec(g).ldp_done) finish_ldp(g, "timer");
-      });
+      }, "transfer.ldp");
       if (journal_ && lv.ldp_armed_ev == 0) {
         lv.ldp_armed_ev = jnl("ldp.armed", g, span_root(g), {{"eta", grace}});
       }
@@ -627,7 +628,7 @@ void TransferEngine::on_data(const DataMsg& msg, net::TrafficClass) {
   Live& l = live(g);
   l.ldp_timer.arm(eta, [this, g] {
     if (!rec(g).ldp_done) finish_ldp(g, "timer");
-  });
+  }, "transfer.ldp");
   // Journaled once per group (the timer re-arms on every packet; a line
   // per packet would drown the journal in the common no-loss case).
   if (journal_ && l.ldp_armed_ev == 0) {
@@ -779,7 +780,8 @@ void TransferEngine::arm_request_timer(std::uint32_t g, stats::EventId cause) {
   const sim::Time delay = policy.request_delay(
       rng_, d, std::min(l.backoff_i, cfg_->max_backoff_stage),
       journal_ ? &draw : nullptr);
-  l.request_timer.arm(delay, [this, g] { fire_request(g); });
+  l.request_timer.arm(delay, [this, g] { fire_request(g); },
+                      "transfer.request");
   if (journal_) {
     // The sampled suppression window rides along so a trace shows why
     // this receiver's NACK waited as long as it did.
@@ -820,7 +822,8 @@ void TransferEngine::fire_request(std::uint32_t g) {
     const sim::Time eta = (static_cast<double>(std::max(remaining, 1)) * 1.2 +
                            1.0) *
                           inter_arrival_estimate();
-    l.request_timer.arm(eta, [this, g] { fire_request(g); });
+    l.request_timer.arm(eta, [this, g] { fire_request(g); },
+                        "transfer.request");
     return;
   }
   const int level = nack_level(g);
@@ -1021,7 +1024,7 @@ void TransferEngine::arm_reply(std::uint32_t g, sim::Time delay) {
   live(g).reply_timer.arm(delay, [this, g] {
     fire_reply(g);
     maybe_settle(g);
-  });
+  }, "transfer.reply");
 }
 
 void TransferEngine::fire_reply(std::uint32_t g) {
@@ -1356,7 +1359,7 @@ void TransferEngine::schedule_zlc_measurement(std::uint32_t g) {
       sc.cov_pred = keep * sc.cov_pred + gain * from_above;
     }
     maybe_settle(g);
-  });
+  }, "transfer.measure");
 }
 
 // --- overload-testing hooks ---------------------------------------------------

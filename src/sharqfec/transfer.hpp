@@ -291,12 +291,7 @@ class TransferEngine {
         : ldp_timer(simu),
           request_timer(simu),
           reply_timer(simu),
-          measure_timer(simu) {
-      ldp_timer.set_tag("transfer.ldp");
-      request_timer.set_tag("transfer.request");
-      reply_timer.set_tag("transfer.reply");
-      measure_timer.set_tag("transfer.measure");
-    }
+          measure_timer(simu) {}
     sim::Timer ldp_timer;
     sim::Timer request_timer;
     sim::Timer reply_timer;

@@ -51,13 +51,13 @@ void Simulator::run() {
   }
 }
 
-void Timer::arm(Time delay, Callback fn) {
+void Timer::arm(Time delay, Callback fn, const char* tag) {
   cancel();
-  id_ = simu_->after(delay, std::move(fn), tag_);
+  id_ = simu_->after(delay, std::move(fn), tag);
 }
 
-void Timer::arm_if_idle(Time delay, Callback fn) {
-  if (!pending()) arm(delay, std::move(fn));
+void Timer::arm_if_idle(Time delay, Callback fn, const char* tag) {
+  if (!pending()) arm(delay, std::move(fn), tag);
 }
 
 void Timer::cancel() {

@@ -118,26 +118,24 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   Timer(Timer&& other) noexcept
-      : simu_(other.simu_),
-        id_(std::exchange(other.id_, EventId{})),
-        tag_(other.tag_) {}
+      : simu_(other.simu_), id_(std::exchange(other.id_, EventId{})) {}
 
   Timer& operator=(Timer&& other) noexcept {
     if (this != &other) {
       cancel();
       simu_ = other.simu_;
       id_ = std::exchange(other.id_, EventId{});
-      tag_ = other.tag_;
     }
     return *this;
   }
 
   /// (Re)arm the timer to fire `delay` seconds from now. Any previously
-  /// armed firing is cancelled first.
-  void arm(Time delay, Callback fn);
+  /// armed firing is cancelled first. `tag` names the firing for event
+  /// metrics, as in Simulator::after: a string literal, or nullptr.
+  void arm(Time delay, Callback fn, const char* tag = nullptr);
 
   /// Arm only if not already pending.
-  void arm_if_idle(Time delay, Callback fn);
+  void arm_if_idle(Time delay, Callback fn, const char* tag = nullptr);
 
   /// Cancel a pending firing, if any, releasing its captured state.
   void cancel();
@@ -146,18 +144,13 @@ class Timer {
   /// timer's own callback: the event has left the queue by then.
   bool pending() const { return simu_->pending(id_); }
 
-  /// Name this timer's firings for event metrics. Must be a string
-  /// literal; applies to subsequent arm() calls.
-  void set_tag(const char* tag) { tag_ = tag; }
-
  private:
   Simulator* simu_;
   EventId id_{};
-  const char* tag_ = nullptr;
 };
-// Protocol agents hold ~28 timers per receiver on d3_f8_8k; the armed
-// callable lives in the event queue's slot, so a timer is only its handle
-// and tag.
-static_assert(sizeof(Timer) == 24, "sim::Timer must stay closure-free");
+// Protocol agents hold ~29 timers per receiver on d3_f8_8k; the armed
+// callable lives in the event queue's slot and each arm() call site names
+// its own tag, so a timer is only its simulator and its event handle.
+static_assert(sizeof(Timer) == 16, "sim::Timer must stay closure-free");
 
 }  // namespace sharq::sim

@@ -16,6 +16,12 @@
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
 #endif
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "stats/metrics.hpp"
 
@@ -192,6 +198,24 @@ void Profiler::set_memory(const MemCensus& census) {
 }
 
 void Profiler::set_rss_delta(std::uint64_t bytes) { rss_delta_bytes_ = bytes; }
+
+std::uint64_t trimmed_rss_bytes() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+#if defined(__linux__)
+  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+    unsigned long long pages = 0, resident = 0;
+    const int got = std::fscanf(f, "%llu %llu", &pages, &resident);
+    std::fclose(f);
+    const long page = sysconf(_SC_PAGESIZE);
+    if (got == 2 && page > 0) {
+      return resident * static_cast<std::uint64_t>(page);
+    }
+  }
+#endif
+  return 0;
+}
 
 void Profiler::set_env(const std::string& key, const std::string& value) {
   env_[key] = value;

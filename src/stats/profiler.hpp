@@ -129,6 +129,13 @@ struct MemCensus {
   }
 };
 
+/// The process's resident set in bytes, read from /proc/self/statm (0
+/// where that is unavailable), after handing freed heap back to the OS
+/// where the allocator can, so the figure is live state rather than the
+/// allocator's churn high water. Drivers read it before and after a run
+/// and pass the growth to Profiler::set_rss_delta.
+std::uint64_t trimmed_rss_bytes();
+
 /// The profiler instance. Drivers construct one when `--profile=FILE` is
 /// requested, install it with set_active(), run, feed the census, and
 /// write_file(). One instance per process run; all probes in the tree

@@ -6,6 +6,7 @@
 // stay byte-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <sstream>
@@ -221,6 +222,91 @@ TEST(DedupRing, InWindowDuplicateIsRejectedAndCounted) {
     }
   }
   EXPECT_EQ(journaled, 40);
+}
+
+/// For every node, how many distinct uids it was delivered between a
+/// uid's first copy and each later copy: the reach an agent's ring of
+/// accepted uids needs to reject that copy.
+class DedupSpreadSink final : public net::TrafficSink {
+ public:
+  std::uint64_t duplicates() const { return duplicates_; }
+  std::uint64_t max_spread() const { return max_spread_; }
+
+  void on_deliver(sim::Time, net::NodeId at, const net::Packet& p) override {
+    Node& n = nodes_[at];
+    const auto [it, first] = n.index.try_emplace(p.uid, n.distinct);
+    if (first) {
+      ++n.distinct;
+      return;
+    }
+    ++duplicates_;
+    max_spread_ = std::max(max_spread_, n.distinct - it->second - 1);
+  }
+
+ private:
+  struct Node {
+    std::map<std::uint64_t, std::uint64_t> index;  ///< uid -> arrival rank
+    std::uint64_t distinct = 0;
+  };
+  std::map<net::NodeId, Node> nodes_;
+  std::uint64_t duplicates_ = 0;
+  std::uint64_t max_spread_ = 0;
+};
+
+/// Runs the budget tree with duplication and reorder jitter on the
+/// root's links: the chaos campaign's largest draws (src/fault/
+/// random_plan.cpp: 10% duplication, 20% reorder up to 50 ms). On the
+/// links down to the hubs only, or up to the root as well. Returns the
+/// widest spread and checks what holds either way: duplicates occurred,
+/// the ring rejected every one of them, and every receiver completed.
+std::uint64_t max_dedup_spread(bool uplinks_too) {
+  TreeFixture f(913, /*loss=*/0.03);
+  for (net::NodeId hub : f.tree.levels[1]) {
+    std::vector<net::LinkId> links{f.net.find_link(f.tree.root, hub)};
+    if (uplinks_too) links.push_back(f.net.find_link(hub, f.tree.root));
+    for (net::LinkId l : links) {
+      f.net.conditioner(l).set_duplicate(0.10, 1);
+      f.net.conditioner(l).set_reorder(0.20, 0.050);
+    }
+  }
+  DedupSpreadSink sink;
+  f.net.set_sink(&sink);
+  rm::DeliveryLog log;
+  Config cfg;
+  cfg.scoping = true;
+  Session s(f.net, f.tree.root, f.receivers, cfg, &log);
+  s.start();
+  const std::uint32_t kGroups = 6;
+  s.send_stream(kGroups, 6.0);
+  f.simu.run_until(120.0);
+
+  EXPECT_GT(sink.duplicates(), 0u);
+  std::uint64_t rejected = 0;
+  for (const auto& a : s.agents()) rejected += a->duplicate_rejects();
+  EXPECT_EQ(rejected, sink.duplicates());
+  for (net::NodeId r : f.receivers) {
+    EXPECT_TRUE(log.complete(r, kGroups)) << "receiver " << r;
+  }
+  return sink.max_spread();
+}
+
+/// Agent::kDedupRingSlots is sized from the measured spread between a
+/// packet and its duplicate. A conditioner's copies share one delivery
+/// time and stay adjacent through every downstream FIFO queue, so with
+/// one faulty link on each path every copy arrives within a quarter of
+/// the ring of its original.
+TEST(DedupRing, DuplicateSpreadStaysWithinAQuarterOfTheRing) {
+  EXPECT_LT(max_dedup_spread(/*uplinks_too=*/false),
+            Agent::kDedupRingSlots / 4);
+}
+
+/// With faults on the uplinks as well, a packet from one hub's subtree
+/// crosses two faulty links on its way to another hub, and the second
+/// link jitters each copy independently, so other packets slip between
+/// them. The spread grows (8 on this seed, 11 on seed 2, against 0 and 1
+/// with the downlinks alone) but stays inside the ring.
+TEST(DedupRing, ChainedFaultyLinksStayInsideTheRing) {
+  EXPECT_LT(max_dedup_spread(/*uplinks_too=*/true), Agent::kDedupRingSlots);
 }
 
 /// Repair-queue depth and send rate stay bounded under loss: deficits

@@ -23,7 +23,7 @@ set(EXPECTED_TIMELINE_SHA256 "146afaa0b1f72d83e375050d6cffc90084cc5af4d3cbfe90a6
 set(EXPECTED_BREAKDOWN_SHA256 "f6714c4c99d8f77d4b87f92a4202d0df35789f238450fe6f2d4328e3002b93e2")
 set(EXPECTED_ANOMALIES_SHA256 "371d01d96d1556a663ac3c95f3f4b47f5b214b76a968faabd7a0b9e6405b9834")
 set(EXPECTED_TRACE_PERFETTO_SHA256 "340f090101f44de6f0c1a2d0c05690a6b4ecd1840901765216dcc9bd61f9df18")
-set(EXPECTED_REPORT_SHA256 "7b621a396827f6778e0a77a2de0f368e88be7ccc19c0e3f40f1ca6c1d3b9d4db")
+set(EXPECTED_REPORT_SHA256 "379285134c9d4a4de26a03e0e143eca5c0268348538bd887a078eb27e69518ce")
 set(EXPECTED_PROF_PERFETTO_SHA256 "c63945872d5b4f0e158e7f6d86ba16eac9bba1be2aac5af691cf214c2e4da710")
 
 foreach(var SIM TRACE PROF PROFILE)

@@ -148,7 +148,8 @@ struct PlanResult {
 
 PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
                     const std::string& plan_name, bool dump,
-                    stats::MemCensus* census) {
+                    stats::MemCensus* census, std::uint64_t* rss_growth) {
+  const std::uint64_t rss0 = census ? stats::trimmed_rss_bytes() : 0;
   // Declared before the simulator/network/agents that cache pointers into
   // it, so it is destroyed last.
   stats::Metrics metrics;
@@ -378,8 +379,11 @@ PlanResult run_plan(const Options& o, std::uint64_t plan_seed,
   metrics.write_totals_json(mos);
   r.metrics_json = mos.str();
   // Campaign-wide memory attribution: each plan's retained bytes add onto
-  // the caller's census (the profile reports the campaign sum).
+  // the caller's census, and its resident growth onto the caller's total
+  // (the profile reports both as campaign sums).
   if (census != nullptr) {
+    const std::uint64_t rss1 = stats::trimmed_rss_bytes();
+    *rss_growth += rss1 > rss0 ? rss1 - rss0 : 0;
     session.memory_census(*census);
     net.memory_census(*census);
     const std::uint64_t evq = net.queue_memory_bytes();
@@ -398,6 +402,7 @@ int main(int argc, char** argv) {
   sim::Rng master(o.seed);
   std::unique_ptr<stats::Profiler> prof;
   stats::MemCensus census;
+  std::uint64_t rss_growth = 0;
   if (o.profile != nullptr) {
     prof = std::make_unique<stats::Profiler>();
     stats::Profiler::set_active(prof.get());
@@ -407,7 +412,7 @@ int main(int argc, char** argv) {
     const std::uint64_t plan_seed = master.next_u64();
     const PlanResult r =
         run_plan(o, plan_seed, "chaos-" + std::to_string(i), o.dump_plans,
-                 prof ? &census : nullptr);
+                 prof ? &census : nullptr, &rss_growth);
     if (!r.ok()) ++failed;
     std::printf(
         "{\"plan\":%d,\"seed\":%llu,\"applied\":%llu,\"skipped\":%llu,"
@@ -449,6 +454,7 @@ int main(int argc, char** argv) {
               failed == 0 ? "true" : "false");
   if (prof) {
     prof->set_memory(census);
+    prof->set_rss_delta(rss_growth);
     prof->set_env("tool", "chaos_sim");
     prof->set_env("plans", std::to_string(o.plans));
     prof->set_env("threads", std::to_string(o.threads));

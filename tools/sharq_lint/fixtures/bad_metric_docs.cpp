@@ -7,7 +7,7 @@ struct Metrics {
   int& histogram(const char* name);
 };
 struct Timer {
-  void set_tag(const char* tag);
+  void arm(double delay, void (*fn)(), const char* tag);
 };
 
 void reg(Metrics& m, Timer& t) {
@@ -15,6 +15,6 @@ void reg(Metrics& m, Timer& t) {
   m.counter("fixture.rogue");         // EXPECT-LINT: metric-docs
   m.gauge("fixture.rogue_gauge");     // EXPECT-LINT: metric-docs
   m.histogram("fixture.rogue_hist");  // EXPECT-LINT: metric-docs
-  t.set_tag("fixture.tagged");        // in the fixture doc: must not fire
-  t.set_tag("fixture.rogue_tag");     // EXPECT-LINT: metric-docs
+  t.arm(1.0, [] {}, "fixture.tagged");     // in the fixture doc: must not fire
+  t.arm(1.0, [] {}, "fixture.rogue_tag");  // EXPECT-LINT: metric-docs
 }

@@ -1130,23 +1130,21 @@ void rule_metric_docs(const LexedFile& f, const Suppressions& sup,
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
     if (toks[i].kind != Tok::kIdent) continue;
     const std::string& id = toks[i].text;
-    const bool metric_reg = id == "counter" || id == "gauge" || id == "histogram";
-    const bool tag_reg = id == "set_tag";
-    if (!metric_reg && !tag_reg) continue;
+    if (id != "counter" && id != "gauge" && id != "histogram") continue;
     if (toks[i + 1].kind != Tok::kPunct || toks[i + 1].text != "(") continue;
     if (toks[i + 2].kind != Tok::kString) continue;
     const std::string& name = toks[i + 2].text;
     if (name.empty()) continue;
-    if (metric_reg && registered) registered->insert(name);
+    if (registered) registered->insert(name);
     if (!documented(name) && !sup.suppressed("metric-docs", toks[i].line)) {
       out.push_back({f.path, toks[i].line, "metric-docs",
-                     std::string(metric_reg ? "metric family" : "event tag") +
-                         " \"" + name + "\" is not documented in "
-                         "docs/OBSERVABILITY.md: add a catalog row (the doc is "
-                         "part of the metrics schema contract)"});
+                     "metric family \"" + name + "\" is not documented in "
+                     "docs/OBSERVABILITY.md: add a catalog row (the doc is "
+                     "part of the metrics schema contract)"});
     }
   }
-  // Event tags passed as the literal last argument of Simulator::at/after.
+  // Event tags passed as the literal last argument of Simulator::at/after
+  // or Timer::arm/arm_if_idle.
   for (std::size_t i = 2; i + 1 < toks.size(); ++i) {
     if (toks[i].kind != Tok::kString) continue;
     if (i + 1 >= toks.size() || toks[i + 1].kind != Tok::kPunct || toks[i + 1].text != ")") continue;

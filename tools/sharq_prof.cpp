@@ -103,6 +103,18 @@ double imbalance(const Value& by_shard) {
   return mx / (sum / static_cast<double>(by_shard.items.size()));
 }
 
+/// Worker threads the profiled run had: the driver's `threads` env entry,
+/// at least 1 (serial drivers write 0 or leave it out). Self time is summed
+/// over workers, so wall x workers is the time it can add up to.
+int profile_workers(const Value& tim) {
+  const Value* env = tim.get("env");
+  const Value* threads = env ? env->get("threads") : nullptr;
+  const int n = threads && threads->kind == Kind::kString
+                    ? std::atoi(threads->text.c_str())
+                    : 0;
+  return std::max(n, 1);
+}
+
 int cmd_report(const Value& doc) {
   const Value& det = *doc.get("deterministic");
   const Value& tim = *doc.get("timing");
@@ -118,7 +130,8 @@ int cmd_report(const Value& doc) {
               static_cast<int>(det.num_or("shards", 1)), wall,
               human_bytes(rss).c_str(), env_line.c_str());
 
-  // Self time, ranked. Row: name, total_s, % of wall, imbalance. A scope
+  // Self time, ranked. Row: name, total_s, share of the time the run's
+  // workers had (wall x workers; a serial run has one), imbalance. A scope
   // the run never entered (codec without real payload, shard_barrier in a
   // serial run) reads n/a: its 0 s is absence, not a measurement.
   if (const Value* self = tim.get("self_time")) {
@@ -142,19 +155,23 @@ int cmd_report(const Value& doc) {
     }
     std::sort(rows.begin(), rows.end(),
               [](const Row& a, const Row& b) { return a.total > b.total; });
-    std::printf("\n%-16s %10s %7s %10s\n", "self time", "seconds", "%wall",
-                "imbalance");
+    const int workers = profile_workers(tim);
+    const double budget = wall * workers;
+    const std::string share =
+        workers > 1 ? "%wall*" + std::to_string(workers) : "%wall";
+    std::printf("\n%-16s %10s %7s %10s\n", "self time", "seconds",
+                share.c_str(), "imbalance");
     for (const Row& r : rows) {
       if (!r.entered) {
         std::printf("%-16s %10s\n", r.name.c_str(), "n/a");
         continue;
       }
       std::printf("%-16s %10.3f %6.1f%% %9.2fx\n", r.name.c_str(), r.total,
-                  wall > 0 ? 100.0 * r.total / wall : 0.0, r.imb);
+                  budget > 0 ? 100.0 * r.total / budget : 0.0, r.imb);
     }
-    if (wall > 0) {
+    if (budget > 0) {
       std::printf("%-16s %10.3f %6.1f%%\n", "(attributed)", attributed,
-                  100.0 * attributed / wall);
+                  100.0 * attributed / budget);
     }
   }
 

@@ -191,10 +191,17 @@ int main(int argc, char** argv) {
   // simulated history (tests compare journal/metrics bytes both ways).
   std::unique_ptr<stats::Profiler> prof;
   stats::MemCensus census;
+  std::uint64_t rss0 = 0, rss_growth = 0;
   if (!o.profile_file.empty()) {
     prof = std::make_unique<stats::Profiler>();
     stats::Profiler::set_active(prof.get());
+    rss0 = stats::trimmed_rss_bytes();
   }
+  // Resident growth up to now; read while the protocol session is alive.
+  auto note_rss = [&] {
+    const std::uint64_t rss1 = stats::trimmed_rss_bytes();
+    rss_growth = rss1 > rss0 ? rss1 - rss0 : 0;
+  };
   sim::Simulator simu(o.seed);
   net::Network net(simu);
   stats::Metrics metrics;
@@ -240,6 +247,7 @@ int main(int argc, char** argv) {
       repairs += a->repairs_sent();
     }
     units = o.packets;
+    if (prof) note_rss();
   } else {
     sfq::Config cfg;
     cfg.shard_size_bytes = o.packet_size;
@@ -272,7 +280,10 @@ int main(int argc, char** argv) {
     }
     units = o.packets / cfg.group_size;
     if (!o.metrics_file.empty()) s.export_metrics(metrics);
-    if (prof) s.memory_census(census);
+    if (prof) {
+      s.memory_census(census);
+      note_rss();
+    }
   }
 
   int incomplete = 0;
@@ -313,6 +324,7 @@ int main(int argc, char** argv) {
     mos << "}\n";
   }
   if (prof) {
+    prof->set_rss_delta(rss_growth);
     net.memory_census(census);
     const std::uint64_t evq = simu.queue_memory_bytes();
     census.add("event_queue", evq, evq);
