@@ -2,7 +2,7 @@
 """Validate a macro-sim benchmark baseline (BENCH_sim.json from macro_sim).
 
 Usage: check_bench.py BENCH_sim.json [--min-receivers N] [--require-complete]
-       [--max-kb-per-receiver X]
+       [--max-kb-per-receiver X] [--census-baseline BASELINE.json]
 
 Checks, in order:
   parse     the file is a single JSON object
@@ -32,6 +32,12 @@ Checks, in order:
   memory    with --max-kb-per-receiver X, no case spends more than X KiB
             of RSS growth per receiver (the per-receiver memory budget;
             guards against protocol-state regressions at macro scale)
+  census    with --census-baseline BASELINE.json, every case's
+            mem_peak_bytes equals, category for category, that of the
+            same-named case in BASELINE.json. The census is a pure function
+            of the simulated history and the struct layouts, so a fresh
+            run compared against the committed baseline fails when the
+            baseline has gone stale
 
 Exit status 0 on success; prints one line per failure otherwise.
 """
@@ -178,11 +184,54 @@ def check(doc, min_receivers, require_complete, max_kb_per_receiver=None):
     return errors
 
 
+def check_census(doc, baseline):
+    """Exact mem_peak_bytes comparison of each case of `doc` against the
+    same-named case of `baseline`; returns the list of failures."""
+    errors = []
+    rows = {}
+    if isinstance(baseline, dict) and isinstance(baseline.get("cases"), list):
+        rows = {c.get("name"): c for c in baseline["cases"]
+                if isinstance(c, dict)}
+    for case in doc["cases"]:
+        name = case["name"]
+        ref = rows.get(name)
+        if ref is None or not isinstance(ref.get(CENSUS_FIELD), dict):
+            errors.append(f"case {name!r}: the census baseline has no "
+                          f"{CENSUS_FIELD} row of that name")
+            continue
+        mine, theirs = case[CENSUS_FIELD], ref[CENSUS_FIELD]
+        for cat in sorted(set(mine) | set(theirs)):
+            if mine.get(cat) != theirs.get(cat):
+                errors.append(f"case {name!r}: {CENSUS_FIELD}[{cat!r}] is "
+                              f"{mine.get(cat)!r}, the census baseline has "
+                              f"{theirs.get(cat)!r}")
+    return errors
+
+
+def load(path):
+    """The JSON document at `path`, or None (with a stderr note)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"check_bench: {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def main(argv):
     args = list(argv[1:])
     min_receivers = None
     max_kb_per_receiver = None
     require_complete = False
+    census_baseline = None
+    if "--census-baseline" in args:
+        at = args.index("--census-baseline")
+        if at + 1 >= len(args):
+            print("check_bench: --census-baseline needs a path",
+                  file=sys.stderr)
+            return 2
+        census_baseline = args[at + 1]
+        del args[at:at + 2]
     if "--require-complete" in args:
         args.remove("--require-complete")
         require_complete = True
@@ -207,14 +256,15 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
 
-    try:
-        with open(args[0], encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"check_bench: {args[0]}: {exc}", file=sys.stderr)
+    doc = load(args[0])
+    if doc is None:
         return 1
-
     errors = check(doc, min_receivers, require_complete, max_kb_per_receiver)
+    if census_baseline is not None and not errors:
+        baseline = load(census_baseline)
+        if baseline is None:
+            return 1
+        errors = check_census(doc, baseline)
     for err in errors:
         print(f"check_bench: {err}", file=sys.stderr)
     if not errors:

@@ -176,5 +176,31 @@ class CheckBenchTest(unittest.TestCase):
                           "KiB/receiver budget")
 
 
+    def test_census_matching_the_baseline_passes(self):
+        self.assertEqual(check_bench.check_census(good_doc(), good_doc()), [])
+
+    def test_census_drift_in_one_category_is_reported(self):
+        fresh = good_doc(good_case(
+            mem_peak_bytes={"agent_objects": 400000, "peer_tables": 299999}))
+        errs = check_bench.check_census(fresh, good_doc())
+        self.assertEqual(len(errs), 1)
+        self.assertIn("'peer_tables'", errs[0])
+        self.assertIn("299999", errs[0])
+
+    def test_census_category_missing_from_either_side_is_reported(self):
+        fresh = good_doc(good_case(
+            mem_peak_bytes={"agent_objects": 400000, "peer_tables": 300000,
+                            "rng_streams": 64}))
+        errs = check_bench.check_census(fresh, good_doc())
+        self.assertEqual(len(errs), 1)
+        self.assertIn("'rng_streams'", errs[0])
+
+    def test_census_case_absent_from_the_baseline_is_reported(self):
+        errs = check_bench.check_census(good_doc(good_case(name="other")),
+                                        good_doc())
+        self.assertEqual(len(errs), 1)
+        self.assertIn("no mem_peak_bytes row", errs[0])
+
+
 if __name__ == "__main__":
     unittest.main()

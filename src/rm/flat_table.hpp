@@ -9,17 +9,15 @@ namespace sharq::rm {
 
 /// Small ordered map stored as one sorted vector of (key, value) pairs.
 ///
-/// Per-peer session state is small and read far more often than it
-/// changes: a SHARQFEC member's per-level RTT and bridge tables hold a
-/// zone's few dozen peers at most (paper §5: O(levels·fanout) state per
-/// member), and an SRM member's clock table one entry per peer. A
-/// node-based std::map spends a heap block and 32 bytes of tree links on
-/// every entry; this table spends one block, which the owner can size
-/// once with reserve() when it knows the bound.
+/// Per-peer session state (an SRM member's clock table, one entry per
+/// peer) is small and read far more often than it changes. A node-based
+/// std::map spends a heap block and 32 bytes of tree links on every entry;
+/// this table spends one block, which the owner can size once with
+/// reserve() when it knows the bound.
 ///
 /// Iteration is ascending by key, exactly as std::map's, so anything that
-/// walks a table into an output path (beacon entries, expiry order, the
-/// oldest-first shed tie-break) sees the same sequence. Inserting or
+/// walks a table into an output path (beacon entries) sees the same
+/// sequence. Inserting or
 /// erasing invalidates iterators past the touched position; erase()
 /// returns the iterator to the next entry, as std::map's does.
 template <class Key, class Value>

@@ -79,18 +79,15 @@ std::uint64_t SessionManager::session_messages_sent() const {
 }
 
 void SessionManager::memory_census(stats::MemCensus& census) const {
-  // Each table is one heap block of `capacity` entries; vectors never
-  // shrink, so the block is both the live and the retained figure.
-  std::uint64_t tables = 0;
-  for (const Level& lv : levels_) {
-    tables += stats::vector_block_bytes(lv.peers) +
-              stats::vector_block_bytes(lv.bridge_rtt);
-  }
+  // Every level's entries share one heap block, which never shrinks, so
+  // it is both the live and the retained figure.
+  const std::uint64_t tables =
+      peers_.block_bytes() == 0 ? 0
+                                : stats::heap_block_bytes(peers_.block_bytes());
   census.add("peer_tables", tables, tables);
   census.add("rng_streams", sizeof(rng_), sizeof(rng_));
   // The object itself (held inline in its Agent's heap block) and its
-  // per-level state, election timers included (held inline). The tables
-  // inside the levels are counted above.
+  // per-level state, election timers included (held inline).
   const std::uint64_t self =
       sizeof(SessionManager) - sizeof(rng_) +
       stats::vector_block_bytes(levels_) +
@@ -162,17 +159,17 @@ net::NodeId SessionManager::zcr_of(net::ZoneId z) const {
 
 double SessionManager::direct_rtt(net::ZoneId z, net::NodeId peer) const {
   const int l = level_index(z);
-  if (l < 0) return -1.0;
-  auto it = levels_[l].peers.find(peer);
-  return it == levels_[l].peers.end() ? -1.0 : it->second.rtt;
+  return l < 0 ? -1.0 : peer_rtt(l, peer, PeerArena::kRtt);
 }
 
 double SessionManager::max_rtt_in_zone(net::ZoneId z) const {
   const int l = level_index(z);
   double best = -1.0;
   if (l >= 0) {
-    for (const auto& [peer, p] : levels_[l].peers) {
-      best = std::max(best, p.rtt);
+    const PeerRun& run = levels_[l].run;
+    for (std::size_t i = run.off; i < run.off + run.len; ++i) {
+      const double rtt = peers_.at(PeerArena::kRtt, i);
+      if (PeerArena::present(rtt)) best = std::max(best, rtt);
     }
   }
   return best > 0.0 ? best : 2.0 * rm::kDefaultDist;
@@ -193,9 +190,9 @@ double SessionManager::dist_to_zcr_at(int level) const {
   if (start < 0) {
     const Level& l0 = levels_[0];
     if (l0.zcr == net::kNoNode) return -1.0;
-    auto it = l0.peers.find(l0.zcr);
-    if (it == l0.peers.end() || it->second.rtt < 0.0) return -1.0;
-    d = it->second.rtt / 2.0;
+    const double rtt = peer_rtt(0, l0.zcr, PeerArena::kRtt);
+    if (rtt < 0.0) return -1.0;
+    d = rtt / 2.0;
     start = 0;
   }
   for (int l = start; l < level; ++l) {
@@ -222,11 +219,9 @@ double SessionManager::estimate_dist(net::NodeId peer,
                                      const std::vector<RttHint>& hints) const {
   if (peer == node_) return 0.0;
   // Direct measurement at any level we participate in wins.
-  for (const Level& lv : levels_) {
-    auto it = lv.peers.find(peer);
-    if (it != lv.peers.end() && it->second.rtt >= 0.0) {
-      return it->second.rtt / 2.0;
-    }
+  for (int l = 0; l < static_cast<int>(levels_.size()); ++l) {
+    const double rtt = peer_rtt(l, peer, PeerArena::kRtt);
+    if (rtt >= 0.0) return rtt / 2.0;
   }
   const net::ZoneId common = hier_.common_zone(node_, peer);
   if (common == net::kNoZone) return rm::kDefaultDist;
@@ -239,12 +234,9 @@ double SessionManager::estimate_dist(net::NodeId peer,
   if (base < 0.0) return rm::kDefaultDist;
   if (peer == bridge) return base;
 
-  const Level& lv = levels_[lc];
   // Peer participates directly in the common zone?
-  auto direct = lv.bridge_rtt.find(peer);
-  if (direct != lv.bridge_rtt.end() && direct->second >= 0.0) {
-    return base + direct->second / 2.0;
-  }
+  const double direct = peer_rtt(lc, peer, PeerArena::kBridge);
+  if (direct >= 0.0) return base + direct / 2.0;
   // Peer sits behind a sibling zone: find its hint for the child-of-common
   // zone and bridge through that zone's ZCR.
   for (const RttHint& h : hints) {
@@ -254,10 +246,8 @@ double SessionManager::estimate_dist(net::NodeId peer,
     if (!hier_.scoping()) break;
     if (hier_.parent(h.zone) != common) continue;
     if (h.zcr == bridge) return base + h.dist;
-    auto sib = lv.bridge_rtt.find(h.zcr);
-    if (sib != lv.bridge_rtt.end() && sib->second >= 0.0) {
-      return base + sib->second / 2.0 + h.dist;
-    }
+    const double sib = peer_rtt(lc, h.zcr, PeerArena::kBridge);
+    if (sib >= 0.0) return base + sib / 2.0 + h.dist;
   }
   return rm::kDefaultDist;
 }
@@ -291,34 +281,40 @@ void SessionManager::schedule_session() {
 }
 
 void SessionManager::expire_silent_peers() {
+  // Crashed (or partitioned-away) peer: its RTT samples and bridge entry
+  // would otherwise feed stale distances into repair timers forever.
+  // Re-arrival simply re-measures from scratch.
   for (Level& lv : levels_) {
-    for (auto it = lv.peers.begin(); it != lv.peers.end();) {
-      if (simu_.now() - it->second.heard_at > kPeerExpiry) {
-        // Crashed (or partitioned-away) peer: its RTT samples and bridge
-        // entries would otherwise feed stale distances into repair timers
-        // forever. Re-arrival simply re-measures from scratch.
-        lv.bridge_rtt.erase(it->first);
-        it = lv.peers.erase(it);
-        ++peers_expired_;
-      } else {
-        ++it;
-      }
-    }
+    peers_expired_ += peers_.expire(lv.run, simu_.now(), kPeerExpiry);
   }
 }
 
-std::size_t SessionManager::peer_table_size(int level) const {
-  // Sized once, on first use, when every member has joined. A member
-  // never hears itself, so its own zone holds one fewer peer. Tables only
-  // outgrow this while an election turns over or a dead ZCR awaits expiry.
-  std::size_t n = hier_.session_peer_bound(levels_[level].zone);
-  if (level == 0 && n > 0) --n;
-  return std::max<std::size_t>(n, 1);
+std::size_t SessionManager::peer_entry(int level, net::NodeId peer) {
+  if (peers_.block_bytes() == 0) {
+    // Sized once, on first use, when every member has joined: a run holds
+    // the zone's session participants, the member itself included (it can
+    // sit in the bridge part). Runs only outgrow this while an election
+    // turns over or a dead ZCR awaits expiry.
+    auto size = [&](const Level& lv) {
+      return std::max<std::size_t>(hier_.session_peer_bound(lv.zone), 1);
+    };
+    std::size_t total = 0;
+    for (const Level& lv : levels_) total += size(lv);
+    peers_.reserve(total);
+    for (Level& lv : levels_) lv.run = peers_.add_run(size(lv));
+  }
+  return peers_.insert(levels_[static_cast<std::size_t>(level)].run, peer);
+}
+
+std::size_t SessionManager::peer_entries(int level, PeerArena::Col c) const {
+  return peers_.count(levels_[static_cast<std::size_t>(level)].run, c);
 }
 
 std::size_t SessionManager::tracked_peer_count() const {
   std::size_t n = 0;
-  for (const Level& lv : levels_) n += lv.peers.size() + lv.bridge_rtt.size();
+  for (int l = 0; l < static_cast<int>(levels_.size()); ++l) {
+    n += peer_entries(l, PeerArena::kRtt) + peer_entries(l, PeerArena::kBridge);
+  }
   return n;
 }
 
@@ -341,13 +337,14 @@ void SessionManager::send_session_for_level(int level) {
     msg->max_group_seen = mg;
     msg->seen_any_data = any;
   }
-  msg->entries.reserve(lv.peers.size());
-  for (const auto& [peer, p] : lv.peers) {
+  msg->entries.reserve(peer_entries(level, PeerArena::kRtt));
+  for (std::size_t i = lv.run.off; i < lv.run.off + lv.run.len; ++i) {
+    if (!PeerArena::present(peers_.at(PeerArena::kRtt, i))) continue;
     SessionMsg::Entry e;
-    e.peer = peer;
-    e.peer_ts = p.last_ts;
-    e.delay = simu_.now() - p.heard_at;
-    e.rtt_est = p.rtt;
+    e.peer = peers_.id(i);
+    e.peer_ts = peers_.at(PeerArena::kLastTs, i);
+    e.delay = simu_.now() - peers_.at(PeerArena::kHeardAt, i);
+    e.rtt_est = peers_.at(PeerArena::kRtt, i);
     msg->entries.push_back(e);
   }
   ++lv.session_msgs;
@@ -388,20 +385,20 @@ void SessionManager::handle_session(const SessionMsg& msg, int level) {
   if (msg.sender == lv.zcr) lv.zcr_last_heard = simu_.now();
 
   // Clock bookkeeping + RTT measurement for channels we participate in.
-  auto pit = lv.peers.find(msg.sender);
-  if (pit == lv.peers.end()) {
-    if (lv.peers.capacity() == 0) lv.peers.reserve(peer_table_size(level));
-    pit = lv.peers.try_emplace(msg.sender, Peer{}).first;
-    peer_table_hw_ = std::max(peer_table_hw_, lv.peers.size());
+  const std::size_t p = peer_entry(level, msg.sender);
+  double& rtt_slot = peers_.at(PeerArena::kRtt, p);
+  if (!PeerArena::present(rtt_slot)) {
+    rtt_slot = kEwmaUnset;
+    peer_table_hw_ =
+        std::max(peer_table_hw_, peer_entries(level, PeerArena::kRtt));
   }
-  Peer& peer = pit->second;
-  peer.last_ts = msg.ts;
-  peer.heard_at = simu_.now();
+  peers_.at(PeerArena::kLastTs, p) = msg.ts;
+  peers_.at(PeerArena::kHeardAt, p) = simu_.now();
   for (const SessionMsg::Entry& e : msg.entries) {
     if (e.peer == node_ && e.peer_ts > 0.0) {
       const double rtt = simu_.now() - e.peer_ts - e.delay;
       if (rtt > 0.0) {
-        ewma_rtt(peer.rtt, rtt);
+        ewma_rtt(rtt_slot, rtt);
         ++rtt_samples_;
       }
       break;
@@ -412,14 +409,9 @@ void SessionManager::handle_session(const SessionMsg& msg, int level) {
   if (msg.sender == expected_bridge(level)) {
     for (const SessionMsg::Entry& e : msg.entries) {
       if (e.rtt_est < 0.0) continue;
-      auto slot = lv.bridge_rtt.find(e.peer);
-      if (slot == lv.bridge_rtt.end()) {
-        if (lv.bridge_rtt.capacity() == 0) {
-          lv.bridge_rtt.reserve(peer_table_size(level));
-        }
-        slot = lv.bridge_rtt.try_emplace(e.peer, -1.0).first;
-      }
-      ewma_rtt(slot->second, e.rtt_est);
+      // A new bridge part is absent (NaN), which the EWMA seeds like -1.
+      ewma_rtt(peers_.at(PeerArena::kBridge, peer_entry(level, e.peer)),
+               e.rtt_est);
     }
   }
   if (on_progress_ && msg.seen_any_data) on_progress_(msg.max_group_seen);

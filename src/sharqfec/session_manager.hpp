@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "rm/flat_table.hpp"
 #include "sharqfec/config.hpp"
 #include "sharqfec/hierarchy.hpp"
 #include "sharqfec/messages.hpp"
+#include "sharqfec/peer_arena.hpp"
 #include "sim/simulator.hpp"
 #include "stats/journal.hpp"
 #include "stats/metrics.hpp"
@@ -107,46 +107,43 @@ class SessionManager {
   std::uint64_t rtt_samples() const { return rtt_samples_; }
   /// Most peers one level's RTT table ever held.
   std::size_t peer_table_high_water() const { return peer_table_hw_; }
-  /// Live peers currently tracked across all levels (state-growth probe).
+  /// Live peers currently tracked across all levels (state-growth probe):
+  /// RTT entries plus bridge entries.
   std::size_t tracked_peer_count() const;
+  /// Entries holding an RTT part (c = kRtt) or a bridge part (kBridge)
+  /// at chain level `level`.
+  std::size_t peer_entries(int level, PeerArena::Col c) const;
 
   /// Add this manager's sharqfec.* counts to `m` (docs/OBSERVABILITY.md):
   /// counters add, the fleet-wide peer-table high water keeps the maximum.
   void export_metrics(stats::Metrics& m) const;
 
   /// Contribute this manager's retained bytes to the profiler's memory
-  /// census: RTT/bridge tables under "peer_tables" (each table's heap
-  /// block), its random stream under "rng_streams", the object and its
-  /// per-level state under "agent_objects".
+  /// census: the peer block under "peer_tables", its random stream under
+  /// "rng_streams", the object and its per-level state under
+  /// "agent_objects".
   void memory_census(stats::MemCensus& census) const;
 
  private:
-  struct Peer {
-    double rtt = -1.0;           // measured RTT to this peer (EWMA)
-    sim::Time last_ts = 0.0;     // peer clock for echoing
-    sim::Time heard_at = 0.0;
-  };
   struct Level {
     Level(net::ZoneId z, sim::Simulator& simu)
         : zone(z), challenge_timer(simu), watchdog(simu), takeover_timer(simu) {}
     net::ZoneId zone = net::kNoZone;
-    // Ordered: iterated into session-message entries (wire order), peer
-    // expiry, and max-RTT scans — hash order here would make beacon
-    // contents and timer sequencing depend on the standard library.
-    rm::FlatTable<net::NodeId, Peer> peers;
     net::NodeId zcr = net::kNoNode;
+    // This level's entries in `peers_`, sorted by peer id: iterated into
+    // session-message entries (wire order), peer expiry, and max-RTT
+    // scans. RTT part: measured RTT to the peer (EWMA), its clock for
+    // echoing, when we last heard it. Bridge part: rtt(bridge, peer)
+    // learned from the bridge ZCR's announcements on this zone's channel;
+    // bridge = zcr(chain[l-1]) for l>0, zcr(chain[0]) for l==0.
+    PeerRun run;
     double zcr_parent_dist = -1.0;  // dist(zcr(zone) -> zcr(parent))
     sim::Time zcr_last_heard = sim::kTimeNever;
-    // rtt(bridge, peer) learned from the bridge ZCR's announcements on
-    // this zone's channel; bridge = zcr(chain[l-1]) for l>0, zcr(chain[0])
-    // for l==0.
-    rm::FlatTable<net::NodeId, double> bridge_rtt;
     // election plumbing
     sim::Timer challenge_timer;
     sim::Timer watchdog;
     sim::Timer takeover_timer;
     double candidate_dist = -1.0;
-    sim::Time last_reassert = sim::kTimeNever;
     /// Journal cause of a pending takeover: the zcr.response (or heard
     /// zcr.takeover) that started the consideration.
     stats::EventId takeover_cause = 0;
@@ -165,8 +162,13 @@ class SessionManager {
   void send_session_for_level(int level);
   void schedule_session();
   void expire_silent_peers();
-  /// Entries reserved for `level`'s RTT and bridge tables.
-  std::size_t peer_table_size(int level) const;
+  /// Level `level`'s entry for `peer`, inserted if new; the first use
+  /// lays out every level's run.
+  std::size_t peer_entry(int level, net::NodeId peer);
+  /// `level`'s RTT (c = kRtt) or bridge RTT (kBridge) to `peer`, or -1.
+  double peer_rtt(int level, net::NodeId peer, PeerArena::Col c) const {
+    return peers_.value(levels_[static_cast<std::size_t>(level)].run, peer, c);
+  }
   void schedule_challenge(int level);
   void schedule_watchdog(int level);
   void issue_challenge(int level);
@@ -202,6 +204,7 @@ class SessionManager {
   sim::Rng rng_;
   std::span<const net::ZoneId> chain_;  // into the hierarchy's table
   std::vector<Level> levels_;
+  PeerArena peers_;  ///< every level's peer entries, one block
   sim::Timer session_timer_;
   int session_rounds_ = 0;
   // Ordered: the prune walk erases by timeout, and erase order decides

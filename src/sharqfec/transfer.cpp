@@ -201,6 +201,7 @@ TransferEngine::Live& TransferEngine::live(std::uint32_t g) {
     if (free_slots_.empty()) {
       r.slot = static_cast<std::uint32_t>(slots_.size());
       slots_.push_back(std::make_unique<Live>(simu_));
+      if (journal_) live_anchors_.emplace_back();
     } else {
       r.slot = free_slots_.back();
       free_slots_.pop_back();
@@ -241,6 +242,7 @@ void TransferEngine::maybe_settle(std::uint32_t g) {
     dec.hold_originals();  // size-only, it renumbers the held slots
   }
   static_cast<LiveState&>(l) = LiveState{};
+  if (journal_) live_anchors_[r.slot] = LiveAnchors{};
   free_slots_.push_back(r.slot);
   r.slot = kNoSlot;
 }
@@ -281,6 +283,7 @@ void TransferEngine::memory_census(stats::MemCensus& census) const {
       stats::vector_block_bytes(chain_arena_) +
       stats::vector_block_bytes(slice_arena_) +
       stats::vector_block_bytes(slots_) +
+      stats::vector_block_bytes(live_anchors_) +
       stats::vector_block_bytes(free_slots_) +
       slots_.size() * stats::heap_block_bytes(sizeof(Live));
   for (const auto& slot : slots_) {
@@ -562,8 +565,8 @@ void TransferEngine::note_remote_progress(std::uint32_t remote_max_group) {
       lv.ldp_timer.arm(grace, [this, g] {
         if (!rec(g).ldp_done) finish_ldp(g, "timer");
       }, "transfer.ldp");
-      if (journal_ && lv.ldp_armed_ev == 0) {
-        lv.ldp_armed_ev = jnl("ldp.armed", g, span_root(g), {{"eta", grace}});
+      if (journal_ && ev(g).ldp_armed == 0) {
+        ev(g).ldp_armed = jnl("ldp.armed", g, span_root(g), {{"eta", grace}});
       }
     }
   }
@@ -631,8 +634,8 @@ void TransferEngine::on_data(const DataMsg& msg, net::TrafficClass) {
   }, "transfer.ldp");
   // Journaled once per group (the timer re-arms on every packet; a line
   // per packet would drown the journal in the common no-loss case).
-  if (journal_ && l.ldp_armed_ev == 0) {
-    l.ldp_armed_ev = jnl("ldp.armed", g, span_root(g), {{"eta", eta}});
+  if (journal_ && ev(g).ldp_armed == 0) {
+    ev(g).ldp_armed = jnl("ldp.armed", g, span_root(g), {{"eta", eta}});
   }
 }
 
@@ -684,13 +687,14 @@ void TransferEngine::finish_ldp(std::uint32_t g, const char* via) {
       missing_originals(g, r.last_initial_seen + 1, r.initial_shards);
   r.last_initial_seen = static_cast<std::int16_t>(r.initial_shards - 1);
   r.max_id_seen = std::max<std::int16_t>(r.max_id_seen, r.last_initial_seen);
+  stats::EventId fired_ev = 0;
   if (journal_) {
-    l.ldp_fired_ev =
-        jnl("ldp.fired", g, l.ldp_armed_ev ? l.ldp_armed_ev : span_root(g),
-            {{"missing", missing}, {"via", via}});
+    const stats::EventId armed = ev(g).ldp_armed;
+    fired_ev = jnl("ldp.fired", g, armed ? armed : span_root(g),
+                   {{"missing", missing}, {"via", via}});
   }
   if (missing > 0) {
-    raise_llc(g, missing, l.ldp_fired_ev);
+    raise_llc(g, missing, fired_ev);
   } else {
     maybe_request(g);
   }
@@ -846,7 +850,8 @@ void TransferEngine::fire_request(std::uint32_t g) {
     back_off_request(g, suppressed_ev);
     return;
   }
-  l.last_nack_ev = send_nack(g, level, r.llc, deficit(g), /*storm=*/false);
+  const stats::EventId nack_ev =
+      send_nack(g, level, r.llc, deficit(g), /*storm=*/false);
   ChainLevel& lv = chain_lv(g)[level];
   lv.nacked = true;
   lv.zlc = std::max(lv.zlc, r.llc);
@@ -860,17 +865,16 @@ void TransferEngine::fire_request(std::uint32_t g) {
       l.attempts_at_scope >= kAttemptsPerScope &&
       level + 1 < static_cast<int>(session_.chain().size());
   if (!escalation_due) {
-    back_off_request(g, l.last_nack_ev);
+    back_off_request(g, nack_ev);
     return;
   }
   ++l.scope_level;
   l.attempts_at_scope = 0;
   l.backoff_i = 1;
   if (journal_) {
-    jnl("scope.escalated", g, l.last_nack_ev,
-        {{"scope_level", l.scope_level}});
+    jnl("scope.escalated", g, nack_ev, {{"scope_level", l.scope_level}});
   }
-  arm_request_timer(g, l.last_nack_ev);
+  arm_request_timer(g, nack_ev);
 }
 
 void TransferEngine::back_off_request(std::uint32_t g, stats::EventId cause) {
@@ -994,8 +998,8 @@ void TransferEngine::on_nack(const NackMsg& msg) {
       std::max(1e-3, session_.estimate_dist(msg.sender, msg.hints));
   if (journal_) {
     const char* via = dedicated_repairer(level) ? "immediate" : "deferred";
-    l.repair_sched_ev = jnl("repair.scheduled", g, heard_ev,
-                            {{"level", level}, {"via", via}});
+    ev(g).repair_sched = jnl("repair.scheduled", g, heard_ev,
+                             {{"level", level}, {"via", via}});
   }
   start_reply(g, level, d * kFallbackReplyDefer);
 }
@@ -1045,7 +1049,7 @@ void TransferEngine::fire_reply(std::uint32_t g) {
     // deferrals across groups serialize deterministically.
     ++repairs_deferred_;
     if (journal_) {
-      jnl("shed.repair", g, l.repair_sched_ev,
+      jnl("shed.repair", g, ev(g).repair_sched,
           {{"mode", "defer"}, {"level", level}, {"wait", wait}});
     }
     arm_reply(g, wait);
@@ -1073,7 +1077,7 @@ void TransferEngine::fire_reply(std::uint32_t g) {
 void TransferEngine::send_one_repair(std::uint32_t g, int level,
                                      bool preemptive) {
   if (stopped_) return;
-  Live& l = live(g);
+  live(g);  // the slot whose anchors the journal reads below
   if (preemptive && !pacer_.due(simu_.now())) {
     // Preemptive injection is speculative redundancy: when the rate
     // cap has no slot, skipping the shard is the graceful choice —
@@ -1081,7 +1085,7 @@ void TransferEngine::send_one_repair(std::uint32_t g, int level,
     // (deferring, never-dropping) reactive path.
     ++repairs_deferred_;
     if (journal_) {
-      jnl("shed.repair", g, l.inject_ev,
+      jnl("shed.repair", g, ev(g).inject,
           {{"mode", "skip_preemptive"}, {"level", level}});
     }
     return;
@@ -1116,7 +1120,7 @@ void TransferEngine::send_one_repair(std::uint32_t g, int level,
   pacer_.note_sent(simu_.now());
   if (journal_) {
     const stats::EventId cause =
-        preemptive ? l.inject_ev : l.repair_sched_ev;
+        preemptive ? ev(g).inject : ev(g).repair_sched;
     const stats::EventId sent_ev =
         jnl("repair.sent", g, cause ? cause : span_cause(g),
             {{"index", index},
@@ -1147,13 +1151,13 @@ void TransferEngine::on_repair(const RepairMsg& msg) {
   if (!was_complete) ++live(g).repair_coverage;
   const bool useful = !decoder_of(g).has(msg.index);
   if (journal_) {
-    const stats::EventId ev =
+    const stats::EventId recv_ev =
         jnl("repair.received", g, cause_in_,
             {{"index", msg.index},
              {"level", level},
              {"mode", msg.preemptive ? "preemptive" : "reactive"},
              {"useful", useful ? 1 : 0}});
-    if (!was_complete) live(g).last_repair_recv_ev = ev;
+    if (!was_complete) ev(g).last_repair_recv = recv_ev;
   }
   add_shard(g, msg.index, msg.bytes);
 
@@ -1178,12 +1182,12 @@ void TransferEngine::on_repair(const RepairMsg& msg) {
       l.scope_level = serving;
       l.attempts_at_scope = 0;
       if (journal_) {
-        jnl("scope.deescalated", g, l.last_repair_recv_ev,
+        jnl("scope.deescalated", g, ev(g).last_repair_recv,
             {{"scope_level", serving}});
       }
     }
     if (l.request_timer.pending() && deficit(g) > 0) {
-      arm_request_timer(g, l.last_repair_recv_ev);
+      arm_request_timer(g, journal_ ? ev(g).last_repair_recv : 0);
     }
   }
 
@@ -1231,15 +1235,14 @@ void TransferEngine::on_group_complete(std::uint32_t g) {
     // The parity decode is instantaneous in shard-count mode, so start and
     // complete land at the same t; they are separate events because real
     // decoders are not, and the analyzer's latency split wants the edge.
-    const stats::EventId cause = l.last_repair_recv_ev
-                                     ? l.last_repair_recv_ev
-                                     : span_cause(g);
+    const stats::EventId recv_ev = ev(g).last_repair_recv;
+    const stats::EventId cause = recv_ev ? recv_ev : span_cause(g);
     const stats::EventId start_ev =
         jnl("decode.start", g, cause,
             {{"distinct", dec.distinct()}, {"llc", r.llc}});
     const stats::EventId done_ev =
         jnl("decode.complete", g, start_ev, {});
-    l.complete_ev =
+    ev(g).complete =
         jnl("group.complete", g, done_ev,
             {{"elapsed", l.first_arrival != sim::kTimeNever
                              ? simu_.now() - l.first_arrival
@@ -1257,8 +1260,8 @@ void TransferEngine::on_group_complete(std::uint32_t g) {
   const int level = eligible_repairer(g) ? lowest_pending_level(g) : -1;
   if (level >= 0 && !l.reply_timer.pending()) {
     if (journal_) {
-      l.repair_sched_ev = jnl("repair.scheduled", g, l.complete_ev,
-                              {{"level", level}, {"via", "completion"}});
+      ev(g).repair_sched = jnl("repair.scheduled", g, ev(g).complete,
+                               {{"level", level}, {"via", "completion"}});
     }
     start_reply(g, level, rm::kDefaultDist);
   }
@@ -1287,7 +1290,7 @@ void TransferEngine::schedule_injection(std::uint32_t g) {
     const int level = static_cast<int>(l);
     Live& lg = live(g);
     if (journal_) {
-      lg.inject_ev = jnl("inject.scheduled", g, lg.complete_ev,
+      ev(g).inject = jnl("inject.scheduled", g, ev(g).complete,
                          {{"count", extra}, {"level", level}});
     }
     // Paced burst of preemptive repairs into this zone (paper RP rule 2:
@@ -1390,11 +1393,8 @@ void TransferEngine::send_storm_nack() {
   // Root scope on purpose: a root NACK recruits every repairer in the
   // session — the worst-case feedback implosion the budgets must absorb.
   const Record& r = rec(g);
-  const stats::EventId sent_ev =
-      send_nack(g, static_cast<int>(chain.size()) - 1, std::max<int>(r.llc, 1),
-                std::max(deficit(g), 1), /*storm=*/true);
-  // A delivered group's own NACK anchor is never read again.
-  if (!r.complete) live(g).last_nack_ev = sent_ev;
+  send_nack(g, static_cast<int>(chain.size()) - 1, std::max<int>(r.llc, 1),
+            std::max(deficit(g), 1), /*storm=*/true);
 }
 
 }  // namespace sharq::sfq

@@ -248,7 +248,7 @@ class TransferEngine {
                 "per-group state is sized for streams of thousands of groups");
 
   /// The resettable part of a group's live state: request backoff and
-  /// scope, journal anchors, the repair encoder.
+  /// scope, the repair encoder.
   struct LiveState {
     sim::Time first_arrival = sim::kTimeNever;
     /// Real-payload repair source: the source's k originals, or a
@@ -257,18 +257,6 @@ class TransferEngine {
     /// the group settles and rebuilt on demand: the code is MDS, so any k
     /// held shards give the same parity bytes.
     std::unique_ptr<fec::GroupEncoder> encoder;
-    // Flight-recorder causal anchors (all 0 when the journal is detached):
-    // the most recent event of each kind, used as the `cause` of whatever
-    // it triggers next (docs/OBSERVABILITY.md). Once a group has settled
-    // none of these is read before it is rewritten; the two anchors that
-    // can be (span root, latest loss) live in `anchors_`.
-    stats::EventId ldp_armed_ev = 0;
-    stats::EventId ldp_fired_ev = 0;
-    stats::EventId last_nack_ev = 0;  ///< our own nack.sent
-    stats::EventId repair_sched_ev = 0;
-    stats::EventId inject_ev = 0;
-    stats::EventId last_repair_recv_ev = 0;
-    stats::EventId complete_ev = 0;
     int repair_coverage = 0;      ///< repair shards seen before completion
     int backoff_i = 1;            ///< paper: i starts at 1
     int scope_level = 0;          ///< current NACK escalation level
@@ -298,7 +286,21 @@ class TransferEngine {
     sim::Timer measure_timer;
   };
 
+  /// Flight-recorder causal anchors of a live group (docs/OBSERVABILITY.md):
+  /// the latest event of each kind, the `cause` of what it triggers next.
+  /// None is read after the group settles; `anchors_` holds the two that
+  /// are (span root, latest loss).
+  struct LiveAnchors {
+    stats::EventId ldp_armed = 0;
+    stats::EventId repair_sched = 0;
+    stats::EventId inject = 0;
+    stats::EventId last_repair_recv = 0;
+    stats::EventId complete = 0;
+  };
+
   Record& rec(std::uint32_t g) { return records_[g]; }
+  /// Live group `g`'s anchors (journal attached only).
+  LiveAnchors& ev(std::uint32_t g) { return live_anchors_[rec(g).slot]; }
   const Record& rec(std::uint32_t g) const { return records_[g]; }
   /// Group `g`'s live state, taking a slot first if it has settled.
   Live& live(std::uint32_t g);
@@ -422,6 +424,7 @@ class TransferEngine {
   std::shared_ptr<const Config> cfg_;
   net::NodeId node_;
   bool is_source_;
+  bool stopped_ = false;
   rm::DeliveryLog* log_;
   stats::Journal* journal_ = nullptr;  ///< cfg_.journal, cached
   /// Event bound to the packet currently being handled (0 outside
@@ -448,6 +451,7 @@ class TransferEngine {
   /// The live-state pool: grows only when every slot is held, so its size
   /// is the high water of simultaneously live groups.
   std::vector<std::unique_ptr<Live>> slots_;
+  std::vector<LiveAnchors> live_anchors_;  ///< per slot, journal only
   std::vector<std::uint32_t> free_slots_;
   /// Every tracked group in [skip_before_, ldp_floor_) has finished its
   /// loss-detection phase, so the backfill loops start here.
@@ -466,6 +470,7 @@ class TransferEngine {
   std::uint32_t send_group_ = 0;
   int send_index_ = 0;
   std::uint32_t send_total_groups_ = 0;
+  std::int32_t pending_high_water_ = 0;
   double arrival_ewma_ = -1.0;
   sim::Time last_arrival_ = sim::kTimeNever;
 
@@ -473,11 +478,9 @@ class TransferEngine {
   std::uint64_t nacks_suppressed_ = 0;
   std::uint64_t nacks_deduped_ = 0;
   std::uint64_t malformed_rejects_ = 0;
-  bool stopped_ = false;
   RepairPacer pacer_;
   std::uint64_t repairs_deferred_ = 0;
   std::uint64_t repairs_coalesced_ = 0;
-  std::int32_t pending_high_water_ = 0;
   /// sharqfec.group_completion_seconds child for this node (null when
   /// cfg_.metrics is): a distribution, so it is observed as groups
   /// complete rather than read from the engine at export.

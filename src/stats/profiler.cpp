@@ -118,24 +118,20 @@ Profiler::~Profiler() {
 
 std::uint64_t Profiler::counter_value(ProfCounter c) const {
   std::uint64_t total = 0;
-  for (int l = 0; l < kMaxLanes; ++l) {
-    total += counters_[l][static_cast<int>(c)];
-  }
+  for (const Lane& ln : lanes_) total += ln.counters[static_cast<int>(c)];
   return total;
 }
 
 std::uint64_t Profiler::scope_count(ProfSubsys s) const {
   std::uint64_t total = 0;
-  for (int l = 0; l < kMaxLanes; ++l) {
-    total += scopes_[l][static_cast<int>(s)];
-  }
+  for (const Lane& ln : lanes_) total += ln.scopes[static_cast<int>(s)];
   return total;
 }
 
 void Profiler::timed_enter(int l, int subsys) {
-  LaneTiming& lt = timing_[l];
+  LaneTiming& lt = lanes_[l].timing;
   if (lt.depth >= kMaxDepth) {
-    ++truncated_scopes_[l];
+    ++lanes_[l].truncated_scopes;
     ++lt.depth;  // keep enter/exit balanced past the cap
     return;
   }
@@ -146,7 +142,7 @@ void Profiler::timed_enter(int l, int subsys) {
 }
 
 void Profiler::timed_exit(int l) {
-  LaneTiming& lt = timing_[l];
+  LaneTiming& lt = lanes_[l].timing;
   if (lt.depth <= 0) return;  // unmatched exit: ignore
   if (lt.depth > kMaxDepth) {
     --lt.depth;  // untimed overflow frame
@@ -156,19 +152,19 @@ void Profiler::timed_exit(int l) {
   const std::uint64_t t1 = raw_ticks();
   const std::uint64_t incl = t1 >= f.t0 ? t1 - f.t0 : 0;
   const std::uint64_t self = incl >= f.child ? incl - f.child : 0;
-  self_ticks_[l][f.subsys] += self;
+  lanes_[l].self_ticks[f.subsys] += self;
   if (lt.depth > 0) lt.stack[lt.depth - 1].child += incl;
 }
 
 void Profiler::window_begin() {
   count(ProfCounter::windows);
   window_t0_ = raw_ticks();
-  for (std::uint64_t& d : shard_done_) d = 0;
+  for (Lane& ln : lanes_) ln.shard_done = 0;
 }
 
 void Profiler::shard_window_done(int shard) {
   if (shard < 0 || shard >= kMaxLanes) return;
-  shard_done_[shard] = raw_ticks();
+  lanes_[shard].shard_done = raw_ticks();
 }
 
 void Profiler::window_end(int nshards, bool stalled) {
@@ -181,12 +177,12 @@ void Profiler::window_end(int nshards, bool stalled) {
   }
   std::uint64_t last = 0;
   for (int s = 0; s < nshards && s < kMaxLanes; ++s) {
-    if (shard_done_[s] > last) last = shard_done_[s];
+    last = std::max(last, lanes_[s].shard_done);
   }
   for (int s = 0; s < nshards && s < kMaxLanes; ++s) {
-    if (shard_done_[s] == 0) continue;
-    const std::uint64_t wait = last - shard_done_[s];
-    barrier_wait_ticks_[s] += wait;
+    if (lanes_[s].shard_done == 0) continue;
+    const std::uint64_t wait = last - lanes_[s].shard_done;
+    lanes_[s].barrier_wait_ticks += wait;
     barrier_wait_.add(wait);
   }
 }
@@ -243,7 +239,7 @@ void Profiler::write_deterministic(std::ostream& os) const {
        << scope_count(s) << ",\"by_shard\":[";
     for (int l = 0; l < shards_; ++l) {
       if (l) os << ',';
-      os << scopes_[l][i];
+      os << lanes_[l].scopes[i];
     }
     os << "]}";
   }
@@ -255,7 +251,7 @@ void Profiler::write_deterministic(std::ostream& os) const {
        << counter_value(c) << ",\"by_shard\":[";
     for (int l = 0; l < shards_; ++l) {
       if (l) os << ',';
-      os << counters_[l][i];
+      os << lanes_[l].counters[i];
     }
     os << "]}";
   }
@@ -312,24 +308,25 @@ void Profiler::write_timing(std::ostream& os) const {
   for (int i = 0; i < kProfSubsysCount; ++i) {
     if (i) os << ',';
     std::uint64_t total = 0;
-    for (int l = 0; l < kMaxLanes; ++l) total += self_ticks_[l][i];
+    for (const Lane& ln : lanes_) total += ln.self_ticks[i];
     os << json_quoted(prof_subsys_name(static_cast<ProfSubsys>(i)))
        << ":{\"total_s\":"
        << json_double(static_cast<double>(total) * self_spt)
        << ",\"by_shard_s\":[";
     for (int l = 0; l < shards_; ++l) {
       if (l) os << ',';
-      os << json_double(static_cast<double>(self_ticks_[l][i]) * self_spt);
+      os << json_double(static_cast<double>(lanes_[l].self_ticks[i]) *
+                        self_spt);
     }
     os << "]}";
   }
   os << "},\"barrier_wait_by_shard_s\":[";
   for (int l = 0; l < shards_; ++l) {
     if (l) os << ',';
-    os << json_double(static_cast<double>(barrier_wait_ticks_[l]) * spt);
+    os << json_double(static_cast<double>(lanes_[l].barrier_wait_ticks) * spt);
   }
   std::uint64_t truncated = 0;
-  for (int l = 0; l < kMaxLanes; ++l) truncated += truncated_scopes_[l];
+  for (const Lane& ln : lanes_) truncated += ln.truncated_scopes;
   os << "],\"truncated_scopes\":" << truncated
      << ",\"histograms\":{\"barrier_wait\":";
   write_hist(os, barrier_wait_, spt);

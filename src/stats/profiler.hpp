@@ -160,7 +160,7 @@ class Profiler {
   /// profiler is installed.
   static void count(ProfCounter c, std::uint64_t n = 1) {
     if (active_ != nullptr) {
-      active_->counters_[lane()][static_cast<int>(c)] += n;
+      active_->lanes_[lane()].counters[static_cast<int>(c)] += n;
     }
   }
 
@@ -182,8 +182,8 @@ class Profiler {
   /// timed path was taken so ~ProfScope stays balanced.
   bool enter(ProfSubsys s) {
     const int l = lane();
-    ++scopes_[l][static_cast<int>(s)];
-    if (!gate_[l]) return false;
+    ++lanes_[l].scopes[static_cast<int>(s)];
+    if (!lanes_[l].gate) return false;
     timed_enter(l, static_cast<int>(s));
     return true;
   }
@@ -195,18 +195,19 @@ class Profiler {
   /// Returns whether the gate opened (ProfGate closes it symmetrically).
   bool gate_open(ProfCounter c, ProfSubsys s) {
     const int l = lane();
-    ++counters_[l][static_cast<int>(c)];
-    ++scopes_[l][static_cast<int>(s)];
-    if (++gate_tick_[l] != kSamplePeriod) return false;
-    gate_tick_[l] = 0;
-    gate_[l] = true;
+    Lane& ln = lanes_[l];
+    ++ln.counters[static_cast<int>(c)];
+    ++ln.scopes[static_cast<int>(s)];
+    if (++ln.gate_tick != kSamplePeriod) return false;
+    ln.gate_tick = 0;
+    ln.gate = true;
     timed_enter(l, static_cast<int>(s));
     return true;
   }
   void gate_close() {
     const int l = lane();
     timed_exit(l);
-    gate_[l] = false;
+    lanes_[l].gate = false;
   }
 
   /// Timed frame push/pop. Out of line: the clock reads live in
@@ -278,6 +279,20 @@ class Profiler {
     Frame stack[kMaxDepth];
     int depth = 0;
   };
+  /// Everything a lane writes while it runs, on cache lines of its own:
+  /// lanes on different workers never write the same line. Written only
+  /// by their own lane, so sampling needs no synchronization.
+  struct alignas(64) Lane {
+    std::uint64_t counters[kProfCounterCount] = {};  ///< Channel A
+    std::uint64_t scopes[kProfSubsysCount] = {};     ///< Channel A
+    bool gate = false;  ///< Channel B sampling gate
+    std::uint32_t gate_tick = 0;
+    LaneTiming timing;
+    std::uint64_t self_ticks[kProfSubsysCount] = {};
+    std::uint64_t truncated_scopes = 0;  ///< past kMaxDepth, untimed
+    std::uint64_t shard_done = 0;  ///< ticks at this window's finish
+    std::uint64_t barrier_wait_ticks = 0;
+  };
 
   double ns_per_tick() const;
   void write_deterministic(std::ostream& os) const;
@@ -285,23 +300,12 @@ class Profiler {
 
   inline static Profiler* active_ = nullptr;
 
-  // Channel A (lane-sliced, summed/exported per shard).
-  std::uint64_t counters_[kMaxLanes][kProfCounterCount] = {};
-  std::uint64_t scopes_[kMaxLanes][kProfSubsysCount] = {};
+  // Channel A summed/exported per shard; Channel B ticks calibrated to ns
+  // at export.
+  Lane lanes_[kMaxLanes];
   MemCensus memory_;
   int shards_ = 1;
-
-  // Channel B (lane-sliced ticks; calibrated to ns at export). The gate
-  // arrays are written only by their own lane, so sampling needs no
-  // synchronization.
-  bool gate_[kMaxLanes] = {};
-  std::uint32_t gate_tick_[kMaxLanes] = {};
-  LaneTiming timing_[kMaxLanes];
-  std::uint64_t self_ticks_[kMaxLanes][kProfSubsysCount] = {};
-  std::uint64_t truncated_scopes_[kMaxLanes] = {};  ///< past kMaxDepth, untimed
   std::uint64_t window_t0_ = 0;
-  std::uint64_t shard_done_[kMaxLanes] = {};
-  std::uint64_t barrier_wait_ticks_[kMaxLanes] = {};
   TickHist barrier_wait_;
   TickHist window_span_;
   TickHist stall_window_;
